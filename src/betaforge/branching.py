@@ -108,13 +108,12 @@ def deterministic_run(x: AlgebraicReal, max_steps: int = DEFAULT_MAX_STEPS) -> R
 NODE = "node"
 TERMINAL = "terminal"
 LIMIT = "limit"
-PRUNED = "pruned"
 
 
 @dataclass(frozen=True)
 class Edge:
     """One branch out of a switch point: the chosen digit, the digits forced
-    after it, and where that leads (``kind`` is node/terminal/limit/pruned)."""
+    after it, and where that leads (``kind`` is node/terminal/limit)."""
 
     digit: int
     segment: tuple[int, ...]
@@ -136,7 +135,6 @@ class BranchGraph:
     edges: dict[int, dict[int, Edge]] = dataclass_field(default_factory=dict)
     terminals: dict[int, PeriodicWord] = dataclass_field(default_factory=dict)
     truncated: bool = False
-    pruned: list[str] = dataclass_field(default_factory=list)
 
 
 def build_branch_graph(
@@ -192,13 +190,8 @@ def build_branch_graph(
         v = graph.nodes[nid]
         out: dict[int, Edge] = {}
         for digit, branch in ((0, t0), (1, t1)):
-            child = branch(v)
-            if region(child) is Region.OUTSIDE:
-                # cannot happen from a genuine switch point; kept as a guard
-                graph.pruned.append(f"node {nid} digit {digit}: left the domain")
-                out[digit] = Edge(digit, (), PRUNED, None)
-                continue
-            outcome = deterministic_run(child, max_steps)
+            # both branches of a switch point stay in the domain
+            outcome = deterministic_run(branch(v), max_steps)
             kind, target = resolve(outcome)
             out[digit] = Edge(digit, outcome.segment, kind, target)
         graph.edges[nid] = out
@@ -473,18 +466,16 @@ def viable_prefix_counts(x: AlgebraicReal, max_depth: int) -> list[int]:
     the branch-graph machinery, which it cross-checks.
     """
     _, _, upper = domain_bounds(x.field)
-    if x.sign() < 0 or (x - upper).sign() > 0:
+    if x.sign() < 0 or x > upper:
         raise OutsideDomain(f"{x} is outside [0, 1/(q-1)]")
-    q = x.field.q
     level: dict[AlgebraicReal, int] = {x: 1}
     counts: list[int] = []
     for _ in range(max_depth):
         nxt: dict[AlgebraicReal, int] = {}
         for v, mult in level.items():
-            base = v * q
             for d in (0, 1):
-                r = base - d
-                if r.sign() >= 0 and (r - upper).sign() <= 0:
+                r = v.times_q_minus(d)
+                if r.sign() >= 0 and r <= upper:
                     nxt[r] = nxt.get(r, 0) + mult
         level = nxt
         counts.append(sum(level.values()))

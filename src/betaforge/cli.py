@@ -3,8 +3,9 @@
 Subcommands: eval, region, orbit, count, enumerate, verify.  Exit codes:
 0 success (and every verification check passed); 1 a verification check
 failed; 2 usage error (bad flags, malformed word or field spec, malformed
-BETAFORGE_LIMITS); 3 a resource limit cut the computation short (step
-budget exhausted, truncated branch graph, or incomplete enumeration).
+BETAFORGE_LIMITS, or a base outside (1, 2) for any command but eval); 3 a
+resource limit cut the computation short (step budget exhausted, truncated
+branch graph, or incomplete enumeration).
 """
 
 from __future__ import annotations
@@ -77,6 +78,15 @@ def _parse_field(spec: str) -> BaseField:
             raise UsageError(f"invalid field spec {spec!r}: {exc}")
     raise UsageError(
         f"unknown field {spec!r} (use q2, qf, golden, or poly:coeffs@lo,hi)")
+
+
+def _require_expansion_base(field: BaseField, spec: str) -> None:
+    """Expansions, regions and orbits are defined for bases in (1, 2) only."""
+    q = field.q
+    if not 1 < q < 2:
+        raise UsageError(
+            f"field {spec!r} has base q = {to_decimal(q, 6)}, outside (1, 2): "
+            "region, orbit, count and enumerate need 1 < q < 2")
 
 
 def _field_record(field: BaseField, spec: str) -> dict:
@@ -166,7 +176,7 @@ def _orbit_rows(x, max_steps: int, digits: int):
     v = x
     for i, d in enumerate(out.segment):
         rows.append((i, d, to_decimal(v, digits), str(region(v))))
-        v = v * x.field.q - d
+        v = v.times_q_minus(d)
     rows.append((len(out.segment), None, to_decimal(v, digits), str(region(v))))
     return rows, out
 
@@ -323,6 +333,7 @@ def main(argv=None) -> int:
         limits = _limits(args)
         if args.command == "eval":
             return _cmd_eval(args, field)
+        _require_expansion_base(field, args.field)
         if args.command == "region":
             return _cmd_region(args, field)
         if args.command == "orbit":

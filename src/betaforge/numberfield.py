@@ -1,17 +1,40 @@
 """Exact arithmetic in Q(q) for a fixed real algebraic base q.
 
 A base is described by a monic integer polynomial together with a rational
-interval that isolates exactly one real root.  Field elements are rational
-coefficient vectors modulo that polynomial, so equality is a coefficient
-comparison and order comparisons reduce to refining the isolating interval
-with exact rational interval arithmetic.  No floating point is involved in
-any decision.
+interval that isolates exactly one real root.  No floating point is involved
+in any decision.
+
+Lattice form.  An element is stored as integer numerators over one positive
+common denominator, ``(num, den)``, meaning sum(num[i] * q^i) / den, with
+gcd(num..., den) = 1.  Equality and hashing therefore compare tuples of
+ints.  Since the defining polynomial is monic, q is an algebraic integer:
+multiplying by q (one orbit step) is an integer shift plus one companion-row
+reduction and never grows ``den``.
+
+Signs.  Every comparison reduces to the sign of sum(num[i] * q^i).  Each
+field lazily fixes, on its first irrational sign, the scaled powers
+Q[i] = q^i * 2^P rounded to integers with |Q[i] - q^i * 2^P| < 2.  They come
+from a private dyadic bracket of q, found by integer bisection inside the
+isolating interval, so the shared interval and everything printed from it
+stay as they are.  Then
+
+    |sum(num[i] * Q[i]) - 2^P * sum(num[i] * q^i)| < 2 * sum(|num[i]|),
+
+so whenever |sum(num[i] * Q[i])| > 2 * sum(|num[i]|) + 2 the sign of the
+integer sum is the sign of the element.  That is the filter: integers only,
+with a certified error bound.  When the sum is too small to decide, the sign
+falls back to the exact certificate: refining the shared isolating interval
+and enclosing the value with rational interval arithmetic until the
+enclosure clears zero.  Decimals and enclosures convert to ``Fraction``
+at that edge; inverses stay in integers (an adjugate).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -36,6 +59,9 @@ class MixedFields(TypeError):
 
 
 RationalLike = int | Fraction
+
+# bits of the sign filter's scaled powers q^i * 2^P
+FILTER_BITS = 128
 
 # ---------------------------------------------------------------------------
 # rational polynomial helpers (coefficient lists, ascending powers)
@@ -64,24 +90,23 @@ def _poly_over_interval(
     return vlo, vhi
 
 
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    quot = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b) and _trim(a):
-        shift = len(a) - len(b)
-        factor = a[-1] * inv_lead
-        quot[shift] = factor
-        for i, c in enumerate(b):
-            a[shift + i] -= factor * c
-        _trim(a)
-    return _trim(quot), a
+def _det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix (Bareiss: every division is
+    exact, so the work stays in integers)."""
+    m = [list(r) for r in rows]
+    n, parity, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            parity = -parity
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return parity * m[-1][-1]
 
 
 def _divisors(n: int) -> list[int]:
@@ -110,10 +135,13 @@ class BaseField:
     still pins down a single well-defined real number).
 
     The isolating interval only ever shrinks; every comparison made through
-    it stays valid afterwards.
+    it stays valid afterwards.  The field also owns its derived constants,
+    each computed on first use: the sign filter's scaled powers and the
+    domain bounds 1/q, 1/(q(q-1)), 1/(q-1).
     """
 
-    __slots__ = ("min_poly", "degree", "name", "_lo", "_hi", "_sign_lo", "_reduction_rows")
+    __slots__ = ("min_poly", "degree", "name", "_lo", "_hi", "_sign_lo", "_reduction_rows",
+                 "_powers", "_domain", "__weakref__")
 
     def __init__(
         self,
@@ -129,6 +157,8 @@ class BaseField:
         self.min_poly = coeffs
         self.degree = len(coeffs) - 1
         self.name = name
+        self._powers: tuple[int, ...] | None = None
+        self._domain: tuple[AlgebraicReal, AlgebraicReal, AlgebraicReal] | None = None
 
         lo, hi = Fraction(iso[0]), Fraction(iso[1])
         if not lo < hi:
@@ -203,6 +233,73 @@ class BaseField:
             self._bisect()
         return self.interval()
 
+    # -- sign filter ---------------------------------------------------------
+
+    def _sign_at_dyadic(self, m: int, k: int) -> int:
+        """Sign of the defining polynomial at m / 2^k, in integers."""
+        acc, scale = 0, 1
+        for c in reversed(self.min_poly):
+            acc = acc * m + c * scale
+            scale <<= k
+        return _sgn(acc)
+
+    def _dyadic_bracket(self, k: int) -> int:
+        """The integer m with m/2^k < q < (m+1)/2^k.
+
+        Bisects over the grid points inside the current isolating interval,
+        which is only read: q is its one root there, and no dyadic point is a
+        root (there are no rational roots)."""
+        lo, hi = self._lo, self._hi
+        a = math.ceil(lo * 2**k)
+        b = math.floor(hi * 2**k)
+        if a > b:  # no grid point in [lo, hi]: both ends share one cell
+            return b
+        if self._sign_at_dyadic(a, k) != self._sign_lo:
+            return a - 1
+        if self._sign_at_dyadic(b, k) == self._sign_lo:
+            return b
+        while b - a > 1:
+            mid = (a + b) // 2
+            if self._sign_at_dyadic(mid, k) == self._sign_lo:
+                a = mid
+            else:
+                b = mid
+        return a
+
+    def _scaled_powers(self) -> tuple[int, ...]:
+        """Integers Q[i] with |Q[i] - q^i * 2^FILTER_BITS| < 3/2, for
+        i < degree; computed once, from a private dyadic bracket of q."""
+        if self._powers is None:
+            p = FILTER_BITS
+            k = p + 4 * self.degree
+            while True:
+                m = self._dyadic_bracket(k)
+                powers = [1 << p]
+                for i in range(1, self.degree):
+                    # q^i * 2^p lies between m^i and (m+1)^i, over 2^shift
+                    a, b = sorted((m**i, (m + 1) ** i))
+                    shift = k * i - p
+                    if b - a > 1 << shift:  # half-width above 1/2: bracket more finely
+                        break
+                    powers.append((a + b) >> (shift + 1))
+                else:
+                    self._powers = tuple(powers)
+                    break
+                k += 32
+        return self._powers
+
+    # -- derived constants -----------------------------------------------------
+
+    def domain_bounds(self) -> tuple["AlgebraicReal", "AlgebraicReal", "AlgebraicReal"]:
+        """(1/q, 1/(q(q-1)), 1/(q-1)): switch interval endpoints and the
+        domain top, computed once."""
+        if self._domain is None:
+            q = self.q
+            upper = self.one / (q - 1)
+            switch_lo = self.one / q
+            self._domain = (switch_lo, switch_lo * upper, upper)
+        return self._domain
+
     # -- element constructors ----------------------------------------------
 
     def element(self, coeffs: Iterable[RationalLike]) -> "AlgebraicReal":
@@ -210,10 +307,12 @@ class BaseField:
         if len(vec) > self.degree:
             raise ValueError(f"coefficient vector longer than degree {self.degree}")
         vec.extend([Fraction(0)] * (self.degree - len(vec)))
-        return AlgebraicReal(self, tuple(vec))
+        # the lcm of lowest-terms denominators leaves the lattice form reduced
+        den = math.lcm(*(c.denominator for c in vec))
+        return AlgebraicReal(self, tuple(c.numerator * (den // c.denominator) for c in vec), den)
 
     def from_rational(self, r: RationalLike) -> "AlgebraicReal":
-        return self.element([Fraction(r)])
+        return self.element([r])
 
     @property
     def zero(self) -> "AlgebraicReal":
@@ -267,22 +366,45 @@ FIELD_CONSTRUCTORS = {
 }
 
 
-class AlgebraicReal:
-    """An element of Q(q), stored as rational coordinates in the power basis
-    1, q, ..., q^(degree-1).
+def _times_q(num: tuple[int, ...], row: tuple[int, ...], low: int = 0) -> tuple[int, ...]:
+    """Numerators of q * sum(num[i] q^i) + low: a shift, then q^degree
+    replaced by its companion ``row``."""
+    top = num[-1]
+    return tuple([a + top * m for a, m in zip((low,) + num[:-1], row)])
 
-    Arithmetic is exact.  Ordering works by refining the field's isolating
-    interval until the sign of the difference is certain; two elements are
-    equal exactly when their coordinate vectors coincide.  Rationals and ints
-    mix freely with elements of a field; elements of two different fields do
-    not (MixedFields).
+
+def _reduced(field: BaseField, num: Sequence[int], den: int) -> "AlgebraicReal":
+    """The element sum(num[i] q^i) / den (den > 0) in lowest lattice terms."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        return AlgebraicReal(field, tuple(n // g for n in num), den // g)
+    return AlgebraicReal(field, tuple(num), den)
+
+
+class AlgebraicReal:
+    """An element of Q(q) in lattice form: integer numerators ``num`` over
+    the power basis 1, q, ..., q^(degree-1) and one positive denominator
+    ``den``, reduced so that gcd(num..., den) = 1.
+
+    Arithmetic is exact.  Signs come from the field's integer filter and,
+    when it cannot decide, from refining the field's isolating interval; two
+    elements are equal exactly when their lattice forms coincide.  Rationals
+    and ints mix freely with elements of a field; elements of two different
+    fields do not (MixedFields).
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den", "_approx")
 
-    def __init__(self, field: BaseField, coeffs: tuple[Fraction, ...]):
+    def __init__(self, field: BaseField, num: tuple[int, ...], den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+        self._approx: tuple[int, int] | None = None
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Rational coordinates in the power basis 1, q, ..., q^(degree-1)."""
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     # -- coercion ------------------------------------------------------------
 
@@ -298,15 +420,15 @@ class AlgebraicReal:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is irrational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- ring operations -------------------------------------------------------
 
@@ -314,7 +436,10 @@ class AlgebraicReal:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return AlgebraicReal(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        a, b = self.den, o.den
+        if a == b:
+            return _reduced(self.field, [x + y for x, y in zip(self.num, o.num)], a)
+        return _reduced(self.field, [x * b + y * a for x, y in zip(self.num, o.num)], a * b)
 
     __radd__ = __add__
 
@@ -322,7 +447,10 @@ class AlgebraicReal:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return AlgebraicReal(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        a, b = self.den, o.den
+        if a == b:
+            return _reduced(self.field, [x - y for x, y in zip(self.num, o.num)], a)
+        return _reduced(self.field, [x * b - y * a for x, y in zip(self.num, o.num)], a * b)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -331,17 +459,17 @@ class AlgebraicReal:
         return o - self
 
     def __neg__(self):
-        return AlgebraicReal(self.field, tuple(-a for a in self.coeffs))
+        return AlgebraicReal(self.field, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         d = self.field.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
+        prod = [0] * (2 * d - 1)
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(o.coeffs):
+                for j, b in enumerate(o.num):
                     if b:
                         prod[i + j] += a * b
         res = prod[:d]
@@ -352,37 +480,38 @@ class AlgebraicReal:
                 for i, m in enumerate(row):
                     if m:
                         res[i] += ck * m
-        return AlgebraicReal(self.field, tuple(res))
+        return _reduced(self.field, res, self.den * o.den)
 
     __rmul__ = __mul__
 
+    def times_q_minus(self, d: int) -> "AlgebraicReal":
+        """q*x - d for an integer d: one orbit step, an integer shift plus one
+        companion-row reduction; the denominator never grows."""
+        field, den = self.field, self.den
+        return _reduced(field, _times_q(self.num, field._reduction_rows[0], -d * den), den)
+
     def inverse(self) -> "AlgebraicReal":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse, in integers: den / N(q) with 1/N(q) read
+        off the adjugate of the matrix of multiplication by N(q)."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero field element")
         if self.is_rational():
-            return self.field.from_rational(1 / self.coeffs[0])
-        # extended gcd of the coordinate polynomial and the minimal polynomial
-        r0 = [Fraction(c) for c in self.field.min_poly]
-        r1 = _trim(list(self.coeffs))
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            quot, rem = _poly_divmod(r0, r1)
-            if not rem:
-                break
-            s_next = list(s0)
-            s_next.extend([Fraction(0)] * (len(quot) + len(s1) - 1 - len(s_next)))
-            for i, qc in enumerate(quot):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        if sc:
-                            s_next[i + j] -= qc * sc
-            r0, r1, s0, s1 = r1, rem, s1, _trim(s_next) or [Fraction(0)]
-        if len(r1) > 1:
+            return self.field.from_rational(Fraction(self.den, self.num[0]))
+        # column j holds the coordinates of N(q) * q^j
+        cols = [self.num]
+        for _ in range(self.field.degree - 1):
+            cols.append(_times_q(cols[-1], self.field._reduction_rows[0]))
+        rows = [list(r) for r in zip(*cols)]
+        det = _det(rows)
+        if det == 0:
             # only possible when the defining polynomial is not irreducible
             raise ReduciblePolynomial("defining polynomial shares a factor with an element")
-        scale = 1 / r1[0]
-        return self.field.element([c * scale for c in s1])
+        # 1/N(q) = adj(M) e_0 / det, and adj(M)[i][0] is the (0, i) cofactor
+        minor = rows[1:]
+        adj = [(-1) ** i * _det([r[:i] + r[i + 1:] for r in minor]) for i in range(len(rows))]
+        if det < 0:
+            det, adj = -det, [-a for a in adj]
+        return _reduced(self.field, [a * self.den for a in adj], det)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -415,18 +544,38 @@ class AlgebraicReal:
     def enclosure(self) -> tuple[Fraction, Fraction]:
         """A rational interval certainly containing the value (not refined)."""
         if self.is_rational():
-            return self.coeffs[0], self.coeffs[0]
+            r = Fraction(self.num[0], self.den)
+            return r, r
         lo, hi = self.field.interval()
-        return _poly_over_interval(self.coeffs, lo, hi)
+        vlo, vhi = _poly_over_interval(self.num, lo, hi)
+        return vlo / self.den, vhi / self.den
+
+    def _scaled(self) -> tuple[int, int]:
+        """(S, E): S = sum(num[i] * Q[i]) is within E of 2^P * den * value."""
+        if self._approx is None:
+            num = self.num
+            self._approx = (sum(map(mul, num, self.field._scaled_powers())),
+                            2 * sum(map(abs, num)) + 2)
+        return self._approx
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1}."""
-        if self.is_zero():
-            return 0
-        if self.is_rational():
-            return _sgn(self.coeffs[0])
+        num = self.num
+        if not any(num[1:]):
+            return _sgn(num[0])
+        s, err = self._scaled()
+        if s > err:
+            return 1
+        if s < -err:
+            return -1
+        return self._exact_sign()
+
+    def _exact_sign(self) -> int:
+        """The certificate behind the filter: refine the field interval until
+        the value's enclosure clears zero."""
         while True:
-            vlo, vhi = self.enclosure()
+            lo, hi = self.field.interval()
+            vlo, vhi = _poly_over_interval(self.num, lo, hi)
             if vlo > 0:
                 return 1
             if vhi < 0:
@@ -435,6 +584,19 @@ class AlgebraicReal:
             # so the enclosure eventually clears zero
             self.field.refine(8)
 
+    def _cmp(self, o: "AlgebraicReal") -> int:
+        """Sign of self - o: both scaled sums, cross-multiplied by the other
+        denominator, decide unless they are within the summed error."""
+        s, e = self._scaled()
+        t, u = o._scaled()
+        diff = o.den * s - self.den * t
+        err = o.den * e + self.den * u
+        if diff > err:
+            return 1
+        if diff < -err:
+            return -1
+        return (self - o).sign()
+
     def __eq__(self, other):
         try:
             o = self._coerce(other)
@@ -442,36 +604,38 @@ class AlgebraicReal:
             return False
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.den == o.den and self.num == o.num
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((id(self.field), self.coeffs))
+        num = self.num
+        if any(num[1:]):
+            return hash((num, self.den))
+        # equal to the int or Fraction it coerces from, so hash like it
+        return hash(Fraction(num[0], self.den))
 
     def __lt__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o).sign() < 0
+        return self._cmp(o) < 0
 
     def __le__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o).sign() <= 0
+        return self._cmp(o) <= 0
 
     def __gt__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o).sign() > 0
+        return self._cmp(o) > 0
 
     def __ge__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o).sign() >= 0
+        return self._cmp(o) >= 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -492,7 +656,7 @@ class AlgebraicReal:
         if digits < 0:
             raise ValueError("digits must be >= 0")
         if self.is_rational():
-            return _round_decimal(self.coeffs[0], digits)
+            return _round_decimal(Fraction(self.num[0], self.den), digits)
         while True:
             vlo, vhi = self.enclosure()
             slo = _round_decimal(vlo, digits)
@@ -557,7 +721,7 @@ def compare(x: AlgebraicReal, y: AlgebraicReal | RationalLike) -> int:
     o = x._coerce(y)
     if o is None:
         raise TypeError(f"cannot compare AlgebraicReal with {type(y).__name__}")
-    return (x - o).sign()
+    return x._cmp(o)
 
 
 def to_decimal(x: AlgebraicReal, digits: int = 6) -> str:

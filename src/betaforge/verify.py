@@ -147,7 +147,7 @@ def _orbit_values(x: AlgebraicReal, max_steps: int = 500):
     values = [x]
     v = x
     for d in out.segment:
-        v = v * x.field.q - d
+        v = v.times_q_minus(d)
         values.append(v)
     return values, out
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .numberfield import AlgebraicReal, BaseField
@@ -241,14 +240,10 @@ def parse_word(text: str) -> PeriodicWord:
 # values and dynamics
 
 
-@lru_cache(maxsize=None)
 def domain_bounds(field: BaseField) -> tuple[AlgebraicReal, AlgebraicReal, AlgebraicReal]:
-    """(1/q, 1/(q(q-1)), 1/(q-1)): switch interval endpoints and the domain top."""
-    q = field.q
-    upper = field.one / (q - 1)
-    switch_lo = field.one / q
-    switch_hi = switch_lo * upper
-    return switch_lo, switch_hi, upper
+    """(1/q, 1/(q(q-1)), 1/(q-1)): switch interval endpoints and the domain
+    top.  The field computes them once and owns them."""
+    return field.domain_bounds()
 
 
 def _finite_value(digits: Sequence[int], field: BaseField, q_inv: AlgebraicReal) -> AlgebraicReal:
@@ -270,32 +265,34 @@ def eval_word(word: PeriodicWord, field: BaseField) -> AlgebraicReal:
 
 def t0(x: AlgebraicReal) -> AlgebraicReal:
     """Branch reading digit 0: x -> q*x."""
-    return x * x.field.q
+    return x.times_q_minus(0)
 
 
 def t1(x: AlgebraicReal) -> AlgebraicReal:
     """Branch reading digit 1: x -> q*x - 1."""
-    return x * x.field.q - 1
+    return x.times_q_minus(1)
 
 
 def apply_digits(x: AlgebraicReal, digits: Iterable[int]) -> AlgebraicReal:
     """Apply the branches named by ``digits`` in order (no domain checks)."""
-    q = x.field.q
     for d in _validate_digits(digits):
-        x = x * q - d
+        x = x.times_q_minus(d)
     return x
 
 
 def region(x: AlgebraicReal) -> Region:
-    """Which part of the domain [0, 1/(q-1)] the point lies in."""
+    """Which part of the domain [0, 1/(q-1)] the point lies in.
+
+    The comparisons share x's scaled sum, computed once, and the bounds'
+    own, computed once per field (see ``numberfield``)."""
     switch_lo, switch_hi, upper = domain_bounds(x.field)
     if x.sign() < 0:
         return Region.OUTSIDE
-    if (x - switch_lo).sign() < 0:
+    if x < switch_lo:
         return Region.LOW
-    if (x - switch_hi).sign() <= 0:
+    if x <= switch_hi:
         return Region.SWITCH
-    if (x - upper).sign() <= 0:
+    if x <= upper:
         return Region.HIGH
     return Region.OUTSIDE
 

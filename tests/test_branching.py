@@ -122,7 +122,8 @@ def test_single_switch_point_two_expansions():
     assert g.root_kind == NODE
     assert g.root_segment == ()
     assert g.nodes == {0: x}
-    assert not g.truncated and not g.pruned
+    assert not g.truncated
+    assert all(e.kind in (NODE, TERMINAL) for out in g.edges.values() for e in out.values())
     out = g.edges[0]
     assert set(out) == {0, 1}
     assert all(e.kind == TERMINAL for e in out.values())

@@ -263,6 +263,26 @@ def test_custom_poly_field(capsys):
     assert (code, out) == (0, "1 / 1.000000\n")
 
 
+# q ~ 0.618 (below 1) and q = sqrt 5 (above 2): no expansion dynamics
+_BASES_OUTSIDE_1_2 = ["poly:-1,1,1@1/2,7/10", "poly:-5,0,1@2,3"]
+
+
+@pytest.mark.parametrize("spec", _BASES_OUTSIDE_1_2)
+@pytest.mark.parametrize("command", ["region", "orbit", "count", "enumerate"])
+def test_base_outside_1_2_is_usage_error(capsys, spec, command):
+    code, out, err = run(capsys, command, "--field", spec, "1(0)*")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("betaforge: error:") and "outside (1, 2)" in err
+
+
+@pytest.mark.parametrize("spec, expected", zip(_BASES_OUTSIDE_1_2, ["1 + q / 1.618034\n",
+                                                                     "1/5q / 0.447214\n"]))
+def test_eval_accepts_any_base(capsys, spec, expected):
+    # 1/q: q + 1 when q^2 = 1 - q, and q/5 when q^2 = 5
+    assert run(capsys, "eval", "--field", spec, "1(0)*") == (0, expected, "")
+
+
 def test_csv_rejected_outside_orbit(capsys):
     code, _, err = run(capsys, "count", "--format", "csv", "(0)*")
     assert code == 2

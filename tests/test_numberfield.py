@@ -1,11 +1,14 @@
 """Exact arithmetic in Q(q): field construction, operators, signs, decimals."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from betaforge.numberfield import (
+    FILTER_BITS,
+    AlgebraicReal,
     AmbiguousInterval,
     MixedFields,
     NoRootInInterval,
@@ -216,3 +219,138 @@ def test_comparison_total_order(a, b):
     assert (a < b) + (a == b) + (a > b) == 1
     if a < b:
         assert b > a and a <= b and not b <= a
+
+
+# ---------------------------------------------------------------------------
+# the integer sign filter
+
+# fields of their own, so refining their intervals leaves the shared ones be
+_FILTER_FIELDS = {
+    "q2": define_field((-1, -1, -2, 0, 1), (Fraction(17, 10), Fraction(43, 25))),
+    "qf": define_field((-1, 1, -2, 1), (Fraction(17, 10), Fraction(9, 5))),
+    "golden": define_field((-1, -1, 1), (Fraction(3, 2), Fraction(17, 10))),
+}
+
+
+def _bounds(F):
+    q = F.q
+    return (1 / q, 1 / (q * (q - 1)), 1 / (q - 1))
+
+
+def _near(b, k, delta):
+    """b minus a dyadic rational within (|delta| + 1) * 2^-k of b's value."""
+    lo, _ = b.refined_enclosure(Fraction(1, 2 ** (k + 2)))
+    return b - Fraction(math.floor(lo * 2**k) + delta, 2**k)
+
+
+def _filter_decides(x):
+    s, err = x._scaled()
+    return abs(s) > err
+
+
+def _exact_sign(x):
+    """The sign by interval refinement alone (which needs an irrational x)."""
+    if x.is_rational():
+        r = x.as_rational()
+        return (r > 0) - (r < 0)
+    return x._exact_sign()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_FILTER_FIELDS)), st.integers(0, 2), st.integers(1, 200),
+       st.integers(-2, 2))
+def test_filtered_sign_matches_exact_near_bounds(name, which, k, delta):
+    x = _near(_bounds(_FILTER_FIELDS[name])[which], k, delta)
+    assert x.sign() == _exact_sign(x)
+
+
+def test_filter_decides_near_bounds_down_to_its_resolution():
+    # 2^-100 from a bound is well inside the filter's reach at 128 bits
+    for F in _FILTER_FIELDS.values():
+        for b in _bounds(F):
+            if b.is_rational():  # golden: 1/(q(q-1)) = 1
+                continue
+            x = _near(b, 100, 0)
+            assert _filter_decides(x) and x.sign() == x._exact_sign() == 1
+
+
+def test_sign_below_filter_resolution_falls_back(monkeypatch):
+    F = define_field((-1, -1, -2, 0, 1), (Fraction(17, 10), Fraction(43, 25)))
+    b = 1 / F.q
+    lo, hi = b.refined_enclosure(Fraction(1, 2**210))
+    above, below = b - lo, b - hi  # b is irrational: strictly inside (lo, hi)
+    fallbacks = []
+    exact = AlgebraicReal._exact_sign
+    monkeypatch.setattr(AlgebraicReal, "_exact_sign",
+                        lambda self: fallbacks.append(self) or exact(self))
+    for x, expected in ((above, 1), (below, -1), (-above, -1)):
+        assert not _filter_decides(x)
+        assert x.sign() == expected
+    assert fallbacks == [above, below, -above]
+
+
+def test_first_filtered_sign_leaves_the_interval():
+    F = define_field((-1, 1, -2, 1), (Fraction(17, 10), Fraction(9, 5)))
+    iv = F.interval()
+    assert F._powers is None  # nothing is computed before the first sign
+    assert (F.q - 1).sign() == 1
+    assert F._powers is not None
+    assert F.interval() == iv
+
+
+@pytest.mark.parametrize("poly, iso", [
+    ((-1, -1, -2, 0, 1), (Fraction(17, 10), Fraction(43, 25))),
+    ((-5, 0, 1), (Fraction(-3), Fraction(-2))),  # q = -sqrt 5
+    ((-7, 3, -5, 1), (Fraction(4), Fraction(6))),  # q ~ 4.8
+    ((-1, -1, 0, 1), (Fraction(13, 10), Fraction(7, 5))),
+])
+@pytest.mark.parametrize("bisections", [0, 300])
+def test_scaled_powers_error_bound(poly, iso, bisections):
+    # the bisections leave an interval narrower than the filter's bracket
+    F = define_field(poly, iso)
+    F.refine(bisections)
+    for i, Q in enumerate(F._scaled_powers()):
+        lo, hi = (F.q**i).refined_enclosure(Fraction(1, 2 ** (FILTER_BITS + 8)))
+        assert lo * 2**FILTER_BITS - 2 < Q < hi * 2**FILTER_BITS + 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([((-5, 0, 1), (-3, -2)), ((-7, 3, -5, 1), (4, 6))]),
+       st.tuples(st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 9)))
+def test_filtered_sign_on_unusual_bases(spec, vec):
+    F = define_field(*spec)
+    x = F.element(vec[:F.degree])
+    assert x.sign() == _exact_sign(x)
+
+
+def test_lattice_form_is_reduced():
+    F = q2_field()
+    x = F.element((Fraction(1, 2), Fraction(3, 4), 0, Fraction(-5, 6)))
+    assert (x.num, x.den) == ((6, 9, 0, -10), 12)
+    assert (x + x).den == 6 and (x - x).den == 1
+    assert x.coeffs == (Fraction(1, 2), Fraction(3, 4), Fraction(0), Fraction(-5, 6))
+    assert x.times_q_minus(1) == x * F.q - 1
+    assert hash(F.from_rational(Fraction(3, 2))) == hash(Fraction(3, 2))
+
+
+_INVERSE_FIELDS = [golden_field(), qf_field(), q2_field(),
+                   define_field((-2, 0, 0, 1), (1, 2))]  # cube root of 2: q is no unit
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_INVERSE_FIELDS), st.lists(_small, min_size=1, max_size=4))
+def test_inverse_in_several_fields(F, vec):
+    x = F.element(vec[:F.degree])
+    if x.is_zero():
+        return
+    inv = x.inverse()
+    assert x * inv == 1
+    assert inv.inverse() == x
+
+
+def test_orbit_step_reduces_when_q_is_no_unit():
+    F = define_field((-2, 0, 1), (1, 2))  # q = sqrt 2
+    x = F.q / 2
+    assert (x.num, x.den) == ((0, 1), 2)
+    one = x.times_q_minus(0)
+    assert (one.num, one.den) == ((1, 0), 1) and one == 1

@@ -1,11 +1,13 @@
 """Word parsing, canonicalization, evaluation, regions, and reflection."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from betaforge.numberfield import golden_field, q2_field, qf_field
+from betaforge.numberfield import define_field, golden_field, q2_field, qf_field
 from betaforge.words import (
     EmptyWordError,
     PeriodicWord,
@@ -159,6 +161,16 @@ def test_domain_bounds_relations():
     assert domain_bounds(qf_field())[1] == f - 1
     # the golden base puts the ceiling at 1
     assert domain_bounds(golden_field())[1] == 1
+
+
+def test_domain_bounds_do_not_keep_a_field_alive():
+    F = define_field((-1, -1, 0, 1), (Fraction(13, 10), Fraction(14, 10)))
+    lo, hi, upper = domain_bounds(F)
+    assert domain_bounds(F) == (lo, hi, upper)
+    ref = weakref.ref(F)
+    del F, lo, hi, upper
+    gc.collect()
+    assert ref() is None
 
 
 # -- maps and regions ---------------------------------------------------------
