@@ -299,7 +299,6 @@ def _finite_path_count(graph: BranchGraph) -> int:
     """Number of root-to-terminal paths in a cycle-free graph."""
     memo: dict[int, int] = {}
     order: list[int] = []
-    visiting: list[int] = []
     # iterative postorder over node targets
     stack: list[tuple[int, bool]] = [(graph.root_target, False)] if graph.root_kind == NODE else []
     seen: set[int] = set()
@@ -385,16 +384,40 @@ def count_expansions(
 # enumeration
 
 
+def _live_nodes(graph: BranchGraph) -> set[int]:
+    """Nodes from which some path of edges ends in a terminal edge."""
+    parents: dict[int, list[int]] = {}
+    live: set[int] = set()
+    for nid, out in graph.edges.items():
+        for e in out.values():
+            if e.kind == TERMINAL:
+                live.add(nid)
+            elif e.kind == NODE:
+                parents.setdefault(e.target, []).append(nid)
+    stack = list(live)
+    while stack:
+        for parent in parents.get(stack.pop(), ()):
+            if parent not in live:
+                live.add(parent)
+                stack.append(parent)
+    return live
+
+
 def _discover(
     graph: BranchGraph, max_count: int, max_depth: int
 ) -> tuple[list[PeriodicWord], bool]:
     """Expansions in breadth-first order by number of branch decisions
     (digit 0 explored before digit 1 at each switch point).  The boolean
-    reports completeness: True when every expansion was produced."""
+    reports completeness: True when every expansion was produced.
+
+    Branches into nodes that cannot reach a unique tail are never followed
+    (they would yield no word, only 2^depth paths) and make the listing
+    incomplete, as the depth limit would."""
     words: list[PeriodicWord] = []
     complete = not graph.truncated
     if graph.root_kind == LIMIT:
         return words, False
+    live = _live_nodes(graph)
     queue: deque[tuple[str, int | None, tuple[int, ...], int]] = deque(
         [(graph.root_kind, graph.root_target, graph.root_segment, 0)]
     )
@@ -412,7 +435,7 @@ def _discover(
             continue
         for digit in (0, 1):
             e = graph.edges[target][digit]
-            if e.kind in (NODE, TERMINAL):
+            if e.kind == TERMINAL or (e.kind == NODE and e.target in live):
                 queue.append((e.kind, e.target, prefix + (digit,) + e.segment, depth + 1))
             else:
                 complete = False
@@ -430,7 +453,9 @@ def enumerate_expansions(
 
     When x has finitely many expansions and the limits suffice, the list is
     exhaustive.  Otherwise it holds the ``max_count`` expansions reachable
-    with the fewest branch decisions.  Every returned word w satisfies
+    with the fewest branch decisions.  Only expansions that end in a unique
+    tail are listed: branches that cannot reach one are skipped, and the
+    list is then not exhaustive.  Every returned word w satisfies
     eval_word(w) = x exactly.
     """
     graph = build_branch_graph(x, max_steps=max_steps, max_nodes=max_nodes)
@@ -448,6 +473,8 @@ def bfs_expansions(
     """Expansions of x in discovery order (fewest branch decisions first,
     digit 0 before digit 1), plus a flag that is True when the list is
     exhaustive -- i.e. no step, node, depth, or count limit cut it short.
+    Branches that cannot reach a unique tail are skipped without being
+    walked, and skipping one makes the list incomplete (flag False).
     """
     graph = build_branch_graph(x, max_steps=max_steps, max_nodes=max_nodes)
     return _discover(graph, max_count, max_depth)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -81,11 +82,13 @@ def _parse_field(spec: str) -> BaseField:
 
 
 def _require_expansion_base(field: BaseField, spec: str) -> None:
-    """Expansions, regions and orbits are defined for bases in (1, 2) only."""
-    q = field.q
-    if not 1 < q < 2:
+    """Expansions, regions and orbits are defined for bases in (1, 2) only;
+    the field's domain bounds refuse any other base."""
+    try:
+        field.domain_bounds()
+    except ValueError:
         raise UsageError(
-            f"field {spec!r} has base q = {to_decimal(q, 6)}, outside (1, 2): "
+            f"field {spec!r} has base q = {to_decimal(field.q, 6)}, outside (1, 2): "
             "region, orbit, count and enumerate need 1 < q < 2")
 
 
@@ -270,7 +273,10 @@ def _cmd_verify(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls
+    (parsing never mutates it)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", default="q2",
                         help="base field: q2, qf, golden, or poly:coeffs@lo,hi "

@@ -292,9 +292,12 @@ class BaseField:
 
     def domain_bounds(self) -> tuple["AlgebraicReal", "AlgebraicReal", "AlgebraicReal"]:
         """(1/q, 1/(q(q-1)), 1/(q-1)): switch interval endpoints and the
-        domain top, computed once."""
+        domain top, computed once.  Raises ValueError unless 1 < q < 2, the
+        bases in which these bounds describe expansions."""
         if self._domain is None:
             q = self.q
+            if not 1 < q < 2:
+                raise ValueError("base q is outside (1, 2): expansions need 1 < q < 2")
             upper = self.one / (q - 1)
             switch_lo = self.one / q
             self._domain = (switch_lo, switch_lo * upper, upper)

@@ -242,7 +242,8 @@ def parse_word(text: str) -> PeriodicWord:
 
 def domain_bounds(field: BaseField) -> tuple[AlgebraicReal, AlgebraicReal, AlgebraicReal]:
     """(1/q, 1/(q(q-1)), 1/(q-1)): switch interval endpoints and the domain
-    top.  The field computes them once and owns them."""
+    top.  The field computes them once and owns them; a base outside (1, 2)
+    raises ValueError here, so everything that needs the domain refuses it."""
     return field.domain_bounds()
 
 

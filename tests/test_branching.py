@@ -1,6 +1,8 @@
 """Tests for orbit runs, branch graphs, cardinality classification,
 enumeration, and the independent prefix-count oracle."""
 
+import itertools
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -37,6 +39,7 @@ from betaforge import (
     viable_prefix_count,
     viable_prefix_counts,
 )
+from betaforge import branching
 from betaforge.branching import LIMIT, NODE, TERMINAL
 
 
@@ -100,6 +103,20 @@ def test_run_step_limit():
     assert out.segment == (1,)
     assert isinstance(out.end, StepLimit)
     assert out.end.steps == 1
+
+
+@pytest.mark.parametrize("entry", [
+    region,
+    deterministic_run,
+    build_branch_graph,
+    lambda x: viable_prefix_counts(x, 3),
+])
+def test_base_outside_1_2_is_rejected(entry):
+    F = define_field((-5, 0, 1), (2, 3))  # q = sqrt 5
+    x = eval_word(parse_word("1(0)*"), F)  # evaluation takes any base
+    assert x == F.q / 5
+    with pytest.raises(ValueError, match=r"outside \(1, 2\)"):
+        entry(x)
 
 
 @pytest.mark.parametrize("offset", [-1, 1])
@@ -305,6 +322,80 @@ def test_bfs_expansions_completeness_flag():
     assert not inf_complete
     assert len(inf_words) == 6
     assert all(eval_word(w, F) == x for w in inf_words)
+
+
+def _full_frontier_discover(graph, max_count, max_depth):
+    """Reference enumeration: the breadth-first walk that keeps every
+    frontier path, dead or alive (exponential work, same answers)."""
+    words = []
+    complete = not graph.truncated
+    if graph.root_kind == LIMIT:
+        return words, False
+    queue = deque([(graph.root_kind, graph.root_target, graph.root_segment, 0)])
+    while queue:
+        kind, target, prefix, depth = queue.popleft()
+        if len(words) >= max_count:
+            complete = False
+            break
+        if kind == TERMINAL:
+            tail = graph.terminals[target]
+            words.append(PeriodicWord(prefix + tail.preperiod, tail.period))
+            continue
+        if depth >= max_depth:
+            complete = False
+            continue
+        for digit in (0, 1):
+            e = graph.edges[target][digit]
+            if e.kind in (NODE, TERMINAL):
+                queue.append((e.kind, e.target, prefix + (digit,) + e.segment, depth + 1))
+            else:
+                complete = False
+    return words, complete
+
+
+def _canonical_words(max_pre, max_per):
+    """Every canonical word (primitive period; a preperiod, if any, whose
+    last digit differs from the period's last) up to the given lengths."""
+    for per_len in range(1, max_per + 1):
+        for per in itertools.product((0, 1), repeat=per_len):
+            if any(per_len % k == 0 and per == per[:k] * (per_len // k)
+                   for k in range(1, per_len)):
+                continue
+            yield PeriodicWord((), per)
+            for pre_len in range(1, max_pre + 1):
+                for body in itertools.product((0, 1), repeat=pre_len - 1):
+                    yield PeriodicWord(body + (1 - per[-1],), per)
+
+
+_ACCEPTANCE_CAPS = {"max_steps": 250, "max_nodes": 64}
+
+
+@pytest.mark.parametrize("field_factory, caps", [
+    (qf_field, {}), (golden_field, {}), (q2_field, _ACCEPTANCE_CAPS),
+])
+def test_enumeration_matches_full_frontier_reference(field_factory, caps, monkeypatch):
+    F = field_factory()
+    words = list(_canonical_words(4, 3))
+    assert len(words) == 160
+    for word in words:
+        x = eval_word(word, F)
+        graph = build_branch_graph(x, **caps)
+        # bfs_expansions walks this same graph instead of building it anew
+        monkeypatch.setattr(branching, "build_branch_graph", lambda *_, **__: graph)
+        for max_depth, max_count in itertools.product((6, 12), (3, 64)):
+            expected = _full_frontier_discover(graph, max_count, max_depth)
+            got = bfs_expansions(x, max_count=max_count, max_depth=max_depth, **caps)
+            assert got == expected, (str(word), max_depth, max_count)
+
+
+def test_point_with_no_reachable_tail_lists_nothing_at_once():
+    # (010)* in qf has continuum many expansions, none eventually periodic
+    # through a unique tail; the full frontier would hold 2^256 paths
+    F = qf_field()
+    x = eval_word(parse_word("(010)*"), F)
+    assert count_expansions(x) == Cardinality.continuum()
+    assert bfs_expansions(x) == ([], False)
+    assert enumerate_expansions(x) == []
 
 
 def test_enumerated_words_evaluate_back():

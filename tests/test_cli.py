@@ -17,7 +17,7 @@ from betaforge import (
     qf_field,
     to_decimal,
 )
-from betaforge.cli import main
+from betaforge.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -205,6 +205,14 @@ def test_enumerate_incomplete(capsys):
     assert "# incomplete" in err
 
 
+def test_enumerate_point_with_no_reachable_tail(capsys):
+    # every branch of (010)* in qf avoids unique tails: nothing to list, and
+    # the listing is reported incomplete at once under the default limits
+    code, out, err = run(capsys, "enumerate", "--field", "qf", "(010)*")
+    assert (code, out) == (3, "")
+    assert "# incomplete" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -338,3 +346,31 @@ def test_env_limits_ignored_for_unlimited_commands(capsys, monkeypatch):
     monkeypatch.setenv("BETAFORGE_LIMITS", "max_steps=1")
     code, out, _ = run(capsys, "eval", "(0)*")
     assert (code, out) == (0, "0 / 0.000000\n")
+
+
+# ---------------------------------------------------------------------------
+# the shared parser
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert build_parser() is build_parser()
+    assert run(capsys, "eval", "(0)*") == (0, "0 / 0.000000\n", "")
+    # a usage error after a successful call is still a usage error
+    code, out, err = run(capsys, "eval", "--digits", "x", "(0)*")
+    assert (code, out) == (2, "")
+    assert "usage" in err
+    assert run(capsys, "count", "--field", "qf", "1(0000)^2 0(10)*") == (0, "Finite(3)\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--plus-one", "--field", "qf", "--digits", "9", "1(0)*"],
+    ["orbit", "--format", "csv", "--max-steps", "5", "(01)*"],
+    ["enumerate", "--max-count", "3", "--max-depth", "7", "1(0)*"],
+    ["verify", "constants", "T1", "--profile", "full", "--format", "json"],
+])
+def test_shared_parser_matches_a_fresh_one(argv):
+    shared = build_parser()
+    shared.parse_args(["count", "--field", "golden", "--max-nodes", "2", "1"])
+    fresh = build_parser.__wrapped__()
+    assert vars(shared.parse_args(argv)) == vars(fresh.parse_args(argv))
+    assert shared.format_help() == fresh.format_help()
