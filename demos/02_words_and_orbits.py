@@ -26,12 +26,10 @@ def show_orbit(text, plus_one=False):
     if plus_one:
         x = x + 1
     out = deterministic_run(x, max_steps=500)
-    trail = []
-    v = x
-    for d in out.segment:
-        trail.append(f"{to_decimal(v, 6)} ({region(v)}) ->{d}")
-        v = v * F.q - d
-    trail.append(f"{to_decimal(v, 6)} ({region(v)})")
+    # out.orbit holds the value before each forced digit, then the stop value
+    trail = [f"{to_decimal(v, 6)} ({region(v)}) ->{d}"
+             for v, d in zip(out.orbit, out.segment)]
+    trail.append(f"{to_decimal(out.orbit[-1], 6)} ({region(out.orbit[-1])})")
     label = f"({text})+1" if plus_one else text
     if isinstance(out.end, SwitchHit):
         end = "[branches here]"

@@ -52,7 +52,6 @@ from .branching import (
     count_expansions,
     deterministic_run,
     enumerate_expansions,
-    viable_prefix_count,
     viable_prefix_counts,
 )
 

@@ -11,9 +11,9 @@ from the root.  Cardinality classification is then graph-shaped:
     exactly one cycle per SCC     -> countably infinitely many
     an SCC with two cycles        -> continuum many
 
-Independent of all that, ``viable_prefix_count`` counts the depth-n binary
-prefixes whose remainder stays in the domain; it serves as a cross-check
-oracle for the graph-based counts.
+Independent of all that, ``viable_prefix_counts`` counts, for each depth n,
+the binary prefixes whose remainder stays in the domain; it serves as a
+cross-check oracle for the graph-based counts.
 """
 
 from __future__ import annotations
@@ -62,10 +62,12 @@ class StepLimit:
 
 @dataclass(frozen=True)
 class RunOutcome:
-    """Digits forced before the orbit resolved, and how it resolved."""
+    """Digits forced before the orbit resolved, how it resolved, and the
+    values visited: ``orbit[i]`` precedes digit i, ``orbit[-1]`` is where it stopped."""
 
     segment: tuple[int, ...]
     end: SwitchHit | UniqueTail | StepLimit
+    orbit: tuple[AlgebraicReal, ...]
 
 
 def deterministic_run(x: AlgebraicReal, max_steps: int = DEFAULT_MAX_STEPS) -> RunOutcome:
@@ -74,21 +76,22 @@ def deterministic_run(x: AlgebraicReal, max_steps: int = DEFAULT_MAX_STEPS) -> R
     reg = region(x)
     if reg is Region.OUTSIDE:
         raise OutsideDomain(f"{x} is outside [0, 1/(q-1)]")
+    # each visited value -> its step; the keys, in order, are the orbit so far
     seen: dict[AlgebraicReal, int] = {}
-    values: list[AlgebraicReal] = []
     digits: list[int] = []
     v = x
     for _ in range(max_steps):
         if reg is Region.SWITCH:
-            return RunOutcome(tuple(digits), SwitchHit(v))
+            return RunOutcome(tuple(digits), SwitchHit(v), (*seen, v))
         at = seen.get(v)
         if at is not None:
+            values = tuple(seen)
             return RunOutcome(
                 tuple(digits[:at]),
-                UniqueTail(tuple(values[at:]), PeriodicWord((), tuple(digits[at:]))),
+                UniqueTail(values[at:], PeriodicWord((), tuple(digits[at:]))),
+                values[:at + 1],
             )
-        seen[v] = len(values)
-        values.append(v)
+        seen[v] = len(seen)
         if reg is Region.LOW:
             digits.append(0)
             v = t0(v)
@@ -98,7 +101,7 @@ def deterministic_run(x: AlgebraicReal, max_steps: int = DEFAULT_MAX_STEPS) -> R
         reg = region(v)
         if reg is Region.OUTSIDE:
             raise OutsideDomain(f"orbit left the domain at {v}")
-    return RunOutcome(tuple(digits), StepLimit(max_steps))
+    return RunOutcome(tuple(digits), StepLimit(max_steps), (*seen, v))
 
 
 # ---------------------------------------------------------------------------
@@ -295,48 +298,17 @@ def _sccs(adj: dict[int, list[int]]) -> list[list[int]]:
     return out
 
 
-def _finite_path_count(graph: BranchGraph) -> int:
-    """Number of root-to-terminal paths in a cycle-free graph."""
-    memo: dict[int, int] = {}
-    order: list[int] = []
-    # iterative postorder over node targets
-    stack: list[tuple[int, bool]] = [(graph.root_target, False)] if graph.root_kind == NODE else []
-    seen: set[int] = set()
-    while stack:
-        nid, processed = stack.pop()
-        if processed:
-            order.append(nid)
-            continue
-        if nid in seen:
-            continue
-        seen.add(nid)
-        stack.append((nid, True))
-        for e in graph.edges[nid].values():
-            if e.kind == NODE and e.target not in seen:
-                stack.append((e.target, False))
-    for nid in order:
-        total = 0
-        for e in graph.edges[nid].values():
-            if e.kind == TERMINAL:
-                total += 1
-            elif e.kind == NODE:
-                total += memo[e.target]
-        memo[nid] = total
-    return memo[graph.root_target]
-
-
-def _certified_floor(graph: BranchGraph) -> int:
-    """A certified lower bound on the number of expansions of a truncated
-    graph: distinct exits per SCC of the condensation, with unresolved edges
-    contributing one each (every in-domain point has at least one expansion)."""
-    adj = _node_adjacency(graph)
-    comps = _sccs(adj)
+def _path_floor(graph: BranchGraph, comps: list[list[int]]) -> int:
+    """Distinct exits per SCC of the condensation ``comps`` (sinks first),
+    unresolved edges contributing one each (every in-domain point has an
+    expansion): the exact path count of a complete cycle-free graph, and a
+    certified floor for a truncated one."""
     comp_of: dict[int, int] = {}
     for ci, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = ci
     floor: dict[int, int] = {}
-    for ci, comp in enumerate(comps):  # sinks first
+    for ci, comp in enumerate(comps):
         total = 0
         for v in comp:
             for e in graph.edges[v].values():
@@ -354,12 +326,13 @@ def classify(graph: BranchGraph) -> Cardinality:
         return Cardinality.finite(1)
     if graph.root_kind == LIMIT:
         return Cardinality.lower_bound(1)
-    if graph.truncated:
-        return Cardinality.lower_bound(_certified_floor(graph))
-
     adj = _node_adjacency(graph)
+    comps = _sccs(adj)
+    if graph.truncated:
+        return Cardinality.lower_bound(_path_floor(graph, comps))
+
     has_cycle = False
-    for comp in _sccs(adj):
+    for comp in comps:
         members = set(comp)
         intra = sum(1 for v in comp for w in adj[v] if w in members)
         if intra > len(comp):
@@ -368,7 +341,7 @@ def classify(graph: BranchGraph) -> Cardinality:
             has_cycle = True
     if has_cycle:
         return Cardinality.aleph0()
-    return Cardinality.finite(_finite_path_count(graph))
+    return Cardinality.finite(_path_floor(graph, comps))
 
 
 def count_expansions(
@@ -492,6 +465,8 @@ def viable_prefix_counts(x: AlgebraicReal, max_depth: int) -> list[int]:
     expansions of x, computed by pure interval filtering -- independent of
     the branch-graph machinery, which it cross-checks.
     """
+    if max_depth < 1:
+        raise ValueError("depth must be >= 1")
     _, _, upper = domain_bounds(x.field)
     if x.sign() < 0 or x > upper:
         raise OutsideDomain(f"{x} is outside [0, 1/(q-1)]")
@@ -507,10 +482,3 @@ def viable_prefix_counts(x: AlgebraicReal, max_depth: int) -> list[int]:
         level = nxt
         counts.append(sum(level.values()))
     return counts
-
-
-def viable_prefix_count(x: AlgebraicReal, depth: int) -> int:
-    """The number of viable length-``depth`` prefixes of expansions of x."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    return viable_prefix_counts(x, depth)[-1]

@@ -3,9 +3,10 @@
 Subcommands: eval, region, orbit, count, enumerate, verify.  Exit codes:
 0 success (and every verification check passed); 1 a verification check
 failed; 2 usage error (bad flags, malformed word or field spec, malformed
-BETAFORGE_LIMITS, or a base outside (1, 2) for any command but eval); 3 a
-resource limit cut the computation short (step budget exhausted, truncated
-branch graph, or incomplete enumeration).
+BETAFORGE_LIMITS, or a base outside (1, 2) for any command but eval); 3 the
+answer is incomplete: a resource limit cut the computation short (step
+budget exhausted, truncated branch graph, enumeration depth or count), or
+enumerate skipped branches from which no unique tail can be reached.
 """
 
 from __future__ import annotations
@@ -37,13 +38,13 @@ from .words import EmptyWordError, WordSyntaxError, eval_word, parse_word, regio
 DEFAULT_MAX_DEPTH = 256
 DEFAULT_MAX_COUNT = 64
 
-_LIMIT_KEYS = ("max_steps", "max_nodes", "max_depth", "max_count")
 _BUILTIN_LIMITS = {
     "max_steps": DEFAULT_MAX_STEPS,
     "max_nodes": DEFAULT_MAX_NODES,
     "max_depth": DEFAULT_MAX_DEPTH,
     "max_count": DEFAULT_MAX_COUNT,
 }
+_LIMIT_KEYS = tuple(_BUILTIN_LIMITS)
 
 _FIELD_ALIASES = {"q2": q2_field, "qf": qf_field, "golden": golden_field}
 
@@ -173,20 +174,11 @@ def _cmd_region(args, field) -> int:
     return 0
 
 
-def _orbit_rows(x, max_steps: int, digits: int):
-    out = deterministic_run(x, max_steps=max_steps)
-    rows = []
-    v = x
-    for i, d in enumerate(out.segment):
-        rows.append((i, d, to_decimal(v, digits), str(region(v))))
-        v = v.times_q_minus(d)
-    rows.append((len(out.segment), None, to_decimal(v, digits), str(region(v))))
-    return rows, out
-
-
 def _cmd_orbit(args, field, limits) -> int:
     _, x = _word_value(args, field)
-    rows, out = _orbit_rows(x, limits["max_steps"], args.digits)
+    out = deterministic_run(x, max_steps=limits["max_steps"])
+    rows = [(i, d, to_decimal(v, args.digits), str(region(v)))
+            for i, (v, d) in enumerate(zip(out.orbit, (*out.segment, None)))]
     end = out.end
     if isinstance(end, SwitchHit):
         tag, code = "[SWITCH]", 0
@@ -250,7 +242,8 @@ def _cmd_enumerate(args, field, limits) -> int:
         for w in words:
             print(str(w))
         if not complete:
-            print("# incomplete: a resource limit was reached", file=sys.stderr)
+            print("# incomplete: a resource limit was reached, or branches "
+                  "with no reachable unique tail were skipped", file=sys.stderr)
     return 0 if complete else 3
 
 

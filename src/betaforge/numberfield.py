@@ -362,13 +362,6 @@ def golden_field() -> BaseField:
     return define_field((-1, -1, 1), (Fraction(3, 2), Fraction(17, 10)), name="golden")
 
 
-FIELD_CONSTRUCTORS = {
-    "q2": q2_field,
-    "qf": qf_field,
-    "golden": golden_field,
-}
-
-
 def _times_q(num: tuple[int, ...], row: tuple[int, ...], low: int = 0) -> tuple[int, ...]:
     """Numerators of q * sum(num[i] q^i) + low: a shift, then q^degree
     replaced by its companion ``row``."""

@@ -33,7 +33,7 @@ from .branching import (
     count_expansions,
     deterministic_run,
     enumerate_expansions,
-    viable_prefix_count,
+    viable_prefix_counts,
 )
 from .numberfield import AlgebraicReal, q2_field, qf_field, golden_field, to_decimal
 from .words import (
@@ -140,21 +140,16 @@ def _word_value(text: str, field) -> AlgebraicReal:
     return eval_word(parse_word(text), field)
 
 
-def _orbit_values(x: AlgebraicReal, max_steps: int = 500):
-    """The forced orbit of x up to (and including) its stopping value,
-    together with the run outcome."""
-    out = deterministic_run(x, max_steps=max_steps)
-    values = [x]
-    v = x
-    for d in out.segment:
-        v = v.times_q_minus(d)
-        values.append(v)
-    return values, out
-
-
 def _specials(field):
     """The two double-expansion branch values."""
     return (_word_value(fixtures.EPS1, field), _word_value(fixtures.EPS3, field))
+
+
+def _targets(q: AlgebraicReal) -> tuple[AlgebraicReal, AlgebraicReal]:
+    """The two values the orbit identities collapse the families to."""
+    target_a = (q - 1) / (q**3 * (q**2 - 1)) + 1 / (q**2 - 1)
+    target_b = q / (q**2 - 1) + (1 - q) / (q**3 * (q**2 - 1))
+    return target_a, target_b
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +239,10 @@ def _two_point_body() -> str:
     _require(reflect_word(w2) == w3, "reflection does not pair the inner words")
     _require(reflect_point(a) == b, "reflection does not exchange the two values")
 
-    _require(viable_prefix_count(a, 40) == 2, "prefix oracle at depth 40 != 2 (first value)")
-    _require(viable_prefix_count(b, 40) == 2, "prefix oracle at depth 40 != 2 (second value)")
+    _require(viable_prefix_counts(a, 40)[-1] == 2,
+             "prefix oracle at depth 40 != 2 (first value)")
+    _require(viable_prefix_counts(b, 40)[-1] == 2,
+             "prefix oracle at depth 40 != 2 (second value)")
 
     # the unique-neighbour identities behind the two-point claim: each pair
     # (y, y + 1) consists of points with a single expansion
@@ -291,7 +288,7 @@ def _counts_family_body(k_max: int) -> str:
         c = count_expansions(x)
         _require(c == c.finite(k), f"k={k}: classified {c}, expected Finite({k})")
         depth = max(40, 4 * (k - 1) + 8)
-        got = viable_prefix_count(x, depth)
+        got = viable_prefix_counts(x, depth)[-1]
         _require(got == k, f"k={k}: prefix oracle at depth {depth} gives {got}")
         if k >= 2:
             _require((x - lo).sign() > 0,
@@ -347,15 +344,15 @@ def _table_body(table_id: str) -> str:
     n_cells = 0
     for word_text, cells in table:
         x = _word_value(word_text, q2) + 1
+        out = deterministic_run(x, max_steps=500)
         if cells == fixtures.UNIQUE:
-            out = deterministic_run(x, max_steps=500)
             _require(isinstance(out.end, UniqueTail),
                      f"{table_id} row {word_text}: expected a unique tail, "
                      f"got {type(out.end).__name__}")
-            _require(viable_prefix_count(x, 40) == 1,
+            _require(viable_prefix_counts(x, 40)[-1] == 1,
                      f"{table_id} row {word_text}: prefix oracle at depth 40 != 1")
             continue
-        values, out = _orbit_values(x)
+        values = out.orbit
         _require(isinstance(out.end, SwitchHit),
                  f"{table_id} row {word_text}: orbit did not reach the "
                  f"branching region ({type(out.end).__name__})")
@@ -496,11 +493,11 @@ def _branch_families_body(k_max: int, j_max: int) -> str:
         depth = k + 2 * j + 16
         if depth <= 40:
             depth = 40
-            got = viable_prefix_count(x, depth)
+            got = viable_prefix_counts(x, depth)[-1]
             _require(got == 2,
                      f"{name} k={k} j={j}: prefix oracle at depth 40 gives {got}")
         elif k in _DEEP_SAMPLES or j in _DEEP_SAMPLES:
-            got = viable_prefix_count(x, depth)
+            got = viable_prefix_counts(x, depth)[-1]
             _require(got == 2,
                      f"{name} k={k} j={j}: prefix oracle at depth {depth} gives {got}")
         checked += 1
@@ -549,9 +546,7 @@ def _orbit_identities_body(j_max: int) -> str:
     q2 = q2_field()
     q = q2.q
     e1, e3 = _specials(q2)
-
-    target_a = (q - 1) / (q**3 * (q**2 - 1)) + 1 / (q**2 - 1)
-    target_b = q / (q**2 - 1) + (1 - q) / (q**3 * (q**2 - 1))
+    target_a, target_b = _targets(q)
 
     for t, label, cell in ((target_a, "A", fixtures.TARGET_A_5),
                            (target_b, "B", fixtures.TARGET_B_5)):
@@ -598,25 +593,17 @@ def _orbit_identities_body(j_max: int) -> str:
         _require(expr.is_zero(), f"cancellation expression nonzero at j={j}")
 
     # in Z[x]: x^3 - 1 + (x^4-x^3-x^2-x-1)(x^2-1) = x(x-1)(x^4-2x^2-x-1),
-    # so the expression vanishes exactly because q^4-2q^2-q-1 = 0
-    def poly_mul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for k, bk in enumerate(b):
-                out[i + k] += ai * bk
-        return out
+    # so the expression vanishes exactly because q^4-2q^2-q-1 = 0; both
+    # sides have degree 6, so agreeing at x = 0..6 proves the identity
+    def lhs(x):
+        return x**3 - 1 + (x**4 - x**3 - x**2 - x - 1) * (x**2 - 1)
 
-    def poly_add(a, b):
-        n = max(len(a), len(b))
-        a = list(a) + [0] * (n - len(a))
-        b = list(b) + [0] * (n - len(b))
-        return [u + v for u, v in zip(a, b)]
+    def rhs(x):
+        return x * (x - 1) * (x**4 - 2 * x**2 - x - 1)
 
-    lhs_poly = poly_add([-1, 0, 0, 1], poly_mul([-1, -1, -1, -1, 1], [-1, 0, 1]))
-    rhs_poly = poly_mul(poly_mul([0, 1], [-1, 1]), [-1, -1, -2, 0, 1])
-    _require(lhs_poly == rhs_poly, "polynomial factorization witness fails")
-    _require(sum(c * q**i for i, c in enumerate(lhs_poly)).is_zero(),
-             "factored expression nonzero in the field")
+    _require(all(lhs(n) == rhs(n) for n in range(7)),
+             "polynomial factorization witness fails")
+    _require(lhs(q).is_zero(), "factored expression nonzero in the field")
 
     return (f"{applied} identity instances exact; targets {_dec(target_a, 5)} "
             f"and {_dec(target_b, 5)}; cancellation certified by the factor "
@@ -711,8 +698,7 @@ def _exceptional_rows_body() -> str:
     q2 = q2_field()
     q = q2.q
     e1, e3 = _specials(q2)
-    target_a = (q - 1) / (q**3 * (q**2 - 1)) + 1 / (q**2 - 1)
-    target_b = q / (q**2 - 1) + (1 - q) / (q**3 * (q**2 - 1))
+    target_a, target_b = _targets(q)
 
     rows = ("00101(10)*", "0010101(10)*", "00100111(10)*")
     finals = []

@@ -19,6 +19,7 @@ from betaforge import (
     SwitchHit,
     UniqueTail,
     PeriodicWord,
+    apply_digits,
     bfs_expansions,
     build_branch_graph,
     classify,
@@ -36,7 +37,6 @@ from betaforge import (
     reflect_word,
     region,
     t1,
-    viable_prefix_count,
     viable_prefix_counts,
 )
 from betaforge import branching
@@ -103,6 +103,33 @@ def test_run_step_limit():
     assert out.segment == (1,)
     assert isinstance(out.end, StepLimit)
     assert out.end.steps == 1
+
+
+@pytest.mark.parametrize("text, plus_one, max_steps, end_type", [
+    ("00(01)*", True, 500, SwitchHit),     # two forced steps, then a switch point
+    ("01(10)*", False, 500, SwitchHit),    # starts at a switch point
+    ("000(01)*", True, 500, UniqueTail),   # forced steps, then a closed cycle
+    ("(10)*", False, 500, UniqueTail),     # already on the cycle
+    ("(0)*", False, 500, UniqueTail),
+    ("00(01)*", True, 1, StepLimit),
+    ("00(01)*", True, 2, StepLimit),
+])
+def test_run_returns_its_orbit(text, plus_one, max_steps, end_type):
+    F = q2_field()
+    x = eval_word(parse_word(text), F) + (1 if plus_one else 0)
+    out = deterministic_run(x, max_steps=max_steps)
+    assert isinstance(out.end, end_type)
+    assert out.orbit[0] == x
+    assert len(out.orbit) == len(out.segment) + 1
+    for v, d, w in zip(out.orbit, out.segment, out.orbit[1:]):
+        assert w == v.times_q_minus(d)
+    assert out.orbit[-1] == apply_digits(x, out.segment)
+    if isinstance(out.end, SwitchHit):
+        assert out.orbit[-1] == out.end.value
+    elif isinstance(out.end, UniqueTail):
+        assert out.orbit[-1] == out.end.cycle[0]
+    else:
+        assert len(out.segment) == max_steps
 
 
 @pytest.mark.parametrize("entry", [
@@ -245,6 +272,17 @@ def test_classify_limit_root():
 
 def test_classify_truncated_floor_counts_unresolved_edges():
     edges = {0: {0: _edge(0, LIMIT, None), 1: _edge(1, LIMIT, None)}}
+    g = _graph(NODE, 0, edges, truncated=True)
+    assert classify(g) == Cardinality.lower_bound(2)
+
+
+def test_classify_truncated_floor_counts_closed_component_once():
+    # node 1 loops on itself twice and never exits: its points still have
+    # an expansion, so it adds one to the floor, not zero
+    edges = {
+        0: {0: _edge(0, LIMIT, None), 1: _edge(1, NODE, 1)},
+        1: {0: _edge(0, NODE, 1), 1: _edge(1, NODE, 1)},
+    }
     g = _graph(NODE, 0, edges, truncated=True)
     assert classify(g) == Cardinality.lower_bound(2)
 
@@ -433,7 +471,7 @@ def test_prefix_counts_outside_domain():
 def test_prefix_count_depth_validation():
     F = q2_field()
     with pytest.raises(ValueError):
-        viable_prefix_count(F.zero, 0)
+        viable_prefix_counts(F.zero, 0)
 
 
 def test_prefix_counts_cross_check_enumerator():

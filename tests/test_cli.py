@@ -210,7 +210,8 @@ def test_enumerate_point_with_no_reachable_tail(capsys):
     # the listing is reported incomplete at once under the default limits
     code, out, err = run(capsys, "enumerate", "--field", "qf", "(010)*")
     assert (code, out) == (3, "")
-    assert "# incomplete" in err
+    assert err == ("# incomplete: a resource limit was reached, or branches "
+                   "with no reachable unique tail were skipped\n")
 
 
 # ---------------------------------------------------------------------------
