@@ -14,6 +14,15 @@ from the root.  Cardinality classification is then graph-shaped:
 Independent of all that, ``viable_prefix_counts`` counts, for each depth n,
 the binary prefixes whose remainder stays in the domain; it serves as a
 cross-check oracle for the graph-based counts.
+
+All three walk orbits in one private kernel, ``_Orbits``.  It holds every
+value reached from x as raw integer numerators over x's own denominator D
+(q is an algebraic integer, so q * (n / D) - d = (q * n - d * D) / D), and
+decides regions with ``words._region_rule`` for that D: the integer filter
+against the domain bounds' cached scaled sums, and, when the filter cannot
+decide, the exact comparison of the reduced element.  ``_reduced`` builds
+an element only where a value leaves the kernel: graph nodes, switch
+points, unique-tail cycles and the orbit a run returns.
 """
 
 from __future__ import annotations
@@ -22,11 +31,16 @@ from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 from typing import Iterator
 
-from .numberfield import AlgebraicReal, BaseField
-from .words import PeriodicWord, Region, domain_bounds, region, t0, t1
+from .numberfield import AlgebraicReal, BaseField, _reduced, _times_q
+from .words import PeriodicWord, Region, _region_rule, region
 
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_MAX_NODES = 10_000
+
+# how a forced run ends, and where a graph edge leads
+NODE = "node"
+TERMINAL = "terminal"
+LIMIT = "limit"
 
 
 class OutsideDomain(ValueError):
@@ -70,47 +84,83 @@ class RunOutcome:
     orbit: tuple[AlgebraicReal, ...]
 
 
-def deterministic_run(x: AlgebraicReal, max_steps: int = DEFAULT_MAX_STEPS) -> RunOutcome:
-    """Follow the forced branch from x until a switch point, a closed
-    non-branching cycle, or the step budget."""
+class _Orbits:
+    """The orbit kernel: forced runs from values over one fixed denominator.
+
+    q is an algebraic integer, so q * (n / D) - d = (q * n - d * D) / D: every
+    value reached from x stays over x's denominator D as a raw numerator
+    tuple.  For that D, equal values have equal tuples, so cycles, graph
+    nodes and oracle levels key on tuples of ints.  ``value`` reduces a tuple
+    to an element, only where a value leaves the kernel.
+
+    Every value the kernel makes lies in the domain: a forced digit and
+    either digit at a switch point keep it there (see ``words``).  So its
+    regions compare with the switch bounds only."""
+
+    __slots__ = ("field", "den", "row", "locate")
+
+    def __init__(self, x: AlgebraicReal):
+        self.field, self.den = x.field, x.den
+        self.row = x.field._reduction_rows[0]
+        self.locate = _region_rule(x.field, x.den, inside=True)
+
+    def step(self, n: tuple[int, ...], digit: int) -> tuple[int, ...]:
+        return _times_q(n, self.row, -digit * self.den)
+
+    def value(self, n: tuple[int, ...]) -> AlgebraicReal:
+        return _reduced(self.field, n, self.den)
+
+    def run(self, n: tuple[int, ...], reg: Region, max_steps: int):
+        """Follow the forced branch from ``n`` (in region ``reg``) until a
+        switch point, a closed non-branching cycle, or the step budget.
+
+        Returns (kind, segment, end, seen): ``seen`` maps each visited tuple
+        to its step, in order; ``end`` is the switch point's tuple (NODE),
+        the cycle's digits (TERMINAL, the cycle starting at step
+        ``len(segment)``), or the tuple after the last step (LIMIT)."""
+        row, locate = self.row, self.locate
+        lows = (0, -self.den)
+        seen: dict[tuple[int, ...], int] = {}
+        digits: list[int] = []
+        for _ in range(max_steps):
+            if reg is Region.SWITCH:
+                return NODE, tuple(digits), n, seen
+            at = seen.get(n)
+            if at is not None:
+                return TERMINAL, tuple(digits[:at]), tuple(digits[at:]), seen
+            seen[n] = len(seen)
+            d = 0 if reg is Region.LOW else 1
+            digits.append(d)
+            n = _times_q(n, row, lows[d])
+            reg = locate(n)
+        return LIMIT, tuple(digits), n, seen
+
+
+def _start(x: AlgebraicReal) -> tuple[_Orbits, Region]:
+    """The kernel for x and x's region; a point outside the domain raises."""
     reg = region(x)
     if reg is Region.OUTSIDE:
         raise OutsideDomain(f"{x} is outside [0, 1/(q-1)]")
-    # each visited value -> its step; the keys, in order, are the orbit so far
-    seen: dict[AlgebraicReal, int] = {}
-    digits: list[int] = []
-    v = x
-    for _ in range(max_steps):
-        if reg is Region.SWITCH:
-            return RunOutcome(tuple(digits), SwitchHit(v), (*seen, v))
-        at = seen.get(v)
-        if at is not None:
-            values = tuple(seen)
-            return RunOutcome(
-                tuple(digits[:at]),
-                UniqueTail(values[at:], PeriodicWord((), tuple(digits[at:]))),
-                values[:at + 1],
-            )
-        seen[v] = len(seen)
-        if reg is Region.LOW:
-            digits.append(0)
-            v = t0(v)
-        else:
-            digits.append(1)
-            v = t1(v)
-        reg = region(v)
-        if reg is Region.OUTSIDE:
-            raise OutsideDomain(f"orbit left the domain at {v}")
-    return RunOutcome(tuple(digits), StepLimit(max_steps), (*seen, v))
+    return _Orbits(x), reg
+
+
+def deterministic_run(x: AlgebraicReal, max_steps: int = DEFAULT_MAX_STEPS) -> RunOutcome:
+    """Follow the forced branch from x until a switch point, a closed
+    non-branching cycle, or the step budget."""
+    orbits, reg = _start(x)
+    kind, segment, end, seen = orbits.run(x.num, reg, max_steps)
+    orbit = [orbits.value(n) for n in seen]
+    if kind == TERMINAL:
+        at = len(segment)
+        return RunOutcome(segment, UniqueTail(tuple(orbit[at:]), PeriodicWord((), end)),
+                          tuple(orbit[:at + 1]))
+    v = orbits.value(end)
+    return RunOutcome(segment, SwitchHit(v) if kind == NODE else StepLimit(max_steps),
+                      (*orbit, v))
 
 
 # ---------------------------------------------------------------------------
 # branch graph
-
-
-NODE = "node"
-TERMINAL = "terminal"
-LIMIT = "limit"
 
 
 @dataclass(frozen=True)
@@ -127,7 +177,8 @@ class Edge:
 @dataclass
 class BranchGraph:
     """All switch points reachable from a start value, with forced segments
-    on the edges and unique tails collected as terminals."""
+    on the edges and unique tails collected as terminals.  ``limit`` names
+    the limit that first truncated the graph: "max_steps" or "max_nodes"."""
 
     field: BaseField
     start: AlgebraicReal
@@ -138,6 +189,11 @@ class BranchGraph:
     edges: dict[int, dict[int, Edge]] = dataclass_field(default_factory=dict)
     terminals: dict[int, PeriodicWord] = dataclass_field(default_factory=dict)
     truncated: bool = False
+    limit: str | None = None
+
+    def _truncate(self, limit: str) -> None:
+        if not self.truncated:
+            self.truncated, self.limit = True, limit
 
 
 def build_branch_graph(
@@ -146,57 +202,47 @@ def build_branch_graph(
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> BranchGraph:
     """Breadth-first closure of the switch points reachable from x."""
-    node_ids: dict[AlgebraicReal, int] = {}
-    terminal_ids: dict[PeriodicWord, int] = {}
+    orbits, reg = _start(x)
+    node_ids: dict[tuple[int, ...], int] = {}
+    terminal_ids: dict[tuple[int, ...], int] = {}
+    queue: deque[tuple[int, tuple[int, ...]]] = deque()
     graph: BranchGraph
 
-    def terminal_id(word: PeriodicWord) -> int:
-        tid = terminal_ids.get(word)
-        if tid is None:
-            tid = len(terminal_ids)
-            terminal_ids[word] = tid
-            graph.terminals[tid] = word
-        return tid
-
-    queue: deque[int] = deque()
-
-    def resolve(outcome: RunOutcome) -> tuple[str, int | None]:
-        if isinstance(outcome.end, SwitchHit):
-            v = outcome.end.value
-            nid = node_ids.get(v)
+    def resolve(kind: str, end) -> tuple[str, int | None]:
+        if kind == NODE:
+            nid = node_ids.get(end)
             if nid is None:
                 if len(node_ids) >= max_nodes:
-                    graph.truncated = True
+                    graph._truncate("max_nodes")
                     return LIMIT, None
-                nid = len(node_ids)
-                node_ids[v] = nid
-                graph.nodes[nid] = v
-                queue.append(nid)
+                nid = node_ids[end] = len(node_ids)
+                graph.nodes[nid] = orbits.value(end)
+                queue.append((nid, end))
             return NODE, nid
-        if isinstance(outcome.end, UniqueTail):
-            return TERMINAL, terminal_id(outcome.end.tail_word)
-        graph.truncated = True
+        if kind == TERMINAL:
+            # a cycle's digits are primitive: equal tuples, equal tail words
+            tid = terminal_ids.get(end)
+            if tid is None:
+                tid = terminal_ids[end] = len(terminal_ids)
+                graph.terminals[tid] = PeriodicWord((), end)
+            return TERMINAL, tid
+        graph._truncate("max_steps")
         return LIMIT, None
 
-    run0 = deterministic_run(x, max_steps)
-    graph = BranchGraph(
-        field=x.field,
-        start=x,
-        root_segment=run0.segment,
-        root_kind="",
-        root_target=None,
-    )
-    graph.root_kind, graph.root_target = resolve(run0)
+    kind, segment, end, _ = orbits.run(x.num, reg, max_steps)
+    graph = BranchGraph(field=x.field, start=x, root_segment=segment,
+                        root_kind="", root_target=None)
+    graph.root_kind, graph.root_target = resolve(kind, end)
 
+    locate = orbits.locate
     while queue:
-        nid = queue.popleft()
-        v = graph.nodes[nid]
+        nid, n = queue.popleft()
         out: dict[int, Edge] = {}
-        for digit, branch in ((0, t0), (1, t1)):
+        for digit in (0, 1):
             # both branches of a switch point stay in the domain
-            outcome = deterministic_run(branch(v), max_steps)
-            kind, target = resolve(outcome)
-            out[digit] = Edge(digit, outcome.segment, kind, target)
+            branch = orbits.step(n, digit)
+            kind, segment, end, _ = orbits.run(branch, locate(branch), max_steps)
+            out[digit] = Edge(digit, segment, *resolve(kind, end))
         graph.edges[nid] = out
     return graph
 
@@ -378,18 +424,20 @@ def _live_nodes(graph: BranchGraph) -> set[int]:
 
 def _discover(
     graph: BranchGraph, max_count: int, max_depth: int
-) -> tuple[list[PeriodicWord], bool]:
+) -> tuple[list[PeriodicWord], bool, str | None]:
     """Expansions in breadth-first order by number of branch decisions
     (digit 0 explored before digit 1 at each switch point).  The boolean
-    reports completeness: True when every expansion was produced.
+    reports completeness: True when every expansion was produced.  The
+    string names the limit that first cut the listing short ("max_steps",
+    "max_nodes", "max_depth" or "max_count"), or is None.
 
     Branches into nodes that cannot reach a unique tail are never followed
     (they would yield no word, only 2^depth paths) and make the listing
-    incomplete, as the depth limit would."""
+    incomplete, though no limit was hit."""
     words: list[PeriodicWord] = []
-    complete = not graph.truncated
+    complete, limit = not graph.truncated, graph.limit
     if graph.root_kind == LIMIT:
-        return words, False
+        return words, False, limit
     live = _live_nodes(graph)
     queue: deque[tuple[str, int | None, tuple[int, ...], int]] = deque(
         [(graph.root_kind, graph.root_target, graph.root_segment, 0)]
@@ -397,14 +445,13 @@ def _discover(
     while queue:
         kind, target, prefix, depth = queue.popleft()
         if len(words) >= max_count:
-            complete = False
-            break
+            return words, False, limit or "max_count"
         if kind == TERMINAL:
             tail = graph.terminals[target]
             words.append(PeriodicWord(prefix + tail.preperiod, tail.period))
             continue
         if depth >= max_depth:
-            complete = False
+            complete, limit = False, limit or "max_depth"
             continue
         for digit in (0, 1):
             e = graph.edges[target][digit]
@@ -412,7 +459,7 @@ def _discover(
                 queue.append((e.kind, e.target, prefix + (digit,) + e.segment, depth + 1))
             else:
                 complete = False
-    return words, complete
+    return words, complete, limit
 
 
 def enumerate_expansions(
@@ -432,7 +479,7 @@ def enumerate_expansions(
     eval_word(w) = x exactly.
     """
     graph = build_branch_graph(x, max_steps=max_steps, max_nodes=max_nodes)
-    words, _ = _discover(graph, max_count, max_depth)
+    words, _, _ = _discover(graph, max_count, max_depth)
     return sorted(words)
 
 
@@ -450,11 +497,15 @@ def bfs_expansions(
     walked, and skipping one makes the list incomplete (flag False).
     """
     graph = build_branch_graph(x, max_steps=max_steps, max_nodes=max_nodes)
-    return _discover(graph, max_count, max_depth)
+    words, complete, _ = _discover(graph, max_count, max_depth)
+    return words, complete
 
 
 # ---------------------------------------------------------------------------
 # prefix-count oracle
+
+# the digits that keep a remainder in the domain, by its region
+_VIABLE_DIGITS = {Region.LOW: (0,), Region.SWITCH: (0, 1), Region.HIGH: (1,)}
 
 
 def viable_prefix_counts(x: AlgebraicReal, max_depth: int) -> list[int]:
@@ -463,22 +514,23 @@ def viable_prefix_counts(x: AlgebraicReal, max_depth: int) -> list[int]:
 
     This is exactly the number of distinct length-n prefixes among the
     expansions of x, computed by pure interval filtering -- independent of
-    the branch-graph machinery, which it cross-checks.
+    the branch-graph machinery, which it cross-checks.  A remainder r in the
+    domain extends by digit d exactly when q*r - d stays in it, that is when
+    r <= 1/(q(q-1)) for d = 0 and r >= 1/q for d = 1: by r's region.
     """
     if max_depth < 1:
         raise ValueError("depth must be >= 1")
-    _, _, upper = domain_bounds(x.field)
-    if x.sign() < 0 or x > upper:
-        raise OutsideDomain(f"{x} is outside [0, 1/(q-1)]")
-    level: dict[AlgebraicReal, int] = {x: 1}
+    orbits, _ = _start(x)
+    locate, step = orbits.locate, orbits.step
+    # remainders, as numerator tuples over x's denominator -> prefix count
+    level: dict[tuple[int, ...], int] = {x.num: 1}
     counts: list[int] = []
     for _ in range(max_depth):
-        nxt: dict[AlgebraicReal, int] = {}
-        for v, mult in level.items():
-            for d in (0, 1):
-                r = v.times_q_minus(d)
-                if r.sign() >= 0 and r <= upper:
-                    nxt[r] = nxt.get(r, 0) + mult
+        nxt: dict[tuple[int, ...], int] = {}
+        for n, mult in level.items():
+            for d in _VIABLE_DIGITS[locate(n)]:
+                r = step(n, d)
+                nxt[r] = nxt.get(r, 0) + mult
         level = nxt
         counts.append(sum(level.values()))
     return counts

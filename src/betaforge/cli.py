@@ -5,7 +5,8 @@ Subcommands: eval, region, orbit, count, enumerate, verify.  Exit codes:
 failed; 2 usage error (bad flags, malformed word or field spec, malformed
 BETAFORGE_LIMITS, or a base outside (1, 2) for any command but eval); 3 the
 answer is incomplete: a resource limit cut the computation short (step
-budget exhausted, truncated branch graph, enumeration depth or count), or
+budget exhausted, truncated branch graph, enumeration depth or count;
+count and enumerate name that limit on stderr and as "limit" in JSON), or
 enumerate skipped branches from which no unique tail can be reached.
 """
 
@@ -27,13 +28,14 @@ from .branching import (
     StepLimit,
     SwitchHit,
     UniqueTail,
-    bfs_expansions,
-    count_expansions,
+    _discover,
+    build_branch_graph,
+    classify,
     deterministic_run,
 )
 from .numberfield import BaseField, define_field, golden_field, q2_field, qf_field, to_decimal
 from .verify import PROFILES, render_records, render_text, run_all
-from .words import EmptyWordError, WordSyntaxError, eval_word, parse_word, region
+from .words import EmptyWordError, Region, WordSyntaxError, eval_word, parse_word, region
 
 DEFAULT_MAX_DEPTH = 256
 DEFAULT_MAX_COUNT = 64
@@ -177,8 +179,11 @@ def _cmd_region(args, field) -> int:
 def _cmd_orbit(args, field, limits) -> int:
     _, x = _word_value(args, field)
     out = deterministic_run(x, max_steps=limits["max_steps"])
-    rows = [(i, d, to_decimal(v, args.digits), str(region(v)))
-            for i, (v, d) in enumerate(zip(out.orbit, (*out.segment, None)))]
+    # a forced digit names its region; only where the run stopped needs one
+    regions = [Region.LOW if d == 0 else Region.HIGH for d in out.segment]
+    regions.append(region(out.orbit[-1]))
+    rows = [(i, d, to_decimal(v, args.digits), str(reg))
+            for i, (v, d, reg) in enumerate(zip(out.orbit, (*out.segment, None), regions))]
     end = out.end
     if isinstance(end, SwitchHit):
         tag, code = "[SWITCH]", 0
@@ -217,33 +222,38 @@ def _cmd_orbit(args, field, limits) -> int:
 
 def _cmd_count(args, field, limits) -> int:
     _, x = _word_value(args, field)
-    card = count_expansions(x, max_steps=limits["max_steps"],
-                            max_nodes=limits["max_nodes"])
+    graph = build_branch_graph(x, max_steps=limits["max_steps"],
+                               max_nodes=limits["max_nodes"])
+    card = classify(graph)
     if args.format == "json":
         print(json.dumps({"word": args.word, "plus_one": args.plus_one,
                           "cardinality": {"kind": card.kind, "count": card.count},
-                          "display": str(card)}))
+                          "display": str(card), "limit": graph.limit}))
     else:
         print(str(card))
+        if graph.limit:
+            print(f"# incomplete: the {graph.limit} limit was reached", file=sys.stderr)
     return 3 if card.kind == "lower_bound" else 0
 
 
 def _cmd_enumerate(args, field, limits) -> int:
     _, x = _word_value(args, field)
-    found, complete = bfs_expansions(
-        x, max_count=limits["max_count"], max_depth=limits["max_depth"],
-        max_steps=limits["max_steps"], max_nodes=limits["max_nodes"])
+    graph = build_branch_graph(x, max_steps=limits["max_steps"],
+                               max_nodes=limits["max_nodes"])
+    found, complete, limit = _discover(graph, limits["max_count"], limits["max_depth"])
     words = sorted(found)
     if args.format == "json":
         print(json.dumps({"word": args.word, "plus_one": args.plus_one,
                           "expansions": [str(w) for w in words],
-                          "complete": complete}))
+                          "complete": complete, "limit": limit}))
     else:
         for w in words:
             print(str(w))
-        if not complete:
-            print("# incomplete: a resource limit was reached, or branches "
-                  "with no reachable unique tail were skipped", file=sys.stderr)
+        if limit:
+            print(f"# incomplete: the {limit} limit was reached", file=sys.stderr)
+        elif not complete:
+            print("# incomplete: branches with no reachable unique tail were skipped",
+                  file=sys.stderr)
     return 0 if complete else 3
 
 

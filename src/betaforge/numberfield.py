@@ -43,7 +43,8 @@ class NotMonic(ValueError):
 
 
 class NoRootInInterval(ValueError):
-    """The isolating interval contains no sign change of the polynomial."""
+    """The isolating interval contains no root, or no sign change, of the
+    polynomial."""
 
 
 class AmbiguousInterval(ValueError):
@@ -90,6 +91,39 @@ def _poly_over_interval(
     return vlo, vhi
 
 
+def _poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Remainder of a divided by b (b's leading coefficient nonzero), with
+    trailing zero coefficients stripped."""
+    a = list(a)
+    while len(a) >= len(b):
+        f = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] -= f * c
+        a.pop()  # the leading coefficient is now zero
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _sturm_count(coeffs: Sequence[int], lo: Fraction, hi: Fraction) -> int:
+    """Number of distinct real roots in (lo, hi] of a polynomial that
+    vanishes at neither end (Sturm's theorem, exact over Q)."""
+    chain = [[Fraction(c) for c in coeffs]]
+    chain.append([k * c for k, c in enumerate(chain[0])][1:])
+    while True:
+        r = _poly_rem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-c for c in r])
+
+    def variations(x: Fraction) -> int:
+        signs = [s for s in (_sgn(_poly_at(p, x)) for p in chain) if s]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    return variations(lo) - variations(hi)
+
+
 def _det(rows: list[list[int]]) -> int:
     """Determinant of a square integer matrix (Bareiss: every division is
     exact, so the work stays in integers)."""
@@ -129,19 +163,20 @@ class BaseField:
 
     ``min_poly`` is given by ascending integer coefficients and must be monic
     of degree at least 2.  Construction certifies the interval: it must
-    bracket exactly one simple real root, and the polynomial must have no
-    rational root (for degrees 2 and 3 that makes irreducibility over Q a
-    theorem; for higher degrees it is a screen, and the interval certificate
-    still pins down a single well-defined real number).
+    bracket exactly one simple real root (a Sturm sequence counts the roots
+    in it exactly), and the polynomial must have no rational root (for
+    degrees 2 and 3 that makes irreducibility over Q a theorem; for higher
+    degrees it is a screen, and the interval certificate still pins down a
+    single well-defined real number).
 
     The isolating interval only ever shrinks; every comparison made through
     it stays valid afterwards.  The field also owns its derived constants,
-    each computed on first use: the sign filter's scaled powers and the
-    domain bounds 1/q, 1/(q(q-1)), 1/(q-1).
+    each computed on first use: the sign filter's scaled powers, the domain
+    bounds 1/q, 1/(q(q-1)), 1/(q-1) and their scaled sums.
     """
 
     __slots__ = ("min_poly", "degree", "name", "_lo", "_hi", "_sign_lo", "_reduction_rows",
-                 "_powers", "_domain", "__weakref__")
+                 "_powers", "_domain", "_sums", "__weakref__")
 
     def __init__(
         self,
@@ -159,6 +194,7 @@ class BaseField:
         self.name = name
         self._powers: tuple[int, ...] | None = None
         self._domain: tuple[AlgebraicReal, AlgebraicReal, AlgebraicReal] | None = None
+        self._sums: tuple[tuple[AlgebraicReal, int, int, int], ...] | None = None
 
         lo, hi = Fraction(iso[0]), Fraction(iso[1])
         if not lo < hi:
@@ -173,17 +209,23 @@ class BaseField:
                 if _poly_at(coeffs, Fraction(r)) == 0:
                     raise ReduciblePolynomial(f"rational root {r}")
 
-        # Bracket exactly one sign change on a grid over [lo, hi].  Grid
+        # Count the roots in [lo, hi] exactly (post-screen neither end is a
+        # root); a sign-change grid alone misses roots that share a cell.
+        roots = _sturm_count(coeffs, lo, hi)
+        if roots == 0:
+            raise NoRootInInterval(f"no root of {coeffs} in [{lo}, {hi}]")
+        if roots > 1:
+            raise AmbiguousInterval(f"{roots} real roots of {coeffs} in [{lo}, {hi}]")
+
+        # Bracket the root's sign change on a grid over [lo, hi].  Grid
         # points are rational, so (post-screen) the polynomial is nonzero at
         # every one of them.
         grid_n = 32
         pts = [lo + (hi - lo) * Fraction(i, grid_n) for i in range(grid_n + 1)]
         signs = [_sgn(_poly_at(coeffs, p)) for p in pts]
         crossings = [i for i in range(grid_n) if signs[i] * signs[i + 1] < 0]
-        if not crossings:
+        if not crossings:  # a root of even multiplicity
             raise NoRootInInterval(f"no sign change of {coeffs} over [{lo}, {hi}]")
-        if len(crossings) > 1:
-            raise AmbiguousInterval(f"{len(crossings)} sign changes of {coeffs} over [{lo}, {hi}]")
         i = crossings[0]
         self._lo, self._hi = pts[i], pts[i + 1]
         self._sign_lo = signs[i]
@@ -302,6 +344,15 @@ class BaseField:
             switch_lo = self.one / q
             self._domain = (switch_lo, switch_lo * upper, upper)
         return self._domain
+
+    def _domain_sums(self) -> tuple[tuple["AlgebraicReal", int, int, int], ...]:
+        """(b, b.den, S, E) for b = 0, 1/q, 1/(q(q-1)), 1/(q-1), the bounds of
+        the domain and its regions, with b's scaled sum (S, E) from
+        ``_scaled``; computed once."""
+        if self._sums is None:
+            bounds = (self.zero, *self.domain_bounds())
+            self._sums = tuple((b, b.den, *b._scaled()) for b in bounds)
+        return self._sums
 
     # -- element constructors ----------------------------------------------
 

@@ -21,9 +21,10 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Callable, Iterable, Sequence
 
-from .numberfield import AlgebraicReal, BaseField
+from .numberfield import AlgebraicReal, BaseField, _reduced
 
 
 class WordSyntaxError(ValueError):
@@ -281,21 +282,58 @@ def apply_digits(x: AlgebraicReal, digits: Iterable[int]) -> AlgebraicReal:
     return x
 
 
-def region(x: AlgebraicReal) -> Region:
-    """Which part of the domain [0, 1/(q-1)] the point lies in.
+# the region of a value below each of 0, 1/q, 1/(q(q-1)), 1/(q-1) (in
+# order), and whether "below" is strict
+_SIDES = ((Region.OUTSIDE, True), (Region.LOW, True), (Region.SWITCH, False),
+          (Region.HIGH, False))
 
-    The comparisons share x's scaled sum, computed once, and the bounds'
-    own, computed once per field (see ``numberfield``)."""
-    switch_lo, switch_hi, upper = domain_bounds(x.field)
-    if x.sign() < 0:
-        return Region.OUTSIDE
-    if x < switch_lo:
-        return Region.LOW
-    if x <= switch_hi:
-        return Region.SWITCH
-    if x <= upper:
-        return Region.HIGH
-    return Region.OUTSIDE
+
+def _region_rule(field: BaseField, den: int,
+                 inside: bool = False) -> Callable[[Sequence[int]], Region]:
+    """The region of sum(num[i] * q^i) / den, as a function of the numerators
+    ``num`` for one fixed denominator ``den`` > 0 (the form need not be
+    reduced).  With ``inside``, the caller knows the value lies in the domain
+    [0, 1/(q-1)], and only the switch bounds are compared.
+
+    Each bound b = sum(m[i] * q^i) / b.den enters through its scaled sum
+    (S, E), cached by the field; their products with ``den`` are taken here,
+    once.  The value's own scaled sum s is within e = 2 * sum(|num[i]|) + 2
+    of its true scale, so
+
+        b.den * s - den * S   against   b.den * e + den * E
+
+    decides value - b whenever the difference clears the summed error.  When
+    it does not, the reduced element's exact ``_cmp`` decides, so every
+    answer is certified."""
+    sums, sides, beyond = field._domain_sums(), _SIDES, Region.OUTSIDE
+    if inside:
+        sums, sides, beyond = sums[1:3], sides[1:3], Region.HIGH
+    powers = field._scaled_powers()
+    checks = [(bound, b_den, den * s, den * e, below, strict)
+              for (bound, b_den, s, e), (below, strict) in zip(sums, sides)]
+
+    def locate(num: Sequence[int]) -> Region:
+        s = sum(map(mul, num, powers))
+        e = 2 * sum(map(abs, num)) + 2
+        for bound, b_den, b_s, b_e, below, strict in checks:
+            diff = b_den * s - b_s
+            err = b_den * e + b_e
+            if diff > err:
+                continue
+            if diff < -err:
+                return below
+            c = _reduced(field, num, den)._cmp(bound)
+            if c < 0 or (c == 0 and not strict):
+                return below
+        return beyond
+
+    return locate
+
+
+def region(x: AlgebraicReal) -> Region:
+    """Which part of the domain [0, 1/(q-1)] the point lies in (decided by
+    ``_region_rule``, which the orbit kernel in ``branching`` shares)."""
+    return _region_rule(x.field, x.den)(x.num)
 
 
 def reflect_point(x: AlgebraicReal) -> AlgebraicReal:

@@ -2,6 +2,7 @@
 enumeration, and the independent prefix-count oracle."""
 
 import itertools
+import math
 from collections import deque
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from betaforge import (
     SwitchHit,
     UniqueTail,
     PeriodicWord,
+    RunOutcome,
     apply_digits,
     bfs_expansions,
     build_branch_graph,
@@ -41,6 +43,7 @@ from betaforge import (
 )
 from betaforge import branching
 from betaforge.branching import LIMIT, NODE, TERMINAL
+from betaforge.numberfield import AlgebraicReal
 
 
 def plastic_field():
@@ -222,7 +225,7 @@ def test_truncation_reports_lower_bound():
     F = q2_field()
     x = eval_word(parse_word("1(0)*"), F)
     g = build_branch_graph(x, max_steps=250, max_nodes=4)
-    assert g.truncated
+    assert g.truncated and g.limit == "max_nodes"
     got = classify(g)
     assert got.kind == "lower_bound"
     assert got.count >= 1
@@ -233,7 +236,7 @@ def test_step_limited_root_is_lower_bound_one():
     F = q2_field()
     g = build_branch_graph(F.one, max_steps=1)
     assert g.root_kind == LIMIT
-    assert g.truncated
+    assert g.truncated and g.limit == "max_steps"
     assert classify(g) == Cardinality.lower_bound(1)
 
 
@@ -525,3 +528,200 @@ def test_unique_tails_are_simple_cycles(word, base):
     tail = out.end.tail_word
     assert tail.preperiod == ()
     assert tail.period in {(0,), (1,), (1, 0), (0, 1)}
+
+
+# ---------------------------------------------------------------------------
+# the orbit kernel against the element-based loops it replaced
+#
+# Test-only copies of the loops that stepped AlgebraicReal values and
+# compared them with the domain bounds one element at a time.  The graph
+# copy also records the first limit that truncated it.
+
+
+def _ref_region(x):
+    switch_lo, switch_hi, upper = domain_bounds(x.field)
+    if x.sign() < 0:
+        return Region.OUTSIDE
+    if x < switch_lo:
+        return Region.LOW
+    if x <= switch_hi:
+        return Region.SWITCH
+    if x <= upper:
+        return Region.HIGH
+    return Region.OUTSIDE
+
+
+def _ref_run(x, max_steps):
+    reg = _ref_region(x)
+    if reg is Region.OUTSIDE:
+        raise OutsideDomain(f"{x} is outside [0, 1/(q-1)]")
+    seen = {}
+    digits = []
+    v = x
+    for _ in range(max_steps):
+        if reg is Region.SWITCH:
+            return RunOutcome(tuple(digits), SwitchHit(v), (*seen, v))
+        at = seen.get(v)
+        if at is not None:
+            values = tuple(seen)
+            return RunOutcome(
+                tuple(digits[:at]),
+                UniqueTail(values[at:], PeriodicWord((), tuple(digits[at:]))),
+                values[:at + 1],
+            )
+        seen[v] = len(seen)
+        digit = 0 if reg is Region.LOW else 1
+        digits.append(digit)
+        v = v.times_q_minus(digit)
+        reg = _ref_region(v)
+        if reg is Region.OUTSIDE:
+            raise OutsideDomain(f"orbit left the domain at {v}")
+    return RunOutcome(tuple(digits), StepLimit(max_steps), (*seen, v))
+
+
+def _ref_graph(x, max_steps, max_nodes):
+    node_ids, terminal_ids, queue = {}, {}, deque()
+    run0 = _ref_run(x, max_steps)
+    graph = BranchGraph(field=x.field, start=x, root_segment=run0.segment,
+                        root_kind="", root_target=None)
+
+    def truncate(limit):
+        if not graph.truncated:
+            graph.truncated, graph.limit = True, limit
+
+    def resolve(outcome):
+        if isinstance(outcome.end, SwitchHit):
+            v = outcome.end.value
+            if v not in node_ids:
+                if len(node_ids) >= max_nodes:
+                    truncate("max_nodes")
+                    return LIMIT, None
+                node_ids[v] = len(node_ids)
+                graph.nodes[node_ids[v]] = v
+                queue.append(node_ids[v])
+            return NODE, node_ids[v]
+        if isinstance(outcome.end, UniqueTail):
+            word = outcome.end.tail_word
+            if word not in terminal_ids:
+                terminal_ids[word] = len(terminal_ids)
+                graph.terminals[terminal_ids[word]] = word
+            return TERMINAL, terminal_ids[word]
+        truncate("max_steps")
+        return LIMIT, None
+
+    graph.root_kind, graph.root_target = resolve(run0)
+    while queue:
+        nid = queue.popleft()
+        v = graph.nodes[nid]
+        graph.edges[nid] = {}
+        for digit in (0, 1):
+            outcome = _ref_run(v.times_q_minus(digit), max_steps)
+            graph.edges[nid][digit] = Edge(digit, outcome.segment, *resolve(outcome))
+    return graph
+
+
+def _ref_prefix_counts(x, max_depth):
+    _, _, upper = domain_bounds(x.field)
+    if x.sign() < 0 or x > upper:
+        raise OutsideDomain(f"{x} is outside [0, 1/(q-1)]")
+    level, counts = {x: 1}, []
+    for _ in range(max_depth):
+        nxt = {}
+        for v, mult in level.items():
+            for digit in (0, 1):
+                r = v.times_q_minus(digit)
+                if r.sign() >= 0 and r <= upper:
+                    nxt[r] = nxt.get(r, 0) + mult
+        level = nxt
+        counts.append(sum(level.values()))
+    return counts
+
+
+def _kernel_answers(x, caps, depth):
+    """Run, graph and prefix counts from the kernel; OutsideDomain as a value."""
+    try:
+        return (deterministic_run(x, max_steps=caps["max_steps"]),
+                build_branch_graph(x, **caps), viable_prefix_counts(x, depth))
+    except OutsideDomain as exc:
+        return str(exc)
+
+
+def _reference_answers(x, caps, depth):
+    try:
+        return (_ref_run(x, caps["max_steps"]),
+                _ref_graph(x, caps["max_steps"], caps["max_nodes"]),
+                _ref_prefix_counts(x, depth))
+    except OutsideDomain as exc:
+        return str(exc)
+
+
+# fields of their own: the exact fallback refines their intervals, not the
+# shared ones; sqrt2 and the cubic x^3 - x^2 - 2 (q ~ 1.6956) are not units,
+# so reduced denominators shrink along their orbits
+_KERNEL_FIELDS = {
+    "q2": ((-1, -1, -2, 0, 1), (Fraction(17, 10), Fraction(43, 25))),
+    "qf": ((-1, 1, -2, 1), (Fraction(17, 10), Fraction(9, 5))),
+    "golden": ((-1, -1, 1), (Fraction(3, 2), Fraction(17, 10))),
+    "sqrt2": ((-2, 0, 1), (1, 2)),
+    "cubic": ((-2, 0, -1, 1), (Fraction(8, 5), Fraction(9, 5))),
+}
+# non-Pisot graphs grow without bound: acceptance caps for those
+_KERNEL_CAPS = {
+    name: {"max_steps": 250, "max_nodes": 64} if name in ("q2", "sqrt2", "cubic")
+    else {"max_steps": branching.DEFAULT_MAX_STEPS, "max_nodes": branching.DEFAULT_MAX_NODES}
+    for name in _KERNEL_FIELDS
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_FIELDS))
+def test_kernel_matches_element_loops_on_canonical_words(name):
+    F = define_field(*_KERNEL_FIELDS[name])
+    for word in _canonical_words(4, 3):
+        x = eval_word(word, F)
+        got = _kernel_answers(x, _KERNEL_CAPS[name], 12)
+        assert got == _reference_answers(x, _KERNEL_CAPS[name], 12), str(word)
+
+
+def test_kernel_keys_values_over_the_start_denominator_in_non_unit_bases():
+    # the reduced denominator of q*x - d can drop below x's
+    F = define_field(*_KERNEL_FIELDS["cubic"])
+    shrinks = 0
+    for word in _canonical_words(4, 3):
+        x = eval_word(word, F)
+        out = deterministic_run(x, max_steps=250)
+        shrinks += any(v.den < x.den for v in out.orbit)
+        assert out == _ref_run(x, 250)
+    assert shrinks
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_KERNEL_FIELDS)), st.integers(0, 3), st.integers(1, 200),
+       st.integers(-1, 1), st.booleans())
+def test_kernel_matches_element_loops_near_domain_bounds(name, which, k, offset, rational):
+    # starts within 2^-k of 0, 1/q, 1/(q(q-1)) or 1/(q-1): the bound plus a
+    # dyadic, or a dyadic rational next to it.  Past k ~ 128 the integer
+    # filter cannot decide against the bound and the exact comparisons do.
+    F = define_field(*_KERNEL_FIELDS[name])
+    bound = (F.zero, *domain_bounds(F))[which]
+    if rational:
+        lo, _ = bound.refined_enclosure(Fraction(1, 2 ** (k + 2)))
+        x = F.from_rational(Fraction(math.floor(lo * 2**k) + offset, 2**k))
+    else:
+        x = bound + Fraction(offset, 2**k)
+    caps = {"max_steps": 40, "max_nodes": 8}
+    assert _kernel_answers(x, caps, 6) == _reference_answers(x, caps, 6)
+
+
+def test_kernel_falls_back_to_exact_comparisons_below_filter_resolution(monkeypatch):
+    F = define_field(*_KERNEL_FIELDS["q2"])
+    switch_lo, switch_hi, upper = domain_bounds(F)
+    fallbacks = []
+    cmp = AlgebraicReal._cmp
+    monkeypatch.setattr(AlgebraicReal, "_cmp", lambda a, b: fallbacks.append(b) or cmp(a, b))
+    for bound, offset, expected in ((switch_lo, -1, Region.LOW), (switch_lo, 1, Region.SWITCH),
+                                    (switch_hi, 1, Region.HIGH), (upper, -1, Region.HIGH)):
+        x = bound + Fraction(offset, 2**200)
+        fallbacks.clear()
+        assert region(x) is expected
+        assert bound in fallbacks  # the filter could not decide against this bound
+        assert deterministic_run(x, max_steps=3) == _ref_run(x, 3)

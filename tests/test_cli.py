@@ -15,6 +15,7 @@ from betaforge import (
     parse_word,
     q2_field,
     qf_field,
+    region,
     to_decimal,
 )
 from betaforge.cli import build_parser, main
@@ -141,6 +142,22 @@ def test_orbit_step_limit_exit_code(capsys):
     assert out.strip().endswith("[STEP LIMIT]")
 
 
+@pytest.mark.parametrize("argv", [
+    ("--plus-one", "00(01)*"), ("(10)*",), ("--plus-one", "000(01)*"),
+    ("--plus-one", "--max-steps", "2", "00(01)*"), ("--field", "qf", "0001(10)*"),
+])
+def test_orbit_rows_name_each_value_region(capsys, argv):
+    _, out, _ = run(capsys, "orbit", "--format", "json", "--digits", "30", *argv)
+    field = qf_field() if "qf" in argv else q2_field()
+    x = eval_word(parse_word(argv[-1]), field) + (1 if "--plus-one" in argv else 0)
+    steps = json.loads(out)["steps"]
+    for step in steps:
+        assert step["region"] == str(region(x))
+        assert step["decimal"] == to_decimal(x, 30)
+        if step["digit"] is not None:
+            x = x.times_q_minus(step["digit"])
+
+
 def test_orbit_outside_domain_is_usage_error(capsys):
     code, _, err = run(capsys, "orbit", "--plus-one", "(1)*")
     assert code == 2
@@ -175,6 +192,25 @@ def test_count_lower_bound_exit_code(capsys):
     assert out.startswith("LowerBound(")
 
 
+@pytest.mark.parametrize("argv, limit", [
+    (("--max-nodes", "16", "--max-steps", "250"), "max_nodes"),
+    (("--max-steps", "3"), "max_steps"),
+])
+def test_count_names_the_limit(capsys, argv, limit):
+    code, out, err = run(capsys, "count", "1(0)*", *argv)
+    assert code == 3 and out.startswith("LowerBound(")
+    assert err == f"# incomplete: the {limit} limit was reached\n"
+    code, out, err = run(capsys, "count", "--format", "json", "1(0)*", *argv)
+    assert code == 3 and err == ""
+    assert json.loads(out)["limit"] == limit
+
+
+def test_count_json_limit_is_null_when_exact(capsys):
+    code, out, err = run(capsys, "count", "--format", "json", "--field", "qf", "1(0000)^2 0(10)*")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["limit"] is None
+
+
 # ---------------------------------------------------------------------------
 # enumerate
 
@@ -202,7 +238,30 @@ def test_enumerate_incomplete(capsys):
         "01101(0)*",
         "1(0)*",
     ]
-    assert "# incomplete" in err
+    assert err == "# incomplete: the max_count limit was reached\n"
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (("--max-count", "4", "--max-steps", "250", "--max-nodes", "64"), "max_count"),
+    (("--max-depth", "3"), "max_depth"),
+    (("--max-nodes", "1"), "max_nodes"),
+    (("--max-steps", "1"), "max_steps"),
+])
+def test_enumerate_json_names_the_limit(capsys, argv, limit):
+    code, out, err = run(capsys, "enumerate", "--format", "json", "--field", "qf",
+                         "1(0)*", *argv)
+    assert (code, err) == (3, "")
+    payload = json.loads(out)
+    assert payload["complete"] is False
+    assert payload["limit"] == limit
+
+
+@pytest.mark.parametrize("word, complete", [("1(0000)^1 0(10)*", True), ("(010)*", False)])
+def test_enumerate_json_limit_is_null_when_no_limit_was_hit(capsys, word, complete):
+    code, out, _ = run(capsys, "enumerate", "--format", "json", "--field", "qf", word)
+    assert code == (0 if complete else 3)
+    payload = json.loads(out)
+    assert (payload["complete"], payload["limit"]) == (complete, None)
 
 
 def test_enumerate_point_with_no_reachable_tail(capsys):
@@ -210,8 +269,7 @@ def test_enumerate_point_with_no_reachable_tail(capsys):
     # the listing is reported incomplete at once under the default limits
     code, out, err = run(capsys, "enumerate", "--field", "qf", "(010)*")
     assert (code, out) == (3, "")
-    assert err == ("# incomplete: a resource limit was reached, or branches "
-                   "with no reachable unique tail were skipped\n")
+    assert err == "# incomplete: branches with no reachable unique tail were skipped\n"
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +322,13 @@ def test_bad_field_specs(capsys, spec):
     code, _, err = run(capsys, "eval", "--field", spec, "(0)*")
     assert code == 2
     assert "betaforge: error:" in err
+
+
+def test_interval_holding_three_roots_is_usage_error(capsys):
+    # (x-100)^3 - 3(x-100) + 1: three roots in [0, 1000], one grid sign change
+    code, out, err = run(capsys, "eval", "--field", "poly:-999699,29997,-300,1@0,1000", "1")
+    assert (code, out) == (2, "")
+    assert "3 real roots" in err
 
 
 def test_custom_poly_field(capsys):

@@ -19,6 +19,7 @@ from betaforge.numberfield import (
     golden_field,
     q2_field,
     qf_field,
+    _sturm_count,
     sign,
     to_decimal,
 )
@@ -59,6 +60,31 @@ def test_define_field_rejects_two_roots():
     # x^2 - 3 has both roots inside (-2, 2)
     with pytest.raises(AmbiguousInterval):
         define_field((-3, 0, 1), (Fraction(-2), Fraction(2)))
+
+
+def test_define_field_rejects_roots_sharing_a_grid_cell():
+    # (x-100)^3 - 3(x-100) + 1 has roots near 98.12, 100.35 and 101.53, all in
+    # one of 32 grid cells of [0, 1000]: a single sign change hides three roots
+    with pytest.raises(AmbiguousInterval, match="3 real roots"):
+        define_field((-999699, 29997, -300, 1), (0, 1000))
+    # the first two alone share a cell of [0, 100.9] with no sign change
+    with pytest.raises(AmbiguousInterval, match="2 real roots"):
+        define_field((-999699, 29997, -300, 1), (0, Fraction(1009, 10)))
+    # each root alone is accepted
+    for lo, hi in ((98, 99), (100, Fraction(201, 2)), (101, 102)):
+        assert define_field((-999699, 29997, -300, 1), (lo, hi)).interval()
+
+
+@pytest.mark.parametrize("poly, iso, roots", [
+    ((-3, 0, 1), (-2, 2), 2),
+    ((-1, -1, -2, 0, 1), (Fraction(17, 10), Fraction(43, 25)), 1),
+    ((-1, -1, -2, 0, 1), (-10, 10), 2),  # q2's quartic: two real roots
+    ((1, -3, 0, 1), (-3, 3), 3),  # x^3 - 3x + 1
+    ((4, 0, -4, 0, 1), (0, 3), 1),  # (x^2 - 2)^2: distinct roots only
+    ((-1, -1, 1), (2, 3), 0),
+])
+def test_sturm_count(poly, iso, roots):
+    assert _sturm_count(poly, Fraction(iso[0]), Fraction(iso[1])) == roots
 
 
 def test_define_field_rejects_rational_root():
