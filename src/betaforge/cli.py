@@ -3,7 +3,8 @@
 Subcommands: eval, region, orbit, count, enumerate, verify.  Exit codes:
 0 success (and every verification check passed); 1 a verification check
 failed; 2 usage error (bad flags, malformed word or field spec, malformed
-BETAFORGE_LIMITS, or a base outside (1, 2) for any command but eval); 3 the
+BETAFORGE_LIMITS, a base outside (1, 2) for any command but eval, or a
+defining polynomial found reducible by a comparison); 3 the
 answer is incomplete: a resource limit cut the computation short (step
 budget exhausted, truncated branch graph, enumeration depth or count;
 count and enumerate name that limit on stderr and as "limit" in JSON), or
@@ -33,7 +34,15 @@ from .branching import (
     classify,
     deterministic_run,
 )
-from .numberfield import BaseField, define_field, golden_field, q2_field, qf_field, to_decimal
+from .numberfield import (
+    BaseField,
+    ReduciblePolynomial,
+    define_field,
+    golden_field,
+    q2_field,
+    qf_field,
+    to_decimal,
+)
 from .verify import PROFILES, render_records, render_text, run_all
 from .words import EmptyWordError, Region, WordSyntaxError, eval_word, parse_word, region
 
@@ -352,7 +361,8 @@ def main(argv=None) -> int:
         if args.command == "enumerate":
             return _cmd_enumerate(args, field, limits)
         raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, WordSyntaxError, EmptyWordError, OutsideDomain) as exc:
+    except (UsageError, WordSyntaxError, EmptyWordError, OutsideDomain,
+            ReduciblePolynomial) as exc:
         print(f"betaforge: error: {exc}", file=sys.stderr)
         return 2
 

@@ -63,6 +63,9 @@ RationalLike = int | Fraction
 
 # bits of the sign filter's scaled powers q^i * 2^P
 FILTER_BITS = 128
+# undecided rounds of exact refinement (8 bisections each) before the sign
+# tests whether the element vanishes at q
+_GCD_ROUNDS = 4
 
 # ---------------------------------------------------------------------------
 # rational polynomial helpers (coefficient lists, ascending powers)
@@ -106,7 +109,18 @@ def _poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return a
 
 
-def _sturm_count(coeffs: Sequence[int], lo: Fraction, hi: Fraction) -> int:
+def _poly_gcd(a: Sequence[Fraction | int], b: Sequence[Fraction | int]) -> list[Fraction]:
+    """A greatest common divisor over Q, up to a constant factor, of a
+    (leading coefficient nonzero) and b, by Euclid's algorithm."""
+    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        a, b = b, _poly_rem(a, b)
+    return a
+
+
+def _sturm_count(coeffs: Sequence[Fraction | int], lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in (lo, hi] of a polynomial that
     vanishes at neither end (Sturm's theorem, exact over Q)."""
     chain = [[Fraction(c) for c in coeffs]]
@@ -619,17 +633,30 @@ class AlgebraicReal:
 
     def _exact_sign(self) -> int:
         """The certificate behind the filter: refine the field interval until
-        the value's enclosure clears zero."""
+        the value's enclosure clears zero.
+
+        A nonzero element vanishes at q only when the defining polynomial is
+        reducible, and then no refinement decides its sign.  So after
+        ``_GCD_ROUNDS`` undecided rounds the element's polynomial is tested
+        against the defining one: a common factor with its root in the
+        isolating interval raises ReduciblePolynomial."""
+        field, rounds = self.field, 0
         while True:
-            lo, hi = self.field.interval()
+            lo, hi = field.interval()
             vlo, vhi = _poly_over_interval(self.num, lo, hi)
             if vlo > 0:
                 return 1
             if vhi < 0:
                 return -1
-            # the value is nonzero (nonzero coordinates of degree < deg(min_poly)),
-            # so the enclosure eventually clears zero
-            self.field.refine(8)
+            rounds += 1
+            if rounds == _GCD_ROUNDS:
+                common = _poly_gcd(field.min_poly, self.num)
+                # a factor of min_poly has no root at the interval's ends
+                if len(common) > 1 and _sturm_count(common, lo, hi):
+                    raise ReduciblePolynomial(
+                        f"defining polynomial {list(field.min_poly)} has a factor "
+                        f"vanishing at q with the nonzero element {self}")
+            field.refine(8)
 
     def _cmp(self, o: "AlgebraicReal") -> int:
         """Sign of self - o: both scaled sums, cross-multiplied by the other

@@ -120,6 +120,9 @@ def _checked(check_id: str, body) -> CheckResult:
 
 
 def _require(cond: bool, witness: str) -> None:
+    """Fail with a constant witness.  A witness that formats a value is
+    raised by the check itself, behind its condition, so a passing check
+    never formats it."""
     if not cond:
         raise _Failure(witness)
 
@@ -136,13 +139,10 @@ def _within(x: AlgebraicReal, cell: str, tol: Fraction = _CELL_TOL) -> bool:
     return lo.sign() >= 0 and hi.sign() <= 0
 
 
-def _word_value(text: str, field) -> AlgebraicReal:
-    return eval_word(parse_word(text), field)
-
-
 def _specials(field):
     """The two double-expansion branch values."""
-    return (_word_value(fixtures.EPS1, field), _word_value(fixtures.EPS3, field))
+    return (eval_word(parse_word(fixtures.EPS1), field),
+            eval_word(parse_word(fixtures.EPS3), field))
 
 
 def _targets(q: AlgebraicReal) -> tuple[AlgebraicReal, AlgebraicReal]:
@@ -166,11 +166,11 @@ def _constants_body() -> str:
     q2, qf, gold = q2_field(), qf_field(), golden_field()
 
     got15 = to_decimal(q2.q, 15)
-    _require(got15 == fixtures.Q2_DECIMALS_15,
-             f"quartic base prints {got15}, expected {fixtures.Q2_DECIMALS_15}")
+    if got15 != fixtures.Q2_DECIMALS_15:
+        raise _Failure(f"quartic base prints {got15}, expected {fixtures.Q2_DECIMALS_15}")
     got5 = to_decimal(qf.q, 5)
-    _require(got5 == fixtures.QF_DECIMALS_5,
-             f"companion base prints {got5}, expected {fixtures.QF_DECIMALS_5}")
+    if got5 != fixtures.QF_DECIMALS_5:
+        raise _Failure(f"companion base prints {got5}, expected {fixtures.QF_DECIMALS_5}")
 
     q = q2.q
     _require((q**4 - (2 * q**2 + q + 1)).is_zero(),
@@ -184,13 +184,14 @@ def _constants_body() -> str:
     _require((g**2 - (g + 1)).is_zero(), "golden base fails x^2 = x + 1")
 
     s = (q**6 - q**5 - 2 * q**4 + q**2 + q + 1).sign()
-    _require(s == -1, f"sign(q^6-q^5-2q^4+q^2+q+1) = {s} in the quartic base, expected -1")
+    if s != -1:
+        raise _Failure(f"sign(q^6-q^5-2q^4+q^2+q+1) = {s} in the quartic base, expected -1")
 
     lo, hi, _ = domain_bounds(q2)
-    _require(_within(lo, fixtures.SWITCH_LO_6),
-             f"branching region lower end {_dec(lo)} != {fixtures.SWITCH_LO_6}")
-    _require(_within(hi, fixtures.SWITCH_HI_6),
-             f"branching region upper end {_dec(hi)} != {fixtures.SWITCH_HI_6}")
+    if not _within(lo, fixtures.SWITCH_LO_6):
+        raise _Failure(f"branching region lower end {_dec(lo)} != {fixtures.SWITCH_LO_6}")
+    if not _within(hi, fixtures.SWITCH_HI_6):
+        raise _Failure(f"branching region upper end {_dec(hi)} != {fixtures.SWITCH_HI_6}")
 
     return (f"quartic base {got15}; companion base {got5}; "
             f"defining relations exact; sign witness -1; "
@@ -214,22 +215,27 @@ def _two_point_body() -> str:
     a = eval_word(w1, q2)
     b = eval_word(w3, q2)
 
-    _require(a == eval_word(w2, q2),
-             f"{fixtures.EPS1} and {fixtures.EPS2} differ: "
-             f"{_dec(a, 9)} vs {_dec(eval_word(w2, q2), 9)}")
-    _require(b == eval_word(w4, q2),
-             f"{fixtures.EPS3} and {fixtures.EPS4} differ")
+    a2 = eval_word(w2, q2)
+    if a != a2:
+        raise _Failure(f"{fixtures.EPS1} and {fixtures.EPS2} differ: "
+                       f"{_dec(a, 9)} vs {_dec(a2, 9)}")
+    if b != eval_word(w4, q2):
+        raise _Failure(f"{fixtures.EPS3} and {fixtures.EPS4} differ")
 
-    _require(region(a) is Region.SWITCH, f"{_dec(a)} not in the branching region")
-    _require(region(b) is Region.SWITCH, f"{_dec(b)} not in the branching region")
-    _require(_within(a, fixtures.EPS1_VALUE_6),
-             f"first value prints {_dec(a)}, expected {fixtures.EPS1_VALUE_6}")
-    _require(_within(b, fixtures.EPS3_VALUE_6),
-             f"second value prints {_dec(b)}, expected {fixtures.EPS3_VALUE_6}")
+    if region(a) is not Region.SWITCH:
+        raise _Failure(f"{_dec(a)} not in the branching region")
+    if region(b) is not Region.SWITCH:
+        raise _Failure(f"{_dec(b)} not in the branching region")
+    if not _within(a, fixtures.EPS1_VALUE_6):
+        raise _Failure(f"first value prints {_dec(a)}, expected {fixtures.EPS1_VALUE_6}")
+    if not _within(b, fixtures.EPS3_VALUE_6):
+        raise _Failure(f"second value prints {_dec(b)}, expected {fixtures.EPS3_VALUE_6}")
 
     ca, cb = count_expansions(a), count_expansions(b)
-    _require(ca == ca.finite(2), f"count at first value: {ca}, expected Finite(2)")
-    _require(cb == cb.finite(2), f"count at second value: {cb}, expected Finite(2)")
+    if ca != ca.finite(2):
+        raise _Failure(f"count at first value: {ca}, expected Finite(2)")
+    if cb != cb.finite(2):
+        raise _Failure(f"count at second value: {cb}, expected Finite(2)")
     _require(sorted(enumerate_expansions(a)) == sorted([w1, w2]),
              "enumerated expansions of the first value are not the stated pair")
     _require(sorted(enumerate_expansions(b)) == sorted([w3, w4]),
@@ -246,13 +252,14 @@ def _two_point_body() -> str:
 
     # the unique-neighbour identities behind the two-point claim: each pair
     # (y, y + 1) consists of points with a single expansion
-    _require(_word_value("0000(10)*", q2) + 1 == _word_value("1(10)*", q2),
+    _require(eval_word(parse_word("0000(10)*"), q2) + 1 == eval_word(parse_word("1(10)*"), q2),
              "(0000(10)*) + 1 != (1(10)*)")
-    _require(_word_value("00(10)*", q2) + 1 == _word_value("111(10)*", q2),
+    _require(eval_word(parse_word("00(10)*"), q2) + 1 == eval_word(parse_word("111(10)*"), q2),
              "(00(10)*) + 1 != (111(10)*)")
     for text in ("0000(10)*", "1(10)*", "00(10)*", "111(10)*"):
-        c = count_expansions(_word_value(text, q2))
-        _require(c == c.finite(1), f"{text} is not uniquely expandable: {c}")
+        c = count_expansions(eval_word(parse_word(text), q2))
+        if c != c.finite(1):
+            raise _Failure(f"{text} is not uniquely expandable: {c}")
 
     return (f"values {_dec(a)} and {_dec(b)}, both Finite(2); "
             f"reflection pairing and unique-neighbour identities exact")
@@ -286,40 +293,42 @@ def _counts_family_body(k_max: int) -> str:
     for k in range(1, k_max + 1):
         x = eval_word(_family_member(k), qf)
         c = count_expansions(x)
-        _require(c == c.finite(k), f"k={k}: classified {c}, expected Finite({k})")
+        if c != c.finite(k):
+            raise _Failure(f"k={k}: classified {c}, expected Finite({k})")
         depth = max(40, 4 * (k - 1) + 8)
         got = viable_prefix_counts(x, depth)[-1]
-        _require(got == k, f"k={k}: prefix oracle at depth {depth} gives {got}")
-        if k >= 2:
-            _require((x - lo).sign() > 0,
-                     f"k={k}: member value {_dec(x)} not above 1/q, "
-                     "the first digit is not forced")
+        if got != k:
+            raise _Failure(f"k={k}: prefix oracle at depth {depth} gives {got}")
+        if k >= 2 and (x - lo).sign() <= 0:
+            raise _Failure(f"k={k}: member value {_dec(x)} not above 1/q, "
+                           "the first digit is not forced")
 
-    words1 = enumerate_expansions(eval_word(_family_member(1), qf))
-    _require([str(w) for w in words1] == ["(10)*"],
-             f"k=1 expansion list {[str(w) for w in words1]}, expected ['(10)*']")
-    words3 = enumerate_expansions(eval_word(_family_member(3), qf))
-    _require(tuple(str(w) for w in words3) == fixtures.X3_EXPANSIONS,
-             f"k=3 expansion list {[str(w) for w in words3]}")
+    words1 = [str(w) for w in enumerate_expansions(eval_word(_family_member(1), qf))]
+    if words1 != ["(10)*"]:
+        raise _Failure(f"k=1 expansion list {words1}, expected ['(10)*']")
+    words3 = [str(w) for w in enumerate_expansions(eval_word(_family_member(3), qf))]
+    if tuple(words3) != fixtures.X3_EXPANSIONS:
+        raise _Failure(f"k=3 expansion list {words3}")
 
     # exact identity forcing the digit split: 1/q = 1/q^2 + 1/(q^3(q-1))
     _require((1 / q) == (1 / q**2 + 1 / (q**3 * (q - 1))),
              "identity 1/q = 1/q^2 + 1/(q^3(q-1)) fails in the companion base")
     s = (q**6 - q**5 - 2 * q**4 + q**2 + q + 1).sign()
-    _require(s == -1, f"sign(q^6-q^5-2q^4+q^2+q+1) = {s} in the companion base")
+    if s != -1:
+        raise _Failure(f"sign(q^6-q^5-2q^4+q^2+q+1) = {s} in the companion base")
 
-    xa = _word_value(fixtures.ALEPH0_WORD, qf)
+    xa = eval_word(parse_word(fixtures.ALEPH0_WORD), qf)
     _require(xa == lo, "the countably infinite point is not 1/q")
     ca = count_expansions(xa)
-    _require(str(ca) == "CountablyInfinite",
-             f"{fixtures.ALEPH0_WORD} classified {ca}, expected CountablyInfinite")
+    if str(ca) != "CountablyInfinite":
+        raise _Failure(f"{fixtures.ALEPH0_WORD} classified {ca}, expected CountablyInfinite")
     six, _complete = bfs_expansions(xa, max_count=6)
     got_six = tuple(str(w) for w in six)
-    _require(got_six == fixtures.ALEPH0_FIRST_SIX,
-             f"first six expansions {got_six}")
+    if got_six != fixtures.ALEPH0_FIRST_SIX:
+        raise _Failure(f"first six expansions {got_six}")
 
     # the same word read in the quartic base, reported but never asserted
-    info = count_expansions(_word_value(fixtures.ALEPH0_WORD, q2_field()), **_INFO_CAPS)
+    info = count_expansions(eval_word(parse_word(fixtures.ALEPH0_WORD), q2_field()), **_INFO_CAPS)
 
     return (f"Finite(k) for k=1..{k_max} with matching prefix oracle; "
             f"1/q is CountablyInfinite with the six stated expansions; "
@@ -343,32 +352,32 @@ def _table_body(table_id: str) -> str:
     table = getattr(fixtures, fixtures.TABLES[table_id])
     n_cells = 0
     for word_text, cells in table:
-        x = _word_value(word_text, q2) + 1
+        x = eval_word(parse_word(word_text), q2) + 1
         out = deterministic_run(x, max_steps=500)
         if cells == fixtures.UNIQUE:
-            _require(isinstance(out.end, UniqueTail),
-                     f"{table_id} row {word_text}: expected a unique tail, "
-                     f"got {type(out.end).__name__}")
-            _require(viable_prefix_counts(x, 40)[-1] == 1,
-                     f"{table_id} row {word_text}: prefix oracle at depth 40 != 1")
+            if not isinstance(out.end, UniqueTail):
+                raise _Failure(f"{table_id} row {word_text}: expected a unique tail, "
+                               f"got {type(out.end).__name__}")
+            if viable_prefix_counts(x, 40)[-1] != 1:
+                raise _Failure(f"{table_id} row {word_text}: prefix oracle at depth 40 != 1")
             continue
         values = out.orbit
-        _require(isinstance(out.end, SwitchHit),
-                 f"{table_id} row {word_text}: orbit did not reach the "
-                 f"branching region ({type(out.end).__name__})")
-        _require(len(values) == len(cells),
-                 f"{table_id} row {word_text}: {len(values)} iterates, "
-                 f"table lists {len(cells)}")
+        if not isinstance(out.end, SwitchHit):
+            raise _Failure(f"{table_id} row {word_text}: orbit did not reach the "
+                           f"branching region ({type(out.end).__name__})")
+        if len(values) != len(cells):
+            raise _Failure(f"{table_id} row {word_text}: {len(values)} iterates, "
+                           f"table lists {len(cells)}")
         for col, (v, cell) in enumerate(zip(values, cells)):
-            _require(_within(v, cell),
-                     f"{table_id} row {word_text} column {col}: "
-                     f"computed {_dec(v, 7)}, table says {cell}")
+            if not _within(v, cell):
+                raise _Failure(f"{table_id} row {word_text} column {col}: "
+                               f"computed {_dec(v, 7)}, table says {cell}")
         final = values[-1]
-        _require(region(final) is Region.SWITCH,
-                 f"{table_id} row {word_text}: final value not in the branching region")
-        _require(final != e1 and final != e3,
-                 f"{table_id} row {word_text}: final value equals a "
-                 f"double-expansion branch value")
+        if region(final) is not Region.SWITCH:
+            raise _Failure(f"{table_id} row {word_text}: final value not in the branching region")
+        if final == e1 or final == e3:
+            raise _Failure(f"{table_id} row {word_text}: final value equals a "
+                           f"double-expansion branch value")
         n_cells += len(cells)
     return f"{len(table)} rows, {n_cells} iterates matched at +/-1e-6"
 
@@ -392,19 +401,19 @@ def _no_triple_body() -> str:
     bm1 = q - 1
 
     for k in range(1, 7):
-        x = _word_value("0" * k + "(01)*", q2) + 1
+        x = eval_word(parse_word("0" * k + "(01)*"), q2) + 1
         out = deterministic_run(x, max_steps=500)
         if isinstance(out.end, UniqueTail):
             continue
-        _require(isinstance(out.end, SwitchHit),
-                 f"k={k}: orbit ended with {type(out.end).__name__}")
+        if not isinstance(out.end, SwitchHit):
+            raise _Failure(f"k={k}: orbit ended with {type(out.end).__name__}")
         v = out.end.value
-        _require(v != e1 and v != e3,
-                 f"k={k}: orbit lands on a double-expansion value {_dec(v)}")
+        if v == e1 or v == e3:
+            raise _Failure(f"k={k}: orbit lands on a double-expansion value {_dec(v)}")
 
     # tail interval: for k >= 7 the final iterate lies in (q-1, T1(U)],
     # U = (0^6(01)*) + 1; every endpoint comparison is exact
-    U = _word_value("000000(01)*", q2) + 1
+    U = eval_word(parse_word("000000(01)*"), q2) + 1
     t1u = t1(U)
     _require((bm1 - lo).sign() > 0, "q-1 not strictly above the region floor")
     _require((bm1 - hi).sign() < 0, "q-1 not strictly below the region ceiling")
@@ -412,17 +421,20 @@ def _no_triple_body() -> str:
     _require((t1u - bm1).sign() > 0, "tail interval is empty")
     _require((e1 - bm1).sign() < 0, "first double-expansion value not below q-1")
     _require((t1u - e3).sign() < 0, "T1(U) not below the second double-expansion value")
-    _require((_word_value("0000000(01)*", q2) - _word_value("000000(01)*", q2)).sign() < 0,
+    _require((eval_word(parse_word("0000000(01)*"), q2)
+              - eval_word(parse_word("000000(01)*"), q2)).sign() < 0,
              "family values do not decrease in k")
 
     for k in (7, 8, 9):
-        x = _word_value("0" * k + "(01)*", q2) + 1
+        x = eval_word(parse_word("0" * k + "(01)*"), q2) + 1
         out = deterministic_run(x, max_steps=500)
-        _require(isinstance(out.end, SwitchHit), f"k={k}: no branching value reached")
+        if not isinstance(out.end, SwitchHit):
+            raise _Failure(f"k={k}: no branching value reached")
         v = out.end.value
-        _require((v - bm1).sign() > 0 and (v - t1u).sign() <= 0,
-                 f"k={k}: final value {_dec(v)} outside (q-1, T1(U)]")
-        _require(v != e1 and v != e3, f"k={k}: final value is a branch value")
+        if (v - bm1).sign() <= 0 or (v - t1u).sign() > 0:
+            raise _Failure(f"k={k}: final value {_dec(v)} outside (q-1, T1(U)]")
+        if v == e1 or v == e3:
+            raise _Failure(f"k={k}: final value is a branch value")
 
     return (f"rows k=1..6 miss both branch values; tail interval "
             f"({_dec(bm1)}, {_dec(t1u)}] strictly inside the branching region "
@@ -478,28 +490,26 @@ def _branch_families_body(k_max: int, j_max: int) -> str:
         x = eval_word(word, q2)
         graph = build_branch_graph(x)
         expect = values[_FAMILY_SHAPES[name][3]]
-        _require(not graph.truncated, f"{name} k={k} j={j}: graph truncated")
-        _require(len(graph.nodes) == 1,
-                 f"{name} k={k} j={j}: {len(graph.nodes)} branch nodes, expected 1")
+        if graph.truncated:
+            raise _Failure(f"{name} k={k} j={j}: graph truncated")
+        if len(graph.nodes) != 1:
+            raise _Failure(f"{name} k={k} j={j}: {len(graph.nodes)} branch nodes, expected 1")
         node = next(iter(graph.nodes.values()))
-        _require(node == expect,
-                 f"{name} k={k} j={j}: branch node {_dec(node)} is not the "
-                 f"family branch value")
-        _require(graph.root_segment == word.digits(len(graph.root_segment))
-                 and len(graph.root_segment) == (k + 2 * j),
-                 f"{name} k={k} j={j}: forced prefix differs from the word")
+        if node != expect:
+            raise _Failure(f"{name} k={k} j={j}: branch node {_dec(node)} is not the "
+                           f"family branch value")
+        if (graph.root_segment != word.digits(len(graph.root_segment))
+                or len(graph.root_segment) != k + 2 * j):
+            raise _Failure(f"{name} k={k} j={j}: forced prefix differs from the word")
         c = classify(graph)
-        _require(c == c.finite(2), f"{name} k={k} j={j}: classified {c}")
+        if c != c.finite(2):
+            raise _Failure(f"{name} k={k} j={j}: classified {c}")
         depth = k + 2 * j + 16
-        if depth <= 40:
-            depth = 40
+        if depth <= 40 or k in _DEEP_SAMPLES or j in _DEEP_SAMPLES:
+            depth = max(depth, 40)
             got = viable_prefix_counts(x, depth)[-1]
-            _require(got == 2,
-                     f"{name} k={k} j={j}: prefix oracle at depth 40 gives {got}")
-        elif k in _DEEP_SAMPLES or j in _DEEP_SAMPLES:
-            got = viable_prefix_counts(x, depth)[-1]
-            _require(got == 2,
-                     f"{name} k={k} j={j}: prefix oracle at depth {depth} gives {got}")
+            if got != 2:
+                raise _Failure(f"{name} k={k} j={j}: prefix oracle at depth {depth} gives {got}")
         checked += 1
 
     for k in range(1, k_max + 1):
@@ -550,15 +560,15 @@ def _orbit_identities_body(j_max: int) -> str:
 
     for t, label, cell in ((target_a, "A", fixtures.TARGET_A_5),
                            (target_b, "B", fixtures.TARGET_B_5)):
-        _require(region(t) is Region.SWITCH,
-                 f"target {label} {_dec(t)} not in the branching region")
-        _require(t != e1 and t != e3,
-                 f"target {label} equals a double-expansion branch value")
-        _require(_within(t, cell, _PROSE_TOL),
-                 f"target {label} prints {_dec(t, 5)}, expected {cell}")
+        if region(t) is not Region.SWITCH:
+            raise _Failure(f"target {label} {_dec(t)} not in the branching region")
+        if t == e1 or t == e3:
+            raise _Failure(f"target {label} equals a double-expansion branch value")
+        if not _within(t, cell, _PROSE_TOL):
+            raise _Failure(f"target {label} prints {_dec(t, 5)}, expected {cell}")
 
     def start(text: str) -> AlgebraicReal:
-        return _word_value(text, q2) + 1
+        return eval_word(parse_word(text), q2) + 1
 
     identities = (
         ("first", 3, lambda j: start("0" + "01" * j + fixtures.EPS1),
@@ -574,23 +584,25 @@ def _orbit_identities_body(j_max: int) -> str:
     for label, j_min, mk_start, mk_digits, target in identities:
         for j in range(j_min, j_max + 1):
             got = apply_digits(mk_start(j), mk_digits(j))
-            _require(got == target,
-                     f"{label} identity fails at j={j}: {_dec(got, 9)} != "
-                     f"{_dec(target, 9)}")
+            if got != target:
+                raise _Failure(f"{label} identity fails at j={j}: {_dec(got, 9)} != "
+                               f"{_dec(target, 9)}")
             applied += 1
 
     # closed form of the first family's starting values
     for j in range(1, j_max + 1):
         lhs = start("0" + "01" * j + fixtures.EPS1)
         rhs = (q**(2 * j + 2) + q - 1) / (q**(2 * j + 3) * (q**2 - 1)) + 1
-        _require(lhs == rhs, f"closed form fails at j={j}")
+        if lhs != rhs:
+            raise _Failure(f"closed form fails at j={j}")
 
     # the final cancellation, per j and symbolically
     for j in range(1, j_max + 1):
         expr = (q**(2 * j + 2) / (q**3 * (q**2 - 1)) + q**(2 * j)
                 - q**(2 * j - 1) - q**(2 * j - 2) - q**(2 * j - 3)
                 - q**(2 * j - 4) - q**(2 * j - 4) / (q**2 - 1))
-        _require(expr.is_zero(), f"cancellation expression nonzero at j={j}")
+        if not expr.is_zero():
+            raise _Failure(f"cancellation expression nonzero at j={j}")
 
     # in Z[x]: x^3 - 1 + (x^4-x^3-x^2-x-1)(x^2-1) = x(x-1)(x^4-2x^2-x-1),
     # so the expression vanishes exactly because q^4-2q^2-q-1 = 0; both
@@ -647,19 +659,20 @@ def _tail_bounds_body() -> str:
     )
     intervals = []
     for label, boundary, deeper, j_cert in cases:
-        u = _word_value(boundary, q2) + 1
+        u = eval_word(parse_word(boundary), q2) + 1
         t1u = t1(u)
-        _require((t1u - bm1).sign() > 0, f"{label}: tail interval empty")
-        _require((t1u - hi).sign() < 0,
-                 f"{label}: T1(U) not strictly below the region ceiling")
-        _require((t1u - e3).sign() < 0,
-                 f"{label}: T1(U) {_dec(t1u, 7)} not below the second branch value")
-        _require((_word_value(deeper, q2) - _word_value(boundary, q2)).sign() < 0,
-                 f"{label}: values do not decrease in k")
+        if (t1u - bm1).sign() <= 0:
+            raise _Failure(f"{label}: tail interval empty")
+        if (t1u - hi).sign() >= 0:
+            raise _Failure(f"{label}: T1(U) not strictly below the region ceiling")
+        if (t1u - e3).sign() >= 0:
+            raise _Failure(f"{label}: T1(U) {_dec(t1u, 7)} not below the second branch value")
+        if (eval_word(parse_word(deeper), q2) - eval_word(parse_word(boundary), q2)).sign() >= 0:
+            raise _Failure(f"{label}: values do not decrease in k")
         if j_cert is not None:
-            smaller, larger = j_cert
-            _require((_word_value(smaller, q2) - _word_value(larger, q2)).sign() < 0,
-                     f"{label}: j-direction certificate fails")
+            smaller, larger = (eval_word(parse_word(text), q2) for text in j_cert)
+            if (smaller - larger).sign() >= 0:
+                raise _Failure(f"{label}: j-direction certificate fails")
         intervals.append(f"{label}: ({_dec(bm1)}, {_dec(t1u, 7)}]")
 
     # beyond-table sample per family: the first branching iterate obeys
@@ -671,14 +684,16 @@ def _tail_bounds_body() -> str:
         ("0" * 10 + "10" * 2 + fixtures.EPS3, "0000000(10)*"),
     )
     for deep_text, boundary in samples:
-        x = _word_value(deep_text, q2) + 1
+        x = eval_word(parse_word(deep_text), q2) + 1
         out = deterministic_run(x, max_steps=500)
-        _require(isinstance(out.end, SwitchHit), f"{deep_text}: no branching value")
+        if not isinstance(out.end, SwitchHit):
+            raise _Failure(f"{deep_text}: no branching value")
         v = out.end.value
-        t1u = t1(_word_value(boundary, q2) + 1)
-        _require((v - bm1).sign() > 0 and (v - t1u).sign() <= 0,
-                 f"{deep_text}: final value {_dec(v, 7)} outside the tail interval")
-        _require(v != e1 and v != e3, f"{deep_text}: final value is a branch value")
+        t1u = t1(eval_word(parse_word(boundary), q2) + 1)
+        if (v - bm1).sign() <= 0 or (v - t1u).sign() > 0:
+            raise _Failure(f"{deep_text}: final value {_dec(v, 7)} outside the tail interval")
+        if v == e1 or v == e3:
+            raise _Failure(f"{deep_text}: final value is a branch value")
 
     return "; ".join(intervals)
 
@@ -703,23 +718,24 @@ def _exceptional_rows_body() -> str:
     rows = ("00101(10)*", "0010101(10)*", "00100111(10)*")
     finals = []
     for text in rows:
-        x = _word_value(text, q2) + 1
+        x = eval_word(parse_word(text), q2) + 1
         out = deterministic_run(x, max_steps=500)
-        _require(isinstance(out.end, SwitchHit),
-                 f"{text}: orbit did not reach the branching region")
+        if not isinstance(out.end, SwitchHit):
+            raise _Failure(f"{text}: orbit did not reach the branching region")
         v = out.end.value
-        _require(region(v) is Region.SWITCH, f"{text}: final value left the region")
-        _require(v != e1 and v != e3,
-                 f"{text}: final value {_dec(v)} is a double-expansion value")
+        if region(v) is not Region.SWITCH:
+            raise _Failure(f"{text}: final value left the region")
+        if v == e1 or v == e3:
+            raise _Failure(f"{text}: final value {_dec(v)} is a double-expansion value")
         finals.append(v)
 
     # exact landings: the second and third rows end on the identity targets;
     # the first ends on the same value as the k=2 alternating row
-    _require(finals[1] == target_a,
-             f"second row final {_dec(finals[1], 7)} != target {_dec(target_a, 7)}")
-    _require(finals[2] == target_b,
-             f"third row final {_dec(finals[2], 7)} != target {_dec(target_b, 7)}")
-    alt_k2 = apply_digits(_word_value("00(01)*", q2) + 1, (1, 1))
+    if finals[1] != target_a:
+        raise _Failure(f"second row final {_dec(finals[1], 7)} != target {_dec(target_a, 7)}")
+    if finals[2] != target_b:
+        raise _Failure(f"third row final {_dec(finals[2], 7)} != target {_dec(target_b, 7)}")
+    alt_k2 = apply_digits(eval_word(parse_word("00(01)*"), q2) + 1, (1, 1))
     _require(finals[0] == alt_k2,
              "first row final differs from the k=2 alternating row final")
 

@@ -21,10 +21,10 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 from typing import Callable, Iterable, Sequence
 
-from .numberfield import AlgebraicReal, BaseField, _reduced
+from .numberfield import AlgebraicReal, BaseField, _reduced, _times_q
 
 
 class WordSyntaxError(ValueError):
@@ -248,21 +248,29 @@ def domain_bounds(field: BaseField) -> tuple[AlgebraicReal, AlgebraicReal, Algeb
     return field.domain_bounds()
 
 
-def _finite_value(digits: Sequence[int], field: BaseField, q_inv: AlgebraicReal) -> AlgebraicReal:
-    acc = field.zero
-    for d in reversed(digits):
-        acc = (acc + d) * q_inv
-    return acc
-
-
 def eval_word(word: PeriodicWord, field: BaseField) -> AlgebraicReal:
-    """The value sum(digit_i * q^-i) of the word's stream, exactly."""
-    q_inv = field.q.inverse()
-    pre_val = _finite_value(word.preperiod, field, q_inv)
-    per_val = _finite_value(word.period, field, q_inv)
-    p = len(word.period)
-    tail = per_val / (field.one - q_inv**p)
-    return pre_val + q_inv ** len(word.preperiod) * tail
+    """The value sum(digit_i * q^-i) of the word's stream, exactly.
+
+    With preperiod length n, period length p, P = sum(pre_i * q^(n-i)) and
+    A = sum(per_j * q^(p-j)), the value is the closed form
+
+        x = (P * (q^p - 1) + A) / (q^n * (q^p - 1)).
+
+    q is an algebraic integer, so one Horner pass n <- q*n + d over the
+    preperiod and then the period (the orbit kernel's ``_times_q``) yields
+    P and H = P * q^p + A as integer numerators, and q^n, q^(n+p) alike: no
+    gcd and no element per digit.  Then x = (H - P) / (q^(n+p) - q^n), one
+    inverse and one product, reduced to the unique lattice form."""
+    row = field._reduction_rows[0]
+    value = (0,) * field.degree
+    power = (1,) + value[1:]
+    for d in word.preperiod:
+        value, power = _times_q(value, row, d), _times_q(power, row)
+    head, head_power = value, power
+    for d in word.period:
+        value, power = _times_q(value, row, d), _times_q(power, row)
+    den = AlgebraicReal(field, tuple(map(sub, power, head_power)), 1)
+    return AlgebraicReal(field, tuple(map(sub, value, head)), 1) * den.inverse()
 
 
 def t0(x: AlgebraicReal) -> AlgebraicReal:

@@ -331,6 +331,15 @@ def test_interval_holding_three_roots_is_usage_error(capsys):
     assert "3 real roots" in err
 
 
+def test_reducible_polynomial_found_by_a_comparison_is_usage_error(capsys, wall_time_limit):
+    # (x^2 - x - 1)(x^2 + 1) around the golden ratio: 11(0)* is worth 1 there,
+    # which is also 1/(q(q-1)), but the two are distinct lattice elements
+    wall_time_limit(10)
+    code, out, err = run(capsys, "region", "--field", "poly:-1,-1,0,-1,1@3/2,17/10", "11(0)*")
+    assert (code, out) == (2, "")
+    assert err.startswith("betaforge: error:") and "vanishing at q" in err
+
+
 def test_custom_poly_field(capsys):
     spec = "poly:-1,-1,-2,0,1@17/10,43/25"
     code, out, _ = run(capsys, "eval", "--field", spec, "--plus-one", "(0)*")

@@ -94,6 +94,17 @@ def test_define_field_rejects_rational_root():
         define_field((0, -1, 1), (Fraction(1, 2), Fraction(3, 2)))
 
 
+def test_sign_refuses_an_element_vanishing_at_q_of_a_reducible_polynomial(wall_time_limit):
+    # (x^2 - x - 1)(x^2 + 1) passes the rational-root screen; around the
+    # golden ratio, q^2 - q - 1 is a nonzero element whose value is 0
+    F = define_field((-1, -1, 0, -1, 1), (Fraction(3, 2), Fraction(17, 10)))
+    q = F.q
+    wall_time_limit(10)
+    with pytest.raises(ReduciblePolynomial, match="vanishing at q"):
+        (q * q - q - 1).sign()
+    assert (q * q - q).sign() == 1  # a nonzero value keeps its sign
+
+
 def test_define_field_rejects_empty_interval():
     with pytest.raises(ValueError):
         define_field((-1, -1, 1), (Fraction(2), Fraction(1)))

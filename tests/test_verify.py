@@ -6,6 +6,7 @@ import pytest
 
 from betaforge import PeriodicWord, verify
 from betaforge import fixtures
+from betaforge.numberfield import AlgebraicReal
 from betaforge.verify import (
     CHECK_IDS,
     CheckResult,
@@ -54,8 +55,19 @@ def test_fault_injection_names_the_row(monkeypatch):
     assert not by_id["T1"].passed
     assert by_id["T2"].passed
     witness = by_id["T1"].witness
-    assert "T1" in witness and "row 00(01)*" in witness and "column" in witness
+    assert witness == "T1 row 00(01)* column 0: computed 1.1774010, table says 1.277400"
     assert sum(not r.passed for r in results) == 1
+
+
+def test_passing_check_formats_no_decimal(monkeypatch):
+    # a failure witness is formatted only when its check fails, and the
+    # branch-families witness prints no value
+    calls = []
+    to_decimal = AlgebraicReal.to_decimal
+    monkeypatch.setattr(AlgebraicReal, "to_decimal",
+                        lambda x, digits=6: calls.append(digits) or to_decimal(x, digits))
+    assert check_branch_families(*PROFILES["quick"]).passed
+    assert calls == []
 
 
 def test_unknown_table_rejected():

@@ -149,6 +149,44 @@ def test_eval_respects_prefix():
     assert eval_word(w, F) == eval_word(w.shifted(), F) / F.q
 
 
+def _element_eval_word(word, field):
+    """Reference evaluator in field elements: Horner in q^-1 per block, then
+    pre + q^-n * per / (1 - q^-p)."""
+    q_inv = field.q.inverse()
+
+    def finite_value(digits):
+        acc = field.zero
+        for d in reversed(digits):
+            acc = (acc + d) * q_inv
+        return acc
+
+    tail = finite_value(word.period) / (field.one - q_inv ** len(word.period))
+    return finite_value(word.preperiod) + q_inv ** len(word.preperiod) * tail
+
+
+# the sqrt2 and cubic bases are no units; eval takes any base, so sqrt 5 too
+_EVAL_FIELDS = {
+    "q2": ((-1, -1, -2, 0, 1), (Fraction(17, 10), Fraction(43, 25))),
+    "qf": ((-1, 1, -2, 1), (Fraction(17, 10), Fraction(9, 5))),
+    "golden": ((-1, -1, 1), (Fraction(3, 2), Fraction(17, 10))),
+    "sqrt2": ((-2, 0, 1), (1, 2)),
+    "cubic": ((-2, 0, -1, 1), (Fraction(8, 5), Fraction(9, 5))),
+    "sqrt5": ((-5, 0, 1), (2, 3)),
+}
+_bits = st.integers(0, 1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(_EVAL_FIELDS)),
+       st.integers(0, 400).flatmap(lambda n: st.lists(_bits, min_size=n, max_size=n)),
+       st.lists(_bits, min_size=1, max_size=8))
+def test_eval_matches_element_evaluator(name, preperiod, period):
+    F = define_field(*_EVAL_FIELDS[name])
+    word = PeriodicWord(preperiod, period)
+    got, want = eval_word(word, F), _element_eval_word(word, F)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
 def test_domain_bounds_relations():
     for F in (q2_field(), qf_field(), golden_field()):
         lo, hi, upper = domain_bounds(F)
