@@ -13,10 +13,10 @@ reduction and never grows ``den``.
 
 Signs.  Every comparison reduces to the sign of sum(num[i] * q^i).  Each
 field lazily fixes, on its first irrational sign, the scaled powers
-Q[i] = q^i * 2^P rounded to integers with |Q[i] - q^i * 2^P| < 2.  They come
-from a private dyadic bracket of q, found by integer bisection inside the
-isolating interval, so the shared interval and everything printed from it
-stay as they are.  Then
+Q[i] = q^i * 2^P rounded to integers with |Q[i] - q^i * 2^P| < 3/2, at
+P = FILTER_BITS.  They come from a private dyadic bracket of q, found by
+integer bisection inside the isolating interval, so the shared interval and
+everything printed from it stay as they are.  Then
 
     |sum(num[i] * Q[i]) - 2^P * sum(num[i] * q^i)| < 2 * sum(|num[i]|),
 
@@ -25,8 +25,13 @@ integer sum is the sign of the element.  That is the filter: integers only,
 with a certified error bound.  When the sum is too small to decide, the sign
 falls back to the exact certificate: refining the shared isolating interval
 and enclosing the value with rational interval arithmetic until the
-enclosure clears zero.  Decimals and enclosures convert to ``Fraction``
-at that edge; inverses stay in integers (an adjugate).
+enclosure clears zero.
+
+Decimals.  The same sums at a higher precision P enclose 2^P * den * value in
+an integer interval; both ends are rounded half to even, in integers, and P
+grows until they agree.  Decimals never refine the isolating interval.
+Enclosures convert to ``Fraction`` at the edge; inverses stay in integers
+(an adjugate).
 """
 
 from __future__ import annotations
@@ -185,12 +190,13 @@ class BaseField:
 
     The isolating interval only ever shrinks; every comparison made through
     it stays valid afterwards.  The field also owns its derived constants,
-    each computed on first use: the sign filter's scaled powers, the domain
-    bounds 1/q, 1/(q(q-1)), 1/(q-1) and their scaled sums.
+    each computed on first use: its finest dyadic bracket of q, the scaled
+    powers at each precision asked for (the sign filter's in a slot of their
+    own), the domain bounds 1/q, 1/(q(q-1)), 1/(q-1) and their scaled sums.
     """
 
     __slots__ = ("min_poly", "degree", "name", "_lo", "_hi", "_sign_lo", "_reduction_rows",
-                 "_powers", "_domain", "_sums", "__weakref__")
+                 "_bracket", "_powers", "_fine", "_domain", "_sums", "__weakref__")
 
     def __init__(
         self,
@@ -206,7 +212,9 @@ class BaseField:
         self.min_poly = coeffs
         self.degree = len(coeffs) - 1
         self.name = name
+        self._bracket: tuple[int, int] | None = None
         self._powers: tuple[int, ...] | None = None
+        self._fine: dict[int, tuple[int, ...]] = {}
         self._domain: tuple[AlgebraicReal, AlgebraicReal, AlgebraicReal] | None = None
         self._sums: tuple[tuple[AlgebraicReal, int, int, int], ...] | None = None
 
@@ -302,31 +310,43 @@ class BaseField:
     def _dyadic_bracket(self, k: int) -> int:
         """The integer m with m/2^k < q < (m+1)/2^k.
 
-        Bisects over the grid points inside the current isolating interval,
-        which is only read: q is its one root there, and no dyadic point is a
-        root (there are no rational roots)."""
-        lo, hi = self._lo, self._hi
-        a = math.ceil(lo * 2**k)
-        b = math.floor(hi * 2**k)
-        if a > b:  # no grid point in [lo, hi]: both ends share one cell
-            return b
-        if self._sign_at_dyadic(a, k) != self._sign_lo:
-            return a - 1
-        if self._sign_at_dyadic(b, k) == self._sign_lo:
-            return b
+        The field keeps its finest bracket (m0, k0), a cell in which q is the
+        only root: a coarser bracket is a shift of m0, and a finer one bisects
+        from m0 * 2^(k - k0) in integers.  The first bracket is bisected
+        between grid points inside the isolating interval, the one time it
+        is read (no dyadic point is a root: there are no rational roots)."""
+        if self._bracket is None:
+            lo, hi, k0 = self._lo, self._hi, k
+            while True:
+                a, b = math.ceil(lo * 2**k0), math.floor(hi * 2**k0)
+                if (a < b and self._sign_at_dyadic(a, k0) == self._sign_lo
+                        and self._sign_at_dyadic(b, k0) != self._sign_lo):
+                    break
+                k0 += 32  # q lies within 2^-k0 of an end of the interval
+        else:
+            m, k0 = self._bracket
+            if k <= k0:
+                return m >> (k0 - k)
+            a, b, k0 = m << (k - k0), (m + 1) << (k - k0), k
         while b - a > 1:
             mid = (a + b) // 2
-            if self._sign_at_dyadic(mid, k) == self._sign_lo:
+            if self._sign_at_dyadic(mid, k0) == self._sign_lo:
                 a = mid
             else:
                 b = mid
-        return a
+        self._bracket = (a, k0)
+        return a >> (k0 - k)
 
-    def _scaled_powers(self) -> tuple[int, ...]:
-        """Integers Q[i] with |Q[i] - q^i * 2^FILTER_BITS| < 3/2, for
-        i < degree; computed once, from a private dyadic bracket of q."""
-        if self._powers is None:
-            p = FILTER_BITS
+    def _scaled_powers(self, p: int | None = None) -> tuple[int, ...]:
+        """Integers Q[i] with |Q[i] - q^i * 2^p| < 3/2, for i < degree;
+        computed once per precision p from the field's dyadic bracket of q.
+        With no argument, the sign filter's tuple at p = FILTER_BITS."""
+        if p is None:
+            if self._powers is None:
+                self._powers = self._scaled_powers(FILTER_BITS)
+            return self._powers
+        powers = self._fine.get(p)
+        if powers is None:
             k = p + 4 * self.degree
             while True:
                 m = self._dyadic_bracket(k)
@@ -339,10 +359,10 @@ class BaseField:
                         break
                     powers.append((a + b) >> (shift + 1))
                 else:
-                    self._powers = tuple(powers)
+                    powers = self._fine[p] = tuple(powers)
                     break
                 k += 32
-        return self._powers
+        return powers
 
     # -- derived constants -----------------------------------------------------
 
@@ -726,19 +746,36 @@ class AlgebraicReal:
 
     def to_decimal(self, digits: int = 6) -> str:
         """Correctly rounded decimal string with ``digits`` fractional digits
-        (round half to even; exact for rational values)."""
+        (round half to even; exact for rational values).
+
+        For an irrational value, the field's scaled powers at p bits give
+        S = sum(num[i] * Q[i]) with 2^p * den * value in (S - E, S + E),
+        E = 2 * sum(|num[i]|) + 2.  Both ends, times 10^digits over
+        den * 2^p, are rounded in integers; rounding is monotone, so when
+        they agree that is the value's rounding.  Otherwise p grows by 64,
+        which ends because an irrational value is never a tie.  The field's
+        isolating interval is not refined."""
         if digits < 0:
             raise ValueError("digits must be >= 0")
-        if self.is_rational():
-            return _round_decimal(Fraction(self.num[0], self.den), digits)
-        while True:
-            vlo, vhi = self.enclosure()
-            slo = _round_decimal(vlo, digits)
-            shi = _round_decimal(vhi, digits)
-            if slo == shi:
-                # an irrational value is never a rounding tie, so this terminates
-                return slo
-            self.field.refine(8)
+        num, den, scale = self.num, self.den, 10**digits
+        if not any(num[1:]):
+            m = _round_half_even(num[0] * scale, den)
+        else:
+            err = 2 * sum(map(abs, num)) + 2
+            # about 2^-15 of a last digit wide: it rarely straddles a boundary
+            bits = scale.bit_length() + err.bit_length() - den.bit_length() + 17
+            p = max(64, -(-bits // 64) * 64)  # a multiple of 64, so few tuples
+            while True:
+                s = sum(map(mul, num, self.field._scaled_powers(p)))
+                d = den << p
+                m = _round_half_even((s - err) * scale, d)
+                if m == _round_half_even((s + err) * scale, d):
+                    break
+                p += 64
+        text = str(abs(m)).rjust(digits + 1, "0")
+        if digits:
+            text = f"{text[:-digits]}.{text[-digits:]}"
+        return f"-{text}" if m < 0 else text
 
     def __float__(self) -> float:
         vlo, vhi = self.refined_enclosure(Fraction(1, 10**17))
@@ -769,20 +806,12 @@ class AlgebraicReal:
         return " ".join(parts)
 
 
-def _round_decimal(r: Fraction, digits: int) -> str:
-    """Round-half-even rendering of a rational with a fixed number of
-    fractional digits."""
-    scaled = r * 10**digits
-    floor = scaled.numerator // scaled.denominator
-    rem2 = 2 * (scaled - floor)  # in [0, 2)
-    if rem2 > 1 or (rem2 == 1 and floor % 2 == 1):
-        floor += 1
-    negative = floor < 0
-    mag = -floor if negative else floor
-    text = str(mag).rjust(digits + 1, "0")
-    if digits:
-        text = f"{text[:-digits]}.{text[-digits:]}"
-    return f"-{text}" if negative else text
+def _round_half_even(n: int, d: int) -> int:
+    """The integer nearest to n/d (d > 0), ties to even."""
+    f, r = divmod(n, d)
+    if 2 * r > d or (2 * r == d and f & 1):
+        f += 1
+    return f
 
 
 def sign(x: AlgebraicReal) -> int:

@@ -446,11 +446,12 @@ def _no_triple_body() -> str:
 
 
 _FAMILY_SHAPES = {
-    # name: (k_min, uses_j, prefix builder, branch-value fixture)
-    "e1": (1, False, lambda k, j: "0" * k, fixtures.EPS1),
-    "e3": (2, False, lambda k, j: "0" * k, fixtures.EPS3),
-    "e1-alt": (1, True, lambda k, j: "0" * k + "01" * j, fixtures.EPS1),
-    "e3-alt": (2, True, lambda k, j: "0" * k + "10" * j, fixtures.EPS3),
+    # name: (k_min, uses_j, prefix builder, branch value: 0 for EPS1, 1 for
+    # EPS3); the fixture words are read when a word is built, not at import
+    "e1": (1, False, lambda k, j: "0" * k, 0),
+    "e3": (2, False, lambda k, j: "0" * k, 1),
+    "e1-alt": (1, True, lambda k, j: "0" * k + "01" * j, 0),
+    "e3-alt": (2, True, lambda k, j: "0" * k + "10" * j, 1),
 }
 
 
@@ -460,14 +461,14 @@ def family_word(name: str, k: int, j: int = 0) -> PeriodicWord:
     ValueError outside the family's parameter range."""
     if name not in _FAMILY_SHAPES:
         raise ValueError(f"unknown family {name!r}")
-    k_min, uses_j, prefix, tail = _FAMILY_SHAPES[name]
+    k_min, uses_j, prefix, branch = _FAMILY_SHAPES[name]
     if k < k_min:
         raise ValueError(f"family {name!r} requires k >= {k_min}")
     if uses_j and j < 1:
         raise ValueError(f"family {name!r} requires j >= 1")
     if not uses_j and j:
         raise ValueError(f"family {name!r} takes no j parameter")
-    return parse_word(prefix(k, j) + tail)
+    return parse_word(prefix(k, j) + (fixtures.EPS1, fixtures.EPS3)[branch])
 
 
 def check_branch_families(k_max: int = 8, j_max: int = 8) -> CheckResult:
@@ -480,8 +481,7 @@ def check_branch_families(k_max: int = 8, j_max: int = 8) -> CheckResult:
 
 def _branch_families_body(k_max: int, j_max: int) -> str:
     q2 = q2_field()
-    e1, e3 = _specials(q2)
-    values = {fixtures.EPS1: e1, fixtures.EPS3: e3}
+    branch_values = _specials(q2)
     checked = 0
 
     def verify_member(name: str, k: int, j: int) -> None:
@@ -489,7 +489,7 @@ def _branch_families_body(k_max: int, j_max: int) -> str:
         word = family_word(name, k, j)
         x = eval_word(word, q2)
         graph = build_branch_graph(x)
-        expect = values[_FAMILY_SHAPES[name][3]]
+        expect = branch_values[_FAMILY_SHAPES[name][3]]
         if graph.truncated:
             raise _Failure(f"{name} k={k} j={j}: graph truncated")
         if len(graph.nodes) != 1:

@@ -10,6 +10,7 @@ from betaforge.numberfield import (
     FILTER_BITS,
     AlgebraicReal,
     AmbiguousInterval,
+    BaseField,
     MixedFields,
     NoRootInInterval,
     NotMonic,
@@ -23,6 +24,7 @@ from betaforge.numberfield import (
     sign,
     to_decimal,
 )
+from betaforge.words import PeriodicWord, eval_word
 
 
 def test_builtin_constants_print():
@@ -343,12 +345,15 @@ def test_first_filtered_sign_leaves_the_interval():
 ])
 @pytest.mark.parametrize("bisections", [0, 300])
 def test_scaled_powers_error_bound(poly, iso, bisections):
-    # the bisections leave an interval narrower than the filter's bracket
+    # the bisections leave an interval narrower than the filter's bracket;
+    # the precisions take the first bracket, a finer one, then a shift of it
     F = define_field(poly, iso)
     F.refine(bisections)
-    for i, Q in enumerate(F._scaled_powers()):
-        lo, hi = (F.q**i).refined_enclosure(Fraction(1, 2 ** (FILTER_BITS + 8)))
-        assert lo * 2**FILTER_BITS - 2 < Q < hi * 2**FILTER_BITS + 2
+    for p in (FILTER_BITS, 2048, 512):
+        for i, Q in enumerate(F._scaled_powers(p)):
+            lo, hi = (F.q**i).refined_enclosure(Fraction(1, 2 ** (p + 8)))
+            assert lo * 2**p - Fraction(3, 2) < Q < hi * 2**p + Fraction(3, 2)
+    assert F._scaled_powers() is F._scaled_powers(FILTER_BITS)
 
 
 @settings(max_examples=60, deadline=None)
@@ -391,3 +396,90 @@ def test_orbit_step_reduces_when_q_is_no_unit():
     assert (x.num, x.den) == ((0, 1), 2)
     one = x.times_q_minus(0)
     assert (one.num, one.den) == ((1, 0), 1) and one == 1
+
+
+# ---------------------------------------------------------------------------
+# decimals from the scaled sums
+
+_DECIMAL_FIELDS = {
+    "q2": ((-1, -1, -2, 0, 1), (Fraction(17, 10), Fraction(43, 25))),
+    "qf": ((-1, 1, -2, 1), (Fraction(17, 10), Fraction(9, 5))),
+    "golden": ((-1, -1, 1), (Fraction(3, 2), Fraction(17, 10))),
+    "sqrt2": ((-2, 0, 1), (1, 2)),
+    "cubic": ((-2, 0, -1, 1), (Fraction(8, 5), Fraction(9, 5))),  # x^3 - x^2 - 2
+    "sqrt5": ((-5, 0, 1), (2, 3)),
+    "-sqrt5": ((-5, 0, 1), (-3, -2)),
+    "4.8": ((-7, 3, -5, 1), (4, 6)),
+}
+# the reference refines intervals of its own twin fields
+_REFERENCE_TWINS = {name: define_field(*spec) for name, spec in _DECIMAL_FIELDS.items()}
+
+
+def _enclosure_decimal(x, digits):
+    """Reference decimal by rational enclosures: round both ends of the
+    value's enclosure half to even, and refine the field's isolating interval
+    until they agree."""
+
+    def rounded(r):
+        scaled = r * 10**digits
+        floor = scaled.numerator // scaled.denominator
+        rem2 = 2 * (scaled - floor)
+        if rem2 > 1 or (rem2 == 1 and floor % 2 == 1):
+            floor += 1
+        text = str(abs(floor)).rjust(digits + 1, "0")
+        if digits:
+            text = f"{text[:-digits]}.{text[-digits:]}"
+        return f"-{text}" if floor < 0 else text
+
+    while True:
+        vlo, vhi = x.enclosure()
+        slo = rounded(vlo)
+        if slo == rounded(vhi):
+            return slo
+        x.field.refine(8)
+
+
+_big = st.integers(-2**200, 2**200)
+
+
+@st.composite
+def _decimal_cases(draw):
+    """(field name, numerators, denominator): a lattice element with big
+    numerators, or the value of a word with a preperiod of up to 400 digits."""
+    name = draw(st.sampled_from(sorted(_DECIMAL_FIELDS)))
+    degree = len(_DECIMAL_FIELDS[name][0]) - 1
+    if draw(st.booleans()):
+        num = draw(st.lists(_big, min_size=degree, max_size=degree))
+        den = draw(st.integers(1, 2**200))
+    else:
+        bits = st.integers(0, 1)
+        n = draw(st.integers(0, 400))
+        word = PeriodicWord(draw(st.lists(bits, min_size=n, max_size=n)),
+                            draw(st.lists(bits, min_size=1, max_size=8)))
+        x = eval_word(word, _REFERENCE_TWINS[name])
+        num, den = x.num, x.den
+    return name, num, den
+
+
+@settings(max_examples=150, deadline=None)
+@given(_decimal_cases(), st.integers(0, 120))
+def test_to_decimal_matches_enclosure_reference(case, digits):
+    name, num, den = case
+    x = define_field(*_DECIMAL_FIELDS[name]).element([Fraction(n, den) for n in num])
+    twin = AlgebraicReal(_REFERENCE_TWINS[name], x.num, x.den)
+    assert to_decimal(x, digits) == _enclosure_decimal(twin, digits)
+
+
+def test_to_decimal_leaves_the_interval(monkeypatch):
+    F = define_field(*_DECIMAL_FIELDS["q2"])
+    x = 1 / (F.q - 1)
+    assert x.sign() == 1  # the filter's powers exist, as on any busy field
+    iv = F.interval()
+    calls = []
+    refine = BaseField.refine
+    monkeypatch.setattr(BaseField, "refine",
+                        lambda self, steps=1: calls.append(steps) or refine(self, steps))
+    got = to_decimal(x, 60)
+    assert calls == [] and F.interval() == iv
+    twin = AlgebraicReal(_REFERENCE_TWINS["q2"], x.num, x.den)
+    assert got == _enclosure_decimal(twin, 60)

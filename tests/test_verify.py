@@ -59,6 +59,18 @@ def test_fault_injection_names_the_row(monkeypatch):
     assert sum(not r.passed for r in results) == 1
 
 
+def test_corrupted_branch_word_fails_checks_without_raising(monkeypatch):
+    # the family words read the branch word when the check runs
+    monkeypatch.setattr(fixtures, "EPS1", "001(10)*")
+    results = run_all("quick")
+    assert [r.check_id for r in results] == sorted(CHECK_IDS)
+    by_id = {r.check_id: r for r in results}
+    assert not by_id["branch-families"].passed
+    assert by_id["branch-families"].witness == (
+        "e1 k=1 j=0: branch node 0.645198 is not the family branch value")
+    assert str(family_word("e1", 1)) == "0001(10)*"
+
+
 def test_passing_check_formats_no_decimal(monkeypatch):
     # a failure witness is formatted only when its check fails, and the
     # branch-families witness prints no value
