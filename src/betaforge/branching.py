@@ -23,6 +23,17 @@ against the domain bounds' cached scaled sums, and, when the filter cannot
 decide, the exact comparison of the reduced element.  ``_reduced`` builds
 an element only where a value leaves the kernel: graph nodes, switch
 points, unique-tail cycles and the orbit a run returns.
+
+Points of one base share switch points (in a Pisot base, those over one
+denominator are finitely many), so each field keeps a branch memo: for each
+switch point a graph has expanded, keyed by its reduced form (den, *num),
+the two forced runs out of it, each with its segment, its end (a switch
+point's reduced form, or a unique tail's cycle digits) and its length.  A
+run's outcome depends on the value alone, not on the denominator it is
+carried over, so ``build_branch_graph`` reads a stored run instead of
+running it whenever the run would end the same way under the graph's step
+budget.  ``deterministic_run`` and ``viable_prefix_counts`` never read the
+memo: the prefix oracle stays an independent check of the graphs.
 """
 
 from __future__ import annotations
@@ -36,6 +47,10 @@ from .words import PeriodicWord, Region, _region_rule, region
 
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_MAX_NODES = 10_000
+# switch points a field's branch memo admits; a full memo still serves its
+# entries.  About 6x the nodes of every canonical q2 word with preperiod <= 6
+# and period <= 4 at caps 250/64.
+_MEMO_CAP = 1 << 14
 
 # how a forced run ends, and where a graph edge leads
 NODE = "node"
@@ -201,14 +216,25 @@ def build_branch_graph(
     max_steps: int = DEFAULT_MAX_STEPS,
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> BranchGraph:
-    """Breadth-first closure of the switch points reachable from x."""
+    """Breadth-first closure of the switch points reachable from x.
+
+    The two branches of each switch point come from the field's branch
+    memo when it holds them: a stored run of length L (its segment, plus
+    its cycle for a unique tail) is what ``_Orbits.run`` returns exactly
+    when L < max_steps, and is run again otherwise.  Runs that hit the step
+    budget are not stored.  The graph is the one the runs alone would build:
+    the same node ids, edges, terminals and limit."""
     orbits, reg = _start(x)
+    field, den = x.field, orbits.den
+    memo = field._branches
     node_ids: dict[tuple[int, ...], int] = {}
+    keys: list[tuple[int, ...]] = []  # each node's reduced form (den, *num), by id
     terminal_ids: dict[tuple[int, ...], int] = {}
     queue: deque[tuple[int, tuple[int, ...]]] = deque()
     graph: BranchGraph
 
-    def resolve(kind: str, end) -> tuple[str, int | None]:
+    def resolve(kind: str, end, key: tuple[int, ...] | None = None) -> tuple[str, int | None]:
+        # ``key``: a NODE end's reduced form, when the memo supplied it
         if kind == NODE:
             nid = node_ids.get(end)
             if nid is None:
@@ -216,7 +242,13 @@ def build_branch_graph(
                     graph._truncate("max_nodes")
                     return LIMIT, None
                 nid = node_ids[end] = len(node_ids)
-                graph.nodes[nid] = orbits.value(end)
+                if key is None:
+                    v = orbits.value(end)
+                    key = (v.den, *v.num)
+                else:
+                    v = AlgebraicReal(field, key[1:], key[0])
+                graph.nodes[nid] = v
+                keys.append(key)
                 queue.append((nid, end))
             return NODE, nid
         if kind == TERMINAL:
@@ -237,12 +269,38 @@ def build_branch_graph(
     locate = orbits.locate
     while queue:
         nid, n = queue.popleft()
+        key = keys[nid]
+        stored = memo.get(key, (None, None))
+        runs, fresh = list(stored), False
         out: dict[int, Edge] = {}
         for digit in (0, 1):
+            known = stored[digit]
+            if known is not None and known[0] < max_steps:
+                _, segment, kind, end = known
+                target = None
+                if kind == NODE:
+                    # the target's reduced form: its denominator divides D
+                    target, end = end, tuple([c * (den // end[0]) for c in end[1:]])
+                out[digit] = Edge(digit, segment, *resolve(kind, end, target))
+                continue
             # both branches of a switch point stay in the domain
             branch = orbits.step(n, digit)
             kind, segment, end, _ = orbits.run(branch, locate(branch), max_steps)
-            out[digit] = Edge(digit, segment, *resolve(kind, end))
+            edge = out[digit] = Edge(digit, segment, *resolve(kind, end))
+            if known is not None or kind == LIMIT:
+                continue
+            if kind == TERMINAL:
+                runs[digit] = (len(segment) + len(end), segment, TERMINAL, end)
+            else:
+                if edge.kind == NODE:
+                    target = keys[edge.target]
+                else:  # a new switch point past max_nodes
+                    v = orbits.value(end)
+                    target = (v.den, *v.num)
+                runs[digit] = (len(segment), segment, NODE, target)
+            fresh = True
+        if fresh and (key in memo or len(memo) < _MEMO_CAP):
+            memo[key] = tuple(runs)
         graph.edges[nid] = out
     return graph
 

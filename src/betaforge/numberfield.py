@@ -29,7 +29,8 @@ enclosure clears zero.
 
 Decimals.  The same sums at a higher precision P enclose 2^P * den * value in
 an integer interval; both ends are rounded half to even, in integers, and P
-grows until they agree.  Decimals never refine the isolating interval.
+grows until they agree.  Floats come from the same sums, and neither floats
+nor decimals refine the isolating interval.
 Enclosures convert to ``Fraction`` at the edge; inverses stay in integers
 (an adjugate).
 """
@@ -193,10 +194,13 @@ class BaseField:
     each computed on first use: its finest dyadic bracket of q, the scaled
     powers at each precision asked for (the sign filter's in a slot of their
     own), the domain bounds 1/q, 1/(q(q-1)), 1/(q-1) and their scaled sums.
+    ``_branches`` is the branch memo of ``branching``: the forced runs out of
+    each switch point expanded so far, in ints and tuples only.
     """
 
     __slots__ = ("min_poly", "degree", "name", "_lo", "_hi", "_sign_lo", "_reduction_rows",
-                 "_bracket", "_powers", "_fine", "_domain", "_sums", "__weakref__")
+                 "_bracket", "_powers", "_fine", "_domain", "_sums", "_branches",
+                 "__weakref__")
 
     def __init__(
         self,
@@ -217,6 +221,7 @@ class BaseField:
         self._fine: dict[int, tuple[int, ...]] = {}
         self._domain: tuple[AlgebraicReal, AlgebraicReal, AlgebraicReal] | None = None
         self._sums: tuple[tuple[AlgebraicReal, int, int, int], ...] | None = None
+        self._branches: dict[tuple[int, ...], tuple] = {}
 
         lo, hi = Fraction(iso[0]), Fraction(iso[1])
         if not lo < hi:
@@ -763,8 +768,7 @@ class AlgebraicReal:
         else:
             err = 2 * sum(map(abs, num)) + 2
             # about 2^-15 of a last digit wide: it rarely straddles a boundary
-            bits = scale.bit_length() + err.bit_length() - den.bit_length() + 17
-            p = max(64, -(-bits // 64) * 64)  # a multiple of 64, so few tuples
+            p = _precision(scale.bit_length() + err.bit_length() - den.bit_length() + 17)
             while True:
                 s = sum(map(mul, num, self.field._scaled_powers(p)))
                 d = den << p
@@ -778,8 +782,16 @@ class AlgebraicReal:
         return f"-{text}" if m < 0 else text
 
     def __float__(self) -> float:
-        vlo, vhi = self.refined_enclosure(Fraction(1, 10**17))
-        return float((vlo + vhi) / 2)
+        """The nearest float to a value within 2^-60 of this one: the
+        field's scaled sum S at p bits, over den * 2^p, with the error
+        E / (den * 2^p) <= 2^-60.  The isolating interval is not refined."""
+        num, den = self.num, self.den
+        if not any(num[1:]):
+            return num[0] / den  # int true division rounds correctly
+        err = 2 * sum(map(abs, num)) + 2
+        # den >= 2^(den.bit_length() - 1) and err < 2^err.bit_length()
+        p = _precision(err.bit_length() - den.bit_length() + 61)
+        return float(Fraction(sum(map(mul, num, self.field._scaled_powers(p))), den << p))
 
     def __repr__(self) -> str:
         return f"AlgebraicReal({self!s})"
@@ -804,6 +816,12 @@ class AlgebraicReal:
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)
+
+
+def _precision(bits: int) -> int:
+    """The least multiple of 64 that is at least ``bits`` and 64: scaled
+    powers are cached per precision, so values share few tuples."""
+    return max(64, -(-bits // 64) * 64)
 
 
 def _round_half_even(n: int, d: int) -> int:

@@ -725,3 +725,87 @@ def test_kernel_falls_back_to_exact_comparisons_below_filter_resolution(monkeypa
         assert region(x) is expected
         assert bound in fallbacks  # the filter could not decide against this bound
         assert deterministic_run(x, max_steps=3) == _ref_run(x, 3)
+
+
+# ---------------------------------------------------------------------------
+# the branch memo: each switch point's forced runs, kept per field
+#
+# The shared fields' memos are process-wide, so every test here builds its
+# fields fresh: a cold field has an empty memo.  "cubic" (x^3 - x^2 - 2) is
+# not a unit, so the memo's reduced denominators differ from the graph's.
+
+_MEMO_NAMES = ("q2", "qf", "golden", "cubic")
+_MEMO_WORDS = tuple(_canonical_words(6, 4))
+
+
+def _graph_form(graph):
+    """Everything a graph holds, comparable across fields."""
+    return (graph.root_segment, graph.root_kind, graph.root_target,
+            {nid: (v.num, v.den) for nid, v in graph.nodes.items()},
+            graph.edges, graph.terminals, graph.truncated, graph.limit)
+
+
+def _cold_form(name, word, caps):
+    x = eval_word(word, define_field(*_KERNEL_FIELDS[name]))
+    return _graph_form(build_branch_graph(x, **caps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_MEMO_NAMES), st.lists(st.sampled_from(_MEMO_WORDS), min_size=1,
+                                              max_size=6), st.booleans())
+def test_memo_graphs_equal_cold_builds(name, words, defaults):
+    caps = _KERNEL_CAPS[name] if defaults else _ACCEPTANCE_CAPS
+    warm = define_field(*_KERNEL_FIELDS[name])
+    for word in words + words:  # the second pass finds every switch point stored
+        got = build_branch_graph(eval_word(word, warm), **caps)
+        assert _graph_form(got) == _cold_form(name, word, caps), str(word)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_MEMO_NAMES), st.lists(st.sampled_from(_MEMO_WORDS), min_size=1,
+                                              max_size=4))
+def test_memo_runs_stored_under_a_larger_step_budget(name, words):
+    # a stored run of length L stands for a run only when L < max_steps
+    warm = define_field(*_KERNEL_FIELDS[name])
+    for word in words:
+        build_branch_graph(eval_word(word, warm), max_steps=10_000, max_nodes=64)
+    for max_steps in (1, 2, 5, 20):
+        caps = {"max_steps": max_steps, "max_nodes": 64}
+        for word in words:
+            got = build_branch_graph(eval_word(word, warm), **caps)
+            assert _graph_form(got) == _cold_form(name, word, caps), (str(word), max_steps)
+
+
+def test_warm_memo_runs_only_the_root(monkeypatch):
+    F = define_field(*_KERNEL_FIELDS["qf"])
+    x = family_member(F, 3)
+    calls = []
+    run = branching._Orbits.run
+    monkeypatch.setattr(branching._Orbits, "run",
+                        lambda self, *args: calls.append(args) or run(self, *args))
+    cold = build_branch_graph(x)
+    assert cold.nodes and len(calls) == 1 + 2 * len(cold.nodes)
+    calls.clear()
+    assert build_branch_graph(x) == cold
+    assert len(calls) == 1
+    calls.clear()
+    assert count_expansions(x) == Cardinality.finite(3)
+    assert len(calls) == 1
+
+
+def test_full_memo_admits_no_more_switch_points(monkeypatch):
+    monkeypatch.setattr(branching, "_MEMO_CAP", 3)
+    warm = define_field(*_KERNEL_FIELDS["q2"])
+    for word in _MEMO_WORDS[:40]:
+        got = build_branch_graph(eval_word(word, warm), **_ACCEPTANCE_CAPS)
+        assert len(warm._branches) <= 3
+        assert _graph_form(got) == _cold_form("q2", word, _ACCEPTANCE_CAPS), str(word)
+    assert len(warm._branches) == 3
+
+
+def test_run_and_prefix_oracle_do_not_read_the_memo():
+    F = define_field(*_KERNEL_FIELDS["qf"])
+    F._branches = None  # any read of the memo raises
+    x = family_member(F, 3)
+    assert isinstance(deterministic_run(x).end, SwitchHit)
+    assert viable_prefix_counts(x, 40)[-1] == 3

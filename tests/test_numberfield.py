@@ -483,3 +483,27 @@ def test_to_decimal_leaves_the_interval(monkeypatch):
     assert calls == [] and F.interval() == iv
     twin = AlgebraicReal(_REFERENCE_TWINS["q2"], x.num, x.den)
     assert got == _enclosure_decimal(twin, 60)
+
+
+def test_float_leaves_the_interval(monkeypatch):
+    F = define_field(*_DECIMAL_FIELDS["q2"])
+    iv = F.interval()
+    calls = []
+    refine = BaseField.refine
+    monkeypatch.setattr(BaseField, "refine",
+                        lambda self, steps=1: calls.append(steps) or refine(self, steps))
+    assert float(F.q) == pytest.approx(1.710644095045033, abs=1e-15)
+    assert calls == [] and F.interval() == iv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_decimal_cases())
+def test_float_is_within_2_to_the_minus_60(case):
+    name, num, den = case
+    x = define_field(*_DECIMAL_FIELDS[name]).element([Fraction(n, den) for n in num])
+    twin = AlgebraicReal(_REFERENCE_TWINS[name], x.num, x.den)
+    vlo, vhi = twin.refined_enclosure(Fraction(1, 2**80))
+    got = float(x)
+    # the scaled sum lies within 2^-60, and float() rounds it to nearest
+    assert vlo - Fraction(1, 2**60) - Fraction(math.ulp(got)) / 2 <= Fraction(got)
+    assert Fraction(got) <= vhi + Fraction(1, 2**60) + Fraction(math.ulp(got)) / 2

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from betaforge.branching import Cardinality, count_expansions
 from betaforge.numberfield import define_field, golden_field, q2_field, qf_field
 from betaforge.words import (
     EmptyWordError,
@@ -205,6 +206,9 @@ def test_domain_bounds_do_not_keep_a_field_alive():
     F = define_field((-1, -1, 0, 1), (Fraction(13, 10), Fraction(14, 10)))
     lo, hi, upper = domain_bounds(F)
     assert domain_bounds(F) == (lo, hi, upper)
+    # the branch memo holds ints and tuples, never an element of F
+    assert count_expansions(F.one) == Cardinality.continuum()
+    assert F._branches
     ref = weakref.ref(F)
     del F, lo, hi, upper
     gc.collect()
