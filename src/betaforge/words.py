@@ -49,10 +49,19 @@ class Region(Enum):
         return self.value
 
 
+_BITS = frozenset((0, 1))
+_INT = frozenset((int,))
+
+
 def _validate_digits(digits: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(int(d) for d in digits)
-    if any(d not in (0, 1) for d in out):
+    """The digits as a tuple of the ints 0 and 1.  Values equal to 0 or 1
+    (a bool, 1.0) become those ints; anything else raises ValueError, so 0.5
+    or "1" is rejected, not truncated."""
+    out = tuple(digits)
+    if not _BITS.issuperset(out):
         raise ValueError(f"digits must be 0 or 1, got {out}")
+    if not _INT.issuperset(map(type, out)):
+        out = tuple(map(int, out))
     return out
 
 
@@ -68,23 +77,29 @@ class PeriodicWord:
     __slots__ = ("preperiod", "period")
 
     def __init__(self, preperiod: Iterable[int] = (), period: Iterable[int] = ()):
-        pre = list(_validate_digits(preperiod))
-        per = list(_validate_digits(period)) or [0]
+        pre = _validate_digits(preperiod)
+        per = _validate_digits(period) or (0,)
 
-        # primitive period
+        # primitive period: the shortest root of a power divides n, so a
+        # proper one has k <= n/2
         n = len(per)
-        for k in range(1, n):
-            if n % k == 0 and per == per[:k] * (n // k):
-                per = per[:k]
+        for k in range(1, n // 2 + 1):
+            if n % k == 0 and per[:k] * (n // k) == per:
+                per, n = per[:k], k
                 break
 
-        # shortest preperiod: absorb trailing digits equal to the period's last
-        while pre and pre[-1] == per[-1]:
-            per = [per[-1]] + per[:-1]
-            pre.pop()
+        # shortest preperiod: absorb the trailing digits that match the period
+        # read backwards, whole periods first; absorbing r digits rotates the
+        # period right by r mod n
+        m = len(pre)
+        while m >= n and pre[m - n:m] == per:
+            m -= n
+        r = 0
+        while r < m and pre[m - 1 - r] == per[n - 1 - r]:
+            r += 1
 
-        self.preperiod = tuple(pre)
-        self.period = tuple(per)
+        self.preperiod = pre[:m - r]
+        self.period = per[n - r:] + per[:n - r]
 
     # -- digit access --------------------------------------------------------
 
@@ -96,7 +111,11 @@ class PeriodicWord:
 
     def digits(self, n: int) -> tuple[int, ...]:
         """The first ``n`` digits of the stream."""
-        return tuple(self.digit(i) for i in range(n))
+        pre, per = self.preperiod, self.period
+        k = n - len(pre)
+        if k <= 0:
+            return pre[:max(n, 0)]
+        return pre + (per * -(-k // len(per)))[:k]
 
     def is_zero(self) -> bool:
         return not self.preperiod and self.period == (0,)
@@ -105,7 +124,7 @@ class PeriodicWord:
 
     def with_prefix(self, digits: Iterable[int]) -> "PeriodicWord":
         """The word obtained by prepending ``digits`` to this stream."""
-        return PeriodicWord(_validate_digits(digits) + self.preperiod, self.period)
+        return PeriodicWord((*digits, *self.preperiod), self.period)
 
     def shifted(self) -> "PeriodicWord":
         """The word with its first digit removed."""
@@ -121,16 +140,15 @@ class PeriodicWord:
 
     # -- comparisons -----------------------------------------------------------
 
-    def _cmp(self, other: "PeriodicWord") -> int:
-        """Lexicographic three-way comparison of the digit streams."""
-        horizon = max(len(self.preperiod), len(other.preperiod)) + math.lcm(
-            len(self.period), len(other.period)
-        )
-        for i in range(horizon):
-            a, b = self.digit(i), other.digit(i)
-            if a != b:
-                return -1 if a < b else 1
-        return 0
+    def _horizon(self, other: "PeriodicWord") -> int:
+        """A prefix length on which two distinct streams must differ.
+
+        Past both preperiods the streams are periodic, with periods p and r.
+        By Fine and Wilf (1965), a word of length p + r - gcd(p, r) with
+        periods p and r has period gcd(p, r); so two such streams that agree
+        on that many digits agree everywhere."""
+        p, r = len(self.period), len(other.period)
+        return max(len(self.preperiod), len(other.preperiod)) + p + r - math.gcd(p, r)
 
     def __eq__(self, other):
         if not isinstance(other, PeriodicWord):
@@ -143,22 +161,26 @@ class PeriodicWord:
     def __lt__(self, other):
         if not isinstance(other, PeriodicWord):
             return NotImplemented
-        return self._cmp(other) < 0
+        h = self._horizon(other)
+        return self.digits(h) < other.digits(h)
 
     def __le__(self, other):
         if not isinstance(other, PeriodicWord):
             return NotImplemented
-        return self._cmp(other) <= 0
+        h = self._horizon(other)
+        return self.digits(h) <= other.digits(h)
 
     def __gt__(self, other):
         if not isinstance(other, PeriodicWord):
             return NotImplemented
-        return self._cmp(other) > 0
+        h = self._horizon(other)
+        return self.digits(h) > other.digits(h)
 
     def __ge__(self, other):
         if not isinstance(other, PeriodicWord):
             return NotImplemented
-        return self._cmp(other) >= 0
+        h = self._horizon(other)
+        return self.digits(h) >= other.digits(h)
 
     # -- rendering ---------------------------------------------------------------
 

@@ -108,6 +108,18 @@ def test_run_step_limit():
     assert out.end.steps == 1
 
 
+def test_run_400_steps_deep():
+    # past about 300 steps the numerators outgrow the filter's fixed 128
+    # bits, so the late steps are decided by the exact comparison
+    F = q2_field()
+    x = eval_word(parse_word("0" * 400 + "1(0)*"), F)
+    out = deterministic_run(x, max_steps=1000)
+    assert out.segment == (0,) * 400
+    assert isinstance(out.end, SwitchHit)
+    assert out.end.value == 1 / F.q
+    assert out.orbit[-1] == apply_digits(x, out.segment)
+
+
 @pytest.mark.parametrize("text, plus_one, max_steps, end_type", [
     ("00(01)*", True, 500, SwitchHit),     # two forced steps, then a switch point
     ("01(10)*", False, 500, SwitchHit),    # starts at a switch point

@@ -1,6 +1,8 @@
 """Word parsing, canonicalization, evaluation, regions, and reflection."""
 
 import gc
+import math
+import time
 import weakref
 from fractions import Fraction
 
@@ -131,6 +133,153 @@ def test_lexicographic_order():
     assert parse_word("(01)*") <= parse_word("(01)*")
 
 
+_bits = st.integers(0, 1)
+
+
+@pytest.mark.parametrize("bad", [(0.5, 1.7), (1.2,), (0.9,), ("1", "0"), (2,), (-1,), (None,)])
+def test_non_binary_digits_rejected_not_truncated(bad):
+    x = eval_word(parse_word("01(10)*"), q2_field())
+    for make in (lambda: PeriodicWord(bad, (1,)),
+                 lambda: PeriodicWord((0,), bad),
+                 lambda: parse_word("01(10)*").with_prefix(bad),
+                 lambda: apply_digits(x, bad)):
+        with pytest.raises(ValueError, match="digits must be 0 or 1"):
+            make()
+
+
+def test_digits_equal_to_0_or_1_become_ints():
+    w = PeriodicWord((True, 1.0, Fraction(0)), (1.0,))
+    assert w == parse_word("110(1)*")
+    assert str(w) == "110(1)*"
+    assert all(type(d) is int for d in w.preperiod + w.period)
+    assert parse_word("(10)*").with_prefix((False,)) == parse_word("0(10)*")
+    x = eval_word(parse_word("01(10)*"), q2_field())
+    y = apply_digits(x, (True, 0.0))
+    assert y == apply_digits(x, (1, 0))
+    assert all(type(n) is int for n in y.num)
+
+
+def _list_canonical(preperiod, period):
+    """The canonical form by single-digit list steps: the period shortened to
+    its first primitive root, then one trailing preperiod digit absorbed (and
+    the period rotated right by one) at a time."""
+    pre, per = list(preperiod), list(period) or [0]
+    n = len(per)
+    for k in range(1, n):
+        if n % k == 0 and per == per[:k] * (n // k):
+            per = per[:k]
+            break
+    while pre and pre[-1] == per[-1]:
+        per = [per[-1]] + per[:-1]
+        pre.pop()
+    return tuple(pre), tuple(per)
+
+
+@st.composite
+def _raw_words(draw):
+    """A preperiod and a period, with powers of a root as periods and
+    preperiods ending in up to three periods' worth of absorbable digits."""
+    root = draw(st.lists(_bits, min_size=1, max_size=6))
+    period = root * draw(st.integers(1, 4))
+    tail = draw(st.integers(0, 3 * len(period)))
+    absorbable = (period * 4)[len(period) * 4 - tail:] if tail else []
+    return draw(st.lists(_bits, max_size=8)) + absorbable, period
+
+
+@settings(max_examples=300, deadline=None)
+@given(_raw_words())
+def test_canonical_form_matches_list_steps(raw):
+    pre, per = raw
+    w = PeriodicWord(pre, per)
+    assert type(w.preperiod) is tuple and type(w.period) is tuple
+    assert (w.preperiod, w.period) == _list_canonical(pre, per)
+
+
+def test_absorption_longer_than_the_period():
+    assert str(PeriodicWord((1, 0, 1, 0, 1, 0, 1), (0, 1))) == "(10)*"
+    assert str(parse_word("1010101(01)*")) == "(10)*"
+    assert str(parse_word("11010101(01)*")) == "1(10)*"
+    assert str(parse_word("0110(110)^3(110110)*")) == "(011)*"
+    assert PeriodicWord((0,) * 9, (0, 0, 0)) == parse_word("(0)*")
+
+
+def _lcm_cmp(a, b):
+    """Three-way order of the streams, one digit at a time up to both
+    preperiods plus the lcm of the periods."""
+    horizon = max(len(a.preperiod), len(b.preperiod)) + math.lcm(len(a.period), len(b.period))
+    for i in range(horizon):
+        x, y = a.digit(i), b.digit(i)
+        if x != y:
+            return -1 if x < y else 1
+    return 0
+
+
+_long_words = st.builds(
+    PeriodicWord,
+    st.lists(_bits, max_size=10).map(tuple),
+    st.lists(_bits, min_size=1, max_size=12).map(tuple),
+)
+
+
+@st.composite
+def _word_pairs(draw):
+    """Two words; the second often repeats a long prefix of the first, so
+    that pairs agree deep into both periods."""
+    a = draw(_long_words)
+    if draw(st.booleans()):
+        return a, draw(_long_words)
+    shared = draw(st.integers(0, len(a.preperiod) + 3 * len(a.period)))
+    pre = a.digits(shared) + tuple(draw(st.lists(_bits, max_size=3)))
+    per = draw(st.one_of(st.just(a.period), st.lists(_bits, min_size=1, max_size=12)))
+    return a, PeriodicWord(pre, per)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_word_pairs())
+def test_order_matches_the_digit_by_digit_lcm_reference(pair):
+    a, b = pair
+    for x, y in (pair, pair[::-1]):
+        c = _lcm_cmp(x, y)
+        assert (x < y, x <= y, x > y, x >= y) == (c < 0, c <= 0, c > 0, c >= 0)
+    assert (_lcm_cmp(a, b) == 0) == (a == b)
+
+
+def test_order_horizon_is_tight():
+    # (010)* and (01001)* agree on 3 + 5 - gcd(3, 5) - 1 = 6 digits: the
+    # Fine-Wilf bound cannot be shortened
+    a, b = parse_word("(010)*"), parse_word("(01001)*")
+    assert a.digits(6) == b.digits(6) and a.digit(6) != b.digit(6)
+    assert a < b and a <= b and b > a and b >= a
+    assert not (b < a or b <= a or a > b or a >= b)
+
+
+def test_order_of_long_coprime_periods_is_fast(wall_time_limit):
+    # periods 997 and 1000 have lcm 997000; the two streams agree on more
+    # than 1900 digits past the shared preperiod, and the order must be
+    # decided on a horizon linear in the periods
+    wall_time_limit(5)
+    pre = (1, 0) * 50
+    common = ((0, 1, 1) * 333)[:996]
+    a = PeriodicWord(pre, common + (0,))
+    b = PeriodicWord(pre, common + (0,) + common[:3])
+    first = next(i for i in range(3000) if a.digit(i) != b.digit(i))
+    assert first > len(pre) + 1900
+    lt = a.digit(first) < b.digit(first)
+    start = time.perf_counter()
+    for _ in range(50):
+        assert ((a < b, a <= b, a > b, a >= b)
+                == (b > a, b >= a, b < a, b <= a)
+                == (lt, lt, not lt, not lt))
+    assert time.perf_counter() - start < 0.5
+
+
+@settings(max_examples=100, deadline=None)
+@given(_long_words)
+def test_digits_match_digit_by_digit(w):
+    for n in range(-2, 3 * (len(w.preperiod) + len(w.period)) + 1):
+        assert w.digits(n) == tuple(w.digit(i) for i in range(n))
+
+
 # -- evaluation --------------------------------------------------------------
 
 
@@ -174,7 +323,6 @@ _EVAL_FIELDS = {
     "cubic": ((-2, 0, -1, 1), (Fraction(8, 5), Fraction(9, 5))),
     "sqrt5": ((-5, 0, 1), (2, 3)),
 }
-_bits = st.integers(0, 1)
 
 
 @settings(max_examples=120, deadline=None)
