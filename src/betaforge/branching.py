@@ -315,10 +315,14 @@ class Cardinality:
 
     kind is one of "finite", "aleph0", "continuum", "lower_bound"; ``count``
     is the exact count for "finite" and a certified floor for "lower_bound".
+    ``limit`` names the limit that truncated the graph behind a
+    "lower_bound" ("max_steps" or "max_nodes"); it takes no part in
+    equality or in the text.
     """
 
     kind: str
     count: int | None = None
+    limit: str | None = dataclass_field(default=None, compare=False)
 
     @classmethod
     def finite(cls, count: int) -> "Cardinality":
@@ -333,8 +337,8 @@ class Cardinality:
         return cls("continuum")
 
     @classmethod
-    def lower_bound(cls, count: int) -> "Cardinality":
-        return cls("lower_bound", count)
+    def lower_bound(cls, count: int, limit: str | None = None) -> "Cardinality":
+        return cls("lower_bound", count, limit)
 
     def __str__(self) -> str:
         if self.kind == "finite":
@@ -429,11 +433,11 @@ def classify(graph: BranchGraph) -> Cardinality:
     if graph.root_kind == TERMINAL:
         return Cardinality.finite(1)
     if graph.root_kind == LIMIT:
-        return Cardinality.lower_bound(1)
+        return Cardinality.lower_bound(1, graph.limit)
     adj = _node_adjacency(graph)
     comps = _sccs(adj)
     if graph.truncated:
-        return Cardinality.lower_bound(_path_floor(graph, comps))
+        return Cardinality.lower_bound(_path_floor(graph, comps), graph.limit)
 
     has_cycle = False
     for comp in comps:
@@ -562,10 +566,6 @@ def bfs_expansions(
 # ---------------------------------------------------------------------------
 # prefix-count oracle
 
-# the digits that keep a remainder in the domain, by its region
-_VIABLE_DIGITS = {Region.LOW: (0,), Region.SWITCH: (0, 1), Region.HIGH: (1,)}
-
-
 def viable_prefix_counts(x: AlgebraicReal, max_depth: int) -> list[int]:
     """For each n = 1..max_depth, the number of binary prefixes p of length n
     with 0 <= q^n x - sum(p_i q^(n-i)) <= 1/(q-1).
@@ -575,20 +575,46 @@ def viable_prefix_counts(x: AlgebraicReal, max_depth: int) -> list[int]:
     the branch-graph machinery, which it cross-checks.  A remainder r in the
     domain extends by digit d exactly when q*r - d stays in it, that is when
     r <= 1/(q(q-1)) for d = 0 and r >= 1/q for d = 1: by r's region.
+
+    The walk stops at the first level (remainder -> prefix count) equal to
+    an earlier one, and the rest of the depth repeats the last count.  That
+    is exact: a level determines the next, so from a repeat on the counts
+    repeat with it; and counts never decrease (every remainder in the domain
+    has a viable digit), so a repeat falls inside the current run of equal
+    counts.  Only that run's levels are kept.
     """
     if max_depth < 1:
         raise ValueError("depth must be >= 1")
     orbits, _ = _start(x)
-    locate, step = orbits.locate, orbits.step
+    locate, row, minus_one = orbits.locate, orbits.row, -orbits.den
     # remainders, as numerator tuples over x's denominator -> prefix count
     level: dict[tuple[int, ...], int] = {x.num: 1}
     counts: list[int] = []
-    for _ in range(max_depth):
+    run_count = 1
+    seen: set[frozenset] = set()  # the levels of the current run of equal counts
+    while len(counts) < max_depth:
         nxt: dict[tuple[int, ...], int] = {}
         for n, mult in level.items():
-            for d in _VIABLE_DIGITS[locate(n)]:
-                r = step(n, d)
+            reg = locate(n)
+            if reg is Region.SWITCH:
+                r = _times_q(n, row, 0)
                 nxt[r] = nxt.get(r, 0) + mult
+                r = _times_q(n, row, minus_one)
+            else:
+                r = _times_q(n, row, 0 if reg is Region.LOW else minus_one)
+            nxt[r] = nxt.get(r, 0) + mult
+        count = sum(nxt.values())
+        counts.append(count)
+        if count == run_count:
+            if not seen:
+                seen.add(frozenset(level.items()))
+            key = frozenset(nxt.items())
+            if key in seen:
+                counts += [count] * (max_depth - len(counts))
+                break
+            seen.add(key)
+        else:
+            run_count = count
+            seen.clear()
         level = nxt
-        counts.append(sum(level.values()))
     return counts

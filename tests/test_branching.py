@@ -252,6 +252,20 @@ def test_step_limited_root_is_lower_bound_one():
     assert classify(g) == Cardinality.lower_bound(1)
 
 
+def test_lower_bound_names_its_limit():
+    F = q2_field()
+    x = eval_word(parse_word("1(0)*"), F)
+    by_nodes = count_expansions(x, max_nodes=4)
+    assert by_nodes.kind == "lower_bound" and by_nodes.limit == "max_nodes"
+    by_steps = count_expansions(F.one, max_steps=1)
+    assert by_steps == Cardinality.lower_bound(1) and by_steps.limit == "max_steps"
+    # the limit takes no part in equality, hashing or the text
+    assert by_nodes == Cardinality.lower_bound(by_nodes.count)
+    assert hash(by_nodes) == hash(Cardinality.lower_bound(by_nodes.count))
+    assert str(by_nodes) == f"LowerBound({by_nodes.count})"
+    assert count_expansions(eval_word(parse_word("01(10)*"), F)).limit is None
+
+
 # ---------------------------------------------------------------------------
 # classification on hand-built graphs
 
@@ -489,6 +503,29 @@ def test_prefix_count_depth_validation():
         viable_prefix_counts(F.zero, 0)
 
 
+def test_prefix_counts_stop_at_a_repeated_level(monkeypatch):
+    # the two expansions' remainders are periodic, so a level repeats within
+    # a few levels and the remaining depth costs no kernel step
+    x = eval_word(parse_word("01(10)*"), q2_field())
+    steps = []
+    times_q = branching._times_q
+    monkeypatch.setattr(branching, "_times_q",
+                        lambda *args: steps.append(1) or times_q(*args))
+    assert viable_prefix_counts(x, 10_000) == [2] * 10_000
+    assert len(steps) < 100
+
+
+@pytest.mark.parametrize("text", ["(011)*", "1001(100)*"])
+def test_prefix_counts_keep_growing_without_a_repeat(text):
+    # continuum many expansions: the counts plateau for two levels at a
+    # time, then grow, and no level repeats
+    x = eval_word(parse_word(text), golden_field())
+    assert count_expansions(x) == Cardinality.continuum()
+    counts = viable_prefix_counts(x, 14)
+    assert counts == _ref_prefix_counts(x, 14)
+    assert counts[-1] > 2 * counts[6]
+
+
 def test_prefix_counts_cross_check_enumerator():
     F = qf_field()
     x = family_member(F, 2)
@@ -647,6 +684,37 @@ def _ref_prefix_counts(x, max_depth):
         level = nxt
         counts.append(sum(level.values()))
     return counts
+
+
+_PREFIX_DEPTHS = (1, 2, 17, 40, 97)
+
+
+@pytest.mark.parametrize("field_factory", [q2_field, qf_field, golden_field])
+def test_prefix_counts_match_the_full_walk_around_a_repeat(field_factory):
+    # Every canonical word with preperiod <= 4 and period <= 3, and x + 1
+    # where it lies in the domain.  Depth d of the full walk is its first d
+    # counts.  In q2, which is not Pisot, a point whose graph is truncated
+    # at the acceptance caps has counts growing like 1.17^n (about 1,000 at
+    # depth 40, 10^6 at 97) over as many distinct remainders, which the full
+    # walk cannot reach in a test: those starts are checked to depth 17.
+    F = field_factory()
+    _, _, upper = domain_bounds(F)
+    starts = []
+    for word in _canonical_words(4, 3):
+        x = eval_word(word, F)
+        starts += [(str(word), x)] + ([(f"{word} + 1", x + 1)] if x + 1 <= upper else [])
+    deep = 0
+    for label, x in starts:
+        depths = _PREFIX_DEPTHS
+        if field_factory is q2_field and build_branch_graph(x, **_ACCEPTANCE_CAPS).truncated:
+            depths = depths[:3]
+        deep += depths[-1] == 97
+        ref = _ref_prefix_counts(x, depths[-1])
+        for depth in depths:
+            counts = viable_prefix_counts(x, depth)
+            assert len(counts) == depth
+            assert counts == ref[:depth], (label, depth)
+    assert deep >= 28  # in q2, the starts with finitely many expansions
 
 
 def _kernel_answers(x, caps, depth):

@@ -114,6 +114,13 @@ def test_checks_pass_at_small_bounds():
     assert check_orbit_identities(4).passed
 
 
+def test_quartic_reading_prints_its_floor_without_the_limit():
+    # the informational count is truncated; its limit does not reach the text
+    result = check_counts_family(1)
+    assert result.passed
+    assert result.witness.endswith("quartic-base reading (informational): LowerBound(111)")
+
+
 def test_single_checks_pass():
     assert check_two_point().passed
     assert check_no_triple().passed
