@@ -32,8 +32,21 @@ point's reduced form, or a unique tail's cycle digits) and its length.  A
 run's outcome depends on the value alone, not on the denominator it is
 carried over, so ``build_branch_graph`` reads a stored run instead of
 running it whenever the run would end the same way under the graph's step
-budget.  ``deterministic_run`` and ``viable_prefix_counts`` never read the
-memo: the prefix oracle stays an independent check of the graphs.
+budget.
+
+Counts and listings go one step further: each field also keeps an answer
+memo.  Below x's root run, the graph depends only on the run's end s (x's
+first switch point) and the caps, so x's count is s's count, and x's
+listing is s's listing with the root segment prepended (canonical words are
+unique, so the prefixed word is the one a walk from x would build).  The
+memo keeps each answer under s's reduced form plus the caps (and, for a
+listing, ``max_count`` and ``max_depth``): a ``Cardinality``, or the words
+relative to s with the completeness flag and the limit.  A hit costs the
+root run alone; a miss grows the graph from that same run.  Both memos hold
+ints, tuples, ``Cardinality`` and ``PeriodicWord`` records only, no element
+and no graph, and each admits at most ``_MEMO_CAP`` entries.
+``deterministic_run`` and ``viable_prefix_counts`` read neither memo: the
+prefix oracle stays an independent check of the graphs.
 """
 
 from __future__ import annotations
@@ -47,9 +60,9 @@ from .words import PeriodicWord, Region, _region_rule, region
 
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_MAX_NODES = 10_000
-# switch points a field's branch memo admits; a full memo still serves its
-# entries.  About 6x the nodes of every canonical q2 word with preperiod <= 6
-# and period <= 4 at caps 250/64.
+# switch points a field's branch memo admits, and answers its answer memo
+# admits; a full memo still serves its entries.  About 6x the nodes of every
+# canonical q2 word with preperiod <= 6 and period <= 4 at caps 250/64.
 _MEMO_CAP = 1 << 14
 
 # how a forced run ends, and where a graph edge leads
@@ -224,7 +237,29 @@ def build_branch_graph(
     when L < max_steps, and is run again otherwise.  Runs that hit the step
     budget are not stored.  The graph is the one the runs alone would build:
     the same node ids, edges, terminals and limit."""
+    return _grow(x, *_root(x, max_steps), max_steps, max_nodes)
+
+
+def _root(x: AlgebraicReal, max_steps: int):
+    """The kernel for x and x's forced run: (orbits, kind, segment, end)."""
     orbits, reg = _start(x)
+    kind, segment, end, _ = orbits.run(x.num, reg, max_steps)
+    return orbits, kind, segment, end
+
+
+def _grow(
+    x: AlgebraicReal,
+    orbits: _Orbits,
+    kind: str,
+    segment: tuple[int, ...],
+    end,
+    max_steps: int,
+    max_nodes: int,
+    root_key: tuple[int, ...] | None = None,
+) -> BranchGraph:
+    """x's branch graph, grown from x's root run (``_root``) by expanding
+    switch points breadth-first; ``root_key``, when given, is the reduced
+    form of a NODE root's end."""
     field, den = x.field, orbits.den
     memo = field._branches
     node_ids: dict[tuple[int, ...], int] = {}
@@ -261,10 +296,9 @@ def build_branch_graph(
         graph._truncate("max_steps")
         return LIMIT, None
 
-    kind, segment, end, _ = orbits.run(x.num, reg, max_steps)
-    graph = BranchGraph(field=x.field, start=x, root_segment=segment,
+    graph = BranchGraph(field=field, start=x, root_segment=segment,
                         root_kind="", root_target=None)
-    graph.root_kind, graph.root_target = resolve(kind, end)
+    graph.root_kind, graph.root_target = resolve(kind, end, root_key)
 
     locate = orbits.locate
     while queue:
@@ -458,7 +492,33 @@ def count_expansions(
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> Cardinality:
     """Classify the set of expansions of x (finite counts are exact)."""
-    return classify(build_branch_graph(x, max_steps=max_steps, max_nodes=max_nodes))
+    return _answer(x, max_steps, max_nodes, classify)[1]
+
+
+def _answer(x: AlgebraicReal, max_steps: int, max_nodes: int, job, *params):
+    """x's root segment, and ``job(graph, *params)`` for x's branch graph.
+
+    ``job`` must not read the root segment: then its answer is that of the
+    root run's end s, kept in the field's answer memo under (s's reduced
+    form, max_steps, max_nodes, *params).  A count's key has no params and
+    a listing's has two, so the two never share a key.  Roots that end in
+    a unique tail or at the step limit are answered from their graph and
+    not stored."""
+    answers = x.field._answers
+    orbits, kind, segment, end = _root(x, max_steps)
+    s = key = None
+    if kind == NODE:
+        v = orbits.value(end)
+        s = (v.den, *v.num)
+        key = (s, max_steps, max_nodes, *params)
+        hit = answers.get(key)
+        if hit is not None:
+            return segment, hit
+    graph = _grow(x, orbits, kind, segment, end, max_steps, max_nodes, s)
+    answer = job(graph, *params)
+    if key is not None and len(answers) < _MEMO_CAP:
+        answers[key] = answer
+    return segment, answer
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +546,13 @@ def _live_nodes(graph: BranchGraph) -> set[int]:
 
 def _discover(
     graph: BranchGraph, max_count: int, max_depth: int
-) -> tuple[list[PeriodicWord], bool, str | None]:
-    """Expansions in breadth-first order by number of branch decisions
-    (digit 0 explored before digit 1 at each switch point).  The boolean
-    reports completeness: True when every expansion was produced.  The
-    string names the limit that first cut the listing short ("max_steps",
-    "max_nodes", "max_depth" or "max_count"), or is None.
+) -> tuple[tuple[PeriodicWord, ...], bool, str | None]:
+    """Expansions of the root run's end, without the root segment, in
+    breadth-first order by number of branch decisions (digit 0 explored
+    before digit 1 at each switch point).  The boolean reports completeness:
+    True when every expansion was produced.  The string names the limit that
+    first cut the listing short ("max_steps", "max_nodes", "max_depth" or
+    "max_count"), or is None.
 
     Branches into nodes that cannot reach a unique tail are never followed
     (they would yield no word, only 2^depth paths) and make the listing
@@ -499,15 +560,15 @@ def _discover(
     words: list[PeriodicWord] = []
     complete, limit = not graph.truncated, graph.limit
     if graph.root_kind == LIMIT:
-        return words, False, limit
+        return (), False, limit
     live = _live_nodes(graph)
     queue: deque[tuple[str, int | None, tuple[int, ...], int]] = deque(
-        [(graph.root_kind, graph.root_target, graph.root_segment, 0)]
+        [(graph.root_kind, graph.root_target, (), 0)]
     )
     while queue:
         kind, target, prefix, depth = queue.popleft()
         if len(words) >= max_count:
-            return words, False, limit or "max_count"
+            return tuple(words), False, limit or "max_count"
         if kind == TERMINAL:
             tail = graph.terminals[target]
             words.append(PeriodicWord(prefix + tail.preperiod, tail.period))
@@ -521,7 +582,19 @@ def _discover(
                 queue.append((e.kind, e.target, prefix + (digit,) + e.segment, depth + 1))
             else:
                 complete = False
-    return words, complete, limit
+    return tuple(words), complete, limit
+
+
+def _listing(
+    x: AlgebraicReal, max_count: int, max_depth: int, max_steps: int, max_nodes: int
+) -> tuple[list[PeriodicWord], bool, str | None]:
+    """x's expansions in discovery order, whether the list is exhaustive,
+    and the limit that cut it short (see ``_discover``).  Canonical words
+    are unique, so each word of x is the word of the root run's end with
+    the root segment prepended: the answer memo stores the latter."""
+    segment, (words, complete, limit) = _answer(
+        x, max_steps, max_nodes, _discover, max_count, max_depth)
+    return [w.with_prefix(segment) for w in words], complete, limit
 
 
 def enumerate_expansions(
@@ -540,9 +613,7 @@ def enumerate_expansions(
     list is then not exhaustive.  Every returned word w satisfies
     eval_word(w) = x exactly.
     """
-    graph = build_branch_graph(x, max_steps=max_steps, max_nodes=max_nodes)
-    words, _, _ = _discover(graph, max_count, max_depth)
-    return sorted(words)
+    return sorted(_listing(x, max_count, max_depth, max_steps, max_nodes)[0])
 
 
 def bfs_expansions(
@@ -558,8 +629,7 @@ def bfs_expansions(
     Branches that cannot reach a unique tail are skipped without being
     walked, and skipping one makes the list incomplete (flag False).
     """
-    graph = build_branch_graph(x, max_steps=max_steps, max_nodes=max_nodes)
-    words, complete, _ = _discover(graph, max_count, max_depth)
+    words, complete, _ = _listing(x, max_count, max_depth, max_steps, max_nodes)
     return words, complete
 
 

@@ -29,9 +29,8 @@ from .branching import (
     StepLimit,
     SwitchHit,
     UniqueTail,
-    _discover,
-    build_branch_graph,
-    classify,
+    _listing,
+    count_expansions,
     deterministic_run,
 )
 from .numberfield import (
@@ -231,25 +230,22 @@ def _cmd_orbit(args, field, limits) -> int:
 
 def _cmd_count(args, field, limits) -> int:
     _, x = _word_value(args, field)
-    graph = build_branch_graph(x, max_steps=limits["max_steps"],
-                               max_nodes=limits["max_nodes"])
-    card = classify(graph)
+    card = count_expansions(x, max_steps=limits["max_steps"], max_nodes=limits["max_nodes"])
     if args.format == "json":
         print(json.dumps({"word": args.word, "plus_one": args.plus_one,
                           "cardinality": {"kind": card.kind, "count": card.count},
-                          "display": str(card), "limit": graph.limit}))
+                          "display": str(card), "limit": card.limit}))
     else:
         print(str(card))
-        if graph.limit:
-            print(f"# incomplete: the {graph.limit} limit was reached", file=sys.stderr)
+        if card.limit:
+            print(f"# incomplete: the {card.limit} limit was reached", file=sys.stderr)
     return 3 if card.kind == "lower_bound" else 0
 
 
 def _cmd_enumerate(args, field, limits) -> int:
     _, x = _word_value(args, field)
-    graph = build_branch_graph(x, max_steps=limits["max_steps"],
-                               max_nodes=limits["max_nodes"])
-    found, complete, limit = _discover(graph, limits["max_count"], limits["max_depth"])
+    found, complete, limit = _listing(x, limits["max_count"], limits["max_depth"],
+                                      limits["max_steps"], limits["max_nodes"])
     words = sorted(found)
     if args.format == "json":
         print(json.dumps({"word": args.word, "plus_one": args.plus_one,

@@ -195,12 +195,16 @@ class BaseField:
     powers at each precision asked for (the sign filter's in a slot of their
     own), the domain bounds 1/q, 1/(q(q-1)), 1/(q-1) and their scaled sums.
     ``_branches`` is the branch memo of ``branching``: the forced runs out of
-    each switch point expanded so far, in ints and tuples only.
+    each switch point expanded so far, in ints and tuples only.  ``_answers``
+    is the answer memo of ``branching``: the count or listing below each
+    first switch point reached so far, keyed by that point's reduced form
+    and the caps, in ``Cardinality`` and ``PeriodicWord`` records, never an
+    element.
     """
 
     __slots__ = ("min_poly", "degree", "name", "_lo", "_hi", "_sign_lo", "_reduction_rows",
                  "_bracket", "_powers", "_fine", "_domain", "_sums", "_branches",
-                 "__weakref__")
+                 "_answers", "__weakref__")
 
     def __init__(
         self,
@@ -222,6 +226,7 @@ class BaseField:
         self._domain: tuple[AlgebraicReal, AlgebraicReal, AlgebraicReal] | None = None
         self._sums: tuple[tuple[AlgebraicReal, int, int, int], ...] | None = None
         self._branches: dict[tuple[int, ...], tuple] = {}
+        self._answers: dict[tuple, object] = {}
 
         lo, hi = Fraction(iso[0]), Fraction(iso[1])
         if not lo < hi:

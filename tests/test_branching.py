@@ -873,6 +873,83 @@ def test_warm_memo_runs_only_the_root(monkeypatch):
     assert len(calls) == 1
 
 
+def test_memo_answers_run_only_the_root(monkeypatch):
+    # a miss grows the graph from the one root run; a hit stops after it
+    nodes = len(build_branch_graph(family_member(define_field(*_KERNEL_FIELDS["qf"]), 3)).nodes)
+    calls = []
+    run = branching._Orbits.run
+    monkeypatch.setattr(branching._Orbits, "run",
+                        lambda self, *args: calls.append(args) or run(self, *args))
+    for first in (count_expansions, bfs_expansions):
+        x = family_member(define_field(*_KERNEL_FIELDS["qf"]), 3)
+        calls.clear()
+        first(x)
+        assert len(calls) == 1 + 2 * nodes, first.__name__
+        for call in (count_expansions, bfs_expansions, enumerate_expansions) * 2:
+            calls.clear()
+            call(x)
+            assert len(calls) == 1, call.__name__
+
+
+def _answer_form(job, x, caps):
+    """A count or listing, with the limit that equality leaves out."""
+    if job == "count":
+        card = count_expansions(x, **caps)
+        return card, card.limit
+    if job == "bfs":
+        return bfs_expansions(x, **caps)
+    if job == "enumerate":
+        return enumerate_expansions(x, **caps)
+    max_count, max_depth = job
+    return branching._listing(x, max_count, max_depth, caps["max_steps"], caps["max_nodes"])
+
+
+def _cold_answer(name, word, job, caps):
+    return _answer_form(job, eval_word(word, define_field(*_KERNEL_FIELDS[name])), caps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_MEMO_NAMES), st.lists(st.sampled_from(_MEMO_WORDS), min_size=1,
+                                              max_size=6), st.randoms(use_true_random=False))
+def test_memo_answers_equal_cold_answers(name, words, rnd):
+    caps = _KERNEL_CAPS[name]
+    warm = define_field(*_KERNEL_FIELDS[name])
+    queries = [(word, job) for word in words for job in ("count", "bfs", "enumerate", (5, 8))]
+    rnd.shuffle(queries)
+    cold = {}
+    for word, job in queries + queries:  # the second round finds every answer stored
+        if (word, job) not in cold:
+            cold[word, job] = _cold_answer(name, word, job, caps)
+        got = _answer_form(job, eval_word(word, warm), caps)
+        assert got == cold[word, job], (str(word), job)
+
+
+@pytest.mark.parametrize("name, text", [("q2", "1(0)*"), ("q2", "0001(0)*"), ("qf", "1(0)*"),
+                                        ("golden", "0(01)*")])
+def test_memo_answers_keep_their_caps_apart(name, text):
+    warm = define_field(*_KERNEL_FIELDS[name])
+    word = parse_word(text)
+    queries = [(job, {"max_steps": 250, "max_nodes": max_nodes})
+               for max_nodes in (8, 64) for job in ("count", (3, 6), (64, 12))]
+    for job, caps in queries + queries[::-1]:
+        got = _answer_form(job, eval_word(word, warm), caps)
+        assert got == _cold_answer(name, word, job, caps), (job, caps)
+
+
+@pytest.mark.parametrize("text", ["1(0000)^2 0(10)*", "1(0)*"])  # "1(0)*" is a switch point
+def test_memo_listings_are_not_aliased(text):
+    warm = define_field(*_KERNEL_FIELDS["qf"])
+    x = eval_word(parse_word(text), warm)
+    for call in (bfs_expansions, enumerate_expansions) * 2:
+        got = call(x, max_count=6)
+        words = got[0] if call is bfs_expansions else got
+        expected = list(words)
+        words.clear()
+        again = call(x, max_count=6)
+        assert (again[0] if call is bfs_expansions else again) == expected
+        assert len(expected) in (3, 6)
+
+
 def test_full_memo_admits_no_more_switch_points(monkeypatch):
     monkeypatch.setattr(branching, "_MEMO_CAP", 3)
     warm = define_field(*_KERNEL_FIELDS["q2"])
@@ -880,12 +957,17 @@ def test_full_memo_admits_no_more_switch_points(monkeypatch):
         got = build_branch_graph(eval_word(word, warm), **_ACCEPTANCE_CAPS)
         assert len(warm._branches) <= 3
         assert _graph_form(got) == _cold_form("q2", word, _ACCEPTANCE_CAPS), str(word)
+        for job in ("count", "bfs"):
+            answer = _answer_form(job, eval_word(word, warm), _ACCEPTANCE_CAPS)
+            assert len(warm._answers) <= 3
+            assert answer == _cold_answer("q2", word, job, _ACCEPTANCE_CAPS), (str(word), job)
     assert len(warm._branches) == 3
+    assert len(warm._answers) == 3
 
 
 def test_run_and_prefix_oracle_do_not_read_the_memo():
     F = define_field(*_KERNEL_FIELDS["qf"])
-    F._branches = None  # any read of the memo raises
+    F._branches = F._answers = None  # any read of either memo raises
     x = family_member(F, 3)
     assert isinstance(deterministic_run(x).end, SwitchHit)
     assert viable_prefix_counts(x, 40)[-1] == 3

@@ -273,6 +273,52 @@ def test_enumerate_point_with_no_reachable_tail(capsys):
 
 
 # ---------------------------------------------------------------------------
+# count and enumerate, pinned for three kinds of q2 point
+#
+# "0001(0)*" forces 000 into 1(0)*, so it reaches the same first switch
+# point: its answers come from the field's answer memo with that prefix.
+# The alias q2 is the process-wide field; the poly: spec builds a cold one
+# on every call.  Both must print the same.
+
+_Q2_SPECS = ("q2", "poly:-1,-1,-2,0,1@17/10,43/25")
+_ACCEPTANCE = ("--max-steps", "250", "--max-nodes", "64")
+_PINNED = [
+    # truncated at the acceptance caps
+    ("1(0)*", _ACCEPTANCE, 3,
+     ("LowerBound(111)", "max_nodes", ["1(0)*"], False)),
+    ("0001(0)*", _ACCEPTANCE, 3,
+     ("LowerBound(111)", "max_nodes", ["0001(0)*"], False)),
+    # the root run hits the step limit
+    ("0001(0)*", ("--max-steps", "1"), 3,
+     ("LowerBound(1)", "max_steps", [], False)),
+    # exactly two expansions
+    ("01(10)*", _ACCEPTANCE, 0,
+     ("Finite(2)", None, ["01(10)*", "1000(01)*"], True)),
+]
+
+
+@pytest.mark.parametrize("spec", _Q2_SPECS * 2)
+def test_count_and_enumerate_pinned_on_q2(capsys, spec):
+    for word, caps, code, (display, limit, words, complete) in _PINNED:
+        incomplete = f"# incomplete: the {limit} limit was reached\n" if limit else ""
+        kind, _, count = display[:-1].partition("(")
+        cardinality = {"kind": "finite" if kind == "Finite" else "lower_bound",
+                       "count": int(count)}
+        argv = ("--field", spec, word, *caps)
+
+        assert run(capsys, "count", *argv) == (code, display + "\n", incomplete)
+        assert run(capsys, "count", "--format", "json", *argv) == (code, json.dumps(
+            {"word": word, "plus_one": False, "cardinality": cardinality,
+             "display": display, "limit": limit}) + "\n", "")
+
+        listing = "".join(w + "\n" for w in words)
+        assert run(capsys, "enumerate", *argv) == (code, listing, incomplete)
+        assert run(capsys, "enumerate", "--format", "json", *argv) == (code, json.dumps(
+            {"word": word, "plus_one": False, "expansions": words,
+             "complete": complete, "limit": limit}) + "\n", "")
+
+
+# ---------------------------------------------------------------------------
 # verify
 
 
