@@ -34,17 +34,25 @@ carried over, so ``build_branch_graph`` reads a stored run instead of
 running it whenever the run would end the same way under the graph's step
 budget.
 
-Counts and listings go one step further: each field also keeps an answer
-memo.  Below x's root run, the graph depends only on the run's end s (x's
-first switch point) and the caps, so x's count is s's count, and x's
-listing is s's listing with the root segment prepended (canonical words are
-unique, so the prefixed word is the one a walk from x would build).  The
-memo keeps each answer under s's reduced form plus the caps (and, for a
-listing, ``max_count`` and ``max_depth``): a ``Cardinality``, or the words
-relative to s with the completeness flag and the limit.  A hit costs the
-root run alone; a miss grows the graph from that same run.  Both memos hold
-ints, tuples, ``Cardinality`` and ``PeriodicWord`` records only, no element
-and no graph, and each admits at most ``_MEMO_CAP`` entries.
+Points of one base also share first switch points, so each field keeps an
+answer memo too.  Below x's root run, x's graph depends only on the run's
+end s (x's first switch point) and the caps: every node id, edge, terminal
+and limit is that of s's graph.  So ``build_branch_graph`` keeps, under
+(s's reduced form, max_steps, max_nodes), the graph below s as a record
+(``_Below``): each node's reduced form, the edges, the terminals and the
+limit.  A later point that reaches s gets its graph assembled from the
+record after its own root run, with no branch run and no memo walk.  The
+record also keeps what was read from the graph: ``classify``'s answer, and
+each listing of ``_discover`` by (max_count, max_depth), relative to s.  A
+point's listing is s's listing with the root segment prepended: canonical
+words are unique, so the prefixed word is the one a walk from x would
+build.
+
+Both memos hold ints, tuples, ``Edge``, ``Cardinality`` and ``PeriodicWord``
+records only, never an element or a graph, so a field is freed with them.
+The branch memo admits at most ``_MEMO_CAP`` switch points; the answer memo
+admits records and listings while the nodes and words it holds total at
+most ``_MEMO_CAP``.  Full memos still serve what they hold.
 ``deterministic_run`` and ``viable_prefix_counts`` read neither memo: the
 prefix oracle stays an independent check of the graphs.
 """
@@ -60,9 +68,10 @@ from .words import PeriodicWord, Region, _region_rule, region
 
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_MAX_NODES = 10_000
-# switch points a field's branch memo admits, and answers its answer memo
-# admits; a full memo still serves its entries.  About 6x the nodes of every
-# canonical q2 word with preperiod <= 6 and period <= 4 at caps 250/64.
+# switch points a field's branch memo admits, about 6x the nodes of every
+# canonical q2 word with preperiod <= 6 and period <= 4 at caps 250/64; and
+# nodes plus listed words its answer memo holds in all.  A full memo still
+# serves what it holds.
 _MEMO_CAP = 1 << 14
 
 # how a forced run ends, and where a graph edge leads
@@ -206,7 +215,9 @@ class Edge:
 class BranchGraph:
     """All switch points reachable from a start value, with forced segments
     on the edges and unique tails collected as terminals.  ``limit`` names
-    the limit that first truncated the graph: "max_steps" or "max_nodes"."""
+    the limit that first truncated the graph: "max_steps" or "max_nodes".
+    Treat a graph from ``build_branch_graph`` as read-only: ``classify`` and
+    the listings may answer it from the answer-memo record it carries."""
 
     field: BaseField
     start: AlgebraicReal
@@ -218,6 +229,8 @@ class BranchGraph:
     terminals: dict[int, PeriodicWord] = dataclass_field(default_factory=dict)
     truncated: bool = False
     limit: str | None = None
+    # the answer-memo record of the graph below the root's end, if kept
+    _below: _Below | None = dataclass_field(default=None, repr=False, compare=False)
 
     def _truncate(self, limit: str) -> None:
         if not self.truncated:
@@ -231,20 +244,69 @@ def build_branch_graph(
 ) -> BranchGraph:
     """Breadth-first closure of the switch points reachable from x.
 
-    The two branches of each switch point come from the field's branch
-    memo when it holds them: a stored run of length L (its segment, plus
-    its cycle for a unique tail) is what ``_Orbits.run`` returns exactly
-    when L < max_steps, and is run again otherwise.  Runs that hit the step
+    x's root run is always run.  When it ends at a switch point s whose
+    graph under these caps the field's answer memo holds, the graph is
+    assembled from that record.  Otherwise the graph grows from s, and the
+    two branches of each switch point come from the field's branch memo
+    when it holds them: a stored run of length L (its segment, plus its
+    cycle for a unique tail) is what ``_Orbits.run`` returns exactly when
+    L < max_steps, and is run again otherwise.  Runs that hit the step
     budget are not stored.  The graph is the one the runs alone would build:
     the same node ids, edges, terminals and limit."""
-    return _grow(x, *_root(x, max_steps), max_steps, max_nodes)
-
-
-def _root(x: AlgebraicReal, max_steps: int):
-    """The kernel for x and x's forced run: (orbits, kind, segment, end)."""
     orbits, reg = _start(x)
     kind, segment, end, _ = orbits.run(x.num, reg, max_steps)
-    return orbits, kind, segment, end
+    if kind != NODE:
+        return _grow(x, orbits, kind, segment, end, max_steps, max_nodes)
+    field = x.field
+    v = orbits.value(end)
+    s = (v.den, *v.num)
+    key = (s, max_steps, max_nodes)
+    below = field._answers.get(key)
+    if below is not None:
+        return below.graph(x, segment)
+    graph = _grow(x, orbits, kind, segment, end, max_steps, max_nodes, s)
+    if _admit(field, len(graph.nodes) + 1):
+        field._answers[key] = graph._below = _Below(graph)
+    return graph
+
+
+def _admit(field: BaseField, cells: int) -> bool:
+    """Whether the field's answer memo has room for ``cells`` more nodes or
+    words, taking them if so."""
+    if field._answer_cells + cells > _MEMO_CAP:
+        return False
+    field._answer_cells += cells
+    return True
+
+
+class _Below:
+    """The answer memo's record of the graph below one first switch point s
+    under one pair of caps: each node's reduced form (den, *num) by id, the
+    edges out of each node, the terminals, how the root resolves, the limit;
+    and the answers read from the graph so far (the count, and listings
+    relative to s by (max_count, max_depth))."""
+
+    __slots__ = ("root", "keys", "edges", "terminals", "limit", "card", "listings")
+
+    def __init__(self, graph: BranchGraph):
+        self.root = (graph.root_kind, graph.root_target)
+        self.keys = tuple((v.den, *v.num) for v in graph.nodes.values())
+        self.edges = tuple((out[0], out[1]) for out in graph.edges.values())
+        self.terminals = tuple(graph.terminals.values())
+        self.limit = graph.limit
+        self.card: Cardinality | None = None
+        self.listings: dict[tuple[int, int], tuple] = {}
+
+    def graph(self, x: AlgebraicReal, segment: tuple[int, ...]) -> BranchGraph:
+        """x's graph, for x whose root run forced ``segment`` and ended at s."""
+        field = x.field
+        return BranchGraph(
+            field=field, start=x, root_segment=segment,
+            root_kind=self.root[0], root_target=self.root[1],
+            nodes={nid: AlgebraicReal(field, k[1:], k[0]) for nid, k in enumerate(self.keys)},
+            edges={nid: {0: e0, 1: e1} for nid, (e0, e1) in enumerate(self.edges)},
+            terminals=dict(enumerate(self.terminals)),
+            truncated=self.limit is not None, limit=self.limit, _below=self)
 
 
 def _grow(
@@ -257,9 +319,9 @@ def _grow(
     max_nodes: int,
     root_key: tuple[int, ...] | None = None,
 ) -> BranchGraph:
-    """x's branch graph, grown from x's root run (``_root``) by expanding
-    switch points breadth-first; ``root_key``, when given, is the reduced
-    form of a NODE root's end."""
+    """x's branch graph, grown from x's root run (kind, segment, end) by
+    expanding switch points breadth-first; ``root_key``, when given, is the
+    reduced form of a NODE root's end."""
     field, den = x.field, orbits.den
     memo = field._branches
     node_ids: dict[tuple[int, ...], int] = {}
@@ -463,7 +525,18 @@ def _path_floor(graph: BranchGraph, comps: list[list[int]]) -> int:
 
 
 def classify(graph: BranchGraph) -> Cardinality:
-    """Cardinality of the expansion set encoded by a branch graph."""
+    """Cardinality of the expansion set encoded by a branch graph; a graph
+    with an answer-memo record reads it from there, or classifies once and
+    keeps it."""
+    below = graph._below
+    if below is None:
+        return _cardinality(graph)
+    if below.card is None:
+        below.card = _cardinality(graph)
+    return below.card
+
+
+def _cardinality(graph: BranchGraph) -> Cardinality:
     if graph.root_kind == TERMINAL:
         return Cardinality.finite(1)
     if graph.root_kind == LIMIT:
@@ -492,33 +565,7 @@ def count_expansions(
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> Cardinality:
     """Classify the set of expansions of x (finite counts are exact)."""
-    return _answer(x, max_steps, max_nodes, classify)[1]
-
-
-def _answer(x: AlgebraicReal, max_steps: int, max_nodes: int, job, *params):
-    """x's root segment, and ``job(graph, *params)`` for x's branch graph.
-
-    ``job`` must not read the root segment: then its answer is that of the
-    root run's end s, kept in the field's answer memo under (s's reduced
-    form, max_steps, max_nodes, *params).  A count's key has no params and
-    a listing's has two, so the two never share a key.  Roots that end in
-    a unique tail or at the step limit are answered from their graph and
-    not stored."""
-    answers = x.field._answers
-    orbits, kind, segment, end = _root(x, max_steps)
-    s = key = None
-    if kind == NODE:
-        v = orbits.value(end)
-        s = (v.den, *v.num)
-        key = (s, max_steps, max_nodes, *params)
-        hit = answers.get(key)
-        if hit is not None:
-            return segment, hit
-    graph = _grow(x, orbits, kind, segment, end, max_steps, max_nodes, s)
-    answer = job(graph, *params)
-    if key is not None and len(answers) < _MEMO_CAP:
-        answers[key] = answer
-    return segment, answer
+    return classify(build_branch_graph(x, max_steps=max_steps, max_nodes=max_nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +603,23 @@ def _discover(
 
     Branches into nodes that cannot reach a unique tail are never followed
     (they would yield no word, only 2^depth paths) and make the listing
-    incomplete, though no limit was hit."""
+    incomplete, though no limit was hit.  A graph with an answer-memo record
+    reads the listing from there, or walks once and keeps it while the memo
+    has room for its words."""
+    below = graph._below
+    if below is None:
+        return _walk(graph, max_count, max_depth)
+    found = below.listings.get((max_count, max_depth))
+    if found is None:
+        found = _walk(graph, max_count, max_depth)
+        if _admit(graph.field, len(found[0]) + 1):
+            below.listings[max_count, max_depth] = found
+    return found
+
+
+def _walk(
+    graph: BranchGraph, max_count: int, max_depth: int
+) -> tuple[tuple[PeriodicWord, ...], bool, str | None]:
     words: list[PeriodicWord] = []
     complete, limit = not graph.truncated, graph.limit
     if graph.root_kind == LIMIT:
@@ -590,11 +653,11 @@ def _listing(
 ) -> tuple[list[PeriodicWord], bool, str | None]:
     """x's expansions in discovery order, whether the list is exhaustive,
     and the limit that cut it short (see ``_discover``).  Canonical words
-    are unique, so each word of x is the word of the root run's end with
-    the root segment prepended: the answer memo stores the latter."""
-    segment, (words, complete, limit) = _answer(
-        x, max_steps, max_nodes, _discover, max_count, max_depth)
-    return [w.with_prefix(segment) for w in words], complete, limit
+    are unique, so each word of x is a word of the root run's end with the
+    root segment prepended."""
+    graph = build_branch_graph(x, max_steps=max_steps, max_nodes=max_nodes)
+    words, complete, limit = _discover(graph, max_count, max_depth)
+    return [w.with_prefix(graph.root_segment) for w in words], complete, limit
 
 
 def enumerate_expansions(

@@ -196,15 +196,16 @@ class BaseField:
     own), the domain bounds 1/q, 1/(q(q-1)), 1/(q-1) and their scaled sums.
     ``_branches`` is the branch memo of ``branching``: the forced runs out of
     each switch point expanded so far, in ints and tuples only.  ``_answers``
-    is the answer memo of ``branching``: the count or listing below each
-    first switch point reached so far, keyed by that point's reduced form
-    and the caps, in ``Cardinality`` and ``PeriodicWord`` records, never an
-    element.
+    is the answer memo of ``branching``: the graph below each first switch
+    point reached so far, keyed by that point's reduced form and the caps,
+    with the count and the listings read from it, in ints, tuples and
+    ``Edge``, ``Cardinality`` and ``PeriodicWord`` records, never an
+    element; ``_answer_cells`` counts the nodes and words it holds.
     """
 
     __slots__ = ("min_poly", "degree", "name", "_lo", "_hi", "_sign_lo", "_reduction_rows",
                  "_bracket", "_powers", "_fine", "_domain", "_sums", "_branches",
-                 "_answers", "__weakref__")
+                 "_answers", "_answer_cells", "__weakref__")
 
     def __init__(
         self,
@@ -227,6 +228,7 @@ class BaseField:
         self._sums: tuple[tuple[AlgebraicReal, int, int, int], ...] | None = None
         self._branches: dict[tuple[int, ...], tuple] = {}
         self._answers: dict[tuple, object] = {}
+        self._answer_cells = 0
 
         lo, hi = Fraction(iso[0]), Fraction(iso[1])
         if not lo < hi:

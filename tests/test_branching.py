@@ -836,9 +836,11 @@ def _cold_form(name, word, caps):
 def test_memo_graphs_equal_cold_builds(name, words, defaults):
     caps = _KERNEL_CAPS[name] if defaults else _ACCEPTANCE_CAPS
     warm = define_field(*_KERNEL_FIELDS[name])
-    for word in words + words:  # the second pass finds every switch point stored
+    for word in words + words:  # the second pass finds every graph stored
         got = build_branch_graph(eval_word(word, warm), **caps)
         assert _graph_form(got) == _cold_form(name, word, caps), str(word)
+        for table in (got.nodes, got.terminals, *got.edges.values(), got.edges):
+            table.clear()  # a later graph that changes with it was aliased to this one
 
 
 @settings(max_examples=40, deadline=None)
@@ -891,17 +893,28 @@ def test_memo_answers_run_only_the_root(monkeypatch):
             assert len(calls) == 1, call.__name__
 
 
+def _detached(words):
+    """A copy of a returned listing, which is then cleared: a later answer
+    that changes with it was aliased to this one."""
+    copy = list(words)
+    words.clear()
+    return copy
+
+
 def _answer_form(job, x, caps):
     """A count or listing, with the limit that equality leaves out."""
     if job == "count":
         card = count_expansions(x, **caps)
         return card, card.limit
     if job == "bfs":
-        return bfs_expansions(x, **caps)
+        words, complete = bfs_expansions(x, **caps)
+        return _detached(words), complete
     if job == "enumerate":
-        return enumerate_expansions(x, **caps)
+        return _detached(enumerate_expansions(x, **caps))
     max_count, max_depth = job
-    return branching._listing(x, max_count, max_depth, caps["max_steps"], caps["max_nodes"])
+    words, complete, limit = branching._listing(x, max_count, max_depth,
+                                                caps["max_steps"], caps["max_nodes"])
+    return _detached(words), complete, limit
 
 
 def _cold_answer(name, word, job, caps):
@@ -936,18 +949,11 @@ def test_memo_answers_keep_their_caps_apart(name, text):
         assert got == _cold_answer(name, word, job, caps), (job, caps)
 
 
-@pytest.mark.parametrize("text", ["1(0000)^2 0(10)*", "1(0)*"])  # "1(0)*" is a switch point
-def test_memo_listings_are_not_aliased(text):
-    warm = define_field(*_KERNEL_FIELDS["qf"])
-    x = eval_word(parse_word(text), warm)
-    for call in (bfs_expansions, enumerate_expansions) * 2:
-        got = call(x, max_count=6)
-        words = got[0] if call is bfs_expansions else got
-        expected = list(words)
-        words.clear()
-        again = call(x, max_count=6)
-        assert (again[0] if call is bfs_expansions else again) == expected
-        assert len(expected) in (3, 6)
+def _held_cells(field):
+    """The nodes and words a field's answer memo holds, one more per record
+    and per listing."""
+    return sum(len(below.keys) + 1 + sum(len(words) + 1 for words, _, _ in below.listings.values())
+               for below in field._answers.values())
 
 
 def test_full_memo_admits_no_more_switch_points(monkeypatch):
@@ -957,12 +963,18 @@ def test_full_memo_admits_no_more_switch_points(monkeypatch):
         got = build_branch_graph(eval_word(word, warm), **_ACCEPTANCE_CAPS)
         assert len(warm._branches) <= 3
         assert _graph_form(got) == _cold_form("q2", word, _ACCEPTANCE_CAPS), str(word)
-        for job in ("count", "bfs"):
-            answer = _answer_form(job, eval_word(word, warm), _ACCEPTANCE_CAPS)
-            assert len(warm._answers) <= 3
-            assert answer == _cold_answer("q2", word, job, _ACCEPTANCE_CAPS), (str(word), job)
     assert len(warm._branches) == 3
-    assert len(warm._answers) == 3
+    # the answer memo holds at most _MEMO_CAP nodes and words: q2's graphs
+    # at these caps are too large for it, and qf keeps one two-node graph
+    # and then no listing
+    for name, caps, held in (("q2", _ACCEPTANCE_CAPS, 0), ("qf", _KERNEL_CAPS["qf"], 3)):
+        warm = define_field(*_KERNEL_FIELDS[name])
+        for word in _MEMO_WORDS[:40]:
+            for job in ("count", "bfs"):
+                answer = _answer_form(job, eval_word(word, warm), caps)
+                assert warm._answer_cells == _held_cells(warm) <= 3
+                assert answer == _cold_answer(name, word, job, caps), (name, str(word), job)
+        assert warm._answer_cells == held
 
 
 def test_run_and_prefix_oracle_do_not_read_the_memo():
