@@ -200,7 +200,7 @@ def deterministic_run(x: AlgebraicReal, max_steps: int = DEFAULT_MAX_STEPS) -> R
 # branch graph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """One branch out of a switch point: the chosen digit, the digits forced
     after it, and where that leads (``kind`` is node/terminal/limit)."""
@@ -256,7 +256,7 @@ def build_branch_graph(
     orbits, reg = _start(x)
     kind, segment, end, _ = orbits.run(x.num, reg, max_steps)
     if kind != NODE:
-        return _grow(x, orbits, kind, segment, end, max_steps, max_nodes)
+        return _grow(x, orbits, kind, segment, end, max_steps, max_nodes)[0]
     field = x.field
     v = orbits.value(end)
     s = (v.den, *v.num)
@@ -264,9 +264,9 @@ def build_branch_graph(
     below = field._answers.get(key)
     if below is not None:
         return below.graph(x, segment)
-    graph = _grow(x, orbits, kind, segment, end, max_steps, max_nodes, s)
-    if _admit(field, len(graph.nodes) + 1):
-        field._answers[key] = graph._below = _Below(graph)
+    graph, keys = _grow(x, orbits, kind, segment, end, max_steps, max_nodes, s)
+    if _admit(field, len(keys) + 1):
+        field._answers[key] = graph._below = _Below(graph, keys)
     return graph
 
 
@@ -288,9 +288,9 @@ class _Below:
 
     __slots__ = ("root", "keys", "edges", "terminals", "limit", "card", "listings")
 
-    def __init__(self, graph: BranchGraph):
+    def __init__(self, graph: BranchGraph, keys: list[tuple[int, ...]]):
         self.root = (graph.root_kind, graph.root_target)
-        self.keys = tuple((v.den, *v.num) for v in graph.nodes.values())
+        self.keys = tuple(keys)
         self.edges = tuple((out[0], out[1]) for out in graph.edges.values())
         self.terminals = tuple(graph.terminals.values())
         self.limit = graph.limit
@@ -318,10 +318,11 @@ def _grow(
     max_steps: int,
     max_nodes: int,
     root_key: tuple[int, ...] | None = None,
-) -> BranchGraph:
+) -> tuple[BranchGraph, list[tuple[int, ...]]]:
     """x's branch graph, grown from x's root run (kind, segment, end) by
-    expanding switch points breadth-first; ``root_key``, when given, is the
-    reduced form of a NODE root's end."""
+    expanding switch points breadth-first, and each node's reduced form by
+    id (the branch memo's keys); ``root_key``, when given, is the reduced
+    form of a NODE root's end."""
     field, den = x.field, orbits.den
     memo = field._branches
     node_ids: dict[tuple[int, ...], int] = {}
@@ -398,7 +399,7 @@ def _grow(
         if fresh and (key in memo or len(memo) < _MEMO_CAP):
             memo[key] = tuple(runs)
         graph.edges[nid] = out
-    return graph
+    return graph, keys
 
 
 # ---------------------------------------------------------------------------
