@@ -22,17 +22,16 @@ everything printed from it stay as they are.  Then
 
 so whenever |sum(num[i] * Q[i])| > 2 * sum(|num[i]|) + 2 the sign of the
 integer sum is the sign of the element.  That is the filter: integers only,
-with a certified error bound.  When the sum is too small to decide, the sign
-falls back to the exact certificate: refining the shared isolating interval
-and enclosing the value with rational interval arithmetic until the
-enclosure clears zero.
+with a certified error bound.  When the sum is too small to decide, the same
+sum is taken at 64 more bits at a time, up to a zero bound: a precision at
+which a nonzero value certainly clears the error, so a sum still undecided
+there belongs to the value 0 (see ``AlgebraicReal._exact_sign``).
 
 Decimals.  The same sums at a higher precision P enclose 2^P * den * value in
 an integer interval; both ends are rounded half to even, in integers, and P
-grows until they agree.  Floats come from the same sums, and neither floats
-nor decimals refine the isolating interval.
-Enclosures convert to ``Fraction`` at the edge; inverses stay in integers
-(an adjugate).
+grows until they agree.  Floats come from the same sums.  No sign, decimal
+or float narrows the isolating interval: after construction it stays as
+given and certified.  Inverses stay in integers (an adjugate).
 """
 
 from __future__ import annotations
@@ -58,7 +57,8 @@ class AmbiguousInterval(ValueError):
 
 
 class ReduciblePolynomial(ValueError):
-    """The defining polynomial has a rational root, so it generates no field."""
+    """The defining polynomial is reducible: it has a rational root, or a
+    sign met a nonzero element whose value at q is 0."""
 
 
 class MixedFields(TypeError):
@@ -69,9 +69,6 @@ RationalLike = int | Fraction
 
 # bits of the sign filter's scaled powers q^i * 2^P
 FILTER_BITS = 128
-# undecided rounds of exact refinement (8 bisections each) before the sign
-# tests whether the element vanishes at q
-_GCD_ROUNDS = 4
 
 # ---------------------------------------------------------------------------
 # rational polynomial helpers (coefficient lists, ascending powers)
@@ -112,17 +109,6 @@ def _poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
         a.pop()  # the leading coefficient is now zero
         while a and a[-1] == 0:
             a.pop()
-    return a
-
-
-def _poly_gcd(a: Sequence[Fraction | int], b: Sequence[Fraction | int]) -> list[Fraction]:
-    """A greatest common divisor over Q, up to a constant factor, of a
-    (leading coefficient nonzero) and b, by Euclid's algorithm."""
-    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
-    while b and b[-1] == 0:
-        b.pop()
-    while b:
-        a, b = b, _poly_rem(a, b)
     return a
 
 
@@ -189,8 +175,11 @@ class BaseField:
     degrees it is a screen, and the interval certificate still pins down a
     single well-defined real number).
 
-    The isolating interval only ever shrinks; every comparison made through
-    it stays valid afterwards.  The field also owns its derived constants,
+    The isolating interval stays as construction certified it: signs,
+    comparisons, decimals and floats read q through the field's integer
+    bracket instead, so ``interval()`` and every printed ``"interval"``
+    depend on the polynomial and the given interval alone (only an explicit
+    ``refine`` narrows it).  The field also owns its derived constants,
     each computed on first use: its finest dyadic bracket of q, the scaled
     powers at each precision asked for (the sign filter's in a slot of their
     own), the domain bounds 1/q, 1/(q(q-1)), 1/(q-1) and their scaled sums.
@@ -290,7 +279,8 @@ class BaseField:
     # -- isolating interval ------------------------------------------------
 
     def interval(self) -> tuple[Fraction, Fraction]:
-        """Current isolating interval (it only ever shrinks)."""
+        """The isolating interval, as construction certified it unless
+        ``refine`` has narrowed it since."""
         return self._lo, self._hi
 
     def _bisect(self) -> None:
@@ -304,7 +294,8 @@ class BaseField:
             self._hi = mid
 
     def refine(self, steps: int = 1) -> tuple[Fraction, Fraction]:
-        """Halve the isolating interval ``steps`` times."""
+        """Halve the isolating interval ``steps`` times (nothing in the
+        package calls this after construction)."""
         for _ in range(steps):
             self._bisect()
         return self.interval()
@@ -479,8 +470,8 @@ class AlgebraicReal:
     the power basis 1, q, ..., q^(degree-1) and one positive denominator
     ``den``, reduced so that gcd(num..., den) = 1.
 
-    Arithmetic is exact.  Signs come from the field's integer filter and,
-    when it cannot decide, from refining the field's isolating interval; two
+    Arithmetic is exact.  Signs come from the field's integer filter, at a
+    precision that grows up to a zero bound when 128 bits cannot decide; two
     elements are equal exactly when their lattice forms coincide.  Rationals
     and ints mix freely with elements of a field; elements of two different
     fields do not (MixedFields).
@@ -634,15 +625,6 @@ class AlgebraicReal:
 
     # -- order ---------------------------------------------------------------
 
-    def enclosure(self) -> tuple[Fraction, Fraction]:
-        """A rational interval certainly containing the value (not refined)."""
-        if self.is_rational():
-            r = Fraction(self.num[0], self.den)
-            return r, r
-        lo, hi = self.field.interval()
-        vlo, vhi = _poly_over_interval(self.num, lo, hi)
-        return vlo / self.den, vhi / self.den
-
     def _scaled(self) -> tuple[int, int]:
         """(S, E): S = sum(num[i] * Q[i]) is within E of 2^P * den * value."""
         if self._approx is None:
@@ -664,31 +646,36 @@ class AlgebraicReal:
         return self._exact_sign()
 
     def _exact_sign(self) -> int:
-        """The certificate behind the filter: refine the field interval until
-        the value's enclosure clears zero.
+        """The sign when the filter at FILTER_BITS cannot decide: the same
+        sum at 64 more bits at a time, up to a zero bound P0.
 
-        A nonzero element vanishes at q only when the defining polynomial is
-        reducible, and then no refinement decides its sign.  So after
-        ``_GCD_ROUNDS`` undecided rounds the element's polynomial is tested
-        against the defining one: a common factor with its root in the
-        isolating interval raises ReduciblePolynomial."""
-        field, rounds = self.field, 0
-        while True:
-            lo, hi = field.interval()
-            vlo, vhi = _poly_over_interval(self.num, lo, hi)
-            if vlo > 0:
+        x = sum(num[i] * q^i) is an algebraic integer, since q is one, so a
+        nonzero x has a norm of absolute value at least 1.  Every root of the
+        defining polynomial is below M = 1 + max |c_i| in absolute value (c_i
+        its non-leading coefficients), so every conjugate of x is at most
+        T * M^(d-1), with T = sum(|num[i]|) and d the degree.  Hence
+        |x| >= (T * M^(d-1))^-(d-1), whether or not the polynomial is
+        irreducible, and at P0 = (d-1) * bitlen(T * M^(d-1)) + bitlen(E) + 2
+        a nonzero x has a scaled sum more than 3E away from 0.  A sum still
+        within E there means x = 0: a nonzero lattice form vanishing at q,
+        which only a reducible defining polynomial allows."""
+        field, num = self.field, self.num
+        total = sum(map(abs, num))
+        err = 2 * total + 2
+        d = field.degree
+        height = 1 + max(map(abs, field.min_poly[:-1]))
+        p0 = (d - 1) * (total * height ** (d - 1)).bit_length() + err.bit_length() + 2
+        p = FILTER_BITS
+        while p < p0:
+            p = min(p + 64, p0)
+            s = sum(map(mul, num, field._scaled_powers(p)))
+            if s > err:
                 return 1
-            if vhi < 0:
+            if s < -err:
                 return -1
-            rounds += 1
-            if rounds == _GCD_ROUNDS:
-                common = _poly_gcd(field.min_poly, self.num)
-                # a factor of min_poly has no root at the interval's ends
-                if len(common) > 1 and _sturm_count(common, lo, hi):
-                    raise ReduciblePolynomial(
-                        f"defining polynomial {list(field.min_poly)} has a factor "
-                        f"vanishing at q with the nonzero element {self}")
-            field.refine(8)
+        raise ReduciblePolynomial(
+            f"defining polynomial {list(field.min_poly)} has a factor "
+            f"vanishing at q with the nonzero element {self}")
 
     def _cmp(self, o: "AlgebraicReal") -> int:
         """Sign of self - o: both scaled sums, cross-multiplied by the other
@@ -747,14 +734,6 @@ class AlgebraicReal:
         return -self if self.sign() < 0 else self
 
     # -- output ----------------------------------------------------------------
-
-    def refined_enclosure(self, width: Fraction) -> tuple[Fraction, Fraction]:
-        """An enclosure of width at most ``width`` (refines the field interval)."""
-        while True:
-            vlo, vhi = self.enclosure()
-            if vhi - vlo <= width:
-                return vlo, vhi
-            self.field.refine(8)
 
     def to_decimal(self, digits: int = 6) -> str:
         """Correctly rounded decimal string with ``digits`` fractional digits

@@ -333,8 +333,10 @@ def _region_rule(field: BaseField, den: int,
         b.den * s - den * S   against   b.den * e + den * E
 
     decides value - b whenever the difference clears the summed error.  When
-    it does not, the reduced element's exact ``_cmp`` decides, so every
-    answer is certified."""
+    it does not, the reduced element's ``_cmp`` decides: its sign takes the
+    scaled sums at a precision that grows up to the zero bound of
+    ``AlgebraicReal._exact_sign``, so every answer is certified and none
+    narrows the field's isolating interval."""
     sums, sides, beyond = field._domain_sums(), _SIDES, Region.OUTSIDE
     if inside:
         sums, sides, beyond = sums[1:3], sides[1:3], Region.HIGH

@@ -1,8 +1,12 @@
-"""Shared test fixtures."""
+"""Shared test fixtures, and the Fraction reference for exact signs."""
 
 import signal
+import weakref
+from fractions import Fraction
 
 import pytest
+
+from betaforge.numberfield import BaseField, _poly_over_interval
 
 
 @pytest.fixture
@@ -18,3 +22,33 @@ def wall_time_limit():
     yield lambda seconds: signal.setitimer(signal.ITIMER_REAL, seconds)
     signal.setitimer(signal.ITIMER_REAL, 0)
     signal.signal(signal.SIGALRM, previous)
+
+
+# a twin of each field the reference has read: the same polynomial over the
+# field's interval, built once; only the twin's interval is ever halved
+_twins = weakref.WeakKeyDictionary()
+
+
+def enclosure(x, width=None):
+    """A rational interval around the value of the field element ``x``, at
+    most ``width`` wide or, with no width, clear of 0 (x must then be
+    nonzero): the reference for exact signs, in Fractions only.
+
+    x's numerators are enclosed by interval arithmetic over the isolating
+    interval of a twin of x's field, which is halved 8 times more until the
+    enclosure is narrow enough.  The twin keeps its interval for the next
+    call; x's own field is left as it is."""
+    if x.is_rational():
+        r = x.as_rational()
+        return r, r
+    field = x.field
+    twin = _twins.get(field)
+    if twin is None:
+        twin = _twins[field] = BaseField(field.min_poly, field.interval())
+    while True:
+        lo, hi = twin.interval()
+        vlo, vhi = _poly_over_interval(x.num, lo, hi)
+        vlo, vhi = Fraction(vlo, x.den), Fraction(vhi, x.den)
+        if (vhi - vlo <= width) if width is not None else (vlo > 0 or vhi < 0):
+            return vlo, vhi
+        twin.refine(8)

@@ -41,9 +41,10 @@ from betaforge import (
     t1,
     viable_prefix_counts,
 )
-from betaforge import branching
+from betaforge import branching, numberfield
 from betaforge.branching import LIMIT, NODE, TERMINAL
 from betaforge.numberfield import AlgebraicReal
+from conftest import enclosure
 
 
 def plastic_field():
@@ -108,12 +109,18 @@ def test_run_step_limit():
     assert out.end.steps == 1
 
 
-def test_run_400_steps_deep():
-    # past about 300 steps the numerators outgrow the filter's fixed 128
-    # bits, so the late steps are decided by the exact comparison
+def test_run_400_steps_deep(monkeypatch):
+    # past about 300 steps the numerators outgrow the filter's 128 bits, so
+    # the late steps take the filter's sums at a higher precision; none of
+    # them evaluates a polynomial over the isolating interval
     F = q2_field()
+    calls = []
+    over = numberfield._poly_over_interval
+    monkeypatch.setattr(numberfield, "_poly_over_interval",
+                        lambda *args: calls.append(args) or over(*args))
     x = eval_word(parse_word("0" * 400 + "1(0)*"), F)
     out = deterministic_run(x, max_steps=1000)
+    assert calls == []
     assert out.segment == (0,) * 400
     assert isinstance(out.end, SwitchHit)
     assert out.end.value == 1 / F.q
@@ -735,9 +742,9 @@ def _reference_answers(x, caps, depth):
         return str(exc)
 
 
-# fields of their own: the exact fallback refines their intervals, not the
-# shared ones; sqrt2 and the cubic x^3 - x^2 - 2 (q ~ 1.6956) are not units,
-# so reduced denominators shrink along their orbits
+# fields of their own, so each test starts from cold memos; sqrt2 and the
+# cubic x^3 - x^2 - 2 (q ~ 1.6956) are not units, so reduced denominators
+# shrink along their orbits
 _KERNEL_FIELDS = {
     "q2": ((-1, -1, -2, 0, 1), (Fraction(17, 10), Fraction(43, 25))),
     "qf": ((-1, 1, -2, 1), (Fraction(17, 10), Fraction(9, 5))),
@@ -784,7 +791,7 @@ def test_kernel_matches_element_loops_near_domain_bounds(name, which, k, offset,
     F = define_field(*_KERNEL_FIELDS[name])
     bound = (F.zero, *domain_bounds(F))[which]
     if rational:
-        lo, _ = bound.refined_enclosure(Fraction(1, 2 ** (k + 2)))
+        lo, _ = enclosure(bound, Fraction(1, 2 ** (k + 2)))
         x = F.from_rational(Fraction(math.floor(lo * 2**k) + offset, 2**k))
     else:
         x = bound + Fraction(offset, 2**k)

@@ -11,6 +11,7 @@ import pytest
 
 from betaforge import (
     define_field,
+    deterministic_run,
     eval_word,
     parse_word,
     q2_field,
@@ -90,6 +91,24 @@ def test_region_json(capsys):
         "decimal": "0.000000",
         "region": "low",
     }
+
+
+def test_comparisons_leave_the_field_interval(capsys):
+    # 1 0^200 1(0)* is within 2^-128 of 1/q, so its region is decided past
+    # the filter's first precision, as are the late steps of a forced run
+    # 400 steps deep; neither narrows the shared q2 interval, so the field
+    # record printed next is that of a fresh field
+    fresh = define_field((-1, -1, -2, 0, 1), (Fraction(17, 10), Fraction(43, 25))).interval()
+    code, out, _ = run(capsys, "region", "--field", "q2", "1" + "0" * 200 + "1(0)*")
+    assert (code, out) == (0, "switch\n")
+    F = q2_field()
+    assert F.interval() == fresh
+    deterministic_run(eval_word(parse_word("0" * 400 + "1(0)*"), F), max_steps=1000)
+    assert F.interval() == fresh
+    code, out, _ = run(capsys, "eval", "--field", "q2", "--format", "json", "1(0)*")
+    assert code == 0
+    interval = json.loads(out)["field"]["interval"]
+    assert interval == [str(fresh[0]), str(fresh[1])] == ["2737/1600", "1369/800"]
 
 
 # ---------------------------------------------------------------------------

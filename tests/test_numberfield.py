@@ -25,6 +25,7 @@ from betaforge.numberfield import (
     to_decimal,
 )
 from betaforge.words import PeriodicWord, eval_word
+from conftest import enclosure
 
 
 def test_builtin_constants_print():
@@ -96,6 +97,27 @@ def test_define_field_rejects_rational_root():
         define_field((0, -1, 1), (Fraction(1, 2), Fraction(3, 2)))
 
 
+def _fibonacci_signs(F):
+    """Signs of F(n+1) - F(n) * q for n = 1..400, with F(n) the Fibonacci
+    numbers: at the golden ratio q the value is (-1)^n * q^-n, which falls
+    to about 2^-278 while the numerators grow to about 2^278."""
+    q, signs = F.q, []
+    a, b = 1, 1
+    for _ in range(400):
+        signs.append(sign(b - a * q))
+        a, b = b, a + b
+    return signs
+
+
+_ALTERNATING = [(-1) ** n for n in range(1, 401)]
+
+
+def test_zero_bound_near_its_tightest():
+    # in degree 2 the zero bound sits only a few bits above what these
+    # values need: a smaller bound would call some of them 0
+    assert _fibonacci_signs(golden_field()) == _ALTERNATING
+
+
 def test_sign_refuses_an_element_vanishing_at_q_of_a_reducible_polynomial(wall_time_limit):
     # (x^2 - x - 1)(x^2 + 1) passes the rational-root screen; around the
     # golden ratio, q^2 - q - 1 is a nonzero element whose value is 0
@@ -105,6 +127,9 @@ def test_sign_refuses_an_element_vanishing_at_q_of_a_reducible_polynomial(wall_t
     with pytest.raises(ReduciblePolynomial, match="vanishing at q"):
         (q * q - q - 1).sign()
     assert (q * q - q).sign() == 1  # a nonzero value keeps its sign
+    # values next to 0 keep theirs too: the zero bound holds for a reducible
+    # polynomial
+    assert _fibonacci_signs(F) == _ALTERNATING
 
 
 def test_define_field_rejects_empty_interval():
@@ -199,8 +224,9 @@ def test_rational_detection():
 
 
 def test_refined_enclosure_narrows():
+    # the Fraction reference the sign tests below compare against
     q = q2_field().q
-    lo, hi = q.refined_enclosure(Fraction(1, 10**12))
+    lo, hi = enclosure(q, Fraction(1, 10**12))
     assert hi - lo <= Fraction(1, 10**12)
     # the root lies strictly between these 20-digit rational brackets
     assert lo < Fraction("1.71064409504503293600")
@@ -263,7 +289,7 @@ def test_comparison_total_order(a, b):
 # ---------------------------------------------------------------------------
 # the integer sign filter
 
-# fields of their own, so refining their intervals leaves the shared ones be
+# fields built here, apart from the process-wide ones other tests use
 _FILTER_FIELDS = {
     "q2": define_field((-1, -1, -2, 0, 1), (Fraction(17, 10), Fraction(43, 25))),
     "qf": define_field((-1, 1, -2, 1), (Fraction(17, 10), Fraction(9, 5))),
@@ -278,7 +304,7 @@ def _bounds(F):
 
 def _near(b, k, delta):
     """b minus a dyadic rational within (|delta| + 1) * 2^-k of b's value."""
-    lo, _ = b.refined_enclosure(Fraction(1, 2 ** (k + 2)))
+    lo, _ = enclosure(b, Fraction(1, 2 ** (k + 2)))
     return b - Fraction(math.floor(lo * 2**k) + delta, 2**k)
 
 
@@ -288,11 +314,9 @@ def _filter_decides(x):
 
 
 def _exact_sign(x):
-    """The sign by interval refinement alone (which needs an irrational x)."""
-    if x.is_rational():
-        r = x.as_rational()
-        return (r > 0) - (r < 0)
-    return x._exact_sign()
+    """The sign by Fraction interval refinement alone."""
+    lo, hi = enclosure(x)
+    return (lo > 0) - (hi < 0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -310,13 +334,14 @@ def test_filter_decides_near_bounds_down_to_its_resolution():
             if b.is_rational():  # golden: 1/(q(q-1)) = 1
                 continue
             x = _near(b, 100, 0)
-            assert _filter_decides(x) and x.sign() == x._exact_sign() == 1
+            assert _filter_decides(x) and x.sign() == _exact_sign(x) == 1
 
 
 def test_sign_below_filter_resolution_falls_back(monkeypatch):
     F = define_field((-1, -1, -2, 0, 1), (Fraction(17, 10), Fraction(43, 25)))
+    iv = F.interval()
     b = 1 / F.q
-    lo, hi = b.refined_enclosure(Fraction(1, 2**210))
+    lo, hi = enclosure(b, Fraction(1, 2**210))
     above, below = b - lo, b - hi  # b is irrational: strictly inside (lo, hi)
     fallbacks = []
     exact = AlgebraicReal._exact_sign
@@ -326,6 +351,7 @@ def test_sign_below_filter_resolution_falls_back(monkeypatch):
         assert not _filter_decides(x)
         assert x.sign() == expected
     assert fallbacks == [above, below, -above]
+    assert F.interval() == iv  # the fallback escalates the filter, not the interval
 
 
 def test_first_filtered_sign_leaves_the_interval():
@@ -351,7 +377,7 @@ def test_scaled_powers_error_bound(poly, iso, bisections):
     F.refine(bisections)
     for p in (FILTER_BITS, 2048, 512):
         for i, Q in enumerate(F._scaled_powers(p)):
-            lo, hi = (F.q**i).refined_enclosure(Fraction(1, 2 ** (p + 8)))
+            lo, hi = enclosure(F.q**i, Fraction(1, 2 ** (p + 8)))
             assert lo * 2**p - Fraction(3, 2) < Q < hi * 2**p + Fraction(3, 2)
     assert F._scaled_powers() is F._scaled_powers(FILTER_BITS)
 
@@ -411,14 +437,14 @@ _DECIMAL_FIELDS = {
     "-sqrt5": ((-5, 0, 1), (-3, -2)),
     "4.8": ((-7, 3, -5, 1), (4, 6)),
 }
-# the reference refines intervals of its own twin fields
+# the reference evaluates words in twin fields of its own
 _REFERENCE_TWINS = {name: define_field(*spec) for name, spec in _DECIMAL_FIELDS.items()}
 
 
 def _enclosure_decimal(x, digits):
     """Reference decimal by rational enclosures: round both ends of the
-    value's enclosure half to even, and refine the field's isolating interval
-    until they agree."""
+    value's enclosure half to even, and narrow the enclosure until they
+    agree."""
 
     def rounded(r):
         scaled = r * 10**digits
@@ -431,12 +457,13 @@ def _enclosure_decimal(x, digits):
             text = f"{text[:-digits]}.{text[-digits:]}"
         return f"-{text}" if floor < 0 else text
 
+    width = Fraction(1, 256)
     while True:
-        vlo, vhi = x.enclosure()
+        vlo, vhi = enclosure(x, width)
         slo = rounded(vlo)
         if slo == rounded(vhi):
             return slo
-        x.field.refine(8)
+        width /= 256
 
 
 _big = st.integers(-2**200, 2**200)
@@ -502,7 +529,7 @@ def test_float_is_within_2_to_the_minus_60(case):
     name, num, den = case
     x = define_field(*_DECIMAL_FIELDS[name]).element([Fraction(n, den) for n in num])
     twin = AlgebraicReal(_REFERENCE_TWINS[name], x.num, x.den)
-    vlo, vhi = twin.refined_enclosure(Fraction(1, 2**80))
+    vlo, vhi = enclosure(twin, Fraction(1, 2**80))
     got = float(x)
     # the scaled sum lies within 2^-60, and float() rounds it to nearest
     assert vlo - Fraction(1, 2**60) - Fraction(math.ulp(got)) / 2 <= Fraction(got)
