@@ -19,10 +19,12 @@ All three walk orbits in one private kernel, ``_Orbits``.  It holds every
 value reached from x as raw integer numerators over x's own denominator D
 (q is an algebraic integer, so q * (n / D) - d = (q * n - d * D) / D), and
 decides regions with ``words._region_rule`` for that D: the integer filter
-against the domain bounds' cached scaled sums, and, when the filter cannot
+against the switch bounds' cached scaled sums, and, when the filter cannot
 decide, the exact comparison of the reduced element.  ``_reduced`` builds
 an element only where a value leaves the kernel: graph nodes, switch
-points, unique-tail cycles and the orbit a run returns.
+points, unique-tail cycles and the orbit a run returns.  x itself is placed
+by ``words.region``, which compares the element with the domain's bounds
+on the scaled sum it caches, so a count and a listing of x share it.
 
 Points of one base share switch points (in a Pisot base, those over one
 denominator are finitely many), so each field keeps a branch memo: for each
@@ -139,7 +141,7 @@ class _Orbits:
     def __init__(self, x: AlgebraicReal):
         self.field, self.den = x.field, x.den
         self.row = x.field._reduction_rows[0]
-        self.locate = _region_rule(x.field, x.den, inside=True)
+        self.locate = _region_rule(x.field, x.den)
 
     def step(self, n: tuple[int, ...], digit: int) -> tuple[int, ...]:
         return _times_q(n, self.row, -digit * self.den)

@@ -14,6 +14,11 @@ the region of a point decides which branches keep it inside the domain:
     low    [0, 1/q)                  only t0 stays
     switch [1/q, 1/(q(q-1))]         both t0 and t1 stay (branch point)
     high   (1/(q(q-1)), 1/(q-1)]     only t1 stays
+
+``region`` places a point by comparing it with 0 and these three bounds.
+The orbit kernel in ``branching`` places the raw numerators it steps with
+``_region_rule``, which compares with the two switch bounds only: every
+value the kernel makes lies in the domain.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from operator import mul, sub
+from operator import ge, gt, le, lt, mul, sub
 from typing import Callable, Iterable, Sequence
 
 from .numberfield import AlgebraicReal, BaseField, _reduced, _times_q
@@ -63,6 +68,33 @@ def _validate_digits(digits: Iterable[int]) -> tuple[int, ...]:
     if not _INT.issuperset(map(type, out)):
         out = tuple(map(int, out))
     return out
+
+
+def _stream_order(op: Callable[[tuple, tuple], bool]):
+    """The comparison ``op`` of two words as digit streams.
+
+    Cut to the shorter preperiod's length, the two preperiods are prefixes
+    of both streams, so where they differ they decide.  Otherwise, past both
+    preperiods the streams are periodic, with periods p and r.  By Fine and
+    Wilf (1965), a word of length p + r - gcd(p, r) with periods p and r has
+    period gcd(p, r); so two such streams that agree on that many digits
+    agree everywhere, and their first digits up to that horizon decide."""
+
+    def compare(self, other):
+        if not isinstance(other, PeriodicWord):
+            return NotImplemented
+        a, b = self.preperiod, other.preperiod
+        if len(a) > len(b):
+            a = a[:len(b)]
+        else:
+            b = b[:len(a)]
+        if a == b:
+            p, r = len(self.period), len(other.period)
+            h = max(len(self.preperiod), len(other.preperiod)) + p + r - math.gcd(p, r)
+            a, b = self.digits(h), other.digits(h)
+        return op(a, b)
+
+    return compare
 
 
 class PeriodicWord:
@@ -123,8 +155,17 @@ class PeriodicWord:
     # -- structure -----------------------------------------------------------
 
     def with_prefix(self, digits: Iterable[int]) -> "PeriodicWord":
-        """The word obtained by prepending ``digits`` to this stream."""
-        return PeriodicWord((*digits, *self.preperiod), self.period)
+        """The word obtained by prepending ``digits`` to this stream.
+
+        A nonempty preperiod keeps its last digit, which differs from the
+        period's last, so the prefixed word is canonical as it stands; only
+        an empty preperiod lets the period absorb trailing digits."""
+        pre = _validate_digits((*digits, *self.preperiod))
+        if not self.preperiod:
+            return PeriodicWord(pre, self.period)
+        word = object.__new__(PeriodicWord)
+        word.preperiod, word.period = pre, self.period
+        return word
 
     def shifted(self) -> "PeriodicWord":
         """The word with its first digit removed."""
@@ -140,16 +181,6 @@ class PeriodicWord:
 
     # -- comparisons -----------------------------------------------------------
 
-    def _horizon(self, other: "PeriodicWord") -> int:
-        """A prefix length on which two distinct streams must differ.
-
-        Past both preperiods the streams are periodic, with periods p and r.
-        By Fine and Wilf (1965), a word of length p + r - gcd(p, r) with
-        periods p and r has period gcd(p, r); so two such streams that agree
-        on that many digits agree everywhere."""
-        p, r = len(self.period), len(other.period)
-        return max(len(self.preperiod), len(other.preperiod)) + p + r - math.gcd(p, r)
-
     def __eq__(self, other):
         if not isinstance(other, PeriodicWord):
             return NotImplemented
@@ -158,29 +189,10 @@ class PeriodicWord:
     def __hash__(self):
         return hash((self.preperiod, self.period))
 
-    def __lt__(self, other):
-        if not isinstance(other, PeriodicWord):
-            return NotImplemented
-        h = self._horizon(other)
-        return self.digits(h) < other.digits(h)
-
-    def __le__(self, other):
-        if not isinstance(other, PeriodicWord):
-            return NotImplemented
-        h = self._horizon(other)
-        return self.digits(h) <= other.digits(h)
-
-    def __gt__(self, other):
-        if not isinstance(other, PeriodicWord):
-            return NotImplemented
-        h = self._horizon(other)
-        return self.digits(h) > other.digits(h)
-
-    def __ge__(self, other):
-        if not isinstance(other, PeriodicWord):
-            return NotImplemented
-        h = self._horizon(other)
-        return self.digits(h) >= other.digits(h)
+    __lt__ = _stream_order(lt)
+    __le__ = _stream_order(le)
+    __gt__ = _stream_order(gt)
+    __ge__ = _stream_order(ge)
 
     # -- rendering ---------------------------------------------------------------
 
@@ -312,18 +324,11 @@ def apply_digits(x: AlgebraicReal, digits: Iterable[int]) -> AlgebraicReal:
     return x
 
 
-# the region of a value below each of 0, 1/q, 1/(q(q-1)), 1/(q-1) (in
-# order), and whether "below" is strict
-_SIDES = ((Region.OUTSIDE, True), (Region.LOW, True), (Region.SWITCH, False),
-          (Region.HIGH, False))
-
-
-def _region_rule(field: BaseField, den: int,
-                 inside: bool = False) -> Callable[[Sequence[int]], Region]:
+def _region_rule(field: BaseField, den: int) -> Callable[[Sequence[int]], Region]:
     """The region of sum(num[i] * q^i) / den, as a function of the numerators
     ``num`` for one fixed denominator ``den`` > 0 (the form need not be
-    reduced).  With ``inside``, the caller knows the value lies in the domain
-    [0, 1/(q-1)], and only the switch bounds are compared.
+    reduced), for values the caller knows to lie in the domain [0, 1/(q-1)]:
+    only the switch bounds 1/q and 1/(q(q-1)) are compared.
 
     Each bound b = sum(m[i] * q^i) / b.den enters through its scaled sum
     (S, E), cached by the field; their products with ``den`` are taken here,
@@ -337,12 +342,11 @@ def _region_rule(field: BaseField, den: int,
     scaled sums at a precision that grows up to the zero bound of
     ``AlgebraicReal._exact_sign``, so every answer is certified and none
     narrows the field's isolating interval."""
-    sums, sides, beyond = field._domain_sums(), _SIDES, Region.OUTSIDE
-    if inside:
-        sums, sides, beyond = sums[1:3], sides[1:3], Region.HIGH
+    _, low, switch, _ = field._domain_sums()
     powers = field._scaled_powers()
     checks = [(bound, b_den, den * s, den * e, below, strict)
-              for (bound, b_den, s, e), (below, strict) in zip(sums, sides)]
+              for (bound, b_den, s, e), below, strict
+              in ((low, Region.LOW, True), (switch, Region.SWITCH, False))]
 
     def locate(num: Sequence[int]) -> Region:
         s = sum(map(mul, num, powers))
@@ -357,15 +361,28 @@ def _region_rule(field: BaseField, den: int,
             c = _reduced(field, num, den)._cmp(bound)
             if c < 0 or (c == 0 and not strict):
                 return below
-        return beyond
+        return Region.HIGH
 
     return locate
 
 
+# the region of a point below each of 0, 1/q, 1/(q(q-1)), 1/(q-1) (in
+# order), and whether "below" is strict
+_SIDES = ((Region.OUTSIDE, True), (Region.LOW, True), (Region.SWITCH, False),
+          (Region.HIGH, False))
+
+
 def region(x: AlgebraicReal) -> Region:
-    """Which part of the domain [0, 1/(q-1)] the point lies in (decided by
-    ``_region_rule``, which the orbit kernel in ``branching`` shares)."""
-    return _region_rule(x.field, x.den)(x.num)
+    """Which part of the domain [0, 1/(q-1)] the point lies in, or outside
+    it.  x is compared with 0, 1/q, 1/(q(q-1)) and 1/(q-1) in turn by
+    ``_cmp``: the integer filter on the scaled sum x caches and the field's
+    cached sums of the bounds, and the exact sign where the filter cannot
+    decide."""
+    for (bound, *_), (below, strict) in zip(x.field._domain_sums(), _SIDES):
+        c = x._cmp(bound)
+        if c < 0 or (c == 0 and not strict):
+            return below
+    return Region.OUTSIDE
 
 
 def reflect_point(x: AlgebraicReal) -> AlgebraicReal:

@@ -7,10 +7,16 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from betaforge.branching import Cardinality, count_expansions
-from betaforge.numberfield import define_field, golden_field, q2_field, qf_field
+from betaforge.numberfield import (
+    ReduciblePolynomial,
+    define_field,
+    golden_field,
+    q2_field,
+    qf_field,
+)
 from betaforge.words import (
     EmptyWordError,
     PeriodicWord,
@@ -253,6 +259,43 @@ def test_order_horizon_is_tight():
     assert not (b < a or b <= a or a > b or a >= b)
 
 
+# pairs of words by how their preperiods relate: a cut to the shorter
+# preperiod's length decides only the last group, the rest fall back to the
+# Fine-Wilf horizon
+_ORDER_PAIRS = {
+    "proper_prefix": [("01(10)*", "0110(01)*"), ("(1)*", "0(1)*"), ("0(1)*", "01(0)*"),
+                      ("(10)*", "011(0)*"), ("1(0)*", "1001(10)*")],
+    "equal_preperiods": [("01(10)*", "01(100)*"), ("(010)*", "(01001)*"),
+                         ("1(0)*", "1(010)*"), ("(0)*", "(1)*"), ("0(1)*", "0(1101)*")],
+    "equal_words": [("01(10)*", "01(10)*"), ("(0)*", "(0)*"), ("0111(10)*", "0111(10)*")],
+    "first_digit_differs": [("0(1)*", "1(0)*"), ("01(10)*", "10(01)*"),
+                            ("0111(0)*", "10(01)*"), ("00(1)*", "1(0)*")],
+}
+
+
+def _preperiods_relate(a, b, relation):
+    x, y = sorted((a.preperiod, b.preperiod), key=len)
+    if relation == "proper_prefix":
+        return len(x) < len(y) and y[:len(x)] == x
+    if relation == "equal_preperiods":
+        return x == y and a.period != b.period
+    if relation == "equal_words":
+        return a == b
+    return bool(x) and x[0] != y[0]
+
+
+@pytest.mark.parametrize("relation, pair", [
+    (relation, pair) for relation, pairs in _ORDER_PAIRS.items() for pair in pairs])
+def test_order_matches_lcm_reference_on_each_preperiod_relation(relation, pair):
+    a, b = map(parse_word, pair)
+    assert tuple(map(str, (a, b))) == pair  # the words are canonical as written
+    assert _preperiods_relate(a, b, relation)
+    for x, y in ((a, b), (b, a)):
+        c = _lcm_cmp(x, y)
+        assert (x < y, x <= y, x > y, x >= y) == (c < 0, c <= 0, c > 0, c >= 0)
+    assert (_lcm_cmp(a, b) == 0) == (a == b) == (relation == "equal_words")
+
+
 def test_order_of_long_coprime_periods_is_fast(wall_time_limit):
     # periods 997 and 1000 have lcm 997000; the two streams agree on more
     # than 1900 digits past the shared preperiod, and the order must be
@@ -278,6 +321,35 @@ def test_order_of_long_coprime_periods_is_fast(wall_time_limit):
 def test_digits_match_digit_by_digit(w):
     for n in range(-2, 3 * (len(w.preperiod) + len(w.period)) + 1):
         assert w.digits(n) == tuple(w.digit(i) for i in range(n))
+
+
+_loose_bits = st.sampled_from([0, 1, True, False, 1.0, 0.0, Fraction(1)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_long_words, st.lists(_loose_bits, max_size=8).map(tuple))
+@example(parse_word("01(10)*"), ())  # no digits
+@example(parse_word("(10)*"), (1, 1))  # an empty preperiod
+@example(parse_word("(10)*"), (0, 1, 0))  # the period absorbs every digit
+@example(parse_word("(011)*"), (1, 1))  # ... and the last one here
+@example(parse_word("1(0)*"), (True, 1.0, False))
+def test_with_prefix_is_the_constructed_word(w, digits):
+    got = w.with_prefix(digits)
+    want = PeriodicWord((*digits, *w.preperiod), w.period)
+    assert got == want and hash(got) == hash(want) and str(got) == str(want)
+    assert (got.preperiod, got.period) == (want.preperiod, want.period)
+    assert all(type(d) is int for d in got.preperiod + got.period)
+
+
+@pytest.mark.parametrize("word", ["01(10)*", "(10)*"])
+@pytest.mark.parametrize("bad", [(0.5,), (1, 2), ("1",), (None, 0)])
+def test_with_prefix_rejects_what_the_constructor_rejects(word, bad):
+    w = parse_word(word)
+    with pytest.raises(ValueError) as got:
+        w.with_prefix(bad)
+    with pytest.raises(ValueError) as want:
+        PeriodicWord((*bad, *w.preperiod), w.period)
+    assert str(got.value) == str(want.value)
 
 
 # -- evaluation --------------------------------------------------------------
@@ -391,6 +463,49 @@ def test_region_boundaries():
 def test_region_golden_one_is_boundary():
     g = golden_field()
     assert region(g.one) is Region.SWITCH
+
+
+_REGION_FIELDS = {
+    "q2": q2_field,
+    "qf": qf_field,
+    "golden": golden_field,
+    # x^3 - x - 1, the smallest Pisot number
+    "poly:-1,-1,0,1@13/10,7/5": lambda: define_field((-1, -1, 0, 1), (Fraction(13, 10), Fraction(7, 5))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REGION_FIELDS))
+def test_region_at_just_inside_and_just_outside_every_bound(name):
+    F = _REGION_FIELDS[name]()
+    lo, hi, upper = domain_bounds(F)
+    # (bound, its region, the region just below, the region just above)
+    table = ((F.zero, Region.LOW, Region.OUTSIDE, Region.LOW),
+             (lo, Region.SWITCH, Region.LOW, Region.SWITCH),
+             (hi, Region.SWITCH, Region.SWITCH, Region.HIGH),
+             (upper, Region.HIGH, Region.HIGH, Region.OUTSIDE))
+    # a rational step, one past the sign filter's 128 bits, and an
+    # irrational one with large numerators: (q - 1)^200 is below 2^-80 for
+    # these bases
+    steps = (Fraction(1, 10**6), Fraction(1, 2**200), (F.q - 1) ** 200)
+    for bound, at, below, above in table:
+        assert region(bound) is at
+        # the same value built by a different route, with no cached sum
+        assert region(eval_word(parse_word("(0)*"), F) + bound) is at
+        for eps in steps:
+            assert region(bound - eps) is below
+            assert region(bound + eps) is above
+
+
+def test_region_on_a_reducible_polynomial_raises_only_at_a_tie(wall_time_limit):
+    # (x^2 - x - 1)(x^2 + 1) around the golden ratio: 11(0)* is worth 1, which
+    # is also 1/(q(q-1)), but the two are distinct lattice elements
+    F = define_field((-1, -1, 0, -1, 1), (Fraction(3, 2), Fraction(17, 10)))
+    wall_time_limit(10)
+    with pytest.raises(ReduciblePolynomial, match="vanishing at q"):
+        region(eval_word(parse_word("11(0)*"), F))
+    lo, hi, upper = domain_bounds(F)
+    assert [region(v) for v in (F.zero, F.one / 2, lo, hi, upper, upper + 1)] == [
+        Region.LOW, Region.LOW, Region.SWITCH, Region.SWITCH, Region.HIGH, Region.OUTSIDE]
 
 
 # -- reflection ----------------------------------------------------------------
