@@ -2,6 +2,10 @@
 reference values, a corrupted value is caught and named, and the runner's
 selection, profiles, and report shapes behave as documented."""
 
+import json
+from decimal import Decimal
+from pathlib import Path
+
 import pytest
 
 from betaforge import PeriodicWord, verify
@@ -57,6 +61,62 @@ def test_fault_injection_names_the_row(monkeypatch):
     witness = by_id["T1"].witness
     assert witness == "T1 row 00(01)* column 0: computed 1.1774010, table says 1.277400"
     assert sum(not r.passed for r in results) == 1
+
+
+def _bumped(cell: str) -> str:
+    """A decimal string moved by ten units in its last place: outside every
+    tolerance a check allows for it."""
+    d = Decimal(cell)
+    return str(d + Decimal(10) ** (d.as_tuple().exponent + 1))
+
+
+def _decimal_bumped(cell):
+    new_cell = _bumped(cell)
+    return new_cell, new_cell
+
+
+def _first_cell_bumped(table):
+    row = next(i for i, (_, cells) in enumerate(table) if cells != fixtures.UNIQUE)
+    word, cells = table[row]
+    new_cell = _bumped(cells[0])
+    return table[:row] + ((word, (new_cell,) + cells[1:]),) + table[row + 1:], new_cell
+
+
+def _reversed(value):
+    return tuple(reversed(value)), None
+
+
+@pytest.mark.parametrize("name, check_id, corrupt", [
+    ("Q2_DECIMALS_15", "constants", _decimal_bumped),
+    ("QF_DECIMALS_5", "constants", _decimal_bumped),
+    ("SWITCH_LO_6", "constants", _decimal_bumped),
+    ("SWITCH_HI_6", "constants", _decimal_bumped),
+    ("EPS1_VALUE_6", "two-point", _decimal_bumped),
+    ("EPS3_VALUE_6", "two-point", _decimal_bumped),
+    ("TARGET_A_5", "orbit-identities", _decimal_bumped),
+    ("TARGET_B_5", "orbit-identities", _decimal_bumped),
+    ("X3_EXPANSIONS", "counts-family", _reversed),
+    ("ALEPH0_FIRST_SIX", "counts-family", _reversed),
+    ("TABLE_T2", "T2", _first_cell_bumped),
+    ("TABLE_T3", "T3", _first_cell_bumped),
+    ("TABLE_T4", "T4", _first_cell_bumped),
+])
+def test_one_corrupted_fixture_fails_only_its_check(monkeypatch, name, check_id, corrupt):
+    # corrupt() returns the new fixture value and the text the witness must
+    # name (None where the witness prints the computed value instead)
+    value, named = corrupt(getattr(fixtures, name))
+    assert value != getattr(fixtures, name)
+    monkeypatch.setattr(fixtures, name, value)
+    failed = [r for r in run_all("quick") if not r.passed]
+    assert [r.check_id for r in failed] == [check_id]
+    if named is not None:
+        assert named in failed[0].witness
+
+
+def test_quick_witnesses_match_the_frozen_bench_file(quick_results):
+    frozen = Path(__file__).resolve().parents[1] / "bench" / "verify_quick_witnesses.json"
+    expected = json.loads(frozen.read_text())
+    assert {r.check_id: [r.status, r.witness] for r in quick_results} == expected
 
 
 def test_corrupted_branch_word_fails_checks_without_raising(monkeypatch):
