@@ -125,7 +125,7 @@ def _env_limits() -> dict:
             raise UsageError(
                 f"BETAFORGE_LIMITS entry {part!r} is not one of "
                 f"{', '.join(_LIMIT_KEYS)}")
-        if not val.isdigit() or int(val) < 1:
+        if not val.isdecimal() or int(val) < 1:
             raise UsageError(f"BETAFORGE_LIMITS value for {key} must be a positive integer")
         out[key] = int(val)
     return out
@@ -144,11 +144,8 @@ def _limits(args) -> dict:
 
 
 def _word_value(args, field: BaseField):
-    word = parse_word(args.word)
-    x = eval_word(word, field)
-    if args.plus_one:
-        x = x + 1
-    return word, x
+    x = eval_word(parse_word(args.word), field)
+    return x + 1 if args.plus_one else x
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +153,7 @@ def _word_value(args, field: BaseField):
 
 
 def _cmd_eval(args, field) -> int:
-    _, x = _word_value(args, field)
+    x = _word_value(args, field)
     if args.format == "json":
         payload = {
             "word": args.word,
@@ -173,7 +170,7 @@ def _cmd_eval(args, field) -> int:
 
 
 def _cmd_region(args, field) -> int:
-    _, x = _word_value(args, field)
+    x = _word_value(args, field)
     reg = region(x)
     if args.format == "json":
         print(json.dumps({"word": args.word, "plus_one": args.plus_one,
@@ -185,7 +182,7 @@ def _cmd_region(args, field) -> int:
 
 
 def _cmd_orbit(args, field, limits) -> int:
-    _, x = _word_value(args, field)
+    x = _word_value(args, field)
     out = deterministic_run(x, max_steps=limits["max_steps"])
     # a forced digit names its region; only where the run stopped needs one
     regions = [Region.LOW if d == 0 else Region.HIGH for d in out.segment]
@@ -229,7 +226,7 @@ def _cmd_orbit(args, field, limits) -> int:
 
 
 def _cmd_count(args, field, limits) -> int:
-    _, x = _word_value(args, field)
+    x = _word_value(args, field)
     card = count_expansions(x, max_steps=limits["max_steps"], max_nodes=limits["max_nodes"])
     if args.format == "json":
         print(json.dumps({"word": args.word, "plus_one": args.plus_one,
@@ -243,7 +240,7 @@ def _cmd_count(args, field, limits) -> int:
 
 
 def _cmd_enumerate(args, field, limits) -> int:
-    _, x = _word_value(args, field)
+    x = _word_value(args, field)
     found, complete, limit = _listing(x, limits["max_count"], limits["max_depth"],
                                       limits["max_steps"], limits["max_nodes"])
     words = sorted(found)

@@ -51,22 +51,24 @@ from .words import (
 
 PASS = "pass"
 FAIL = "fail"
-SKIPPED = "skipped"
 
-CHECK_IDS = (
-    "constants",
-    "two-point",
-    "counts-family",
-    "T1",
-    "T2",
-    "T3",
-    "T4",
-    "no-triple",
-    "branch-families",
-    "orbit-identities",
-    "tail-bounds",
-    "exceptional-rows",
-)
+# check id -> run(k_max, j_max), in the suite's own order; the check
+# functions are looked up when a check runs
+_PLAN = {
+    "constants": lambda k_max, j_max: check_constants(),
+    "two-point": lambda k_max, j_max: check_two_point(),
+    "counts-family": lambda k_max, j_max: check_counts_family(k_max),
+    "T1": lambda k_max, j_max: check_table("T1"),
+    "T2": lambda k_max, j_max: check_table("T2"),
+    "T3": lambda k_max, j_max: check_table("T3"),
+    "T4": lambda k_max, j_max: check_table("T4"),
+    "no-triple": lambda k_max, j_max: check_no_triple(),
+    "branch-families": lambda k_max, j_max: check_branch_families(k_max, j_max),
+    "orbit-identities": lambda k_max, j_max: check_orbit_identities(j_max),
+    "tail-bounds": lambda k_max, j_max: check_tail_bounds(),
+    "exceptional-rows": lambda k_max, j_max: check_exceptional_rows(),
+}
+CHECK_IDS = tuple(_PLAN)
 
 PROFILES = {"quick": (8, 8), "full": (50, 50)}
 
@@ -127,22 +129,71 @@ def _require(cond: bool, witness: str) -> None:
         raise _Failure(witness)
 
 
-def _dec(x: AlgebraicReal, digits: int = 6) -> str:
-    return to_decimal(x, digits)
-
-
 def _within(x: AlgebraicReal, cell: str, tol: Fraction = _CELL_TOL) -> bool:
     """Exact test |x - cell| <= tol in the ambient field."""
-    diff = x - x.field.from_rational(Fraction(cell))
-    lo = diff + x.field.from_rational(tol)
-    hi = diff - x.field.from_rational(tol)
-    return lo.sign() >= 0 and hi.sign() <= 0
+    return abs(x - Fraction(cell)) <= tol
+
+
+def _value(text: str, field, plus: int = 0) -> AlgebraicReal:
+    """The value of a word, plus ``plus``."""
+    x = eval_word(parse_word(text), field)
+    return x + plus if plus else x
+
+
+def _orbit(text: str, field):
+    """The forced run from (word value + 1)."""
+    return deterministic_run(_value(text, field, 1), max_steps=500)
 
 
 def _specials(field):
     """The two double-expansion branch values."""
-    return (eval_word(parse_word(fixtures.EPS1), field),
-            eval_word(parse_word(fixtures.EPS3), field))
+    return _value(fixtures.EPS1, field), _value(fixtures.EPS3, field)
+
+
+def _branch_end(out, specials, label: str, interval=None) -> AlgebraicReal:
+    """The switch point a forced run ended on.  Fails unless the run reached
+    the branching region away from both double-expansion values and, given
+    an interval (lo, hi), at a point in (lo, hi]."""
+    if not isinstance(out.end, SwitchHit):
+        raise _Failure(f"{label}: orbit did not reach the branching region "
+                       f"({type(out.end).__name__})")
+    v = out.end.value
+    if region(v) is not Region.SWITCH:
+        raise _Failure(f"{label}: final value left the branching region")
+    if v in specials:
+        raise _Failure(f"{label}: final value {to_decimal(v)} is a double-expansion value")
+    if interval is not None and not interval[0] < v <= interval[1]:
+        raise _Failure(f"{label}: final value {to_decimal(v, 7)} outside (q-1, T1(U)]")
+    return v
+
+
+def _tail_interval(field, specials, label: str, boundary: str, deeper: str):
+    """Certify the tail interval (q-1, T1(U)], U = (boundary) + 1, of a
+    family past its last tabulated row, and return its two ends: q-1 lies
+    strictly inside the branching region and above the first
+    double-expansion value, T1(U) strictly between q-1 and both the region
+    ceiling and the second double-expansion value, and the family's values
+    decrease in k (the word ``deeper`` is the next member)."""
+    e1, e3 = specials
+    lo, hi, _ = domain_bounds(field)
+    bm1 = field.q - 1
+    u = _value(boundary, field)
+    t1u = t1(u + 1)
+    _require(lo < bm1 < hi, f"{label}: q-1 not strictly inside the branching region")
+    _require(e1 < bm1, f"{label}: first branch value not strictly below q-1")
+    _require(bm1 < t1u, f"{label}: tail interval empty")
+    _require(t1u < hi, f"{label}: T1(U) not strictly below the region ceiling")
+    if not t1u < e3:
+        raise _Failure(f"{label}: T1(U) {to_decimal(t1u, 7)} not below the second branch value")
+    _require(_value(deeper, field) < u, f"{label}: values do not decrease in k")
+    return bm1, t1u
+
+
+def _sextic_sign(q: AlgebraicReal, base: str) -> None:
+    """The sign witness sign(q^6 - q^5 - 2q^4 + q^2 + q + 1) = -1."""
+    s = (q**6 - q**5 - 2 * q**4 + q**2 + q + 1).sign()
+    if s != -1:
+        raise _Failure(f"sign(q^6-q^5-2q^4+q^2+q+1) = {s} in the {base}, expected -1")
 
 
 def _targets(q: AlgebraicReal) -> tuple[AlgebraicReal, AlgebraicReal]:
@@ -164,38 +215,30 @@ def check_constants() -> CheckResult:
 
 def _constants_body() -> str:
     q2, qf, gold = q2_field(), qf_field(), golden_field()
+    q, f, g = q2.q, qf.q, gold.q
 
-    got15 = to_decimal(q2.q, 15)
-    if got15 != fixtures.Q2_DECIMALS_15:
-        raise _Failure(f"quartic base prints {got15}, expected {fixtures.Q2_DECIMALS_15}")
-    got5 = to_decimal(qf.q, 5)
-    if got5 != fixtures.QF_DECIMALS_5:
-        raise _Failure(f"companion base prints {got5}, expected {fixtures.QF_DECIMALS_5}")
+    for base, x, digits, expected in (("quartic base", q, 15, fixtures.Q2_DECIMALS_15),
+                                      ("companion base", f, 5, fixtures.QF_DECIMALS_5)):
+        got = to_decimal(x, digits)
+        if got != expected:
+            raise _Failure(f"{base} prints {got}, expected {expected}")
 
-    q = q2.q
-    _require((q**4 - (2 * q**2 + q + 1)).is_zero(),
-             "quartic base fails x^4 = 2x^2 + x + 1")
-    f = qf.q
-    _require((f**4 - (f**3 + f**2 + 1)).is_zero(),
-             "companion base fails x^4 = x^3 + x^2 + 1")
-    _require((f**3 - (2 * f**2 - f + 1)).is_zero(),
-             "companion base fails x^3 = 2x^2 - x + 1")
-    g = gold.q
-    _require((g**2 - (g + 1)).is_zero(), "golden base fails x^2 = x + 1")
+    for zero, relation in ((q**4 - (2 * q**2 + q + 1), "quartic base fails x^4 = 2x^2 + x + 1"),
+                           (f**4 - (f**3 + f**2 + 1), "companion base fails x^4 = x^3 + x^2 + 1"),
+                           (f**3 - (2 * f**2 - f + 1), "companion base fails x^3 = 2x^2 - x + 1"),
+                           (g**2 - (g + 1), "golden base fails x^2 = x + 1")):
+        _require(zero.is_zero(), relation)
 
-    s = (q**6 - q**5 - 2 * q**4 + q**2 + q + 1).sign()
-    if s != -1:
-        raise _Failure(f"sign(q^6-q^5-2q^4+q^2+q+1) = {s} in the quartic base, expected -1")
+    _sextic_sign(q, "quartic base")
 
     lo, hi, _ = domain_bounds(q2)
-    if not _within(lo, fixtures.SWITCH_LO_6):
-        raise _Failure(f"branching region lower end {_dec(lo)} != {fixtures.SWITCH_LO_6}")
-    if not _within(hi, fixtures.SWITCH_HI_6):
-        raise _Failure(f"branching region upper end {_dec(hi)} != {fixtures.SWITCH_HI_6}")
+    for end, x, cell in (("lower", lo, fixtures.SWITCH_LO_6), ("upper", hi, fixtures.SWITCH_HI_6)):
+        if not _within(x, cell):
+            raise _Failure(f"branching region {end} end {to_decimal(x)} != {cell}")
 
-    return (f"quartic base {got15}; companion base {got5}; "
+    return (f"quartic base {fixtures.Q2_DECIMALS_15}; companion base {fixtures.QF_DECIMALS_5}; "
             f"defining relations exact; sign witness -1; "
-            f"branching region [{_dec(lo)}, {_dec(hi)}]")
+            f"branching region [{to_decimal(lo)}, {to_decimal(hi)}]")
 
 
 # ---------------------------------------------------------------------------
@@ -210,58 +253,44 @@ def check_two_point() -> CheckResult:
 
 def _two_point_body() -> str:
     q2 = q2_field()
-    w1, w2 = parse_word(fixtures.EPS1), parse_word(fixtures.EPS2)
-    w3, w4 = parse_word(fixtures.EPS3), parse_word(fixtures.EPS4)
-    a = eval_word(w1, q2)
-    b = eval_word(w3, q2)
-
-    a2 = eval_word(w2, q2)
-    if a != a2:
-        raise _Failure(f"{fixtures.EPS1} and {fixtures.EPS2} differ: "
-                       f"{_dec(a, 9)} vs {_dec(a2, 9)}")
-    if b != eval_word(w4, q2):
-        raise _Failure(f"{fixtures.EPS3} and {fixtures.EPS4} differ")
-
-    if region(a) is not Region.SWITCH:
-        raise _Failure(f"{_dec(a)} not in the branching region")
-    if region(b) is not Region.SWITCH:
-        raise _Failure(f"{_dec(b)} not in the branching region")
-    if not _within(a, fixtures.EPS1_VALUE_6):
-        raise _Failure(f"first value prints {_dec(a)}, expected {fixtures.EPS1_VALUE_6}")
-    if not _within(b, fixtures.EPS3_VALUE_6):
-        raise _Failure(f"second value prints {_dec(b)}, expected {fixtures.EPS3_VALUE_6}")
-
-    ca, cb = count_expansions(a), count_expansions(b)
-    if ca != ca.finite(2):
-        raise _Failure(f"count at first value: {ca}, expected Finite(2)")
-    if cb != cb.finite(2):
-        raise _Failure(f"count at second value: {cb}, expected Finite(2)")
-    _require(sorted(enumerate_expansions(a)) == sorted([w1, w2]),
-             "enumerated expansions of the first value are not the stated pair")
-    _require(sorted(enumerate_expansions(b)) == sorted([w3, w4]),
-             "enumerated expansions of the second value are not the stated pair")
+    words = [parse_word(fixtures.EPS1), parse_word(fixtures.EPS2),
+             parse_word(fixtures.EPS3), parse_word(fixtures.EPS4)]
+    values = []
+    for name, pair, cell in (("first", words[:2], fixtures.EPS1_VALUE_6),
+                             ("second", words[2:], fixtures.EPS3_VALUE_6)):
+        x, x2 = (eval_word(w, q2) for w in pair)
+        if x != x2:
+            raise _Failure(f"{pair[0]} and {pair[1]} differ: "
+                           f"{to_decimal(x, 9)} vs {to_decimal(x2, 9)}")
+        if region(x) is not Region.SWITCH:
+            raise _Failure(f"{to_decimal(x)} not in the branching region")
+        if not _within(x, cell):
+            raise _Failure(f"{name} value prints {to_decimal(x)}, expected {cell}")
+        c = count_expansions(x)
+        if c != c.finite(2):
+            raise _Failure(f"count at {name} value: {c}, expected Finite(2)")
+        _require(sorted(enumerate_expansions(x)) == sorted(pair),
+                 f"enumerated expansions of the {name} value are not the stated pair")
+        _require(viable_prefix_counts(x, 40)[-1] == 2,
+                 f"prefix oracle at depth 40 != 2 ({name} value)")
+        values.append(x)
+    a, b = values
+    w1, w2, w3, w4 = words
 
     _require(reflect_word(w1) == w4, "reflection does not pair the outer words")
     _require(reflect_word(w2) == w3, "reflection does not pair the inner words")
     _require(reflect_point(a) == b, "reflection does not exchange the two values")
 
-    _require(viable_prefix_counts(a, 40)[-1] == 2,
-             "prefix oracle at depth 40 != 2 (first value)")
-    _require(viable_prefix_counts(b, 40)[-1] == 2,
-             "prefix oracle at depth 40 != 2 (second value)")
-
     # the unique-neighbour identities behind the two-point claim: each pair
     # (y, y + 1) consists of points with a single expansion
-    _require(eval_word(parse_word("0000(10)*"), q2) + 1 == eval_word(parse_word("1(10)*"), q2),
-             "(0000(10)*) + 1 != (1(10)*)")
-    _require(eval_word(parse_word("00(10)*"), q2) + 1 == eval_word(parse_word("111(10)*"), q2),
-             "(00(10)*) + 1 != (111(10)*)")
-    for text in ("0000(10)*", "1(10)*", "00(10)*", "111(10)*"):
-        c = count_expansions(eval_word(parse_word(text), q2))
-        if c != c.finite(1):
-            raise _Failure(f"{text} is not uniquely expandable: {c}")
+    for y, y_plus_1 in (("0000(10)*", "1(10)*"), ("00(10)*", "111(10)*")):
+        _require(_value(y, q2, 1) == _value(y_plus_1, q2), f"({y}) + 1 != ({y_plus_1})")
+        for text in (y, y_plus_1):
+            c = count_expansions(_value(text, q2))
+            if c != c.finite(1):
+                raise _Failure(f"{text} is not uniquely expandable: {c}")
 
-    return (f"values {_dec(a)} and {_dec(b)}, both Finite(2); "
+    return (f"values {to_decimal(a)} and {to_decimal(b)}, both Finite(2); "
             f"reflection pairing and unique-neighbour identities exact")
 
 
@@ -299,25 +328,21 @@ def _counts_family_body(k_max: int) -> str:
         got = viable_prefix_counts(x, depth)[-1]
         if got != k:
             raise _Failure(f"k={k}: prefix oracle at depth {depth} gives {got}")
-        if k >= 2 and (x - lo).sign() <= 0:
-            raise _Failure(f"k={k}: member value {_dec(x)} not above 1/q, "
+        if k >= 2 and x <= lo:
+            raise _Failure(f"k={k}: member value {to_decimal(x)} not above 1/q, "
                            "the first digit is not forced")
 
-    words1 = [str(w) for w in enumerate_expansions(eval_word(_family_member(1), qf))]
-    if words1 != ["(10)*"]:
-        raise _Failure(f"k=1 expansion list {words1}, expected ['(10)*']")
-    words3 = [str(w) for w in enumerate_expansions(eval_word(_family_member(3), qf))]
-    if tuple(words3) != fixtures.X3_EXPANSIONS:
-        raise _Failure(f"k=3 expansion list {words3}")
+    for k, expected in ((1, ("(10)*",)), (3, fixtures.X3_EXPANSIONS)):
+        got = tuple(str(w) for w in enumerate_expansions(eval_word(_family_member(k), qf)))
+        if got != expected:
+            raise _Failure(f"k={k} expansion list {list(got)}, expected {list(expected)}")
 
     # exact identity forcing the digit split: 1/q = 1/q^2 + 1/(q^3(q-1))
     _require((1 / q) == (1 / q**2 + 1 / (q**3 * (q - 1))),
              "identity 1/q = 1/q^2 + 1/(q^3(q-1)) fails in the companion base")
-    s = (q**6 - q**5 - 2 * q**4 + q**2 + q + 1).sign()
-    if s != -1:
-        raise _Failure(f"sign(q^6-q^5-2q^4+q^2+q+1) = {s} in the companion base")
+    _sextic_sign(q, "companion base")
 
-    xa = eval_word(parse_word(fixtures.ALEPH0_WORD), qf)
+    xa = _value(fixtures.ALEPH0_WORD, qf)
     _require(xa == lo, "the countably infinite point is not 1/q")
     ca = count_expansions(xa)
     if str(ca) != "CountablyInfinite":
@@ -328,7 +353,7 @@ def _counts_family_body(k_max: int) -> str:
         raise _Failure(f"first six expansions {got_six}")
 
     # the same word read in the quartic base, reported but never asserted
-    info = count_expansions(eval_word(parse_word(fixtures.ALEPH0_WORD), q2_field()), **_INFO_CAPS)
+    info = count_expansions(_value(fixtures.ALEPH0_WORD, q2_field()), **_INFO_CAPS)
 
     return (f"Finite(k) for k=1..{k_max} with matching prefix oracle; "
             f"1/q is CountablyInfinite with the six stated expansions; "
@@ -348,36 +373,26 @@ def check_table(table_id: str) -> CheckResult:
 
 def _table_body(table_id: str) -> str:
     q2 = q2_field()
-    e1, e3 = _specials(q2)
+    specials = _specials(q2)
     table = getattr(fixtures, fixtures.TABLES[table_id])
     n_cells = 0
     for word_text, cells in table:
-        x = eval_word(parse_word(word_text), q2) + 1
-        out = deterministic_run(x, max_steps=500)
+        row = f"{table_id} row {word_text}"
+        out = _orbit(word_text, q2)
         if cells == fixtures.UNIQUE:
             if not isinstance(out.end, UniqueTail):
-                raise _Failure(f"{table_id} row {word_text}: expected a unique tail, "
-                               f"got {type(out.end).__name__}")
-            if viable_prefix_counts(x, 40)[-1] != 1:
-                raise _Failure(f"{table_id} row {word_text}: prefix oracle at depth 40 != 1")
+                raise _Failure(f"{row}: expected a unique tail, got {type(out.end).__name__}")
+            # the run starts at the row's value
+            if viable_prefix_counts(out.orbit[0], 40)[-1] != 1:
+                raise _Failure(f"{row}: prefix oracle at depth 40 != 1")
             continue
-        values = out.orbit
-        if not isinstance(out.end, SwitchHit):
-            raise _Failure(f"{table_id} row {word_text}: orbit did not reach the "
-                           f"branching region ({type(out.end).__name__})")
-        if len(values) != len(cells):
-            raise _Failure(f"{table_id} row {word_text}: {len(values)} iterates, "
-                           f"table lists {len(cells)}")
-        for col, (v, cell) in enumerate(zip(values, cells)):
+        _branch_end(out, specials, row)
+        if len(out.orbit) != len(cells):
+            raise _Failure(f"{row}: {len(out.orbit)} iterates, table lists {len(cells)}")
+        for col, (v, cell) in enumerate(zip(out.orbit, cells)):
             if not _within(v, cell):
-                raise _Failure(f"{table_id} row {word_text} column {col}: "
-                               f"computed {_dec(v, 7)}, table says {cell}")
-        final = values[-1]
-        if region(final) is not Region.SWITCH:
-            raise _Failure(f"{table_id} row {word_text}: final value not in the branching region")
-        if final == e1 or final == e3:
-            raise _Failure(f"{table_id} row {word_text}: final value equals a "
-                           f"double-expansion branch value")
+                raise _Failure(f"{row} column {col}: "
+                               f"computed {to_decimal(v, 7)}, table says {cell}")
         n_cells += len(cells)
     return f"{len(table)} rows, {n_cells} iterates matched at +/-1e-6"
 
@@ -395,50 +410,22 @@ def check_no_triple() -> CheckResult:
 
 def _no_triple_body() -> str:
     q2 = q2_field()
-    q = q2.q
-    e1, e3 = _specials(q2)
-    lo, hi, _ = domain_bounds(q2)
-    bm1 = q - 1
+    specials = _specials(q2)
 
     for k in range(1, 7):
-        x = eval_word(parse_word("0" * k + "(01)*"), q2) + 1
-        out = deterministic_run(x, max_steps=500)
-        if isinstance(out.end, UniqueTail):
-            continue
-        if not isinstance(out.end, SwitchHit):
-            raise _Failure(f"k={k}: orbit ended with {type(out.end).__name__}")
-        v = out.end.value
-        if v == e1 or v == e3:
-            raise _Failure(f"k={k}: orbit lands on a double-expansion value {_dec(v)}")
+        out = _orbit("0" * k + "(01)*", q2)
+        if not isinstance(out.end, UniqueTail):
+            _branch_end(out, specials, f"k={k}")
 
-    # tail interval: for k >= 7 the final iterate lies in (q-1, T1(U)],
-    # U = (0^6(01)*) + 1; every endpoint comparison is exact
-    U = eval_word(parse_word("000000(01)*"), q2) + 1
-    t1u = t1(U)
-    _require((bm1 - lo).sign() > 0, "q-1 not strictly above the region floor")
-    _require((bm1 - hi).sign() < 0, "q-1 not strictly below the region ceiling")
-    _require((t1u - hi).sign() < 0, "T1(U) not strictly below the region ceiling")
-    _require((t1u - bm1).sign() > 0, "tail interval is empty")
-    _require((e1 - bm1).sign() < 0, "first double-expansion value not below q-1")
-    _require((t1u - e3).sign() < 0, "T1(U) not below the second double-expansion value")
-    _require((eval_word(parse_word("0000000(01)*"), q2)
-              - eval_word(parse_word("000000(01)*"), q2)).sign() < 0,
-             "family values do not decrease in k")
-
+    # for k >= 7 the final iterate lies in (q-1, T1(U)], U = (0^6(01)*) + 1
+    tail = _tail_interval(q2, specials, "k>=7", "000000(01)*", "0000000(01)*")
     for k in (7, 8, 9):
-        x = eval_word(parse_word("0" * k + "(01)*"), q2) + 1
-        out = deterministic_run(x, max_steps=500)
-        if not isinstance(out.end, SwitchHit):
-            raise _Failure(f"k={k}: no branching value reached")
-        v = out.end.value
-        if (v - bm1).sign() <= 0 or (v - t1u).sign() > 0:
-            raise _Failure(f"k={k}: final value {_dec(v)} outside (q-1, T1(U)]")
-        if v == e1 or v == e3:
-            raise _Failure(f"k={k}: final value is a branch value")
+        _branch_end(_orbit("0" * k + "(01)*", q2), specials, f"k={k}", tail)
 
+    e1, e3 = specials
     return (f"rows k=1..6 miss both branch values; tail interval "
-            f"({_dec(bm1)}, {_dec(t1u)}] strictly inside the branching region "
-            f"and strictly separated from {_dec(e1)} and {_dec(e3)}")
+            f"({to_decimal(tail[0])}, {to_decimal(tail[1])}] strictly inside the branching "
+            f"region and strictly separated from {to_decimal(e1)} and {to_decimal(e3)}")
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +440,9 @@ _FAMILY_SHAPES = {
     "e1-alt": (1, True, lambda k, j: "0" * k + "01" * j, 0),
     "e3-alt": (2, True, lambda k, j: "0" * k + "10" * j, 1),
 }
+
+# parameters at which a deep member's prefix oracle still runs
+_DEEP_SAMPLES = frozenset({9, 16, 25, 50})
 
 
 def family_word(name: str, k: int, j: int = 0) -> PeriodicWord:
@@ -481,47 +471,36 @@ def check_branch_families(k_max: int = 8, j_max: int = 8) -> CheckResult:
 
 def _branch_families_body(k_max: int, j_max: int) -> str:
     q2 = q2_field()
-    branch_values = _specials(q2)
+    specials = _specials(q2)
     checked = 0
-
-    def verify_member(name: str, k: int, j: int) -> None:
-        nonlocal checked
-        word = family_word(name, k, j)
-        x = eval_word(word, q2)
-        graph = build_branch_graph(x)
-        expect = branch_values[_FAMILY_SHAPES[name][3]]
-        if graph.truncated:
-            raise _Failure(f"{name} k={k} j={j}: graph truncated")
-        if len(graph.nodes) != 1:
-            raise _Failure(f"{name} k={k} j={j}: {len(graph.nodes)} branch nodes, expected 1")
-        node = next(iter(graph.nodes.values()))
-        if node != expect:
-            raise _Failure(f"{name} k={k} j={j}: branch node {_dec(node)} is not the "
-                           f"family branch value")
-        if (graph.root_segment != word.digits(len(graph.root_segment))
-                or len(graph.root_segment) != k + 2 * j):
-            raise _Failure(f"{name} k={k} j={j}: forced prefix differs from the word")
-        c = classify(graph)
-        if c != c.finite(2):
-            raise _Failure(f"{name} k={k} j={j}: classified {c}")
-        depth = k + 2 * j + 16
-        if depth <= 40 or k in _DEEP_SAMPLES or j in _DEEP_SAMPLES:
-            depth = max(depth, 40)
-            got = viable_prefix_counts(x, depth)[-1]
-            if got != 2:
-                raise _Failure(f"{name} k={k} j={j}: prefix oracle at depth {depth} gives {got}")
-        checked += 1
-
-    for k in range(1, k_max + 1):
-        verify_member("e1", k, 0)
-    for k in range(2, k_max + 1):
-        verify_member("e3", k, 0)
-    for k in range(1, k_max + 1):
-        for j in range(1, j_max + 1):
-            verify_member("e1-alt", k, j)
-    for k in range(2, k_max + 1):
-        for j in range(1, j_max + 1):
-            verify_member("e3-alt", k, j)
+    for name, (k_min, uses_j, _, branch) in _FAMILY_SHAPES.items():
+        for k in range(k_min, k_max + 1):
+            for j in (range(1, j_max + 1) if uses_j else (0,)):
+                member = f"{name} k={k} j={j}"
+                word = family_word(name, k, j)
+                x = eval_word(word, q2)
+                graph = build_branch_graph(x)
+                if graph.truncated:
+                    raise _Failure(f"{member}: graph truncated")
+                if len(graph.nodes) != 1:
+                    raise _Failure(f"{member}: {len(graph.nodes)} branch nodes, expected 1")
+                node = next(iter(graph.nodes.values()))
+                if node != specials[branch]:
+                    raise _Failure(f"{member}: branch node {to_decimal(node)} is not the "
+                                   f"family branch value")
+                if (graph.root_segment != word.digits(len(graph.root_segment))
+                        or len(graph.root_segment) != k + 2 * j):
+                    raise _Failure(f"{member}: forced prefix differs from the word")
+                c = classify(graph)
+                if c != c.finite(2):
+                    raise _Failure(f"{member}: classified {c}")
+                depth = k + 2 * j + 16
+                if depth <= 40 or k in _DEEP_SAMPLES or j in _DEEP_SAMPLES:
+                    depth = max(depth, 40)
+                    got = viable_prefix_counts(x, depth)[-1]
+                    if got != 2:
+                        raise _Failure(f"{member}: prefix oracle at depth {depth} gives {got}")
+                checked += 1
 
     # parameter validation: the zero-block family over the second branch
     # value starts at k = 2
@@ -534,9 +513,6 @@ def _branch_families_body(k_max: int, j_max: int) -> str:
 
     return (f"{checked} members across four families: Finite(2) with the "
             f"stated branch node; forced prefixes match the words")
-
-
-_DEEP_SAMPLES = frozenset({9, 16, 25, 50})
 
 
 # ---------------------------------------------------------------------------
@@ -555,43 +531,40 @@ def check_orbit_identities(j_max: int = 8) -> CheckResult:
 def _orbit_identities_body(j_max: int) -> str:
     q2 = q2_field()
     q = q2.q
-    e1, e3 = _specials(q2)
+    specials = _specials(q2)
     target_a, target_b = _targets(q)
 
     for t, label, cell in ((target_a, "A", fixtures.TARGET_A_5),
                            (target_b, "B", fixtures.TARGET_B_5)):
         if region(t) is not Region.SWITCH:
-            raise _Failure(f"target {label} {_dec(t)} not in the branching region")
-        if t == e1 or t == e3:
+            raise _Failure(f"target {label} {to_decimal(t)} not in the branching region")
+        if t in specials:
             raise _Failure(f"target {label} equals a double-expansion branch value")
         if not _within(t, cell, _PROSE_TOL):
-            raise _Failure(f"target {label} prints {_dec(t, 5)}, expected {cell}")
-
-    def start(text: str) -> AlgebraicReal:
-        return eval_word(parse_word(text), q2) + 1
+            raise _Failure(f"target {label} prints {to_decimal(t, 5)}, expected {cell}")
 
     identities = (
-        ("first", 3, lambda j: start("0" + "01" * j + fixtures.EPS1),
+        ("first", 3, lambda j: "0" + "01" * j + fixtures.EPS1,
          lambda j: (1, 1, 1, 1) + (0, 1) * (j - 2), target_a),
-        ("second", 1, lambda j: start("000" + "01" * j + fixtures.EPS1),
+        ("second", 1, lambda j: "000" + "01" * j + fixtures.EPS1,
          lambda j: (1, 1) + (0, 1) * j, target_a),
-        ("third", 2, lambda j: start("00" + "10" * j + fixtures.EPS3),
+        ("third", 2, lambda j: "00" + "10" * j + fixtures.EPS3,
          lambda j: (1, 1, 1) + (1, 0) * (j - 1), target_b),
-        ("fourth", 1, lambda j: start("0000" + "10" * j + fixtures.EPS3),
+        ("fourth", 1, lambda j: "0000" + "10" * j + fixtures.EPS3,
          lambda j: (1,) + (1, 0) * (j + 1), target_b),
     )
     applied = 0
-    for label, j_min, mk_start, mk_digits, target in identities:
+    for label, j_min, mk_word, mk_digits, target in identities:
         for j in range(j_min, j_max + 1):
-            got = apply_digits(mk_start(j), mk_digits(j))
+            got = apply_digits(_value(mk_word(j), q2, 1), mk_digits(j))
             if got != target:
-                raise _Failure(f"{label} identity fails at j={j}: {_dec(got, 9)} != "
-                               f"{_dec(target, 9)}")
+                raise _Failure(f"{label} identity fails at j={j}: {to_decimal(got, 9)} != "
+                               f"{to_decimal(target, 9)}")
             applied += 1
 
     # closed form of the first family's starting values
     for j in range(1, j_max + 1):
-        lhs = start("0" + "01" * j + fixtures.EPS1)
+        lhs = _value("0" + "01" * j + fixtures.EPS1, q2, 1)
         rhs = (q**(2 * j + 2) + q - 1) / (q**(2 * j + 3) * (q**2 - 1)) + 1
         if lhs != rhs:
             raise _Failure(f"closed form fails at j={j}")
@@ -617,8 +590,8 @@ def _orbit_identities_body(j_max: int) -> str:
              "polynomial factorization witness fails")
     _require(lhs(q).is_zero(), "factored expression nonzero in the field")
 
-    return (f"{applied} identity instances exact; targets {_dec(target_a, 5)} "
-            f"and {_dec(target_b, 5)}; cancellation certified by the factor "
+    return (f"{applied} identity instances exact; targets {to_decimal(target_a, 5)} "
+            f"and {to_decimal(target_b, 5)}; cancellation certified by the factor "
             f"q^4-2q^2-q-1 of x^3-1+(x^4-x^3-x^2-x-1)(x^2-1)")
 
 
@@ -635,66 +608,29 @@ def check_tail_bounds() -> CheckResult:
 
 def _tail_bounds_body() -> str:
     q2 = q2_field()
-    q = q2.q
-    e1, e3 = _specials(q2)
-    lo, hi, _ = domain_bounds(q2)
-    bm1 = q - 1
+    specials = _specials(q2)
+    eps1, eps3 = fixtures.EPS1, fixtures.EPS3
 
-    _require((bm1 - lo).sign() > 0 and (bm1 - hi).sign() < 0,
-             "q-1 not strictly inside the branching region")
-    _require((e1 - bm1).sign() < 0,
-             "first branch value not strictly below q-1")
-
-    # (family label, boundary word, next word in k, extra j-certificate)
+    # (family label, boundary word, next word in k, beyond-table sample,
+    # extra j-certificate: the first word's value is below the second's)
     cases = (
-        ("zeros+e1, k>=7", "000000" + fixtures.EPS1,
-         "0000000" + fixtures.EPS1, None),
-        ("zeros+e3, k>=8", "0000000" + fixtures.EPS3,
-         "00000000" + fixtures.EPS3, None),
-        ("zeros+(01)^j+e1, k>=7", "000000" + "01" + fixtures.EPS1,
-         "0000000" + "01" + fixtures.EPS1,
-         ("01" + fixtures.EPS1, fixtures.EPS1)),
-        ("zeros+(10)^j+e3, k>=8", "0000000(10)*",
-         "00000000(10)*", (fixtures.EPS3, "(10)*")),
+        ("zeros+e1, k>=7", "000000" + eps1, "0000000" + eps1, "0" * 9 + eps1, None),
+        ("zeros+e3, k>=8", "0000000" + eps3, "00000000" + eps3, "0" * 10 + eps3, None),
+        ("zeros+(01)^j+e1, k>=7", "000000" + "01" + eps1, "0000000" + "01" + eps1,
+         "0" * 9 + "01" + eps1, ("01" + eps1, eps1)),
+        ("zeros+(10)^j+e3, k>=8", "0000000(10)*", "00000000(10)*",
+         "0" * 10 + "10" * 2 + eps3, (eps3, "(10)*")),
     )
     intervals = []
-    for label, boundary, deeper, j_cert in cases:
-        u = eval_word(parse_word(boundary), q2) + 1
-        t1u = t1(u)
-        if (t1u - bm1).sign() <= 0:
-            raise _Failure(f"{label}: tail interval empty")
-        if (t1u - hi).sign() >= 0:
-            raise _Failure(f"{label}: T1(U) not strictly below the region ceiling")
-        if (t1u - e3).sign() >= 0:
-            raise _Failure(f"{label}: T1(U) {_dec(t1u, 7)} not below the second branch value")
-        if (eval_word(parse_word(deeper), q2) - eval_word(parse_word(boundary), q2)).sign() >= 0:
-            raise _Failure(f"{label}: values do not decrease in k")
+    for label, boundary, deeper, sample, j_cert in cases:
+        bm1, t1u = _tail_interval(q2, specials, label, boundary, deeper)
         if j_cert is not None:
-            smaller, larger = (eval_word(parse_word(text), q2) for text in j_cert)
-            if (smaller - larger).sign() >= 0:
-                raise _Failure(f"{label}: j-direction certificate fails")
-        intervals.append(f"{label}: ({_dec(bm1)}, {_dec(t1u, 7)}]")
-
-    # beyond-table sample per family: the first branching iterate obeys
-    # the bound
-    samples = (
-        ("0" * 9 + fixtures.EPS1, "000000" + fixtures.EPS1),
-        ("0" * 10 + fixtures.EPS3, "0000000" + fixtures.EPS3),
-        ("0" * 9 + "01" + fixtures.EPS1, "000000" + "01" + fixtures.EPS1),
-        ("0" * 10 + "10" * 2 + fixtures.EPS3, "0000000(10)*"),
-    )
-    for deep_text, boundary in samples:
-        x = eval_word(parse_word(deep_text), q2) + 1
-        out = deterministic_run(x, max_steps=500)
-        if not isinstance(out.end, SwitchHit):
-            raise _Failure(f"{deep_text}: no branching value")
-        v = out.end.value
-        t1u = t1(eval_word(parse_word(boundary), q2) + 1)
-        if (v - bm1).sign() <= 0 or (v - t1u).sign() > 0:
-            raise _Failure(f"{deep_text}: final value {_dec(v, 7)} outside the tail interval")
-        if v == e1 or v == e3:
-            raise _Failure(f"{deep_text}: final value is a branch value")
-
+            smaller, larger = j_cert
+            _require(_value(smaller, q2) < _value(larger, q2),
+                     f"{label}: j-direction certificate fails")
+        # the sample's first branching iterate obeys the bound
+        _branch_end(_orbit(sample, q2), specials, sample, (bm1, t1u))
+        intervals.append(f"{label}: ({to_decimal(bm1)}, {to_decimal(t1u, 7)}]")
     return "; ".join(intervals)
 
 
@@ -711,35 +647,23 @@ def check_exceptional_rows() -> CheckResult:
 
 def _exceptional_rows_body() -> str:
     q2 = q2_field()
-    q = q2.q
-    e1, e3 = _specials(q2)
-    target_a, target_b = _targets(q)
+    specials = _specials(q2)
+    target_a, target_b = _targets(q2.q)
 
-    rows = ("00101(10)*", "0010101(10)*", "00100111(10)*")
-    finals = []
-    for text in rows:
-        x = eval_word(parse_word(text), q2) + 1
-        out = deterministic_run(x, max_steps=500)
-        if not isinstance(out.end, SwitchHit):
-            raise _Failure(f"{text}: orbit did not reach the branching region")
-        v = out.end.value
-        if region(v) is not Region.SWITCH:
-            raise _Failure(f"{text}: final value left the region")
-        if v == e1 or v == e3:
-            raise _Failure(f"{text}: final value {_dec(v)} is a double-expansion value")
-        finals.append(v)
+    finals = [_branch_end(_orbit(text, q2), specials, text)
+              for text in ("00101(10)*", "0010101(10)*", "00100111(10)*")]
 
     # exact landings: the second and third rows end on the identity targets;
     # the first ends on the same value as the k=2 alternating row
-    if finals[1] != target_a:
-        raise _Failure(f"second row final {_dec(finals[1], 7)} != target {_dec(target_a, 7)}")
-    if finals[2] != target_b:
-        raise _Failure(f"third row final {_dec(finals[2], 7)} != target {_dec(target_b, 7)}")
-    alt_k2 = apply_digits(eval_word(parse_word("00(01)*"), q2) + 1, (1, 1))
+    for row, final, target in (("second", finals[1], target_a), ("third", finals[2], target_b)):
+        if final != target:
+            raise _Failure(f"{row} row final {to_decimal(final, 7)} != "
+                           f"target {to_decimal(target, 7)}")
+    alt_k2 = apply_digits(_value("00(01)*", q2, 1), (1, 1))
     _require(finals[0] == alt_k2,
              "first row final differs from the k=2 alternating row final")
 
-    return (f"finals {_dec(finals[0])}, {_dec(finals[1])}, {_dec(finals[2])}; "
+    return (f"finals {', '.join(to_decimal(v) for v in finals)}; "
             f"all in the branching region, none a branch value; "
             f"two land exactly on the identity targets")
 
@@ -748,60 +672,37 @@ def _exceptional_rows_body() -> str:
 # runner
 
 
-def _build_plan(k_max: int, j_max: int) -> dict:
-    return {
-        "constants": check_constants,
-        "two-point": check_two_point,
-        "counts-family": lambda: check_counts_family(k_max),
-        "T1": lambda: check_table("T1"),
-        "T2": lambda: check_table("T2"),
-        "T3": lambda: check_table("T3"),
-        "T4": lambda: check_table("T4"),
-        "no-triple": check_no_triple,
-        "branch-families": lambda: check_branch_families(k_max, j_max),
-        "orbit-identities": lambda: check_orbit_identities(j_max),
-        "tail-bounds": check_tail_bounds,
-        "exceptional-rows": check_exceptional_rows,
-    }
-
-
 def run_all(profile: str = "quick", check_ids=None) -> list[CheckResult]:
     """Run the selected checks (all by default) with profile bounds and
     return the results sorted by check id."""
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
-    k_max, j_max = PROFILES[profile]
-    plan = _build_plan(k_max, j_max)
-    if check_ids is None:
-        selected = list(plan)
-    else:
-        unknown = [c for c in check_ids if c not in plan]
-        if unknown:
-            raise ValueError(f"unknown check ids: {', '.join(unknown)}")
-        selected = list(check_ids)
-    results = [plan[cid]() for cid in selected]
+    check_ids = CHECK_IDS if check_ids is None else tuple(check_ids)
+    unknown = [c for c in check_ids if c not in _PLAN]
+    if unknown:
+        raise ValueError(f"unknown check ids: {', '.join(unknown)}")
+    results = [_PLAN[cid](*PROFILES[profile]) for cid in check_ids]
     return sorted(results, key=lambda r: r.check_id)
 
 
-def render_text(results) -> str:
-    lines = []
-    for r in results:
-        lines.append(f"{r.status.upper():<5} {r.check_id:<17} "
-                     f"{r.elapsed * 1000.0:9.1f} ms  {r.witness}")
+def _tally(results) -> tuple[int, int, int]:
+    """Passed, failed, and skipped: results that did neither."""
     n_pass = sum(r.status == PASS for r in results)
     n_fail = sum(r.status == FAIL for r in results)
-    lines.append(f"{n_pass} passed, {n_fail} failed, "
-                 f"{len(results) - n_pass - n_fail} skipped")
+    return n_pass, n_fail, len(results) - n_pass - n_fail
+
+
+def render_text(results) -> str:
+    lines = [f"{r.status.upper():<5} {r.check_id:<17} "
+             f"{r.elapsed * 1000.0:9.1f} ms  {r.witness}" for r in results]
+    lines.append("{} passed, {} failed, {} skipped".format(*_tally(results)))
     return "\n".join(lines)
 
 
 def render_records(results, profile: str | None = None) -> dict:
-    out = {
-        "results": [r.record() for r in results],
-        "passed": sum(r.status == PASS for r in results),
-        "failed": sum(r.status == FAIL for r in results),
-        "skipped": sum(r.status == SKIPPED for r in results),
-    }
+    n_pass, n_fail, n_skip = _tally(results)
+    out = {"results": [r.record() for r in results],
+           "passed": n_pass, "failed": n_fail, "skipped": n_skip}
     if profile is not None:
         out["profile"] = profile
     return out

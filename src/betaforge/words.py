@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from fractions import Fraction
 from operator import ge, gt, le, lt, mul, sub
 from typing import Callable, Iterable, Sequence
 

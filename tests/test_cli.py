@@ -473,7 +473,8 @@ def test_flags_override_env_limits(capsys, monkeypatch):
     assert out.strip().endswith("[SWITCH]")
 
 
-@pytest.mark.parametrize("raw", ["max_steps=two", "bogus=3", "max_steps", "max_nodes=0"])
+@pytest.mark.parametrize("raw", ["max_steps=two", "bogus=3", "max_steps", "max_nodes=0",
+                                 "max_steps=²"])
 def test_malformed_env_limits(capsys, monkeypatch, raw):
     monkeypatch.setenv("BETAFORGE_LIMITS", raw)
     code, _, err = run(capsys, "orbit", "--plus-one", "00(01)*")

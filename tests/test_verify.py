@@ -161,6 +161,8 @@ def test_check_id_filter_runs_only_selected():
     results = run_all("quick", check_ids=["constants"])
     assert [r.check_id for r in results] == ["constants"]
     assert results[0].passed
+    # any iterable of ids, read once
+    assert [r.check_id for r in run_all("quick", iter(["T4", "T1"]))] == ["T1", "T4"]
 
 
 def test_profiles_table():
