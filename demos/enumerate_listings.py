@@ -1,19 +1,25 @@
-"""Every listing of ``betaforge enumerate`` over the small canonical words.
+"""Every listing or count of ``betaforge`` over the small canonical words.
 
 For each canonical word with preperiod <= 3 and period <= 3, on qf and
 golden (default limits) and on q2 (--max-steps 250 --max-nodes 64), this
-prints the word, the exit code, and what ``main(["enumerate", ...])`` wrote
-to stdout and stderr, in process.  demos/expected/enumerate.txt holds the
-output, which CI diffs against, so a change to the listings, their order,
-or the completeness they report shows up line by line:
+prints the word, the exit code, and what ``main([command, ...])`` wrote to
+stdout and stderr, in process.  The command is the first argument:
+``enumerate`` (the default) lists each word's expansions; ``count`` prints
+``count --format json`` for each word, then for the word's value plus one.
+demos/expected/enumerate.txt and demos/expected/count.txt hold the output,
+which CI diffs against, so a change to the listings, their order, the
+counts, their kinds and limits, or the completeness they report shows up
+line by line:
 
     PYTHONPATH=src python demos/enumerate_listings.py | diff demos/expected/enumerate.txt -
+    PYTHONPATH=src python demos/enumerate_listings.py count | diff demos/expected/count.txt -
 """
 
 import contextlib
 import io
 import itertools
 import os
+import sys
 
 from betaforge import PeriodicWord
 from betaforge.cli import main
@@ -23,6 +29,11 @@ RUNS = (
     ("golden", ()),
     ("q2", ("--max-steps", "250", "--max-nodes", "64")),
 )
+# the argument lists each command runs per word, after the word
+VARIANTS = {
+    "enumerate": ((),),
+    "count": (("--format", "json"), ("--format", "json", "--plus-one")),
+}
 
 
 def canonical_words(max_pre: int = 3, max_per: int = 3) -> list[PeriodicWord]:
@@ -46,17 +57,22 @@ def main_text(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def run() -> None:
+def run(command: str = "enumerate") -> None:
     os.environ.pop("BETAFORGE_LIMITS", None)
     words = canonical_words()
     for spec, caps in RUNS:
         for w in words:
-            code, out, err = main_text(["enumerate", str(w), "--field", spec, *caps])
-            print(f"== {spec} {w} exit {code}")
-            print(out, end="")
-            for line in err.splitlines():
-                print(f"stderr: {line}")
+            for extra in VARIANTS[command]:
+                code, out, err = main_text([command, str(w), "--field", spec, *caps, *extra])
+                plus = " --plus-one" if "--plus-one" in extra else ""
+                print(f"== {spec} {w}{plus} exit {code}")
+                print(out, end="")
+                for line in err.splitlines():
+                    print(f"stderr: {line}")
 
 
 if __name__ == "__main__":
-    run()
+    command = sys.argv[1] if len(sys.argv) > 1 else "enumerate"
+    if command not in VARIANTS:
+        sys.exit(f"usage: enumerate_listings.py [{'|'.join(VARIANTS)}]")
+    run(command)

@@ -39,16 +39,18 @@ budget.
 Points of one base also share first switch points, so each field keeps an
 answer memo too.  Below x's root run, x's graph depends only on the run's
 end s (x's first switch point) and the caps: every node id, edge, terminal
-and limit is that of s's graph.  So ``build_branch_graph`` keeps, under
-(s's reduced form, max_steps, max_nodes), the graph below s as a record
-(``_Below``): each node's reduced form, the edges, the terminals and the
-limit.  A later point that reaches s gets its graph assembled from the
-record after its own root run, with no branch run and no memo walk.  The
-record also keeps what was read from the graph: ``classify``'s answer, and
-each listing of ``_discover`` by (max_count, max_depth), relative to s.  A
-point's listing is s's listing with the root segment prepended: canonical
-words are unique, so the prefixed word is the one a walk from x would
-build.
+and limit is that of s's graph.  That graph is stored in one shape only, a
+record (``_Below``): each node's reduced form, the edges, the terminals and
+the limit.  ``_grow`` builds the record, and ``build_branch_graph`` keeps
+it under (s's reduced form, max_steps, max_nodes) while the memo has room.
+Every graph is assembled from a record after x's own root run: on a hit
+from the stored one, with no branch run and no memo walk; on a miss from
+the one just grown.  The record also keeps what was read from the graph:
+``classify``'s answer, and each listing of ``_listing`` by (max_count,
+max_depth), relative to s.  A point's listing is s's listing with the root
+segment prepended: canonical words are unique, so the prefixed word is the
+one a walk from x would build.  A record the memo does not admit keeps no
+answer.
 
 Both memos hold ints, tuples, ``Edge``, ``Cardinality`` and ``PeriodicWord``
 records only, never an element or a graph, so a field is freed with them.
@@ -63,6 +65,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
+from enum import Enum
 from typing import Iterator
 
 from .numberfield import AlgebraicReal, BaseField, _reduced, _times_q
@@ -76,10 +79,17 @@ DEFAULT_MAX_NODES = 10_000
 # serves what it holds.
 _MEMO_CAP = 1 << 14
 
-# how a forced run ends, and where a graph edge leads
-NODE = "node"
-TERMINAL = "terminal"
-LIMIT = "limit"
+
+class Kind(str, Enum):
+    """How a forced run ends, and where a graph edge leads: a switch point,
+    a unique tail, or a step or node limit.  Compare members with ``is``."""
+
+    NODE = "node"
+    TERMINAL = "terminal"
+    LIMIT = "limit"
+
+
+NODE, TERMINAL, LIMIT = Kind
 
 
 class OutsideDomain(ValueError):
@@ -189,12 +199,12 @@ def deterministic_run(x: AlgebraicReal, max_steps: int = DEFAULT_MAX_STEPS) -> R
     orbits, reg = _start(x)
     kind, segment, end, seen = orbits.run(x.num, reg, max_steps)
     orbit = [orbits.value(n) for n in seen]
-    if kind == TERMINAL:
+    if kind is TERMINAL:
         at = len(segment)
         return RunOutcome(segment, UniqueTail(tuple(orbit[at:]), PeriodicWord((), end)),
                           tuple(orbit[:at + 1]))
     v = orbits.value(end)
-    return RunOutcome(segment, SwitchHit(v) if kind == NODE else StepLimit(max_steps),
+    return RunOutcome(segment, SwitchHit(v) if kind is NODE else StepLimit(max_steps),
                       (*orbit, v))
 
 
@@ -205,11 +215,12 @@ def deterministic_run(x: AlgebraicReal, max_steps: int = DEFAULT_MAX_STEPS) -> R
 @dataclass(frozen=True, slots=True)
 class Edge:
     """One branch out of a switch point: the chosen digit, the digits forced
-    after it, and where that leads (``kind`` is node/terminal/limit)."""
+    after it, and where that leads (``kind``; ``target`` is the node or
+    terminal id, None for a limit)."""
 
     digit: int
     segment: tuple[int, ...]
-    kind: str
+    kind: Kind
     target: int | None
 
 
@@ -224,7 +235,7 @@ class BranchGraph:
     field: BaseField
     start: AlgebraicReal
     root_segment: tuple[int, ...]
-    root_kind: str
+    root_kind: Kind
     root_target: int | None
     nodes: dict[int, AlgebraicReal] = dataclass_field(default_factory=dict)
     edges: dict[int, dict[int, Edge]] = dataclass_field(default_factory=dict)
@@ -233,10 +244,6 @@ class BranchGraph:
     limit: str | None = None
     # the answer-memo record of the graph below the root's end, if kept
     _below: _Below | None = dataclass_field(default=None, repr=False, compare=False)
-
-    def _truncate(self, limit: str) -> None:
-        if not self.truncated:
-            self.truncated, self.limit = True, limit
 
 
 def build_branch_graph(
@@ -248,28 +255,25 @@ def build_branch_graph(
 
     x's root run is always run.  When it ends at a switch point s whose
     graph under these caps the field's answer memo holds, the graph is
-    assembled from that record.  Otherwise the graph grows from s, and the
-    two branches of each switch point come from the field's branch memo
-    when it holds them: a stored run of length L (its segment, plus its
-    cycle for a unique tail) is what ``_Orbits.run`` returns exactly when
-    L < max_steps, and is run again otherwise.  Runs that hit the step
-    budget are not stored.  The graph is the one the runs alone would build:
-    the same node ids, edges, terminals and limit."""
+    assembled from that record.  Otherwise the record grows from the root
+    run's end (see ``_grow``), the memo keeps it while it has room, and the
+    graph is assembled from it the same way.  The graph is the one the runs
+    alone would build: the same node ids, edges, terminals and limit."""
     orbits, reg = _start(x)
     kind, segment, end, _ = orbits.run(x.num, reg, max_steps)
-    if kind != NODE:
-        return _grow(x, orbits, kind, segment, end, max_steps, max_nodes)[0]
+    if kind is not NODE:
+        return _grow(orbits, kind, end, max_steps, max_nodes).graph(x, segment, False)
     field = x.field
     v = orbits.value(end)
     s = (v.den, *v.num)
     key = (s, max_steps, max_nodes)
     below = field._answers.get(key)
-    if below is not None:
-        return below.graph(x, segment)
-    graph, keys = _grow(x, orbits, kind, segment, end, max_steps, max_nodes, s)
-    if _admit(field, len(keys) + 1):
-        field._answers[key] = graph._below = _Below(graph, keys)
-    return graph
+    if below is None:
+        below = _grow(orbits, NODE, s, max_steps, max_nodes)
+        if not _admit(field, len(below.keys) + 1):
+            return below.graph(x, segment, False)
+        field._answers[key] = below
+    return below.graph(x, segment, True)
 
 
 def _admit(field: BaseField, cells: int) -> bool:
@@ -281,26 +285,27 @@ def _admit(field: BaseField, cells: int) -> bool:
     return True
 
 
+@dataclass(eq=False, slots=True)
 class _Below:
-    """The answer memo's record of the graph below one first switch point s
-    under one pair of caps: each node's reduced form (den, *num) by id, the
-    edges out of each node, the terminals, how the root resolves, the limit;
-    and the answers read from the graph so far (the count, and listings
-    relative to s by (max_count, max_depth))."""
+    """The graph below a root run's end under one pair of caps, and the
+    answer memo's record of it when that end is a first switch point s:
+    each node's reduced form (den, *num) by id, the edges out of each node,
+    the terminals, how the root resolves, the limit; and the answers read
+    from the graph so far (the count, and listings relative to s by
+    (max_count, max_depth))."""
 
-    __slots__ = ("root", "keys", "edges", "terminals", "limit", "card", "listings")
+    root: tuple[Kind, int | None]
+    keys: tuple[tuple[int, ...], ...]
+    edges: tuple[tuple[Edge, ...], ...]  # (digit 0's edge, digit 1's) by node id
+    terminals: tuple[PeriodicWord, ...]
+    limit: str | None
+    card: Cardinality | None = None
+    listings: dict[tuple[int, int], tuple] = dataclass_field(default_factory=dict)
 
-    def __init__(self, graph: BranchGraph, keys: list[tuple[int, ...]]):
-        self.root = (graph.root_kind, graph.root_target)
-        self.keys = tuple(keys)
-        self.edges = tuple((out[0], out[1]) for out in graph.edges.values())
-        self.terminals = tuple(graph.terminals.values())
-        self.limit = graph.limit
-        self.card: Cardinality | None = None
-        self.listings: dict[tuple[int, int], tuple] = {}
-
-    def graph(self, x: AlgebraicReal, segment: tuple[int, ...]) -> BranchGraph:
-        """x's graph, for x whose root run forced ``segment`` and ended at s."""
+    def graph(self, x: AlgebraicReal, segment: tuple[int, ...], kept: bool) -> BranchGraph:
+        """x's graph, for x whose root run forced ``segment`` and ended where
+        this record starts; ``kept`` when the answer memo holds the record,
+        which then keeps the answers read from the graph."""
         field = x.field
         return BranchGraph(
             field=field, start=x, root_segment=segment,
@@ -308,150 +313,128 @@ class _Below:
             nodes={nid: AlgebraicReal(field, k[1:], k[0]) for nid, k in enumerate(self.keys)},
             edges={nid: {0: e0, 1: e1} for nid, (e0, e1) in enumerate(self.edges)},
             terminals=dict(enumerate(self.terminals)),
-            truncated=self.limit is not None, limit=self.limit, _below=self)
+            truncated=self.limit is not None, limit=self.limit,
+            _below=self if kept else None)
 
 
-def _grow(
-    x: AlgebraicReal,
-    orbits: _Orbits,
-    kind: str,
-    segment: tuple[int, ...],
-    end,
-    max_steps: int,
-    max_nodes: int,
-    root_key: tuple[int, ...] | None = None,
-) -> tuple[BranchGraph, list[tuple[int, ...]]]:
-    """x's branch graph, grown from x's root run (kind, segment, end) by
-    expanding switch points breadth-first, and each node's reduced form by
-    id (the branch memo's keys); ``root_key``, when given, is the reduced
-    form of a NODE root's end."""
-    field, den = x.field, orbits.den
-    memo = field._branches
+def _grow(orbits: _Orbits, kind: Kind, end, max_steps: int, max_nodes: int) -> _Below:
+    """The graph below a root run that ended as (kind, end), with ``end`` in
+    the branch memo's form (a switch point's reduced form, or a unique
+    tail's cycle digits), grown by expanding switch points breadth-first.
+
+    Each branch is a run in the branch memo's shape (L, segment, kind, end):
+    a stored run of length L (its segment, plus its cycle for a unique tail)
+    is what ``_Orbits.run`` returns exactly when L < max_steps, and is run
+    again otherwise.  A fresh run is put in that shape and resolved like a
+    stored one, and stored unless it hit the step budget."""
+    den, locate = orbits.den, orbits.locate
+    memo = orbits.field._branches
     node_ids: dict[tuple[int, ...], int] = {}
     keys: list[tuple[int, ...]] = []  # each node's reduced form (den, *num), by id
     terminal_ids: dict[tuple[int, ...], int] = {}
-    queue: deque[tuple[int, tuple[int, ...]]] = deque()
-    graph: BranchGraph
+    limit: str | None = None
 
-    def resolve(kind: str, end, key: tuple[int, ...] | None = None) -> tuple[str, int | None]:
-        # ``key``: a NODE end's reduced form, when the memo supplied it
-        if kind == NODE:
+    def resolve(kind: Kind, end) -> tuple[Kind, int | None]:
+        nonlocal limit
+        if kind is NODE:
             nid = node_ids.get(end)
             if nid is None:
-                if len(node_ids) >= max_nodes:
-                    graph._truncate("max_nodes")
+                if len(keys) >= max_nodes:
+                    limit = limit or "max_nodes"
                     return LIMIT, None
-                nid = node_ids[end] = len(node_ids)
-                if key is None:
-                    v = orbits.value(end)
-                    key = (v.den, *v.num)
-                else:
-                    v = AlgebraicReal(field, key[1:], key[0])
-                graph.nodes[nid] = v
-                keys.append(key)
-                queue.append((nid, end))
+                nid = node_ids[end] = len(keys)
+                keys.append(end)
             return NODE, nid
-        if kind == TERMINAL:
+        if kind is TERMINAL:
             # a cycle's digits are primitive: equal tuples, equal tail words
-            tid = terminal_ids.get(end)
-            if tid is None:
-                tid = terminal_ids[end] = len(terminal_ids)
-                graph.terminals[tid] = PeriodicWord((), end)
-            return TERMINAL, tid
-        graph._truncate("max_steps")
+            return TERMINAL, terminal_ids.setdefault(end, len(terminal_ids))
+        limit = limit or "max_steps"
         return LIMIT, None
 
-    graph = BranchGraph(field=field, start=x, root_segment=segment,
-                        root_kind="", root_target=None)
-    graph.root_kind, graph.root_target = resolve(kind, end, root_key)
-
-    locate = orbits.locate
-    while queue:
-        nid, n = queue.popleft()
-        key = keys[nid]
+    root = resolve(kind, end)
+    edges: list[tuple[Edge, ...]] = []
+    for key in keys:  # grows as switch points are found: breadth-first
+        # the node over x's denominator D: its reduced denominator divides D
+        n = tuple([c * (den // key[0]) for c in key[1:]])
         stored = memo.get(key, (None, None))
         runs, fresh = list(stored), False
-        out: dict[int, Edge] = {}
+        out = []
         for digit in (0, 1):
-            known = stored[digit]
-            if known is not None and known[0] < max_steps:
-                _, segment, kind, end = known
-                target = None
-                if kind == NODE:
-                    # the target's reduced form: its denominator divides D
-                    target, end = end, tuple([c * (den // end[0]) for c in end[1:]])
-                out[digit] = Edge(digit, segment, *resolve(kind, end, target))
-                continue
-            # both branches of a switch point stay in the domain
-            branch = orbits.step(n, digit)
-            kind, segment, end, _ = orbits.run(branch, locate(branch), max_steps)
-            edge = out[digit] = Edge(digit, segment, *resolve(kind, end))
-            if known is not None or kind == LIMIT:
-                continue
-            if kind == TERMINAL:
-                runs[digit] = (len(segment) + len(end), segment, TERMINAL, end)
-            else:
-                if edge.kind == NODE:
-                    target = keys[edge.target]
-                else:  # a new switch point past max_nodes
+            run = stored[digit]
+            if run is None or run[0] >= max_steps:
+                # both branches of a switch point stay in the domain
+                branch = orbits.step(n, digit)
+                kind, segment, end, _ = orbits.run(branch, locate(branch), max_steps)
+                if kind is NODE:
                     v = orbits.value(end)
-                    target = (v.den, *v.num)
-                runs[digit] = (len(segment), segment, NODE, target)
-            fresh = True
+                    end = (v.den, *v.num)
+                length = len(segment) + len(end) if kind is TERMINAL else len(segment)
+                run = (length, segment, kind, end)
+                if stored[digit] is None and kind is not LIMIT:
+                    runs[digit], fresh = run, True
+            _, segment, kind, end = run
+            out.append(Edge(digit, segment, *resolve(kind, end)))
         if fresh and (key in memo or len(memo) < _MEMO_CAP):
             memo[key] = tuple(runs)
-        graph.edges[nid] = out
-    return graph, keys
+        edges.append(tuple(out))
+    return _Below(root, tuple(keys), tuple(edges),
+                  tuple(PeriodicWord((), cycle) for cycle in terminal_ids), limit)
 
 
 # ---------------------------------------------------------------------------
 # classification
 
 
+class Count(str, Enum):
+    """The kind of a ``Cardinality``.  Compare members with ``is``."""
+
+    FINITE = "finite"
+    ALEPH0 = "aleph0"
+    CONTINUUM = "continuum"
+    LOWER_BOUND = "lower_bound"
+
+
+_COUNT_TEXT = {Count.FINITE: "Finite({})", Count.ALEPH0: "CountablyInfinite",
+               Count.CONTINUUM: "Continuum", Count.LOWER_BOUND: "LowerBound({})"}
+
+
 @dataclass(frozen=True)
 class Cardinality:
     """How many expansions a point has.
 
-    kind is one of "finite", "aleph0", "continuum", "lower_bound"; ``count``
-    is the exact count for "finite" and a certified floor for "lower_bound".
-    ``limit`` names the limit that truncated the graph behind a
-    "lower_bound" ("max_steps" or "max_nodes"); it takes no part in
+    ``count`` is the exact count for FINITE and a certified floor for
+    LOWER_BOUND.  ``limit`` names the limit that truncated the graph behind
+    a LOWER_BOUND ("max_steps" or "max_nodes"); it takes no part in
     equality or in the text.
     """
 
-    kind: str
+    kind: Count
     count: int | None = None
     limit: str | None = dataclass_field(default=None, compare=False)
 
     @classmethod
     def finite(cls, count: int) -> "Cardinality":
-        return cls("finite", count)
+        return cls(Count.FINITE, count)
 
     @classmethod
     def aleph0(cls) -> "Cardinality":
-        return cls("aleph0")
+        return cls(Count.ALEPH0)
 
     @classmethod
     def continuum(cls) -> "Cardinality":
-        return cls("continuum")
+        return cls(Count.CONTINUUM)
 
     @classmethod
     def lower_bound(cls, count: int, limit: str | None = None) -> "Cardinality":
-        return cls("lower_bound", count, limit)
+        return cls(Count.LOWER_BOUND, count, limit)
 
     def __str__(self) -> str:
-        if self.kind == "finite":
-            return f"Finite({self.count})"
-        if self.kind == "aleph0":
-            return "CountablyInfinite"
-        if self.kind == "continuum":
-            return "Continuum"
-        return f"LowerBound({self.count})"
+        return _COUNT_TEXT[self.kind].format(self.count)
 
 
 def _node_adjacency(graph: BranchGraph) -> dict[int, list[int]]:
     return {
-        nid: [e.target for e in out.values() if e.kind == NODE and e.target is not None]
+        nid: [e.target for e in out.values() if e.kind is NODE]
         for nid, out in graph.edges.items()
     }
 
@@ -519,9 +502,9 @@ def _path_floor(graph: BranchGraph, comps: list[list[int]]) -> int:
         total = 0
         for v in comp:
             for e in graph.edges[v].values():
-                if e.kind in (TERMINAL, LIMIT):
+                if e.kind is not NODE:
                     total += 1
-                elif e.kind == NODE and comp_of[e.target] != ci:
+                elif comp_of[e.target] != ci:
                     total += floor[comp_of[e.target]]
         floor[ci] = max(total, 1)
     return floor[comp_of[graph.root_target]]
@@ -540,9 +523,9 @@ def classify(graph: BranchGraph) -> Cardinality:
 
 
 def _cardinality(graph: BranchGraph) -> Cardinality:
-    if graph.root_kind == TERMINAL:
+    if graph.root_kind is TERMINAL:
         return Cardinality.finite(1)
-    if graph.root_kind == LIMIT:
+    if graph.root_kind is LIMIT:
         return Cardinality.lower_bound(1, graph.limit)
     adj = _node_adjacency(graph)
     comps = _sccs(adj)
@@ -581,9 +564,9 @@ def _live_nodes(graph: BranchGraph) -> set[int]:
     live: set[int] = set()
     for nid, out in graph.edges.items():
         for e in out.values():
-            if e.kind == TERMINAL:
+            if e.kind is TERMINAL:
                 live.add(nid)
-            elif e.kind == NODE:
+            elif e.kind is NODE:
                 parents.setdefault(e.target, []).append(nid)
     stack = list(live)
     while stack:
@@ -594,48 +577,22 @@ def _live_nodes(graph: BranchGraph) -> set[int]:
     return live
 
 
-def _discover(
-    graph: BranchGraph, max_count: int, max_depth: int
-) -> tuple[tuple[PeriodicWord, ...], bool, str | None]:
-    """Expansions of the root run's end, without the root segment, in
-    breadth-first order by number of branch decisions (digit 0 explored
-    before digit 1 at each switch point).  The boolean reports completeness:
-    True when every expansion was produced.  The string names the limit that
-    first cut the listing short ("max_steps", "max_nodes", "max_depth" or
-    "max_count"), or is None.
-
-    Branches into nodes that cannot reach a unique tail are never followed
-    (they would yield no word, only 2^depth paths) and make the listing
-    incomplete, though no limit was hit.  A graph with an answer-memo record
-    reads the listing from there, or walks once and keeps it while the memo
-    has room for its words."""
-    below = graph._below
-    if below is None:
-        return _walk(graph, max_count, max_depth)
-    found = below.listings.get((max_count, max_depth))
-    if found is None:
-        found = _walk(graph, max_count, max_depth)
-        if _admit(graph.field, len(found[0]) + 1):
-            below.listings[max_count, max_depth] = found
-    return found
-
-
 def _walk(
     graph: BranchGraph, max_count: int, max_depth: int
 ) -> tuple[tuple[PeriodicWord, ...], bool, str | None]:
     words: list[PeriodicWord] = []
     complete, limit = not graph.truncated, graph.limit
-    if graph.root_kind == LIMIT:
+    if graph.root_kind is LIMIT:
         return (), False, limit
     live = _live_nodes(graph)
-    queue: deque[tuple[str, int | None, tuple[int, ...], int]] = deque(
+    queue: deque[tuple[Kind, int | None, tuple[int, ...], int]] = deque(
         [(graph.root_kind, graph.root_target, (), 0)]
     )
     while queue:
         kind, target, prefix, depth = queue.popleft()
         if len(words) >= max_count:
             return tuple(words), False, limit or "max_count"
-        if kind == TERMINAL:
+        if kind is TERMINAL:
             tail = graph.terminals[target]
             words.append(PeriodicWord(prefix + tail.preperiod, tail.period))
             continue
@@ -644,7 +601,7 @@ def _walk(
             continue
         for digit in (0, 1):
             e = graph.edges[target][digit]
-            if e.kind == TERMINAL or (e.kind == NODE and e.target in live):
+            if e.kind is TERMINAL or (e.kind is NODE and e.target in live):
                 queue.append((e.kind, e.target, prefix + (digit,) + e.segment, depth + 1))
             else:
                 complete = False
@@ -654,12 +611,26 @@ def _walk(
 def _listing(
     x: AlgebraicReal, max_count: int, max_depth: int, max_steps: int, max_nodes: int
 ) -> tuple[list[PeriodicWord], bool, str | None]:
-    """x's expansions in discovery order, whether the list is exhaustive,
-    and the limit that cut it short (see ``_discover``).  Canonical words
-    are unique, so each word of x is a word of the root run's end with the
-    root segment prepended."""
+    """x's expansions in breadth-first order by number of branch decisions
+    (digit 0 explored before digit 1 at each switch point), whether the list
+    is exhaustive, and the limit that first cut it short ("max_steps",
+    "max_nodes", "max_depth" or "max_count"), or None.
+
+    Branches into nodes that cannot reach a unique tail are never followed
+    (they would yield no word, only 2^depth paths) and make the listing
+    incomplete, though no limit was hit.  The walk lists the root run's end;
+    canonical words are unique, so each word of x is one of those with the
+    root segment prepended.  A graph with an answer-memo record reads that
+    listing from there, or walks once and keeps it while the memo has room
+    for its words."""
     graph = build_branch_graph(x, max_steps=max_steps, max_nodes=max_nodes)
-    words, complete, limit = _discover(graph, max_count, max_depth)
+    below = graph._below
+    found = None if below is None else below.listings.get((max_count, max_depth))
+    if found is None:
+        found = _walk(graph, max_count, max_depth)
+        if below is not None and _admit(x.field, len(found[0]) + 1):
+            below.listings[max_count, max_depth] = found
+    words, complete, limit = found
     return [w.with_prefix(graph.root_segment) for w in words], complete, limit
 
 

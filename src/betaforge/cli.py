@@ -25,6 +25,7 @@ from fractions import Fraction
 from .branching import (
     DEFAULT_MAX_NODES,
     DEFAULT_MAX_STEPS,
+    Count,
     OutsideDomain,
     StepLimit,
     SwitchHit,
@@ -47,6 +48,9 @@ from .words import EmptyWordError, Region, WordSyntaxError, eval_word, parse_wor
 
 DEFAULT_MAX_DEPTH = 256
 DEFAULT_MAX_COUNT = 64
+# well inside Python's int-to-str limit (4300 digits), and a bound on the
+# work of scaling a value by 10**digits
+MAX_DIGITS = 1000
 
 _BUILTIN_LIMITS = {
     "max_steps": DEFAULT_MAX_STEPS,
@@ -236,7 +240,7 @@ def _cmd_count(args, field, limits) -> int:
         print(str(card))
         if card.limit:
             print(f"# incomplete: the {card.limit} limit was reached", file=sys.stderr)
-    return 3 if card.kind == "lower_bound" else 0
+    return 3 if card.kind is Count.LOWER_BOUND else 0
 
 
 def _cmd_enumerate(args, field, limits) -> int:
@@ -287,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="base field: q2, qf, golden, or poly:coeffs@lo,hi "
                              "(ascending integer coefficients, monic)")
     common.add_argument("--digits", type=int, default=6,
-                        help="decimal digits to print (default 6)")
+                        help=f"decimal digits to print (default 6, at most {MAX_DIGITS})")
     common.add_argument("--format", default="text",
                         choices=("text", "json", "csv"),
                         help="output format (csv applies to orbit only)")
@@ -334,8 +338,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        if args.digits < 1:
-            raise UsageError("--digits must be >= 1")
+        if not 1 <= args.digits <= MAX_DIGITS:
+            raise UsageError(f"--digits must be between 1 and {MAX_DIGITS}")
         if args.format == "csv" and args.command != "orbit":
             raise UsageError("csv output is only available for the orbit command")
         if args.command == "verify":
@@ -351,9 +355,8 @@ def main(argv=None) -> int:
             return _cmd_orbit(args, field, limits)
         if args.command == "count":
             return _cmd_count(args, field, limits)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args, field, limits)
-        raise UsageError(f"unknown command {args.command!r}")
+        # argparse admits only the six commands, so this one is enumerate
+        return _cmd_enumerate(args, field, limits)
     except (UsageError, WordSyntaxError, EmptyWordError, OutsideDomain,
             ReduciblePolynomial) as exc:
         print(f"betaforge: error: {exc}", file=sys.stderr)

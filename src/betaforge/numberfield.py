@@ -183,13 +183,9 @@ class BaseField:
     each computed on first use: its finest dyadic bracket of q, the scaled
     powers at each precision asked for (the sign filter's in a slot of their
     own), the domain bounds 1/q, 1/(q(q-1)), 1/(q-1) and their scaled sums.
-    ``_branches`` is the branch memo of ``branching``: the forced runs out of
-    each switch point expanded so far, in ints and tuples only.  ``_answers``
-    is the answer memo of ``branching``: the graph below each first switch
-    point reached so far, keyed by that point's reduced form and the caps,
-    with the count and the listings read from it, in ints, tuples and
-    ``Edge``, ``Cardinality`` and ``PeriodicWord`` records, never an
-    element; ``_answer_cells`` counts the nodes and words it holds.
+    ``_branches``, ``_answers`` and ``_answer_cells`` hold the branch and
+    answer memos of ``branching``, which owns their format; they hold no
+    element, so the field is freed with them.
     """
 
     __slots__ = ("min_poly", "degree", "name", "_lo", "_hi", "_sign_lo", "_reduction_rows",

@@ -19,7 +19,7 @@ from betaforge import (
     region,
     to_decimal,
 )
-from betaforge.cli import build_parser, main
+from betaforge.cli import MAX_DIGITS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -441,6 +441,16 @@ def test_digits_must_be_positive(capsys):
     code, _, err = run(capsys, "eval", "--digits", "0", "(0)*")
     assert code == 2
     assert "--digits" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "region", "orbit"])
+def test_digits_beyond_the_bound_are_refused(capsys, command):
+    # 5000 digits would pass Python's int-to-str limit inside to_decimal
+    code, out, err = run(capsys, command, "--digits", "5000", "1(0)*")
+    assert (code, out) == (2, "")
+    assert err.startswith("betaforge: error: --digits")
+    code, out, _ = run(capsys, command, "--digits", str(MAX_DIGITS), "--format", "json", "1(0)*")
+    assert code == 0 and len(out) > MAX_DIGITS
 
 
 def test_missing_subcommand(capsys):
