@@ -24,7 +24,7 @@ decide, the exact comparison of the reduced element.  ``_reduced`` builds
 an element only where a value leaves the kernel: graph nodes, switch
 points, unique-tail cycles and the orbit a run returns.  x itself is placed
 by ``words.region``, which compares the element with the domain's bounds
-on the scaled sum it caches, so a count and a listing of x share it.
+on the scaled sum it caches.
 
 Points of one base share switch points (in a Pisot base, those over one
 denominator are finitely many), so each field keeps a branch memo: for each
@@ -32,33 +32,35 @@ switch point a graph has expanded, keyed by its reduced form (den, *num),
 the two forced runs out of it, each with its segment, its end (a switch
 point's reduced form, or a unique tail's cycle digits) and its length.  A
 run's outcome depends on the value alone, not on the denominator it is
-carried over, so ``build_branch_graph`` reads a stored run instead of
-running it whenever the run would end the same way under the graph's step
-budget.
+carried over, so a graph reads a stored run instead of running it whenever
+the run would end the same way under the graph's step budget.  A root memo
+keeps each point's own root run the same way, keyed by the point's reduced
+form, so a count and a listing of one point make one root run between them.
 
 Points of one base also share first switch points, so each field keeps an
 answer memo too.  Below x's root run, x's graph depends only on the run's
 end s (x's first switch point) and the caps: every node id, edge, terminal
 and limit is that of s's graph.  That graph is stored in one shape only, a
 record (``_Below``): each node's reduced form, the edges, the terminals and
-the limit.  ``_grow`` builds the record, and ``build_branch_graph`` keeps
-it under (s's reduced form, max_steps, max_nodes) while the memo has room.
-Every graph is assembled from a record after x's own root run: on a hit
-from the stored one, with no branch run and no memo walk; on a miss from
-the one just grown.  The record also keeps what was read from the graph:
-``classify``'s answer, and each listing of ``_listing`` by (max_count,
-max_depth), relative to s.  A point's listing is s's listing with the root
-segment prepended: canonical words are unique, so the prefixed word is the
-one a walk from x would build.  A record the memo does not admit keeps no
-answer.
+the limit.  ``_grow`` builds the record, and ``_record`` keeps it under
+(s's reduced form, max_steps, max_nodes) while the memo has room.  The
+record also keeps what was read from the graph: ``classify``'s answer, and
+each listing of ``_listing`` by (max_count, max_depth), relative to s.  A
+point's listing is s's listing with the root segment prepended: canonical
+words are unique, so the prefixed word is the one a walk from x would
+build.  An answer the record holds is read straight off it; a graph is
+assembled from the record (one element per node) only to compute an answer
+or when ``build_branch_graph`` asks for one.  A record the memo does not
+admit keeps no answer.
 
-Both memos hold ints, tuples, ``Edge``, ``Cardinality`` and ``PeriodicWord``
+The memos hold ints, tuples, ``Edge``, ``Cardinality`` and ``PeriodicWord``
 records only, never an element or a graph, so a field is freed with them.
-The branch memo admits at most ``_MEMO_CAP`` switch points; the answer memo
-admits records and listings while the nodes and words it holds total at
-most ``_MEMO_CAP``.  Full memos still serve what they hold.
-``deterministic_run`` and ``viable_prefix_counts`` read neither memo: the
-prefix oracle stays an independent check of the graphs.
+The root and branch memos admit at most ``_MEMO_CAP`` points each and never
+store a run that hit the step budget; the answer memo admits records and
+listings while the nodes and words it holds total at most ``_MEMO_CAP``.
+Full memos still serve what they hold.
+``deterministic_run`` and ``viable_prefix_counts`` read no memo: the prefix
+oracle stays an independent check of the graphs.
 """
 
 from __future__ import annotations
@@ -74,9 +76,9 @@ from .words import PeriodicWord, Region, _region_rule, region
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_MAX_NODES = 10_000
 # switch points a field's branch memo admits, about 6x the nodes of every
-# canonical q2 word with preperiod <= 6 and period <= 4 at caps 250/64; and
-# nodes plus listed words its answer memo holds in all.  A full memo still
-# serves what it holds.
+# canonical q2 word with preperiod <= 6 and period <= 4 at caps 250/64;
+# points its root memo admits; and nodes plus listed words its answer memo
+# holds in all.  A full memo still serves what it holds.
 _MEMO_CAP = 1 << 14
 
 
@@ -184,6 +186,18 @@ class _Orbits:
             reg = locate(n)
         return LIMIT, tuple(digits), n, seen
 
+    def shaped(self, n: tuple[int, ...], reg: Region, max_steps: int) -> tuple:
+        """``run`` in the memos' shape (length, segment, kind, end): a switch
+        point's end as its reduced form (den, *num), and a unique tail's
+        cycle counted in the length.  A run of length L is what ``run``
+        returns exactly when L < max_steps."""
+        kind, segment, end, _ = self.run(n, reg, max_steps)
+        if kind is NODE:
+            v = self.value(end)
+            end = (v.den, *v.num)
+        length = len(segment) + len(end) if kind is TERMINAL else len(segment)
+        return length, segment, kind, end
+
 
 def _start(x: AlgebraicReal) -> tuple[_Orbits, Region]:
     """The kernel for x and x's region; a point outside the domain raises."""
@@ -229,8 +243,8 @@ class BranchGraph:
     """All switch points reachable from a start value, with forced segments
     on the edges and unique tails collected as terminals.  ``limit`` names
     the limit that first truncated the graph: "max_steps" or "max_nodes".
-    Treat a graph from ``build_branch_graph`` as read-only: ``classify`` and
-    the listings may answer it from the answer-memo record it carries."""
+    Treat a graph from ``build_branch_graph`` as read-only: ``classify`` may
+    answer it from the answer-memo record it carries."""
 
     field: BaseField
     start: AlgebraicReal
@@ -253,27 +267,46 @@ def build_branch_graph(
 ) -> BranchGraph:
     """Breadth-first closure of the switch points reachable from x.
 
-    x's root run is always run.  When it ends at a switch point s whose
-    graph under these caps the field's answer memo holds, the graph is
-    assembled from that record.  Otherwise the record grows from the root
-    run's end (see ``_grow``), the memo keeps it while it has room, and the
-    graph is assembled from it the same way.  The graph is the one the runs
-    alone would build: the same node ids, edges, terminals and limit."""
-    orbits, reg = _start(x)
-    kind, segment, end, _ = orbits.run(x.num, reg, max_steps)
-    if kind is not NODE:
-        return _grow(orbits, kind, end, max_steps, max_nodes).graph(x, segment, False)
+    The graph is assembled from x's root segment and the record of the
+    graph below the root run's end (see ``_record``): the one the runs
+    alone would build, with the same node ids, edges, terminals and
+    limit."""
+    segment, below, kept = _record(x, max_steps, max_nodes)
+    return below.graph(x, segment, kept)
+
+
+def _record(
+    x: AlgebraicReal, max_steps: int, max_nodes: int
+) -> tuple[tuple[int, ...], _Below, bool]:
+    """x's root segment, the record of x's graph below the root run's end,
+    and whether the answer memo keeps that record.
+
+    x's root run is read from the field's root memo, in the branch memo's
+    shape and under its rule (see ``_Orbits.shaped``), and otherwise run,
+    and stored unless it hit the step budget.  When it ends at a switch
+    point s whose graph under these caps the answer memo holds, that record
+    is returned.  Otherwise the record grows from the root run's end (see
+    ``_grow``), and the memo keeps it while it has room."""
     field = x.field
-    v = orbits.value(end)
-    s = (v.den, *v.num)
-    key = (s, max_steps, max_nodes)
+    roots, key = field._roots, (x.den, *x.num)
+    run = roots.get(key)
+    orbits = None
+    if run is None or run[0] >= max_steps:
+        orbits, reg = _start(x)
+        run = orbits.shaped(x.num, reg, max_steps)
+        if run[2] is not LIMIT and (key in roots or len(roots) < _MEMO_CAP):
+            roots[key] = run
+    _, segment, kind, end = run
+    if kind is not NODE:
+        return segment, _grow(orbits or _Orbits(x), kind, end, max_steps, max_nodes), False
+    key = (end, max_steps, max_nodes)
     below = field._answers.get(key)
     if below is None:
-        below = _grow(orbits, NODE, s, max_steps, max_nodes)
+        below = _grow(orbits or _Orbits(x), NODE, end, max_steps, max_nodes)
         if not _admit(field, len(below.keys) + 1):
-            return below.graph(x, segment, False)
+            return segment, below, False
         field._answers[key] = below
-    return below.graph(x, segment, True)
+    return segment, below, True
 
 
 def _admit(field: BaseField, cells: int) -> bool:
@@ -322,11 +355,10 @@ def _grow(orbits: _Orbits, kind: Kind, end, max_steps: int, max_nodes: int) -> _
     the branch memo's form (a switch point's reduced form, or a unique
     tail's cycle digits), grown by expanding switch points breadth-first.
 
-    Each branch is a run in the branch memo's shape (L, segment, kind, end):
-    a stored run of length L (its segment, plus its cycle for a unique tail)
-    is what ``_Orbits.run`` returns exactly when L < max_steps, and is run
-    again otherwise.  A fresh run is put in that shape and resolved like a
-    stored one, and stored unless it hit the step budget."""
+    Each branch is a run in the branch memo's shape (see ``_Orbits.shaped``):
+    a stored run of length L stands for the run exactly when L < max_steps,
+    and is run again otherwise.  A fresh run is resolved like a stored one,
+    and stored unless it hit the step budget."""
     den, locate = orbits.den, orbits.locate
     memo = orbits.field._branches
     node_ids: dict[tuple[int, ...], int] = {}
@@ -364,13 +396,8 @@ def _grow(orbits: _Orbits, kind: Kind, end, max_steps: int, max_nodes: int) -> _
             if run is None or run[0] >= max_steps:
                 # both branches of a switch point stay in the domain
                 branch = orbits.step(n, digit)
-                kind, segment, end, _ = orbits.run(branch, locate(branch), max_steps)
-                if kind is NODE:
-                    v = orbits.value(end)
-                    end = (v.den, *v.num)
-                length = len(segment) + len(end) if kind is TERMINAL else len(segment)
-                run = (length, segment, kind, end)
-                if stored[digit] is None and kind is not LIMIT:
+                run = orbits.shaped(branch, locate(branch), max_steps)
+                if stored[digit] is None and run[2] is not LIMIT:
                     runs[digit], fresh = run, True
             _, segment, kind, end = run
             out.append(Edge(digit, segment, *resolve(kind, end)))
@@ -550,8 +577,13 @@ def count_expansions(
     max_steps: int = DEFAULT_MAX_STEPS,
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> Cardinality:
-    """Classify the set of expansions of x (finite counts are exact)."""
-    return classify(build_branch_graph(x, max_steps=max_steps, max_nodes=max_nodes))
+    """Classify the set of expansions of x (finite counts are exact).  A
+    count the answer-memo record holds is read from there, with no graph
+    assembled."""
+    segment, below, kept = _record(x, max_steps, max_nodes)
+    if below.card is not None:
+        return below.card
+    return classify(below.graph(x, segment, kept))
 
 
 # ---------------------------------------------------------------------------
@@ -620,18 +652,17 @@ def _listing(
     (they would yield no word, only 2^depth paths) and make the listing
     incomplete, though no limit was hit.  The walk lists the root run's end;
     canonical words are unique, so each word of x is one of those with the
-    root segment prepended.  A graph with an answer-memo record reads that
-    listing from there, or walks once and keeps it while the memo has room
-    for its words."""
-    graph = build_branch_graph(x, max_steps=max_steps, max_nodes=max_nodes)
-    below = graph._below
-    found = None if below is None else below.listings.get((max_count, max_depth))
+    root segment prepended.  An answer-memo record that holds that listing
+    serves it with no graph assembled; otherwise the walk runs once, and a
+    kept record keeps its words while the memo has room for them."""
+    segment, below, kept = _record(x, max_steps, max_nodes)
+    found = below.listings.get((max_count, max_depth))
     if found is None:
-        found = _walk(graph, max_count, max_depth)
-        if below is not None and _admit(x.field, len(found[0]) + 1):
+        found = _walk(below.graph(x, segment, kept), max_count, max_depth)
+        if kept and _admit(x.field, len(found[0]) + 1):
             below.listings[max_count, max_depth] = found
     words, complete, limit = found
-    return [w.with_prefix(graph.root_segment) for w in words], complete, limit
+    return [w._prefixed(segment) for w in words], complete, limit
 
 
 def enumerate_expansions(

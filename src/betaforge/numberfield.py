@@ -183,14 +183,14 @@ class BaseField:
     each computed on first use: its finest dyadic bracket of q, the scaled
     powers at each precision asked for (the sign filter's in a slot of their
     own), the domain bounds 1/q, 1/(q(q-1)), 1/(q-1) and their scaled sums.
-    ``_branches``, ``_answers`` and ``_answer_cells`` hold the branch and
-    answer memos of ``branching``, which owns their format; they hold no
-    element, so the field is freed with them.
+    ``_roots``, ``_branches``, ``_answers`` and ``_answer_cells`` hold the
+    root, branch and answer memos of ``branching``, which owns their format;
+    they hold no element, so the field is freed with them.
     """
 
     __slots__ = ("min_poly", "degree", "name", "_lo", "_hi", "_sign_lo", "_reduction_rows",
-                 "_bracket", "_powers", "_fine", "_domain", "_sums", "_branches",
-                 "_answers", "_answer_cells", "__weakref__")
+                 "_bracket", "_powers", "_fine", "_domain", "_sums", "_roots",
+                 "_branches", "_answers", "_answer_cells", "__weakref__")
 
     def __init__(
         self,
@@ -211,6 +211,7 @@ class BaseField:
         self._fine: dict[int, tuple[int, ...]] = {}
         self._domain: tuple[AlgebraicReal, AlgebraicReal, AlgebraicReal] | None = None
         self._sums: tuple[tuple[AlgebraicReal, int, int, int], ...] | None = None
+        self._roots: dict[tuple[int, ...], tuple] = {}
         self._branches: dict[tuple[int, ...], tuple] = {}
         self._answers: dict[tuple, object] = {}
         self._answer_cells = 0

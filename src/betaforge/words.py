@@ -53,6 +53,10 @@ class Region(Enum):
         return self.value
 
 
+# the most digits (preperiod and period) one word's text may expand to: a
+# repeat count multiplies a group's digits, so a short text could otherwise
+# ask for any number of them
+_MAX_WORD_DIGITS = 1 << 16
 _BITS = frozenset((0, 1))
 _INT = frozenset((int,))
 
@@ -154,16 +158,22 @@ class PeriodicWord:
     # -- structure -----------------------------------------------------------
 
     def with_prefix(self, digits: Iterable[int]) -> "PeriodicWord":
-        """The word obtained by prepending ``digits`` to this stream.
+        """The word obtained by prepending ``digits`` to this stream."""
+        pre = _validate_digits((*digits, *self.preperiod))
+        return self._prefixed(pre[:len(pre) - len(self.preperiod)])
+
+    def _prefixed(self, digits: tuple[int, ...]) -> "PeriodicWord":
+        """``with_prefix`` for a tuple of the ints 0 and 1, taken as it is.
 
         A nonempty preperiod keeps its last digit, which differs from the
         period's last, so the prefixed word is canonical as it stands; only
         an empty preperiod lets the period absorb trailing digits."""
-        pre = _validate_digits((*digits, *self.preperiod))
+        if not digits:
+            return self
         if not self.preperiod:
-            return PeriodicWord(pre, self.period)
+            return PeriodicWord(digits, self.period)
         word = object.__new__(PeriodicWord)
-        word.preperiod, word.period = pre, self.period
+        word.preperiod, word.period = digits + self.preperiod, self.period
         return word
 
     def shifted(self) -> "PeriodicWord":
@@ -226,33 +236,40 @@ def _parse_seq(text: str, i: int, depth: int) -> tuple[list[int], list[int] | No
             digits.append(int(ch))
             i += 1
         elif ch == "(":
+            opened = i
             inner_digits, inner_period, i = _parse_seq(text, i + 1, depth + 1)
             if i >= len(text) or text[i] != ")":
                 raise WordSyntaxError("unclosed '('", i)
             i += 1
+            k = 1
             if i < len(text) and text[i] == "^":
                 if inner_period is not None:
                     raise WordSyntaxError("a repeated group cannot contain a tail", i)
                 i += 1
                 start = i
-                while i < len(text) and text[i].isdigit():
+                while i < len(text) and "0" <= text[i] <= "9":
                     i += 1
                 if start == i:
                     raise WordSyntaxError("'^' must be followed by a repeat count", start)
-                k = int(text[start:i])
-                if k < 1:
+                count = text[start:i].lstrip("0")
+                if not count:
                     raise WordSyntaxError("repeat count must be at least 1", start)
-                digits.extend(inner_digits * k)
+                # a count with more digits than the cap is above it, and so is the
+                # number its leading digits make: only those are converted
+                k = int(count[:len(str(_MAX_WORD_DIGITS)) + 1])
             elif i < len(text) and text[i] == "*":
                 if inner_period is not None:
                     raise WordSyntaxError("a tail cannot contain another tail", i)
                 if not inner_digits:
                     raise WordSyntaxError("empty tail", i)
                 i += 1
-                period = inner_digits
+                period, k = inner_digits, 0
             else:
-                digits.extend(inner_digits)
                 period = inner_period
+            if len(digits) + len(inner_digits) * k > _MAX_WORD_DIGITS:
+                raise WordSyntaxError(f"the word expands to more than {_MAX_WORD_DIGITS} digits",
+                                      opened)
+            digits.extend(inner_digits * k)
         else:
             raise WordSyntaxError(f"unexpected character {ch!r}", i)
     if depth > 0:
@@ -263,10 +280,14 @@ def _parse_seq(text: str, i: int, depth: int) -> tuple[list[int], list[int] | No
 def parse_word(text: str) -> PeriodicWord:
     """Parse word text: digits 0/1, ``(...)`` grouping, ``(...)^k`` repetition,
     and an optional final ``(...)*`` infinite tail.  Whitespace is ignored.
-    A word without an explicit tail ends in the all-zero tail."""
+    A word without an explicit tail ends in the all-zero tail.  Text that
+    expands to more than ``_MAX_WORD_DIGITS`` digits raises WordSyntaxError
+    before the digits are built."""
     digits, period, _ = _parse_seq(text, 0, 0)
     if not digits and period is None:
         raise EmptyWordError("word text contains no digits")
+    if len(digits) + len(period or ()) > _MAX_WORD_DIGITS:
+        raise WordSyntaxError(f"the word expands to more than {_MAX_WORD_DIGITS} digits", 0)
     return PeriodicWord(tuple(digits), tuple(period or ()))
 
 

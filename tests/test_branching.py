@@ -865,39 +865,56 @@ def test_memo_runs_stored_under_a_larger_step_budget(name, words):
             assert _graph_form(got) == _cold_form(name, word, caps), (str(word), max_steps)
 
 
+def _counted_runs(monkeypatch):
+    """The arguments of every ``_Orbits.run`` call from now on."""
+    calls = []
+    run = branching._Orbits.run
+    monkeypatch.setattr(branching._Orbits, "run",
+                        lambda self, *args: calls.append(args) or run(self, *args))
+    return calls
+
+
 def test_warm_memo_runs_only_the_root(monkeypatch):
     F = define_field(*_KERNEL_FIELDS["qf"])
     x = family_member(F, 3)
-    calls = []
-    run = branching._Orbits.run
-    monkeypatch.setattr(branching._Orbits, "run",
-                        lambda self, *args: calls.append(args) or run(self, *args))
+    calls = _counted_runs(monkeypatch)
     cold = build_branch_graph(x)
     assert cold.nodes and len(calls) == 1 + 2 * len(cold.nodes)
+    # a repeated point reads its root run from the root memo
     calls.clear()
     assert build_branch_graph(x) == cold
+    assert count_expansions(x) == Cardinality.finite(3)
+    assert not calls
+    # x / q forces one 0 and then runs on from x: a new point whose first
+    # switch point is warm runs its root only
+    y = x / F.q
+    assert count_expansions(y) == Cardinality.finite(3)
     assert len(calls) == 1
     calls.clear()
-    assert count_expansions(x) == Cardinality.finite(3)
-    assert len(calls) == 1
+    assert build_branch_graph(y).root_segment == (0, *cold.root_segment)
+    assert not calls
 
 
 def test_memo_answers_run_only_the_root(monkeypatch):
-    # a miss grows the graph from the one root run; a hit stops after it
+    # a miss grows the graph from the one root run; a point asked again runs
+    # nothing, and a new point with the same first switch point its root only
     nodes = len(build_branch_graph(family_member(define_field(*_KERNEL_FIELDS["qf"]), 3)).nodes)
-    calls = []
-    run = branching._Orbits.run
-    monkeypatch.setattr(branching._Orbits, "run",
-                        lambda self, *args: calls.append(args) or run(self, *args))
+    calls = _counted_runs(monkeypatch)
     for first in (count_expansions, bfs_expansions):
-        x = family_member(define_field(*_KERNEL_FIELDS["qf"]), 3)
+        F = define_field(*_KERNEL_FIELDS["qf"])
+        x = family_member(F, 3)
         calls.clear()
         first(x)
         assert len(calls) == 1 + 2 * nodes, first.__name__
         for call in (count_expansions, bfs_expansions, enumerate_expansions) * 2:
             calls.clear()
             call(x)
-            assert len(calls) == 1, call.__name__
+            assert not calls, call.__name__
+        y = x / F.q
+        for runs, call in zip((1, 0, 0), (count_expansions, bfs_expansions, enumerate_expansions)):
+            calls.clear()
+            call(y)
+            assert len(calls) == runs, call.__name__
 
 
 def _detached(words):
@@ -947,13 +964,20 @@ def test_memo_answers_equal_cold_answers(name, words, rnd):
 @pytest.mark.parametrize("name, text", [("q2", "1(0)*"), ("q2", "0001(0)*"), ("qf", "1(0)*"),
                                         ("golden", "0(01)*")])
 def test_memo_answers_keep_their_caps_apart(name, text):
+    # a root run stands for a run only under a step budget above its length:
+    # the stored one of 250 steps must not answer at a budget of that length
     warm = define_field(*_KERNEL_FIELDS[name])
     word = parse_word(text)
-    queries = [(job, {"max_steps": 250, "max_nodes": max_nodes})
-               for max_nodes in (8, 64) for job in ("count", (3, 6), (64, 12))]
+    cold = eval_word(word, define_field(*_KERNEL_FIELDS[name]))
+    short = len(build_branch_graph(cold).root_segment)
+    queries = [(job, {"max_steps": max_steps, "max_nodes": max_nodes})
+               for max_steps in (250, short) for max_nodes in (8, 64)
+               for job in ("count", (3, 6), (64, 12))]
     for job, caps in queries + queries[::-1]:
         got = _answer_form(job, eval_word(word, warm), caps)
         assert got == _cold_answer(name, word, job, caps), (job, caps)
+        if job == "count" and caps["max_steps"] == short:
+            assert got == (Cardinality.lower_bound(1), "max_steps")
 
 
 def _held_cells(field):
@@ -968,25 +992,27 @@ def test_full_memo_admits_no_more_switch_points(monkeypatch):
     warm = define_field(*_KERNEL_FIELDS["q2"])
     for word in _MEMO_WORDS[:40]:
         got = build_branch_graph(eval_word(word, warm), **_ACCEPTANCE_CAPS)
-        assert len(warm._branches) <= 3
+        assert len(warm._branches) <= 3 and len(warm._roots) <= 3
         assert _graph_form(got) == _cold_form("q2", word, _ACCEPTANCE_CAPS), str(word)
-    assert len(warm._branches) == 3
+    assert len(warm._branches) == len(warm._roots) == 3
     # the answer memo holds at most _MEMO_CAP nodes and words: q2's graphs
     # at these caps are too large for it, and qf keeps one two-node graph
-    # and then no listing
+    # and then no listing; the root memo admits the first three points
     for name, caps, held in (("q2", _ACCEPTANCE_CAPS, 0), ("qf", _KERNEL_CAPS["qf"], 3)):
         warm = define_field(*_KERNEL_FIELDS[name])
-        for word in _MEMO_WORDS[:40]:
+        for word in _MEMO_WORDS[:40] * 2:
             for job in ("count", "bfs"):
                 answer = _answer_form(job, eval_word(word, warm), caps)
                 assert warm._answer_cells == _held_cells(warm) <= 3
+                assert len(warm._roots) <= 3
                 assert answer == _cold_answer(name, word, job, caps), (name, str(word), job)
         assert warm._answer_cells == held
+        assert len(warm._roots) == 3
 
 
 def test_run_and_prefix_oracle_do_not_read_the_memo():
     F = define_field(*_KERNEL_FIELDS["qf"])
-    F._branches = F._answers = None  # any read of either memo raises
+    F._roots = F._branches = F._answers = None  # any read of a memo raises
     x = family_member(F, 3)
     assert isinstance(deterministic_run(x).end, SwitchHit)
     assert viable_prefix_counts(x, 40)[-1] == 3

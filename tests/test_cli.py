@@ -380,6 +380,14 @@ def test_word_syntax_error(capsys):
     assert err.startswith("betaforge: error:")
 
 
+@pytest.mark.parametrize("text", ["1((0)^1000)^2000(01)*", "(0)^" + "9" * 5000],
+                         ids=["nested-repeats", "count-longer-than-int-converts"])
+def test_word_expanding_past_the_digit_cap_is_usage_error(capsys, text):
+    code, out, err = run(capsys, "count", "--field", "qf", text)
+    assert (code, out) == (2, "")
+    assert err.startswith("betaforge: error:") and "digits" in err
+
+
 @pytest.mark.parametrize(
     "spec", ["nope", "poly:1,2", "poly:0,1@1,2,3", "poly:a,1@1,2", "poly:-1,-1,-2,0,1@x,2"]
 )

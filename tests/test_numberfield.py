@@ -24,6 +24,7 @@ from betaforge.numberfield import (
     sign,
     to_decimal,
 )
+from betaforge import numberfield
 from betaforge.words import PeriodicWord, eval_word
 from conftest import enclosure
 
@@ -180,6 +181,18 @@ def test_sign_and_compare():
     assert compare(q, q) == 0
     with pytest.raises(TypeError):
         compare(q, "not a number")
+
+
+def test_greater_or_equal():
+    F = q2_field()
+    q = F.q
+    assert q >= q and q >= 1 and q >= Fraction(3, 2)
+    assert not q >= 2 and not (q - 1) >= Fraction(3, 4)
+    assert F.from_rational(Fraction(1, 2)) >= Fraction(1, 2) and F.one >= 1
+    assert 2 >= q and not 1 >= q  # reflected to __le__
+    assert q.__ge__("not a number") is NotImplemented
+    with pytest.raises(TypeError):
+        q >= "not a number"
 
 
 def test_element_coefficient_reduction():
@@ -510,6 +523,26 @@ def test_to_decimal_leaves_the_interval(monkeypatch):
     assert calls == [] and F.interval() == iv
     twin = AlgebraicReal(_REFERENCE_TWINS["q2"], x.num, x.den)
     assert got == _enclosure_decimal(twin, 60)
+
+
+@pytest.mark.parametrize("name", ["q2", "cubic"])
+def test_to_decimal_escalates_its_precision(monkeypatch, name):
+    # started at 64 bits, which cannot place 60 digits, the precision grows
+    # by 64 bits a round until both ends of the sum round alike
+    F = define_field(*_DECIMAL_FIELDS[name])
+    cases = [(1 / (F.q - 1), 60), (F.q**5 / 7 - 3, 40), (-F.q / 3, 25)]
+    precisions = []
+    scaled = BaseField._scaled_powers
+    monkeypatch.setattr(numberfield, "_precision", lambda bits: 64)
+    monkeypatch.setattr(BaseField, "_scaled_powers",
+                        lambda self, p=None: precisions.append(p) or scaled(self, p))
+    for x, digits in cases:
+        precisions.clear()
+        got = to_decimal(x, digits)
+        assert precisions[0] == 64 and len(precisions) > 1
+        assert precisions == list(range(64, 64 * len(precisions) + 1, 64))
+        twin = AlgebraicReal(_REFERENCE_TWINS[name], x.num, x.den)
+        assert got == _enclosure_decimal(twin, digits)
 
 
 def test_float_leaves_the_interval(monkeypatch):

@@ -3,6 +3,7 @@
 import gc
 import math
 import time
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from betaforge.numberfield import (
     qf_field,
 )
 from betaforge.words import (
+    _MAX_WORD_DIGITS,
     EmptyWordError,
     PeriodicWord,
     Region,
@@ -74,6 +76,9 @@ def test_whitespace_ignored():
         ("(01)*1", 5),
         ("((0)*)^2", 6),
         ("01^2", 2),
+        ("1((0)^1000)^2000(01)*", 1),
+        pytest.param("(0)^" + "9" * 5000, 0, id="count-longer-than-int-converts"),
+        ("(0)^\u00b2", 4),  # a superscript two is no repeat count
     ],
 )
 def test_parse_errors_carry_position(text, position):
@@ -89,6 +94,28 @@ def test_parse_error_messages():
         parse_word("((0)*)*")
     with pytest.raises(WordSyntaxError, match="empty tail"):
         parse_word("01()*")
+
+
+def test_word_text_is_capped_before_it_expands():
+    # 21 characters asking for 2,000,001 digits: refused before they are built
+    tracemalloc.start()
+    try:
+        with pytest.raises(WordSyntaxError, match=f"more than {_MAX_WORD_DIGITS} digits"):
+            parse_word("1((0)^1000)^2000(01)*")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the cap counts preperiod and period digits as the text spells them,
+    # before the word is made canonical
+    half = _MAX_WORD_DIGITS // 2
+    assert parse_word(f"(01)^{half - 1}(01)*") == parse_word("(01)*")
+    ones = PeriodicWord((1,) * _MAX_WORD_DIGITS)
+    assert parse_word("1" * _MAX_WORD_DIGITS) == parse_word(f"((1)^{half})^2") == ones
+    for text in (f"(01)^{half - 1}(011)*", "0" * (_MAX_WORD_DIGITS + 1), f"((1)^{half})^3",
+                 f"((1)^{half})((1)^{half})1"):
+        with pytest.raises(WordSyntaxError, match="more than"):
+            parse_word(text)
 
 
 def test_empty_word_rejected():
