@@ -34,8 +34,9 @@ point's reduced form, or a unique tail's cycle digits) and its length.  A
 run's outcome depends on the value alone, not on the denominator it is
 carried over, so a graph reads a stored run instead of running it whenever
 the run would end the same way under the graph's step budget.  A root memo
-keeps each point's own root run the same way, keyed by the point's reduced
-form, so a count and a listing of one point make one root run between them.
+keeps the root run of the last point asked, the same way, keyed by the
+point's reduced form: a count and then a listing of one point make one
+root run between them, and the memo holds one run, never more.
 
 Points of one base also share first switch points, so each field keeps an
 answer memo too.  Below x's root run, x's graph depends only on the run's
@@ -48,16 +49,18 @@ record also keeps what was read from the graph: ``classify``'s answer, and
 each listing of ``_listing`` by (max_count, max_depth), relative to s.  A
 point's listing is s's listing with the root segment prepended: canonical
 words are unique, so the prefixed word is the one a walk from x would
-build.  An answer the record holds is read straight off it; a graph is
-assembled from the record (one element per node) only to compute an answer
-or when ``build_branch_graph`` asks for one.  A record the memo does not
-admit keeps no answer.
+build.  ``count_expansions`` classifies the graph ``build_branch_graph``
+assembles from the record (one element per node), and ``classify`` reads
+the record's count.  A listing the record holds is read straight off it,
+with no graph assembled; a graph is assembled only for a walk.  A record
+the memo does not admit keeps no answer.
 
 The memos hold ints, tuples, ``Edge``, ``Cardinality`` and ``PeriodicWord``
 records only, never an element or a graph, so a field is freed with them.
-The root and branch memos admit at most ``_MEMO_CAP`` points each and never
-store a run that hit the step budget; the answer memo admits records and
-listings while the nodes and words it holds total at most ``_MEMO_CAP``.
+The root memo holds one point and the branch memo at most ``_MEMO_CAP``
+switch points; neither stores a run that hit the step budget.  The answer memo admits
+records and listings while the nodes and words it holds total at most
+``_MEMO_CAP``.
 Full memos still serve what they hold.
 ``deterministic_run`` and ``viable_prefix_counts`` read no memo: the prefix
 oracle stays an independent check of the graphs.
@@ -76,9 +79,9 @@ from .words import PeriodicWord, Region, _region_rule, region
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_MAX_NODES = 10_000
 # switch points a field's branch memo admits, about 6x the nodes of every
-# canonical q2 word with preperiod <= 6 and period <= 4 at caps 250/64;
-# points its root memo admits; and nodes plus listed words its answer memo
-# holds in all.  A full memo still serves what it holds.
+# canonical q2 word with preperiod <= 6 and period <= 4 at caps 250/64; and
+# nodes plus listed words its answer memo holds in all.  A full memo still
+# serves what it holds.
 _MEMO_CAP = 1 << 14
 
 
@@ -282,10 +285,11 @@ def _record(
     and whether the answer memo keeps that record.
 
     x's root run is read from the field's root memo, in the branch memo's
-    shape and under its rule (see ``_Orbits.shaped``), and otherwise run,
-    and stored unless it hit the step budget.  When it ends at a switch
-    point s whose graph under these caps the answer memo holds, that record
-    is returned.  Otherwise the record grows from the root run's end (see
+    shape and under its rule (see ``_Orbits.shaped``), when x is the last
+    point whose root run was stored; otherwise it is run, and stored in
+    place of that one unless it hit the step budget.  When it ends at a
+    switch point s whose graph under these caps the answer memo holds, that
+    record is returned.  Otherwise the record grows from the root run's end (see
     ``_grow``), and the memo keeps it while it has room."""
     field = x.field
     roots, key = field._roots, (x.den, *x.num)
@@ -294,7 +298,8 @@ def _record(
     if run is None or run[0] >= max_steps:
         orbits, reg = _start(x)
         run = orbits.shaped(x.num, reg, max_steps)
-        if run[2] is not LIMIT and (key in roots or len(roots) < _MEMO_CAP):
+        if run[2] is not LIMIT:
+            roots.clear()
             roots[key] = run
     _, segment, kind, end = run
     if kind is not NODE:
@@ -577,13 +582,8 @@ def count_expansions(
     max_steps: int = DEFAULT_MAX_STEPS,
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> Cardinality:
-    """Classify the set of expansions of x (finite counts are exact).  A
-    count the answer-memo record holds is read from there, with no graph
-    assembled."""
-    segment, below, kept = _record(x, max_steps, max_nodes)
-    if below.card is not None:
-        return below.card
-    return classify(below.graph(x, segment, kept))
+    """Classify the set of expansions of x (finite counts are exact)."""
+    return classify(build_branch_graph(x, max_steps=max_steps, max_nodes=max_nodes))
 
 
 # ---------------------------------------------------------------------------

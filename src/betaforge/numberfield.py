@@ -184,8 +184,9 @@ class BaseField:
     powers at each precision asked for (the sign filter's in a slot of their
     own), the domain bounds 1/q, 1/(q(q-1)), 1/(q-1) and their scaled sums.
     ``_roots``, ``_branches``, ``_answers`` and ``_answer_cells`` hold the
-    root, branch and answer memos of ``branching``, which owns their format;
-    they hold no element, so the field is freed with them.
+    root memo (the last point's root run), the branch and the answer memos
+    of ``branching``, which owns their format; they hold no element, so the
+    field is freed with them.
     """
 
     __slots__ = ("min_poly", "degree", "name", "_lo", "_hi", "_sign_lo", "_reduction_rows",

@@ -992,22 +992,45 @@ def test_full_memo_admits_no_more_switch_points(monkeypatch):
     warm = define_field(*_KERNEL_FIELDS["q2"])
     for word in _MEMO_WORDS[:40]:
         got = build_branch_graph(eval_word(word, warm), **_ACCEPTANCE_CAPS)
-        assert len(warm._branches) <= 3 and len(warm._roots) <= 3
+        assert len(warm._branches) <= 3
         assert _graph_form(got) == _cold_form("q2", word, _ACCEPTANCE_CAPS), str(word)
-    assert len(warm._branches) == len(warm._roots) == 3
+    assert len(warm._branches) == 3
     # the answer memo holds at most _MEMO_CAP nodes and words: q2's graphs
     # at these caps are too large for it, and qf keeps one two-node graph
-    # and then no listing; the root memo admits the first three points
+    # and then no listing
     for name, caps, held in (("q2", _ACCEPTANCE_CAPS, 0), ("qf", _KERNEL_CAPS["qf"], 3)):
         warm = define_field(*_KERNEL_FIELDS[name])
-        for word in _MEMO_WORDS[:40] * 2:
+        for word in _MEMO_WORDS[:40]:
             for job in ("count", "bfs"):
                 answer = _answer_form(job, eval_word(word, warm), caps)
                 assert warm._answer_cells == _held_cells(warm) <= 3
-                assert len(warm._roots) <= 3
                 assert answer == _cold_answer(name, word, job, caps), (name, str(word), job)
         assert warm._answer_cells == held
-        assert len(warm._roots) == 3
+
+
+@pytest.mark.parametrize("name", ["qf", "q2"])
+def test_root_memo_holds_the_last_point_only(name, monkeypatch):
+    # 0^k 1(0)* forces k zeros before its first switch point: the memo keeps
+    # the root run of the last point asked, however long, and no other, so
+    # a count and a listing of one point make one root run between them
+    warm = define_field(*_KERNEL_FIELDS[name])
+    caps = _KERNEL_CAPS[name]
+    words = [parse_word("0" * k + "1(0)*") for k in (0, 30, 200)]
+    calls = _counted_runs(monkeypatch)
+    for word in words * 2:
+        x = eval_word(word, warm)
+        roots = []
+        for job in ("count", "bfs", "enumerate"):
+            cold = _cold_answer(name, word, job, caps)
+            calls.clear()
+            assert _answer_form(job, x, caps) == cold, str(word)
+            roots.append(sum(n == x.num for n, *_ in calls))
+            assert len(warm._roots) == 1
+        assert roots == [1, 0, 0], str(word)
+        ((key, (length, segment, _, _)),) = warm._roots.items()
+        assert key == (x.den, *x.num)
+        assert segment == build_branch_graph(x, **caps).root_segment
+        assert length == len(segment) and segment == (0,) * word.preperiod.index(1)
 
 
 def test_run_and_prefix_oracle_do_not_read_the_memo():
