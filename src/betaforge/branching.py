@@ -17,10 +17,11 @@ cross-check oracle for the graph-based counts.
 
 All three walk orbits in one private kernel, ``_Orbits``.  It holds every
 value reached from x as raw integer numerators over x's own denominator D
-(q is an algebraic integer, so q * (n / D) - d = (q * n - d * D) / D), and
-decides regions with ``words._region_rule`` for that D: the integer filter
-against the switch bounds' cached scaled sums, and, when the filter cannot
-decide, the exact comparison of the reduced element.  ``_reduced`` builds
+(q is an algebraic integer, so q * (n / D) - d = (q * n - d * D) / D),
+steps them with the field's compiled step, and decides regions with
+``words._region_rule`` for that D: the field's compiled filter sum against
+the switch bounds' cached scaled sums, and, when the filter cannot decide,
+the exact comparison of the reduced element.  ``_reduced`` builds
 an element only where a value leaves the kernel: graph nodes, switch
 points, unique-tail cycles and the orbit a run returns.  x itself is placed
 by ``words.region``, which compares the element with the domain's bounds
@@ -73,7 +74,7 @@ from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from typing import Iterator
 
-from .numberfield import AlgebraicReal, BaseField, _reduced, _times_q
+from .numberfield import AlgebraicReal, BaseField, _reduced
 from .words import PeriodicWord, Region, _region_rule, region
 
 DEFAULT_MAX_STEPS = 10_000
@@ -151,15 +152,14 @@ class _Orbits:
     either digit at a switch point keep it there (see ``words``).  So its
     regions compare with the switch bounds only."""
 
-    __slots__ = ("field", "den", "row", "locate")
+    __slots__ = ("field", "den", "locate")
 
     def __init__(self, x: AlgebraicReal):
         self.field, self.den = x.field, x.den
-        self.row = x.field._reduction_rows[0]
         self.locate = _region_rule(x.field, x.den)
 
     def step(self, n: tuple[int, ...], digit: int) -> tuple[int, ...]:
-        return _times_q(n, self.row, -digit * self.den)
+        return self.field._step(n, -digit * self.den)
 
     def value(self, n: tuple[int, ...]) -> AlgebraicReal:
         return _reduced(self.field, n, self.den)
@@ -172,7 +172,7 @@ class _Orbits:
         to its step, in order; ``end`` is the switch point's tuple (NODE),
         the cycle's digits (TERMINAL, the cycle starting at step
         ``len(segment)``), or the tuple after the last step (LIMIT)."""
-        row, locate = self.row, self.locate
+        step, locate = self.field._step, self.locate
         lows = (0, -self.den)
         seen: dict[tuple[int, ...], int] = {}
         digits: list[int] = []
@@ -185,7 +185,7 @@ class _Orbits:
             seen[n] = len(seen)
             d = 0 if reg is Region.LOW else 1
             digits.append(d)
-            n = _times_q(n, row, lows[d])
+            n = step(n, lows[d])
             reg = locate(n)
         return LIMIT, tuple(digits), n, seen
 
@@ -724,7 +724,7 @@ def viable_prefix_counts(x: AlgebraicReal, max_depth: int) -> list[int]:
     if max_depth < 1:
         raise ValueError("depth must be >= 1")
     orbits, _ = _start(x)
-    locate, row, minus_one = orbits.locate, orbits.row, -orbits.den
+    step, locate, minus_one = orbits.field._step, orbits.locate, -orbits.den
     # remainders, as numerator tuples over x's denominator -> prefix count
     level: dict[tuple[int, ...], int] = {x.num: 1}
     counts: list[int] = []
@@ -735,11 +735,11 @@ def viable_prefix_counts(x: AlgebraicReal, max_depth: int) -> list[int]:
         for n, mult in level.items():
             reg = locate(n)
             if reg is Region.SWITCH:
-                r = _times_q(n, row, 0)
+                r = step(n)
                 nxt[r] = nxt.get(r, 0) + mult
-                r = _times_q(n, row, minus_one)
+                r = step(n, minus_one)
             else:
-                r = _times_q(n, row, 0 if reg is Region.LOW else minus_one)
+                r = step(n, 0 if reg is Region.LOW else minus_one)
             nxt[r] = nxt.get(r, 0) + mult
         count = sum(nxt.values())
         counts.append(count)

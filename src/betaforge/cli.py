@@ -2,13 +2,14 @@
 
 Subcommands: eval, region, orbit, count, enumerate, verify.  Exit codes:
 0 success (and every verification check passed); 1 a verification check
-failed; 2 usage error (bad flags, malformed word or field spec, malformed
-BETAFORGE_LIMITS, a base outside (1, 2) for any command but eval, or a
-defining polynomial found reducible by a comparison); 3 the
-answer is incomplete: a resource limit cut the computation short (step
-budget exhausted, truncated branch graph, enumeration depth or count;
-count and enumerate name that limit on stderr and as "limit" in JSON), or
-enumerate skipped branches from which no unique tail can be reached.
+failed; 2 usage error (bad flags, malformed word or field spec, a field
+spec past its size caps, malformed BETAFORGE_LIMITS, a base outside (1, 2)
+for any command but eval, or a defining polynomial found reducible by a
+comparison); 3 the answer is incomplete: a resource limit cut the
+computation short (step budget exhausted, truncated branch graph,
+enumeration depth or count; count and enumerate name that limit on stderr
+and as "limit" in JSON), or enumerate skipped branches from which no unique
+tail can be reached.
 """
 
 from __future__ import annotations
@@ -61,6 +62,12 @@ _BUILTIN_LIMITS = {
 _LIMIT_KEYS = tuple(_BUILTIN_LIMITS)
 
 _FIELD_ALIASES = {"q2": q2_field, "qf": qf_field, "golden": golden_field}
+# bounds on a poly: spec, checked on its text before any arithmetic: the
+# degree, the digits of each coefficient and of each interval bound, and a
+# bound's decimal exponent (1e200000 alone is a 200,001-digit integer)
+_MAX_FIELD_DEGREE = 64
+_MAX_SPEC_DIGITS = 100
+_MAX_SPEC_EXPONENT = 100
 
 
 class UsageError(Exception):
@@ -77,13 +84,24 @@ def _parse_field(spec: str) -> BaseField:
             raise UsageError(
                 f"field spec {spec!r} lacks '@lo,hi' (expected "
                 "poly:c0,c1,...,1@lo,hi with ascending coefficients)")
+        parts = coeff_part.split(",")
+        if len(parts) - 1 > _MAX_FIELD_DEGREE:
+            raise UsageError(f"field spec {spec!r} has degree above {_MAX_FIELD_DEGREE}")
+        for text in parts:
+            _check_digits(text, "a coefficient", spec)
         try:
-            coeffs = tuple(int(c.strip()) for c in coeff_part.split(","))
+            coeffs = tuple(int(c.strip()) for c in parts)
         except ValueError:
             raise UsageError(f"non-integer coefficient in field spec {spec!r}")
         bounds = interval_part.split(",")
         if len(bounds) != 2:
             raise UsageError(f"field spec {spec!r} needs exactly two interval bounds")
+        for text in bounds:
+            _check_digits(text, "an interval bound", spec)
+            exponent = text.lower().partition("e")[2].strip().lstrip("+-")
+            if exponent.isdecimal() and int(exponent) > _MAX_SPEC_EXPONENT:
+                raise UsageError(f"an interval bound in field spec {spec!r} has a decimal "
+                                 f"exponent above {_MAX_SPEC_EXPONENT} in absolute value")
         try:
             lo, hi = (Fraction(b.strip()) for b in bounds)
         except (ValueError, ZeroDivisionError):
@@ -94,6 +112,12 @@ def _parse_field(spec: str) -> BaseField:
             raise UsageError(f"invalid field spec {spec!r}: {exc}")
     raise UsageError(
         f"unknown field {spec!r} (use q2, qf, golden, or poly:coeffs@lo,hi)")
+
+
+def _check_digits(text: str, what: str, spec: str) -> None:
+    if sum(c.isdecimal() for c in text) > _MAX_SPEC_DIGITS:
+        raise UsageError(f"{what} in field spec {spec!r} has more than "
+                         f"{_MAX_SPEC_DIGITS} digits")
 
 
 def _require_expansion_base(field: BaseField, spec: str) -> None:

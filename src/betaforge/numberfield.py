@@ -27,6 +27,12 @@ sum is taken at 64 more bits at a time, up to a zero bound: a precision at
 which a nonzero value certainly clears the error, so a sum still undecided
 there belongs to the value 0 (see ``AlgebraicReal._exact_sign``).
 
+Kernel.  Each field compiles its two hot functions into straight-line code
+for its own constants: the orbit step q * num + low, at construction, from
+the companion row; and the filter sum with its error bound, on the first
+irrational sign, from the scaled powers.  Every orbit walk, Horner pass,
+inverse and filter reads these two functions.
+
 Decimals.  The same sums at a higher precision P enclose 2^P * den * value in
 an integer interval; both ends are rounded half to even, in integers, and P
 grows until they agree.  Floats come from the same sums.  No sign, decimal
@@ -149,6 +155,61 @@ def _det(rows: list[list[int]]) -> int:
     return parity * m[-1][-1]
 
 
+def _sum_source(terms: list[str]) -> str:
+    """Source text of the sum of ``terms``, grouped as a balanced tree: the
+    compiler nests a chain of additions one level per term, so a long chain
+    would exhaust its recursion limit."""
+    if len(terms) <= 16:
+        return " + ".join(terms)
+    mid = len(terms) // 2
+    return f"({_sum_source(terms[:mid])}) + ({_sum_source(terms[mid:])})"
+
+
+def _compiled(name: str, degree: int, params: str, result: str, consts: dict[str, int]):
+    """``def name(params)``, which unpacks its first argument ``num`` into
+    a0 ... a{degree-1} and returns ``result``.  As in ``dataclasses``, the
+    source holds identifiers only: the constants reach the code as the
+    closure variables ``consts``, never as text."""
+    unpack = ", ".join(f"a{i}" for i in range(degree))
+    src = (f"def make({', '.join(consts)}):\n"
+           f" def {name}({params}):\n"
+           f"  {unpack}, = num\n"
+           f"  return {result}\n"
+           f" return {name}")
+    namespace: dict = {}
+    exec(src, {}, namespace)
+    return namespace["make"](**consts)
+
+
+def _compile_step(row: Sequence[int]):
+    """The orbit kernel's step for a companion row: ``step(num, low=0)``
+    gives the numerators of q * sum(num[i] q^i) + low, a shift with q^degree
+    replaced by ``row``, in straight-line code.  A row coefficient 0 or +-1
+    costs no multiplication."""
+    d = len(row)
+    top, terms, consts = f"a{d - 1}", [], {}
+    for i, m in enumerate(row):
+        below = "low" if i == 0 else f"a{i - 1}"
+        if m == 0:
+            terms.append(below)
+        elif m in (1, -1):
+            terms.append(f"{below} {'+' if m == 1 else '-'} {top}")
+        else:
+            consts[f"r{i}"] = m
+            terms.append(f"{below} + {top} * r{i}")
+    return _compiled("step", d, "num, low=0", f"({', '.join(terms)},)", consts)
+
+
+def _compile_filter(powers: Sequence[int]):
+    """The sign filter's sum for scaled powers Q: ``filter(num)`` gives
+    (sum(num[i] * Q[i]), 2 * sum(|num[i]|) + 2), in straight-line code."""
+    d = len(powers)
+    total = _sum_source([f"a{i} * Q{i}" for i in range(d)])
+    err = _sum_source([f"abs(a{i})" for i in range(d)])
+    return _compiled("filter", d, "num", f"({total}, 2 * ({err}) + 2)",
+                     {f"Q{i}": Q for i, Q in enumerate(powers)})
+
+
 def _divisors(n: int) -> list[int]:
     n = abs(n)
     out = []
@@ -179,10 +240,12 @@ class BaseField:
     comparisons, decimals and floats read q through the field's integer
     bracket instead, so ``interval()`` and every printed ``"interval"``
     depend on the polynomial and the given interval alone (only an explicit
-    ``refine`` narrows it).  The field also owns its derived constants,
-    each computed on first use: its finest dyadic bracket of q, the scaled
-    powers at each precision asked for (the sign filter's in a slot of their
-    own), the domain bounds 1/q, 1/(q(q-1)), 1/(q-1) and their scaled sums.
+    ``refine`` narrows it).  The field also owns its derived constants: the
+    compiled orbit step ``_step`` (num, low) -> q * num + low, built at
+    construction; and, each computed on first use, its finest dyadic bracket
+    of q, the scaled powers at each precision asked for (the sign filter's
+    in a slot of their own, with their compiled sum ``_filter()``), the
+    domain bounds 1/q, 1/(q(q-1)), 1/(q-1) and their scaled sums.
     ``_roots``, ``_branches``, ``_answers`` and ``_answer_cells`` hold the
     root memo (the last point's root run), the branch and the answer memos
     of ``branching``, which owns their format; they hold no element, so the
@@ -190,8 +253,8 @@ class BaseField:
     """
 
     __slots__ = ("min_poly", "degree", "name", "_lo", "_hi", "_sign_lo", "_reduction_rows",
-                 "_bracket", "_powers", "_fine", "_domain", "_sums", "_roots",
-                 "_branches", "_answers", "_answer_cells", "__weakref__")
+                 "_step", "_bracket", "_powers", "_filter_sum", "_fine", "_domain", "_sums",
+                 "_roots", "_branches", "_answers", "_answer_cells", "__weakref__")
 
     def __init__(
         self,
@@ -209,6 +272,7 @@ class BaseField:
         self.name = name
         self._bracket: tuple[int, int] | None = None
         self._powers: tuple[int, ...] | None = None
+        self._filter_sum = None
         self._fine: dict[int, tuple[int, ...]] = {}
         self._domain: tuple[AlgebraicReal, AlgebraicReal, AlgebraicReal] | None = None
         self._sums: tuple[tuple[AlgebraicReal, int, int, int], ...] | None = None
@@ -273,6 +337,7 @@ class BaseField:
             row = [r + top * m for r, m in zip(row, rows[0])]
             rows.append(tuple(row))
         self._reduction_rows = tuple(rows)
+        self._step = _compile_step(rows[0])
 
     # -- isolating interval ------------------------------------------------
 
@@ -365,6 +430,14 @@ class BaseField:
                 k += 32
         return powers
 
+    def _filter(self):
+        """The sign filter's compiled sum over ``_scaled_powers()``:
+        num -> (sum(num[i] * Q[i]), 2 * sum(|num[i]|) + 2); built on first
+        use."""
+        if self._filter_sum is None:
+            self._filter_sum = _compile_filter(self._scaled_powers())
+        return self._filter_sum
+
     # -- derived constants -----------------------------------------------------
 
     def domain_bounds(self) -> tuple["AlgebraicReal", "AlgebraicReal", "AlgebraicReal"]:
@@ -446,13 +519,6 @@ def qf_field() -> BaseField:
 def golden_field() -> BaseField:
     """The golden ratio (1 + sqrt 5)/2 as a base, ~1.6180339887."""
     return define_field((-1, -1, 1), (Fraction(3, 2), Fraction(17, 10)), name="golden")
-
-
-def _times_q(num: tuple[int, ...], row: tuple[int, ...], low: int = 0) -> tuple[int, ...]:
-    """Numerators of q * sum(num[i] q^i) + low: a shift, then q^degree
-    replaced by its companion ``row``."""
-    top = num[-1]
-    return tuple([a + top * m for a, m in zip((low,) + num[:-1], row)])
 
 
 def _reduced(field: BaseField, num: Sequence[int], den: int) -> "AlgebraicReal":
@@ -570,7 +636,7 @@ class AlgebraicReal:
         """q*x - d for an integer d: one orbit step, an integer shift plus one
         companion-row reduction; the denominator never grows."""
         field, den = self.field, self.den
-        return _reduced(field, _times_q(self.num, field._reduction_rows[0], -d * den), den)
+        return _reduced(field, field._step(self.num, -d * den), den)
 
     def inverse(self) -> "AlgebraicReal":
         """Multiplicative inverse, in integers: den / N(q) with 1/N(q) read
@@ -580,9 +646,9 @@ class AlgebraicReal:
         if self.is_rational():
             return self.field.from_rational(Fraction(self.den, self.num[0]))
         # column j holds the coordinates of N(q) * q^j
-        cols = [self.num]
+        cols, step = [self.num], self.field._step
         for _ in range(self.field.degree - 1):
-            cols.append(_times_q(cols[-1], self.field._reduction_rows[0]))
+            cols.append(step(cols[-1]))
         rows = [list(r) for r in zip(*cols)]
         det = _det(rows)
         if det == 0:
@@ -626,9 +692,7 @@ class AlgebraicReal:
     def _scaled(self) -> tuple[int, int]:
         """(S, E): S = sum(num[i] * Q[i]) is within E of 2^P * den * value."""
         if self._approx is None:
-            num = self.num
-            self._approx = (sum(map(mul, num, self.field._scaled_powers())),
-                            2 * sum(map(abs, num)) + 2)
+            self._approx = self.field._filter()(self.num)
         return self._approx
 
     def sign(self) -> int:

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from operator import ge, gt, le, lt, mul, sub
+from operator import ge, gt, le, lt, sub
 from typing import Callable, Iterable, Sequence
 
-from .numberfield import AlgebraicReal, BaseField, _reduced, _times_q
+from .numberfield import AlgebraicReal, BaseField, _reduced
 
 
 class WordSyntaxError(ValueError):
@@ -311,18 +311,18 @@ def eval_word(word: PeriodicWord, field: BaseField) -> AlgebraicReal:
         x = (P * (q^p - 1) + A) / (q^n * (q^p - 1)).
 
     q is an algebraic integer, so one Horner pass n <- q*n + d over the
-    preperiod and then the period (the orbit kernel's ``_times_q``) yields
+    preperiod and then the period (the field's compiled orbit step) yields
     P and H = P * q^p + A as integer numerators, and q^n, q^(n+p) alike: no
     gcd and no element per digit.  Then x = (H - P) / (q^(n+p) - q^n), one
     inverse and one product, reduced to the unique lattice form."""
-    row = field._reduction_rows[0]
+    step = field._step
     value = (0,) * field.degree
     power = (1,) + value[1:]
     for d in word.preperiod:
-        value, power = _times_q(value, row, d), _times_q(power, row)
+        value, power = step(value, d), step(power)
     head, head_power = value, power
     for d in word.period:
-        value, power = _times_q(value, row, d), _times_q(power, row)
+        value, power = step(value, d), step(power)
     den = AlgebraicReal(field, tuple(map(sub, power, head_power)), 1)
     return AlgebraicReal(field, tuple(map(sub, value, head)), 1) * den.inverse()
 
@@ -352,8 +352,8 @@ def _region_rule(field: BaseField, den: int) -> Callable[[Sequence[int]], Region
 
     Each bound b = sum(m[i] * q^i) / b.den enters through its scaled sum
     (S, E), cached by the field; their products with ``den`` are taken here,
-    once.  The value's own scaled sum s is within e = 2 * sum(|num[i]|) + 2
-    of its true scale, so
+    once.  The value's own scaled sum s, from the field's compiled filter
+    sum, is within e = 2 * sum(|num[i]|) + 2 of its true scale, so
 
         b.den * s - den * S   against   b.den * e + den * E
 
@@ -363,14 +363,13 @@ def _region_rule(field: BaseField, den: int) -> Callable[[Sequence[int]], Region
     ``AlgebraicReal._exact_sign``, so every answer is certified and none
     narrows the field's isolating interval."""
     _, low, switch, _ = field._domain_sums()
-    powers = field._scaled_powers()
+    scaled = field._filter()
     checks = [(bound, b_den, den * s, den * e, below, strict)
               for (bound, b_den, s, e), below, strict
               in ((low, Region.LOW, True), (switch, Region.SWITCH, False))]
 
     def locate(num: Sequence[int]) -> Region:
-        s = sum(map(mul, num, powers))
-        e = 2 * sum(map(abs, num)) + 2
+        s, e = scaled(num)
         for bound, b_den, b_s, b_e, below, strict in checks:
             diff = b_den * s - b_s
             err = b_den * e + b_e

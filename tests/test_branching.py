@@ -3,6 +3,8 @@ enumeration, and the independent prefix-count oracle."""
 
 import itertools
 import math
+import operator
+import random
 from collections import deque
 from fractions import Fraction
 
@@ -510,16 +512,17 @@ def test_prefix_count_depth_validation():
         viable_prefix_counts(F.zero, 0)
 
 
-def test_prefix_counts_stop_at_a_repeated_level(monkeypatch):
+def test_prefix_counts_stop_at_a_repeated_level():
     # the two expansions' remainders are periodic, so a level repeats within
-    # a few levels and the remaining depth costs no kernel step
-    x = eval_word(parse_word("01(10)*"), q2_field())
+    # a few levels and the remaining depth costs no kernel step; the steps
+    # are counted on the compiled step of a field of the test's own
+    F = define_field(*_KERNEL_FIELDS["q2"])
+    x = eval_word(parse_word("01(10)*"), F)
     steps = []
-    times_q = branching._times_q
-    monkeypatch.setattr(branching, "_times_q",
-                        lambda *args: steps.append(1) or times_q(*args))
+    step = F._step
+    F._step = lambda *args: steps.append(1) or step(*args)
     assert viable_prefix_counts(x, 10_000) == [2] * 10_000
-    assert len(steps) < 100
+    assert 0 < len(steps) < 100
 
 
 @pytest.mark.parametrize("text", ["(011)*", "1001(100)*"])
@@ -812,6 +815,64 @@ def test_kernel_falls_back_to_exact_comparisons_below_filter_resolution(monkeypa
         assert region(x) is expected
         assert bound in fallbacks  # the filter could not decide against this bound
         assert deterministic_run(x, max_steps=3) == _ref_run(x, 3)
+
+
+# ---------------------------------------------------------------------------
+# the compiled step and filter sum against the generic loops they replaced
+
+
+def _ref_times_q(num, row, low=0):
+    """Numerators of q * sum(num[i] q^i) + low: a shift, then q^degree
+    replaced by its companion ``row``."""
+    top = num[-1]
+    return tuple([a + top * m for a, m in zip((low,) + num[:-1], row)])
+
+
+def _ref_filter_sum(num, powers):
+    return sum(map(operator.mul, num, powers)), 2 * sum(map(abs, num)) + 2
+
+
+# coefficients that take every branch of the step's code: 0 and +-1 (no
+# multiplication), past 2^64, and anything else
+_ROW_COEFFS = st.one_of(st.sampled_from([0, 1, -1]), st.integers(2**64, 2**80),
+                        st.integers(-2**80, -2**64), st.integers(-1000, 1000))
+_BIG_INTS = st.integers(-2**200, 2**200)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ROW_COEFFS, min_size=2, max_size=12), st.data())
+def test_compiled_step_and_filter_sum_match_the_generic_loops(row, data):
+    num = tuple(data.draw(st.lists(_BIG_INTS, min_size=len(row), max_size=len(row))))
+    low = data.draw(_BIG_INTS)
+    step = numberfield._compile_step(row)
+    assert step(num, low) == _ref_times_q(num, row, low)
+    assert step(num) == _ref_times_q(num, row)
+    powers = data.draw(st.lists(_BIG_INTS, min_size=len(row), max_size=len(row)))
+    assert numberfield._compile_filter(powers)(num) == _ref_filter_sum(num, powers)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_KERNEL_FIELDS)), st.lists(_BIG_INTS, min_size=4, max_size=4),
+       _BIG_INTS)
+def test_each_fields_compiled_kernel_matches_the_generic_loops(name, nums, low):
+    F = define_field(*_KERNEL_FIELDS[name])
+    num = tuple(nums[:F.degree])
+    row = F._reduction_rows[0]
+    assert F._step(num, low) == _ref_times_q(num, row, low)
+    # and q * n + low by the field's own multiplication, over denominator 1
+    assert F._step(num, low) == (F.q * AlgebraicReal(F, num, 1) + low).num
+    assert F._filter()(num) == _ref_filter_sum(num, F._scaled_powers())
+    assert AlgebraicReal(F, num, 1)._scaled() == _ref_filter_sum(num, F._scaled_powers())
+
+
+def test_compiled_kernel_at_a_degree_past_the_compilers_nesting_limit():
+    # a chain of 3000 additions would exhaust the compiler's recursion limit;
+    # the sums are grouped as balanced trees
+    rng = random.Random(3000)
+    row = [rng.randint(-3, 3) for _ in range(3000)]
+    num = tuple(rng.randint(-2**70, 2**70) for _ in row)
+    assert numberfield._compile_step(row)(num, 5) == _ref_times_q(num, row, 5)
+    assert numberfield._compile_filter(row)(num) == _ref_filter_sum(num, row)
 
 
 # ---------------------------------------------------------------------------

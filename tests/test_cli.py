@@ -19,7 +19,7 @@ from betaforge import (
     region,
     to_decimal,
 )
-from betaforge.cli import MAX_DIGITS, build_parser, main
+from betaforge.cli import MAX_DIGITS, _parse_field, build_parser, main
 
 
 def run(capsys, *argv):
@@ -395,6 +395,35 @@ def test_bad_field_specs(capsys, spec):
     code, _, err = run(capsys, "eval", "--field", spec, "(0)*")
     assert code == 2
     assert "betaforge: error:" in err
+
+
+_DIGITS_101 = "1" + "0" * 100
+
+
+@pytest.mark.parametrize("spec, reason", [
+    ("poly:-1,-1,1@1.5,1e200000", "exponent above 100"),
+    ("poly:-1,-1,1@1e-999999999,1.7", "exponent above 100"),
+    ("poly:-1,-1,1@1.5,1E+101", "exponent above 100"),
+    (f"poly:-1,-1,1@1.5,{_DIGITS_101}", "more than 100 digits"),
+    (f"poly:-1,-1,1@1/{_DIGITS_101},2", "more than 100 digits"),
+    (f"poly:-1,-{_DIGITS_101},1@1.5,2", "more than 100 digits"),
+    ("poly:-1," + "0," * 64 + "1@1,2", "degree above 64"),
+])
+def test_field_spec_past_a_cap_is_usage_error(capsys, wall_time_limit, spec, reason):
+    # refused on its text, before any number in it is built
+    wall_time_limit(5)
+    code, out, err = run(capsys, "eval", "--field", spec, "1(0)*")
+    assert (code, out) == (2, "")
+    assert err.startswith("betaforge: error:") and reason in err
+
+
+def test_field_spec_at_the_caps_parses(capsys, wall_time_limit):
+    wall_time_limit(10)
+    hundred = "1" + "0" * 99
+    code, out, _ = run(capsys, "eval", "--field", f"poly:-1,-1,1@15e-1,{hundred}", "1(0)*")
+    assert (code, out) == (0, "-1 + q / 0.618034\n")
+    assert run(capsys, "eval", "--field", "poly:-1,-1,1@3/2,1e100", "1(0)*")[:2] == (0, out)
+    assert _parse_field("poly:-1,-1," + "0," * 62 + "1@1,2").degree == 64
 
 
 def test_interval_holding_three_roots_is_usage_error(capsys):

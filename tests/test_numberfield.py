@@ -381,6 +381,7 @@ def test_first_filtered_sign_leaves_the_interval():
     ((-5, 0, 1), (Fraction(-3), Fraction(-2))),  # q = -sqrt 5
     ((-7, 3, -5, 1), (Fraction(4), Fraction(6))),  # q ~ 4.8
     ((-1, -1, 0, 1), (Fraction(13, 10), Fraction(7, 5))),
+    ((-1, 0, -5000, 1), (4999, 5001)),  # q ~ 5000: the first bracket is too coarse
 ])
 @pytest.mark.parametrize("bisections", [0, 300])
 def test_scaled_powers_error_bound(poly, iso, bisections):
@@ -393,6 +394,26 @@ def test_scaled_powers_error_bound(poly, iso, bisections):
             lo, hi = enclosure(F.q**i, Fraction(1, 2 ** (p + 8)))
             assert lo * 2**p - Fraction(3, 2) < Q < hi * 2**p + Fraction(3, 2)
     assert F._scaled_powers() is F._scaled_powers(FILTER_BITS)
+
+
+def test_scaled_powers_bracket_q_more_finely_when_the_first_is_too_coarse(monkeypatch):
+    # q^3 = 5000 q^2 + 1, q ~ 5000 + 4e-8: at k = p + 4 * degree, m^2 and
+    # (m+1)^2 lie 2m + 1 ~ 2q * 2^k apart, more than 2^(2k - p), so the
+    # powers ask for a bracket 32 bits finer
+    F = define_field((-1, 0, -5000, 1), (4999, 5001))
+    asked = []
+    bracket = BaseField._dyadic_bracket
+    monkeypatch.setattr(BaseField, "_dyadic_bracket",
+                        lambda self, k: asked.append(k) or bracket(self, k))
+    for p in (FILTER_BITS, 512):
+        asked.clear()
+        F._scaled_powers(p)
+        assert asked == [p + 12, p + 44]
+    # test_scaled_powers_error_bound checks the powers; the compiled filter
+    # sum reads them
+    Q0, Q1, Q2 = F._scaled_powers(FILTER_BITS)
+    assert F._filter()((3, -2, 1)) == (3 * Q0 - 2 * Q1 + Q2, 14)
+    assert 0 < F.q - 5000 < Fraction(1, 10**7)
 
 
 @settings(max_examples=60, deadline=None)
