@@ -37,7 +37,11 @@ Decimals.  The same sums at a higher precision P enclose 2^P * den * value in
 an integer interval; both ends are rounded half to even, in integers, and P
 grows until they agree.  Floats come from the same sums.  No sign, decimal
 or float narrows the isolating interval: after construction it stays as
-given and certified.  Inverses stay in integers (an adjugate).
+given and certified.
+
+Inverses.  One fraction-free (Bareiss) elimination solves for the inverse in
+integers; every division in it is exact, and the result is reduced to the
+unique lattice form.
 """
 
 from __future__ import annotations
@@ -72,6 +76,11 @@ class MixedFields(TypeError):
 
 
 RationalLike = int | Fraction
+
+# the rational types whose numerator and denominator are already in lowest
+# terms (the denominator positive), read as they are; any other value (a
+# bool, str, float or Decimal) is normalized through Fraction first
+_LOWEST_TERMS = (int, Fraction)
 
 # bits of the sign filter's scaled powers q^i * 2^P
 FILTER_BITS = 128
@@ -134,25 +143,6 @@ def _sturm_count(coeffs: Sequence[Fraction | int], lo: Fraction, hi: Fraction) -
         return sum(u != v for u, v in zip(signs, signs[1:]))
 
     return variations(lo) - variations(hi)
-
-
-def _det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix (Bareiss: every division is
-    exact, so the work stays in integers)."""
-    m = [list(r) for r in rows]
-    n, parity, prev = len(m), 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            parity = -parity
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return parity * m[-1][-1]
 
 
 def _sum_source(terms: list[str]) -> str:
@@ -465,16 +455,18 @@ class BaseField:
     # -- element constructors ----------------------------------------------
 
     def element(self, coeffs: Iterable[RationalLike]) -> "AlgebraicReal":
-        vec = [Fraction(c) for c in coeffs]
+        vec = [c if type(c) in _LOWEST_TERMS else Fraction(c) for c in coeffs]
         if len(vec) > self.degree:
             raise ValueError(f"coefficient vector longer than degree {self.degree}")
-        vec.extend([Fraction(0)] * (self.degree - len(vec)))
         # the lcm of lowest-terms denominators leaves the lattice form reduced
         den = math.lcm(*(c.denominator for c in vec))
-        return AlgebraicReal(self, tuple(c.numerator * (den // c.denominator) for c in vec), den)
+        num = [c.numerator * (den // c.denominator) for c in vec]
+        return AlgebraicReal(self, tuple(num) + (0,) * (self.degree - len(num)), den)
 
     def from_rational(self, r: RationalLike) -> "AlgebraicReal":
-        return self.element([r])
+        if type(r) not in _LOWEST_TERMS:
+            r = Fraction(r)
+        return AlgebraicReal(self, (r.numerator,) + (0,) * (self.degree - 1), r.denominator)
 
     @property
     def zero(self) -> "AlgebraicReal":
@@ -639,27 +631,47 @@ class AlgebraicReal:
         return _reduced(field, field._step(self.num, -d * den), den)
 
     def inverse(self) -> "AlgebraicReal":
-        """Multiplicative inverse, in integers: den / N(q) with 1/N(q) read
-        off the adjugate of the matrix of multiplication by N(q)."""
+        """Multiplicative inverse, in integers, by one fraction-free
+        elimination.  With x = N(q) / den, column j of the matrix M holds the
+        coordinates of N(q) * q^j, so y = 1/N(q) solves M y = e_0.  One
+        Bareiss pass over [M | e_0], swapping rows at a zero pivot, leaves an
+        upper triangular system U y = b whose last pivot D is +-det M.
+        Back-substitution then gives z = D * y = +-adj(M) e_0 in integers, so
+        each of its divisions is exact, and 1/x = den * z / D."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero field element")
         if self.is_rational():
             return self.field.from_rational(Fraction(self.den, self.num[0]))
-        # column j holds the coordinates of N(q) * q^j
-        cols, step = [self.num], self.field._step
-        for _ in range(self.field.degree - 1):
+        n, step = self.field.degree, self.field._step
+        cols = [self.num]
+        for _ in range(n - 1):
             cols.append(step(cols[-1]))
-        rows = [list(r) for r in zip(*cols)]
-        det = _det(rows)
-        if det == 0:
-            # only possible when the defining polynomial is not irreducible
-            raise ReduciblePolynomial("defining polynomial shares a factor with an element")
-        # 1/N(q) = adj(M) e_0 / det, and adj(M)[i][0] is the (0, i) cofactor
-        minor = rows[1:]
-        adj = [(-1) ** i * _det([r[:i] + r[i + 1:] for r in minor]) for i in range(len(rows))]
-        if det < 0:
-            det, adj = -det, [-a for a in adj]
-        return _reduced(self.field, [a * self.den for a in adj], det)
+        m = [[*r, 0] for r in zip(*cols)]  # [M | e_0], row by row
+        m[0][n] = 1
+        prev = 1
+        for k in range(n):
+            rk = m[k]
+            if not rk[k]:
+                swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+                if swap is None:
+                    # only possible when the defining polynomial is not irreducible
+                    raise ReduciblePolynomial("defining polynomial shares a factor with an element")
+                # a swap flips the sign of both D and z, which z / D does not see
+                rk, m[k], m[swap] = m[swap], m[swap], rk
+            p = rk[k]
+            for i in range(k + 1, n):
+                ri = m[i]
+                f = ri[k]
+                for j in range(k + 1, n + 1):
+                    ri[j] = (ri[j] * p - f * rk[j]) // prev
+            prev = p
+        z = [0] * n  # prev is now the last pivot D
+        for i in range(n - 1, -1, -1):
+            ri = m[i]
+            z[i] = (prev * ri[n] - sum(map(mul, ri[i + 1:n], z[i + 1:]))) // ri[i]
+        if prev < 0:
+            prev, z = -prev, [-v for v in z]
+        return _reduced(self.field, [v * self.den for v in z], prev)
 
     def __truediv__(self, other):
         o = self._coerce(other)

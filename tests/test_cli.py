@@ -426,6 +426,17 @@ def test_field_spec_at_the_caps_parses(capsys, wall_time_limit):
     assert _parse_field("poly:-1,-1," + "0," * 62 + "1@1,2").degree == 64
 
 
+_DEGREE_64_SPEC = "poly:-1,-1," + "0," * 62 + "1@1,2"  # x^64 - x - 1
+
+
+def test_degree_64_spec_answers_fast(capsys, wall_time_limit):
+    # 1(0)* is worth 1/q = q^63 - 1: one inverse of a degree-64 element
+    wall_time_limit(2)
+    assert run(capsys, "region", "--field", _DEGREE_64_SPEC, "1(0)*")[0] == 0
+    assert run(capsys, "eval", "--field", _DEGREE_64_SPEC, "1(0)*")[:2] == (
+        0, "-1 + q^63 / 0.989143\n")
+
+
 def test_interval_holding_three_roots_is_usage_error(capsys):
     # (x-100)^3 - 3(x-100) + 1: three roots in [0, 1000], one grid sign change
     code, out, err = run(capsys, "eval", "--field", "poly:-999699,29997,-300,1@0,1000", "1")

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from betaforge.numberfield import (
     FILTER_BITS,
@@ -25,7 +25,7 @@ from betaforge.numberfield import (
     to_decimal,
 )
 from betaforge import numberfield
-from betaforge.words import PeriodicWord, eval_word
+from betaforge.words import PeriodicWord, eval_word, parse_word
 from conftest import enclosure
 
 
@@ -432,15 +432,83 @@ def test_lattice_form_is_reduced():
     assert (x + x).den == 6 and (x - x).den == 1
     assert x.coeffs == (Fraction(1, 2), Fraction(3, 4), Fraction(0), Fraction(-5, 6))
     assert x.times_q_minus(1) == x * F.q - 1
-    assert hash(F.from_rational(Fraction(3, 2))) == hash(Fraction(3, 2))
+
+
+def _via_fraction(F, coeffs):
+    """The lattice form of sum(coeffs[i] * q^i), every coefficient
+    normalized through Fraction first."""
+    vec = [Fraction(c) for c in coeffs] + [Fraction(0)] * (F.degree - len(coeffs))
+    den = math.lcm(*(c.denominator for c in vec))
+    return tuple(c.numerator * (den // c.denominator) for c in vec), den
+
+
+# ints and Fractions are read as they are; the rest go through Fraction
+_RATIONALS = st.one_of(
+    st.integers(-2**80, 2**80),
+    st.builds(Fraction, st.integers(-2**80, 2**80), st.integers(1, 2**70)),
+    st.sampled_from([True, "3/4", "-7", 0.5]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([golden_field(), q2_field()]), _RATIONALS, _RATIONALS)
+def test_coercion_matches_the_fraction_path(F, r, s):
+    x = F.from_rational(r)
+    assert (x.num, x.den) == _via_fraction(F, [r])
+    assert hash(x) == hash(Fraction(r))
+    y = F.element([r, s])
+    assert (y.num, y.den) == _via_fraction(F, [r, s])
+    # a bool is normalized too: True enters as the int 1
+    assert {type(n) for n in (*x.num, x.den, *y.num, y.den)} == {int}
+
+
+def _det(rows):
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    m = [list(r) for r in rows]
+    n, parity, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            parity = -parity
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return parity * m[-1][-1]
+
+
+def _ref_inverse(x):
+    """The lattice form of 1/x from the adjugate, by n + 1 determinants:
+    with x = N(q) / den and M the matrix of multiplication by N(q), 1/N(q)
+    is adj(M) e_0 / det M, and adj(M)[i][0] is the (0, i) cofactor."""
+    F = x.field
+    cols = [x.num]
+    for _ in range(F.degree - 1):
+        cols.append(F._step(cols[-1]))
+    rows = [list(r) for r in zip(*cols)]
+    det = _det(rows)
+    adj = [(-1) ** i * _det([r[:i] + r[i + 1:] for r in rows[1:]]) for i in range(len(rows))]
+    if det < 0:
+        det, adj = -det, [-a for a in adj]
+    num = [a * x.den for a in adj]
+    g = math.gcd(det, *num)
+    return tuple(a // g for a in num), det // g
 
 
 _INVERSE_FIELDS = [golden_field(), qf_field(), q2_field(),
                    define_field((-2, 0, 0, 1), (1, 2))]  # cube root of 2: q is no unit
+# small coefficients, and numerators past 2^64
+_INVERSE_COEFFS = st.one_of(_small, st.builds(Fraction, st.integers(-2**100, 2**100),
+                                              st.integers(1, 2**70)))
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(_INVERSE_FIELDS), st.lists(_small, min_size=1, max_size=4))
+@given(st.sampled_from(_INVERSE_FIELDS), st.lists(_INVERSE_COEFFS, min_size=1, max_size=4))
+@example(q2_field(), [0, 1])  # q and q^2: the first pivot is 0, so rows swap
+@example(q2_field(), [0, 0, 1])
 def test_inverse_in_several_fields(F, vec):
     x = F.element(vec[:F.degree])
     if x.is_zero():
@@ -448,6 +516,37 @@ def test_inverse_in_several_fields(F, vec):
     inv = x.inverse()
     assert x * inv == 1
     assert inv.inverse() == x
+    assert (inv.num, inv.den) == _ref_inverse(x)
+
+
+_DEGREE_64 = define_field([-1, -1] + [0] * 62 + [1], (1, 2))  # x^64 - x - 1
+
+
+@pytest.mark.parametrize("vec", [[0, 1], [Fraction(-3, 4), Fraction(5, 7), 0, Fraction(8, 3)]])
+def test_inverse_at_degree_64(vec):
+    # the reference takes about a second for each of these
+    x = _DEGREE_64.element(vec)
+    inv = x.inverse()
+    assert x * inv == 1
+    assert (inv.num, inv.den) == _ref_inverse(x)
+
+
+def test_inverse_detects_a_reducible_polynomial():
+    # (x^2 - x - 1)(x^2 + 1) passes the rational-root screen, and its q is
+    # the golden ratio; q^2 + 1 shares the factor x^2 + 1, so it has no inverse
+    F = define_field((-1, -1, 0, -1, 1), (Fraction(3, 2), Fraction(17, 10)))
+    with pytest.raises(ReduciblePolynomial):
+        (F.q**2 + 1).inverse()
+    with pytest.raises(ReduciblePolynomial):
+        1 / (F.q**2 + 1)
+
+
+def test_high_degree_word_value_is_fast(wall_time_limit):
+    # one inverse of a degree-120 element: 1(0)* is worth 1/q, which is
+    # q^119 - 1 since q^120 = q + 1
+    wall_time_limit(2)
+    F = define_field([-1, -1] + [0] * 118 + [1], (1, 2))
+    assert eval_word(parse_word("1(0)*"), F) == F.q**119 - 1
 
 
 def test_orbit_step_reduces_when_q_is_no_unit():
