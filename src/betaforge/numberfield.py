@@ -30,8 +30,8 @@ there belongs to the value 0 (see ``AlgebraicReal._exact_sign``).
 Kernel.  Each field compiles its two hot functions into straight-line code
 for its own constants: the orbit step q * num + low, at construction, from
 the companion row; and the filter sum with its error bound, on the first
-irrational sign, from the scaled powers.  Every orbit walk, Horner pass,
-inverse and filter reads these two functions.
+irrational sign, from the scaled powers.  Every orbit walk, product, Horner
+pass, inverse and filter reads these two functions.
 
 Decimals.  The same sums at a higher precision P enclose 2^P * den * value in
 an integer interval; both ends are rounded half to even, in integers, and P
@@ -93,8 +93,8 @@ def _sgn(r: Fraction | int) -> int:
     return (r > 0) - (r < 0)
 
 
-def _poly_at(coeffs: Sequence[Fraction | int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _poly_at(coeffs: Sequence[Fraction | int], x: Fraction | int) -> Fraction | int:
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
@@ -112,31 +112,38 @@ def _poly_over_interval(
     return vlo, vhi
 
 
-def _poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Remainder of a divided by b (b's leading coefficient nonzero), with
-    trailing zero coefficients stripped."""
-    a = list(a)
+def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list, list[Fraction]]:
+    """Quotient and remainder of a divided by b (b's leading coefficient
+    nonzero), the remainder with trailing zero coefficients stripped."""
+    a, quot = list(a), [0] * max(len(a) - len(b) + 1, 0)
     while len(a) >= len(b):
         f = a[-1] / b[-1]
         shift = len(a) - len(b)
+        quot[shift] = f
         for i, c in enumerate(b):
             a[shift + i] -= f * c
         a.pop()  # the leading coefficient is now zero
         while a and a[-1] == 0:
             a.pop()
-    return a
+    return quot, a
 
 
-def _sturm_count(coeffs: Sequence[Fraction | int], lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in (lo, hi] of a polynomial that
-    vanishes at neither end (Sturm's theorem, exact over Q)."""
+def _sturm_chain(coeffs: Sequence[Fraction | int]) -> list[list[Fraction]]:
+    """The Sturm sequence of a polynomial: p, p', then the negated
+    remainders; its last member is gcd(p, p') up to a constant factor."""
     chain = [[Fraction(c) for c in coeffs]]
     chain.append([k * c for k, c in enumerate(chain[0])][1:])
     while True:
-        r = _poly_rem(chain[-2], chain[-1])
+        r = _poly_divmod(chain[-2], chain[-1])[1]
         if not r:
-            break
+            return chain
         chain.append([-c for c in r])
+
+
+def _sturm_count(chain: list[list[Fraction]], lo: Fraction, hi: Fraction) -> int:
+    """Number of distinct real roots in (lo, hi] of the first polynomial of a
+    Sturm ``chain``, which vanishes at neither end (Sturm's theorem, exact
+    over Q)."""
 
     def variations(x: Fraction) -> int:
         signs = [s for s in (_sgn(_poly_at(p, x)) for p in chain) if s]
@@ -200,15 +207,33 @@ def _compile_filter(powers: Sequence[int]):
                      {f"Q{i}": Q for i, Q in enumerate(powers)})
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.extend((d, n // d))
-        d += 1
-    return sorted(set(out))
+def _integer_roots(core: Sequence[int], bound: int) -> list[int]:
+    """The integer roots r, |r| <= ``bound``, of a monic squarefree integer
+    polynomial ``core``, found without factoring its constant term.
+
+    Take the least modulus l >= 2 at which core' is a unit at every root of
+    core mod l (any prime not dividing the nonzero discriminant is one).
+    Newton's method lifts each root mod l to the one root mod l^(2^j) above
+    it, up to a modulus m > 2 * bound, so an integer root is the residue in
+    (-m/2, m/2] of a lift; each such residue is tried exactly."""
+    deriv = [k * c for k, c in enumerate(core)][1:]
+    ell = 2
+    while True:
+        roots = [r for r in range(ell) if _poly_at(core, r) % ell == 0]
+        if all(math.gcd(_poly_at(deriv, r), ell) == 1 for r in roots):
+            break
+        ell += 1
+    found = []
+    for r in roots:
+        m = ell
+        while m <= 2 * bound:
+            m *= m
+            r = (r - _poly_at(core, r) * pow(_poly_at(deriv, r), -1, m)) % m
+        if r > m // 2:
+            r -= m
+        if _poly_at(core, r) == 0:
+            found.append(r)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -230,21 +255,23 @@ class BaseField:
     comparisons, decimals and floats read q through the field's integer
     bracket instead, so ``interval()`` and every printed ``"interval"``
     depend on the polynomial and the given interval alone (only an explicit
-    ``refine`` narrows it).  The field also owns its derived constants: the
-    compiled orbit step ``_step`` (num, low) -> q * num + low, built at
-    construction; and, each computed on first use, its finest dyadic bracket
-    of q, the scaled powers at each precision asked for (the sign filter's
-    in a slot of their own, with their compiled sum ``_filter()``), the
-    domain bounds 1/q, 1/(q(q-1)), 1/(q-1) and their scaled sums.
+    ``refine`` narrows it).  The field also owns its derived constants, each
+    kept in one form: the compiled orbit step ``_step`` (num, low) ->
+    q * num + low, built at construction from the companion row, through
+    which products reduce; and, each computed on first use, its finest
+    dyadic bracket of q, the scaled powers at each precision asked for
+    (those at FILTER_BITS feed the compiled filter sum ``_filter()``), and
+    the domain bounds 1/q, 1/(q(q-1)), 1/(q-1), whose scaled sums the bound
+    elements cache themselves.
     ``_roots``, ``_branches``, ``_answers`` and ``_answer_cells`` hold the
     root memo (the last point's root run), the branch and the answer memos
     of ``branching``, which owns their format; they hold no element, so the
     field is freed with them.
     """
 
-    __slots__ = ("min_poly", "degree", "name", "_lo", "_hi", "_sign_lo", "_reduction_rows",
-                 "_step", "_bracket", "_powers", "_filter_sum", "_fine", "_domain", "_sums",
-                 "_roots", "_branches", "_answers", "_answer_cells", "__weakref__")
+    __slots__ = ("min_poly", "degree", "name", "_lo", "_hi", "_sign_lo", "_step", "_bracket",
+                 "_filter_sum", "_fine", "_domain", "_roots", "_branches", "_answers",
+                 "_answer_cells", "__weakref__")
 
     def __init__(
         self,
@@ -261,11 +288,9 @@ class BaseField:
         self.degree = len(coeffs) - 1
         self.name = name
         self._bracket: tuple[int, int] | None = None
-        self._powers: tuple[int, ...] | None = None
         self._filter_sum = None
         self._fine: dict[int, tuple[int, ...]] = {}
         self._domain: tuple[AlgebraicReal, AlgebraicReal, AlgebraicReal] | None = None
-        self._sums: tuple[tuple[AlgebraicReal, int, int, int], ...] | None = None
         self._roots: dict[tuple[int, ...], tuple] = {}
         self._branches: dict[tuple[int, ...], tuple] = {}
         self._answers: dict[tuple, object] = {}
@@ -276,17 +301,20 @@ class BaseField:
             raise ValueError("isolating interval is empty")
 
         # Rational-root screen: a rational root of a monic integer polynomial
-        # is an integer dividing the constant term.
+        # is an integer, a root of its squarefree part p / gcd(p, p'), and
+        # below 1 + max |c_i| in absolute value (Cauchy).
         if coeffs[0] == 0:
             raise ReduciblePolynomial("zero constant term: x divides the polynomial")
-        for cand in _divisors(coeffs[0]):
-            for r in (cand, -cand):
-                if _poly_at(coeffs, Fraction(r)) == 0:
-                    raise ReduciblePolynomial(f"rational root {r}")
+        chain = _sturm_chain(coeffs)
+        quot = _poly_divmod(chain[0], chain[-1])[0]
+        core = [int(c / quot[-1]) for c in quot]
+        rational = _integer_roots(core, 1 + max(map(abs, coeffs[:-1])))
+        if rational:
+            raise ReduciblePolynomial(f"rational root {min(rational, key=lambda r: (abs(r), r < 0))}")
 
         # Count the roots in [lo, hi] exactly (post-screen neither end is a
         # root); a sign-change grid alone misses roots that share a cell.
-        roots = _sturm_count(coeffs, lo, hi)
+        roots = _sturm_count(chain, lo, hi)
         if roots == 0:
             raise NoRootInInterval(f"no root of {coeffs} in [{lo}, {hi}]")
         if roots > 1:
@@ -316,18 +344,7 @@ class BaseField:
         else:
             raise AmbiguousInterval("could not certify a simple root by refinement")
 
-        # Rows expressing q^k (k = degree .. 2*degree-2) in the power basis;
-        # monic integer polynomial, so the rows are integer vectors.
-        rows = []
-        row = [-c for c in coeffs[:-1]]
-        rows.append(tuple(row))
-        for _ in range(self.degree - 2):
-            top = row[-1]
-            row = [0] + row[:-1]
-            row = [r + top * m for r, m in zip(row, rows[0])]
-            rows.append(tuple(row))
-        self._reduction_rows = tuple(rows)
-        self._step = _compile_step(rows[0])
+        self._step = _compile_step([-c for c in coeffs[:-1]])
 
     # -- isolating interval ------------------------------------------------
 
@@ -338,10 +355,7 @@ class BaseField:
 
     def _bisect(self) -> None:
         mid = (self._lo + self._hi) / 2
-        s = _sgn(_poly_at(self.min_poly, mid))
-        if s == 0:
-            raise ReduciblePolynomial(f"rational root {mid}")
-        if s == self._sign_lo:
+        if _sgn(_poly_at(self.min_poly, mid)) == self._sign_lo:
             self._lo = mid
         else:
             self._hi = mid
@@ -393,14 +407,10 @@ class BaseField:
         self._bracket = (a, k0)
         return a >> (k0 - k)
 
-    def _scaled_powers(self, p: int | None = None) -> tuple[int, ...]:
+    def _scaled_powers(self, p: int = FILTER_BITS) -> tuple[int, ...]:
         """Integers Q[i] with |Q[i] - q^i * 2^p| < 3/2, for i < degree;
         computed once per precision p from the field's dyadic bracket of q.
-        With no argument, the sign filter's tuple at p = FILTER_BITS."""
-        if p is None:
-            if self._powers is None:
-                self._powers = self._scaled_powers(FILTER_BITS)
-            return self._powers
+        The sign filter's are those at p = FILTER_BITS, the default."""
         powers = self._fine.get(p)
         if powers is None:
             k = p + 4 * self.degree
@@ -442,15 +452,6 @@ class BaseField:
             switch_lo = self.one / q
             self._domain = (switch_lo, switch_lo * upper, upper)
         return self._domain
-
-    def _domain_sums(self) -> tuple[tuple["AlgebraicReal", int, int, int], ...]:
-        """(b, b.den, S, E) for b = 0, 1/q, 1/(q(q-1)), 1/(q-1), the bounds of
-        the domain and its regions, with b's scaled sum (S, E) from
-        ``_scaled``; computed once."""
-        if self._sums is None:
-            bounds = (self.zero, *self.domain_bounds())
-            self._sums = tuple((b, b.den, *b._scaled()) for b in bounds)
-        return self._sums
 
     # -- element constructors ----------------------------------------------
 
@@ -612,15 +613,11 @@ class AlgebraicReal:
                 for j, b in enumerate(o.num):
                     if b:
                         prod[i + j] += a * b
-        res = prod[:d]
-        for k in range(d, 2 * d - 1):
-            ck = prod[k]
-            if ck:
-                row = self.field._reduction_rows[k - d]
-                for i, m in enumerate(row):
-                    if m:
-                        res[i] += ck * m
-        return _reduced(self.field, res, self.den * o.den)
+        # Horner from q^(d-1) down through the orbit step, which reduces q^d
+        step, acc = self.field._step, prod[d - 1:]
+        for k in range(d - 2, -1, -1):
+            acc = step(acc, prod[k])
+        return _reduced(self.field, acc, self.den * o.den)
 
     __rmul__ = __mul__
 

@@ -15,7 +15,7 @@ the region of a point decides which branches keep it inside the domain:
     switch [1/q, 1/(q(q-1))]         both t0 and t1 stay (branch point)
     high   (1/(q(q-1)), 1/(q-1)]     only t1 stays
 
-``region`` places a point by comparing it with 0 and these three bounds.
+``region`` places a point by its sign and by comparing it with these bounds.
 The orbit kernel in ``branching`` places the raw numerators it steps with
 ``_region_rule``, which compares with the two switch bounds only: every
 value the kernel makes lies in the domain.
@@ -351,9 +351,10 @@ def _region_rule(field: BaseField, den: int) -> Callable[[Sequence[int]], Region
     only the switch bounds 1/q and 1/(q(q-1)) are compared.
 
     Each bound b = sum(m[i] * q^i) / b.den enters through its scaled sum
-    (S, E), cached by the field; their products with ``den`` are taken here,
-    once.  The value's own scaled sum s, from the field's compiled filter
-    sum, is within e = 2 * sum(|num[i]|) + 2 of its true scale, so
+    (S, E), which b caches (``_scaled``); their products with ``den`` are
+    taken here, once per rule.  The value's own scaled sum s, from the
+    field's compiled filter sum, is within e = 2 * sum(|num[i]|) + 2 of its
+    true scale, so
 
         b.den * s - den * S   against   b.den * e + den * E
 
@@ -362,11 +363,10 @@ def _region_rule(field: BaseField, den: int) -> Callable[[Sequence[int]], Region
     scaled sums at a precision that grows up to the zero bound of
     ``AlgebraicReal._exact_sign``, so every answer is certified and none
     narrows the field's isolating interval."""
-    _, low, switch, _ = field._domain_sums()
+    low, switch, _ = field.domain_bounds()
     scaled = field._filter()
-    checks = [(bound, b_den, den * s, den * e, below, strict)
-              for (bound, b_den, s, e), below, strict
-              in ((low, Region.LOW, True), (switch, Region.SWITCH, False))]
+    checks = [(b, b.den, *(den * v for v in b._scaled()), below, strict)
+              for b, below, strict in ((low, Region.LOW, True), (switch, Region.SWITCH, False))]
 
     def locate(num: Sequence[int]) -> Region:
         s, e = scaled(num)
@@ -385,19 +385,21 @@ def _region_rule(field: BaseField, den: int) -> Callable[[Sequence[int]], Region
     return locate
 
 
-# the region of a point below each of 0, 1/q, 1/(q(q-1)), 1/(q-1) (in
-# order), and whether "below" is strict
-_SIDES = ((Region.OUTSIDE, True), (Region.LOW, True), (Region.SWITCH, False),
-          (Region.HIGH, False))
+# the region of a point below each of 1/q, 1/(q(q-1)), 1/(q-1) (in order),
+# and whether "below" is strict
+_SIDES = ((Region.LOW, True), (Region.SWITCH, False), (Region.HIGH, False))
 
 
 def region(x: AlgebraicReal) -> Region:
     """Which part of the domain [0, 1/(q-1)] the point lies in, or outside
-    it.  x is compared with 0, 1/q, 1/(q(q-1)) and 1/(q-1) in turn by
-    ``_cmp``: the integer filter on the scaled sum x caches and the field's
-    cached sums of the bounds, and the exact sign where the filter cannot
-    decide."""
-    for (bound, *_), (below, strict) in zip(x.field._domain_sums(), _SIDES):
+    it.  A negative x is outside; any other is compared with 1/q,
+    1/(q(q-1)) and 1/(q-1) in turn by ``_cmp``: the integer filter on the
+    scaled sums that x and each bound cache, and the exact sign where the
+    filter cannot decide.  No element is built unless the filter fails."""
+    bounds = x.field.domain_bounds()  # first: a base outside (1, 2) raises for every x
+    if x.sign() < 0:
+        return Region.OUTSIDE
+    for bound, (below, strict) in zip(bounds, _SIDES):
         c = x._cmp(bound)
         if c < 0 or (c == 0 and not strict):
             return below

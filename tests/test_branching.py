@@ -1,6 +1,7 @@
 """Tests for orbit runs, branch graphs, cardinality classification,
 enumeration, and the independent prefix-count oracle."""
 
+import functools
 import itertools
 import math
 import operator
@@ -828,6 +829,27 @@ def _ref_times_q(num, row, low=0):
     return tuple([a + top * m for a, m in zip((low,) + num[:-1], row)])
 
 
+def _ref_mul(x, y):
+    """(num, den) of x * y, reduced, by a schoolbook product whose terms
+    q^k, k >= degree, are replaced by rows derived here from the defining
+    polynomial: row k - degree holds the numerators of q^k."""
+    field, d = x.field, x.field.degree
+    rows = [tuple(-c for c in field.min_poly[:-1])]
+    for _ in range(d - 2):
+        top = rows[-1][-1]
+        rows.append(tuple(r + top * m for r, m in zip((0,) + rows[-1][:-1], rows[0])))
+    prod = [0] * (2 * d - 1)
+    for i, a in enumerate(x.num):
+        for j, b in enumerate(y.num):
+            prod[i + j] += a * b
+    res = prod[:d]
+    for k, row in enumerate(rows, d):
+        res = [r + prod[k] * m for r, m in zip(res, row)]
+    den = x.den * y.den
+    g = math.gcd(den, *res)
+    return tuple(r // g for r in res), den // g
+
+
 def _ref_filter_sum(num, powers):
     return sum(map(operator.mul, num, powers)), 2 * sum(map(abs, num)) + 2
 
@@ -857,12 +879,46 @@ def test_compiled_step_and_filter_sum_match_the_generic_loops(row, data):
 def test_each_fields_compiled_kernel_matches_the_generic_loops(name, nums, low):
     F = define_field(*_KERNEL_FIELDS[name])
     num = tuple(nums[:F.degree])
-    row = F._reduction_rows[0]
+    row = tuple(-c for c in F.min_poly[:-1])
     assert F._step(num, low) == _ref_times_q(num, row, low)
-    # and q * n + low by the field's own multiplication, over denominator 1
-    assert F._step(num, low) == (F.q * AlgebraicReal(F, num, 1) + low).num
+    # and q * n + low by the reference product, over denominator 1
+    (head, *rest), _ = _ref_mul(F.q, AlgebraicReal(F, num, 1))
+    assert F._step(num, low) == (head + low, *rest)
     assert F._filter()(num) == _ref_filter_sum(num, F._scaled_powers())
     assert AlgebraicReal(F, num, 1)._scaled() == _ref_filter_sum(num, F._scaled_powers())
+
+
+# the kernel's fields, once built, and the process-wide q2, qf and golden
+# fields, whose state earlier tests have grown; then x^64 - x - 1
+_MUL_FIELDS = [*_KERNEL_FIELDS, "q2_field", "qf_field", "golden_field", "x^64 - x - 1"]
+
+
+@functools.lru_cache(maxsize=None)
+def _mul_field(name):
+    if name in _KERNEL_FIELDS:
+        return define_field(*_KERNEL_FIELDS[name])
+    if name == "x^64 - x - 1":
+        return define_field((-1, -1) + (0,) * 62 + (1,), (1, 2))
+    return getattr(numberfield, name)()
+
+
+# numerators with zeros (the product skips them), small ones, and ones
+# beyond 2^64
+_MUL_INTS = st.one_of(st.just(0), st.integers(-9, 9), st.integers(2**64, 2**130),
+                      st.integers(-2**130, -2**64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_MUL_FIELDS), st.data())
+def test_products_match_the_schoolbook_reference(name, data):
+    F = _mul_field(name)
+    x, y = (numberfield._reduced(F, data.draw(st.lists(_MUL_INTS, min_size=F.degree,
+                                                       max_size=F.degree)),
+                                 data.draw(st.integers(1, 2**70)))
+            for _ in range(2))
+    for a, b in ((x, y), (y, x), (x, x)):
+        p = a * b
+        assert (p.num, p.den) == _ref_mul(a, b)
 
 
 def test_compiled_kernel_at_a_degree_past_the_compilers_nesting_limit():

@@ -20,6 +20,7 @@ from betaforge.numberfield import (
     golden_field,
     q2_field,
     qf_field,
+    _sturm_chain,
     _sturm_count,
     sign,
     to_decimal,
@@ -88,7 +89,7 @@ def test_define_field_rejects_roots_sharing_a_grid_cell():
     ((-1, -1, 1), (2, 3), 0),
 ])
 def test_sturm_count(poly, iso, roots):
-    assert _sturm_count(poly, Fraction(iso[0]), Fraction(iso[1])) == roots
+    assert _sturm_count(_sturm_chain(poly), Fraction(iso[0]), Fraction(iso[1])) == roots
 
 
 def test_define_field_rejects_rational_root():
@@ -96,6 +97,71 @@ def test_define_field_rejects_rational_root():
         define_field((-1, 0, 1), (Fraction(1, 2), Fraction(3, 2)))
     with pytest.raises(ReduciblePolynomial):
         define_field((0, -1, 1), (Fraction(1, 2), Fraction(3, 2)))
+
+
+def test_rational_root_screen_does_not_factor_a_large_constant_term(wall_time_limit):
+    # trial division up to sqrt(c0) would take about 10^49 steps
+    wall_time_limit(2)
+    n = 10**99 + 7
+    assert math.isqrt(n) ** 2 != n
+    assert define_field((-n, 0, 1), (1, 10**50)).degree == 2
+
+
+_A = 10**50
+
+
+@pytest.mark.parametrize("poly, root", [
+    ((2 * _A, -2, -_A, 1), _A),  # (x - 10^50)(x^2 - 2)
+    ((-2 * _A**2, -4 * _A, _A**2 - 2, 2 * _A, 1), -_A),  # (x + 10^50)^2 (x^2 - 2)
+])
+def test_rational_root_screen_finds_a_large_integer_root(wall_time_limit, poly, root):
+    # the screen names the root, a double one too; the interval holds sqrt 2
+    wall_time_limit(2)
+    with pytest.raises(ReduciblePolynomial, match=f"rational root {root}$"):
+        define_field(poly, (1, 2))
+
+
+def _poly_times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+_NONZERO = st.integers(-20, 20).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_NONZERO, max_size=3), st.lists(st.integers(-5, 5), max_size=3),
+       st.integers(-5, 5).filter(bool))
+def test_rational_root_screen_matches_trial_division(roots, middle, constant):
+    # (x - r1)(x - r2)...: repeated roots too, times a monic cofactor with a
+    # nonzero constant term; the screen names the root of least size that
+    # trial division over the divisors of the constant term finds first
+    poly = [constant, *middle, 1]
+    for r in roots:
+        poly = _poly_times(poly, [-r, 1])
+    if len(poly) < 3:
+        poly = _poly_times(poly, [-7, 1])
+    c0 = abs(poly[0])
+    found = [r for d in range(1, c0 + 1) if c0 % d == 0 for r in (d, -d)
+             if sum(c * r**i for i, c in enumerate(poly)) == 0]
+    try:
+        define_field(poly, (Fraction(1, 3), Fraction(2, 3)))
+        message = None
+    except ReduciblePolynomial as exc:
+        message = str(exc)
+    except (NoRootInInterval, AmbiguousInterval):
+        message = None
+    assert message == (f"rational root {found[0]}" if found else None)
+
+
+def test_refinement_gives_up_on_a_root_of_multiplicity_three():
+    # (x^2 - 2)^3: one root in (1, 2), where the derivative also vanishes,
+    # so no bisection makes the derivative sign-definite
+    with pytest.raises(AmbiguousInterval, match="could not certify a simple root by refinement"):
+        define_field((-8, 0, 12, 0, -6, 0, 1), (1, 2))
 
 
 def _fibonacci_signs(F):
@@ -370,9 +436,9 @@ def test_sign_below_filter_resolution_falls_back(monkeypatch):
 def test_first_filtered_sign_leaves_the_interval():
     F = define_field((-1, 1, -2, 1), (Fraction(17, 10), Fraction(9, 5)))
     iv = F.interval()
-    assert F._powers is None  # nothing is computed before the first sign
+    assert not F._fine and F._filter_sum is None  # nothing is computed before the first sign
     assert (F.q - 1).sign() == 1
-    assert F._powers is not None
+    assert FILTER_BITS in F._fine and F._filter_sum is not None
     assert F.interval() == iv
 
 
