@@ -14,9 +14,9 @@ reduction and never grows ``den``.
 Signs.  Every comparison reduces to the sign of sum(num[i] * q^i).  Each
 field lazily fixes, on its first irrational sign, the scaled powers
 Q[i] = q^i * 2^P rounded to integers with |Q[i] - q^i * 2^P| < 3/2, at
-P = FILTER_BITS.  They come from a private dyadic bracket of q, found by
-integer bisection inside the isolating interval, so the shared interval and
-everything printed from it stay as they are.  Then
+P = FILTER_BITS.  They come from a private copy of the isolating interval,
+halved in integers until it brackets every q^i closely enough, so the shared
+interval and everything printed from it stay as they are.  Then
 
     |sum(num[i] * Q[i]) - 2^P * sum(num[i] * q^i)| < 2 * sum(|num[i]|),
 
@@ -86,38 +86,51 @@ _LOWEST_TERMS = (int, Fraction)
 FILTER_BITS = 128
 
 # ---------------------------------------------------------------------------
-# rational polynomial helpers (coefficient lists, ascending powers)
+# integer polynomial helpers (coefficient lists, ascending powers)
 
 
-def _sgn(r: Fraction | int) -> int:
+def _sgn(r: int) -> int:
     return (r > 0) - (r < 0)
 
 
-def _poly_at(coeffs: Sequence[Fraction | int], x: Fraction | int) -> Fraction | int:
+def _poly_at(coeffs: Sequence[int], x: int) -> int:
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
 
-def _poly_over_interval(
-    coeffs: Sequence[Fraction | int], lo: Fraction, hi: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Conservative enclosure of the polynomial's range over [lo, hi]."""
-    vlo = vhi = Fraction(coeffs[-1])
+def _sign_at(coeffs: Sequence[int], m: int, d: int) -> int:
+    """Sign of the polynomial at m/d (d > 0): Horner on d^n * p(m/d)."""
+    acc, scale = coeffs[-1], 1
     for c in reversed(coeffs[:-1]):
-        p0, p1, p2, p3 = vlo * lo, vlo * hi, vhi * lo, vhi * hi
-        vlo = min(p0, p1, p2, p3) + c
-        vhi = max(p0, p1, p2, p3) + c
+        scale *= d
+        acc = acc * m + c * scale
+    return _sgn(acc)
+
+
+def _poly_over_interval(coeffs: Sequence[int], a: int, b: int, d: int) -> tuple[int, int]:
+    """d^n times a conservative enclosure of the degree-n polynomial's range
+    over [a/d, b/d] (d > 0): interval Horner, each step scaled by d."""
+    vlo, vhi, scale = coeffs[-1], coeffs[-1], 1
+    for c in reversed(coeffs[:-1]):
+        scale *= d
+        p0, p1, p2, p3 = vlo * a, vlo * b, vhi * a, vhi * b
+        vlo = min(p0, p1, p2, p3) + c * scale
+        vhi = max(p0, p1, p2, p3) + c * scale
     return vlo, vhi
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list, list[Fraction]]:
-    """Quotient and remainder of a divided by b (b's leading coefficient
-    nonzero), the remainder with trailing zero coefficients stripped."""
-    a, quot = list(a), [0] * max(len(a) - len(b) + 1, 0)
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b (lead(b) nonzero), the remainder
+    stripped of trailing zeros.  Each step first scales by |lead(b)|, so both
+    are positive multiples of the rational ones, equal when lead(b) = +-1."""
+    a, lead = list(a), b[-1]
+    scale, quot = abs(lead), [0] * max(len(a) - len(b) + 1, 0)
     while len(a) >= len(b):
-        f = a[-1] / b[-1]
+        if scale != 1:
+            a, quot = [scale * c for c in a], [scale * c for c in quot]
+        f = a[-1] // lead
         shift = len(a) - len(b)
         quot[shift] = f
         for i, c in enumerate(b):
@@ -128,28 +141,31 @@ def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list, list[Fract
     return quot, a
 
 
-def _sturm_chain(coeffs: Sequence[Fraction | int]) -> list[list[Fraction]]:
-    """The Sturm sequence of a polynomial: p, p', then the negated
-    remainders; its last member is gcd(p, p') up to a constant factor."""
-    chain = [[Fraction(c) for c in coeffs]]
-    chain.append([k * c for k, c in enumerate(chain[0])][1:])
-    while True:
-        r = _poly_divmod(chain[-2], chain[-1])[1]
-        if not r:
-            return chain
-        chain.append([-c for c in r])
+def _sturm_chain(coeffs: Sequence[int]) -> list[list[int]]:
+    """The Sturm sequence of an integer polynomial: p, p', then the negated
+    pseudo-remainders, each divided by its content (a primitive remainder
+    sequence, Collins 1967).  Each member is a positive multiple of the
+    classical one over Q; the last is gcd(p, p') up to a constant factor."""
+    chain, p = [], list(coeffs)
+    while p:
+        g = math.gcd(*p)
+        chain.append([c // g for c in p])
+        if len(chain) == 1:
+            p = [k * c for k, c in enumerate(chain[0])][1:]
+        else:
+            p = [-c for c in _pseudo_divmod(chain[-2], chain[-1])[1]]
+    return chain
 
 
-def _sturm_count(chain: list[list[Fraction]], lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in (lo, hi] of the first polynomial of a
-    Sturm ``chain``, which vanishes at neither end (Sturm's theorem, exact
-    over Q)."""
+def _sturm_count(chain: list[list[int]], a: int, b: int, d: int) -> int:
+    """Number of distinct real roots in (a/d, b/d] of the first polynomial of
+    a Sturm ``chain``, which vanishes at neither end (Sturm's theorem)."""
 
-    def variations(x: Fraction) -> int:
-        signs = [s for s in (_sgn(_poly_at(p, x)) for p in chain) if s]
+    def variations(m: int) -> int:
+        signs = [s for s in (_sign_at(p, m, d) for p in chain) if s]
         return sum(u != v for u, v in zip(signs, signs[1:]))
 
-    return variations(lo) - variations(hi)
+    return variations(a) - variations(b)
 
 
 def _sum_source(terms: list[str]) -> str:
@@ -249,27 +265,28 @@ class BaseField:
     in it exactly), and the polynomial must have no rational root (for
     degrees 2 and 3 that makes irreducibility over Q a theorem; for higher
     degrees it is a screen, and the interval certificate still pins down a
-    single well-defined real number).
+    single well-defined real number).  It computes in integers only, on one
+    cell (a, b, d) meaning [a/d, b/d], which ``_halved`` bisects.
 
     The isolating interval stays as construction certified it: signs,
-    comparisons, decimals and floats read q through the field's integer
-    bracket instead, so ``interval()`` and every printed ``"interval"``
-    depend on the polynomial and the given interval alone (only an explicit
+    comparisons, decimals and floats read q through a private copy of the
+    cell instead, so ``interval()`` and every printed ``"interval"`` depend
+    on the polynomial and the given interval alone (only an explicit
     ``refine`` narrows it).  The field also owns its derived constants, each
     kept in one form: the compiled orbit step ``_step`` (num, low) ->
     q * num + low, built at construction from the companion row, through
-    which products reduce; and, each computed on first use, its finest
-    dyadic bracket of q, the scaled powers at each precision asked for
-    (those at FILTER_BITS feed the compiled filter sum ``_filter()``), and
-    the domain bounds 1/q, 1/(q(q-1)), 1/(q-1), whose scaled sums the bound
-    elements cache themselves.
+    which products reduce; and, each computed on first use, the private
+    cell ``_bracket`` (the finest halved so far), the scaled powers at each
+    precision asked for (those at FILTER_BITS feed the compiled filter sum
+    ``_filter()``), and the domain bounds 1/q, 1/(q(q-1)), 1/(q-1), whose
+    scaled sums the bound elements cache themselves.
     ``_roots``, ``_branches``, ``_answers`` and ``_answer_cells`` hold the
     root memo (the last point's root run), the branch and the answer memos
     of ``branching``, which owns their format; they hold no element, so the
     field is freed with them.
     """
 
-    __slots__ = ("min_poly", "degree", "name", "_lo", "_hi", "_sign_lo", "_step", "_bracket",
+    __slots__ = ("min_poly", "degree", "name", "_cell", "_sign_lo", "_step", "_bracket",
                  "_filter_sum", "_fine", "_domain", "_roots", "_branches", "_answers",
                  "_answer_cells", "__weakref__")
 
@@ -287,7 +304,7 @@ class BaseField:
         self.min_poly = coeffs
         self.degree = len(coeffs) - 1
         self.name = name
-        self._bracket: tuple[int, int] | None = None
+        self._bracket: tuple[int, int, int] | None = None
         self._filter_sum = None
         self._fine: dict[int, tuple[int, ...]] = {}
         self._domain: tuple[AlgebraicReal, AlgebraicReal, AlgebraicReal] | None = None
@@ -297,50 +314,50 @@ class BaseField:
         self._answer_cells = 0
 
         lo, hi = Fraction(iso[0]), Fraction(iso[1])
-        if not lo < hi:
+        d = math.lcm(lo.denominator, hi.denominator)
+        a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+        if not a < b:
             raise ValueError("isolating interval is empty")
 
         # Rational-root screen: a rational root of a monic integer polynomial
         # is an integer, a root of its squarefree part p / gcd(p, p'), and
-        # below 1 + max |c_i| in absolute value (Cauchy).
+        # below 1 + max |c_i| in absolute value (Cauchy).  gcd(p, p') as the
+        # chain's primitive last member has leading coefficient +-1 (Gauss).
         if coeffs[0] == 0:
             raise ReduciblePolynomial("zero constant term: x divides the polynomial")
         chain = _sturm_chain(coeffs)
-        quot = _poly_divmod(chain[0], chain[-1])[0]
-        core = [int(c / quot[-1]) for c in quot]
-        rational = _integer_roots(core, 1 + max(map(abs, coeffs[:-1])))
+        quot = _pseudo_divmod(chain[0], chain[-1])[0]
+        rational = _integer_roots([c * quot[-1] for c in quot], 1 + max(map(abs, coeffs[:-1])))
         if rational:
             raise ReduciblePolynomial(f"rational root {min(rational, key=lambda r: (abs(r), r < 0))}")
 
         # Count the roots in [lo, hi] exactly (post-screen neither end is a
         # root); a sign-change grid alone misses roots that share a cell.
-        roots = _sturm_count(chain, lo, hi)
+        roots = _sturm_count(chain, a, b, d)
         if roots == 0:
             raise NoRootInInterval(f"no root of {coeffs} in [{lo}, {hi}]")
         if roots > 1:
             raise AmbiguousInterval(f"{roots} real roots of {coeffs} in [{lo}, {hi}]")
 
-        # Bracket the root's sign change on a grid over [lo, hi].  Grid
-        # points are rational, so (post-screen) the polynomial is nonzero at
-        # every one of them.
-        grid_n = 32
-        pts = [lo + (hi - lo) * Fraction(i, grid_n) for i in range(grid_n + 1)]
-        signs = [_sgn(_poly_at(coeffs, p)) for p in pts]
-        crossings = [i for i in range(grid_n) if signs[i] * signs[i + 1] < 0]
+        # Bracket the root's sign change on a grid over [lo, hi]: point i is
+        # (32a + (b - a)i) / 32d.  Grid points are rational, so (post-screen)
+        # the polynomial is nonzero at every one of them.
+        pts = [32 * a + (b - a) * i for i in range(33)]
+        signs = [_sign_at(coeffs, m, 32 * d) for m in pts]
+        crossings = [i for i in range(32) if signs[i] * signs[i + 1] < 0]
         if not crossings:  # a root of even multiplicity
             raise NoRootInInterval(f"no sign change of {coeffs} over [{lo}, {hi}]")
         i = crossings[0]
-        self._lo, self._hi = pts[i], pts[i + 1]
-        self._sign_lo = signs[i]
+        self._cell, self._sign_lo = (pts[i], pts[i + 1], 32 * d), signs[i]
 
         # Refine until the derivative is sign-definite on the interval: then
         # the bracketed root is unique and simple.
         deriv = [k * c for k, c in enumerate(coeffs)][1:]
         for _ in range(256):
-            dlo, dhi = _poly_over_interval(deriv, self._lo, self._hi)
+            dlo, dhi = _poly_over_interval(deriv, *self._cell)
             if dlo > 0 or dhi < 0:
                 break
-            self._bisect()
+            self._cell = self._halved(self._cell)
         else:
             raise AmbiguousInterval("could not certify a simple root by refinement")
 
@@ -351,83 +368,50 @@ class BaseField:
     def interval(self) -> tuple[Fraction, Fraction]:
         """The isolating interval, as construction certified it unless
         ``refine`` has narrowed it since."""
-        return self._lo, self._hi
+        a, b, d = self._cell
+        return Fraction(a, d), Fraction(b, d)
 
-    def _bisect(self) -> None:
-        mid = (self._lo + self._hi) / 2
-        if _sgn(_poly_at(self.min_poly, mid)) == self._sign_lo:
-            self._lo = mid
-        else:
-            self._hi = mid
+    def _halved(self, cell: tuple[int, int, int]) -> tuple[int, int, int]:
+        """The half of the cell (a, b, d), meaning [a/d, b/d], that holds q,
+        by the sign at its midpoint (no rational point is a root)."""
+        a, b, d = cell
+        if _sign_at(self.min_poly, a + b, 2 * d) == self._sign_lo:
+            return a + b, 2 * b, 2 * d
+        return 2 * a, a + b, 2 * d
 
     def refine(self, steps: int = 1) -> tuple[Fraction, Fraction]:
         """Halve the isolating interval ``steps`` times (nothing in the
         package calls this after construction)."""
         for _ in range(steps):
-            self._bisect()
+            self._cell = self._halved(self._cell)
         return self.interval()
 
     # -- sign filter ---------------------------------------------------------
 
-    def _sign_at_dyadic(self, m: int, k: int) -> int:
-        """Sign of the defining polynomial at m / 2^k, in integers."""
-        acc, scale = 0, 1
-        for c in reversed(self.min_poly):
-            acc = acc * m + c * scale
-            scale <<= k
-        return _sgn(acc)
-
-    def _dyadic_bracket(self, k: int) -> int:
-        """The integer m with m/2^k < q < (m+1)/2^k.
-
-        The field keeps its finest bracket (m0, k0), a cell in which q is the
-        only root: a coarser bracket is a shift of m0, and a finer one bisects
-        from m0 * 2^(k - k0) in integers.  The first bracket is bisected
-        between grid points inside the isolating interval, the one time it
-        is read (no dyadic point is a root: there are no rational roots)."""
-        if self._bracket is None:
-            lo, hi, k0 = self._lo, self._hi, k
-            while True:
-                a, b = math.ceil(lo * 2**k0), math.floor(hi * 2**k0)
-                if (a < b and self._sign_at_dyadic(a, k0) == self._sign_lo
-                        and self._sign_at_dyadic(b, k0) != self._sign_lo):
-                    break
-                k0 += 32  # q lies within 2^-k0 of an end of the interval
-        else:
-            m, k0 = self._bracket
-            if k <= k0:
-                return m >> (k0 - k)
-            a, b, k0 = m << (k - k0), (m + 1) << (k - k0), k
-        while b - a > 1:
-            mid = (a + b) // 2
-            if self._sign_at_dyadic(mid, k0) == self._sign_lo:
-                a = mid
-            else:
-                b = mid
-        self._bracket = (a, k0)
-        return a >> (k0 - k)
-
     def _scaled_powers(self, p: int = FILTER_BITS) -> tuple[int, ...]:
-        """Integers Q[i] with |Q[i] - q^i * 2^p| < 3/2, for i < degree;
-        computed once per precision p from the field's dyadic bracket of q.
-        The sign filter's are those at p = FILTER_BITS, the default."""
+        """Integers Q[i] with |Q[i] - q^i * 2^p| < 3/2, for i < degree, once
+        per precision p (the sign filter's at FILTER_BITS), from the private
+        cell (a, b, d): a copy of the certified cell, halved until it lies on
+        one side of 0 and brackets each q^i at most 2^-p wide, (hi^i - lo^i)
+        * 2^p <= d^i, so the floored midpoint is within 1/2 + 1.  A bracket
+        too wide asks for about as many halvings as its excess has bits."""
         powers = self._fine.get(p)
         if powers is None:
-            k = p + 4 * self.degree
+            a, b, d = self._bracket or self._cell
             while True:
-                m = self._dyadic_bracket(k)
-                powers = [1 << p]
+                powers, short = [1 << p], int(a < 0 < b)
                 for i in range(1, self.degree):
-                    # q^i * 2^p lies between m^i and (m+1)^i, over 2^shift
-                    a, b = sorted((m**i, (m + 1) ** i))
-                    shift = k * i - p
-                    if b - a > 1 << shift:  # half-width above 1/2: bracket more finely
-                        break
-                    powers.append((a + b) >> (shift + 1))
-                else:
-                    powers = self._fine[p] = tuple(powers)
+                    lo, hi = sorted((a**i, b**i))
+                    di, width = d**i, (hi - lo) << p
+                    if width > di:
+                        short = max(short, width.bit_length() - di.bit_length() + 1)
+                    powers.append(((lo + hi) << p) // (2 * di))
+                if not short:
                     break
-                k += 32
+                for _ in range(short):
+                    a, b, d = self._halved((a, b, d))
+            self._bracket = (a, b, d)
+            powers = self._fine[p] = tuple(powers)
         return powers
 
     def _filter(self):
@@ -484,7 +468,8 @@ class BaseField:
 
     def __repr__(self) -> str:
         tag = self.name or f"poly={list(self.min_poly)}"
-        return f"BaseField({tag}, interval=({float(self._lo):.6g}, {float(self._hi):.6g}))"
+        a, b, d = self._cell
+        return f"BaseField({tag}, interval=({a / d:.6g}, {b / d:.6g}))"
 
 
 def define_field(

@@ -237,9 +237,8 @@ def _parse_seq(text: str, i: int, depth: int) -> tuple[list[int], list[int] | No
             i += 1
         elif ch == "(":
             opened = i
+            # returns at its ')': at the end of the text it raises instead
             inner_digits, inner_period, i = _parse_seq(text, i + 1, depth + 1)
-            if i >= len(text) or text[i] != ")":
-                raise WordSyntaxError("unclosed '('", i)
             i += 1
             k = 1
             if i < len(text) and text[i] == "^":

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from betaforge.numberfield import BaseField, _poly_over_interval
+from betaforge.numberfield import BaseField
 
 
 @pytest.fixture
@@ -22,6 +22,18 @@ def wall_time_limit():
     yield lambda seconds: signal.setitimer(signal.ITIMER_REAL, seconds)
     signal.setitimer(signal.ITIMER_REAL, 0)
     signal.signal(signal.SIGALRM, previous)
+
+
+# interval Horner in Fractions: the reference for enclosure() and for the
+# field's integer form, which gives d^n times this over [a/d, b/d]
+def _poly_over_interval(coeffs, lo, hi):
+    """Conservative enclosure of the polynomial's range over [lo, hi]."""
+    vlo = vhi = Fraction(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        p0, p1, p2, p3 = vlo * lo, vlo * hi, vhi * lo, vhi * hi
+        vlo = min(p0, p1, p2, p3) + c
+        vhi = max(p0, p1, p2, p3) + c
+    return vlo, vhi
 
 
 # a twin of each field the reference has read: the same polynomial over the

@@ -437,6 +437,16 @@ def test_degree_64_spec_answers_fast(capsys, wall_time_limit):
         0, "-1 + q^63 / 0.989143\n")
 
 
+def test_degree_64_spec_refused_by_refinement_fast(capsys, wall_time_limit):
+    # x^64 - 10^98 x^2 - 1 has one root in [1, 2e100], near 38; 256 halvings
+    # of a 2e100-wide interval leave the derivative's enclosure around 0
+    wall_time_limit(2)
+    spec = "poly:-1,0,-1" + "0" * 98 + "," + "0," * 61 + "1@1,2e100"
+    code, out, err = run(capsys, "eval", "--field", spec, "1(0)*")
+    assert (code, out) == (2, "")
+    assert "could not certify a simple root by refinement" in err
+
+
 def test_interval_holding_three_roots_is_usage_error(capsys):
     # (x-100)^3 - 3(x-100) + 1: three roots in [0, 1000], one grid sign change
     code, out, err = run(capsys, "eval", "--field", "poly:-999699,29997,-300,1@0,1000", "1")
@@ -483,6 +493,13 @@ def test_csv_rejected_outside_orbit(capsys):
     code, _, err = run(capsys, "count", "--format", "csv", "(0)*")
     assert code == 2
     assert "csv" in err
+
+
+@pytest.mark.parametrize("flag", ["--max-steps", "--max-nodes"])
+def test_count_limits_must_be_positive(capsys, flag):
+    code, out, err = run(capsys, "count", flag, "0", "1(0)*")
+    assert (code, out) == (2, "")
+    assert f"{flag} must be positive" in err
 
 
 def test_digits_must_be_positive(capsys):

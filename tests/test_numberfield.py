@@ -1,6 +1,7 @@
 """Exact arithmetic in Q(q): field construction, operators, signs, decimals."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from betaforge.numberfield import (
     golden_field,
     q2_field,
     qf_field,
+    _poly_over_interval,
     _sturm_chain,
     _sturm_count,
     sign,
@@ -27,7 +29,7 @@ from betaforge.numberfield import (
 )
 from betaforge import numberfield
 from betaforge.words import PeriodicWord, eval_word, parse_word
-from conftest import enclosure
+from conftest import _poly_over_interval as _fraction_enclosure, enclosure
 
 
 def test_builtin_constants_print():
@@ -89,7 +91,142 @@ def test_define_field_rejects_roots_sharing_a_grid_cell():
     ((-1, -1, 1), (2, 3), 0),
 ])
 def test_sturm_count(poly, iso, roots):
-    assert _sturm_count(_sturm_chain(poly), Fraction(iso[0]), Fraction(iso[1])) == roots
+    assert _sturm_count(_sturm_chain(poly), *_cell(*iso)) == roots
+
+
+def _cell(lo, hi):
+    """The integer cell (a, b, d), meaning [a/d, b/d], of [lo, hi]."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    d = math.lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d
+
+
+# the classical construction over Q, in Fractions: the reference for the
+# field's integer kernel
+
+
+def _value(coeffs, x):
+    return sum(c * x**i for i, c in enumerate(coeffs))
+
+
+def _sgn(r):
+    return (r > 0) - (r < 0)
+
+
+def _fraction_sturm_chain(coeffs):
+    chain = [[Fraction(c) for c in coeffs]]
+    chain.append([k * c for k, c in enumerate(chain[0])][1:])
+    while True:
+        a, b = list(chain[-2]), chain[-1]
+        while len(a) >= len(b):  # a becomes the remainder of a by b
+            f, shift = a[-1] / b[-1], len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= f * c
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+        if not a:
+            return chain
+        chain.append([-c for c in a])
+
+
+def _fraction_sturm_count(chain, lo, hi):
+    def variations(x):
+        signs = [s for s in (_sgn(_value(p, x)) for p in chain) if s]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    return variations(lo) - variations(hi)
+
+
+def _fraction_interval(coeffs, lo, hi):
+    """The isolating interval that construction certifies, found in
+    Fractions, or the exception class that construction raises."""
+    height = 1 + max(map(abs, coeffs[:-1]))
+    if not coeffs[0] or any(_value(coeffs, r) == 0 for r in range(-height, height + 1)):
+        return ReduciblePolynomial
+    roots = _fraction_sturm_count(_fraction_sturm_chain(coeffs), lo, hi)
+    if roots != 1:
+        return AmbiguousInterval if roots else NoRootInInterval
+    pts = [lo + (hi - lo) * Fraction(i, 32) for i in range(33)]
+    signs = [_sgn(_value(coeffs, x)) for x in pts]
+    crossings = [i for i in range(32) if signs[i] * signs[i + 1] < 0]
+    if not crossings:
+        return NoRootInInterval
+    i = crossings[0]
+    lo, hi = pts[i], pts[i + 1]
+    deriv = [k * c for k, c in enumerate(coeffs)][1:]
+    for _ in range(256):
+        dlo, dhi = _fraction_enclosure(deriv, lo, hi)
+        if dlo > 0 or dhi < 0:
+            return lo, hi
+        mid = (lo + hi) / 2
+        if _sgn(_value(coeffs, mid)) == signs[i]:
+            lo = mid
+        else:
+            hi = mid
+    return AmbiguousInterval
+
+
+_POLYS = st.lists(st.integers(-20, 20), min_size=2, max_size=24)  # below the leading term
+_ENDS = st.tuples(st.integers(-48, 48), st.integers(1, 64), st.sampled_from([1, 3, 16]))
+
+
+def _ends(ends):
+    """A rational interval [lo, hi] from integers (m, w, k): m/k, (m + w)/k."""
+    m, w, k = ends
+    return Fraction(m, k), Fraction(m + w, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_POLYS, st.integers(-20, 20).filter(bool), _ENDS)
+def test_integer_sturm_chain_matches_the_fraction_chain(low, lead, ends):
+    # every member a positive multiple of the classical member, so the
+    # counts agree on any interval
+    coeffs = low + [lead]
+    chain, reference = _sturm_chain(coeffs), _fraction_sturm_chain(coeffs)
+    assert len(chain) == len(reference)
+    for member, ref in zip(chain, reference):
+        ratio = member[-1] / ref[-1]
+        assert len(member) == len(ref) and ratio > 0
+        assert all(c == ratio * r for c, r in zip(member, ref))
+    lo, hi = _ends(ends)
+    assert _sturm_count(chain, *_cell(lo, hi)) == _fraction_sturm_count(reference, lo, hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_POLYS, _ENDS)
+@example([-1, -1, -2, 0], (27, 1, 16))  # q2: x^4 - 2x^2 - x - 1 over [27/16, 28/16]
+@example([-1, 1, -2], (5, 1, 3))  # qf over [5/3, 2]
+@example([-16, -15, 8, -2, 3, -5, -5, 8, -9, 4, -9, 13, -19, 1, -2, -8, -13, -4, 9, -10, 18, 13,
+          -18, -9], (-43, 64, 3))  # degree 24: a grid cell, then five bisections
+def test_interval_matches_the_fraction_construction(low, ends):
+    coeffs, (lo, hi) = low + [1], _ends(ends)
+    try:
+        got = define_field(coeffs, (lo, hi)).interval()
+    except (ReduciblePolynomial, NoRootInInterval, AmbiguousInterval) as exc:
+        got = type(exc)
+    assert got == _fraction_interval(coeffs, lo, hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_POLYS, st.integers(-20, 20).filter(bool), _ENDS)
+def test_integer_enclosure_is_the_scaled_fraction_enclosure(low, lead, ends):
+    coeffs, (lo, hi) = low + [lead], _ends(ends)
+    a, b, d = _cell(lo, hi)
+    vlo, vhi = _fraction_enclosure(coeffs, lo, hi)
+    scale = d ** (len(coeffs) - 1)
+    assert _poly_over_interval(coeffs, a, b, d) == (vlo * scale, vhi * scale)
+
+
+def test_dense_degree_64_field_is_built_fast(wall_time_limit):
+    # 64 random 3-digit coefficients: over Q the remainder sequence's
+    # coefficients grow through 63 divisions; its primitive integer form
+    # keeps them small.  The interval is the one the Fraction construction
+    # certifies (about 10 s of Fraction arithmetic, so not recomputed here)
+    rng = random.Random(1)
+    coeffs = [rng.randint(-999, 999) for _ in range(64)] + [1]
+    wall_time_limit(1)
+    assert define_field(coeffs, (1, 2)).interval() == (Fraction(31, 16), Fraction(63, 32))
 
 
 def test_define_field_rejects_rational_root():
@@ -155,6 +292,13 @@ def test_rational_root_screen_matches_trial_division(roots, middle, constant):
     except (NoRootInInterval, AmbiguousInterval):
         message = None
     assert message == (f"rational root {found[0]}" if found else None)
+
+
+def test_define_field_rejects_a_double_root_without_a_sign_change():
+    # (x^2 - 2)^2: the Sturm count finds the one distinct root sqrt 2, but
+    # the polynomial is >= 0 at every grid point
+    with pytest.raises(NoRootInInterval, match="no sign change"):
+        define_field((4, 0, -4, 0, 1), (1, 2))
 
 
 def test_refinement_gives_up_on_a_root_of_multiplicity_three():
@@ -447,12 +591,13 @@ def test_first_filtered_sign_leaves_the_interval():
     ((-5, 0, 1), (Fraction(-3), Fraction(-2))),  # q = -sqrt 5
     ((-7, 3, -5, 1), (Fraction(4), Fraction(6))),  # q ~ 4.8
     ((-1, -1, 0, 1), (Fraction(13, 10), Fraction(7, 5))),
-    ((-1, 0, -5000, 1), (4999, 5001)),  # q ~ 5000: the first bracket is too coarse
+    ((-1, 0, -5000, 1), (4999, 5001)),  # q ~ 5000: q^2 needs a finer cell than q
 ])
 @pytest.mark.parametrize("bisections", [0, 300])
 def test_scaled_powers_error_bound(poly, iso, bisections):
-    # the bisections leave an interval narrower than the filter's bracket;
-    # the precisions take the first bracket, a finer one, then a shift of it
+    # 300 bisections leave the certified interval finer than the filter
+    # needs; the precisions halve the private cell, halve it further, then
+    # read it as it is
     F = define_field(poly, iso)
     F.refine(bisections)
     for p in (FILTER_BITS, 2048, 512):
@@ -462,19 +607,24 @@ def test_scaled_powers_error_bound(poly, iso, bisections):
     assert F._scaled_powers() is F._scaled_powers(FILTER_BITS)
 
 
-def test_scaled_powers_bracket_q_more_finely_when_the_first_is_too_coarse(monkeypatch):
-    # q^3 = 5000 q^2 + 1, q ~ 5000 + 4e-8: at k = p + 4 * degree, m^2 and
-    # (m+1)^2 lie 2m + 1 ~ 2q * 2^k apart, more than 2^(2k - p), so the
-    # powers ask for a bracket 32 bits finer
+def test_scaled_powers_halve_a_private_cell_past_what_q_alone_needs():
+    # q^3 = 5000 q^2 + 1, q ~ 5000 + 4e-8: a cell w wide brackets q^2 about
+    # 2q * w ~ 2^13.3 * w wide, so for every power to be 2^-p close the
+    # private cell halves 14 bits past the 2^-p that q alone needs
     F = define_field((-1, 0, -5000, 1), (4999, 5001))
-    asked = []
-    bracket = BaseField._dyadic_bracket
-    monkeypatch.setattr(BaseField, "_dyadic_bracket",
-                        lambda self, k: asked.append(k) or bracket(self, k))
+    lo, hi = iv = F.interval()
+    assert F._bracket is None
+    coarser = None
     for p in (FILTER_BITS, 512):
-        asked.clear()
-        F._scaled_powers(p)
-        assert asked == [p + 12, p + 44]
+        powers = F._scaled_powers(p)
+        a, b, d = F._bracket
+        assert (b - a) << (p + 13) <= d and (b * b - a * a) << p <= d * d
+        assert lo <= Fraction(a, d) < F.q < Fraction(b, d) <= hi
+        if coarser:  # the finer precision halves the same cell further
+            assert d % coarser[2] == 0 and Fraction(a, d) >= Fraction(coarser[0], coarser[2])
+        coarser = a, b, d
+        assert powers == (1 << p, ((a + b) << p) // (2 * d), ((a * a + b * b) << p) // (2 * d * d))
+    assert F.interval() == iv
     # test_scaled_powers_error_bound checks the powers; the compiled filter
     # sum reads them
     Q0, Q1, Q2 = F._scaled_powers(FILTER_BITS)
@@ -615,6 +765,15 @@ def test_high_degree_word_value_is_fast(wall_time_limit):
     assert eval_word(parse_word("1(0)*"), F) == F.q**119 - 1
 
 
+def test_high_degree_domain_bounds_are_fast(wall_time_limit):
+    # the first sign of a degree-120 field: the private cell halves only
+    # until every power of q is bracketed closely enough
+    F = define_field([-1, -1] + [0] * 118 + [1], (1, 2))
+    wall_time_limit(1)
+    switch_lo, _, top = F.domain_bounds()
+    assert switch_lo == F.q**119 - 1 and top * (F.q - 1) == 1
+
+
 def test_orbit_step_reduces_when_q_is_no_unit():
     F = define_field((-2, 0, 1), (1, 2))  # q = sqrt 2
     x = F.q / 2
@@ -694,6 +853,11 @@ def test_to_decimal_matches_enclosure_reference(case, digits):
     x = define_field(*_DECIMAL_FIELDS[name]).element([Fraction(n, den) for n in num])
     twin = AlgebraicReal(_REFERENCE_TWINS[name], x.num, x.den)
     assert to_decimal(x, digits) == _enclosure_decimal(twin, digits)
+
+
+def test_to_decimal_refuses_negative_digits():
+    with pytest.raises(ValueError, match="digits must be >= 0"):
+        to_decimal(q2_field().q, -1)
 
 
 def test_to_decimal_leaves_the_interval(monkeypatch):

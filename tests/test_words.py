@@ -79,6 +79,8 @@ def test_whitespace_ignored():
         ("1((0)^1000)^2000(01)*", 1),
         pytest.param("(0)^" + "9" * 5000, 0, id="count-longer-than-int-converts"),
         ("(0)^\u00b2", 4),  # a superscript two is no repeat count
+        ("01)", 2),  # unbalanced ')'
+        (")", 0),
     ],
 )
 def test_parse_errors_carry_position(text, position):
