@@ -19,13 +19,13 @@ All three walk orbits in one private kernel, ``_Orbits``.  It holds every
 value reached from x as raw integer numerators over x's own denominator D
 (q is an algebraic integer, so q * (n / D) - d = (q * n - d * D) / D),
 steps them with the field's compiled step, and decides regions with
-``words._region_rule`` for that D: the field's compiled filter sum against
-the switch bounds' cached scaled sums, and, when the filter cannot decide,
-the exact comparison of the reduced element.  ``_reduced`` builds
-an element only where a value leaves the kernel: graph nodes, switch
-points, unique-tail cycles and the orbit a run returns.  x itself is placed
-by ``words.region``, which compares the element with the domain's bounds
-on the scaled sum it caches.
+``words._region_rule`` for that D, which the field keeps per D up to a
+bound: the field's compiled filter sum against the switch bounds' cached
+scaled sums, and, when the filter cannot decide, the exact comparison of
+the reduced element.  ``_reduced`` builds an element only where a value
+leaves the kernel: graph nodes, switch points, unique-tail cycles and the
+orbit a run returns.  x itself is placed by ``words.region``, which
+compares the element with the domain's bounds on the scaled sum it caches.
 
 Points of one base share switch points (in a Pisot base, those over one
 denominator are finitely many), so each field keeps a branch memo: for each
@@ -52,8 +52,8 @@ point's listing is s's listing with the root segment prepended: canonical
 words are unique, so the prefixed word is the one a walk from x would
 build.  ``count_expansions`` classifies the graph ``build_branch_graph``
 assembles from the record (one element per node), and ``classify`` reads
-the record's count.  A listing the record holds is read straight off it,
-with no graph assembled; a graph is assembled only for a walk.  A record
+the record's count.  A listing is walked on the record itself, or read
+straight off it when it holds one: no listing assembles a graph.  A record
 the memo does not admit keeps no answer.
 
 The memos hold ints, tuples, ``Edge``, ``Cardinality`` and ``PeriodicWord``
@@ -590,12 +590,12 @@ def count_expansions(
 # enumeration
 
 
-def _live_nodes(graph: BranchGraph) -> set[int]:
+def _live_nodes(below: _Below) -> set[int]:
     """Nodes from which some path of edges ends in a terminal edge."""
     parents: dict[int, list[int]] = {}
     live: set[int] = set()
-    for nid, out in graph.edges.items():
-        for e in out.values():
+    for nid, out in enumerate(below.edges):
+        for e in out:
             if e.kind is TERMINAL:
                 live.add(nid)
             elif e.kind is NODE:
@@ -610,29 +610,30 @@ def _live_nodes(graph: BranchGraph) -> set[int]:
 
 
 def _walk(
-    graph: BranchGraph, max_count: int, max_depth: int
+    below: _Below, max_count: int, max_depth: int
 ) -> tuple[tuple[PeriodicWord, ...], bool, str | None]:
+    """The listing of ``_listing``, walked on the record of the graph below
+    a root run's end, relative to that end."""
     words: list[PeriodicWord] = []
-    complete, limit = not graph.truncated, graph.limit
-    if graph.root_kind is LIMIT:
+    limit = below.limit
+    complete = limit is None
+    if below.root[0] is LIMIT:
         return (), False, limit
-    live = _live_nodes(graph)
-    queue: deque[tuple[Kind, int | None, tuple[int, ...], int]] = deque(
-        [(graph.root_kind, graph.root_target, (), 0)]
-    )
+    live = _live_nodes(below)
+    queue: deque[tuple[Kind, int | None, tuple[int, ...], int]] = deque([(*below.root, (), 0)])
     while queue:
         kind, target, prefix, depth = queue.popleft()
         if len(words) >= max_count:
             return tuple(words), False, limit or "max_count"
         if kind is TERMINAL:
-            tail = graph.terminals[target]
+            tail = below.terminals[target]
             words.append(PeriodicWord(prefix + tail.preperiod, tail.period))
             continue
         if depth >= max_depth:
             complete, limit = False, limit or "max_depth"
             continue
         for digit in (0, 1):
-            e = graph.edges[target][digit]
+            e = below.edges[target][digit]
             if e.kind is TERMINAL or (e.kind is NODE and e.target in live):
                 queue.append((e.kind, e.target, prefix + (digit,) + e.segment, depth + 1))
             else:
@@ -652,13 +653,14 @@ def _listing(
     (they would yield no word, only 2^depth paths) and make the listing
     incomplete, though no limit was hit.  The walk lists the root run's end;
     canonical words are unique, so each word of x is one of those with the
-    root segment prepended.  An answer-memo record that holds that listing
-    serves it with no graph assembled; otherwise the walk runs once, and a
+    root segment prepended.  The walk reads the record of the graph below
+    the root run (see ``_record``) and assembles no graph; a record that
+    holds the listing serves it, and otherwise the walk runs once, and a
     kept record keeps its words while the memo has room for them."""
     segment, below, kept = _record(x, max_steps, max_nodes)
     found = below.listings.get((max_count, max_depth))
     if found is None:
-        found = _walk(below.graph(x, segment, kept), max_count, max_depth)
+        found = _walk(below, max_count, max_depth)
         if kept and _admit(x.field, len(found[0]) + 1):
             below.listings[max_count, max_depth] = found
     words, complete, limit = found

@@ -50,7 +50,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class NotMonic(ValueError):
@@ -279,7 +279,10 @@ class BaseField:
     cell ``_bracket`` (the finest halved so far), the scaled powers at each
     precision asked for (those at FILTER_BITS feed the compiled filter sum
     ``_filter()``), and the domain bounds 1/q, 1/(q(q-1)), 1/(q-1), whose
-    scaled sums the bound elements cache themselves.
+    scaled sums the bound elements cache themselves.  ``_rules`` holds the
+    orbit kernel's region rules by denominator (``words._region_rule``);
+    like ``_domain`` it holds elements of the field, so the field is freed
+    by the cycle collector.
     ``_roots``, ``_branches``, ``_answers`` and ``_answer_cells`` hold the
     root memo (the last point's root run), the branch and the answer memos
     of ``branching``, which owns their format; they hold no element, so the
@@ -287,7 +290,7 @@ class BaseField:
     """
 
     __slots__ = ("min_poly", "degree", "name", "_cell", "_sign_lo", "_step", "_bracket",
-                 "_filter_sum", "_fine", "_domain", "_roots", "_branches", "_answers",
+                 "_filter_sum", "_fine", "_domain", "_rules", "_roots", "_branches", "_answers",
                  "_answer_cells", "__weakref__")
 
     def __init__(
@@ -308,6 +311,7 @@ class BaseField:
         self._filter_sum = None
         self._fine: dict[int, tuple[int, ...]] = {}
         self._domain: tuple[AlgebraicReal, AlgebraicReal, AlgebraicReal] | None = None
+        self._rules: dict[int, Callable] = {}
         self._roots: dict[tuple[int, ...], tuple] = {}
         self._branches: dict[tuple[int, ...], tuple] = {}
         self._answers: dict[tuple, object] = {}

@@ -76,21 +76,24 @@ def _validate_digits(digits: Iterable[int]) -> tuple[int, ...]:
 def _stream_order(op: Callable[[tuple, tuple], bool]):
     """The comparison ``op`` of two words as digit streams.
 
-    Cut to the shorter preperiod's length, the two preperiods are prefixes
-    of both streams, so where they differ they decide.  Otherwise, past both
-    preperiods the streams are periodic, with periods p and r.  By Fine and
-    Wilf (1965), a word of length p + r - gcd(p, r) with periods p and r has
-    period gcd(p, r); so two such streams that agree on that many digits
-    agree everywhere, and their first digits up to that horizon decide."""
+    Cut to the shorter preperiod's length n, the two preperiods are prefixes
+    of both streams, so where they differ they decide.  Their digits n - 1
+    are checked first: when those differ, the whole preperiods differ within
+    their first n digits too, and are compared with no slice.  When the cut
+    preperiods are equal, past both of them the streams are periodic, with
+    periods p and r.  By Fine and Wilf (1965), a word of length
+    p + r - gcd(p, r) with periods p and r has period gcd(p, r); so two such
+    streams that agree on that many digits agree everywhere, and their first
+    digits up to that horizon decide."""
 
     def compare(self, other):
         if not isinstance(other, PeriodicWord):
             return NotImplemented
         a, b = self.preperiod, other.preperiod
-        if len(a) > len(b):
-            a = a[:len(b)]
-        else:
-            b = b[:len(a)]
+        n = len(a) if len(a) < len(b) else len(b)
+        if n and a[n - 1] != b[n - 1]:
+            return op(a, b)
+        a, b = a[:n], b[:n]
         if a == b:
             p, r = len(self.period), len(other.period)
             h = max(len(self.preperiod), len(other.preperiod)) + p + r - math.gcd(p, r)
@@ -343,11 +346,18 @@ def apply_digits(x: AlgebraicReal, digits: Iterable[int]) -> AlgebraicReal:
     return x
 
 
+# the region rules a field keeps, one per denominator: a run of classify ops
+# meets a handful of denominators, a run of queries a new one per op
+_RULES_CAP = 16
+
+
 def _region_rule(field: BaseField, den: int) -> Callable[[Sequence[int]], Region]:
     """The region of sum(num[i] * q^i) / den, as a function of the numerators
     ``num`` for one fixed denominator ``den`` > 0 (the form need not be
     reduced), for values the caller knows to lie in the domain [0, 1/(q-1)]:
-    only the switch bounds 1/q and 1/(q(q-1)) are compared.
+    only the switch bounds 1/q and 1/(q(q-1)) are compared.  The field keeps
+    each rule it builds under ``den`` (``_rules``) while it holds fewer than
+    ``_RULES_CAP``; a full slot still serves what it holds.
 
     Each bound b = sum(m[i] * q^i) / b.den enters through its scaled sum
     (S, E), which b caches (``_scaled``); their products with ``den`` are
@@ -362,6 +372,9 @@ def _region_rule(field: BaseField, den: int) -> Callable[[Sequence[int]], Region
     scaled sums at a precision that grows up to the zero bound of
     ``AlgebraicReal._exact_sign``, so every answer is certified and none
     narrows the field's isolating interval."""
+    locate = field._rules.get(den)
+    if locate is not None:
+        return locate
     low, switch, _ = field.domain_bounds()
     scaled = field._filter()
     checks = [(b, b.den, *(den * v for v in b._scaled()), below, strict)
@@ -381,6 +394,8 @@ def _region_rule(field: BaseField, den: int) -> Callable[[Sequence[int]], Region
                 return below
         return Region.HIGH
 
+    if len(field._rules) < _RULES_CAP:
+        field._rules[den] = locate
     return locate
 
 

@@ -44,7 +44,8 @@ from betaforge import (
     t1,
     viable_prefix_counts,
 )
-from betaforge import branching, numberfield
+from betaforge import branching, numberfield, words
+from betaforge.cli import main
 from betaforge.branching import LIMIT, NODE, TERMINAL
 from betaforge.numberfield import AlgebraicReal
 from conftest import enclosure
@@ -1156,3 +1157,64 @@ def test_run_and_prefix_oracle_do_not_read_the_memo():
     x = family_member(F, 3)
     assert isinstance(deterministic_run(x).end, SwitchHit)
     assert viable_prefix_counts(x, 40)[-1] == 3
+
+
+def test_points_over_one_denominator_share_one_region_rule():
+    F = define_field(*_KERNEL_FIELDS["qf"])
+    x, y = (F.from_rational(Fraction(k, 7)) for k in (2, 5))
+    for point in (x, y):
+        count_expansions(point)
+    assert list(F._rules) == [7]
+    assert branching._start(x)[0].locate is branching._start(y)[0].locate is F._rules[7]
+
+
+def test_region_rules_past_the_bound_answer_like_region():
+    F = define_field(*_KERNEL_FIELDS["golden"])
+    cap = words._RULES_CAP
+    for den in range(1, cap + 5):
+        rule = words._region_rule(F, den)
+        assert (words._region_rule(F, den) is rule) == (den <= cap)
+        # over den, (-den, den), (den, 0) and (0, den) are golden's bounds
+        # q - 1, 1 and q exactly: the filter cannot decide those
+        for num in itertools.product(range(-2 * den, 2 * den + 1), (-den, -1, 0, 1, den)):
+            x = F.element([Fraction(c, den) for c in num])
+            if region(x) is not Region.OUTSIDE:
+                assert rule(num) is region(x), (den, num)
+    assert len(F._rules) == cap
+
+
+def _counted_graphs(monkeypatch):
+    """The arguments of every ``_Below.graph`` call from now on."""
+    calls = []
+    graph = branching._Below.graph
+    monkeypatch.setattr(branching._Below, "graph",
+                        lambda self, *args: calls.append(args) or graph(self, *args))
+    return calls
+
+
+@pytest.mark.parametrize("text, argv, root_kind", [
+    ("1(0000)^1 0(10)*", [], NODE),
+    ("(0)*", [], TERMINAL),
+    ("0000001(0)*", ["--max-steps", "3"], LIMIT),
+])
+def test_listings_assemble_no_graph(text, argv, root_kind, monkeypatch, capsys):
+    # a listing walks the answer record of the graph below the root run: a
+    # cold point, a warm one, a new point past a warm first switch point and
+    # the CLI assemble no graph; only build_branch_graph does
+    caps = {"max_steps": int(argv[1]) if argv else branching.DEFAULT_MAX_STEPS}
+    spec = "poly:{}@{},{}".format(",".join(map(str, _KERNEL_FIELDS["qf"][0])),
+                                  *_KERNEL_FIELDS["qf"][1])
+    F = define_field(*_KERNEL_FIELDS["qf"])
+    x = eval_word(parse_word(text), F)
+    calls = _counted_graphs(monkeypatch)
+    for point in (x, x, x / F.q):
+        for max_count in (64, 2):
+            bfs_expansions(point, max_count=max_count, **caps)
+            enumerate_expansions(point, max_count=max_count, **caps)
+    listed = "".join(f"{w}\n" for w in enumerate_expansions(x, **caps))
+    for _ in range(2):
+        assert main(["enumerate", "--field", spec, text, *argv]) in (0, 3)
+        assert capsys.readouterr().out == listed
+    assert not calls
+    assert build_branch_graph(x, **caps).root_kind is root_kind
+    assert len(calls) == 1

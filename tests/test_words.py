@@ -1,5 +1,6 @@
 """Word parsing, canonicalization, evaluation, regions, and reflection."""
 
+import functools
 import gc
 import math
 import time
@@ -288,9 +289,9 @@ def test_order_horizon_is_tight():
     assert not (b < a or b <= a or a > b or a >= b)
 
 
-# pairs of words by how their preperiods relate: a cut to the shorter
-# preperiod's length decides only the last group, the rest fall back to the
-# Fine-Wilf horizon
+# pairs of words by how their preperiods relate: the last digit of the
+# shorter preperiod decides the last two groups, with no cut; the rest fall
+# back to the Fine-Wilf horizon
 _ORDER_PAIRS = {
     "proper_prefix": [("01(10)*", "0110(01)*"), ("(1)*", "0(1)*"), ("0(1)*", "01(0)*"),
                       ("(10)*", "011(0)*"), ("1(0)*", "1001(10)*")],
@@ -299,6 +300,8 @@ _ORDER_PAIRS = {
     "equal_words": [("01(10)*", "01(10)*"), ("(0)*", "(0)*"), ("0111(10)*", "0111(10)*")],
     "first_digit_differs": [("0(1)*", "1(0)*"), ("01(10)*", "10(01)*"),
                             ("0111(0)*", "10(01)*"), ("00(1)*", "1(0)*")],
+    "last_digit_differs": [("011(0)*", "01001(10)*"), ("00(1)*", "0110(1)*"),
+                           ("101(0)*", "1001(10)*"), ("110(1)*", "111(0)*")],
 }
 
 
@@ -310,6 +313,9 @@ def _preperiods_relate(a, b, relation):
         return x == y and a.period != b.period
     if relation == "equal_words":
         return a == b
+    if relation == "last_digit_differs":
+        n = len(x)
+        return n > 1 and x[:n - 1] == y[:n - 1] and x[n - 1] != y[n - 1]
     return bool(x) and x[0] != y[0]
 
 
@@ -323,6 +329,24 @@ def test_order_matches_lcm_reference_on_each_preperiod_relation(relation, pair):
         c = _lcm_cmp(x, y)
         assert (x < y, x <= y, x > y, x >= y) == (c < 0, c <= 0, c > 0, c >= 0)
     assert (_lcm_cmp(a, b) == 0) == (a == b) == (relation == "equal_words")
+
+
+@st.composite
+def _words_on_shared_prefixes(draw):
+    """Up to 12 words whose preperiods start with cuts of one stem, so that
+    many pairs agree up to, or just short of, the shorter preperiod's end."""
+    stem = tuple(draw(st.lists(_bits, max_size=8)))
+    words = []
+    for _ in range(draw(st.integers(0, 12))):
+        pre = stem[:draw(st.integers(0, len(stem)))] + tuple(draw(st.lists(_bits, max_size=4)))
+        words.append(PeriodicWord(pre, draw(st.lists(_bits, min_size=1, max_size=4))))
+    return words
+
+
+@settings(max_examples=300, deadline=None)
+@given(_words_on_shared_prefixes())
+def test_sort_matches_the_lcm_reference(words):
+    assert sorted(words) == sorted(words, key=functools.cmp_to_key(_lcm_cmp))
 
 
 def test_order_of_long_coprime_periods_is_fast(wall_time_limit):
@@ -458,6 +482,8 @@ def test_domain_bounds_do_not_keep_a_field_alive():
     # the branch memo holds ints and tuples, never an element of F
     assert count_expansions(F.one) == Cardinality.continuum()
     assert F._branches
+    # the region rules it keeps hold the switch bounds, elements of F
+    assert F._rules
     ref = weakref.ref(F)
     del F, lo, hi, upper
     gc.collect()
