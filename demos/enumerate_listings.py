@@ -5,14 +5,16 @@ golden (default limits) and on q2 (--max-steps 250 --max-nodes 64), this
 prints the word, the exit code, and what ``main([command, ...])`` wrote to
 stdout and stderr, in process.  The command is the first argument:
 ``enumerate`` (the default) lists each word's expansions; ``count`` prints
-``count --format json`` for each word, then for the word's value plus one.
-demos/expected/enumerate.txt and demos/expected/count.txt hold the output,
-which CI diffs against, so a change to the listings, their order, the
-counts, their kinds and limits, or the completeness they report shows up
-line by line:
+``count --format json`` for each word, then for the word's value plus one;
+``eval`` prints ``eval --format json --digits 30`` the same two ways.
+demos/expected/enumerate.txt, count.txt and eval.txt hold the output, which
+CI diffs against, so a change to the listings, their order, the counts,
+their kinds and limits, the completeness they report, or a word's exact
+value and its decimal shows up line by line:
 
     PYTHONPATH=src python demos/enumerate_listings.py | diff demos/expected/enumerate.txt -
     PYTHONPATH=src python demos/enumerate_listings.py count | diff demos/expected/count.txt -
+    PYTHONPATH=src python demos/enumerate_listings.py eval | diff demos/expected/eval.txt -
 """
 
 import contextlib
@@ -33,6 +35,8 @@ RUNS = (
 VARIANTS = {
     "enumerate": ((),),
     "count": (("--format", "json"), ("--format", "json", "--plus-one")),
+    "eval": (("--format", "json", "--digits", "30"),
+             ("--format", "json", "--digits", "30", "--plus-one")),
 }
 
 

@@ -27,11 +27,13 @@ sum is taken at 64 more bits at a time, up to a zero bound: a precision at
 which a nonzero value certainly clears the error, so a sum still undecided
 there belongs to the value 0 (see ``AlgebraicReal._exact_sign``).
 
-Kernel.  Each field compiles its two hot functions into straight-line code
-for its own constants: the orbit step q * num + low, at construction, from
-the companion row; and the filter sum with its error bound, on the first
-irrational sign, from the scaled powers.  Every orbit walk, product, Horner
-pass, inverse and filter reads these two functions.
+Kernel.  Each field compiles its hot functions into straight-line code for
+its own constants: the orbit step q * num + low and the division
+|c0| * num / q, at construction, from the defining polynomial; and the
+filter sum with its error bound, on the first irrational sign, from the
+scaled powers.  Every orbit walk, product, Horner pass, inverse and filter
+reads the step or the filter; word values fold their preperiods through the
+division.
 
 Decimals.  The same sums at a higher precision P enclose 2^P * den * value in
 an integer interval; both ends are rounded half to even, in integers, and P
@@ -213,6 +215,30 @@ def _compile_step(row: Sequence[int]):
     return _compiled("step", d, "num, low=0", f"({', '.join(terms)},)", consts)
 
 
+def _compile_unstep(coeffs: Sequence[int]):
+    """Division by q for a monic defining polynomial with c0 = coeffs[0]
+    nonzero: ``unstep(num)`` gives, as a list, the numerators of
+    |c0| * sum(num[i] q^i) / q, in straight-line code.  From
+    q^-1 = -(c1 + c2 q + ... + q^(d-1)) / c0, coordinate j is
+    |c0| * num[j+1] - sgn(c0) * c(j+1) * num[0]; when c0 = +-1 the scale is
+    1 and costs nothing, and as in the step a factor 0 or +-1 costs no
+    multiplication."""
+    d, scale, sign = len(coeffs) - 1, abs(coeffs[0]), _sgn(coeffs[0])
+    terms, consts = [], {} if scale == 1 else {"k": scale}
+    for j in range(d):
+        head = "" if j == d - 1 else f"a{j + 1}" if scale == 1 else f"a{j + 1} * k"
+        m = -sign * coeffs[j + 1]
+        if m == 0:
+            tail = ""
+        elif m in (1, -1):
+            tail = f"{'+' if m == 1 else '-'} a0"
+        else:
+            consts[f"u{j}"] = m
+            tail = f"+ a0 * u{j}"
+        terms.append(f"{head} {tail}".strip())
+    return _compiled("unstep", d, "num", f"[{', '.join(terms)}]", consts)
+
+
 def _compile_filter(powers: Sequence[int]):
     """The sign filter's sum for scaled powers Q: ``filter(num)`` gives
     (sum(num[i] * Q[i]), 2 * sum(|num[i]|) + 2), in straight-line code."""
@@ -275,23 +301,26 @@ class BaseField:
     ``refine`` narrows it).  The field also owns its derived constants, each
     kept in one form: the compiled orbit step ``_step`` (num, low) ->
     q * num + low, built at construction from the companion row, through
-    which products reduce; and, each computed on first use, the private
-    cell ``_bracket`` (the finest halved so far), the scaled powers at each
-    precision asked for (those at FILTER_BITS feed the compiled filter sum
-    ``_filter()``), and the domain bounds 1/q, 1/(q(q-1)), 1/(q-1), whose
-    scaled sums the bound elements cache themselves.  ``_rules`` holds the
-    orbit kernel's region rules by denominator (``words._region_rule``);
-    like ``_domain`` it holds elements of the field, so the field is freed
-    by the cycle collector.
+    which products reduce; the compiled division ``_unstep`` num ->
+    |c0| * num / q, built beside it from q^-1 = -(c1 + ... + q^(d-1)) / c0;
+    and, each computed on first use, the private cell ``_bracket`` (the
+    finest halved so far), the scaled powers at each precision asked for
+    (those at FILTER_BITS feed the compiled filter sum ``_filter()``), and
+    the domain bounds 1/q, 1/(q(q-1)), 1/(q-1), whose scaled sums the bound
+    elements cache themselves.  ``_rules`` holds the orbit kernel's region
+    rules by denominator (``words._region_rule``), and ``_period_inverses``
+    the elements 1/(q^p - 1) by period length p (``words.eval_word``); like
+    ``_domain`` they hold elements of the field, so the field is freed by
+    the cycle collector.
     ``_roots``, ``_branches``, ``_answers`` and ``_answer_cells`` hold the
     root memo (the last point's root run), the branch and the answer memos
     of ``branching``, which owns their format; they hold no element, so the
     field is freed with them.
     """
 
-    __slots__ = ("min_poly", "degree", "name", "_cell", "_sign_lo", "_step", "_bracket",
-                 "_filter_sum", "_fine", "_domain", "_rules", "_roots", "_branches", "_answers",
-                 "_answer_cells", "__weakref__")
+    __slots__ = ("min_poly", "degree", "name", "_cell", "_sign_lo", "_step", "_unstep",
+                 "_bracket", "_filter_sum", "_fine", "_domain", "_rules", "_period_inverses",
+                 "_roots", "_branches", "_answers", "_answer_cells", "__weakref__")
 
     def __init__(
         self,
@@ -312,6 +341,7 @@ class BaseField:
         self._fine: dict[int, tuple[int, ...]] = {}
         self._domain: tuple[AlgebraicReal, AlgebraicReal, AlgebraicReal] | None = None
         self._rules: dict[int, Callable] = {}
+        self._period_inverses: dict[int, AlgebraicReal] = {}
         self._roots: dict[tuple[int, ...], tuple] = {}
         self._branches: dict[tuple[int, ...], tuple] = {}
         self._answers: dict[tuple, object] = {}
@@ -366,6 +396,7 @@ class BaseField:
             raise AmbiguousInterval("could not certify a simple root by refinement")
 
         self._step = _compile_step([-c for c in coeffs[:-1]])
+        self._unstep = _compile_unstep(coeffs)
 
     # -- isolating interval ------------------------------------------------
 

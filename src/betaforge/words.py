@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from operator import ge, gt, le, lt, sub
+from operator import ge, gt, le, lt
 from typing import Callable, Iterable, Sequence
 
 from .numberfield import AlgebraicReal, BaseField, _reduced
@@ -305,28 +305,53 @@ def domain_bounds(field: BaseField) -> tuple[AlgebraicReal, AlgebraicReal, Algeb
 
 
 def eval_word(word: PeriodicWord, field: BaseField) -> AlgebraicReal:
-    """The value sum(digit_i * q^-i) of the word's stream, exactly.
+    """The value sum(digit_i * q^-i) of the word's stream, exactly, in one
+    backward pass.
 
-    With preperiod length n, period length p, P = sum(pre_i * q^(n-i)) and
-    A = sum(per_j * q^(p-j)), the value is the closed form
-
-        x = (P * (q^p - 1) + A) / (q^n * (q^p - 1)).
-
-    q is an algebraic integer, so one Horner pass n <- q*n + d over the
-    preperiod and then the period (the field's compiled orbit step) yields
-    P and H = P * q^p + A as integer numerators, and q^n, q^(n+p) alike: no
-    gcd and no element per digit.  Then x = (H - P) / (q^(n+p) - q^n), one
-    inverse and one product, reduced to the unique lattice form."""
+    With preperiod length n, period length p and A = sum(per_j * q^(p-j)),
+    the period's own stream has the value T = A / (q^p - 1), and the word's
+    is x = sum(pre_i * q^-i) + q^-n * T.  q is an algebraic integer, so one
+    Horner pass over the period through the field's compiled orbit step
+    yields A as integer numerators; T is A times 1/(q^p - 1), which the field
+    keeps per period length (``_period_inverse``).  Then the preperiod folds
+    from its last digit to its first, y <- (pre_i + y) / q, through the
+    compiled division ``_unstep``: adding a digit adds the denominator to
+    the constant numerator, and each division scales the denominator by
+    |c0|, which is 1 for a unit base.  One reduction at the end gives the
+    unique lattice form: no gcd, no element and no inverse per digit."""
     step = field._step
-    value = (0,) * field.degree
-    power = (1,) + value[1:]
-    for d in word.preperiod:
-        value, power = step(value, d), step(power)
-    head, head_power = value, power
+    num = (0,) * field.degree
     for d in word.period:
-        value, power = step(value, d), step(power)
-    den = AlgebraicReal(field, tuple(map(sub, power, head_power)), 1)
-    return AlgebraicReal(field, tuple(map(sub, value, head)), 1) * den.inverse()
+        num = step(num, d)
+    den = 1
+    if any(num):
+        period = AlgebraicReal(field, num, 1) * _period_inverse(field, len(word.period))
+        num, den = period.num, period.den
+    unstep, scale = field._unstep, abs(field.min_poly[0])
+    num = list(num)
+    for d in reversed(word.preperiod):
+        if d:
+            num[0] += den
+        num = unstep(num)
+        den *= scale
+    return _reduced(field, num, den)
+
+
+# the period inverses 1/(q^p - 1) a field keeps, one per period length: a
+# word's period may have up to _MAX_WORD_DIGITS digits
+_INVERSES_CAP = 16
+
+
+def _period_inverse(field: BaseField, p: int) -> AlgebraicReal:
+    """1/(q^p - 1).  The field keeps each one under p (``_period_inverses``)
+    while it holds fewer than ``_INVERSES_CAP``; a full slot still serves
+    what it holds."""
+    inverse = field._period_inverses.get(p)
+    if inverse is None:
+        inverse = (field.q**p - 1).inverse()
+        if len(field._period_inverses) < _INVERSES_CAP:
+            field._period_inverses[p] = inverse
+    return inverse
 
 
 def t0(x: AlgebraicReal) -> AlgebraicReal:

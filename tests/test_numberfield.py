@@ -758,11 +758,12 @@ def test_inverse_detects_a_reducible_polynomial():
 
 
 def test_high_degree_word_value_is_fast(wall_time_limit):
-    # one inverse of a degree-120 element: 1(0)* is worth 1/q, which is
-    # q^119 - 1 since q^120 = q + 1
+    # 1(0)* is worth 1/q, one division by q: q^119 - 1 since q^120 = q + 1;
+    # (01)* is worth 1/(q^2 - 1), one inverse of a degree-120 element
     wall_time_limit(2)
     F = define_field([-1, -1] + [0] * 118 + [1], (1, 2))
     assert eval_word(parse_word("1(0)*"), F) == F.q**119 - 1
+    assert eval_word(parse_word("(01)*"), F) * (F.q**2 - 1) == 1
 
 
 def test_high_degree_domain_bounds_are_fast(wall_time_limit):

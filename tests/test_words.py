@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from betaforge.branching import Cardinality, count_expansions
 from betaforge.numberfield import (
+    AlgebraicReal,
     ReduciblePolynomial,
     define_field,
     golden_field,
@@ -20,6 +21,7 @@ from betaforge.numberfield import (
     qf_field,
 )
 from betaforge.words import (
+    _INVERSES_CAP,
     _MAX_WORD_DIGITS,
     EmptyWordError,
     PeriodicWord,
@@ -461,6 +463,48 @@ def test_eval_matches_element_evaluator(name, preperiod, period):
     assert (got.num, got.den) == (want.num, want.den)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_EVAL_FIELDS)), st.data())
+def test_unstep_inverts_the_step(name, data):
+    F = define_field(*_EVAL_FIELDS[name])
+    num = data.draw(st.lists(st.integers(-10**40, 10**40), min_size=F.degree, max_size=F.degree))
+    # the division by q scales the numerators by |c0|, exactly once
+    scaled = [abs(F.min_poly[0]) * a for a in num]
+    assert F._unstep(F._step(num)) == scaled
+    assert list(F._step(F._unstep(num))) == scaled
+
+
+def test_period_inverses_are_kept_up_to_the_bound():
+    F = define_field(*_EVAL_FIELDS["q2"])
+    words = [PeriodicWord((1, 0), (0,) * (p - 1) + (1,)) for p in range(1, 21)]
+    # the second pass reads the kept inverses, and computes the others anew
+    for word in words + words:
+        got, want = eval_word(word, F), _element_eval_word(word, F)
+        assert (got.num, got.den) == (want.num, want.den)
+    assert len(F._period_inverses) == _INVERSES_CAP
+    for p, inverse in F._period_inverses.items():
+        assert inverse == 1 / (F.q**p - 1)
+
+
+def test_eval_at_the_digit_cap_is_linear_per_digit(wall_time_limit):
+    F = define_field(*_EVAL_FIELDS["q2"])
+    n = _MAX_WORD_DIGITS
+    q = F.q
+    # a preperiod of n - 1 digits, each one division by q
+    word = PeriodicWord((1, 0) * (n // 2 - 1) + (1,), (0,))
+    wall_time_limit(5)
+    x = eval_word(word, F)
+    # the forward Horner sum of the digits is q^(n-1) * x
+    head = (0,) * F.degree
+    for d in word.preperiod:
+        head = F._step(head, d)
+    assert x * q ** (n - 1) == AlgebraicReal(F, head, 1)
+    # a period of n digits, its inverse computed anew
+    word = PeriodicWord((), (1,) + (0,) * (n - 1))
+    wall_time_limit(5)
+    assert eval_word(word, F) * (q**n - 1) == q ** (n - 1)
+
+
 def test_domain_bounds_relations():
     for F in (q2_field(), qf_field(), golden_field()):
         lo, hi, upper = domain_bounds(F)
@@ -484,6 +528,9 @@ def test_domain_bounds_do_not_keep_a_field_alive():
     assert F._branches
     # the region rules it keeps hold the switch bounds, elements of F
     assert F._rules
+    # so do the period inverses 1/(q^p - 1) it keeps
+    assert eval_word(parse_word("0(01)*"), F) == 1 / (F.q**3 - F.q)
+    assert F._period_inverses
     ref = weakref.ref(F)
     del F, lo, hi, upper
     gc.collect()
