@@ -24,8 +24,8 @@ bound: the field's compiled filter sum against the switch bounds' cached
 scaled sums, and, when the filter cannot decide, the exact comparison of
 the reduced element.  ``_reduced`` builds an element only where a value
 leaves the kernel: graph nodes, switch points, unique-tail cycles and the
-orbit a run returns.  x itself is placed by ``words.region``, which
-compares the element with the domain's bounds on the scaled sum it caches.
+orbit a run returns.  x itself is placed by ``words.region``, which rules
+out a point outside the domain and then applies the same region rule.
 
 Points of one base share switch points (in a Pisot base, those over one
 denominator are finitely many), so each field keeps a branch memo: for each
@@ -79,6 +79,8 @@ from .words import PeriodicWord, Region, _region_rule, region
 
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_MAX_NODES = 10_000
+DEFAULT_MAX_COUNT = 64
+DEFAULT_MAX_DEPTH = 256
 # switch points a field's branch memo admits, about 6x the nodes of every
 # canonical q2 word with preperiod <= 6 and period <= 4 at caps 250/64; and
 # nodes plus listed words its answer memo holds in all.  A full memo still
@@ -362,8 +364,9 @@ def _grow(orbits: _Orbits, kind: Kind, end, max_steps: int, max_nodes: int) -> _
 
     Each branch is a run in the branch memo's shape (see ``_Orbits.shaped``):
     a stored run of length L stands for the run exactly when L < max_steps,
-    and is run again otherwise.  A fresh run is resolved like a stored one,
-    and stored unless it hit the step budget."""
+    and is run again otherwise, when the new run hits the budget too.  A
+    fresh run is resolved like a stored one, and stored unless it hit the
+    budget, so no stored run is ever replaced."""
     den, locate = orbits.den, orbits.locate
     memo = orbits.field._branches
     node_ids: dict[tuple[int, ...], int] = {}
@@ -402,7 +405,7 @@ def _grow(orbits: _Orbits, kind: Kind, end, max_steps: int, max_nodes: int) -> _
                 # both branches of a switch point stay in the domain
                 branch = orbits.step(n, digit)
                 run = orbits.shaped(branch, locate(branch), max_steps)
-                if stored[digit] is None and run[2] is not LIMIT:
+                if run[2] is not LIMIT:
                     runs[digit], fresh = run, True
             _, segment, kind, end = run
             out.append(Edge(digit, segment, *resolve(kind, end)))
@@ -669,8 +672,8 @@ def _listing(
 
 def enumerate_expansions(
     x: AlgebraicReal,
-    max_count: int = 64,
-    max_depth: int = 256,
+    max_count: int = DEFAULT_MAX_COUNT,
+    max_depth: int = DEFAULT_MAX_DEPTH,
     max_steps: int = DEFAULT_MAX_STEPS,
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> list[PeriodicWord]:
@@ -688,8 +691,8 @@ def enumerate_expansions(
 
 def bfs_expansions(
     x: AlgebraicReal,
-    max_count: int = 64,
-    max_depth: int = 256,
+    max_count: int = DEFAULT_MAX_COUNT,
+    max_depth: int = DEFAULT_MAX_DEPTH,
     max_steps: int = DEFAULT_MAX_STEPS,
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> tuple[list[PeriodicWord], bool]:

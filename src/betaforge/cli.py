@@ -24,6 +24,8 @@ import sys
 from fractions import Fraction
 
 from .branching import (
+    DEFAULT_MAX_COUNT,
+    DEFAULT_MAX_DEPTH,
     DEFAULT_MAX_NODES,
     DEFAULT_MAX_STEPS,
     Count,
@@ -47,8 +49,6 @@ from .numberfield import (
 from .verify import PROFILES, render_records, render_text, run_all
 from .words import EmptyWordError, Region, WordSyntaxError, eval_word, parse_word, region
 
-DEFAULT_MAX_DEPTH = 256
-DEFAULT_MAX_COUNT = 64
 # well inside Python's int-to-str limit (4300 digits), and a bound on the
 # work of scaling a value by 10**digits
 MAX_DIGITS = 1000

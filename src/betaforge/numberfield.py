@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -542,6 +542,23 @@ def _reduced(field: BaseField, num: Sequence[int], den: int) -> "AlgebraicReal":
     return AlgebraicReal(field, tuple(num), den)
 
 
+def _coerced(method: Callable) -> Callable:
+    """``method(self, o)`` as an operator of AlgebraicReal: an int, a
+    Fraction or an element of the same field becomes the operand ``o`` (see
+    ``AlgebraicReal._coerce``), an element of another field raises
+    MixedFields, and any other operand returns NotImplemented, so Python
+    tries the reflected operator or raises TypeError."""
+
+    @wraps(method)
+    def operator(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return method(self, o)
+
+    return operator
+
+
 class AlgebraicReal:
     """An element of Q(q) in lattice form: integer numerators ``num`` over
     the power basis 1, q, ..., q^(degree-1) and one positive denominator
@@ -593,10 +610,8 @@ class AlgebraicReal:
 
     # -- ring operations -------------------------------------------------------
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __add__(self, o):
         a, b = self.den, o.den
         if a == b:
             return _reduced(self.field, [x + y for x, y in zip(self.num, o.num)], a)
@@ -604,28 +619,20 @@ class AlgebraicReal:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __sub__(self, o):
         a, b = self.den, o.den
         if a == b:
             return _reduced(self.field, [x - y for x, y in zip(self.num, o.num)], a)
         return _reduced(self.field, [x * b - y * a for x, y in zip(self.num, o.num)], a * b)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    __rsub__ = _coerced(lambda self, o: o - self)
 
     def __neg__(self):
         return AlgebraicReal(self.field, tuple(-a for a in self.num), self.den)
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __mul__(self, o):
         d = self.field.degree
         prod = [0] * (2 * d - 1)
         for i, a in enumerate(self.num):
@@ -690,17 +697,8 @@ class AlgebraicReal:
             prev, z = -prev, [-v for v in z]
         return _reduced(self.field, [v * self.den for v in z], prev)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+    __truediv__ = _coerced(lambda self, o: self * o.inverse())
+    __rtruediv__ = _coerced(lambda self, o: o * self.inverse())
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -797,29 +795,10 @@ class AlgebraicReal:
         # equal to the int or Fraction it coerces from, so hash like it
         return hash(Fraction(num[0], self.den))
 
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._cmp(o) < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._cmp(o) <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._cmp(o) > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._cmp(o) >= 0
+    __lt__ = _coerced(lambda self, o: self._cmp(o) < 0)
+    __le__ = _coerced(lambda self, o: self._cmp(o) <= 0)
+    __gt__ = _coerced(lambda self, o: self._cmp(o) > 0)
+    __ge__ = _coerced(lambda self, o: self._cmp(o) >= 0)
 
     def __abs__(self):
         return -self if self.sign() < 0 else self

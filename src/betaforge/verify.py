@@ -433,12 +433,13 @@ def _no_triple_body() -> str:
 
 
 _FAMILY_SHAPES = {
-    # name: (k_min, uses_j, prefix builder, branch value: 0 for EPS1, 1 for
-    # EPS3); the fixture words are read when a word is built, not at import
-    "e1": (1, False, lambda k, j: "0" * k, 0),
-    "e3": (2, False, lambda k, j: "0" * k, 1),
-    "e1-alt": (1, True, lambda k, j: "0" * k + "01" * j, 0),
-    "e3-alt": (2, True, lambda k, j: "0" * k + "10" * j, 1),
+    # name: (k_min, the block repeated j >= 1 times after the zeros, or ()
+    # for a family without j, branch value: 0 for EPS1, 1 for EPS3); the
+    # fixture words are read when a word is built, not at import
+    "e1": (1, (), 0),
+    "e3": (2, (), 1),
+    "e1-alt": (1, (0, 1), 0),
+    "e3-alt": (2, (1, 0), 1),
 }
 
 # parameters at which a deep member's prefix oracle still runs
@@ -449,16 +450,26 @@ def family_word(name: str, k: int, j: int = 0) -> PeriodicWord:
     """The word of a two-expansion family member: zeros, an optional
     alternating block, then the family's branch-value word.  Raises
     ValueError outside the family's parameter range."""
+    return _branch_member(name, k, j, _branch_words())
+
+
+def _branch_words() -> tuple[PeriodicWord, PeriodicWord]:
+    """The branch-value words EPS1 and EPS3, parsed from the fixtures."""
+    return parse_word(fixtures.EPS1), parse_word(fixtures.EPS3)
+
+
+def _branch_member(name: str, k: int, j: int, branches: tuple) -> PeriodicWord:
+    """``family_word`` over the given ``_branch_words()``."""
     if name not in _FAMILY_SHAPES:
         raise ValueError(f"unknown family {name!r}")
-    k_min, uses_j, prefix, branch = _FAMILY_SHAPES[name]
+    k_min, block, branch = _FAMILY_SHAPES[name]
     if k < k_min:
         raise ValueError(f"family {name!r} requires k >= {k_min}")
-    if uses_j and j < 1:
+    if block and j < 1:
         raise ValueError(f"family {name!r} requires j >= 1")
-    if not uses_j and j:
+    if not block and j:
         raise ValueError(f"family {name!r} takes no j parameter")
-    return parse_word(prefix(k, j) + (fixtures.EPS1, fixtures.EPS3)[branch])
+    return branches[branch].with_prefix((0,) * k + block * j)
 
 
 def check_branch_families(k_max: int = 8, j_max: int = 8) -> CheckResult:
@@ -473,11 +484,12 @@ def _branch_families_body(k_max: int, j_max: int) -> str:
     q2 = q2_field()
     specials = _specials(q2)
     checked = 0
-    for name, (k_min, uses_j, _, branch) in _FAMILY_SHAPES.items():
+    branches = _branch_words()  # once per run, when the check runs
+    for name, (k_min, block, branch) in _FAMILY_SHAPES.items():
         for k in range(k_min, k_max + 1):
-            for j in (range(1, j_max + 1) if uses_j else (0,)):
+            for j in (range(1, j_max + 1) if block else (0,)):
                 member = f"{name} k={k} j={j}"
-                word = family_word(name, k, j)
+                word = _branch_member(name, k, j, branches)
                 x = eval_word(word, q2)
                 graph = build_branch_graph(x)
                 if graph.truncated:

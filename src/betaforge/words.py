@@ -15,10 +15,12 @@ the region of a point decides which branches keep it inside the domain:
     switch [1/q, 1/(q(q-1))]         both t0 and t1 stay (branch point)
     high   (1/(q(q-1)), 1/(q-1)]     only t1 stays
 
-``region`` places a point by its sign and by comparing it with these bounds.
-The orbit kernel in ``branching`` places the raw numerators it steps with
-``_region_rule``, which compares with the two switch bounds only: every
-value the kernel makes lies in the domain.
+One rule tells low, switch and high apart: ``_region_rule``, which compares
+the raw numerators of a value over one denominator with the two switch
+bounds only.  The orbit kernel in ``branching`` places each value it steps
+with it, since every value the kernel makes lies in the domain.  ``region``
+places any element: a point below 0 or above 1/(q-1) is outside, and any
+other goes to the same rule.
 """
 
 from __future__ import annotations
@@ -424,31 +426,21 @@ def _region_rule(field: BaseField, den: int) -> Callable[[Sequence[int]], Region
     return locate
 
 
-# the region of a point below each of 1/q, 1/(q(q-1)), 1/(q-1) (in order),
-# and whether "below" is strict
-_SIDES = ((Region.LOW, True), (Region.SWITCH, False), (Region.HIGH, False))
-
-
 def region(x: AlgebraicReal) -> Region:
     """Which part of the domain [0, 1/(q-1)] the point lies in, or outside
-    it.  A negative x is outside; any other is compared with 1/q,
-    1/(q(q-1)) and 1/(q-1) in turn by ``_cmp``: the integer filter on the
-    scaled sums that x and each bound cache, and the exact sign where the
-    filter cannot decide.  No element is built unless the filter fails."""
-    bounds = x.field.domain_bounds()  # first: a base outside (1, 2) raises for every x
-    if x.sign() < 0:
+    it.  A negative x, or one above 1/(q-1) by ``_cmp``, is outside; any
+    other is placed by the orbit kernel's ``_region_rule`` for x's
+    denominator, on the scaled sums of x and the switch bounds, with the
+    exact comparison where the filter cannot decide."""
+    top = x.field.domain_bounds()[2]  # first: a base outside (1, 2) raises for every x
+    if x.sign() < 0 or x._cmp(top) > 0:
         return Region.OUTSIDE
-    for bound, (below, strict) in zip(bounds, _SIDES):
-        c = x._cmp(bound)
-        if c < 0 or (c == 0 and not strict):
-            return below
-    return Region.OUTSIDE
+    return _region_rule(x.field, x.den)(x.num)
 
 
 def reflect_point(x: AlgebraicReal) -> AlgebraicReal:
     """The involution x -> 1/(q-1) - x of the domain."""
-    _, _, upper = domain_bounds(x.field)
-    return upper - x
+    return domain_bounds(x.field)[2] - x
 
 
 def reflect_word(word: PeriodicWord) -> PeriodicWord:

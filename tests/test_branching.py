@@ -1174,11 +1174,31 @@ def test_region_rules_past_the_bound_answer_like_region():
         assert (words._region_rule(F, den) is rule) == (den <= cap)
         # over den, (-den, den), (den, 0) and (0, den) are golden's bounds
         # q - 1, 1 and q exactly: the filter cannot decide those
+        # region reads the rule, so both answer like the element loop
         for num in itertools.product(range(-2 * den, 2 * den + 1), (-den, -1, 0, 1, den)):
             x = F.element([Fraction(c, den) for c in num])
-            if region(x) is not Region.OUTSIDE:
-                assert rule(num) is region(x), (den, num)
+            expected = _ref_region(x)
+            assert region(x) is expected, (den, num)
+            if expected is not Region.OUTSIDE:
+                assert rule(num) is expected, (den, num)
     assert len(F._rules) == cap
+
+
+def test_lower_step_budgets_replace_no_stored_run():
+    # a stored run of length L is run again only when L >= max_steps, and
+    # then it hits the budget again: no smaller budget replaces a stored run
+    F = define_field(*_KERNEL_FIELDS["qf"])
+    points = [eval_word(parse_word(t), F)
+              for t in ("1(0000)^3 0(10)*", "0(011)*", "001(0110)*", "1(0)*", "(0110)*")]
+    for x in points:
+        build_branch_graph(x)
+    before = dict(F._branches)
+    runs = [run for pair in before.values() for run in pair if run is not None]
+    assert any(run[0] >= 3 for run in runs) and all(run[0] >= 1 for run in runs)
+    for max_steps in (3, 1):
+        for x in points:
+            build_branch_graph(x, max_steps=max_steps)
+        assert all(F._branches[key] is entry for key, entry in before.items())
 
 
 def _counted_graphs(monkeypatch):

@@ -1,6 +1,7 @@
 """Exact arithmetic in Q(q): field construction, operators, signs, decimals."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -403,6 +404,43 @@ def test_greater_or_equal():
     assert q.__ge__("not a number") is NotImplemented
     with pytest.raises(TypeError):
         q >= "not a number"
+
+
+# the operators that share one operand guard: (dunder, operator, reflected)
+_COERCED_OPERATORS = [
+    ("__add__", operator.add, False),
+    ("__sub__", operator.sub, False),
+    ("__rsub__", operator.sub, True),
+    ("__mul__", operator.mul, False),
+    ("__truediv__", operator.truediv, False),
+    ("__rtruediv__", operator.truediv, True),
+    ("__lt__", operator.lt, False),
+    ("__le__", operator.le, False),
+    ("__gt__", operator.gt, False),
+    ("__ge__", operator.ge, False),
+]
+
+
+@pytest.mark.parametrize("dunder, op, reflected", _COERCED_OPERATORS)
+@pytest.mark.parametrize("other", ["not a number", 1.5])
+def test_coerced_operators_refuse_a_foreign_operand(dunder, op, reflected, other):
+    q = q2_field().q
+    assert getattr(q, dunder)(other) is NotImplemented
+    with pytest.raises(TypeError):
+        op(other, q) if reflected else op(q, other)
+
+
+@pytest.mark.parametrize("dunder, op, reflected", _COERCED_OPERATORS)
+def test_coerced_operators_refuse_another_fields_element(dunder, op, reflected):
+    q, f = q2_field().q, qf_field().q
+    with pytest.raises(MixedFields):
+        getattr(q, dunder)(f)
+    with pytest.raises(MixedFields):
+        op(f, q) if reflected else op(q, f)
+    # ints and Fractions still coerce: each operator answers like its
+    # operand's field element
+    for r in (2, Fraction(3, 2)):
+        assert getattr(q, dunder)(r) == getattr(q, dunder)(q2_field().from_rational(r))
 
 
 def test_element_coefficient_reduction():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from betaforge import PeriodicWord, verify
+from betaforge import PeriodicWord, parse_word, verify
 from betaforge import fixtures
 from betaforge.numberfield import AlgebraicReal
 from betaforge.verify import (
@@ -210,6 +210,27 @@ def test_family_word_shapes():
     assert str(family_word("e3", 2)) == "000111(10)*"
     assert str(family_word("e1-alt", 1, 2)) == "0010101(10)*"
     assert str(family_word("e3-alt", 2, 1)) == "00100111(10)*"
+
+
+# each family's members as text, the form the words were once built from:
+# name -> (k_min, uses j, prefix text, branch-value fixture)
+_FAMILY_TEXT = {
+    "e1": (1, False, lambda k, j: "0" * k, "EPS1"),
+    "e3": (2, False, lambda k, j: "0" * k, "EPS3"),
+    "e1-alt": (1, True, lambda k, j: "0" * k + "01" * j, "EPS1"),
+    "e3-alt": (2, True, lambda k, j: "0" * k + "10" * j, "EPS3"),
+}
+
+
+def test_family_words_equal_their_text_form():
+    members = 0
+    for name, (k_min, uses_j, prefix, branch) in _FAMILY_TEXT.items():
+        for k in range(k_min, 51):
+            for j in (range(1, 51) if uses_j else (0,)):
+                text = prefix(k, j) + getattr(fixtures, branch)
+                assert family_word(name, k, j) == parse_word(text), text
+                members += 1
+    assert members == 5049  # every member of the full profile
 
 
 def test_family_word_validation():
