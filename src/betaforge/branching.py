@@ -52,9 +52,10 @@ point's listing is s's listing with the root segment prepended: canonical
 words are unique, so the prefixed word is the one a walk from x would
 build.  ``count_expansions`` classifies the graph ``build_branch_graph``
 assembles from the record (one element per node), and ``classify`` reads
-the record's count.  A listing is walked on the record itself, or read
-straight off it when it holds one: no listing assembles a graph.  A record
-the memo does not admit keeps no answer.
+that graph's record: it classifies the record's edges, indexed by node id,
+once, and keeps the count there.  A listing is walked on the record itself,
+or read straight off it when it holds one: no listing assembles a graph.  A
+record the memo does not admit keeps no answer.
 
 The memos hold ints, tuples, ``Edge``, ``Cardinality`` and ``PeriodicWord``
 records only, never an element or a graph, so a field is freed with them.
@@ -69,10 +70,11 @@ oracle stays an independent check of the graphs.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple, Sequence
 
 from .numberfield import AlgebraicReal, BaseField, _reduced
 from .words import PeriodicWord, Region, _region_rule, region
@@ -160,9 +162,6 @@ class _Orbits:
         self.field, self.den = x.field, x.den
         self.locate = _region_rule(x.field, x.den)
 
-    def step(self, n: tuple[int, ...], digit: int) -> tuple[int, ...]:
-        return self.field._step(n, -digit * self.den)
-
     def value(self, n: tuple[int, ...]) -> AlgebraicReal:
         return _reduced(self.field, n, self.den)
 
@@ -174,20 +173,22 @@ class _Orbits:
         to its step, in order; ``end`` is the switch point's tuple (NODE),
         the cycle's digits (TERMINAL, the cycle starting at step
         ``len(segment)``), or the tuple after the last step (LIMIT)."""
-        step, locate = self.field._step, self.locate
-        lows = (0, -self.den)
+        step, locate, minus_one = self.field._step, self.locate, -self.den
+        switch, low = Region.SWITCH, Region.LOW
         seen: dict[tuple[int, ...], int] = {}
         digits: list[int] = []
-        for _ in range(max_steps):
-            if reg is Region.SWITCH:
+        for i in range(max_steps):
+            if reg is switch:
                 return NODE, tuple(digits), n, seen
-            at = seen.get(n)
-            if at is not None:
+            at = seen.setdefault(n, i)
+            if at != i:
                 return TERMINAL, tuple(digits[:at]), tuple(digits[at:]), seen
-            seen[n] = len(seen)
-            d = 0 if reg is Region.LOW else 1
-            digits.append(d)
-            n = step(n, lows[d])
+            if reg is low:
+                digits.append(0)
+                n = step(n, 0)
+            else:
+                digits.append(1)
+                n = step(n, minus_one)
             reg = locate(n)
         return LIMIT, tuple(digits), n, seen
 
@@ -197,9 +198,10 @@ class _Orbits:
         cycle counted in the length.  A run of length L is what ``run``
         returns exactly when L < max_steps."""
         kind, segment, end, _ = self.run(n, reg, max_steps)
-        if kind is NODE:
-            v = self.value(end)
-            end = (v.den, *v.num)
+        if kind is NODE:  # as ``_reduced`` reduces it, with no element built
+            den = self.den
+            g = math.gcd(den, *end)
+            end = (den, *end) if g == 1 else (den // g, *[c // g for c in end])
         length = len(segment) + len(end) if kind is TERMINAL else len(segment)
         return length, segment, kind, end
 
@@ -231,11 +233,11 @@ def deterministic_run(x: AlgebraicReal, max_steps: int = DEFAULT_MAX_STEPS) -> R
 # branch graph
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(NamedTuple):
     """One branch out of a switch point: the chosen digit, the digits forced
     after it, and where that leads (``kind``; ``target`` is the node or
-    terminal id, None for a limit)."""
+    terminal id, None for a limit).  A named tuple: immutable, hashable, and
+    equal to the plain tuple of its four fields."""
 
     digit: int
     segment: tuple[int, ...]
@@ -367,7 +369,7 @@ def _grow(orbits: _Orbits, kind: Kind, end, max_steps: int, max_nodes: int) -> _
     and is run again otherwise, when the new run hits the budget too.  A
     fresh run is resolved like a stored one, and stored unless it hit the
     budget, so no stored run is ever replaced."""
-    den, locate = orbits.den, orbits.locate
+    den, locate, step = orbits.den, orbits.locate, orbits.field._step
     memo = orbits.field._branches
     node_ids: dict[tuple[int, ...], int] = {}
     keys: list[tuple[int, ...]] = []  # each node's reduced form (den, *num), by id
@@ -394,16 +396,16 @@ def _grow(orbits: _Orbits, kind: Kind, end, max_steps: int, max_nodes: int) -> _
     root = resolve(kind, end)
     edges: list[tuple[Edge, ...]] = []
     for key in keys:  # grows as switch points are found: breadth-first
-        # the node over x's denominator D: its reduced denominator divides D
-        n = tuple([c * (den // key[0]) for c in key[1:]])
         stored = memo.get(key, (None, None))
-        runs, fresh = list(stored), False
+        runs, fresh, n = list(stored), False, None
         out = []
         for digit in (0, 1):
             run = stored[digit]
             if run is None or run[0] >= max_steps:
+                if n is None:  # the node over D: its reduced denominator divides D
+                    n = tuple([c * (den // key[0]) for c in key[1:]])
                 # both branches of a switch point stay in the domain
-                branch = orbits.step(n, digit)
+                branch = step(n, -digit * den)
                 run = orbits.shaped(branch, locate(branch), max_steps)
                 if run[2] is not LIMIT:
                     runs[digit], fresh = run, True
@@ -467,117 +469,114 @@ class Cardinality:
         return _COUNT_TEXT[self.kind].format(self.count)
 
 
-def _node_adjacency(graph: BranchGraph) -> dict[int, list[int]]:
-    return {
-        nid: [e.target for e in out.values() if e.kind is NODE]
-        for nid, out in graph.edges.items()
-    }
-
-
-def _sccs(adj: dict[int, list[int]]) -> list[list[int]]:
-    """Strongly connected components, emitted sinks-first (iterative Tarjan)."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
+def _sccs(adj: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Strongly connected components of the graph whose node v has the
+    out-neighbours ``adj[v]``, emitted sinks-first (iterative Tarjan), and
+    each node's component index.  A visited node with no component yet is
+    on the stack."""
+    n = len(adj)
+    index, low, comp_of = [-1] * n, [0] * n, [-1] * n
     stack: list[int] = []
     out: list[list[int]] = []
     counter = 0
 
-    for root in adj:
-        if root in index:
+    for root in range(n):
+        if index[root] >= 0:
             continue
         work: list[tuple[int, Iterator[int]]] = [(root, iter(adj[root]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
-                if w not in index:
+                if index[w] < 0:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack.add(w)
                     work.append((w, iter(adj[w])))
-                    advanced = True
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(comp)
-    return out
+                if comp_of[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        comp_of[w] = len(out)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    out.append(comp)
+    return out, comp_of
 
 
-def _path_floor(graph: BranchGraph, comps: list[list[int]]) -> int:
+def _path_floor(edges: Sequence[Sequence[Edge]], comps: list[list[int]], comp_of: list[int],
+                root: int) -> int:
     """Distinct exits per SCC of the condensation ``comps`` (sinks first),
     unresolved edges contributing one each (every in-domain point has an
-    expansion): the exact path count of a complete cycle-free graph, and a
-    certified floor for a truncated one."""
-    comp_of: dict[int, int] = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    floor: dict[int, int] = {}
+    expansion): the exact path count from ``root`` of a complete cycle-free
+    graph, and a certified floor for a truncated one."""
+    floor: list[int] = []
     for ci, comp in enumerate(comps):
         total = 0
         for v in comp:
-            for e in graph.edges[v].values():
+            for e in edges[v]:
                 if e.kind is not NODE:
                     total += 1
                 elif comp_of[e.target] != ci:
                     total += floor[comp_of[e.target]]
-        floor[ci] = max(total, 1)
-    return floor[comp_of[graph.root_target]]
+        floor.append(max(total, 1))
+    return floor[comp_of[root]]
 
 
 def classify(graph: BranchGraph) -> Cardinality:
-    """Cardinality of the expansion set encoded by a branch graph; a graph
-    with an answer-memo record reads it from there, or classifies once and
-    keeps it."""
+    """Cardinality of the expansion set encoded by a branch graph.  A graph
+    with an answer-memo record is classified on the record, once, which
+    keeps the answer; any other graph on a copy of its edges with the node
+    ids relabelled by position."""
     below = graph._below
-    if below is None:
-        return _cardinality(graph)
-    if below.card is None:
-        below.card = _cardinality(graph)
-    return below.card
+    if below is not None:
+        if below.card is None:
+            below.card = _cardinality(*below.root, below.edges, below.limit is not None,
+                                      below.limit)
+        return below.card
+    ids = {nid: i for i, nid in enumerate(graph.edges)}
+    edges = [[e._replace(target=ids[e.target]) if e.kind is NODE else e for e in out.values()]
+             for out in graph.edges.values()]
+    root = ids[graph.root_target] if graph.root_kind is NODE else graph.root_target
+    return _cardinality(graph.root_kind, root, edges, graph.truncated, graph.limit)
 
 
-def _cardinality(graph: BranchGraph) -> Cardinality:
-    if graph.root_kind is TERMINAL:
+def _cardinality(root_kind: Kind, root: int | None, edges: Sequence[Sequence[Edge]],
+                 truncated: bool, limit: str | None) -> Cardinality:
+    """The cardinality of the graph whose root resolves as (root_kind,
+    root), with ``edges[v]`` the out-edges of node v, truncated by
+    ``limit`` or not."""
+    if root_kind is TERMINAL:
         return Cardinality.finite(1)
-    if graph.root_kind is LIMIT:
-        return Cardinality.lower_bound(1, graph.limit)
-    adj = _node_adjacency(graph)
-    comps = _sccs(adj)
-    if graph.truncated:
-        return Cardinality.lower_bound(_path_floor(graph, comps), graph.limit)
+    if root_kind is LIMIT:
+        return Cardinality.lower_bound(1, limit)
+    adj = [[e.target for e in out if e.kind is NODE] for out in edges]
+    comps, comp_of = _sccs(adj)
+    if truncated:
+        return Cardinality.lower_bound(_path_floor(edges, comps, comp_of, root), limit)
 
     has_cycle = False
-    for comp in comps:
-        members = set(comp)
-        intra = sum(1 for v in comp for w in adj[v] if w in members)
+    for ci, comp in enumerate(comps):
+        intra = sum(comp_of[w] == ci for v in comp for w in adj[v])
         if intra > len(comp):
             return Cardinality.continuum()
         if len(comp) > 1 or intra:
             has_cycle = True
     if has_cycle:
         return Cardinality.aleph0()
-    return Cardinality.finite(_path_floor(graph, comps))
+    return Cardinality.finite(_path_floor(edges, comps, comp_of, root))
 
 
 def count_expansions(

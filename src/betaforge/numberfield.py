@@ -426,13 +426,19 @@ class BaseField:
     def _scaled_powers(self, p: int = FILTER_BITS) -> tuple[int, ...]:
         """Integers Q[i] with |Q[i] - q^i * 2^p| < 3/2, for i < degree, once
         per precision p (the sign filter's at FILTER_BITS), from the private
-        cell (a, b, d): a copy of the certified cell, halved until it lies on
-        one side of 0 and brackets each q^i at most 2^-p wide, (hi^i - lo^i)
+        cell (a, b, d): a copy of the certified cell, first clamped to
+        [-M, M] with M = 1 + max |c_i| (no root lies beyond, so the sign at
+        its lower end stays ``_sign_lo``), then halved until it lies on one
+        side of 0 and brackets each q^i at most 2^-p wide, (hi^i - lo^i)
         * 2^p <= d^i, so the floored midpoint is within 1/2 + 1.  A bracket
         too wide asks for about as many halvings as its excess has bits."""
         powers = self._fine.get(p)
         if powers is None:
-            a, b, d = self._bracket or self._cell
+            if self._bracket is None:
+                a, b, d = self._cell
+                m = (1 + max(map(abs, self.min_poly[:-1]))) * d
+                self._bracket = (max(a, -m), min(b, m), d)
+            a, b, d = self._bracket
             while True:
                 powers, short = [1 << p], int(a < 0 < b)
                 for i in range(1, self.degree):

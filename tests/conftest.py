@@ -1,11 +1,14 @@
-"""Shared test fixtures, and the Fraction reference for exact signs."""
+"""Shared test fixtures, the Fraction reference for exact signs, and the
+dict-based reference classifier of branch graphs."""
 
 import signal
 import weakref
 from fractions import Fraction
+from typing import Iterator
 
 import pytest
 
+from betaforge.branching import LIMIT, NODE, TERMINAL, BranchGraph, Cardinality
 from betaforge.numberfield import BaseField
 
 
@@ -64,3 +67,106 @@ def enclosure(x, width=None):
         if (vhi - vlo <= width) if width is not None else (vlo > 0 or vhi < 0):
             return vlo, vhi
         twin.refine(8)
+
+
+# Tarjan on a graph's own dicts, keyed by its node ids: the reference for
+# ``branching.classify``, which works on lists indexed by node id
+def _node_adjacency(graph: BranchGraph) -> dict[int, list[int]]:
+    return {
+        nid: [e.target for e in out.values() if e.kind is NODE]
+        for nid, out in graph.edges.items()
+    }
+
+
+def _sccs(adj: dict[int, list[int]]) -> list[list[int]]:
+    """Strongly connected components, emitted sinks-first (iterative Tarjan)."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    on_stack: set[int] = set()
+    stack: list[int] = []
+    out: list[list[int]] = []
+    counter = 0
+
+    for root in adj:
+        if root in index:
+            continue
+        work: list[tuple[int, Iterator[int]]] = [(root, iter(adj[root]))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(adj[w])))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                out.append(comp)
+    return out
+
+
+def _path_floor(graph: BranchGraph, comps: list[list[int]]) -> int:
+    """Distinct exits per SCC of the condensation ``comps`` (sinks first),
+    unresolved edges contributing one each (every in-domain point has an
+    expansion): the exact path count of a complete cycle-free graph, and a
+    certified floor for a truncated one."""
+    comp_of: dict[int, int] = {}
+    for ci, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = ci
+    floor: dict[int, int] = {}
+    for ci, comp in enumerate(comps):
+        total = 0
+        for v in comp:
+            for e in graph.edges[v].values():
+                if e.kind is not NODE:
+                    total += 1
+                elif comp_of[e.target] != ci:
+                    total += floor[comp_of[e.target]]
+        floor[ci] = max(total, 1)
+    return floor[comp_of[graph.root_target]]
+
+
+def _cardinality(graph: BranchGraph) -> Cardinality:
+    if graph.root_kind is TERMINAL:
+        return Cardinality.finite(1)
+    if graph.root_kind is LIMIT:
+        return Cardinality.lower_bound(1, graph.limit)
+    adj = _node_adjacency(graph)
+    comps = _sccs(adj)
+    if graph.truncated:
+        return Cardinality.lower_bound(_path_floor(graph, comps), graph.limit)
+
+    has_cycle = False
+    for comp in comps:
+        members = set(comp)
+        intra = sum(1 for v in comp for w in adj[v] if w in members)
+        if intra > len(comp):
+            return Cardinality.continuum()
+        if len(comp) > 1 or intra:
+            has_cycle = True
+    if has_cycle:
+        return Cardinality.aleph0()
+    return Cardinality.finite(_path_floor(graph, comps))

@@ -48,7 +48,7 @@ from betaforge import branching, numberfield, words
 from betaforge.cli import main
 from betaforge.branching import LIMIT, NODE, TERMINAL
 from betaforge.numberfield import AlgebraicReal
-from conftest import enclosure
+from conftest import _cardinality as reference_cardinality, enclosure
 
 
 def plastic_field():
@@ -281,7 +281,7 @@ def test_lower_bound_names_its_limit():
 # classification on hand-built graphs
 
 
-def _graph(root_kind, root_target, edges, terminals=None, truncated=False):
+def _graph(root_kind, root_target, edges, terminals=None, truncated=False, limit=None):
     F = q2_field()
     return BranchGraph(
         field=F,
@@ -293,6 +293,7 @@ def _graph(root_kind, root_target, edges, terminals=None, truncated=False):
         edges=edges,
         terminals=terminals or {},
         truncated=truncated,
+        limit=limit,
     )
 
 
@@ -352,6 +353,71 @@ def test_classify_dag_counts_paths():
     }
     g = _graph(NODE, 0, edges, terminals={0: t})
     assert classify(g) == Cardinality.finite(5)
+
+
+@st.composite
+def _random_graphs(draw):
+    """A graph of at most 10 nodes, numbered by distinct ids in any order:
+    each out-edge leads to any node, the one terminal or a limit; truncated
+    or not; any root kind."""
+    ids = draw(st.lists(st.integers(0, 40), unique=True, max_size=10))
+    kinds = st.sampled_from((NODE, TERMINAL, LIMIT) if ids else (TERMINAL, LIMIT))
+    targets = {NODE: st.sampled_from(ids), TERMINAL: st.just(0), LIMIT: st.none()}
+
+    def edge(digit):
+        kind = draw(kinds)
+        return _edge(digit, kind, draw(targets[kind]))
+
+    edges = {nid: {0: edge(0), 1: edge(1)} for nid in ids}
+    root_kind = draw(kinds)
+    return _graph(root_kind, draw(targets[root_kind]), edges,
+                  terminals={0: parse_word("(0)*")}, truncated=draw(st.booleans()),
+                  limit=draw(st.sampled_from((None, "max_steps", "max_nodes"))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_random_graphs())
+def test_classify_matches_the_dict_reference(graph):
+    want = reference_cardinality(graph)
+    got = classify(graph)
+    assert (got, got.limit) == (want, want.limit)
+
+
+@pytest.mark.parametrize("cut, want", [
+    (None, Cardinality.finite(5)),
+    (LIMIT, Cardinality.lower_bound(5)),
+    (NODE, Cardinality.continuum()),
+])
+def test_classify_reads_any_node_ids(cut, want):
+    # the DAG of test_classify_dag_counts_paths, then with one terminal edge
+    # cut by a limit or led back to the root (one SCC of four inner edges),
+    # under the ids 7, 3, 11 and under 0, 1, 2
+    def graph(a, b, c):
+        last = {None: _edge(1, TERMINAL, 0), LIMIT: _edge(1, LIMIT, None),
+                NODE: _edge(1, NODE, a)}[cut]
+        edges = {
+            a: {0: _edge(0, NODE, b), 1: _edge(1, NODE, c)},
+            b: {0: _edge(0, TERMINAL, 0), 1: last},
+            c: {0: _edge(0, TERMINAL, 0), 1: _edge(1, NODE, b)},
+        }
+        return _graph(NODE, a, edges, terminals={0: parse_word("(0)*")},
+                      truncated=cut is LIMIT)
+
+    assert classify(graph(7, 3, 11)) == classify(graph(0, 1, 2)) == want
+    assert reference_cardinality(graph(7, 3, 11)) == want
+
+
+def test_edge_is_an_immutable_named_tuple():
+    e = Edge(1, (0, 1), NODE, 3)
+    assert Edge._fields == ("digit", "segment", "kind", "target")
+    assert (e.digit, e.segment, e.kind, e.target) == (1, (0, 1), NODE, 3)
+    with pytest.raises(AttributeError):
+        e.target = 4
+    # equal and hashed like the tuple of its fields, as the dataclass it was
+    assert e == Edge(1, (0, 1), NODE, 3) == (1, (0, 1), NODE, 3)
+    assert hash(e) == hash(Edge(1, (0, 1), NODE, 3)) == hash((1, (0, 1), NODE, 3))
+    assert e != Edge(0, (0, 1), NODE, 3) and e != Edge(1, (0, 1), NODE, None)
+    assert len({e, Edge(1, (0, 1), NODE, 3), Edge(1, (0, 1), TERMINAL, 3)}) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -1147,6 +1213,50 @@ def test_root_memo_holds_the_last_point_only(name, monkeypatch):
         assert key == (x.den, *x.num)
         assert segment == build_branch_graph(x, **caps).root_segment
         assert length == len(segment) and segment == (0,) * word.preperiod.index(1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_MEMO_NAMES), st.data())
+def test_switch_point_keys_are_the_reduced_form(name, data):
+    # a run ending at a switch point keys it by the (den, *num) of _reduced,
+    # over a kernel denominator D that shares factors with the numerators
+    F = define_field(*_KERNEL_FIELDS[name])
+    common = data.draw(st.integers(1, 10**6))
+    den = common * data.draw(st.integers(1, 10**6))
+    num = tuple(common * c for c in data.draw(
+        st.lists(st.integers(-10**9, 10**9), min_size=F.degree, max_size=F.degree)))
+    orbits = branching._Orbits(F.from_rational(Fraction(1, den)))
+    assert orbits.den == den
+    length, segment, kind, key = orbits.shaped(num, Region.SWITCH, 1)
+    v = numberfield._reduced(F, num, den)
+    assert (length, segment, kind, key) == (0, (), NODE, (v.den, *v.num))
+
+
+@pytest.mark.parametrize("name", ["qf", "golden"])
+def test_regrown_records_step_only_their_roots(name):
+    # with the answer memo cleared, each record grows again from the warm
+    # branch memo, which holds every branch run (Pisot graphs at the default
+    # caps resolve every run): the kernel steps through the root runs only
+    F = define_field(*_KERNEL_FIELDS[name])
+    points = list(dict.fromkeys(eval_word(w, F) for w in _MEMO_WORDS[::3]))
+    first = [(count_expansions(x), bfs_expansions(x)) for x in points]
+    steps, step = [0], F._step
+
+    def counted(*args):
+        steps[0] += 1
+        return step(*args)
+
+    F._step = counted
+    F._answers.clear()
+    F._answer_cells = 0
+    for x, (card, listing) in zip(points, first):
+        steps[0] = 0
+        assert count_expansions(x) == card, str(x)
+        assert steps[0] == F._roots[(x.den, *x.num)][0], str(x)  # the root run's steps
+        steps[0] = 0
+        assert bfs_expansions(x) == listing, str(x)
+        assert steps[0] == 0, str(x)
+    assert sum(len(below.keys) for below in F._answers.values()) > 100
 
 
 def test_run_and_prefix_oracle_do_not_read_the_memo():

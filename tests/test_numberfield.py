@@ -245,6 +245,24 @@ def test_rational_root_screen_does_not_factor_a_large_constant_term(wall_time_li
     assert define_field((-n, 0, 1), (1, 10**50)).degree == 2
 
 
+@pytest.mark.parametrize("iso, root", [
+    ((1, 10**6000), (1, 2)),  # the golden ratio
+    ((-10**6000, 0), (-1, 0)),  # its conjugate, -0.618...
+])
+def test_first_sign_over_a_wide_interval_starts_at_the_cauchy_bound(wall_time_limit, iso, root):
+    # the sign filter's private cell starts clamped to [-M, M], M = 1 + max
+    # |c_i| = 2: halving down from the whole 10^6000-wide cell took seconds;
+    # the isolating interval stays as certified, a 32nd of iso
+    F = define_field((-1, -1, 1), iso)
+    certified = F.interval()
+    wall_time_limit(1)
+    lo, hi = root
+    assert (F.q - lo).sign() == 1 and (F.q - hi).sign() == -1
+    assert (2 * F.q - 1).sign() == lo and (5 * F.q - 3).sign() == lo
+    assert F.interval() == certified
+    assert certified[1] - certified[0] == Fraction(iso[1] - iso[0], 32)
+
+
 _A = 10**50
 
 
