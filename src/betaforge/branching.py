@@ -44,26 +44,27 @@ answer memo too.  Below x's root run, x's graph depends only on the run's
 end s (x's first switch point) and the caps: every node id, edge, terminal
 and limit is that of s's graph.  That graph is stored in one shape only, a
 record (``_Below``): each node's reduced form, the edges, the terminals and
-the limit.  ``_grow`` builds the record, and ``_record`` keeps it under
-(s's reduced form, max_steps, max_nodes) while the memo has room.  The
-record also keeps what was read from the graph: ``classify``'s answer, and
-each listing of ``_listing`` by (max_count, max_depth), relative to s.  A
+the limit.  ``_grow`` builds the record and reads its answers in one
+Tarjan pass over the edges (``_answer``): as each component closes, its
+floor, whether it reaches a terminal and whether it is cyclic or rich,
+from which the record keeps the count and a live flag per node.
+``_record`` keeps the record under (s's reduced form, max_steps,
+max_nodes) while the memo has room, and the record then also keeps each
+listing of ``_listing`` by (max_count, max_depth), relative to s.  A
 point's listing is s's listing with the root segment prepended: canonical
 words are unique, so the prefixed word is the one a walk from x would
 build.  ``count_expansions`` classifies the graph ``build_branch_graph``
 assembles from the record (one element per node), and ``classify`` reads
-that graph's record: it classifies the record's edges, indexed by node id,
-once, and keeps the count there.  A listing is walked on the record itself,
-or read straight off it when it holds one: no listing assembles a graph.  A
-record the memo does not admit keeps no answer.
+the count off the record that graph carries.  A listing is walked on the
+record itself, skipping the nodes that are not live, or read straight off
+it when it holds one: no listing assembles a graph.
 
-The memos hold ints, tuples, ``Edge``, ``Cardinality`` and ``PeriodicWord``
-records only, never an element or a graph, so a field is freed with them.
-The root memo holds one point and the branch memo at most ``_MEMO_CAP``
-switch points; neither stores a run that hit the step budget.  The answer memo admits
-records and listings while the nodes and words it holds total at most
-``_MEMO_CAP``.
-Full memos still serve what they hold.
+The memos hold ints, bytes, tuples, ``Edge``, ``Cardinality`` and
+``PeriodicWord`` records only, never an element or a graph, so a field is
+freed with them.  The root memo holds one point and the branch memo at most
+``_MEMO_CAP`` switch points; neither stores a run that hit the step budget.
+The answer memo admits records and listings while the nodes and words it
+holds total at most ``_MEMO_CAP``.  Full memos still serve what they hold.
 ``deterministic_run`` and ``viable_prefix_counts`` read no memo: the prefix
 oracle stays an independent check of the graphs.
 """
@@ -250,8 +251,8 @@ class BranchGraph:
     """All switch points reachable from a start value, with forced segments
     on the edges and unique tails collected as terminals.  ``limit`` names
     the limit that first truncated the graph: "max_steps" or "max_nodes".
-    Treat a graph from ``build_branch_graph`` as read-only: ``classify`` may
-    answer it from the answer-memo record it carries."""
+    Treat a graph from ``build_branch_graph`` as read-only: ``classify``
+    answers it from the record it carries."""
 
     field: BaseField
     start: AlgebraicReal
@@ -263,7 +264,7 @@ class BranchGraph:
     terminals: dict[int, PeriodicWord] = dataclass_field(default_factory=dict)
     truncated: bool = False
     limit: str | None = None
-    # the answer-memo record of the graph below the root's end, if kept
+    # the record of the graph below the root's end, for a graph that was built
     _below: _Below | None = dataclass_field(default=None, repr=False, compare=False)
 
 
@@ -278,15 +279,12 @@ def build_branch_graph(
     graph below the root run's end (see ``_record``): the one the runs
     alone would build, with the same node ids, edges, terminals and
     limit."""
-    segment, below, kept = _record(x, max_steps, max_nodes)
-    return below.graph(x, segment, kept)
+    segment, below = _record(x, max_steps, max_nodes)
+    return below.graph(x, segment)
 
 
-def _record(
-    x: AlgebraicReal, max_steps: int, max_nodes: int
-) -> tuple[tuple[int, ...], _Below, bool]:
-    """x's root segment, the record of x's graph below the root run's end,
-    and whether the answer memo keeps that record.
+def _record(x: AlgebraicReal, max_steps: int, max_nodes: int) -> tuple[tuple[int, ...], _Below]:
+    """x's root segment and the record of x's graph below the root run's end.
 
     x's root run is read from the field's root memo, in the branch memo's
     shape and under its rule (see ``_Orbits.shaped``), when x is the last
@@ -294,7 +292,7 @@ def _record(
     place of that one unless it hit the step budget.  When it ends at a
     switch point s whose graph under these caps the answer memo holds, that
     record is returned.  Otherwise the record grows from the root run's end (see
-    ``_grow``), and the memo keeps it while it has room."""
+    ``_grow``), and the memo keeps it, marked ``kept``, while it has room."""
     field = x.field
     roots, key = field._roots, (x.den, *x.num)
     run = roots.get(key)
@@ -307,15 +305,15 @@ def _record(
             roots[key] = run
     _, segment, kind, end = run
     if kind is not NODE:
-        return segment, _grow(orbits or _Orbits(x), kind, end, max_steps, max_nodes), False
+        return segment, _grow(orbits or _Orbits(x), kind, end, max_steps, max_nodes)
     key = (end, max_steps, max_nodes)
     below = field._answers.get(key)
     if below is None:
         below = _grow(orbits or _Orbits(x), NODE, end, max_steps, max_nodes)
-        if not _admit(field, len(below.keys) + 1):
-            return segment, below, False
-        field._answers[key] = below
-    return segment, below, True
+        if _admit(field, len(below.keys) + 1):
+            below.kept = True
+            field._answers[key] = below
+    return segment, below
 
 
 def _admit(field: BaseField, cells: int) -> bool:
@@ -332,22 +330,24 @@ class _Below:
     """The graph below a root run's end under one pair of caps, and the
     answer memo's record of it when that end is a first switch point s:
     each node's reduced form (den, *num) by id, the edges out of each node,
-    the terminals, how the root resolves, the limit; and the answers read
-    from the graph so far (the count, and listings relative to s by
-    (max_count, max_depth))."""
+    the terminals, how the root resolves, the limit; what one pass over
+    its components found (see ``_answer``): the count, and which nodes
+    reach a terminal; whether the memo keeps the record; and the listings
+    read from it so far, relative to s, by (max_count, max_depth)."""
 
     root: tuple[Kind, int | None]
     keys: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[Edge, ...], ...]  # (digit 0's edge, digit 1's) by node id
     terminals: tuple[PeriodicWord, ...]
     limit: str | None
-    card: Cardinality | None = None
+    count: Cardinality
+    live: bytes  # by node id: 1 when some path of edges ends in a terminal edge
+    kept: bool = False
     listings: dict[tuple[int, int], tuple] = dataclass_field(default_factory=dict)
 
-    def graph(self, x: AlgebraicReal, segment: tuple[int, ...], kept: bool) -> BranchGraph:
+    def graph(self, x: AlgebraicReal, segment: tuple[int, ...]) -> BranchGraph:
         """x's graph, for x whose root run forced ``segment`` and ended where
-        this record starts; ``kept`` when the answer memo holds the record,
-        which then keeps the answers read from the graph."""
+        this record starts."""
         field = x.field
         return BranchGraph(
             field=field, start=x, root_segment=segment,
@@ -356,7 +356,7 @@ class _Below:
             edges={nid: {0: e0, 1: e1} for nid, (e0, e1) in enumerate(self.edges)},
             terminals=dict(enumerate(self.terminals)),
             truncated=self.limit is not None, limit=self.limit,
-            _below=self if kept else None)
+            _below=self)
 
 
 def _grow(orbits: _Orbits, kind: Kind, end, max_steps: int, max_nodes: int) -> _Below:
@@ -415,7 +415,8 @@ def _grow(orbits: _Orbits, kind: Kind, end, max_steps: int, max_nodes: int) -> _
             memo[key] = tuple(runs)
         edges.append(tuple(out))
     return _Below(root, tuple(keys), tuple(edges),
-                  tuple(PeriodicWord((), cycle) for cycle in terminal_ids), limit)
+                  tuple(PeriodicWord((), cycle) for cycle in terminal_ids), limit,
+                  *_answer(*root, edges, limit is not None, limit))
 
 
 # ---------------------------------------------------------------------------
@@ -469,32 +470,61 @@ class Cardinality:
         return _COUNT_TEXT[self.kind].format(self.count)
 
 
-def _sccs(adj: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Strongly connected components of the graph whose node v has the
-    out-neighbours ``adj[v]``, emitted sinks-first (iterative Tarjan), and
-    each node's component index.  A visited node with no component yet is
-    on the stack."""
-    n = len(adj)
-    index, low, comp_of = [-1] * n, [0] * n, [-1] * n
-    stack: list[int] = []
-    out: list[list[int]] = []
-    counter = 0
+def classify(graph: BranchGraph) -> Cardinality:
+    """Cardinality of the expansion set encoded by a branch graph: the count
+    of the record that a graph from ``build_branch_graph`` carries, and for
+    any other graph the same pass (``_answer``) over a copy of its edges with
+    the node ids relabelled by position."""
+    if graph._below is not None:
+        return graph._below.count
+    ids = {nid: i for i, nid in enumerate(graph.edges)}
+    edges = [[e._replace(target=ids[e.target]) if e.kind is NODE else e for e in out.values()]
+             for out in graph.edges.values()]
+    root = ids[graph.root_target] if graph.root_kind is NODE else graph.root_target
+    return _answer(graph.root_kind, root, edges, graph.truncated, graph.limit)[0]
 
-    for root in range(n):
-        if index[root] >= 0:
+
+def _answer(root_kind: Kind, root: int | None, edges: Sequence[Sequence[Edge]],
+            truncated: bool, limit: str | None) -> tuple[Cardinality, bytes]:
+    """The cardinality of the graph whose root resolves as (root_kind,
+    root), with ``edges[v]`` the out-edges of node v, truncated by ``limit``
+    or not; and, by node id, 1 for each node from which some path of edges
+    ends in a terminal edge.
+
+    One iterative Tarjan pass: components close sinks-first, so every edge
+    that leaves a component leads into a closed one, and each component's
+    facts are read as it closes.  Its floor counts distinct exits, an
+    unresolved edge one each (every in-domain point has an expansion): the
+    exact path count of a complete cycle-free graph, and a certified floor
+    for a truncated one.  It is live when an exit is a terminal edge or
+    leads into a live component, cyclic when it holds an inner edge, and
+    rich (continuum many paths) when it holds more inner edges than nodes.
+    A visited node with no component yet is on the stack."""
+    n = len(edges)
+    index, low, comp_of, floor = [-1] * n, [0] * n, [-1] * n, [0] * n
+    live = bytearray(n)
+    stack: list[int] = []
+    counter = 0
+    cyclic = rich = False
+
+    for start in range(n):
+        if index[start] >= 0:
             continue
-        work: list[tuple[int, Iterator[int]]] = [(root, iter(adj[root]))]
-        index[root] = low[root] = counter
+        work: list[tuple[int, Iterator[Edge]]] = [(start, iter(edges[start]))]
+        index[start] = low[start] = counter
         counter += 1
-        stack.append(root)
+        stack.append(start)
         while work:
             v, it = work[-1]
-            for w in it:
+            for e in it:
+                if e.kind is not NODE:
+                    continue
+                w = e.target
                 if index[w] < 0:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    work.append((w, iter(adj[w])))
+                    work.append((w, iter(edges[w])))
                     break
                 if comp_of[w] < 0 and index[w] < low[v]:
                     low[v] = index[w]
@@ -508,75 +538,39 @@ def _sccs(adj: list[list[int]]) -> tuple[list[list[int]], list[int]]:
                     comp = []
                     while True:
                         w = stack.pop()
-                        comp_of[w] = len(out)
+                        comp_of[w] = v  # a component is named by its first node
                         comp.append(w)
                         if w == v:
                             break
-                    out.append(comp)
-    return out, comp_of
+                    total = inner = alive = 0
+                    for w in comp:
+                        for e in edges[w]:
+                            if e.kind is not NODE:
+                                total += 1
+                                alive |= e.kind is TERMINAL
+                            elif comp_of[e.target] == v:
+                                inner += 1
+                            else:
+                                total += floor[e.target]
+                                alive |= live[e.target]
+                    for w in comp:
+                        floor[w], live[w] = max(total, 1), alive
+                    cyclic = cyclic or inner > 0
+                    rich = rich or inner > len(comp)
 
-
-def _path_floor(edges: Sequence[Sequence[Edge]], comps: list[list[int]], comp_of: list[int],
-                root: int) -> int:
-    """Distinct exits per SCC of the condensation ``comps`` (sinks first),
-    unresolved edges contributing one each (every in-domain point has an
-    expansion): the exact path count from ``root`` of a complete cycle-free
-    graph, and a certified floor for a truncated one."""
-    floor: list[int] = []
-    for ci, comp in enumerate(comps):
-        total = 0
-        for v in comp:
-            for e in edges[v]:
-                if e.kind is not NODE:
-                    total += 1
-                elif comp_of[e.target] != ci:
-                    total += floor[comp_of[e.target]]
-        floor.append(max(total, 1))
-    return floor[comp_of[root]]
-
-
-def classify(graph: BranchGraph) -> Cardinality:
-    """Cardinality of the expansion set encoded by a branch graph.  A graph
-    with an answer-memo record is classified on the record, once, which
-    keeps the answer; any other graph on a copy of its edges with the node
-    ids relabelled by position."""
-    below = graph._below
-    if below is not None:
-        if below.card is None:
-            below.card = _cardinality(*below.root, below.edges, below.limit is not None,
-                                      below.limit)
-        return below.card
-    ids = {nid: i for i, nid in enumerate(graph.edges)}
-    edges = [[e._replace(target=ids[e.target]) if e.kind is NODE else e for e in out.values()]
-             for out in graph.edges.values()]
-    root = ids[graph.root_target] if graph.root_kind is NODE else graph.root_target
-    return _cardinality(graph.root_kind, root, edges, graph.truncated, graph.limit)
-
-
-def _cardinality(root_kind: Kind, root: int | None, edges: Sequence[Sequence[Edge]],
-                 truncated: bool, limit: str | None) -> Cardinality:
-    """The cardinality of the graph whose root resolves as (root_kind,
-    root), with ``edges[v]`` the out-edges of node v, truncated by
-    ``limit`` or not."""
     if root_kind is TERMINAL:
-        return Cardinality.finite(1)
-    if root_kind is LIMIT:
-        return Cardinality.lower_bound(1, limit)
-    adj = [[e.target for e in out if e.kind is NODE] for out in edges]
-    comps, comp_of = _sccs(adj)
-    if truncated:
-        return Cardinality.lower_bound(_path_floor(edges, comps, comp_of, root), limit)
-
-    has_cycle = False
-    for ci, comp in enumerate(comps):
-        intra = sum(comp_of[w] == ci for v in comp for w in adj[v])
-        if intra > len(comp):
-            return Cardinality.continuum()
-        if len(comp) > 1 or intra:
-            has_cycle = True
-    if has_cycle:
-        return Cardinality.aleph0()
-    return Cardinality.finite(_path_floor(edges, comps, comp_of, root))
+        count = Cardinality.finite(1)
+    elif root_kind is LIMIT:
+        count = Cardinality.lower_bound(1, limit)
+    elif truncated:
+        count = Cardinality.lower_bound(floor[root], limit)
+    elif rich:
+        count = Cardinality.continuum()
+    elif cyclic:
+        count = Cardinality.aleph0()
+    else:
+        count = Cardinality.finite(floor[root])
+    return count, bytes(live)
 
 
 def count_expansions(
@@ -592,25 +586,6 @@ def count_expansions(
 # enumeration
 
 
-def _live_nodes(below: _Below) -> set[int]:
-    """Nodes from which some path of edges ends in a terminal edge."""
-    parents: dict[int, list[int]] = {}
-    live: set[int] = set()
-    for nid, out in enumerate(below.edges):
-        for e in out:
-            if e.kind is TERMINAL:
-                live.add(nid)
-            elif e.kind is NODE:
-                parents.setdefault(e.target, []).append(nid)
-    stack = list(live)
-    while stack:
-        for parent in parents.get(stack.pop(), ()):
-            if parent not in live:
-                live.add(parent)
-                stack.append(parent)
-    return live
-
-
 def _walk(
     below: _Below, max_count: int, max_depth: int
 ) -> tuple[tuple[PeriodicWord, ...], bool, str | None]:
@@ -621,7 +596,7 @@ def _walk(
     complete = limit is None
     if below.root[0] is LIMIT:
         return (), False, limit
-    live = _live_nodes(below)
+    live = below.live
     queue: deque[tuple[Kind, int | None, tuple[int, ...], int]] = deque([(*below.root, (), 0)])
     while queue:
         kind, target, prefix, depth = queue.popleft()
@@ -636,7 +611,7 @@ def _walk(
             continue
         for digit in (0, 1):
             e = below.edges[target][digit]
-            if e.kind is TERMINAL or (e.kind is NODE and e.target in live):
+            if e.kind is TERMINAL or (e.kind is NODE and live[e.target]):
                 queue.append((e.kind, e.target, prefix + (digit,) + e.segment, depth + 1))
             else:
                 complete = False
@@ -659,11 +634,11 @@ def _listing(
     the root run (see ``_record``) and assembles no graph; a record that
     holds the listing serves it, and otherwise the walk runs once, and a
     kept record keeps its words while the memo has room for them."""
-    segment, below, kept = _record(x, max_steps, max_nodes)
+    segment, below = _record(x, max_steps, max_nodes)
     found = below.listings.get((max_count, max_depth))
     if found is None:
         found = _walk(below, max_count, max_depth)
-        if kept and _admit(x.field, len(found[0]) + 1):
+        if below.kept and _admit(x.field, len(found[0]) + 1):
             below.listings[max_count, max_depth] = found
     words, complete, limit = found
     return [w._prefixed(segment) for w in words], complete, limit

@@ -301,8 +301,6 @@ def _two_point_body() -> str:
 def _family_member(k: int) -> PeriodicWord:
     """The word 1 (0000)^(k-1) 0 (10)* whose value has exactly k expansions
     in the companion base."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     return PeriodicWord((1,) + (0, 0, 0, 0) * (k - 1) + (0,), (1, 0))
 
 

@@ -1,5 +1,6 @@
-"""Shared test fixtures, the Fraction reference for exact signs, and the
-dict-based reference classifier of branch graphs."""
+"""Shared test fixtures, the Fraction reference for exact signs, the
+dict-based reference classifier of branch graphs, and the recount of
+expansions on the remainder graph."""
 
 import signal
 import weakref
@@ -10,6 +11,7 @@ import pytest
 
 from betaforge.branching import LIMIT, NODE, TERMINAL, BranchGraph, Cardinality
 from betaforge.numberfield import BaseField
+from betaforge.words import domain_bounds
 
 
 @pytest.fixture
@@ -170,3 +172,42 @@ def _cardinality(graph: BranchGraph) -> Cardinality:
     if has_cycle:
         return Cardinality.aleph0()
     return Cardinality.finite(_path_floor(graph, comps))
+
+
+# the reference for ``count_expansions`` in a Pisot base: no switch points,
+# no forced runs, no region rule and no memo
+def recount(x, max_nodes: int = 10**5) -> Cardinality:
+    """How many expansions x has, counted on its remainder graph: one node
+    per remainder r, from x on, and one edge per digit d with q*r - d in
+    [0, 1/(q-1)].  The expansions of x are the infinite paths from x, every
+    node has an out-edge and every node is reachable from x.  So an SCC
+    with more inner edges than nodes gives continuum many, a cyclic SCC
+    with an edge out of it countably many, and otherwise the count is the
+    number of paths.  The graph is finite in a Pisot base; past
+    ``max_nodes`` remainders the recount refuses."""
+    top = domain_bounds(x.field)[2]
+    adj: dict = {}
+    todo = [x]
+    while todo:
+        r = todo.pop()
+        if r in adj:
+            continue
+        if len(adj) >= max_nodes:
+            raise RuntimeError(f"more than {max_nodes} remainders")
+        adj[r] = [y for y in (r.times_q_minus(0), r.times_q_minus(1)) if y.sign() >= 0 and y <= top]
+        todo += adj[r]
+    comps = _sccs(adj)
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    paths: list[int] = []
+    countable = False
+    for ci, comp in enumerate(comps):
+        targets = [comp_of[w] for v in comp for w in adj[v]]
+        inner = targets.count(ci)
+        if inner > len(comp):
+            return Cardinality.continuum()
+        exits = [c for c in targets if c != ci]
+        countable = countable or bool(inner and exits)
+        paths.append(sum(paths[c] for c in exits) or 1)
+    if countable:
+        return Cardinality.aleph0()
+    return Cardinality.finite(paths[comp_of[x]])

@@ -48,7 +48,7 @@ from betaforge import branching, numberfield, words
 from betaforge.cli import main
 from betaforge.branching import LIMIT, NODE, TERMINAL
 from betaforge.numberfield import AlgebraicReal
-from conftest import _cardinality as reference_cardinality, enclosure
+from conftest import _cardinality as reference_cardinality, enclosure, recount
 
 
 def plastic_field():
@@ -1190,6 +1190,23 @@ def test_full_memo_admits_no_more_switch_points(monkeypatch):
         assert warm._answer_cells == held
 
 
+@pytest.mark.parametrize("cap, passes", [(branching._MEMO_CAP, 1), (0, 3)])
+def test_each_grown_record_is_answered_once(cap, passes, monkeypatch):
+    # the component pass runs as a record grows: a graph, a count and a
+    # listing of one point read the one record the memo keeps, and with no
+    # room in the memo each grows and answers its own
+    monkeypatch.setattr(branching, "_MEMO_CAP", cap)
+    x = family_member(define_field(*_KERNEL_FIELDS["qf"]), 3)
+    calls = []
+    answer = branching._answer
+    monkeypatch.setattr(branching, "_answer", lambda *args: calls.append(args) or answer(*args))
+    graph = build_branch_graph(x)
+    assert graph._below is not None
+    assert classify(graph) == count_expansions(x) == Cardinality.finite(3)
+    assert len(bfs_expansions(x)[0]) == 3
+    assert len(calls) == passes
+
+
 @pytest.mark.parametrize("name", ["qf", "q2"])
 def test_root_memo_holds_the_last_point_only(name, monkeypatch):
     # 0^k 1(0)* forces k zeros before its first switch point: the memo keeps
@@ -1257,6 +1274,17 @@ def test_regrown_records_step_only_their_roots(name):
         assert bfs_expansions(x) == listing, str(x)
         assert steps[0] == 0, str(x)
     assert sum(len(below.keys) for below in F._answers.values()) > 100
+
+
+@pytest.mark.parametrize("name", ["golden", "qf"])
+def test_counts_match_the_remainder_recount(name):
+    # every canonical word with preperiod <= 6 and period <= 4, counted by
+    # the branch graph and recounted on the remainder graph
+    F = define_field(*_KERNEL_FIELDS[name])
+    assert len(_MEMO_WORDS) == 1408
+    for word in _MEMO_WORDS:
+        x = eval_word(word, F)
+        assert count_expansions(x) == recount(x), str(word)
 
 
 def test_run_and_prefix_oracle_do_not_read_the_memo():

@@ -349,6 +349,14 @@ def test_verify_single_check(capsys):
     assert lines[-1] == "1 passed, 0 failed, 0 skipped"
 
 
+def test_verify_all_runs_every_check(capsys):
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert sum(line.startswith("PASS ") for line in lines) == 12
+    assert lines[-1] == "12 passed, 0 failed, 0 skipped"
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "constants", "T1", "--format", "json")
     assert code == 0

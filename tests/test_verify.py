@@ -75,11 +75,27 @@ def _decimal_bumped(cell):
     return new_cell, new_cell
 
 
-def _first_cell_bumped(table):
+def _first_iterate_row(table, new_cells):
+    """The table with its first iterate row's cells replaced by
+    ``new_cells(cells)``, and that row's word and cells."""
     row = next(i for i, (_, cells) in enumerate(table) if cells != fixtures.UNIQUE)
     word, cells = table[row]
-    new_cell = _bumped(cells[0])
-    return table[:row] + ((word, (new_cell,) + cells[1:]),) + table[row + 1:], new_cell
+    return table[:row] + ((word, new_cells(cells)),) + table[row + 1:], word, cells
+
+
+def _first_cell_bumped(table):
+    new_table, _, cells = _first_iterate_row(table, lambda cells: (_bumped(cells[0]),) + cells[1:])
+    return new_table, _bumped(cells[0])
+
+
+def _last_cell_dropped(table):
+    new_table, word, cells = _first_iterate_row(table, lambda cells: cells[:-1])
+    return new_table, f"row {word}: {len(cells)} iterates, table lists {len(cells) - 1}"
+
+
+def _marked_unique(table):
+    new_table, word, _ = _first_iterate_row(table, lambda cells: fixtures.UNIQUE)
+    return new_table, f"row {word}: expected a unique tail, got SwitchHit"
 
 
 def _reversed(value):
@@ -97,6 +113,8 @@ def _reversed(value):
     ("TARGET_B_5", "orbit-identities", _decimal_bumped),
     ("X3_EXPANSIONS", "counts-family", _reversed),
     ("ALEPH0_FIRST_SIX", "counts-family", _reversed),
+    ("TABLE_T1", "T1", _last_cell_dropped),
+    ("TABLE_T1", "T1", _marked_unique),
     ("TABLE_T2", "T2", _first_cell_bumped),
     ("TABLE_T3", "T3", _first_cell_bumped),
     ("TABLE_T4", "T4", _first_cell_bumped),
