@@ -219,8 +219,9 @@ def _cmd_orbit(args, field, limits) -> int:
             for i, (v, d, reg) in enumerate(zip(out.orbit, (*out.segment, None), regions))]
     end = out.end
     if isinstance(end, SwitchHit):
+        # the run stops on the switch value, so the last row already holds its decimal
         tag, code = "[SWITCH]", 0
-        end_rec = {"kind": "switch", "decimal": to_decimal(end.value, args.digits)}
+        end_rec = {"kind": "switch", "decimal": rows[-1][2]}
     elif isinstance(end, UniqueTail):
         tag, code = f"[TAIL {end.tail_word}]", 0
         end_rec = {"kind": "unique_tail", "tail": str(end.tail_word)}
@@ -309,7 +310,13 @@ def _cmd_verify(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls
-    (parsing never mutates it)."""
+    (parsing never mutates it).
+
+    Its ``commands`` attribute maps each command name to the parser that
+    ``add_parser`` returned for it, which sets ``command`` to that name.
+    ``main`` parses a call that names a command with that parser alone,
+    which yields the namespace this parser builds for the whole call; every
+    other call goes to this parser."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", default="q2",
                         help="base field: q2, qf, golden, or poly:coeffs@lo,hi "
@@ -334,29 +341,47 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact arithmetic for binary expansions in non-integer bases.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("eval", parents=[common, word_common],
-                   help="exact value and decimal of a word")
-    sub.add_parser("region", parents=[common, word_common],
-                   help="which region the word's value lies in")
-    sub.add_parser("orbit", parents=[common, word_common],
-                   help="forced-orbit trace until the branching region, a cycle, or the step limit")
-    sub.add_parser("count", parents=[common, word_common],
-                   help="cardinality classification of the expansion set")
-    sub.add_parser("enumerate", parents=[common, word_common],
-                   help="expansions of the word's value, lexicographically sorted")
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="run verification checks")
+    word_commands = {
+        "eval": "exact value and decimal of a word",
+        "region": "which region the word's value lies in",
+        "orbit": "forced-orbit trace until the branching region, a cycle, or the step limit",
+        "count": "cardinality classification of the expansion set",
+        "enumerate": "expansions of the word's value, lexicographically sorted",
+    }
+    parser.commands = {name: sub.add_parser(name, parents=[common, word_common], help=text)
+                       for name, text in word_commands.items()}
+    p_verify = parser.commands["verify"] = sub.add_parser(
+        "verify", parents=[common], help="run verification checks")
     p_verify.add_argument("checks", nargs="*",
                           help="check ids to run (default: all)")
     p_verify.add_argument("--profile", default="quick", choices=sorted(PROFILES),
                           help="parameter bounds: quick (k,j <= 8) or full (k,j <= 50)")
+    for name, command in parser.commands.items():
+        command.set_defaults(command=name)
     return parser
 
 
-def main(argv=None) -> int:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse a call in one argparse pass when its first argument names a
+    command: that command's parser reads the rest.  Everything else (no
+    arguments, top-level -h, an unknown command, arguments left over) goes
+    to the top-level parser, which reports it as it always has."""
     parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    """Run one call (``sys.argv[1:]`` when argv is None) and return its exit
+    code.  A call that names a command is parsed once, by that command's
+    parser; see ``_parse_args``."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)

@@ -5,6 +5,7 @@ Exit code contract: 0 success, 1 verification failure, 2 usage error,
 """
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from betaforge import (
     region,
     to_decimal,
 )
-from betaforge.cli import MAX_DIGITS, _parse_field, build_parser, main
+from betaforge.cli import MAX_DIGITS, _parse_args, _parse_field, build_parser, main
 
 
 def run(capsys, *argv):
@@ -153,6 +154,12 @@ def test_orbit_json_end_record(capsys):
     assert payload["end"] == {"kind": "unique_tail", "tail": "(10)*"}
     assert payload["steps"][0]["step"] == 0
     assert payload["steps"][-1]["digit"] is None
+    # a switch end carries the decimal of the value the run stopped on
+    code, out, _ = run(capsys, "orbit", "--format", "json", "--digits", "20", "--plus-one",
+                       "00(01)*")
+    end = deterministic_run(eval_word(parse_word("00(01)*"), q2_field()) + 1).end
+    assert (code, json.loads(out)["end"]) == (0, {"kind": "switch",
+                                                  "decimal": to_decimal(end.value, 20)})
 
 
 def test_orbit_step_limit_exit_code(capsys):
@@ -560,13 +567,15 @@ def test_flags_override_env_limits(capsys, monkeypatch):
                                  "max_steps=²"])
 def test_malformed_env_limits(capsys, monkeypatch, raw):
     monkeypatch.setenv("BETAFORGE_LIMITS", raw)
-    code, _, err = run(capsys, "orbit", "--plus-one", "00(01)*")
-    assert code == 2
-    assert "BETAFORGE_LIMITS" in err
+    for command in ("eval", "region", "orbit"):
+        code, _, err = run(capsys, command, "--plus-one", "00(01)*")
+        assert code == 2, command
+        assert "BETAFORGE_LIMITS" in err
 
 
 def test_env_limits_ignored_for_unlimited_commands(capsys, monkeypatch):
-    # eval does not consult the limits at all
+    # eval reads no limit, though main still validates BETAFORGE_LIMITS
+    # before dispatching it (only verify skips that check)
     monkeypatch.setenv("BETAFORGE_LIMITS", "max_steps=1")
     code, out, _ = run(capsys, "eval", "(0)*")
     assert (code, out) == (0, "0 / 0.000000\n")
@@ -586,15 +595,82 @@ def test_parser_is_built_once_and_reused(capsys):
     assert run(capsys, "count", "--field", "qf", "1(0000)^2 0(10)*") == (0, "Finite(3)\n", "")
 
 
-@pytest.mark.parametrize("argv", [
+SHARED_PARSER_ARGVS = [
     ["eval", "--plus-one", "--field", "qf", "--digits", "9", "1(0)*"],
     ["orbit", "--format", "csv", "--max-steps", "5", "(01)*"],
     ["enumerate", "--max-count", "3", "--max-depth", "7", "1(0)*"],
     ["verify", "constants", "T1", "--profile", "full", "--format", "json"],
-])
+]
+# one valid call of each command
+COMMAND_ARGVS = [
+    ["eval", "--format", "json", "(01)*"],
+    ["region", "--field", "golden", "--plus-one", "0(1)*"],
+    ["orbit", "--plus-one", "--digits", "3", "00(01)*"],
+    ["count", "--field", "qf", "--max-nodes", "64", "1(0000)^2 0(10)*"],
+    ["enumerate", "--field", "qf", "1(0000)^1 0(10)*"],
+    ["verify", "constants"],
+]
+
+
+@pytest.mark.parametrize("argv", SHARED_PARSER_ARGVS)
 def test_shared_parser_matches_a_fresh_one(argv):
     shared = build_parser()
     shared.parse_args(["count", "--field", "golden", "--max-nodes", "2", "1"])
     fresh = build_parser.__wrapped__()
     assert vars(shared.parse_args(argv)) == vars(fresh.parse_args(argv))
     assert shared.format_help() == fresh.format_help()
+
+
+# ---------------------------------------------------------------------------
+# routing a call to its command's parser
+
+
+def test_a_named_command_is_parsed_once_by_its_own_parser(capsys, monkeypatch):
+    parser = build_parser()
+    calls = []
+    parse_known_args = parser.parse_known_args
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return parse_known_args(*args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_known_args", spy)
+    for argv in COMMAND_ARGVS:
+        assert run(capsys, *argv)[0] == 0, argv
+    assert calls == []
+    # what names no command still reaches the top-level parser
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and "verify" in out
+    code, _, err = run(capsys)
+    assert code == 2 and "usage" in err
+    code, _, err = run(capsys, "frobnicate", "1(0)*")
+    assert code == 2 and "invalid choice" in err
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("argv", SHARED_PARSER_ARGVS + COMMAND_ARGVS)
+def test_routing_builds_the_top_level_namespace(argv):
+    assert vars(_parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--bogus", "1(0)*"],
+    ["eval", "--digits", "x", "1(0)*"],
+    ["orbit", "--format", "xml", "(01)*"],
+    ["count"],
+    ["verify", "--profile", "slow", "constants"],
+    ["eval", "-h"],
+])
+def test_routing_reports_as_the_top_level_parser_does(capsys, argv):
+    routed = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    assert routed == (exc.value.code or 0, captured.out, captured.err)
+    assert routed[0] == (0 if argv[-1] == "-h" else 2)
+
+
+def test_main_reads_sys_argv_by_default(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["betaforge", "eval", "(0)*"])
+    assert main() == 0
+    assert capsys.readouterr().out == "0 / 0.000000\n"
