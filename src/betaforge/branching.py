@@ -166,24 +166,31 @@ class _Orbits:
     def value(self, n: tuple[int, ...]) -> AlgebraicReal:
         return _reduced(self.field, n, self.den)
 
-    def run(self, n: tuple[int, ...], reg: Region, max_steps: int):
+    def run(self, n: tuple[int, ...], reg: Region, max_steps: int,
+            seen: dict[tuple[int, ...], int]) -> tuple:
         """Follow the forced branch from ``n`` (in region ``reg``) until a
         switch point, a closed non-branching cycle, or the step budget.
 
-        Returns (kind, segment, end, seen): ``seen`` maps each visited tuple
-        to its step, in order; ``end`` is the switch point's tuple (NODE),
-        the cycle's digits (TERMINAL, the cycle starting at step
-        ``len(segment)``), or the tuple after the last step (LIMIT)."""
-        step, locate, minus_one = self.field._step, self.locate, -self.den
-        switch, low = Region.SWITCH, Region.LOW
-        seen: dict[tuple[int, ...], int] = {}
+        Returns the memos' run shape (length, segment, kind, end), with
+        ``length`` the digits stepped: ``end`` is the switch point's reduced
+        form (den, *num) (NODE, as ``_reduced`` reduces it, with no element
+        built), the cycle's digits (TERMINAL, the cycle starting at step
+        ``len(segment)`` and counted in the length), or the tuple after the
+        last step (LIMIT, of length max_steps).  A run of length L is what
+        every budget above L returns; every budget B <= L gives a LIMIT of
+        length B.  ``seen``, empty, is filled with each visited tuple's step,
+        in order."""
+        step, locate, den = self.field._step, self.locate, self.den
+        switch, low, minus_one = Region.SWITCH, Region.LOW, -den
         digits: list[int] = []
         for i in range(max_steps):
             if reg is switch:
-                return NODE, tuple(digits), n, seen
+                g = math.gcd(den, *n)
+                end = (den, *n) if g == 1 else (den // g, *[c // g for c in n])
+                return i, tuple(digits), NODE, end
             at = seen.setdefault(n, i)
             if at != i:
-                return TERMINAL, tuple(digits[:at]), tuple(digits[at:]), seen
+                return i, tuple(digits[:at]), TERMINAL, tuple(digits[at:])
             if reg is low:
                 digits.append(0)
                 n = step(n, 0)
@@ -191,20 +198,7 @@ class _Orbits:
                 digits.append(1)
                 n = step(n, minus_one)
             reg = locate(n)
-        return LIMIT, tuple(digits), n, seen
-
-    def shaped(self, n: tuple[int, ...], reg: Region, max_steps: int) -> tuple:
-        """``run`` in the memos' shape (length, segment, kind, end): a switch
-        point's end as its reduced form (den, *num), and a unique tail's
-        cycle counted in the length.  A run of length L is what ``run``
-        returns exactly when L < max_steps."""
-        kind, segment, end, _ = self.run(n, reg, max_steps)
-        if kind is NODE:  # as ``_reduced`` reduces it, with no element built
-            den = self.den
-            g = math.gcd(den, *end)
-            end = (den, *end) if g == 1 else (den // g, *[c // g for c in end])
-        length = len(segment) + len(end) if kind is TERMINAL else len(segment)
-        return length, segment, kind, end
+        return max_steps, tuple(digits), LIMIT, n
 
 
 def _start(x: AlgebraicReal) -> tuple[_Orbits, Region]:
@@ -219,13 +213,14 @@ def deterministic_run(x: AlgebraicReal, max_steps: int = DEFAULT_MAX_STEPS) -> R
     """Follow the forced branch from x until a switch point, a closed
     non-branching cycle, or the step budget."""
     orbits, reg = _start(x)
-    kind, segment, end, seen = orbits.run(x.num, reg, max_steps)
+    seen: dict[tuple[int, ...], int] = {}
+    _, segment, kind, end = orbits.run(x.num, reg, max_steps, seen)
     orbit = [orbits.value(n) for n in seen]
     if kind is TERMINAL:
         at = len(segment)
         return RunOutcome(segment, UniqueTail(tuple(orbit[at:]), PeriodicWord((), end)),
                           tuple(orbit[:at + 1]))
-    v = orbits.value(end)
+    v = AlgebraicReal(x.field, end[1:], end[0]) if kind is NODE else orbits.value(end)
     return RunOutcome(segment, SwitchHit(v) if kind is NODE else StepLimit(max_steps),
                       (*orbit, v))
 
@@ -287,7 +282,7 @@ def _record(x: AlgebraicReal, max_steps: int, max_nodes: int) -> tuple[tuple[int
     """x's root segment and the record of x's graph below the root run's end.
 
     x's root run is read from the field's root memo, in the branch memo's
-    shape and under its rule (see ``_Orbits.shaped``), when x is the last
+    shape and under its rule (see ``_Orbits.run``), when x is the last
     point whose root run was stored; otherwise it is run, and stored in
     place of that one unless it hit the step budget.  When it ends at a
     switch point s whose graph under these caps the answer memo holds, that
@@ -299,7 +294,7 @@ def _record(x: AlgebraicReal, max_steps: int, max_nodes: int) -> tuple[tuple[int
     orbits = None
     if run is None or run[0] >= max_steps:
         orbits, reg = _start(x)
-        run = orbits.shaped(x.num, reg, max_steps)
+        run = orbits.run(x.num, reg, max_steps, {})
         if run[2] is not LIMIT:
             roots.clear()
             roots[key] = run
@@ -364,7 +359,7 @@ def _grow(orbits: _Orbits, kind: Kind, end, max_steps: int, max_nodes: int) -> _
     the branch memo's form (a switch point's reduced form, or a unique
     tail's cycle digits), grown by expanding switch points breadth-first.
 
-    Each branch is a run in the branch memo's shape (see ``_Orbits.shaped``):
+    Each branch is a run in the branch memo's shape (see ``_Orbits.run``):
     a stored run of length L stands for the run exactly when L < max_steps,
     and is run again otherwise, when the new run hits the budget too.  A
     fresh run is resolved like a stored one, and stored unless it hit the
@@ -406,7 +401,7 @@ def _grow(orbits: _Orbits, kind: Kind, end, max_steps: int, max_nodes: int) -> _
                     n = tuple([c * (den // key[0]) for c in key[1:]])
                 # both branches of a switch point stay in the domain
                 branch = step(n, -digit * den)
-                run = orbits.shaped(branch, locate(branch), max_steps)
+                run = orbits.run(branch, locate(branch), max_steps, {})
                 if run[2] is not LIMIT:
                     runs[digit], fresh = run, True
             _, segment, kind, end = run

@@ -30,7 +30,6 @@ from .branching import (
     DEFAULT_MAX_STEPS,
     Count,
     OutsideDomain,
-    StepLimit,
     SwitchHit,
     UniqueTail,
     _listing,
@@ -225,8 +224,7 @@ def _cmd_orbit(args, field, limits) -> int:
     elif isinstance(end, UniqueTail):
         tag, code = f"[TAIL {end.tail_word}]", 0
         end_rec = {"kind": "unique_tail", "tail": str(end.tail_word)}
-    else:
-        assert isinstance(end, StepLimit)
+    else:  # StepLimit, the only other end
         tag, code = "[STEP LIMIT]", 3
         end_rec = {"kind": "step_limit", "steps": end.steps}
 

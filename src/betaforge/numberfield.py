@@ -196,6 +196,18 @@ def _compiled(name: str, degree: int, params: str, result: str, consts: dict[str
     return namespace["make"](**consts)
 
 
+def _times(var: str, m: int, name: str, consts: dict[str, int]) -> str:
+    """The source of the term + m * ``var`` of a compiled sum: nothing for
+    m = 0, a sign for m = +-1, which costs no multiplication, and otherwise
+    a product by the closure constant ``name``, which joins ``consts``."""
+    if m == 0:
+        return ""
+    if m in (1, -1):
+        return f"{'+' if m == 1 else '-'} {var}"
+    consts[name] = m
+    return f"+ {var} * {name}"
+
+
 def _compile_step(row: Sequence[int]):
     """The orbit kernel's step for a companion row: ``step(num, low=0)``
     gives the numerators of q * sum(num[i] q^i) + low, a shift with q^degree
@@ -205,13 +217,7 @@ def _compile_step(row: Sequence[int]):
     top, terms, consts = f"a{d - 1}", [], {}
     for i, m in enumerate(row):
         below = "low" if i == 0 else f"a{i - 1}"
-        if m == 0:
-            terms.append(below)
-        elif m in (1, -1):
-            terms.append(f"{below} {'+' if m == 1 else '-'} {top}")
-        else:
-            consts[f"r{i}"] = m
-            terms.append(f"{below} + {top} * r{i}")
+        terms.append(f"{below} {_times(top, m, f'r{i}', consts)}".rstrip())
     return _compiled("step", d, "num, low=0", f"({', '.join(terms)},)", consts)
 
 
@@ -227,15 +233,7 @@ def _compile_unstep(coeffs: Sequence[int]):
     terms, consts = [], {} if scale == 1 else {"k": scale}
     for j in range(d):
         head = "" if j == d - 1 else f"a{j + 1}" if scale == 1 else f"a{j + 1} * k"
-        m = -sign * coeffs[j + 1]
-        if m == 0:
-            tail = ""
-        elif m in (1, -1):
-            tail = f"{'+' if m == 1 else '-'} a0"
-        else:
-            consts[f"u{j}"] = m
-            tail = f"+ a0 * u{j}"
-        terms.append(f"{head} {tail}".strip())
+        terms.append(f"{head} {_times('a0', -sign * coeffs[j + 1], f'u{j}', consts)}".strip())
     return _compiled("unstep", d, "num", f"[{', '.join(terms)}]", consts)
 
 
@@ -292,35 +290,40 @@ class BaseField:
     degrees 2 and 3 that makes irreducibility over Q a theorem; for higher
     degrees it is a screen, and the interval certificate still pins down a
     single well-defined real number).  It computes in integers only, on one
-    cell (a, b, d) meaning [a/d, b/d], which ``_halved`` bisects.
+    cell (a, b, d) meaning [a/d, b/d], which ``_halved`` bisects: five times
+    from the given interval, then until the derivative has one sign on it.
 
     The isolating interval stays as construction certified it: signs,
     comparisons, decimals and floats read q through a private copy of the
     cell instead, so ``interval()`` and every printed ``"interval"`` depend
     on the polynomial and the given interval alone (only an explicit
     ``refine`` narrows it).  The field also owns its derived constants, each
-    kept in one form: the compiled orbit step ``_step`` (num, low) ->
-    q * num + low, built at construction from the companion row, through
-    which products reduce; the compiled division ``_unstep`` num ->
-    |c0| * num / q, built beside it from q^-1 = -(c1 + ... + q^(d-1)) / c0;
-    and, each computed on first use, the private cell ``_bracket`` (the
-    finest halved so far), the scaled powers at each precision asked for
-    (those at FILTER_BITS feed the compiled filter sum ``_filter()``), and
-    the domain bounds 1/q, 1/(q(q-1)), 1/(q-1), whose scaled sums the bound
-    elements cache themselves.  ``_rules`` holds the orbit kernel's region
-    rules by denominator (``words._region_rule``), and ``_period_inverses``
-    the elements 1/(q^p - 1) by period length p (``words.eval_word``); like
-    ``_domain`` they hold elements of the field, so the field is freed by
-    the cycle collector.
+    kept in one form: the Cauchy bound ``_root_bound`` = 1 + max |c_i|,
+    above the absolute value of every root, which the rational-root screen,
+    the private cell's clamp and the exact sign's zero bound read; the
+    compiled orbit step ``_step`` (num, low) -> q * num + low, built at
+    construction from the companion row, through which products reduce; the
+    compiled division ``_unstep`` num -> |c0| * num / q, built beside it from
+    q^-1 = -(c1 + ... + q^(d-1)) / c0; and, each computed on first use, the
+    private cell ``_bracket`` (the finest halved so far), the scaled powers
+    at each precision asked for (those at FILTER_BITS feed the compiled
+    filter sum ``_filter()``), and the domain bounds 1/q, 1/(q(q-1)),
+    1/(q-1), whose scaled sums the bound elements cache themselves.
+    ``_rules`` holds the orbit kernel's region rules by denominator
+    (``words._region_rule``), and ``_period_inverses`` the elements
+    1/(q^p - 1) by period length p (``words.eval_word``); like ``_domain``
+    they hold elements of the field, so the field is freed by the cycle
+    collector.
     ``_roots``, ``_branches``, ``_answers`` and ``_answer_cells`` hold the
     root memo (the last point's root run), the branch and the answer memos
     of ``branching``, which owns their format; they hold no element, so the
     field is freed with them.
     """
 
-    __slots__ = ("min_poly", "degree", "name", "_cell", "_sign_lo", "_step", "_unstep",
-                 "_bracket", "_filter_sum", "_fine", "_domain", "_rules", "_period_inverses",
-                 "_roots", "_branches", "_answers", "_answer_cells", "__weakref__")
+    __slots__ = ("min_poly", "degree", "name", "_root_bound", "_cell", "_sign_lo", "_step",
+                 "_unstep", "_bracket", "_filter_sum", "_fine", "_domain", "_rules",
+                 "_period_inverses", "_roots", "_branches", "_answers", "_answer_cells",
+                 "__weakref__")
 
     def __init__(
         self,
@@ -355,40 +358,42 @@ class BaseField:
 
         # Rational-root screen: a rational root of a monic integer polynomial
         # is an integer, a root of its squarefree part p / gcd(p, p'), and
-        # below 1 + max |c_i| in absolute value (Cauchy).  gcd(p, p') as the
-        # chain's primitive last member has leading coefficient +-1 (Gauss).
+        # below the Cauchy bound 1 + max |c_i| in absolute value.  gcd(p, p')
+        # as the chain's primitive last member has leading coefficient +-1
+        # (Gauss).
         if coeffs[0] == 0:
             raise ReduciblePolynomial("zero constant term: x divides the polynomial")
+        self._root_bound = 1 + max(map(abs, coeffs[:-1]))
         chain = _sturm_chain(coeffs)
         quot = _pseudo_divmod(chain[0], chain[-1])[0]
-        rational = _integer_roots([c * quot[-1] for c in quot], 1 + max(map(abs, coeffs[:-1])))
+        rational = _integer_roots([c * quot[-1] for c in quot], self._root_bound)
         if rational:
             raise ReduciblePolynomial(f"rational root {min(rational, key=lambda r: (abs(r), r < 0))}")
 
         # Count the roots in [lo, hi] exactly (post-screen neither end is a
-        # root); a sign-change grid alone misses roots that share a cell.
+        # root): a sign change alone misses roots that come in pairs.
         roots = _sturm_count(chain, a, b, d)
         if roots == 0:
             raise NoRootInInterval(f"no root of {coeffs} in [{lo}, {hi}]")
         if roots > 1:
             raise AmbiguousInterval(f"{roots} real roots of {coeffs} in [{lo}, {hi}]")
 
-        # Bracket the root's sign change on a grid over [lo, hi]: point i is
-        # (32a + (b - a)i) / 32d.  Grid points are rational, so (post-screen)
-        # the polynomial is nonzero at every one of them.
-        pts = [32 * a + (b - a) * i for i in range(33)]
-        signs = [_sign_at(coeffs, m, 32 * d) for m in pts]
-        crossings = [i for i in range(32) if signs[i] * signs[i + 1] < 0]
-        if not crossings:  # a root of even multiplicity
+        # The one root changes the sign between the ends unless its
+        # multiplicity is even.  Halving keeps a cell's ends in the form
+        # (2^k a + (b - a)i) / 2^k d, so five halvings leave the cell of the
+        # 32-point grid over [lo, hi] that holds the root.
+        self._sign_lo = _sign_at(coeffs, a, d)
+        if _sign_at(coeffs, b, d) == self._sign_lo:
             raise NoRootInInterval(f"no sign change of {coeffs} over [{lo}, {hi}]")
-        i = crossings[0]
-        self._cell, self._sign_lo = (pts[i], pts[i + 1], 32 * d), signs[i]
+        self._cell = (a, b, d)
+        for _ in range(5):
+            self._cell = self._halved(self._cell)
 
         # Refine until the derivative is sign-definite on the interval: then
-        # the bracketed root is unique and simple.
-        deriv = [k * c for k, c in enumerate(coeffs)][1:]
+        # the bracketed root is unique and simple.  The chain's second member
+        # is p' over its positive content, of the same sign everywhere.
         for _ in range(256):
-            dlo, dhi = _poly_over_interval(deriv, *self._cell)
+            dlo, dhi = _poly_over_interval(chain[1], *self._cell)
             if dlo > 0 or dhi < 0:
                 break
             self._cell = self._halved(self._cell)
@@ -436,7 +441,7 @@ class BaseField:
         if powers is None:
             if self._bracket is None:
                 a, b, d = self._cell
-                m = (1 + max(map(abs, self.min_poly[:-1]))) * d
+                m = self._root_bound * d
                 self._bracket = (max(a, -m), min(b, m), d)
             a, b, d = self._bracket
             while True:
@@ -746,20 +751,21 @@ class AlgebraicReal:
 
         x = sum(num[i] * q^i) is an algebraic integer, since q is one, so a
         nonzero x has a norm of absolute value at least 1.  Every root of the
-        defining polynomial is below M = 1 + max |c_i| in absolute value (c_i
-        its non-leading coefficients), so every conjugate of x is at most
-        T * M^(d-1), with T = sum(|num[i]|) and d the degree.  Hence
-        |x| >= (T * M^(d-1))^-(d-1), whether or not the polynomial is
-        irreducible, and at P0 = (d-1) * bitlen(T * M^(d-1)) + bitlen(E) + 2
-        a nonzero x has a scaled sum more than 3E away from 0.  A sum still
-        within E there means x = 0: a nonzero lattice form vanishing at q,
-        which only a reducible defining polynomial allows."""
+        defining polynomial is below the field's Cauchy bound
+        M = 1 + max |c_i| in absolute value (c_i its non-leading
+        coefficients), so every conjugate of x is at most T * M^(d-1), with
+        T = sum(|num[i]|) and d the degree.  Hence |x| >= (T * M^(d-1))^-(d-1),
+        whether or not the polynomial is irreducible, and at
+        P0 = (d-1) * bitlen(T * M^(d-1)) + bitlen(E) + 2, E = 2T + 2 the
+        filter's error (``_scaled``), a nonzero x has a scaled sum more than
+        3E away from 0.  A sum still within E there means x = 0: a nonzero
+        lattice form vanishing at q, which only a reducible defining
+        polynomial allows."""
         field, num = self.field, self.num
-        total = sum(map(abs, num))
-        err = 2 * total + 2
+        err = self._scaled()[1]
         d = field.degree
-        height = 1 + max(map(abs, field.min_poly[:-1]))
-        p0 = (d - 1) * (total * height ** (d - 1)).bit_length() + err.bit_length() + 2
+        m = field._root_bound
+        p0 = (d - 1) * ((err // 2 - 1) * m ** (d - 1)).bit_length() + err.bit_length() + 2
         p = FILTER_BITS
         while p < p0:
             p = min(p + 64, p0)

@@ -512,15 +512,6 @@ def _branch_families_body(k_max: int, j_max: int) -> str:
                         raise _Failure(f"{member}: prefix oracle at depth {depth} gives {got}")
                 checked += 1
 
-    # parameter validation: the zero-block family over the second branch
-    # value starts at k = 2
-    try:
-        family_word("e3-alt", 1, 1)
-    except ValueError:
-        pass
-    else:
-        raise _Failure("family 'e3-alt' accepted k = 1")
-
     return (f"{checked} members across four families: Finite(2) with the "
             f"stated branch node; forced prefixes match the words")
 

@@ -1,7 +1,8 @@
-"""Shared test fixtures, the Fraction reference for exact signs, the
-dict-based reference classifier of branch graphs, and the recount of
-expansions on the remainder graph."""
+"""Shared test fixtures, the grid reference for field construction, the
+Fraction reference for exact signs, the dict-based reference classifier of
+branch graphs, and the recount of expansions on the remainder graph."""
 
+import math
 import signal
 import weakref
 from fractions import Fraction
@@ -10,7 +11,18 @@ from typing import Iterator
 import pytest
 
 from betaforge.branching import LIMIT, NODE, TERMINAL, BranchGraph, Cardinality
-from betaforge.numberfield import BaseField
+from betaforge.numberfield import (
+    AmbiguousInterval,
+    BaseField,
+    NoRootInInterval,
+    ReduciblePolynomial,
+    _integer_roots,
+    _poly_over_interval as _integer_enclosure,
+    _pseudo_divmod,
+    _sign_at,
+    _sturm_chain,
+    _sturm_count,
+)
 from betaforge.words import domain_bounds
 
 
@@ -27,6 +39,51 @@ def wall_time_limit():
     yield lambda seconds: signal.setitimer(signal.ITIMER_REAL, seconds)
     signal.setitimer(signal.ITIMER_REAL, 0)
     signal.signal(signal.SIGALRM, previous)
+
+
+# field construction on a sign grid: the reference for ``BaseField``, which
+# finds the same cell by bisection
+def grid_construction(coeffs, iso):
+    """The certified cell (a, b, d), meaning [a/d, b/d], and the sign at its
+    lower end, for the monic integer polynomial ``coeffs`` (a tuple) over
+    the rational interval ``iso``; or the refusal, raised as construction
+    raises it.  The screens are construction's; the root is bracketed by
+    the first sign change on a 33-point grid over [lo, hi], and the cell is
+    halved until the derivative has one sign on it."""
+    lo, hi = Fraction(iso[0]), Fraction(iso[1])
+    d = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    if not a < b:
+        raise ValueError("isolating interval is empty")
+    if coeffs[0] == 0:
+        raise ReduciblePolynomial("zero constant term: x divides the polynomial")
+    chain = _sturm_chain(coeffs)
+    quot = _pseudo_divmod(chain[0], chain[-1])[0]
+    rational = _integer_roots([c * quot[-1] for c in quot], 1 + max(map(abs, coeffs[:-1])))
+    if rational:
+        raise ReduciblePolynomial(f"rational root {min(rational, key=lambda r: (abs(r), r < 0))}")
+    roots = _sturm_count(chain, a, b, d)
+    if roots == 0:
+        raise NoRootInInterval(f"no root of {coeffs} in [{lo}, {hi}]")
+    if roots > 1:
+        raise AmbiguousInterval(f"{roots} real roots of {coeffs} in [{lo}, {hi}]")
+    pts = [32 * a + (b - a) * i for i in range(33)]
+    signs = [_sign_at(coeffs, m, 32 * d) for m in pts]
+    crossings = [i for i in range(32) if signs[i] * signs[i + 1] < 0]
+    if not crossings:
+        raise NoRootInInterval(f"no sign change of {coeffs} over [{lo}, {hi}]")
+    i = crossings[0]
+    (a, b, d), sign_lo = (pts[i], pts[i + 1], 32 * d), signs[i]
+    deriv = [k * c for k, c in enumerate(coeffs)][1:]
+    for _ in range(256):
+        dlo, dhi = _integer_enclosure(deriv, a, b, d)
+        if dlo > 0 or dhi < 0:
+            return (a, b, d), sign_lo
+        if _sign_at(coeffs, a + b, 2 * d) == sign_lo:
+            a, b, d = a + b, 2 * b, 2 * d
+        else:
+            a, b, d = 2 * a, a + b, 2 * d
+    raise AmbiguousInterval("could not certify a simple root by refinement")
 
 
 # interval Horner in Fractions: the reference for enclosure() and for the

@@ -1244,9 +1244,40 @@ def test_switch_point_keys_are_the_reduced_form(name, data):
         st.lists(st.integers(-10**9, 10**9), min_size=F.degree, max_size=F.degree)))
     orbits = branching._Orbits(F.from_rational(Fraction(1, den)))
     assert orbits.den == den
-    length, segment, kind, key = orbits.shaped(num, Region.SWITCH, 1)
+    length, segment, kind, key = orbits.run(num, Region.SWITCH, 1, {})
     v = numberfield._reduced(F, num, den)
     assert (length, segment, kind, key) == (0, (), NODE, (v.den, *v.num))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_MEMO_NAMES), st.sampled_from(_MEMO_WORDS))
+def test_a_stored_run_is_the_run_under_every_budget_above_its_length(name, word):
+    # the memos' reuse rule on the shape they store: a NODE or TERMINAL run
+    # of length L is what every budget B > L returns, and a budget B <= L
+    # gives a LIMIT of length B over the run's first B digits, ending where
+    # they lead
+    F = define_field(*_KERNEL_FIELDS[name])
+    x = eval_word(word, F)
+    build_branch_graph(x, **_KERNEL_CAPS[name])
+    starts = [(x, x.num, run) for run in F._roots.values()]
+    for (den, *num), runs in F._branches.items():
+        node = AlgebraicReal(F, tuple(num), den)
+        starts += [(node, F._step(node.num, -digit * den), run)
+                   for digit, run in enumerate(runs) if run is not None]
+    for point, n, run in starts:
+        length, segment, kind, end = run
+        assert kind is NODE or kind is TERMINAL
+        digits = segment + end if kind is TERMINAL else segment
+        assert len(digits) == length
+        orbits, stepped = branching._Orbits(point), [n]
+        for digit in digits:
+            stepped.append(F._step(stepped[-1], -digit * point.den))
+        for budget in [*range(length + 3), 10_000]:
+            got = orbits.run(n, orbits.locate(n), budget, {})
+            if budget > length:
+                assert got == run
+            else:
+                assert got == (budget, digits[:budget], LIMIT, stepped[budget])
 
 
 @pytest.mark.parametrize("name", ["qf", "golden"])

@@ -30,7 +30,7 @@ from betaforge.numberfield import (
 )
 from betaforge import numberfield
 from betaforge.words import PeriodicWord, eval_word, parse_word
-from conftest import _poly_over_interval as _fraction_enclosure, enclosure
+from conftest import _poly_over_interval as _fraction_enclosure, enclosure, grid_construction
 
 
 def test_builtin_constants_print():
@@ -207,6 +207,67 @@ def test_interval_matches_the_fraction_construction(low, ends):
     except (ReduciblePolynomial, NoRootInInterval, AmbiguousInterval) as exc:
         got = type(exc)
     assert got == _fraction_interval(coeffs, lo, hi)
+
+
+def _outcome(construct, coeffs, iso):
+    """``construct(coeffs, iso)``, or the type and message of the refusal
+    it raises."""
+    try:
+        return construct(coeffs, iso)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _certified(coeffs, iso):
+    """The cell, the sign at its lower end and the interval of the field."""
+    F = define_field(coeffs, iso)
+    return F._cell, F._sign_lo, F.interval()
+
+
+def _grid_certified(coeffs, iso):
+    (a, b, d), sign_lo = grid_construction(coeffs, iso)
+    return (a, b, d), sign_lo, (Fraction(a, d), Fraction(b, d))
+
+
+def _squared(low):
+    """The square of the monic polynomial with coefficients ``low`` below
+    the leading 1: each of its real roots has even multiplicity."""
+    return _poly_times(low + [1], low + [1])[:-1]
+
+
+@st.composite
+def _constructions(draw):
+    """A monic polynomial of degree 2 to 64, or the square of a quadratic,
+    and a rational interval: any, or, half the time when the polynomial
+    changes sign between sixteenths in [-4, 4], a cell of 1/16 around one
+    such change widened by up to 1/8 each side."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 64))
+        low = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+    else:
+        low = _squared(draw(st.lists(st.integers(-9, 9), min_size=2, max_size=2)))
+    coeffs = tuple(low) + (1,)
+    signs = [numberfield._sign_at(coeffs, i, 16) for i in range(-64, 65)]
+    changes = [i - 64 for i in range(128) if signs[i] * signs[i + 1] < 0]
+    if changes and draw(st.booleans()):
+        i = draw(st.sampled_from(changes))
+        return coeffs, (Fraction(16 * i - draw(st.integers(0, 32)), 256),
+                        Fraction(16 * i + 16 + draw(st.integers(0, 32)), 256))
+    k = draw(st.sampled_from([1, 3, 16, 100, 1024]))
+    m = draw(st.integers(-4 * k, 4 * k))
+    return coeffs, (Fraction(m, k), Fraction(m + draw(st.integers(1, 2 * k)), k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_constructions())
+@example(((-1, -1, -2, 0, 1), (Fraction(17, 10), Fraction(43, 25))))  # q2, as q2_field()
+@example(((-1, 1, -2, 1), (Fraction(5, 3), Fraction(2))))  # qf over [5/3, 2]
+@example(((4, 0, -4, 0, 1), (Fraction(1), Fraction(2))))  # (x^2 - 2)^2: no sign change
+def test_construction_matches_the_grid_reference(case):
+    # bisection from the interval's ends certifies the grid's cell and the
+    # sign at its lower end, and refuses what the grid refuses, as it does
+    coeffs, iso = case
+    assert _outcome(_certified, coeffs, iso) == _outcome(_grid_certified, coeffs, iso)
 
 
 @settings(max_examples=150, deadline=None)

@@ -98,6 +98,16 @@ def _marked_unique(table):
     return new_table, f"row {word}: expected a unique tail, got SwitchHit"
 
 
+def _unique_given_cells(table):
+    """The table with its first UNIQUE row given the first iterate row's
+    cells: that row's orbit ends in a unique tail, not a switch point."""
+    row = next(i for i, (_, cells) in enumerate(table) if cells == fixtures.UNIQUE)
+    word = table[row][0]
+    cells = next(cells for _, cells in table if cells != fixtures.UNIQUE)
+    new_table = table[:row] + ((word, cells),) + table[row + 1:]
+    return new_table, f"row {word}: orbit did not reach the branching region (UniqueTail)"
+
+
 def _reversed(value):
     return tuple(reversed(value)), None
 
@@ -115,6 +125,7 @@ def _reversed(value):
     ("ALEPH0_FIRST_SIX", "counts-family", _reversed),
     ("TABLE_T1", "T1", _last_cell_dropped),
     ("TABLE_T1", "T1", _marked_unique),
+    ("TABLE_T1", "T1", _unique_given_cells),
     ("TABLE_T2", "T2", _first_cell_bumped),
     ("TABLE_T3", "T3", _first_cell_bumped),
     ("TABLE_T4", "T4", _first_cell_bumped),
@@ -256,6 +267,9 @@ def test_family_word_validation():
         family_word("e2", 1)
     with pytest.raises(ValueError, match="k >="):
         family_word("e3", 1)
+    # the zero-block family over the second branch value starts at k = 2
+    with pytest.raises(ValueError, match="requires k >= 2"):
+        family_word("e3-alt", 1, 1)
     with pytest.raises(ValueError, match="j >="):
         family_word("e3-alt", 2)
     with pytest.raises(ValueError, match="no j"):
