@@ -13,16 +13,19 @@ from the root.  Cardinality classification is then graph-shaped:
 
 Independent of all that, ``viable_prefix_counts`` counts, for each depth n,
 the binary prefixes whose remainder stays in the domain; it serves as a
-cross-check oracle for the graph-based counts.
+cross-check oracle for the graph-based counts.  It walks whole levels of
+remainders, except where a level is one remainder outside the switch
+region: that forced stretch it steps as a run does, one value at a time.
 
 All three walk orbits in one private kernel, ``_Orbits``.  It holds every
 value reached from x as raw integer numerators over x's own denominator D
 (q is an algebraic integer, so q * (n / D) - d = (q * n - d * D) / D),
 steps them with the field's compiled step, and decides regions with
 ``words._region_rule`` for that D, which the field keeps per D up to a
-bound: the field's compiled filter sum against the switch bounds' cached
-scaled sums, and, when the filter cannot decide, the exact comparison of
-the reduced element.  ``_reduced`` builds an element only where a value
+bound: the field's compiled placement, its filter sum against integer
+thresholds taken once for D from the switch bounds' cached scaled sums,
+and, when the filter cannot decide, the exact comparison of the reduced
+element.  ``_reduced`` builds an element only where a value
 leaves the kernel: graph nodes, switch points, unique-tail cycles and the
 orbit a run returns.  x itself is placed by ``words.region``, which rules
 out a point outside the domain and then applies the same region rule.
@@ -694,26 +697,45 @@ def viable_prefix_counts(x: AlgebraicReal, max_depth: int) -> list[int]:
     repeat with it; and counts never decrease (every remainder in the domain
     has a viable digit), so a repeat falls inside the current run of equal
     counts.  Only that run's levels are kept.
+
+    A level of one remainder outside the switch region has one child, with
+    the same count: the walk steps such a forced stretch one remainder at a
+    time, as a run does, and keeps its remainders in a set.  A stretch ends
+    the run of equal counts it is in (a switch point doubles the count), and
+    no level of several remainders equals one of one, so a repeat inside a
+    stretch is a repeat of one of the stretch's own remainders.  At the
+    stretch's switch point the walk goes on over levels again.
     """
     if max_depth < 1:
         raise ValueError("depth must be >= 1")
     orbits, _ = _start(x)
     step, locate, minus_one = orbits.field._step, orbits.locate, -orbits.den
+    switch, low = Region.SWITCH, Region.LOW
     # remainders, as numerator tuples over x's denominator -> prefix count
     level: dict[tuple[int, ...], int] = {x.num: 1}
     counts: list[int] = []
     run_count = 1
     seen: set[frozenset] = set()  # the levels of the current run of equal counts
     while len(counts) < max_depth:
+        if len(level) == 1:
+            [(n, count)] = level.items()
+            stretch = {n}
+            while (reg := locate(n)) is not switch:
+                n = step(n, 0 if reg is low else minus_one)
+                counts.append(count)
+                if n in stretch or len(counts) == max_depth:
+                    return counts + [count] * (max_depth - len(counts))
+                stretch.add(n)
+            level = {n: count}
         nxt: dict[tuple[int, ...], int] = {}
         for n, mult in level.items():
             reg = locate(n)
-            if reg is Region.SWITCH:
+            if reg is switch:
                 r = step(n)
                 nxt[r] = nxt.get(r, 0) + mult
                 r = step(n, minus_one)
             else:
-                r = step(n, 0 if reg is Region.LOW else minus_one)
+                r = step(n, 0 if reg is low else minus_one)
             nxt[r] = nxt.get(r, 0) + mult
         count = sum(nxt.values())
         counts.append(count)

@@ -31,9 +31,10 @@ Kernel.  Each field compiles its hot functions into straight-line code for
 its own constants: the orbit step q * num + low and the division
 |c0| * num / q, at construction, from the defining polynomial; and the
 filter sum with its error bound, on the first irrational sign, from the
-scaled powers.  Every orbit walk, product, Horner pass, inverse and filter
-reads the step or the filter; word values fold their preperiods through the
-division.
+scaled powers; and the orbit kernel's placement, the same sum tested against
+integer thresholds, on the first region rule.  Every orbit walk, product,
+Horner pass, inverse and filter reads the step or the filter; word values
+fold their preperiods through the division.
 
 Decimals.  The same sums at a higher precision P enclose 2^P * den * value in
 an integer interval; both ends are rounded half to even, in integers, and P
@@ -180,7 +181,7 @@ def _sum_source(terms: list[str]) -> str:
     return f"({_sum_source(terms[:mid])}) + ({_sum_source(terms[mid:])})"
 
 
-def _compiled(name: str, degree: int, params: str, result: str, consts: dict[str, int]):
+def _compiled(name: str, degree: int, params: str, result: str, consts: dict[str, object]):
     """``def name(params)``, which unpacks its first argument ``num`` into
     a0 ... a{degree-1} and returns ``result``.  As in ``dataclasses``, the
     source holds identifiers only: the constants reach the code as the
@@ -237,14 +238,36 @@ def _compile_unstep(coeffs: Sequence[int]):
     return _compiled("unstep", d, "num", f"[{', '.join(terms)}]", consts)
 
 
+def _filter_source(powers: Sequence[int]) -> tuple[str, str, dict[str, object]]:
+    """The source of the sign filter's sum s = sum(num[i] * Q[i]) and of its
+    error e = 2 * sum(|num[i]|) + 2 for scaled powers Q, and the constants
+    Q{i} they read."""
+    d = len(powers)
+    return (_sum_source([f"a{i} * Q{i}" for i in range(d)]),
+            f"2 * ({_sum_source([f'abs(a{i})' for i in range(d)])}) + 2",
+            {f"Q{i}": Q for i, Q in enumerate(powers)})
+
+
 def _compile_filter(powers: Sequence[int]):
     """The sign filter's sum for scaled powers Q: ``filter(num)`` gives
-    (sum(num[i] * Q[i]), 2 * sum(|num[i]|) + 2), in straight-line code."""
-    d = len(powers)
-    total = _sum_source([f"a{i} * Q{i}" for i in range(d)])
-    err = _sum_source([f"abs(a{i})" for i in range(d)])
-    return _compiled("filter", d, "num", f"({total}, 2 * ({err}) + 2)",
-                     {f"Q{i}": Q for i, Q in enumerate(powers)})
+    (s, e), in straight-line code (see ``_filter_source``)."""
+    total, err, consts = _filter_source(powers)
+    return _compiled("filter", len(powers), "num", f"({total}, {err})", consts)
+
+
+def _compile_place(powers: Sequence[int], below, inside, above):
+    """The orbit kernel's placement for scaled powers Q, in straight-line
+    code: ``place(num, lo0, hi0, lo1, hi1)`` takes the filter's (s, e) of
+    ``num`` (see ``_filter_source``) and gives ``below`` when s + e < lo0,
+    None unless s - e > hi0, then ``inside`` when s + e < lo1, ``above``
+    when s - e > hi1, and None otherwise: None where the filter cannot
+    decide against the thresholds (lo0, hi0) of one bound or (lo1, hi1) of
+    the next."""
+    total, err, consts = _filter_source(powers)
+    return _compiled("place", len(powers), "num, lo0, hi0, lo1, hi1",
+                     f"below if (s := {total}) + (e := {err}) < lo0 else None if s - e <= hi0"
+                     f" else inside if s + e < lo1 else above if s - e > hi1 else None",
+                     {"below": below, "inside": inside, "above": above, **consts})
 
 
 def _integer_roots(core: Sequence[int], bound: int) -> list[int]:
@@ -309,8 +332,9 @@ class BaseField:
     at each precision asked for (those at FILTER_BITS feed the compiled
     filter sum ``_filter()``), and the domain bounds 1/q, 1/(q(q-1)),
     1/(q-1), whose scaled sums the bound elements cache themselves.
-    ``_rules`` holds the orbit kernel's region rules by denominator
-    (``words._region_rule``), and ``_period_inverses`` the elements
+    ``_rules`` holds the orbit kernel's region rules by denominator, and
+    ``_placement`` the compiled placement they share, built with the first
+    rule (``words._region_rule``); ``_period_inverses`` holds the elements
     1/(q^p - 1) by period length p (``words.eval_word``); like ``_domain``
     they hold elements of the field, so the field is freed by the cycle
     collector.
@@ -321,9 +345,9 @@ class BaseField:
     """
 
     __slots__ = ("min_poly", "degree", "name", "_root_bound", "_cell", "_sign_lo", "_step",
-                 "_unstep", "_bracket", "_filter_sum", "_fine", "_domain", "_rules",
-                 "_period_inverses", "_roots", "_branches", "_answers", "_answer_cells",
-                 "__weakref__")
+                 "_unstep", "_bracket", "_filter_sum", "_placement", "_fine", "_domain",
+                 "_rules", "_period_inverses", "_roots", "_branches", "_answers",
+                 "_answer_cells", "__weakref__")
 
     def __init__(
         self,
@@ -341,6 +365,7 @@ class BaseField:
         self.name = name
         self._bracket: tuple[int, int, int] | None = None
         self._filter_sum = None
+        self._placement = None
         self._fine: dict[int, tuple[int, ...]] = {}
         self._domain: tuple[AlgebraicReal, AlgebraicReal, AlgebraicReal] | None = None
         self._rules: dict[int, Callable] = {}

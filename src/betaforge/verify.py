@@ -674,11 +674,12 @@ def _exceptional_rows_body() -> str:
 
 
 def run_all(profile: str = "quick", check_ids=None) -> list[CheckResult]:
-    """Run the selected checks (all by default) with profile bounds and
-    return the results sorted by check id."""
+    """Run the selected checks (all by default) with profile bounds, each
+    once however often it is named, and return the results sorted by check
+    id."""
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
-    check_ids = CHECK_IDS if check_ids is None else tuple(check_ids)
+    check_ids = CHECK_IDS if check_ids is None else tuple(dict.fromkeys(check_ids))
     unknown = [c for c in check_ids if c not in _PLAN]
     if unknown:
         raise ValueError(f"unknown check ids: {', '.join(unknown)}")

@@ -17,7 +17,7 @@ the region of a point decides which branches keep it inside the domain:
 
 One rule tells low, switch and high apart: ``_region_rule``, which compares
 the raw numerators of a value over one denominator with the two switch
-bounds only.  The orbit kernel in ``branching`` places each value it steps
+bounds only, through integer thresholds it takes once per denominator.  The orbit kernel in ``branching`` places each value it steps
 with it, since every value the kernel makes lies in the domain.  ``region``
 places any element: a point below 0 or above 1/(q-1) is outside, and any
 other goes to the same rule.
@@ -30,7 +30,7 @@ from enum import Enum
 from operator import ge, gt, le, lt
 from typing import Callable, Iterable, Sequence
 
-from .numberfield import AlgebraicReal, BaseField, _reduced
+from .numberfield import AlgebraicReal, BaseField, _compile_place, _reduced
 
 
 class WordSyntaxError(ValueError):
@@ -386,40 +386,43 @@ def _region_rule(field: BaseField, den: int) -> Callable[[Sequence[int]], Region
     each rule it builds under ``den`` (``_rules``) while it holds fewer than
     ``_RULES_CAP``; a full slot still serves what it holds.
 
-    Each bound b = sum(m[i] * q^i) / b.den enters through its scaled sum
-    (S, E), which b caches (``_scaled``); their products with ``den`` are
-    taken here, once per rule.  The value's own scaled sum s, from the
-    field's compiled filter sum, is within e = 2 * sum(|num[i]|) + 2 of its
-    true scale, so
+    The value's scaled sum s, from the field's filter sum, is within
+    e = 2 * sum(|num[i]|) + 2 of 2^P * den * value, and each bound
+    b = sum(m[i] * q^i) / b.den has its scaled sum (S, E), which b caches
+    (``_scaled``).  The value is certainly below b when
+    b.den * (s + e) < den * (S - E), and above it when
+    b.den * (s - e) > den * (S + E).  s and e are integers, so for one den
+    these are s + e < lo and s - e > hi with the integer thresholds
 
-        b.den * s - den * S   against   b.den * e + den * E
+        lo = ceil(den * (S - E) / b.den),   hi = floor(den * (S + E) / b.den),
 
-    decides value - b whenever the difference clears the summed error.  When
-    it does not, the reduced element's ``_cmp`` decides: its sign takes the
-    scaled sums at a precision that grows up to the zero bound of
-    ``AlgebraicReal._exact_sign``, so every answer is certified and none
-    narrows the field's isolating interval."""
+    taken here, once per rule.  The field's compiled placement
+    (``_compile_place``, built with its first rule) tests s against both
+    bounds' thresholds.  Where it cannot decide, the reduced element's
+    ``_cmp`` does: its sign takes the scaled sums at a precision that grows
+    up to the zero bound of ``AlgebraicReal._exact_sign``, so every answer is
+    certified and none narrows the field's isolating interval."""
     locate = field._rules.get(den)
     if locate is not None:
         return locate
     low, switch, _ = field.domain_bounds()
-    scaled = field._filter()
-    checks = [(b, b.den, *(den * v for v in b._scaled()), below, strict)
-              for b, below, strict in ((low, Region.LOW, True), (switch, Region.SWITCH, False))]
+    place = field._placement
+    if place is None:
+        place = field._placement = _compile_place(field._scaled_powers(), Region.LOW,
+                                                  Region.SWITCH, Region.HIGH)
+    thresholds = []
+    for bound in (low, switch):
+        s, e = bound._scaled()
+        thresholds += (-(den * (e - s) // bound.den), den * (s + e) // bound.den)
+    lo0, hi0, lo1, hi1 = thresholds
 
     def locate(num: Sequence[int]) -> Region:
-        s, e = scaled(num)
-        for bound, b_den, b_s, b_e, below, strict in checks:
-            diff = b_den * s - b_s
-            err = b_den * e + b_e
-            if diff > err:
-                continue
-            if diff < -err:
-                return below
-            c = _reduced(field, num, den)._cmp(bound)
-            if c < 0 or (c == 0 and not strict):
-                return below
-        return Region.HIGH
+        reg = place(num, lo0, hi0, lo1, hi1)
+        if reg is None:
+            x = _reduced(field, num, den)
+            reg = (Region.LOW if x._cmp(low) < 0 else Region.SWITCH if x._cmp(switch) <= 0
+                   else Region.HIGH)
+        return reg
 
     if len(field._rules) < _RULES_CAP:
         field._rules[den] = locate

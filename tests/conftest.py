@@ -1,6 +1,8 @@
 """Shared test fixtures, the grid reference for field construction, the
-Fraction reference for exact signs, the dict-based reference classifier of
-branch graphs, and the recount of expansions on the remainder graph."""
+Fraction reference for exact signs, the cross-multiplied reference for the
+orbit kernel's region rule, the level-by-level reference for the prefix
+oracle, the dict-based reference classifier of branch graphs, and the
+recount of expansions on the remainder graph."""
 
 import math
 import signal
@@ -10,7 +12,7 @@ from typing import Iterator
 
 import pytest
 
-from betaforge.branching import LIMIT, NODE, TERMINAL, BranchGraph, Cardinality
+from betaforge.branching import LIMIT, NODE, TERMINAL, BranchGraph, Cardinality, _start
 from betaforge.numberfield import (
     AmbiguousInterval,
     BaseField,
@@ -19,11 +21,12 @@ from betaforge.numberfield import (
     _integer_roots,
     _poly_over_interval as _integer_enclosure,
     _pseudo_divmod,
+    _reduced,
     _sign_at,
     _sturm_chain,
     _sturm_count,
 )
-from betaforge.words import domain_bounds
+from betaforge.words import Region, domain_bounds
 
 
 @pytest.fixture
@@ -84,6 +87,81 @@ def grid_construction(coeffs, iso):
         else:
             a, b, d = 2 * a, a + b, 2 * d
     raise AmbiguousInterval("could not certify a simple root by refinement")
+
+
+# the region rule with each bound's scaled sum cross-multiplied by the other
+# denominator: the reference for ``words._region_rule``, which tests the
+# value's filter sum against integer thresholds instead
+def cross_multiplied_rule(field, den):
+    """The region of sum(num[i] * q^i) / den in the domain, as a function of
+    ``num``, and whether the filter decided it: each switch bound b's scaled
+    sum (S, E) against the value's (s, e) as b.den * s - den * S against
+    b.den * e + den * E, and the reduced element's ``_cmp`` where that
+    cannot decide."""
+    low, switch, _ = field.domain_bounds()
+    scaled = field._filter()
+    checks = [(b, b.den, *(den * v for v in b._scaled()), below, strict)
+              for b, below, strict in ((low, Region.LOW, True), (switch, Region.SWITCH, False))]
+
+    def locate(num):
+        s, e = scaled(num)
+        decided = True
+        for bound, b_den, b_s, b_e, below, strict in checks:
+            diff = b_den * s - b_s
+            err = b_den * e + b_e
+            if diff > err:
+                continue
+            if diff < -err:
+                return below, decided
+            decided = False
+            c = _reduced(field, num, den)._cmp(bound)
+            if c < 0 or (c == 0 and not strict):
+                return below, decided
+        return Region.HIGH, decided
+
+    return locate
+
+
+# the prefix oracle over whole levels: the reference for
+# ``branching.viable_prefix_counts``, which steps forced stretches as runs
+def level_oracle(x, max_depth):
+    """``viable_prefix_counts(x, max_depth)`` by a dict of remainders to
+    prefix counts per level, up to the first level equal to an earlier one
+    in the current run of equal counts."""
+    if max_depth < 1:
+        raise ValueError("depth must be >= 1")
+    orbits, _ = _start(x)
+    step, locate, minus_one = orbits.field._step, orbits.locate, -orbits.den
+    level = {x.num: 1}
+    counts = []
+    run_count = 1
+    seen = set()
+    while len(counts) < max_depth:
+        nxt = {}
+        for n, mult in level.items():
+            reg = locate(n)
+            if reg is Region.SWITCH:
+                r = step(n)
+                nxt[r] = nxt.get(r, 0) + mult
+                r = step(n, minus_one)
+            else:
+                r = step(n, 0 if reg is Region.LOW else minus_one)
+            nxt[r] = nxt.get(r, 0) + mult
+        count = sum(nxt.values())
+        counts.append(count)
+        if count == run_count:
+            if not seen:
+                seen.add(frozenset(level.items()))
+            key = frozenset(nxt.items())
+            if key in seen:
+                counts += [count] * (max_depth - len(counts))
+                break
+            seen.add(key)
+        else:
+            run_count = count
+            seen.clear()
+        level = nxt
+    return counts
 
 
 # interval Horner in Fractions: the reference for enclosure() and for the

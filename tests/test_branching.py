@@ -48,7 +48,7 @@ from betaforge import branching, numberfield, words
 from betaforge.cli import main
 from betaforge.branching import LIMIT, NODE, TERMINAL
 from betaforge.numberfield import AlgebraicReal
-from conftest import _cardinality as reference_cardinality, enclosure, recount
+from conftest import _cardinality as reference_cardinality, enclosure, level_oracle, recount
 
 
 def plastic_field():
@@ -791,6 +791,62 @@ def test_prefix_counts_match_the_full_walk_around_a_repeat(field_factory):
             assert len(counts) == depth
             assert counts == ref[:depth], (label, depth)
     assert deep >= 28  # in q2, the starts with finitely many expansions
+
+
+@pytest.mark.parametrize("field_factory", [q2_field, qf_field, golden_field])
+def test_prefix_counts_match_the_level_walk_on_every_small_word(field_factory):
+    # Every canonical word with preperiod <= 6 and period <= 4, at depths 1,
+    # 60 and every sixth depth between, rotated by the word's index, so
+    # each depth 1-60 is asked of about 235 words.  In q2 a point whose
+    # graph is truncated at the acceptance caps has counts growing like
+    # 1.17^n over as many remainders, which the level walk keeps: those
+    # are asked to depth 20.
+    F = field_factory()
+    words = list(_canonical_words(6, 4))
+    assert len(words) == 1408
+    for i, word in enumerate(words):
+        x = eval_word(word, F)
+        top = 60
+        if field_factory is q2_field and build_branch_graph(x, **_ACCEPTANCE_CAPS).truncated:
+            top = 20
+        ref = level_oracle(x, top)
+        for depth in {1, top, *range(1 + i % 6, top, 6)}:
+            assert viable_prefix_counts(x, depth) == ref[:depth], (str(word), depth)
+
+
+@pytest.mark.parametrize("name, text, case", [
+    ("qf", "111111(1110)*", "stretch"),
+    ("golden", "111111(1110)*", "stretch"),
+    ("q2", "111111(10)*", "cycle"),
+    ("qf", "111111(10)*", "cycle"),
+    ("qf", "1(0)*", "switch"),
+    ("golden", "1(0)*", "switch"),
+])
+def test_prefix_counts_match_the_level_walk_at_every_depth(name, text, case):
+    # a root stretch of nine forced digits, which depths 1-9 end inside; a
+    # stretch that closes its cycle after eight, before any switch point,
+    # and stops there; and a start in the switch region, where no stretch
+    # begins
+    F = define_field(*_KERNEL_FIELDS[name])
+    x = eval_word(parse_word(text), F)
+    out = deterministic_run(x)
+    ref = level_oracle(x, 60)
+    if case == "stretch":
+        assert isinstance(out.end, SwitchHit) and len(out.segment) == 9
+        assert ref[:9] == [1] * 9 and ref[9] == 2
+    elif case == "cycle":
+        assert isinstance(out.end, UniqueTail) and len(out.segment) + len(out.end.cycle) == 8
+        assert ref == [1] * 60
+        steps = []
+        step = F._step
+        F._step = lambda *args: steps.append(1) or step(*args)
+        assert viable_prefix_counts(x, 60) == ref
+        assert len(steps) == 8
+        F._step = step
+    else:
+        assert region(x) is Region.SWITCH and ref[0] == 2
+    for depth in range(1, 61):
+        assert viable_prefix_counts(x, depth) == ref[:depth], depth
 
 
 def _kernel_answers(x, caps, depth):

@@ -373,6 +373,14 @@ def test_verify_json(capsys):
     assert [rec["id"] for rec in payload["results"]] == ["T1", "constants"]
 
 
+def test_verify_runs_a_check_named_twice_once(capsys):
+    code, out, _ = run(capsys, "verify", "T1", "T1")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert [line.split()[:2] for line in lines[:-1]] == [["PASS", "T1"]]
+    assert lines[-1] == "1 passed, 0 failed, 0 skipped"
+
+
 def test_verify_unknown_check(capsys):
     code, _, err = run(capsys, "verify", "nonsense")
     assert code == 2

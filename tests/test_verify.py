@@ -160,6 +160,19 @@ def test_corrupted_branch_word_fails_checks_without_raising(monkeypatch):
     assert str(family_word("e1", 1)) == "0001(10)*"
 
 
+def test_an_over_counting_prefix_oracle_fails_the_family_checks(monkeypatch):
+    # each witness names the first member the oracle is asked about, the
+    # depth and the count it gave
+    oracle = verify.viable_prefix_counts
+    monkeypatch.setattr(verify, "viable_prefix_counts",
+                        lambda x, depth: [c + 1 for c in oracle(x, depth)])
+    branch = check_branch_families(*PROFILES["quick"])
+    counts = check_counts_family(PROFILES["quick"][0])
+    assert (branch.status, branch.witness) == (
+        "fail", "e1 k=1 j=0: prefix oracle at depth 40 gives 3")
+    assert (counts.status, counts.witness) == ("fail", "k=1: prefix oracle at depth 40 gives 2")
+
+
 def test_passing_check_formats_no_decimal(monkeypatch):
     # a failure witness is formatted only when its check fails, and the
     # branch-families witness prints no value
@@ -192,6 +205,15 @@ def test_check_id_filter_runs_only_selected():
     assert results[0].passed
     # any iterable of ids, read once
     assert [r.check_id for r in run_all("quick", iter(["T4", "T1"]))] == ["T1", "T4"]
+
+
+def test_a_check_named_twice_runs_once(monkeypatch):
+    ran = []
+    check_table = verify.check_table
+    monkeypatch.setattr(verify, "check_table", lambda t: ran.append(t) or check_table(t))
+    results = run_all("quick", ["T4", "T1", "T4", "T1", "constants"])
+    assert [r.check_id for r in results] == ["T1", "T4", "constants"]
+    assert sorted(ran) == ["T1", "T4"]
 
 
 def test_profiles_table():

@@ -23,6 +23,8 @@ from betaforge.numberfield import (
 from betaforge.words import (
     _INVERSES_CAP,
     _MAX_WORD_DIGITS,
+    _RULES_CAP,
+    _region_rule,
     EmptyWordError,
     PeriodicWord,
     Region,
@@ -37,6 +39,7 @@ from betaforge.words import (
     t0,
     t1,
 )
+from conftest import cross_multiplied_rule, enclosure
 
 
 # -- parsing -----------------------------------------------------------------
@@ -596,6 +599,44 @@ def test_region_at_just_inside_and_just_outside_every_bound(name):
         for eps in steps:
             assert region(bound - eps) is below
             assert region(bound + eps) is above
+
+
+_RULE_FIELDS = {
+    "q2": q2_field,
+    "qf": qf_field,
+    "golden": golden_field,
+    # degree 64: the compiled placement's source still compiles
+    "x^64 - x - 1": functools.cache(lambda: define_field([-1, -1] + [0] * 62 + [1], (1, 2))),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_RULE_FIELDS)), st.integers(0, 1), st.integers(1, 200),
+       st.integers(-1, 1), st.booleans(), st.integers(1, 2**64))
+def test_threshold_rule_decides_like_the_cross_multiplied_rule(name, which, k, offset, rational,
+                                                               scale):
+    # values within 2^-k of 1/q or 1/(q(q-1)): the bound plus a dyadic, or a
+    # dyadic rational next to it.  Past k ~ 128 the filter cannot decide
+    # against the bound and both rules compare exactly.  The numerators are
+    # scaled, so the form is not reduced and most denominators are past
+    # _RULES_CAP: their rules are built anew for each call.
+    F = _RULE_FIELDS[name]()
+    bound = domain_bounds(F)[which]
+    if rational:
+        lo, _ = enclosure(bound, Fraction(1, 2 ** (k + 2)))
+        x = F.from_rational(Fraction(math.floor(lo * 2**k) + offset, 2**k))
+    else:
+        x = bound + Fraction(offset, 2**k)
+    den, num = x.den * scale, tuple(c * scale for c in x.num)
+    expected, decided = cross_multiplied_rule(F, den)(num)
+    compared = []
+    cmp = AlgebraicReal._cmp
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AlgebraicReal, "_cmp", lambda a, b: compared.append(b) or cmp(a, b))
+        got = _region_rule(F, den)(num)
+    assert got is expected
+    assert (not compared) == decided
+    assert len(F._rules) <= _RULES_CAP
 
 
 def test_region_on_a_reducible_polynomial_raises_only_at_a_tie(wall_time_limit):
