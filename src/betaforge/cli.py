@@ -58,7 +58,6 @@ _BUILTIN_LIMITS = {
     "max_depth": DEFAULT_MAX_DEPTH,
     "max_count": DEFAULT_MAX_COUNT,
 }
-_LIMIT_KEYS = tuple(_BUILTIN_LIMITS)
 
 _FIELD_ALIASES = {"q2": q2_field, "qf": qf_field, "golden": golden_field}
 # bounds on a poly: spec, checked on its text before any arithmetic: the
@@ -148,10 +147,10 @@ def _env_limits() -> dict:
             continue
         key, sep, val = part.partition("=")
         key, val = key.strip(), val.strip()
-        if not sep or key not in _LIMIT_KEYS:
+        if not sep or key not in _BUILTIN_LIMITS:
             raise UsageError(
                 f"BETAFORGE_LIMITS entry {part!r} is not one of "
-                f"{', '.join(_LIMIT_KEYS)}")
+                f"{', '.join(_BUILTIN_LIMITS)}")
         if not val.isdecimal() or int(val) < 1:
             raise UsageError(f"BETAFORGE_LIMITS value for {key} must be a positive integer")
         out[key] = int(val)
@@ -161,7 +160,7 @@ def _env_limits() -> dict:
 def _limits(args) -> dict:
     limits = dict(_BUILTIN_LIMITS)
     limits.update(_env_limits())
-    for key in _LIMIT_KEYS:
+    for key in _BUILTIN_LIMITS:
         val = getattr(args, key)
         if val is not None:
             if val < 1:
@@ -170,46 +169,37 @@ def _limits(args) -> dict:
     return limits
 
 
-def _word_value(args, field: BaseField):
-    x = eval_word(parse_word(args.word), field)
-    return x + 1 if args.plus_one else x
+def _print_record(args, **record) -> None:
+    """Print a word command's JSON record, which opens with the word and
+    whether 1 was added to its value."""
+    print(json.dumps({"word": args.word, "plus_one": args.plus_one, **record}))
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each word command runs on the word's value x (plus 1 under
+# --plus-one) and returns its exit code
 
 
-def _cmd_eval(args, field) -> int:
-    x = _word_value(args, field)
+def _cmd_eval(args, x, limits) -> int:
     if args.format == "json":
-        payload = {
-            "word": args.word,
-            "plus_one": args.plus_one,
-            "field": _field_record(field, args.field),
-            "coeffs": [str(c) for c in x.coeffs],
-            "decimal": to_decimal(x, args.digits),
-            "digits": args.digits,
-        }
-        print(json.dumps(payload))
+        _print_record(args, field=_field_record(x.field, args.field),
+                      coeffs=[str(c) for c in x.coeffs],
+                      decimal=to_decimal(x, args.digits), digits=args.digits)
     else:
         print(f"{x} / {to_decimal(x, args.digits)}")
     return 0
 
 
-def _cmd_region(args, field) -> int:
-    x = _word_value(args, field)
+def _cmd_region(args, x, limits) -> int:
     reg = region(x)
     if args.format == "json":
-        print(json.dumps({"word": args.word, "plus_one": args.plus_one,
-                          "decimal": to_decimal(x, args.digits),
-                          "region": str(reg)}))
+        _print_record(args, decimal=to_decimal(x, args.digits), region=str(reg))
     else:
         print(str(reg))
     return 0
 
 
-def _cmd_orbit(args, field, limits) -> int:
-    x = _word_value(args, field)
+def _cmd_orbit(args, x, limits) -> int:
     out = deterministic_run(x, max_steps=limits["max_steps"])
     # a forced digit names its region; only where the run stopped needs one
     regions = [Region.LOW if d == 0 else Region.HIGH for d in out.segment]
@@ -229,12 +219,9 @@ def _cmd_orbit(args, field, limits) -> int:
         end_rec = {"kind": "step_limit", "steps": end.steps}
 
     if args.format == "json":
-        print(json.dumps({
-            "word": args.word, "plus_one": args.plus_one,
-            "steps": [{"step": s, "digit": d, "decimal": dec, "region": reg}
-                      for s, d, dec, reg in rows],
-            "end": end_rec,
-        }))
+        _print_record(args, steps=[{"step": s, "digit": d, "decimal": dec, "region": reg}
+                                   for s, d, dec, reg in rows],
+                      end=end_rec)
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -252,13 +239,11 @@ def _cmd_orbit(args, field, limits) -> int:
     return code
 
 
-def _cmd_count(args, field, limits) -> int:
-    x = _word_value(args, field)
+def _cmd_count(args, x, limits) -> int:
     card = count_expansions(x, max_steps=limits["max_steps"], max_nodes=limits["max_nodes"])
     if args.format == "json":
-        print(json.dumps({"word": args.word, "plus_one": args.plus_one,
-                          "cardinality": {"kind": card.kind, "count": card.count},
-                          "display": str(card), "limit": card.limit}))
+        _print_record(args, cardinality={"kind": card.kind, "count": card.count},
+                      display=str(card), limit=card.limit)
     else:
         print(str(card))
         if card.limit:
@@ -266,15 +251,12 @@ def _cmd_count(args, field, limits) -> int:
     return 3 if card.kind is Count.LOWER_BOUND else 0
 
 
-def _cmd_enumerate(args, field, limits) -> int:
-    x = _word_value(args, field)
+def _cmd_enumerate(args, x, limits) -> int:
     found, complete, limit = _listing(x, limits["max_count"], limits["max_depth"],
                                       limits["max_steps"], limits["max_nodes"])
     words = sorted(found)
     if args.format == "json":
-        print(json.dumps({"word": args.word, "plus_one": args.plus_one,
-                          "expansions": [str(w) for w in words],
-                          "complete": complete, "limit": limit}))
+        _print_record(args, expansions=[str(w) for w in words], complete=complete, limit=limit)
     else:
         for w in words:
             print(str(w))
@@ -284,6 +266,17 @@ def _cmd_enumerate(args, field, limits) -> int:
             print("# incomplete: branches with no reachable unique tail were skipped",
                   file=sys.stderr)
     return 0 if complete else 3
+
+
+# word command -> (its handler, its help text)
+_WORD_COMMANDS = {
+    "eval": (_cmd_eval, "exact value and decimal of a word"),
+    "region": (_cmd_region, "which region the word's value lies in"),
+    "orbit": (_cmd_orbit,
+              "forced-orbit trace until the branching region, a cycle, or the step limit"),
+    "count": (_cmd_count, "cardinality classification of the expansion set"),
+    "enumerate": (_cmd_enumerate, "expansions of the word's value, lexicographically sorted"),
+}
 
 
 def _cmd_verify(args) -> int:
@@ -339,15 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact arithmetic for binary expansions in non-integer bases.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    word_commands = {
-        "eval": "exact value and decimal of a word",
-        "region": "which region the word's value lies in",
-        "orbit": "forced-orbit trace until the branching region, a cycle, or the step limit",
-        "count": "cardinality classification of the expansion set",
-        "enumerate": "expansions of the word's value, lexicographically sorted",
-    }
     parser.commands = {name: sub.add_parser(name, parents=[common, word_common], help=text)
-                       for name, text in word_commands.items()}
+                       for name, (_, text) in _WORD_COMMANDS.items()}
     p_verify = parser.commands["verify"] = sub.add_parser(
         "verify", parents=[common], help="run verification checks")
     p_verify.add_argument("checks", nargs="*",
@@ -393,17 +379,13 @@ def main(argv=None) -> int:
             return _cmd_verify(args)
         field = _parse_field(args.field)
         limits = _limits(args)
-        if args.command == "eval":
-            return _cmd_eval(args, field)
-        _require_expansion_base(field, args.field)
-        if args.command == "region":
-            return _cmd_region(args, field)
-        if args.command == "orbit":
-            return _cmd_orbit(args, field, limits)
-        if args.command == "count":
-            return _cmd_count(args, field, limits)
-        # argparse admits only the six commands, so this one is enumerate
-        return _cmd_enumerate(args, field, limits)
+        # every word command but eval refuses a base outside (1, 2) before
+        # it reads the word
+        if args.command != "eval":
+            _require_expansion_base(field, args.field)
+        x = eval_word(parse_word(args.word), field)
+        handler, _ = _WORD_COMMANDS[args.command]
+        return handler(args, x + 1 if args.plus_one else x, limits)
     except (UsageError, WordSyntaxError, EmptyWordError, OutsideDomain,
             ReduciblePolynomial) as exc:
         print(f"betaforge: error: {exc}", file=sys.stderr)

@@ -19,6 +19,8 @@ Conventions shared by all checks:
 
 from __future__ import annotations
 
+import functools
+import inspect
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,23 +54,10 @@ from .words import (
 PASS = "pass"
 FAIL = "fail"
 
-# check id -> run(k_max, j_max), in the suite's own order; the check
-# functions are looked up when a check runs
-_PLAN = {
-    "constants": lambda k_max, j_max: check_constants(),
-    "two-point": lambda k_max, j_max: check_two_point(),
-    "counts-family": lambda k_max, j_max: check_counts_family(k_max),
-    "T1": lambda k_max, j_max: check_table("T1"),
-    "T2": lambda k_max, j_max: check_table("T2"),
-    "T3": lambda k_max, j_max: check_table("T3"),
-    "T4": lambda k_max, j_max: check_table("T4"),
-    "no-triple": lambda k_max, j_max: check_no_triple(),
-    "branch-families": lambda k_max, j_max: check_branch_families(k_max, j_max),
-    "orbit-identities": lambda k_max, j_max: check_orbit_identities(j_max),
-    "tail-bounds": lambda k_max, j_max: check_tail_bounds(),
-    "exceptional-rows": lambda k_max, j_max: check_exceptional_rows(),
-}
-CHECK_IDS = tuple(_PLAN)
+# check id -> (the name of its check function, the names of the arguments
+# run_all passes it), in the suite's own order; filled by ``_check``, and
+# run_all looks each function up by name when its check runs
+_PLAN: dict[str, tuple[str, tuple[str, ...]]] = {}
 
 PROFILES = {"quick": (8, 8), "full": (50, 50)}
 
@@ -109,16 +98,33 @@ class _Failure(Exception):
         self.witness = witness
 
 
-def _checked(check_id: str, body) -> CheckResult:
-    start = time.perf_counter()
-    try:
-        witness = body()
-        status = PASS
-    except _Failure as exc:
-        witness = exc.witness
-        status = FAIL
-    elapsed = time.perf_counter() - start
-    return CheckResult(check_id, status, witness, elapsed)
+def _check(*check_ids: str, params: tuple[str, ...] = ()):
+    """Make a check of a body that returns its witness text or raises
+    ``_Failure``: the check times the body and returns a CheckResult, FAIL
+    with the failure's witness if the body raised it.  Each of
+    ``check_ids`` joins ``_PLAN`` with ``params``, the names of the
+    arguments ``run_all`` passes: a profile bound, ``k_max`` or ``j_max``,
+    or ``check_id``, the id being run.  A check entered under several ids
+    takes its id as its one argument."""
+
+    def enter(body):
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> CheckResult:
+            start = time.perf_counter()
+            try:
+                status, witness = PASS, body(*args, **kwargs)
+            except _Failure as exc:
+                status, witness = FAIL, exc.witness
+            # one id, or the one argument of a check entered under several
+            (check_id,) = check_ids if len(check_ids) == 1 else (*args, *kwargs.values())
+            return CheckResult(check_id, status, witness, time.perf_counter() - start)
+
+        check.__signature__ = inspect.signature(body).replace(return_annotation="CheckResult")
+        for check_id in check_ids:
+            _PLAN[check_id] = (body.__name__, params)
+        return check
+
+    return enter
 
 
 def _require(cond: bool, witness: str) -> None:
@@ -147,7 +153,12 @@ def _orbit(text: str, field):
 
 def _specials(field):
     """The two double-expansion branch values."""
-    return _value(fixtures.EPS1, field), _value(fixtures.EPS3, field)
+    return tuple(eval_word(w, field) for w in _branch_words())
+
+
+def _branch_words() -> tuple[PeriodicWord, PeriodicWord]:
+    """The branch-value words EPS1 and EPS3, parsed from the fixtures."""
+    return parse_word(fixtures.EPS1), parse_word(fixtures.EPS3)
 
 
 def _branch_end(out, specials, label: str, interval=None) -> AlgebraicReal:
@@ -207,13 +218,10 @@ def _targets(q: AlgebraicReal) -> tuple[AlgebraicReal, AlgebraicReal]:
 # constants
 
 
-def check_constants() -> CheckResult:
+@_check("constants")
+def check_constants() -> str:
     """Base constants: decimal prints, defining relations, and the sign of
     q^6 - q^5 - 2q^4 + q^2 + q + 1 in the quartic base."""
-    return _checked("constants", _constants_body)
-
-
-def _constants_body() -> str:
     q2, qf, gold = q2_field(), qf_field(), golden_field()
     q, f, g = q2.q, qf.q, gold.q
 
@@ -245,16 +253,13 @@ def _constants_body() -> str:
 # the two double-expansion branch values
 
 
-def check_two_point() -> CheckResult:
+@_check("two-point")
+def check_two_point() -> str:
     """The only two branching-region values with exactly two expansions,
     their word pairs, and the reflection pairing between them."""
-    return _checked("two-point", _two_point_body)
-
-
-def _two_point_body() -> str:
     q2 = q2_field()
-    words = [parse_word(fixtures.EPS1), parse_word(fixtures.EPS2),
-             parse_word(fixtures.EPS3), parse_word(fixtures.EPS4)]
+    e1, e3 = _branch_words()
+    words = [e1, parse_word(fixtures.EPS2), e3, parse_word(fixtures.EPS4)]
     values = []
     for name, pair, cell in (("first", words[:2], fixtures.EPS1_VALUE_6),
                              ("second", words[2:], fixtures.EPS3_VALUE_6)):
@@ -304,15 +309,12 @@ def _family_member(k: int) -> PeriodicWord:
     return PeriodicWord((1,) + (0, 0, 0, 0) * (k - 1) + (0,), (1, 0))
 
 
-def check_counts_family(k_max: int = 8) -> CheckResult:
+@_check("counts-family", params=("k_max",))
+def check_counts_family(k_max: int = 8) -> str:
     """Exact expansion counts k = 1..k_max in the companion base, plus the
     countably infinite point 1/q and its first six expansions."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    return _checked("counts-family", lambda: _counts_family_body(k_max))
-
-
-def _counts_family_body(k_max: int) -> str:
     qf = qf_field()
     q = qf.q
     lo, _, _ = domain_bounds(qf)
@@ -362,14 +364,11 @@ def _counts_family_body(k_max: int) -> str:
 # iterate tables
 
 
-def check_table(table_id: str) -> CheckResult:
+@_check("T1", "T2", "T3", "T4", params=("check_id",))
+def check_table(table_id: str) -> str:
     """Reproduce one iterate table row by row at +/-1e-6."""
     if table_id not in fixtures.TABLES:
         raise ValueError(f"unknown table {table_id!r}")
-    return _checked(table_id, lambda: _table_body(table_id))
-
-
-def _table_body(table_id: str) -> str:
     q2 = q2_field()
     specials = _specials(q2)
     table = getattr(fixtures, fixtures.TABLES[table_id])
@@ -399,14 +398,11 @@ def _table_body(table_id: str) -> str:
 # no third expansion: the alternating family
 
 
-def check_no_triple() -> CheckResult:
+@_check("no-triple")
+def check_no_triple() -> str:
     """Rows k = 1..6 of the alternating family miss both double-expansion
     values, and the k >= 7 tail maps into an interval that excludes them --
     all as exact comparisons."""
-    return _checked("no-triple", _no_triple_body)
-
-
-def _no_triple_body() -> str:
     q2 = q2_field()
     specials = _specials(q2)
 
@@ -451,11 +447,6 @@ def family_word(name: str, k: int, j: int = 0) -> PeriodicWord:
     return _branch_member(name, k, j, _branch_words())
 
 
-def _branch_words() -> tuple[PeriodicWord, PeriodicWord]:
-    """The branch-value words EPS1 and EPS3, parsed from the fixtures."""
-    return parse_word(fixtures.EPS1), parse_word(fixtures.EPS3)
-
-
 def _branch_member(name: str, k: int, j: int, branches: tuple) -> PeriodicWord:
     """``family_word`` over the given ``_branch_words()``."""
     if name not in _FAMILY_SHAPES:
@@ -470,15 +461,12 @@ def _branch_member(name: str, k: int, j: int, branches: tuple) -> PeriodicWord:
     return branches[branch].with_prefix((0,) * k + block * j)
 
 
-def check_branch_families(k_max: int = 8, j_max: int = 8) -> CheckResult:
+@_check("branch-families", params=("k_max", "j_max"))
+def check_branch_families(k_max: int = 8, j_max: int = 8) -> str:
     """Every member of the four families has exactly two expansions and a
     branch graph whose single node is the family's branch value."""
     if k_max < 2 or j_max < 1:
         raise ValueError("k_max must be >= 2 and j_max >= 1")
-    return _checked("branch-families", lambda: _branch_families_body(k_max, j_max))
-
-
-def _branch_families_body(k_max: int, j_max: int) -> str:
     q2 = q2_field()
     specials = _specials(q2)
     checked = 0
@@ -520,16 +508,13 @@ def _branch_families_body(k_max: int, j_max: int) -> str:
 # orbit identities
 
 
-def check_orbit_identities(j_max: int = 8) -> CheckResult:
+@_check("orbit-identities", params=("j_max",))
+def check_orbit_identities(j_max: int = 8) -> str:
     """Four exact orbit identities collapsing the alternating families to two
     target values, the closed form behind them, and the symbolic cancellation
     certified by the factor q^4 - 2q^2 - q - 1."""
     if j_max < 3:
         raise ValueError("j_max must be >= 3")
-    return _checked("orbit-identities", lambda: _orbit_identities_body(j_max))
-
-
-def _orbit_identities_body(j_max: int) -> str:
     q2 = q2_field()
     q = q2.q
     specials = _specials(q2)
@@ -600,14 +585,11 @@ def _orbit_identities_body(j_max: int) -> str:
 # tail bounds for the deep members of the two-expansion families
 
 
-def check_tail_bounds() -> CheckResult:
+@_check("tail-bounds")
+def check_tail_bounds() -> str:
     """For each family, beyond the tabulated rows the first branching-region
     iterate lies in (q-1, T1(U)] which excludes both double-expansion values
     -- verified as exact endpoint comparisons with monotonicity witnesses."""
-    return _checked("tail-bounds", _tail_bounds_body)
-
-
-def _tail_bounds_body() -> str:
     q2 = q2_field()
     specials = _specials(q2)
     eps1, eps3 = fixtures.EPS1, fixtures.EPS3
@@ -639,14 +621,11 @@ def _tail_bounds_body() -> str:
 # the three parameter pairs outside the identities
 
 
-def check_exceptional_rows() -> CheckResult:
+@_check("exceptional-rows")
+def check_exceptional_rows() -> str:
     """The three starting values not covered by the orbit identities still
     reach the branching region away from both double-expansion values; two
     of them land exactly on the identity targets."""
-    return _checked("exceptional-rows", _exceptional_rows_body)
-
-
-def _exceptional_rows_body() -> str:
     q2 = q2_field()
     specials = _specials(q2)
     target_a, target_b = _targets(q2.q)
@@ -669,6 +648,9 @@ def _exceptional_rows_body() -> str:
             f"two land exactly on the identity targets")
 
 
+CHECK_IDS = tuple(_PLAN)
+
+
 # ---------------------------------------------------------------------------
 # runner
 
@@ -683,7 +665,12 @@ def run_all(profile: str = "quick", check_ids=None) -> list[CheckResult]:
     unknown = [c for c in check_ids if c not in _PLAN]
     if unknown:
         raise ValueError(f"unknown check ids: {', '.join(unknown)}")
-    results = [_PLAN[cid](*PROFILES[profile]) for cid in check_ids]
+    k_max, j_max = PROFILES[profile]
+    results = []
+    for check_id in check_ids:
+        name, params = _PLAN[check_id]
+        args = {"k_max": k_max, "j_max": j_max, "check_id": check_id}
+        results.append(globals()[name](*(args[p] for p in params)))
     return sorted(results, key=lambda r: r.check_id)
 
 

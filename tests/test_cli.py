@@ -499,10 +499,13 @@ _BASES_OUTSIDE_1_2 = ["poly:-1,1,1@1/2,7/10", "poly:-5,0,1@2,3"]
 @pytest.mark.parametrize("spec", _BASES_OUTSIDE_1_2)
 @pytest.mark.parametrize("command", ["region", "orbit", "count", "enumerate"])
 def test_base_outside_1_2_is_usage_error(capsys, spec, command):
-    code, out, err = run(capsys, command, "--field", spec, "1(0)*")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("betaforge: error:") and "outside (1, 2)" in err
+    # the malformed word '2' shows the order of the refusals: the base is
+    # checked before the word is read, except under eval, which takes any base
+    for word in ("1(0)*", "2"):
+        code, out, err = run(capsys, command, "--field", spec, word)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("betaforge: error:") and "outside (1, 2)" in err
 
 
 @pytest.mark.parametrize("spec, expected", zip(_BASES_OUTSIDE_1_2, ["1 + q / 1.618034\n",
@@ -510,6 +513,9 @@ def test_base_outside_1_2_is_usage_error(capsys, spec, command):
 def test_eval_accepts_any_base(capsys, spec, expected):
     # 1/q: q + 1 when q^2 = 1 - q, and q/5 when q^2 = 5
     assert run(capsys, "eval", "--field", spec, "1(0)*") == (0, expected, "")
+    # so eval reports a malformed word, where the other commands report the base
+    assert run(capsys, "eval", "--field", spec, "2") == (
+        2, "", "betaforge: error: unexpected character '2' (at position 0)\n")
 
 
 def test_csv_rejected_outside_orbit(capsys):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from betaforge import PeriodicWord, parse_word, verify
+from betaforge import PeriodicWord, deterministic_run, eval_word, parse_word, q2_field, verify
 from betaforge import fixtures
 from betaforge.numberfield import AlgebraicReal
 from betaforge.verify import (
@@ -171,6 +171,41 @@ def test_an_over_counting_prefix_oracle_fails_the_family_checks(monkeypatch):
     assert (branch.status, branch.witness) == (
         "fail", "e1 k=1 j=0: prefix oracle at depth 40 gives 3")
     assert (counts.status, counts.witness) == ("fail", "k=1: prefix oracle at depth 40 gives 2")
+
+
+def _swapped_targets(monkeypatch):
+    targets = verify._targets
+    monkeypatch.setattr(verify, "_targets", lambda q: targets(q)[::-1])
+
+
+def _last_digit_dropped(monkeypatch):
+    apply_digits = verify.apply_digits
+    monkeypatch.setattr(verify, "apply_digits",
+                        lambda x, digits: apply_digits(x, tuple(digits)[:-1]))
+
+
+def _first_row_final_as_branch_value(monkeypatch):
+    q2 = q2_field()
+    final = deterministic_run(eval_word(parse_word("00101(10)*"), q2) + 1).end.value
+    specials = verify._specials
+    monkeypatch.setattr(verify, "_specials", lambda field: (final, specials(field)[1]))
+
+
+@pytest.mark.parametrize("patch, check, witness", [
+    (_swapped_targets, check_exceptional_rows,
+     "second row final 0.5928259 != target 0.8143483"),
+    (_last_digit_dropped, lambda: check_orbit_identities(PROFILES["quick"][1]),
+     "first identity fails at j=3: 0.931126384 != 0.592825851"),
+    (_last_digit_dropped, check_exceptional_rows,
+     "first row final differs from the k=2 alternating row final"),
+    (_first_row_final_as_branch_value, check_exceptional_rows,
+     "00101(10)*: final value 0.734788 is a double-expansion value"),
+])
+def test_a_broken_helper_fails_its_check_with_the_whole_witness(monkeypatch, patch, check,
+                                                                witness):
+    patch(monkeypatch)
+    result = check()
+    assert (result.status, result.witness) == ("fail", witness)
 
 
 def test_passing_check_formats_no_decimal(monkeypatch):

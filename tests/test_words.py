@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from betaforge.branching import Cardinality, count_expansions
 from betaforge.numberfield import (
+    FILTER_BITS,
     AlgebraicReal,
     ReduciblePolynomial,
     define_field,
@@ -649,6 +650,25 @@ def test_region_on_a_reducible_polynomial_raises_only_at_a_tie(wall_time_limit):
     lo, hi, upper = domain_bounds(F)
     assert [region(v) for v in (F.zero, F.one / 2, lo, hi, upper, upper + 1)] == [
         Region.LOW, Region.LOW, Region.SWITCH, Region.SWITCH, Region.HIGH, Region.OUTSIDE]
+
+
+def test_region_of_a_long_greedy_prefix_of_the_upper_switch_bound(wall_time_limit):
+    # the first 2,000 greedy digits of 1/(q(q-1)) in q2, read as a finite
+    # word: a point about q^-2000 below the bound, so placing it escalates
+    # the sign well past the filter's precision.  Its cost grows with the
+    # prefix (a bit by bit bisection of the private bracket), so the digit
+    # count stays small here.
+    wall_time_limit(10)
+    G = define_field(q2_field().min_poly, q2_field().interval())
+    q = G.q
+    x, digits = 1 / (q * (q - 1)), []
+    for _ in range(2000):
+        x = q * x
+        digits.append(1 if x >= 1 else 0)
+        x -= digits[-1]
+    F = define_field(G.min_poly, G.interval())
+    assert region(eval_word(PeriodicWord(tuple(digits), (0,)), F)) is Region.SWITCH
+    assert max(F._fine) > FILTER_BITS
 
 
 # -- reflection ----------------------------------------------------------------
