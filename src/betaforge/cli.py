@@ -45,7 +45,7 @@ from .numberfield import (
     qf_field,
     to_decimal,
 )
-from .verify import PROFILES, render_records, render_text, run_all
+from .fixtures import PROFILES
 from .words import EmptyWordError, Region, WordSyntaxError, eval_word, parse_word, region
 
 # well inside Python's int-to-str limit (4300 digits), and a bound on the
@@ -280,6 +280,9 @@ _WORD_COMMANDS = {
 
 
 def _cmd_verify(args) -> int:
+    # the suite is imported here, so a word command never loads it
+    from .verify import render_records, render_text, run_all
+
     check_ids = args.checks or None
     if check_ids and "all" in check_ids:
         check_ids = None
@@ -305,27 +308,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     Its ``commands`` attribute maps each command name to the parser that
     ``add_parser`` returned for it, which sets ``command`` to that name.
-    ``main`` parses a call that names a command with that parser alone,
-    which yields the namespace this parser builds for the whole call; every
-    other call goes to this parser."""
+    Its ``word_table`` attribute is the table ``_scan`` reads, built from
+    the actions that ``add_argument`` returned for the word commands, which
+    every word command's parser holds.  See ``_parse_args`` for how a call
+    is routed."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", default="q2",
-                        help="base field: q2, qf, golden, or poly:coeffs@lo,hi "
-                             "(ascending integer coefficients, monic)")
-    common.add_argument("--digits", type=int, default=6,
-                        help=f"decimal digits to print (default 6, at most {MAX_DIGITS})")
-    common.add_argument("--format", default="text",
-                        choices=("text", "json", "csv"),
-                        help="output format (csv applies to orbit only)")
-    common.add_argument("--max-steps", dest="max_steps", type=int, default=None)
-    common.add_argument("--max-nodes", dest="max_nodes", type=int, default=None)
-    common.add_argument("--max-depth", dest="max_depth", type=int, default=None)
-    common.add_argument("--max-count", dest="max_count", type=int, default=None)
+    actions = [
+        common.add_argument("--field", default="q2",
+                            help="base field: q2, qf, golden, or poly:coeffs@lo,hi "
+                                 "(ascending integer coefficients, monic)"),
+        common.add_argument("--digits", type=int, default=6,
+                            help=f"decimal digits to print (default 6, at most {MAX_DIGITS})"),
+        common.add_argument("--format", default="text",
+                            choices=("text", "json", "csv"),
+                            help="output format (csv applies to orbit only)"),
+        common.add_argument("--max-steps", dest="max_steps", type=int, default=None),
+        common.add_argument("--max-nodes", dest="max_nodes", type=int, default=None),
+        common.add_argument("--max-depth", dest="max_depth", type=int, default=None),
+        common.add_argument("--max-count", dest="max_count", type=int, default=None),
+    ]
 
     word_common = argparse.ArgumentParser(add_help=False)
-    word_common.add_argument("word", help="binary word, e.g. '00(01)*' or '1(0000)^2 0(10)*'")
-    word_common.add_argument("--plus-one", dest="plus_one", action="store_true",
-                             help="add 1 to the word's value before the command runs")
+    actions += [
+        word_common.add_argument("word", help="binary word, e.g. '00(01)*' or '1(0000)^2 0(10)*'"),
+        word_common.add_argument("--plus-one", dest="plus_one", action="store_true",
+                                 help="add 1 to the word's value before the command runs"),
+    ]
 
     parser = argparse.ArgumentParser(
         prog="betaforge",
@@ -342,15 +350,62 @@ def build_parser() -> argparse.ArgumentParser:
                           help="parameter bounds: quick (k,j <= 8) or full (k,j <= 50)")
     for name, command in parser.commands.items():
         command.set_defaults(command=name)
+    parser.word_table = (
+        {option: action for action in actions for option in action.option_strings},
+        # the defaults argparse starts a namespace from, a string one passed
+        # through its action's type
+        {action.dest: (action.type(action.default)
+                       if action.type and isinstance(action.default, str) else action.default)
+         for action in actions if action.default is not argparse.SUPPRESS},
+    )
     return parser
 
 
+def _scan(argv: list[str], table) -> argparse.Namespace | None:
+    """The namespace of a word command's call, read left to right, or None
+    for any call outside the plain shape: an exact option string followed
+    by a value that does not begin with '-' and that the option's type and
+    choices accept, the --plus-one flag, and exactly one word."""
+    options, defaults = table
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = options.get(token)
+        if action is None:
+            if token[:1] == "-" or "word" in values:
+                return None
+            values["word"] = token
+        elif action.nargs == 0:
+            values[action.dest] = action.const
+        else:
+            text = next(tokens, "-")  # a missing value reads as "-" and is turned down
+            if text[:1] == "-":
+                return None
+            try:
+                value = action.type(text) if action.type else text
+            except (TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+    if "word" not in values:
+        return None
+    return argparse.Namespace(**{**defaults, "command": argv[0], **values})
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse a call in one argparse pass when its first argument names a
-    command: that command's parser reads the rest.  Everything else (no
-    arguments, top-level -h, an unknown command, arguments left over) goes
-    to the top-level parser, which reports it as it always has."""
+    """Parse a call.  A word command's call in the plain shape (see
+    ``_scan``) is read in one scan of the parser's word table, with no
+    argparse call.  Any other call that names a command is parsed in one
+    argparse pass by that command's parser.  Everything else (no arguments,
+    top-level -h, an unknown command, arguments left over), and every call
+    the scan or the command's parser turns down, goes to the top-level
+    parser, so every help, usage and error text is argparse's own."""
     parser = build_parser()
+    if argv and argv[0] in _WORD_COMMANDS:
+        args = _scan(argv, parser.word_table)
+        if args is not None:
+            return args
     command = parser.commands.get(argv[0]) if argv else None
     if command is not None:
         args, rest = command.parse_known_args(argv[1:])
@@ -361,8 +416,9 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     """Run one call (``sys.argv[1:]`` when argv is None) and return its exit
-    code.  A call that names a command is parsed once, by that command's
-    parser; see ``_parse_args``."""
+    code.  A word command's plain call is read by one scan, any other call
+    that names a command by that command's parser alone; see
+    ``_parse_args``."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse_args(argv)

@@ -130,3 +130,9 @@ TABLE_T4 = (
 
 TABLES = {"T1": "TABLE_T1", "T2": "TABLE_T2", "T3": "TABLE_T3",
           "T4": "TABLE_T4"}
+
+# -- profiles ----------------------------------------------------------------
+
+# verification profiles: profile -> (k_max, j_max), the largest k and j of
+# the parameter families the checks run
+PROFILES = {"quick": (8, 8), "full": (50, 50)}

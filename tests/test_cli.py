@@ -5,11 +5,17 @@ Exit code contract: 0 success, 1 verification failure, 2 usage error,
 """
 
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import betaforge
 from betaforge import (
     define_field,
     deterministic_run,
@@ -20,7 +26,7 @@ from betaforge import (
     region,
     to_decimal,
 )
-from betaforge.cli import MAX_DIGITS, _parse_args, _parse_field, build_parser, main
+from betaforge.cli import MAX_DIGITS, _parse_args, _parse_field, _scan, build_parser, main
 
 
 def run(capsys, *argv):
@@ -688,3 +694,80 @@ def test_main_reads_sys_argv_by_default(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["betaforge", "eval", "(0)*"])
     assert main() == 0
     assert capsys.readouterr().out == "0 / 0.000000\n"
+
+
+def test_a_word_command_does_not_load_the_verify_suite():
+    src = str(Path(betaforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, betaforge.cli; sys.exit(int('betaforge.verify' in sys.modules))"],
+        env=env, timeout=60)
+    assert child.returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# the scan of a word command's plain call
+
+
+# calls of a word command that the scan hands on to the command's parser,
+# and the exit code each gets
+DEFERRED_ARGVS = [
+    (["eval", "-h"], 0),
+    (["region", "--help"], 0),
+    (["eval", "--", "1(0)*"], 0),
+    (["eval", "-"], 2),
+    (["eval", "--dig", "9", "1(0)*"], 0),
+    (["eval", "--digits=9", "1(0)*"], 0),
+    (["eval", "--digits", "-5", "1(0)*"], 2),
+    (["eval", "--digits", "x", "1(0)*"], 2),
+    (["orbit", "--format", "xml", "(01)*"], 2),
+    (["count"], 2),
+    (["eval", "1(0)*", "0(1)*"], 2),
+]
+
+
+def test_only_a_call_the_scan_turns_down_reaches_a_command_parser(capsys, monkeypatch):
+    calls = []
+    for name, command in build_parser().commands.items():
+        def spy(args, *rest, _name=name, _parse=command.parse_known_args):
+            calls.append([_name, *args])
+            return _parse(args, *rest)
+        monkeypatch.setattr(command, "parse_known_args", spy)
+    for argv in COMMAND_ARGVS:
+        assert run(capsys, *argv)[0] == 0, argv
+    assert calls == [["verify", "constants"]]
+    for argv, code in DEFERRED_ARGVS:
+        calls.clear()
+        assert run(capsys, *argv)[0] == code, argv
+        # the command's parser reads it first; a call with a second word is
+        # read again through the top-level parser
+        assert calls[:1] == [argv], argv
+
+
+_OPTIONS = ("--field", "--digits", "--format", "--max-steps", "--max-nodes", "--max-depth",
+            "--max-count")
+# values an option may meet: ints that argparse's int() takes or refuses,
+# choices in and out of range, fields, the empty string
+_VALUES = ("6", "0", "-5", "+7", " 8 ", "\u0663", "1_0", "x", "text", "json", "csv", "xml",
+           "q2", "golden", "")
+_WORDS = ("1(0)*", "00(01)*", "")
+# tokens the scan turns down, or a second word
+_ODD = ("--fi", "--dig", "--form", "--max-s", "--max", "--plus", "--digits=9", "--format=json",
+        "--field=qf", "--plus-one=1", "-h", "--help", "--", "-") + _OPTIONS + _WORDS
+
+
+@settings(max_examples=400, deadline=None)
+@example(command="eval", parts=[("--digits", "9"), ("--digits", "12"), ("--format", "json")],
+         word="1(0)*", at=1)
+@given(command=st.sampled_from(("eval", "region", "orbit", "count", "enumerate")),
+       parts=st.lists(st.one_of(st.tuples(st.sampled_from(_OPTIONS), st.sampled_from(_VALUES)),
+                                st.just(("--plus-one",)), st.tuples(st.sampled_from(_ODD))),
+                      max_size=5),
+       word=st.sampled_from(_WORDS), at=st.integers(0, 5))
+def test_the_scan_builds_the_namespace_its_command_parser_builds(command, parts, word, at):
+    argv = [command, *(token for part in (*parts[:at], (word,), *parts[at:]) for token in part)]
+    args = _scan(argv, build_parser().word_table)
+    if args is not None:
+        parsed, rest = build_parser().commands[command].parse_known_args(argv[1:])
+        assert (vars(args), rest) == (vars(parsed), [])

@@ -2,13 +2,14 @@
 reference values, a corrupted value is caught and named, and the runner's
 selection, profiles, and report shapes behave as documented."""
 
+import dataclasses
 import json
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
-from betaforge import PeriodicWord, deterministic_run, eval_word, parse_word, q2_field, verify
+from betaforge import Cardinality, PeriodicWord, deterministic_run, eval_word, parse_word, q2_field, verify
 from betaforge import fixtures
 from betaforge.numberfield import AlgebraicReal
 from betaforge.verify import (
@@ -191,6 +192,26 @@ def _first_row_final_as_branch_value(monkeypatch):
     monkeypatch.setattr(verify, "_specials", lambda field: (final, specials(field)[1]))
 
 
+def _graph_changed(name, change):
+    # every branch graph the check builds gets change(graph) as its field name
+    def patch(monkeypatch):
+        build = verify.build_branch_graph
+
+        def changed(x):
+            graph = build(x)
+            return dataclasses.replace(graph, **{name: change(graph)})
+        monkeypatch.setattr(verify, "build_branch_graph", changed)
+    return patch
+
+
+def _classified_finite_3(monkeypatch):
+    monkeypatch.setattr(verify, "classify", lambda graph: Cardinality.finite(3))
+
+
+def _branch_families():
+    return check_branch_families(*PROFILES["quick"])
+
+
 @pytest.mark.parametrize("patch, check, witness", [
     (_swapped_targets, check_exceptional_rows,
      "second row final 0.5928259 != target 0.8143483"),
@@ -200,6 +221,14 @@ def _first_row_final_as_branch_value(monkeypatch):
      "first row final differs from the k=2 alternating row final"),
     (_first_row_final_as_branch_value, check_exceptional_rows,
      "00101(10)*: final value 0.734788 is a double-expansion value"),
+    (_graph_changed("truncated", lambda graph: True), _branch_families,
+     "e1 k=1 j=0: graph truncated"),
+    (_graph_changed("nodes", lambda graph: {**graph.nodes, -1: graph.start}), _branch_families,
+     "e1 k=1 j=0: 2 branch nodes, expected 1"),
+    (_graph_changed("root_segment", lambda graph: (*graph.root_segment[:-1],
+                                                 1 - graph.root_segment[-1])),
+     _branch_families, "e1 k=1 j=0: forced prefix differs from the word"),
+    (_classified_finite_3, _branch_families, "e1 k=1 j=0: classified Finite(3)"),
 ])
 def test_a_broken_helper_fails_its_check_with_the_whole_witness(monkeypatch, patch, check,
                                                                 witness):
