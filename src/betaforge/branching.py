@@ -57,10 +57,11 @@ listing of ``_listing`` by (max_count, max_depth), relative to s.  A
 point's listing is s's listing with the root segment prepended: canonical
 words are unique, so the prefixed word is the one a walk from x would
 build.  ``count_expansions`` classifies the graph ``build_branch_graph``
-assembles from the record (one element per node), and ``classify`` reads
-the count off the record that graph carries.  A listing is walked on the
-record itself, skipping the nodes that are not live, or read straight off
-it when it holds one: no listing assembles a graph.
+returns, which holds the record and builds each of its node, edge and
+terminal tables from it on that table's first read, and ``classify``
+reads the count off the record: a count builds no table.  A listing is
+walked on the record itself, skipping the nodes that are not live, or read
+straight off it when it holds one: no listing assembles a graph.
 
 The memos hold ints, bytes, tuples, ``Edge``, ``Cardinality`` and
 ``PeriodicWord`` records only, never an element or a graph, so a field is
@@ -249,8 +250,10 @@ class BranchGraph:
     """All switch points reachable from a start value, with forced segments
     on the edges and unique tails collected as terminals.  ``limit`` names
     the limit that first truncated the graph: "max_steps" or "max_nodes".
-    Treat a graph from ``build_branch_graph`` as read-only: ``classify``
-    answers it from the record it carries."""
+    A graph from ``build_branch_graph`` builds each of ``nodes``, ``edges``
+    and ``terminals`` from the record it carries on that table's first read,
+    as a fresh dict it then keeps, so a count builds none of them.  Treat
+    such a graph as read-only: ``classify`` answers it from its record."""
 
     field: BaseField
     start: AlgebraicReal
@@ -265,6 +268,22 @@ class BranchGraph:
     # the record of the graph below the root's end, for a graph that was built
     _below: _Below | None = dataclass_field(default=None, repr=False, compare=False)
 
+    def __getattr__(self, name: str):
+        # reached only for a name the instance lacks: a table not read yet
+        below = vars(self).get("_below")
+        if below is None or name not in ("nodes", "edges", "terminals"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}",
+                                 name=name, obj=self)
+        if name == "nodes":
+            field = self.field
+            table = {nid: AlgebraicReal(field, k[1:], k[0]) for nid, k in enumerate(below.keys)}
+        elif name == "edges":
+            table = {nid: {0: e0, 1: e1} for nid, (e0, e1) in enumerate(below.edges)}
+        else:
+            table = dict(enumerate(below.terminals))
+        vars(self)[name] = table
+        return table
+
 
 def build_branch_graph(
     x: AlgebraicReal,
@@ -273,10 +292,10 @@ def build_branch_graph(
 ) -> BranchGraph:
     """Breadth-first closure of the switch points reachable from x.
 
-    The graph is assembled from x's root segment and the record of the
-    graph below the root run's end (see ``_record``): the one the runs
-    alone would build, with the same node ids, edges, terminals and
-    limit."""
+    The graph is x's root segment and the record of the graph below the
+    root run's end (see ``_record``), whose tables it builds on first read:
+    the one the runs alone would build, with the same node ids, edges,
+    terminals and limit."""
     segment, below = _record(x, max_steps, max_nodes)
     return below.graph(x, segment)
 
@@ -345,16 +364,14 @@ class _Below:
 
     def graph(self, x: AlgebraicReal, segment: tuple[int, ...]) -> BranchGraph:
         """x's graph, for x whose root run forced ``segment`` and ended where
-        this record starts."""
-        field = x.field
-        return BranchGraph(
-            field=field, start=x, root_segment=segment,
-            root_kind=self.root[0], root_target=self.root[1],
-            nodes={nid: AlgebraicReal(field, k[1:], k[0]) for nid, k in enumerate(self.keys)},
-            edges={nid: {0: e0, 1: e1} for nid, (e0, e1) in enumerate(self.edges)},
-            terminals=dict(enumerate(self.terminals)),
-            truncated=self.limit is not None, limit=self.limit,
-            _below=self)
+        this record starts, with no table yet: each is built from this
+        record on its first read (see ``BranchGraph``)."""
+        graph = object.__new__(BranchGraph)
+        graph.__dict__ = {
+            "field": x.field, "start": x, "root_segment": segment,
+            "root_kind": self.root[0], "root_target": self.root[1],
+            "truncated": self.limit is not None, "limit": self.limit, "_below": self}
+        return graph
 
 
 def _grow(orbits: _Orbits, kind: Kind, end, max_steps: int, max_nodes: int) -> _Below:

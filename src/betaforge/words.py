@@ -17,8 +17,9 @@ the region of a point decides which branches keep it inside the domain:
 
 One rule tells low, switch and high apart: ``_region_rule``, which compares
 the raw numerators of a value over one denominator with the two switch
-bounds only, through integer thresholds it takes once per denominator.  The orbit kernel in ``branching`` places each value it steps
-with it, since every value the kernel makes lies in the domain.  ``region``
+bounds only, through integer thresholds it takes once per denominator.
+The orbit kernel in ``branching`` places each value it steps with it,
+since every value the kernel makes lies in the domain.  ``region``
 places any element: a point below 0 or above 1/(q-1) is outside, and any
 other goes to the same rule.
 """

@@ -1,6 +1,7 @@
 """Tests for orbit runs, branch graphs, cardinality classification,
 enumeration, and the independent prefix-count oracle."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -1082,10 +1083,14 @@ def test_memo_graphs_equal_cold_builds(name, words, defaults):
     caps = _KERNEL_CAPS[name] if defaults else _ACCEPTANCE_CAPS
     warm = define_field(*_KERNEL_FIELDS[name])
     for word in words + words:  # the second pass finds every graph stored
-        got = build_branch_graph(eval_word(word, warm), **caps)
-        assert _graph_form(got) == _cold_form(name, word, caps), str(word)
+        x = eval_word(word, warm)
+        got, twin = build_branch_graph(x, **caps), build_branch_graph(x, **caps)
+        cold = _cold_form(name, word, caps)
+        assert _graph_form(got) == cold, str(word)
         for table in (got.nodes, got.terminals, *got.edges.values(), got.edges):
             table.clear()  # a later graph that changes with it was aliased to this one
+        # two views of one record share no dict, and twin reads its tables only now
+        assert _graph_form(twin) == cold, str(word)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1461,3 +1466,92 @@ def test_listings_assemble_no_graph(text, argv, root_kind, monkeypatch, capsys):
     assert not calls
     assert build_branch_graph(x, **caps).root_kind is root_kind
     assert len(calls) == 1
+
+
+_TABLES = ("nodes", "edges", "terminals")
+
+
+def _eager(view):
+    """The graph of a view's record as ``BranchGraph`` holds it when built by
+    hand: every table filled at construction."""
+    below, field = view._below, view.field
+    return BranchGraph(
+        field=field, start=view.start, root_segment=view.root_segment,
+        root_kind=below.root[0], root_target=below.root[1],
+        nodes={nid: AlgebraicReal(field, k[1:], k[0]) for nid, k in enumerate(below.keys)},
+        edges={nid: {0: e0, 1: e1} for nid, (e0, e1) in enumerate(below.edges)},
+        terminals=dict(enumerate(below.terminals)),
+        truncated=below.limit is not None, limit=below.limit, _below=below)
+
+
+def _built_tables(graph):
+    return {name for name in _TABLES if name in vars(graph)}
+
+
+def test_a_count_builds_no_table(monkeypatch):
+    # a count whose record the answer memo holds reads the record's count:
+    # it builds no node element, and a graph builds a table on its first read
+    F = define_field(*_KERNEL_FIELDS["q2"])
+    points = [eval_word(word, F) for word in _MEMO_WORDS[::40]]
+    for x in points:
+        count_expansions(x, **_ACCEPTANCE_CAPS)
+    nodes = sum(len(build_branch_graph(x, **_ACCEPTANCE_CAPS).nodes) for x in points)
+    built = []
+    init = AlgebraicReal.__init__
+    monkeypatch.setattr(AlgebraicReal, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    for x in points:
+        count_expansions(x, **_ACCEPTANCE_CAPS)
+    # a root run that leaves its compiled filter reduces a value, never a node
+    assert len(built) < len(points) < nodes
+    x = points[-1]  # the root memo holds its run
+    built.clear()
+    assert count_expansions(x, **_ACCEPTANCE_CAPS).kind is branching.Count.LOWER_BOUND
+    graph = build_branch_graph(x, **_ACCEPTANCE_CAPS)
+    assert not built and not _built_tables(graph)
+    edges = graph.edges
+    assert not built and _built_tables(graph) == {"edges"}
+    assert len(graph.nodes) == len(edges) == len(built) > 0
+
+
+def _view_sample():
+    for make, caps, words in ((qf_field, {}, _MEMO_WORDS), (golden_field, {}, _MEMO_WORDS),
+                              (q2_field, _ACCEPTANCE_CAPS, _MEMO_WORDS[::40])):
+        F = make()
+        for word in words:
+            yield eval_word(word, F), caps
+
+
+def test_views_equal_eager_builds():
+    # each table is built on its own first read, equal to the eager one and
+    # kept; ==, repr and dataclasses.replace read every table
+    assert len(_MEMO_WORDS) == 1408
+    for x, caps in _view_sample():
+        eager = _eager(build_branch_graph(x, **caps))
+        for i in range(3):
+            order = _TABLES[i:] + _TABLES[:i]
+            view = build_branch_graph(x, **caps)
+            for n, name in enumerate(order):
+                table = getattr(view, name)
+                assert _built_tables(view) == set(order[:n + 1]), (str(x), order)
+                assert table == getattr(eager, name)
+                assert getattr(view, name) is table
+            assert view == eager and repr(view) == repr(eager), str(x)
+        view = build_branch_graph(x, **caps)
+        copy = dataclasses.replace(view, truncated=not view.truncated)
+        assert copy._below is view._below and _built_tables(copy) == set(_TABLES)
+        assert copy == dataclasses.replace(eager, truncated=not eager.truncated) != view
+        assert build_branch_graph(x, **caps) == eager
+        assert repr(build_branch_graph(x, **caps)) == repr(eager)
+
+
+def test_a_view_reads_only_its_three_tables():
+    x = eval_word(parse_word("1(0000)^1 0(10)*"), define_field(*_KERNEL_FIELDS["qf"]))
+    view, hand = build_branch_graph(x), BranchGraph(x.field, x, (), NODE, 0)
+    for graph in (view, hand):
+        with pytest.raises(AttributeError, match="'BranchGraph' object has no attribute 'node'"):
+            graph.node
+    assert hand.nodes == hand.edges == hand.terminals == {}
+    view.edges[0][0] = None  # a returned dict is the view's own, as when built eagerly
+    assert view.edges[0][0] is None and build_branch_graph(x).edges[0][0] is not None
+    assert classify(view) == Cardinality.finite(2)

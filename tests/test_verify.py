@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from betaforge import Cardinality, PeriodicWord, deterministic_run, eval_word, parse_word, q2_field, verify
+from betaforge import (Cardinality, PeriodicWord, Region, deterministic_run, eval_word, parse_word,
+                       q2_field, verify)
 from betaforge import fixtures
 from betaforge.numberfield import AlgebraicReal
 from betaforge.verify import (
@@ -208,8 +209,25 @@ def _classified_finite_3(monkeypatch):
     monkeypatch.setattr(verify, "classify", lambda graph: Cardinality.finite(3))
 
 
+def _region_low(monkeypatch):
+    monkeypatch.setattr(verify, "region", lambda x: Region.LOW)
+
+
+def _counted_as(answer):
+    # every count the check makes answers answer(the true count)
+    def patch(monkeypatch):
+        count = verify.count_expansions
+        monkeypatch.setattr(verify, "count_expansions",
+                            lambda x, **caps: answer(count(x, **caps)))
+    return patch
+
+
 def _branch_families():
     return check_branch_families(*PROFILES["quick"])
+
+
+def _counts_family():
+    return check_counts_family(PROFILES["quick"][0])
 
 
 @pytest.mark.parametrize("patch, check, witness", [
@@ -229,6 +247,15 @@ def _branch_families():
                                                  1 - graph.root_segment[-1])),
      _branch_families, "e1 k=1 j=0: forced prefix differs from the word"),
     (_classified_finite_3, _branch_families, "e1 k=1 j=0: classified Finite(3)"),
+    (_region_low, check_two_point, "0.645198 not in the branching region"),
+    (_counted_as(lambda c: Cardinality.finite(3)), check_two_point,
+     "count at first value: Finite(3), expected Finite(2)"),
+    (_counted_as(lambda c: Cardinality.finite(2)), check_two_point,
+     "0000(10)* is not uniquely expandable: Finite(2)"),
+    (_counted_as(lambda c: Cardinality.finite(3)), _counts_family,
+     "k=1: classified Finite(3), expected Finite(1)"),
+    (_counted_as(lambda c: Cardinality.continuum() if c == Cardinality.aleph0() else c),
+     _counts_family, "1(0)* classified Continuum, expected CountablyInfinite"),
 ])
 def test_a_broken_helper_fails_its_check_with_the_whole_witness(monkeypatch, patch, check,
                                                                 witness):
