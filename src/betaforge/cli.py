@@ -306,57 +306,47 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls
     (parsing never mutates it).
 
-    Its ``commands`` attribute maps each command name to the parser that
-    ``add_parser`` returned for it, which sets ``command`` to that name.
-    Its ``word_table`` attribute is the table ``_scan`` reads, built from
-    the actions that ``add_argument`` returned for the word commands, which
-    every word command's parser holds.  See ``_parse_args`` for how a call
-    is routed."""
-    common = argparse.ArgumentParser(add_help=False)
+    The five word commands share one parent parser's options; ``verify``
+    holds only ``--format``, ``--profile`` and its check ids.  The
+    parser's ``word_table`` attribute is the table ``_scan`` reads, built
+    from the actions that ``add_argument`` returned for the word
+    commands.  See ``_parse_args`` for how a call is routed."""
+    word = argparse.ArgumentParser(add_help=False)
     actions = [
-        common.add_argument("--field", default="q2",
-                            help="base field: q2, qf, golden, or poly:coeffs@lo,hi "
-                                 "(ascending integer coefficients, monic)"),
-        common.add_argument("--digits", type=int, default=6,
-                            help=f"decimal digits to print (default 6, at most {MAX_DIGITS})"),
-        common.add_argument("--format", default="text",
-                            choices=("text", "json", "csv"),
-                            help="output format (csv applies to orbit only)"),
-        common.add_argument("--max-steps", dest="max_steps", type=int, default=None),
-        common.add_argument("--max-nodes", dest="max_nodes", type=int, default=None),
-        common.add_argument("--max-depth", dest="max_depth", type=int, default=None),
-        common.add_argument("--max-count", dest="max_count", type=int, default=None),
-    ]
-
-    word_common = argparse.ArgumentParser(add_help=False)
-    actions += [
-        word_common.add_argument("word", help="binary word, e.g. '00(01)*' or '1(0000)^2 0(10)*'"),
-        word_common.add_argument("--plus-one", dest="plus_one", action="store_true",
-                                 help="add 1 to the word's value before the command runs"),
+        word.add_argument("--field", default="q2",
+                          help="base field: q2, qf, golden, or poly:coeffs@lo,hi "
+                               "(ascending integer coefficients, monic)"),
+        word.add_argument("--digits", type=int, default=6,
+                          help=f"decimal digits to print (default 6, at most {MAX_DIGITS})"),
+        word.add_argument("--format", default="text", choices=("text", "json", "csv"),
+                          help="output format (csv applies to orbit only)"),
+        word.add_argument("--max-steps", dest="max_steps", type=int, default=None),
+        word.add_argument("--max-nodes", dest="max_nodes", type=int, default=None),
+        word.add_argument("--max-depth", dest="max_depth", type=int, default=None),
+        word.add_argument("--max-count", dest="max_count", type=int, default=None),
+        word.add_argument("word", help="binary word, e.g. '00(01)*' or '1(0000)^2 0(10)*'"),
+        word.add_argument("--plus-one", dest="plus_one", action="store_true",
+                          help="add 1 to the word's value before the command runs"),
     ]
 
     parser = argparse.ArgumentParser(
         prog="betaforge",
         description="Exact arithmetic for binary expansions in non-integer bases.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    parser.commands = {name: sub.add_parser(name, parents=[common, word_common], help=text)
-                       for name, (_, text) in _WORD_COMMANDS.items()}
-    p_verify = parser.commands["verify"] = sub.add_parser(
-        "verify", parents=[common], help="run verification checks")
+    for name, (_, text) in _WORD_COMMANDS.items():
+        sub.add_parser(name, parents=[word], help=text)
+    p_verify = sub.add_parser("verify", help="run verification checks")
+    p_verify.add_argument("--format", default="text", choices=("text", "json"),
+                          help="output format")
     p_verify.add_argument("checks", nargs="*",
                           help="check ids to run (default: all)")
     p_verify.add_argument("--profile", default="quick", choices=sorted(PROFILES),
                           help="parameter bounds: quick (k,j <= 8) or full (k,j <= 50)")
-    for name, command in parser.commands.items():
-        command.set_defaults(command=name)
+    # the option strings of each action, and the defaults argparse starts a
+    # word command's namespace from
     parser.word_table = (
         {option: action for action in actions for option in action.option_strings},
-        # the defaults argparse starts a namespace from, a string one passed
-        # through its action's type
-        {action.dest: (action.type(action.default)
-                       if action.type and isinstance(action.default, str) else action.default)
-         for action in actions if action.default is not argparse.SUPPRESS},
+        {action.dest: action.default for action in actions},
     )
     return parser
 
@@ -396,29 +386,18 @@ def _scan(argv: list[str], table) -> argparse.Namespace | None:
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse a call.  A word command's call in the plain shape (see
     ``_scan``) is read in one scan of the parser's word table, with no
-    argparse call.  Any other call that names a command is parsed in one
-    argparse pass by that command's parser.  Everything else (no arguments,
-    top-level -h, an unknown command, arguments left over), and every call
-    the scan or the command's parser turns down, goes to the top-level
+    argparse call.  Every other call (no arguments, -h, an unknown command,
+    ``verify``, and every call the scan turns down) goes to the top-level
     parser, so every help, usage and error text is argparse's own."""
     parser = build_parser()
-    if argv and argv[0] in _WORD_COMMANDS:
-        args = _scan(argv, parser.word_table)
-        if args is not None:
-            return args
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, rest = command.parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return parser.parse_args(argv)
+    args = _scan(argv, parser.word_table) if argv and argv[0] in _WORD_COMMANDS else None
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:
     """Run one call (``sys.argv[1:]`` when argv is None) and return its exit
     code.  A word command's plain call is read by one scan, any other call
-    that names a command by that command's parser alone; see
-    ``_parse_args``."""
+    by argparse; see ``_parse_args``."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse_args(argv)
@@ -427,12 +406,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
+        if args.command == "verify":
+            return _cmd_verify(args)
         if not 1 <= args.digits <= MAX_DIGITS:
             raise UsageError(f"--digits must be between 1 and {MAX_DIGITS}")
         if args.format == "csv" and args.command != "orbit":
             raise UsageError("csv output is only available for the orbit command")
-        if args.command == "verify":
-            return _cmd_verify(args)
         field = _parse_field(args.field)
         limits = _limits(args)
         # every word command but eval refuses a base outside (1, 2) before

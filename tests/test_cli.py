@@ -4,6 +4,7 @@ Exit code contract: 0 success, 1 verification failure, 2 usage error,
 3 a resource limit cut the computation short.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -641,31 +642,69 @@ def test_shared_parser_matches_a_fresh_one(argv):
     assert shared.format_help() == fresh.format_help()
 
 
+_WORD_OPTIONS = ["-h", "--help", "--field", "--digits", "--format", "--max-steps", "--max-nodes",
+                 "--max-depth", "--max-count", "--plus-one"]
+
+
+def test_each_command_holds_the_options_its_help_shows():
+    # option strings and positional names, in order, without argparse's
+    # wording of the help text, which differs across Python versions
+    (commands,) = (action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    assert {name: ([option for action in command._actions for option in action.option_strings],
+                   [action.dest for action in command._actions if not action.option_strings])
+            for name, command in commands.items()} == {
+        **{name: (_WORD_OPTIONS, ["word"])
+           for name in ("eval", "region", "orbit", "count", "enumerate")},
+        "verify": (["-h", "--help", "--format", "--profile"], ["checks"]),
+    }
+    assert list(commands) == ["eval", "region", "orbit", "count", "enumerate", "verify"]
+
+
+@pytest.mark.parametrize("option, value, error", [
+    ("--field", "qf", "unrecognized arguments: --field"),
+    ("--digits", "9", "unrecognized arguments: --digits"),
+    ("--max-steps", "5", "unrecognized arguments: --max-steps"),
+    ("--format", "csv", "argument --format: invalid choice: 'csv'"),
+])
+def test_verify_refuses_what_only_a_word_command_reads(capsys, option, value, error):
+    code, out, err = run(capsys, "verify", option, value, "constants")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: betaforge") and error in err
+
+
 # ---------------------------------------------------------------------------
-# routing a call to its command's parser
+# routing a call: the scan, or else the top-level parser
 
 
-def test_a_named_command_is_parsed_once_by_its_own_parser(capsys, monkeypatch):
+def _spy_on_the_top_level_parser(monkeypatch) -> list:
+    """The argv of every call that reaches the top-level parser."""
     parser = build_parser()
     calls = []
-    parse_known_args = parser.parse_known_args
+    parse_args = parser.parse_args
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return parse_known_args(*args, **kwargs)
+    def spy(args, *rest):
+        calls.append(list(args))
+        return parse_args(args, *rest)
 
-    monkeypatch.setattr(parser, "parse_known_args", spy)
+    monkeypatch.setattr(parser, "parse_args", spy)
+    return calls
+
+
+def test_only_verify_and_what_names_no_command_reach_the_top_level_parser(capsys, monkeypatch):
+    calls = _spy_on_the_top_level_parser(monkeypatch)
     for argv in COMMAND_ARGVS:
         assert run(capsys, *argv)[0] == 0, argv
-    assert calls == []
-    # what names no command still reaches the top-level parser
+    # the word commands' plain calls are read by the scan alone
+    assert calls == [["verify", "constants"]]
+    # what names no command reaches the top-level parser, once each
     code, out, _ = run(capsys, "--help")
     assert code == 0 and "verify" in out
     code, _, err = run(capsys)
     assert code == 2 and "usage" in err
     code, _, err = run(capsys, "frobnicate", "1(0)*")
     assert code == 2 and "invalid choice" in err
-    assert len(calls) == 3
+    assert calls == [["verify", "constants"], ["--help"], [], ["frobnicate", "1(0)*"]]
 
 
 @pytest.mark.parametrize("argv", SHARED_PARSER_ARGVS + COMMAND_ARGVS)
@@ -710,8 +749,8 @@ def test_a_word_command_does_not_load_the_verify_suite():
 # the scan of a word command's plain call
 
 
-# calls of a word command that the scan hands on to the command's parser,
-# and the exit code each gets
+# calls of a word command that the scan hands on to argparse, and the exit
+# code each gets
 DEFERRED_ARGVS = [
     (["eval", "-h"], 0),
     (["region", "--help"], 0),
@@ -727,22 +766,15 @@ DEFERRED_ARGVS = [
 ]
 
 
-def test_only_a_call_the_scan_turns_down_reaches_a_command_parser(capsys, monkeypatch):
-    calls = []
-    for name, command in build_parser().commands.items():
-        def spy(args, *rest, _name=name, _parse=command.parse_known_args):
-            calls.append([_name, *args])
-            return _parse(args, *rest)
-        monkeypatch.setattr(command, "parse_known_args", spy)
-    for argv in COMMAND_ARGVS:
-        assert run(capsys, *argv)[0] == 0, argv
-    assert calls == [["verify", "constants"]]
+def test_only_a_call_the_scan_turns_down_reaches_the_top_level_parser(capsys, monkeypatch):
+    # a plain call reaches no parser
+    # (test_only_verify_and_what_names_no_command_reach_the_top_level_parser)
+    calls = _spy_on_the_top_level_parser(monkeypatch)
     for argv, code in DEFERRED_ARGVS:
         calls.clear()
         assert run(capsys, *argv)[0] == code, argv
-        # the command's parser reads it first; a call with a second word is
-        # read again through the top-level parser
-        assert calls[:1] == [argv], argv
+        # read once, by the top-level parser alone
+        assert calls == [argv], argv
 
 
 _OPTIONS = ("--field", "--digits", "--format", "--max-steps", "--max-nodes", "--max-depth",
@@ -765,9 +797,9 @@ _ODD = ("--fi", "--dig", "--form", "--max-s", "--max", "--plus", "--digits=9", "
                                 st.just(("--plus-one",)), st.tuples(st.sampled_from(_ODD))),
                       max_size=5),
        word=st.sampled_from(_WORDS), at=st.integers(0, 5))
-def test_the_scan_builds_the_namespace_its_command_parser_builds(command, parts, word, at):
+def test_the_scan_builds_the_namespace_the_top_level_parser_builds(command, parts, word, at):
     argv = [command, *(token for part in (*parts[:at], (word,), *parts[at:]) for token in part)]
     args = _scan(argv, build_parser().word_table)
     if args is not None:
-        parsed, rest = build_parser().commands[command].parse_known_args(argv[1:])
-        assert (vars(args), rest) == (vars(parsed), [])
+        # parse_args exits on any argument it leaves over
+        assert vars(args) == vars(build_parser().parse_args(argv))

@@ -18,6 +18,7 @@ from betaforge.verify import (
     CheckResult,
     PROFILES,
     check_branch_families,
+    check_constants,
     check_counts_family,
     check_exceptional_rows,
     check_no_triple,
@@ -162,12 +163,16 @@ def test_corrupted_branch_word_fails_checks_without_raising(monkeypatch):
     assert str(family_word("e1", 1)) == "0001(10)*"
 
 
-def test_an_over_counting_prefix_oracle_fails_the_family_checks(monkeypatch):
-    # each witness names the first member the oracle is asked about, the
-    # depth and the count it gave
+def _over_counting_prefix_oracle(monkeypatch):
     oracle = verify.viable_prefix_counts
     monkeypatch.setattr(verify, "viable_prefix_counts",
                         lambda x, depth: [c + 1 for c in oracle(x, depth)])
+
+
+def test_an_over_counting_prefix_oracle_fails_the_family_checks(monkeypatch):
+    # each witness names the first member the oracle is asked about, the
+    # depth and the count it gave
+    _over_counting_prefix_oracle(monkeypatch)
     branch = check_branch_families(*PROFILES["quick"])
     counts = check_counts_family(PROFILES["quick"][0])
     assert (branch.status, branch.witness) == (
@@ -222,6 +227,41 @@ def _counted_as(answer):
     return patch
 
 
+def _empty_tail_interval(monkeypatch):
+    # every tail interval (q-1, T1(U)] shrinks to (q-1, q-1]
+    tail_interval = verify._tail_interval
+    monkeypatch.setattr(verify, "_tail_interval",
+                        lambda *args: (tail_interval(*args)[0],) * 2)
+
+
+def _first_branch_value_twice(monkeypatch):
+    specials = verify._specials
+    monkeypatch.setattr(verify, "_specials", lambda field: (specials(field)[0],) * 2)
+
+
+def _targets_as_branch_values(monkeypatch):
+    monkeypatch.setattr(verify, "_specials", lambda field: verify._targets(field.q))
+
+
+def _sign_flipped(monkeypatch):
+    sign = AlgebraicReal.sign
+    monkeypatch.setattr(AlgebraicReal, "sign", lambda x: -sign(x))
+
+
+def _switch_floor_at_q(monkeypatch):
+    # the branching region's lower end 1/q moved up to q, above every value
+    bounds = verify.domain_bounds
+    monkeypatch.setattr(verify, "domain_bounds", lambda field: (field.q, *bounds(field)[1:]))
+
+
+def _power_changed(exponent):
+    # x**n computes x**exponent(n)
+    def patch(monkeypatch):
+        power = AlgebraicReal.__pow__
+        monkeypatch.setattr(AlgebraicReal, "__pow__", lambda x, n: power(x, exponent(n)))
+    return patch
+
+
 def _branch_families():
     return check_branch_families(*PROFILES["quick"])
 
@@ -230,10 +270,14 @@ def _counts_family():
     return check_counts_family(PROFILES["quick"][0])
 
 
+def _orbit_identities():
+    return check_orbit_identities(PROFILES["quick"][1])
+
+
 @pytest.mark.parametrize("patch, check, witness", [
     (_swapped_targets, check_exceptional_rows,
      "second row final 0.5928259 != target 0.8143483"),
-    (_last_digit_dropped, lambda: check_orbit_identities(PROFILES["quick"][1]),
+    (_last_digit_dropped, _orbit_identities,
      "first identity fails at j=3: 0.931126384 != 0.592825851"),
     (_last_digit_dropped, check_exceptional_rows,
      "first row final differs from the k=2 alternating row final"),
@@ -256,6 +300,25 @@ def _counts_family():
      "k=1: classified Finite(3), expected Finite(1)"),
     (_counted_as(lambda c: Cardinality.continuum() if c == Cardinality.aleph0() else c),
      _counts_family, "1(0)* classified Continuum, expected CountablyInfinite"),
+    (_region_low, check_tail_bounds,
+     "00000000001(10)*: final value left the branching region"),
+    (_empty_tail_interval, check_tail_bounds,
+     "00000000001(10)*: final value 0.7194427 outside (q-1, T1(U)]"),
+    (_first_branch_value_twice, check_tail_bounds,
+     "zeros+e1, k>=7: T1(U) 0.7546889 not below the second branch value"),
+    (_sign_flipped, check_constants,
+     "sign(q^6-q^5-2q^4+q^2+q+1) = 1 in the quartic base, expected -1"),
+    (_switch_floor_at_q, _counts_family,
+     "k=2: member value 0.598733 not above 1/q, the first digit is not forced"),
+    (_over_counting_prefix_oracle, lambda: check_table("T1"),
+     "T1 row 0(01)*: prefix oracle at depth 40 != 1"),
+    (_region_low, _orbit_identities, "target A 0.592826 not in the branching region"),
+    (_targets_as_branch_values, _orbit_identities,
+     "target A equals a double-expansion branch value"),
+    # past the cube a power loses a factor; a negative exponent loses its sign
+    (_power_changed(lambda n: n - 1 if n > 3 else n), _orbit_identities,
+     "closed form fails at j=1"),
+    (_power_changed(abs), _orbit_identities, "cancellation expression nonzero at j=1"),
 ])
 def test_a_broken_helper_fails_its_check_with_the_whole_witness(monkeypatch, patch, check,
                                                                 witness):
