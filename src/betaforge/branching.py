@@ -57,8 +57,8 @@ listing of ``_listing`` by (max_count, max_depth), relative to s.  A
 point's listing is s's listing with the root segment prepended: canonical
 words are unique, so the prefixed word is the one a walk from x would
 build.  ``count_expansions`` classifies the graph ``build_branch_graph``
-returns, which holds the record and builds each of its node, edge and
-terminal tables from it on that table's first read, and ``classify``
+returns, a read-only view of the record that builds each of its node,
+edge and terminal tables on that table's first read, and ``classify``
 reads the count off the record: a count builds no table.  A listing is
 walked on the record itself, skipping the nodes that are not live, or read
 straight off it when it holds one: no listing assembles a graph.
@@ -75,6 +75,7 @@ oracle stays an independent check of the graphs.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
@@ -245,44 +246,35 @@ class Edge(NamedTuple):
     target: int | None
 
 
-@dataclass
 class BranchGraph:
     """All switch points reachable from a start value, with forced segments
     on the edges and unique tails collected as terminals.  ``limit`` names
     the limit that first truncated the graph: "max_steps" or "max_nodes".
-    A graph from ``build_branch_graph`` builds each of ``nodes``, ``edges``
-    and ``terminals`` from the record it carries on that table's first read,
-    as a fresh dict it then keeps, so a count builds none of them.  Treat
-    such a graph as read-only: ``classify`` answers it from its record."""
 
-    field: BaseField
-    start: AlgebraicReal
-    root_segment: tuple[int, ...]
-    root_kind: Kind
-    root_target: int | None
-    nodes: dict[int, AlgebraicReal] = dataclass_field(default_factory=dict)
-    edges: dict[int, dict[int, Edge]] = dataclass_field(default_factory=dict)
-    terminals: dict[int, PeriodicWord] = dataclass_field(default_factory=dict)
-    truncated: bool = False
-    limit: str | None = None
-    # the record of the graph below the root's end, for a graph that was built
-    _below: _Below | None = dataclass_field(default=None, repr=False, compare=False)
+    A read-only view of the record of the graph below x's root run (see
+    ``_record``), as ``build_branch_graph`` returns it: each of ``nodes``,
+    ``edges`` and ``terminals`` is built from the record on that table's
+    first read, as a fresh dict the view then keeps, so a count builds none
+    of them.  ``classify`` answers the view from its record."""
 
-    def __getattr__(self, name: str):
-        # reached only for a name the instance lacks: a table not read yet
-        below = vars(self).get("_below")
-        if below is None or name not in ("nodes", "edges", "terminals"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}",
-                                 name=name, obj=self)
-        if name == "nodes":
-            field = self.field
-            table = {nid: AlgebraicReal(field, k[1:], k[0]) for nid, k in enumerate(below.keys)}
-        elif name == "edges":
-            table = {nid: {0: e0, 1: e1} for nid, (e0, e1) in enumerate(below.edges)}
-        else:
-            table = dict(enumerate(below.terminals))
-        vars(self)[name] = table
-        return table
+    def __init__(self, x: AlgebraicReal, segment: tuple[int, ...], below: _Below):
+        self.field, self.start, self.root_segment = x.field, x, segment
+        self.root_kind, self.root_target = below.root
+        self.truncated, self.limit = below.limit is not None, below.limit
+        self._below = below
+
+    @functools.cached_property
+    def nodes(self) -> dict[int, AlgebraicReal]:
+        field = self.field
+        return {nid: AlgebraicReal(field, k[1:], k[0]) for nid, k in enumerate(self._below.keys)}
+
+    @functools.cached_property
+    def edges(self) -> dict[int, dict[int, Edge]]:
+        return {nid: {0: e0, 1: e1} for nid, (e0, e1) in enumerate(self._below.edges)}
+
+    @functools.cached_property
+    def terminals(self) -> dict[int, PeriodicWord]:
+        return dict(enumerate(self._below.terminals))
 
 
 def build_branch_graph(
@@ -292,12 +284,11 @@ def build_branch_graph(
 ) -> BranchGraph:
     """Breadth-first closure of the switch points reachable from x.
 
-    The graph is x's root segment and the record of the graph below the
-    root run's end (see ``_record``), whose tables it builds on first read:
-    the one the runs alone would build, with the same node ids, edges,
-    terminals and limit."""
-    segment, below = _record(x, max_steps, max_nodes)
-    return below.graph(x, segment)
+    The graph is a view of x's root segment and the record of the graph
+    below the root run's end (see ``_record``), whose tables it builds on
+    first read: the one the runs alone would build, with the same node ids,
+    edges, terminals and limit."""
+    return BranchGraph(x, *_record(x, max_steps, max_nodes))
 
 
 def _record(x: AlgebraicReal, max_steps: int, max_nodes: int) -> tuple[tuple[int, ...], _Below]:
@@ -362,17 +353,6 @@ class _Below:
     kept: bool = False
     listings: dict[tuple[int, int], tuple] = dataclass_field(default_factory=dict)
 
-    def graph(self, x: AlgebraicReal, segment: tuple[int, ...]) -> BranchGraph:
-        """x's graph, for x whose root run forced ``segment`` and ended where
-        this record starts, with no table yet: each is built from this
-        record on its first read (see ``BranchGraph``)."""
-        graph = object.__new__(BranchGraph)
-        graph.__dict__ = {
-            "field": x.field, "start": x, "root_segment": segment,
-            "root_kind": self.root[0], "root_target": self.root[1],
-            "truncated": self.limit is not None, "limit": self.limit, "_below": self}
-        return graph
-
 
 def _grow(orbits: _Orbits, kind: Kind, end, max_steps: int, max_nodes: int) -> _Below:
     """The graph below a root run that ended as (kind, end), with ``end`` in
@@ -431,7 +411,7 @@ def _grow(orbits: _Orbits, kind: Kind, end, max_steps: int, max_nodes: int) -> _
         edges.append(tuple(out))
     return _Below(root, tuple(keys), tuple(edges),
                   tuple(PeriodicWord((), cycle) for cycle in terminal_ids), limit,
-                  *_answer(*root, edges, limit is not None, limit))
+                  *_answer(*root, edges, limit))
 
 
 # ---------------------------------------------------------------------------
@@ -487,24 +467,16 @@ class Cardinality:
 
 def classify(graph: BranchGraph) -> Cardinality:
     """Cardinality of the expansion set encoded by a branch graph: the count
-    of the record that a graph from ``build_branch_graph`` carries, and for
-    any other graph the same pass (``_answer``) over a copy of its edges with
-    the node ids relabelled by position."""
-    if graph._below is not None:
-        return graph._below.count
-    ids = {nid: i for i, nid in enumerate(graph.edges)}
-    edges = [[e._replace(target=ids[e.target]) if e.kind is NODE else e for e in out.values()]
-             for out in graph.edges.values()]
-    root = ids[graph.root_target] if graph.root_kind is NODE else graph.root_target
-    return _answer(graph.root_kind, root, edges, graph.truncated, graph.limit)[0]
+    that one pass (``_answer``) read off its record as the record grew."""
+    return graph._below.count
 
 
 def _answer(root_kind: Kind, root: int | None, edges: Sequence[Sequence[Edge]],
-            truncated: bool, limit: str | None) -> tuple[Cardinality, bytes]:
+            limit: str | None) -> tuple[Cardinality, bytes]:
     """The cardinality of the graph whose root resolves as (root_kind,
-    root), with ``edges[v]`` the out-edges of node v, truncated by ``limit``
-    or not; and, by node id, 1 for each node from which some path of edges
-    ends in a terminal edge.
+    root), with ``edges[v]`` the out-edges of node v (node ids 0..n-1),
+    truncated by ``limit`` (None for a complete graph); and, by node id, 1
+    for each node from which some path of edges ends in a terminal edge.
 
     One iterative Tarjan pass: components close sinks-first, so every edge
     that leaves a component leads into a closed one, and each component's
@@ -577,7 +549,7 @@ def _answer(root_kind: Kind, root: int | None, edges: Sequence[Sequence[Edge]],
         count = Cardinality.finite(1)
     elif root_kind is LIMIT:
         count = Cardinality.lower_bound(1, limit)
-    elif truncated:
+    elif limit is not None:
         count = Cardinality.lower_bound(floor[root], limit)
     elif rich:
         count = Cardinality.continuum()

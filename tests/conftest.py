@@ -206,8 +206,9 @@ def enclosure(x, width=None):
         twin.refine(8)
 
 
-# Tarjan on a graph's own dicts, keyed by its node ids: the reference for
-# ``branching.classify``, which works on lists indexed by node id
+# Tarjan on a graph's dict tables, keyed by its node ids (a ``BranchGraph``'s,
+# or any record with its root_kind, root_target, edges, truncated and limit):
+# the reference for ``branching._answer``, which works on lists by node id
 def _node_adjacency(graph: BranchGraph) -> dict[int, list[int]]:
     return {
         nid: [e.target for e in out.values() if e.kind is NODE]

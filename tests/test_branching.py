@@ -1,7 +1,7 @@
 """Tests for orbit runs, branch graphs, cardinality classification,
 enumeration, and the independent prefix-count oracle."""
 
-import dataclasses
+import copy
 import functools
 import itertools
 import math
@@ -9,6 +9,7 @@ import operator
 import random
 from collections import deque
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -279,23 +280,20 @@ def test_lower_bound_names_its_limit():
 
 
 # ---------------------------------------------------------------------------
-# classification on hand-built graphs
+# classification of edge lists by the component pass
 
 
-def _graph(root_kind, root_target, edges, terminals=None, truncated=False, limit=None):
-    F = q2_field()
-    return BranchGraph(
-        field=F,
-        start=F.one,
-        root_segment=(),
-        root_kind=root_kind,
-        root_target=root_target,
-        nodes={nid: F.one for nid in edges},
-        edges=edges,
-        terminals=terminals or {},
-        truncated=truncated,
-        limit=limit,
-    )
+def _classified(root_kind, root_target, edges, limit=None):
+    """The count of ``_answer`` for the graph whose node v (ids 0..n-1) has
+    the out-edges ``edges[v]``, truncated by ``limit`` or complete, held to
+    the dict reference's count on the same graph as eager tables."""
+    got = branching._answer(root_kind, root_target, edges, limit)[0]
+    eager = SimpleNamespace(root_kind=root_kind, root_target=root_target,
+                            edges={nid: {e.digit: e for e in out} for nid, out in enumerate(edges)},
+                            truncated=limit is not None, limit=limit)
+    want = reference_cardinality(eager)
+    assert (got, got.limit) == (want, want.limit)
+    return got
 
 
 def _edge(digit, kind, target):
@@ -303,65 +301,56 @@ def _edge(digit, kind, target):
 
 
 def test_classify_terminal_root():
-    g = _graph(TERMINAL, 0, {}, terminals={0: parse_word("(0)*")})
-    assert classify(g) == Cardinality.finite(1)
+    assert _classified(TERMINAL, 0, []) == Cardinality.finite(1)
 
 
 def test_classify_limit_root():
-    g = _graph(LIMIT, None, {}, truncated=True)
-    assert classify(g) == Cardinality.lower_bound(1)
+    assert _classified(LIMIT, None, [], "max_steps") == Cardinality.lower_bound(1)
 
 
 def test_classify_truncated_floor_counts_unresolved_edges():
-    edges = {0: {0: _edge(0, LIMIT, None), 1: _edge(1, LIMIT, None)}}
-    g = _graph(NODE, 0, edges, truncated=True)
-    assert classify(g) == Cardinality.lower_bound(2)
+    edges = [(_edge(0, LIMIT, None), _edge(1, LIMIT, None))]
+    assert _classified(NODE, 0, edges, "max_nodes") == Cardinality.lower_bound(2)
 
 
 def test_classify_truncated_floor_counts_closed_component_once():
     # node 1 loops on itself twice and never exits: its points still have
     # an expansion, so it adds one to the floor, not zero
-    edges = {
-        0: {0: _edge(0, LIMIT, None), 1: _edge(1, NODE, 1)},
-        1: {0: _edge(0, NODE, 1), 1: _edge(1, NODE, 1)},
-    }
-    g = _graph(NODE, 0, edges, truncated=True)
-    assert classify(g) == Cardinality.lower_bound(2)
+    edges = [
+        (_edge(0, LIMIT, None), _edge(1, NODE, 1)),
+        (_edge(0, NODE, 1), _edge(1, NODE, 1)),
+    ]
+    assert _classified(NODE, 0, edges, "max_steps") == Cardinality.lower_bound(2)
 
 
 def test_classify_two_cycle_is_aleph0():
-    edges = {
-        0: {0: _edge(0, NODE, 1), 1: _edge(1, TERMINAL, 0)},
-        1: {0: _edge(0, TERMINAL, 1), 1: _edge(1, NODE, 0)},
-    }
-    terminals = {0: parse_word("(0)*"), 1: parse_word("(1)*")}
-    g = _graph(NODE, 0, edges, terminals=terminals)
-    assert classify(g) == Cardinality.aleph0()
+    edges = [
+        (_edge(0, NODE, 1), _edge(1, TERMINAL, 0)),
+        (_edge(0, TERMINAL, 1), _edge(1, NODE, 0)),
+    ]
+    assert _classified(NODE, 0, edges) == Cardinality.aleph0()
 
 
 def test_classify_double_self_loop_is_continuum():
-    edges = {0: {0: _edge(0, NODE, 0), 1: _edge(1, NODE, 0)}}
-    g = _graph(NODE, 0, edges)
-    assert classify(g) == Cardinality.continuum()
+    edges = [(_edge(0, NODE, 0), _edge(1, NODE, 0))]
+    assert _classified(NODE, 0, edges) == Cardinality.continuum()
 
 
 def test_classify_dag_counts_paths():
-    t = parse_word("(0)*")
-    edges = {
-        0: {0: _edge(0, NODE, 1), 1: _edge(1, NODE, 2)},
-        1: {0: _edge(0, TERMINAL, 0), 1: _edge(1, TERMINAL, 0)},
-        2: {0: _edge(0, TERMINAL, 0), 1: _edge(1, NODE, 1)},
-    }
-    g = _graph(NODE, 0, edges, terminals={0: t})
-    assert classify(g) == Cardinality.finite(5)
+    edges = [
+        (_edge(0, NODE, 1), _edge(1, NODE, 2)),
+        (_edge(0, TERMINAL, 0), _edge(1, TERMINAL, 0)),
+        (_edge(0, TERMINAL, 0), _edge(1, NODE, 1)),
+    ]
+    assert _classified(NODE, 0, edges) == Cardinality.finite(5)
 
 
 @st.composite
 def _random_graphs(draw):
-    """A graph of at most 10 nodes, numbered by distinct ids in any order:
-    each out-edge leads to any node, the one terminal or a limit; truncated
-    or not; any root kind."""
-    ids = draw(st.lists(st.integers(0, 40), unique=True, max_size=10))
+    """A graph of at most 10 nodes, with ids 0..n-1: each out-edge leads to
+    any node, the one terminal or a limit; truncated by either limit or not;
+    any root kind."""
+    ids = range(draw(st.integers(0, 10)))
     kinds = st.sampled_from((NODE, TERMINAL, LIMIT) if ids else (TERMINAL, LIMIT))
     targets = {NODE: st.sampled_from(ids), TERMINAL: st.just(0), LIMIT: st.none()}
 
@@ -369,19 +358,16 @@ def _random_graphs(draw):
         kind = draw(kinds)
         return _edge(digit, kind, draw(targets[kind]))
 
-    edges = {nid: {0: edge(0), 1: edge(1)} for nid in ids}
+    edges = [(edge(0), edge(1)) for _ in ids]
     root_kind = draw(kinds)
-    return _graph(root_kind, draw(targets[root_kind]), edges,
-                  terminals={0: parse_word("(0)*")}, truncated=draw(st.booleans()),
-                  limit=draw(st.sampled_from((None, "max_steps", "max_nodes"))))
+    return (root_kind, draw(targets[root_kind]), edges,
+            draw(st.sampled_from((None, "max_steps", "max_nodes"))))
 
 
 @settings(max_examples=400, deadline=None)
 @given(_random_graphs())
 def test_classify_matches_the_dict_reference(graph):
-    want = reference_cardinality(graph)
-    got = classify(graph)
-    assert (got, got.limit) == (want, want.limit)
+    _classified(*graph)
 
 
 @pytest.mark.parametrize("cut, want", [
@@ -389,23 +375,17 @@ def test_classify_matches_the_dict_reference(graph):
     (LIMIT, Cardinality.lower_bound(5)),
     (NODE, Cardinality.continuum()),
 ])
-def test_classify_reads_any_node_ids(cut, want):
+def test_classify_cut_dag(cut, want):
     # the DAG of test_classify_dag_counts_paths, then with one terminal edge
-    # cut by a limit or led back to the root (one SCC of four inner edges),
-    # under the ids 7, 3, 11 and under 0, 1, 2
-    def graph(a, b, c):
-        last = {None: _edge(1, TERMINAL, 0), LIMIT: _edge(1, LIMIT, None),
-                NODE: _edge(1, NODE, a)}[cut]
-        edges = {
-            a: {0: _edge(0, NODE, b), 1: _edge(1, NODE, c)},
-            b: {0: _edge(0, TERMINAL, 0), 1: last},
-            c: {0: _edge(0, TERMINAL, 0), 1: _edge(1, NODE, b)},
-        }
-        return _graph(NODE, a, edges, terminals={0: parse_word("(0)*")},
-                      truncated=cut is LIMIT)
-
-    assert classify(graph(7, 3, 11)) == classify(graph(0, 1, 2)) == want
-    assert reference_cardinality(graph(7, 3, 11)) == want
+    # cut by a limit or led back to the root (one SCC of four inner edges)
+    last = {None: _edge(1, TERMINAL, 0), LIMIT: _edge(1, LIMIT, None),
+            NODE: _edge(1, NODE, 0)}[cut]
+    edges = [
+        (_edge(0, NODE, 1), _edge(1, NODE, 2)),
+        (_edge(0, TERMINAL, 0), last),
+        (_edge(0, TERMINAL, 0), _edge(1, NODE, 1)),
+    ]
+    assert _classified(NODE, 0, edges, "max_steps" if cut is LIMIT else None) == want
 
 
 def test_edge_is_an_immutable_named_tuple():
@@ -708,8 +688,8 @@ def _ref_run(x, max_steps):
 def _ref_graph(x, max_steps, max_nodes):
     node_ids, terminal_ids, queue = {}, {}, deque()
     run0 = _ref_run(x, max_steps)
-    graph = BranchGraph(field=x.field, start=x, root_segment=run0.segment,
-                        root_kind="", root_target=None)
+    graph = SimpleNamespace(root_segment=run0.segment, root_kind="", root_target=None,
+                            nodes={}, edges={}, terminals={}, truncated=False, limit=None)
 
     def truncate(limit):
         if not graph.truncated:
@@ -851,10 +831,13 @@ def test_prefix_counts_match_the_level_walk_at_every_depth(name, text, case):
 
 
 def _kernel_answers(x, caps, depth):
-    """Run, graph and prefix counts from the kernel; OutsideDomain as a value."""
+    """Run, graph (its field, start and tables) and prefix counts from the
+    kernel; OutsideDomain as a value."""
     try:
-        return (deterministic_run(x, max_steps=caps["max_steps"]),
-                build_branch_graph(x, **caps), viable_prefix_counts(x, depth))
+        run = deterministic_run(x, max_steps=caps["max_steps"])
+        graph = build_branch_graph(x, **caps)
+        return (run, (graph.field, graph.start, _graph_form(graph)),
+                viable_prefix_counts(x, depth))
     except OutsideDomain as exc:
         return str(exc)
 
@@ -862,7 +845,7 @@ def _kernel_answers(x, caps, depth):
 def _reference_answers(x, caps, depth):
     try:
         return (_ref_run(x, caps["max_steps"]),
-                _ref_graph(x, caps["max_steps"], caps["max_nodes"]),
+                (x.field, x, _graph_form(_ref_graph(x, caps["max_steps"], caps["max_nodes"]))),
                 _ref_prefix_counts(x, depth))
     except OutsideDomain as exc:
         return str(exc)
@@ -1125,7 +1108,7 @@ def test_warm_memo_runs_only_the_root(monkeypatch):
     assert cold.nodes and len(calls) == 1 + 2 * len(cold.nodes)
     # a repeated point reads its root run from the root memo
     calls.clear()
-    assert build_branch_graph(x) == cold
+    assert _graph_form(build_branch_graph(x)) == _graph_form(cold)
     assert count_expansions(x) == Cardinality.finite(3)
     assert not calls
     # x / q forces one 0 and then runs on from x: a new point whose first
@@ -1432,11 +1415,11 @@ def test_lower_step_budgets_replace_no_stored_run():
 
 
 def _counted_graphs(monkeypatch):
-    """The arguments of every ``_Below.graph`` call from now on."""
+    """The arguments of every ``BranchGraph`` made from now on."""
     calls = []
-    graph = branching._Below.graph
-    monkeypatch.setattr(branching._Below, "graph",
-                        lambda self, *args: calls.append(args) or graph(self, *args))
+    init = branching.BranchGraph.__init__
+    monkeypatch.setattr(branching.BranchGraph, "__init__",
+                        lambda self, *args: calls.append(args) or init(self, *args))
     return calls
 
 
@@ -1472,16 +1455,15 @@ _TABLES = ("nodes", "edges", "terminals")
 
 
 def _eager(view):
-    """The graph of a view's record as ``BranchGraph`` holds it when built by
-    hand: every table filled at construction."""
+    """The graph of a view's record as eager tables, every one filled at
+    once."""
     below, field = view._below, view.field
-    return BranchGraph(
-        field=field, start=view.start, root_segment=view.root_segment,
-        root_kind=below.root[0], root_target=below.root[1],
+    return SimpleNamespace(
+        root_segment=view.root_segment, root_kind=below.root[0], root_target=below.root[1],
         nodes={nid: AlgebraicReal(field, k[1:], k[0]) for nid, k in enumerate(below.keys)},
         edges={nid: {0: e0, 1: e1} for nid, (e0, e1) in enumerate(below.edges)},
         terminals=dict(enumerate(below.terminals)),
-        truncated=below.limit is not None, limit=below.limit, _below=below)
+        truncated=below.limit is not None, limit=below.limit)
 
 
 def _built_tables(graph):
@@ -1524,34 +1506,39 @@ def _view_sample():
 
 def test_views_equal_eager_builds():
     # each table is built on its own first read, equal to the eager one and
-    # kept; ==, repr and dataclasses.replace read every table
+    # kept; a copy of a view shares its record and only the tables read
     assert len(_MEMO_WORDS) == 1408
     for x, caps in _view_sample():
         eager = _eager(build_branch_graph(x, **caps))
+        form = _graph_form(eager)
         for i in range(3):
             order = _TABLES[i:] + _TABLES[:i]
             view = build_branch_graph(x, **caps)
+            assert view.field is x.field and view.start is x
             for n, name in enumerate(order):
                 table = getattr(view, name)
                 assert _built_tables(view) == set(order[:n + 1]), (str(x), order)
                 assert table == getattr(eager, name)
                 assert getattr(view, name) is table
-            assert view == eager and repr(view) == repr(eager), str(x)
+            assert _graph_form(view) == form, str(x)
         view = build_branch_graph(x, **caps)
-        copy = dataclasses.replace(view, truncated=not view.truncated)
-        assert copy._below is view._below and _built_tables(copy) == set(_TABLES)
-        assert copy == dataclasses.replace(eager, truncated=not eager.truncated) != view
-        assert build_branch_graph(x, **caps) == eager
-        assert repr(build_branch_graph(x, **caps)) == repr(eager)
+        twin = copy.copy(view)
+        twin.truncated = not view.truncated
+        assert twin._below is view._below and not _built_tables(twin)
+        eager.truncated = not eager.truncated
+        assert _graph_form(twin) == _graph_form(eager) != _graph_form(view)
+        assert _built_tables(twin) == _built_tables(view) == set(_TABLES)
+        assert all(getattr(twin, name) is not getattr(view, name) for name in _TABLES)
+        assert _graph_form(build_branch_graph(x, **caps)) == form
 
 
 def test_a_view_reads_only_its_three_tables():
     x = eval_word(parse_word("1(0000)^1 0(10)*"), define_field(*_KERNEL_FIELDS["qf"]))
-    view, hand = build_branch_graph(x), BranchGraph(x.field, x, (), NODE, 0)
-    for graph in (view, hand):
-        with pytest.raises(AttributeError, match="'BranchGraph' object has no attribute 'node'"):
-            graph.node
-    assert hand.nodes == hand.edges == hand.terminals == {}
-    view.edges[0][0] = None  # a returned dict is the view's own, as when built eagerly
+    view = build_branch_graph(x)
+    with pytest.raises(AttributeError, match="'BranchGraph' object has no attribute 'node'"):
+        view.node
+    with pytest.raises(TypeError):  # a graph is a view of a record, never built by hand
+        BranchGraph(x.field, x, (), NODE, 0)
+    view.edges[0][0] = None  # a returned dict is the view's own
     assert view.edges[0][0] is None and build_branch_graph(x).edges[0][0] is not None
     assert classify(view) == Cardinality.finite(2)

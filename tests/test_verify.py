@@ -2,7 +2,7 @@
 reference values, a corrupted value is caught and named, and the runner's
 selection, profiles, and report shapes behave as documented."""
 
-import dataclasses
+import copy
 import json
 from decimal import Decimal
 from pathlib import Path
@@ -204,8 +204,9 @@ def _graph_changed(name, change):
         build = verify.build_branch_graph
 
         def changed(x):
-            graph = build(x)
-            return dataclasses.replace(graph, **{name: change(graph)})
+            graph = copy.copy(build(x))
+            setattr(graph, name, change(graph))
+            return graph
         monkeypatch.setattr(verify, "build_branch_graph", changed)
     return patch
 
