@@ -1,4 +1,5 @@
-"""Every listing or count of ``betaforge`` over the small canonical words.
+"""Every listing, count, value, region or orbit of ``betaforge`` over the
+small canonical words.
 
 For each canonical word with preperiod <= 3 and period <= 3, on qf and
 golden (default limits) and on q2 (--max-steps 250 --max-nodes 64), this
@@ -6,15 +7,23 @@ prints the word, the exit code, and what ``main([command, ...])`` wrote to
 stdout and stderr, in process.  The command is the first argument:
 ``enumerate`` (the default) lists each word's expansions; ``count`` prints
 ``count --format json`` for each word, then for the word's value plus one;
-``eval`` prints ``eval --format json --digits 30`` the same two ways.
-demos/expected/enumerate.txt, count.txt and eval.txt hold the output, which
-CI diffs against, so a change to the listings, their order, the counts,
-their kinds and limits, the completeness they report, or a word's exact
-value and its decimal shows up line by line:
+``eval`` prints ``eval --format json --digits 30`` the same two ways;
+``region`` prints ``region`` in text and JSON, each with and without
+``--plus-one``; ``orbit`` prints ``orbit`` in text, JSON and CSV, each with
+and without ``--plus-one``, then in JSON with ``--max-steps 3``, which ends
+most runs at the step limit (exit 3).  Each header names the arguments
+that tell the command's variants apart.  demos/expected/enumerate.txt,
+count.txt, eval.txt, region.txt and orbit.txt hold the output, which CI
+diffs against, so a change to the listings, their order, the counts, their
+kinds and limits, the completeness they report, a word's exact value and
+its decimal, its region, or its orbit and how the orbit ends shows up line
+by line:
 
     PYTHONPATH=src python demos/enumerate_listings.py | diff demos/expected/enumerate.txt -
     PYTHONPATH=src python demos/enumerate_listings.py count | diff demos/expected/count.txt -
     PYTHONPATH=src python demos/enumerate_listings.py eval | diff demos/expected/eval.txt -
+    PYTHONPATH=src python demos/enumerate_listings.py region | diff demos/expected/region.txt -
+    PYTHONPATH=src python demos/enumerate_listings.py orbit | diff demos/expected/orbit.txt -
 """
 
 import contextlib
@@ -37,6 +46,10 @@ VARIANTS = {
     "count": (("--format", "json"), ("--format", "json", "--plus-one")),
     "eval": (("--format", "json", "--digits", "30"),
              ("--format", "json", "--digits", "30", "--plus-one")),
+    "region": ((), ("--plus-one",), ("--format", "json"), ("--format", "json", "--plus-one")),
+    "orbit": ((), ("--plus-one",), ("--format", "json"), ("--format", "json", "--plus-one"),
+              ("--format", "csv"), ("--format", "csv", "--plus-one"),
+              ("--format", "json", "--max-steps", "3")),
 }
 
 
@@ -64,12 +77,15 @@ def main_text(argv: list[str]) -> tuple[int, str, str]:
 def run(command: str = "enumerate") -> None:
     os.environ.pop("BETAFORGE_LIMITS", None)
     words = canonical_words()
+    variants = VARIANTS[command]
+    # the header leaves out the arguments that every variant starts with
+    shared = len(os.path.commonprefix(variants))
     for spec, caps in RUNS:
         for w in words:
-            for extra in VARIANTS[command]:
+            for extra in variants:
                 code, out, err = main_text([command, str(w), "--field", spec, *caps, *extra])
-                plus = " --plus-one" if "--plus-one" in extra else ""
-                print(f"== {spec} {w}{plus} exit {code}")
+                label = "".join(f" {arg}" for arg in extra[shared:])
+                print(f"== {spec} {w}{label} exit {code}")
                 print(out, end="")
                 for line in err.splitlines():
                     print(f"stderr: {line}")
