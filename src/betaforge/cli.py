@@ -1,14 +1,17 @@
 """Command-line front end.
 
-Subcommands: eval, region, orbit, count, enumerate, verify.  Exit codes:
+Subcommands: eval, region, orbit, count, enumerate, verify.  Each command
+returns its answer; ``main`` alone writes: the answer to stdout, and to
+stderr only the note of an incomplete answer or an error.  Exit codes:
 0 success (and every verification check passed); 1 a verification check
 failed; 2 usage error (bad flags, malformed word or field spec, a field
 spec past its size caps, malformed BETAFORGE_LIMITS, a base outside (1, 2)
-for any command but eval, or a defining polynomial found reducible by a
-comparison); 3 the answer is incomplete: a resource limit cut the
-computation short (step budget exhausted, truncated branch graph,
-enumeration depth or count; count and enumerate name that limit on stderr
-and as "limit" in JSON), or enumerate skipped branches from which no unique
+for any command but eval, a defining polynomial found reducible by a
+comparison, or an eval value with a coefficient past Python's int-to-str
+limit); 3 the answer is incomplete: a resource limit cut the computation
+short (step budget exhausted, truncated branch graph, enumeration depth or
+count; count and enumerate name that limit in their text answer's note and
+as "limit" in JSON), or enumerate skipped branches from which no unique
 tail can be reached.
 """
 
@@ -169,37 +172,37 @@ def _limits(args) -> dict:
     return limits
 
 
-def _print_record(args, **record) -> None:
-    """Print a word command's JSON record, which opens with the word and
-    whether 1 was added to its value."""
-    print(json.dumps({"word": args.word, "plus_one": args.plus_one, **record}))
-
-
 # ---------------------------------------------------------------------------
 # subcommands: each word command runs on the word's value x (plus 1 under
-# --plus-one) and returns its exit code
+# --plus-one) and, like verify, returns (exit code, output, note): output is
+# a JSON record, the text to print or None, and note is the stderr line of
+# an incomplete answer or None.  main writes both.
 
 
-def _cmd_eval(args, x, limits) -> int:
+def _incomplete(limit: str | None) -> str | None:
+    """The note of an answer that ``limit`` cut short, or None for no limit."""
+    return limit and f"# incomplete: the {limit} limit was reached"
+
+
+def _cmd_eval(args, x, limits):
+    try:
+        exact = [str(c) for c in x.coeffs] if args.format == "json" else str(x)
+    except ValueError:  # str() refuses an int longer than Python's int-to-str limit
+        raise UsageError("the word's value has a coefficient past Python's int-to-str limit")
     if args.format == "json":
-        _print_record(args, field=_field_record(x.field, args.field),
-                      coeffs=[str(c) for c in x.coeffs],
-                      decimal=to_decimal(x, args.digits), digits=args.digits)
-    else:
-        print(f"{x} / {to_decimal(x, args.digits)}")
-    return 0
+        return 0, {"field": _field_record(x.field, args.field), "coeffs": exact,
+                   "decimal": to_decimal(x, args.digits), "digits": args.digits}, None
+    return 0, f"{exact} / {to_decimal(x, args.digits)}\n", None
 
 
-def _cmd_region(args, x, limits) -> int:
+def _cmd_region(args, x, limits):
     reg = region(x)
     if args.format == "json":
-        _print_record(args, decimal=to_decimal(x, args.digits), region=str(reg))
-    else:
-        print(str(reg))
-    return 0
+        return 0, {"decimal": to_decimal(x, args.digits), "region": str(reg)}, None
+    return 0, f"{reg}\n", None
 
 
-def _cmd_orbit(args, x, limits) -> int:
+def _cmd_orbit(args, x, limits):
     out = deterministic_run(x, max_steps=limits["max_steps"])
     # a forced digit names its region; only where the run stopped needs one
     regions = [Region.LOW if d == 0 else Region.HIGH for d in out.segment]
@@ -219,53 +222,39 @@ def _cmd_orbit(args, x, limits) -> int:
         end_rec = {"kind": "step_limit", "steps": end.steps}
 
     if args.format == "json":
-        _print_record(args, steps=[{"step": s, "digit": d, "decimal": dec, "region": reg}
-                                   for s, d, dec, reg in rows],
-                      end=end_rec)
-    elif args.format == "csv":
+        return code, {"steps": [{"step": s, "digit": d, "decimal": dec, "region": reg}
+                                for s, d, dec, reg in rows],
+                      "end": end_rec}, None
+    if args.format == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["step", "digit", "decimal", "region"])
-        for s, d, dec, reg in rows:
-            writer.writerow([s, "" if d is None else d, dec, reg])
-        sys.stdout.write(buf.getvalue())
-    else:
-        parts = []
-        for _, d, dec, _ in rows:
-            parts.append(dec)
-            if d is not None:
-                parts.append(f"→{d}")
-        print(" ".join(parts + [tag]))
-    return code
+        csv.writer(buf).writerows([("step", "digit", "decimal", "region"),
+                                   *((s, "" if d is None else d, dec, reg)
+                                     for s, d, dec, reg in rows)])
+        return code, buf.getvalue(), None
+    trace = " ".join(dec if d is None else f"{dec} →{d}" for _, d, dec, _ in rows)
+    return code, f"{trace} {tag}\n", None
 
 
-def _cmd_count(args, x, limits) -> int:
+def _cmd_count(args, x, limits):
     card = count_expansions(x, max_steps=limits["max_steps"], max_nodes=limits["max_nodes"])
+    code = 3 if card.kind is Count.LOWER_BOUND else 0
     if args.format == "json":
-        _print_record(args, cardinality={"kind": card.kind, "count": card.count},
-                      display=str(card), limit=card.limit)
-    else:
-        print(str(card))
-        if card.limit:
-            print(f"# incomplete: the {card.limit} limit was reached", file=sys.stderr)
-    return 3 if card.kind is Count.LOWER_BOUND else 0
+        return code, {"cardinality": {"kind": card.kind, "count": card.count},
+                      "display": str(card), "limit": card.limit}, None
+    return code, f"{card}\n", _incomplete(card.limit)
 
 
-def _cmd_enumerate(args, x, limits) -> int:
+def _cmd_enumerate(args, x, limits):
     found, complete, limit = _listing(x, limits["max_count"], limits["max_depth"],
                                       limits["max_steps"], limits["max_nodes"])
     words = sorted(found)
+    code = 0 if complete else 3
     if args.format == "json":
-        _print_record(args, expansions=[str(w) for w in words], complete=complete, limit=limit)
-    else:
-        for w in words:
-            print(str(w))
-        if limit:
-            print(f"# incomplete: the {limit} limit was reached", file=sys.stderr)
-        elif not complete:
-            print("# incomplete: branches with no reachable unique tail were skipped",
-                  file=sys.stderr)
-    return 0 if complete else 3
+        return code, {"expansions": [str(w) for w in words], "complete": complete,
+                      "limit": limit}, None
+    note = _incomplete(limit) or (
+        None if complete else "# incomplete: branches with no reachable unique tail were skipped")
+    return code, "".join(f"{w}\n" for w in words), note
 
 
 # word command -> (its handler, its help text)
@@ -279,7 +268,7 @@ _WORD_COMMANDS = {
 }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     # the suite is imported here, so a word command never loads it
     from .verify import render_records, render_text, run_all
 
@@ -290,11 +279,10 @@ def _cmd_verify(args) -> int:
         results = run_all(args.profile, check_ids)
     except ValueError as exc:
         raise UsageError(str(exc))
+    code = 0 if all(r.passed for r in results) else 1
     if args.format == "json":
-        print(json.dumps(render_records(results, profile=args.profile)))
-    else:
-        print(render_text(results))
-    return 0 if all(r.passed for r in results) else 1
+        return code, render_records(results, profile=args.profile), None
+    return code, render_text(results) + "\n", None
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +383,10 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    """Run one call (``sys.argv[1:]`` when argv is None) and return its exit
-    code.  A word command's plain call is read by one scan, any other call
-    by argparse; see ``_parse_args``."""
+    """Run one call (``sys.argv[1:]`` when argv is None), write its output
+    to stdout and its note or error to stderr, and return its exit code.  A
+    word command's plain call is read by one scan, any other call by
+    argparse; see ``_parse_args``."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse_args(argv)
@@ -407,24 +396,35 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "verify":
-            return _cmd_verify(args)
-        if not 1 <= args.digits <= MAX_DIGITS:
-            raise UsageError(f"--digits must be between 1 and {MAX_DIGITS}")
-        if args.format == "csv" and args.command != "orbit":
-            raise UsageError("csv output is only available for the orbit command")
-        field = _parse_field(args.field)
-        limits = _limits(args)
-        # every word command but eval refuses a base outside (1, 2) before
-        # it reads the word
-        if args.command != "eval":
-            _require_expansion_base(field, args.field)
-        x = eval_word(parse_word(args.word), field)
-        handler, _ = _WORD_COMMANDS[args.command]
-        return handler(args, x + 1 if args.plus_one else x, limits)
+            code, output, note = _cmd_verify(args)
+        else:
+            if not 1 <= args.digits <= MAX_DIGITS:
+                raise UsageError(f"--digits must be between 1 and {MAX_DIGITS}")
+            if args.format == "csv" and args.command != "orbit":
+                raise UsageError("csv output is only available for the orbit command")
+            field = _parse_field(args.field)
+            limits = _limits(args)
+            # every word command but eval refuses a base outside (1, 2) before
+            # it reads the word
+            if args.command != "eval":
+                _require_expansion_base(field, args.field)
+            x = eval_word(parse_word(args.word), field)
+            handler, _ = _WORD_COMMANDS[args.command]
+            code, output, note = handler(args, x + 1 if args.plus_one else x, limits)
+            if isinstance(output, dict):
+                # a word command's record opens with the word and whether 1
+                # was added to its value
+                output = {"word": args.word, "plus_one": args.plus_one, **output}
     except (UsageError, WordSyntaxError, EmptyWordError, OutsideDomain,
             ReduciblePolynomial) as exc:
-        print(f"betaforge: error: {exc}", file=sys.stderr)
-        return 2
+        code, output, note = 2, None, f"betaforge: error: {exc}"
+    if isinstance(output, dict):
+        output = json.dumps(output) + "\n"
+    if output:
+        sys.stdout.write(output)
+    if note:
+        print(note, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

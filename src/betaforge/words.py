@@ -26,9 +26,9 @@ other goes to the same rule.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
-from operator import ge, gt, le, lt
 from typing import Callable, Iterable, Sequence
 
 from .numberfield import AlgebraicReal, BaseField, _compile_place, _reduced
@@ -76,36 +76,7 @@ def _validate_digits(digits: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-def _stream_order(op: Callable[[tuple, tuple], bool]):
-    """The comparison ``op`` of two words as digit streams.
-
-    Cut to the shorter preperiod's length n, the two preperiods are prefixes
-    of both streams, so where they differ they decide.  Their digits n - 1
-    are checked first: when those differ, the whole preperiods differ within
-    their first n digits too, and are compared with no slice.  When the cut
-    preperiods are equal, past both of them the streams are periodic, with
-    periods p and r.  By Fine and Wilf (1965), a word of length
-    p + r - gcd(p, r) with periods p and r has period gcd(p, r); so two such
-    streams that agree on that many digits agree everywhere, and their first
-    digits up to that horizon decide."""
-
-    def compare(self, other):
-        if not isinstance(other, PeriodicWord):
-            return NotImplemented
-        a, b = self.preperiod, other.preperiod
-        n = len(a) if len(a) < len(b) else len(b)
-        if n and a[n - 1] != b[n - 1]:
-            return op(a, b)
-        a, b = a[:n], b[:n]
-        if a == b:
-            p, r = len(self.period), len(other.period)
-            h = max(len(self.preperiod), len(other.preperiod)) + p + r - math.gcd(p, r)
-            a, b = self.digits(h), other.digits(h)
-        return op(a, b)
-
-    return compare
-
-
+@functools.total_ordering
 class PeriodicWord:
     """An eventually periodic binary sequence in canonical form.
 
@@ -204,10 +175,32 @@ class PeriodicWord:
     def __hash__(self):
         return hash((self.preperiod, self.period))
 
-    __lt__ = _stream_order(lt)
-    __le__ = _stream_order(le)
-    __gt__ = _stream_order(gt)
-    __ge__ = _stream_order(ge)
+    def __lt__(self, other):
+        """Whether this word's digit stream precedes the other's
+        lexicographically; ``functools.total_ordering`` derives ``<=``,
+        ``>`` and ``>=`` from it.
+
+        Cut to the shorter preperiod's length n, the two preperiods are
+        prefixes of both streams, so where they differ they decide.  Their
+        digits n - 1 are checked first: when those differ, the whole
+        preperiods differ within their first n digits too, and are compared
+        with no slice.  When the cut preperiods are equal, past both of them
+        the streams are periodic, with periods p and r.  By Fine and Wilf
+        (1965), a word of length p + r - gcd(p, r) with periods p and r has
+        period gcd(p, r); so two such streams that agree on that many digits
+        agree everywhere, and their first digits up to that horizon decide."""
+        if not isinstance(other, PeriodicWord):
+            return NotImplemented
+        a, b = self.preperiod, other.preperiod
+        n = len(a) if len(a) < len(b) else len(b)
+        if n and a[n - 1] != b[n - 1]:
+            return a < b
+        a, b = a[:n], b[:n]
+        if a == b:
+            p, r = len(self.period), len(other.period)
+            h = max(len(self.preperiod), len(other.preperiod)) + p + r - math.gcd(p, r)
+            a, b = self.digits(h), other.digits(h)
+        return a < b
 
     # -- rendering ---------------------------------------------------------------
 
@@ -224,31 +217,35 @@ class PeriodicWord:
 # grammar
 
 
-def _parse_seq(text: str, i: int, depth: int) -> tuple[list[int], list[int] | None, int]:
+def parse_word(text: str) -> PeriodicWord:
+    """Parse word text: digits 0/1, ``(...)`` grouping, ``(...)^k`` repetition,
+    and an optional final ``(...)*`` infinite tail.  Whitespace is ignored.
+    A word without an explicit tail ends in the all-zero tail.  Text that
+    expands to more than ``_MAX_WORD_DIGITS`` digits raises WordSyntaxError
+    before the digits are built.
+
+    The text is read in one left-to-right scan.  ``digits`` and ``period``
+    are the innermost open sequence's digits and tail; ``stack`` holds, for
+    each open group, the position of its '(' and the digits of the sequence
+    it interrupts, whose tail is still None.  Groups nest to any depth."""
     digits: list[int] = []
     period: list[int] | None = None
+    stack: list[tuple[int, list[int]]] = []
+    i = 0
     while i < len(text):
         ch = text[i]
         if ch.isspace():
             i += 1
-            continue
-        if ch == ")":
-            if depth == 0:
+        elif ch == ")":
+            if not stack:
                 raise WordSyntaxError("unbalanced ')'", i)
-            return digits, period, i
-        if period is not None:
-            raise WordSyntaxError("nothing may follow the infinite tail", i)
-        if ch in "01":
-            digits.append(int(ch))
-            i += 1
-        elif ch == "(":
-            opened = i
-            # returns at its ')': at the end of the text it raises instead
-            inner_digits, inner_period, i = _parse_seq(text, i + 1, depth + 1)
+            # close the group: its sequence is ``inner``, and a plain group
+            # hands its tail, if any, to the enclosing sequence
+            inner, (opened, digits) = digits, stack.pop()
             i += 1
             k = 1
             if i < len(text) and text[i] == "^":
-                if inner_period is not None:
+                if period is not None:
                     raise WordSyntaxError("a repeated group cannot contain a tail", i)
                 i += 1
                 start = i
@@ -263,32 +260,29 @@ def _parse_seq(text: str, i: int, depth: int) -> tuple[list[int], list[int] | No
                 # number its leading digits make: only those are converted
                 k = int(count[:len(str(_MAX_WORD_DIGITS)) + 1])
             elif i < len(text) and text[i] == "*":
-                if inner_period is not None:
+                if period is not None:
                     raise WordSyntaxError("a tail cannot contain another tail", i)
-                if not inner_digits:
+                if not inner:
                     raise WordSyntaxError("empty tail", i)
                 i += 1
-                period, k = inner_digits, 0
-            else:
-                period = inner_period
-            if len(digits) + len(inner_digits) * k > _MAX_WORD_DIGITS:
+                period, k = inner, 0
+            if len(digits) + len(inner) * k > _MAX_WORD_DIGITS:
                 raise WordSyntaxError(f"the word expands to more than {_MAX_WORD_DIGITS} digits",
                                       opened)
-            digits.extend(inner_digits * k)
+            digits.extend(inner * k)
+        elif period is not None:
+            raise WordSyntaxError("nothing may follow the infinite tail", i)
+        elif ch in "01":
+            digits.append(int(ch))
+            i += 1
+        elif ch == "(":
+            stack.append((i, digits))
+            digits = []
+            i += 1
         else:
             raise WordSyntaxError(f"unexpected character {ch!r}", i)
-    if depth > 0:
+    if stack:
         raise WordSyntaxError("unclosed '('", len(text))
-    return digits, period, i
-
-
-def parse_word(text: str) -> PeriodicWord:
-    """Parse word text: digits 0/1, ``(...)`` grouping, ``(...)^k`` repetition,
-    and an optional final ``(...)*`` infinite tail.  Whitespace is ignored.
-    A word without an explicit tail ends in the all-zero tail.  Text that
-    expands to more than ``_MAX_WORD_DIGITS`` digits raises WordSyntaxError
-    before the digits are built."""
-    digits, period, _ = _parse_seq(text, 0, 0)
     if not digits and period is None:
         raise EmptyWordError("word text contains no digits")
     if len(digits) + len(period or ()) > _MAX_WORD_DIGITS:

@@ -13,11 +13,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import betaforge
 from betaforge import (
+    EmptyWordError,
+    WordSyntaxError,
     define_field,
     deterministic_run,
     eval_word,
@@ -416,6 +418,78 @@ def test_word_expanding_past_the_digit_cap_is_usage_error(capsys, text):
     code, out, err = run(capsys, "count", "--field", "qf", text)
     assert (code, out) == (2, "")
     assert err.startswith("betaforge: error:") and "digits" in err
+
+
+def test_a_group_nested_5000_deep_parses_to_the_word_inside_it(capsys, wall_time_limit):
+    wall_time_limit(10)
+    text = "(" * 5000 + "01(10)*" + ")" * 5000
+    assert parse_word(text) == parse_word("01(10)*")
+    code, out, err = run(capsys, "eval", text)
+    assert (code, out, err) == run(capsys, "eval", "01(10)*") and code == 0
+
+
+def test_5000_unclosed_groups_are_a_syntax_error(capsys, wall_time_limit):
+    wall_time_limit(10)
+    text = "(" * 5000
+    with pytest.raises(WordSyntaxError, match=r"^unclosed '\('") as exc:
+        parse_word(text)
+    assert exc.value.position == len(text)
+    assert run(capsys, "eval", text) == (
+        2, "", f"betaforge: error: unclosed '(' (at position {len(text)})\n")
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter converts an int of any length to str")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_eval_of_a_value_past_the_int_to_str_limit_is_refused(capsys, wall_time_limit, fmt):
+    # 65,000 ones: on q2 the value's coefficients run to about 11,800
+    # digits, past Python's default limit of 4,300
+    wall_time_limit(10)
+    assert run(capsys, "eval", "--format", fmt, "((1)^250)^260") == (
+        2, "", "betaforge: error: the word's value has a coefficient past Python's "
+               "int-to-str limit\n")
+
+
+# word text over the grammar's characters: digits and spaces, groups nested
+# in each other, repeat counts of at most three digits (leading zeros, 0 and
+# none among them) and a tail, all inside a run of up to 3,000 '(' closed
+# in full, with a scrap of any of those characters put in anywhere
+_REPEAT_COUNTS = st.text("0123456789", max_size=3).map("^".__add__)
+_BLOCKS = st.recursive(
+    st.text("01 ", min_size=1, max_size=6),
+    lambda inner: st.builds(lambda parts, count: "(" + "".join(parts) + ")" + count,
+                            st.lists(inner, min_size=1, max_size=3),
+                            st.just("") | _REPEAT_COUNTS),
+    max_leaves=8)
+
+
+@st.composite
+def _word_texts(draw):
+    depth = draw(st.integers(0, 3000))
+    body = "".join(draw(st.lists(_BLOCKS, max_size=3)))
+    if draw(st.booleans()):
+        body += "(" + draw(st.text("01", max_size=4)) + ")*"
+    text = "(" * depth + body + ")" * depth
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.text("0123456789()^* ", max_size=2)) + text[at:]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_word_texts())
+def test_no_word_text_crashes_the_cli(wall_time_limit, text):
+    wall_time_limit(10)
+    try:
+        word = parse_word(text)
+    except (WordSyntaxError, EmptyWordError):
+        pass
+    else:
+        # A long word makes count slow, not wrong: a word of 13,000 digits
+        # took 4 s, since sign() halves the field's bracket one bit at a
+        # time up to the word's precision (ROADMAP items 11 and 12).
+        assume(len(word.preperiod) + len(word.period) <= 4096)
+    for argv in (["eval", text], ["count", "--max-steps", "64", "--max-nodes", "16", text]):
+        assert main(argv) in (0, 2, 3), argv
 
 
 @pytest.mark.parametrize(
