@@ -175,8 +175,8 @@ def _limits(args) -> dict:
 # ---------------------------------------------------------------------------
 # subcommands: each word command runs on the word's value x (plus 1 under
 # --plus-one) and, like verify, returns (exit code, output, note): output is
-# a JSON record, the text to print or None, and note is the stderr line of
-# an incomplete answer or None.  main writes both.
+# a JSON record, the text to write (line ends included) or None, and note is
+# the stderr line of an incomplete answer or None.  main writes both.
 
 
 def _incomplete(limit: str | None) -> str | None:
