@@ -75,7 +75,6 @@ def main_text(argv: list[str]) -> tuple[int, str, str]:
 
 
 def run(command: str = "enumerate") -> None:
-    os.environ.pop("BETAFORGE_LIMITS", None)
     words = canonical_words()
     variants = VARIANTS[command]
     # the header leaves out the arguments that every variant starts with

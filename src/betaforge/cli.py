@@ -4,15 +4,15 @@ Subcommands: eval, region, orbit, count, enumerate, verify.  Each command
 returns its answer; ``main`` alone writes: the answer to stdout, and to
 stderr only the note of an incomplete answer or an error.  Exit codes:
 0 success (and every verification check passed); 1 a verification check
-failed; 2 usage error (bad flags, malformed word or field spec, a field
-spec past its size caps, malformed BETAFORGE_LIMITS, a base outside (1, 2)
-for any command but eval, a defining polynomial found reducible by a
-comparison, or an eval value with a coefficient past Python's int-to-str
-limit); 3 the answer is incomplete: a resource limit cut the computation
-short (step budget exhausted, truncated branch graph, enumeration depth or
-count; count and enumerate name that limit in their text answer's note and
-as "limit" in JSON), or enumerate skipped branches from which no unique
-tail can be reached.
+failed; 2 usage error (bad flags, a non-positive limit, malformed word or
+field spec, a field spec past its size caps, a base outside (1, 2) for any
+command but eval, a defining polynomial found reducible by a comparison, or
+an eval value with a coefficient past Python's int-to-str limit); 3 the
+answer is incomplete: a resource limit cut the computation short (step
+budget exhausted, truncated branch graph, enumeration depth or count; count
+and enumerate name that limit in their text answer's note and as "limit"
+in JSON), or enumerate skipped branches from which no unique tail can be
+reached.  A word command's answer depends on its arguments alone.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import csv
 import functools
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -55,17 +54,11 @@ from .words import EmptyWordError, Region, WordSyntaxError, eval_word, parse_wor
 # work of scaling a value by 10**digits
 MAX_DIGITS = 1000
 
-_BUILTIN_LIMITS = {
-    "max_steps": DEFAULT_MAX_STEPS,
-    "max_nodes": DEFAULT_MAX_NODES,
-    "max_depth": DEFAULT_MAX_DEPTH,
-    "max_count": DEFAULT_MAX_COUNT,
-}
-
 _FIELD_ALIASES = {"q2": q2_field, "qf": qf_field, "golden": golden_field}
 # bounds on a poly: spec, checked on its text before any arithmetic: the
 # degree, the digits of each coefficient and of each interval bound, and a
-# bound's decimal exponent (1e200000 alone is a 200,001-digit integer)
+# bound's decimal exponent, read without its '_' separators (1e200000 and
+# 1e200_000 alike are a 200,001-digit integer)
 _MAX_FIELD_DEGREE = 64
 _MAX_SPEC_DIGITS = 100
 _MAX_SPEC_EXPONENT = 100
@@ -99,7 +92,7 @@ def _parse_field(spec: str) -> BaseField:
             raise UsageError(f"field spec {spec!r} needs exactly two interval bounds")
         for text in bounds:
             _check_digits(text, "an interval bound", spec)
-            exponent = text.lower().partition("e")[2].strip().lstrip("+-")
+            exponent = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
             if exponent.isdecimal() and int(exponent) > _MAX_SPEC_EXPONENT:
                 raise UsageError(f"an interval bound in field spec {spec!r} has a decimal "
                                  f"exponent above {_MAX_SPEC_EXPONENT} in absolute value")
@@ -141,37 +134,6 @@ def _field_record(field: BaseField, spec: str) -> dict:
     }
 
 
-def _env_limits() -> dict:
-    raw = os.environ.get("BETAFORGE_LIMITS", "")
-    out: dict[str, int] = {}
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, val = part.partition("=")
-        key, val = key.strip(), val.strip()
-        if not sep or key not in _BUILTIN_LIMITS:
-            raise UsageError(
-                f"BETAFORGE_LIMITS entry {part!r} is not one of "
-                f"{', '.join(_BUILTIN_LIMITS)}")
-        if not val.isdecimal() or int(val) < 1:
-            raise UsageError(f"BETAFORGE_LIMITS value for {key} must be a positive integer")
-        out[key] = int(val)
-    return out
-
-
-def _limits(args) -> dict:
-    limits = dict(_BUILTIN_LIMITS)
-    limits.update(_env_limits())
-    for key in _BUILTIN_LIMITS:
-        val = getattr(args, key)
-        if val is not None:
-            if val < 1:
-                raise UsageError(f"--{key.replace('_', '-')} must be positive")
-            limits[key] = val
-    return limits
-
-
 # ---------------------------------------------------------------------------
 # subcommands: each word command runs on the word's value x (plus 1 under
 # --plus-one) and, like verify, returns (exit code, output, note): output is
@@ -184,7 +146,7 @@ def _incomplete(limit: str | None) -> str | None:
     return limit and f"# incomplete: the {limit} limit was reached"
 
 
-def _cmd_eval(args, x, limits):
+def _cmd_eval(args, x):
     try:
         exact = [str(c) for c in x.coeffs] if args.format == "json" else str(x)
     except ValueError:  # str() refuses an int longer than Python's int-to-str limit
@@ -195,15 +157,15 @@ def _cmd_eval(args, x, limits):
     return 0, f"{exact} / {to_decimal(x, args.digits)}\n", None
 
 
-def _cmd_region(args, x, limits):
+def _cmd_region(args, x):
     reg = region(x)
     if args.format == "json":
         return 0, {"decimal": to_decimal(x, args.digits), "region": str(reg)}, None
     return 0, f"{reg}\n", None
 
 
-def _cmd_orbit(args, x, limits):
-    out = deterministic_run(x, max_steps=limits["max_steps"])
+def _cmd_orbit(args, x):
+    out = deterministic_run(x, max_steps=args.max_steps)
     # a forced digit names its region; only where the run stopped needs one
     regions = [Region.LOW if d == 0 else Region.HIGH for d in out.segment]
     regions.append(region(out.orbit[-1]))
@@ -235,8 +197,8 @@ def _cmd_orbit(args, x, limits):
     return code, f"{trace} {tag}\n", None
 
 
-def _cmd_count(args, x, limits):
-    card = count_expansions(x, max_steps=limits["max_steps"], max_nodes=limits["max_nodes"])
+def _cmd_count(args, x):
+    card = count_expansions(x, max_steps=args.max_steps, max_nodes=args.max_nodes)
     code = 3 if card.kind is Count.LOWER_BOUND else 0
     if args.format == "json":
         return code, {"cardinality": {"kind": card.kind, "count": card.count},
@@ -244,9 +206,9 @@ def _cmd_count(args, x, limits):
     return code, f"{card}\n", _incomplete(card.limit)
 
 
-def _cmd_enumerate(args, x, limits):
-    found, complete, limit = _listing(x, limits["max_count"], limits["max_depth"],
-                                      limits["max_steps"], limits["max_nodes"])
+def _cmd_enumerate(args, x):
+    found, complete, limit = _listing(x, args.max_count, args.max_depth,
+                                      args.max_steps, args.max_nodes)
     words = sorted(found)
     code = 0 if complete else 3
     if args.format == "json":
@@ -308,10 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"decimal digits to print (default 6, at most {MAX_DIGITS})"),
         word.add_argument("--format", default="text", choices=("text", "json", "csv"),
                           help="output format (csv applies to orbit only)"),
-        word.add_argument("--max-steps", dest="max_steps", type=int, default=None),
-        word.add_argument("--max-nodes", dest="max_nodes", type=int, default=None),
-        word.add_argument("--max-depth", dest="max_depth", type=int, default=None),
-        word.add_argument("--max-count", dest="max_count", type=int, default=None),
+        word.add_argument("--max-steps", dest="max_steps", type=int, default=DEFAULT_MAX_STEPS),
+        word.add_argument("--max-nodes", dest="max_nodes", type=int, default=DEFAULT_MAX_NODES),
+        word.add_argument("--max-depth", dest="max_depth", type=int, default=DEFAULT_MAX_DEPTH),
+        word.add_argument("--max-count", dest="max_count", type=int, default=DEFAULT_MAX_COUNT),
         word.add_argument("word", help="binary word, e.g. '00(01)*' or '1(0000)^2 0(10)*'"),
         word.add_argument("--plus-one", dest="plus_one", action="store_true",
                           help="add 1 to the word's value before the command runs"),
@@ -403,14 +365,16 @@ def main(argv=None) -> int:
             if args.format == "csv" and args.command != "orbit":
                 raise UsageError("csv output is only available for the orbit command")
             field = _parse_field(args.field)
-            limits = _limits(args)
+            for key in ("max_steps", "max_nodes", "max_depth", "max_count"):
+                if getattr(args, key) < 1:
+                    raise UsageError(f"--{key.replace('_', '-')} must be positive")
             # every word command but eval refuses a base outside (1, 2) before
             # it reads the word
             if args.command != "eval":
                 _require_expansion_base(field, args.field)
             x = eval_word(parse_word(args.word), field)
             handler, _ = _WORD_COMMANDS[args.command]
-            code, output, note = handler(args, x + 1 if args.plus_one else x, limits)
+            code, output, note = handler(args, x + 1 if args.plus_one else x)
             if isinstance(output, dict):
                 # a word command's record opens with the word and whether 1
                 # was added to its value

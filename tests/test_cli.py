@@ -508,6 +508,9 @@ _DIGITS_101 = "1" + "0" * 100
     ("poly:-1,-1,1@1.5,1e200000", "exponent above 100"),
     ("poly:-1,-1,1@1e-999999999,1.7", "exponent above 100"),
     ("poly:-1,-1,1@1.5,1E+101", "exponent above 100"),
+    # '_' separators count toward the cap, as Fraction reads them
+    ("poly:-1,-1,1@1.5,1e2_000_000", "exponent above 100"),
+    ("poly:-1,-1,1@1e-1_000_000,1.7", "exponent above 100"),
     (f"poly:-1,-1,1@1.5,{_DIGITS_101}", "more than 100 digits"),
     (f"poly:-1,-1,1@1/{_DIGITS_101},2", "more than 100 digits"),
     (f"poly:-1,-{_DIGITS_101},1@1.5,2", "more than 100 digits"),
@@ -605,11 +608,13 @@ def test_csv_rejected_outside_orbit(capsys):
     assert "csv" in err
 
 
-@pytest.mark.parametrize("flag", ["--max-steps", "--max-nodes"])
-def test_count_limits_must_be_positive(capsys, flag):
-    code, out, err = run(capsys, "count", flag, "0", "1(0)*")
+@pytest.mark.parametrize("value", ["0", "-1"])  # "0" is read by the scan, "-1" by argparse
+@pytest.mark.parametrize("command", ["eval", "region", "orbit", "count", "enumerate"])
+@pytest.mark.parametrize("flag", ["--max-steps", "--max-nodes", "--max-depth", "--max-count"])
+def test_count_limits_must_be_positive(capsys, flag, command, value):
+    code, out, err = run(capsys, command, flag, value, "1(0)*")
     assert (code, out) == (2, "")
-    assert f"{flag} must be positive" in err
+    assert err == f"betaforge: error: {flag} must be positive\n"
 
 
 def test_digits_must_be_positive(capsys):
@@ -641,39 +646,43 @@ def test_help_exits_zero(capsys):
 
 
 # ---------------------------------------------------------------------------
-# environment limits
+# the environment changes no answer: a word command's limits come from its
+# arguments alone
+
+
+def _same_with_env(capsys, monkeypatch, raw, *argv):
+    """The exit code and stdout of a call, asserted equal with and without
+    BETAFORGE_LIMITS set to ``raw``."""
+    monkeypatch.delenv("BETAFORGE_LIMITS", raising=False)
+    code, out, _ = run(capsys, *argv)
+    monkeypatch.setenv("BETAFORGE_LIMITS", raw)
+    assert run(capsys, *argv)[:2] == (code, out)
+    return code, out
 
 
 def test_env_limits_apply(capsys, monkeypatch):
-    monkeypatch.setenv("BETAFORGE_LIMITS", "max_steps=2")
-    code, out, _ = run(capsys, "orbit", "--plus-one", "00(01)*")
-    assert code == 3
-    assert out.strip().endswith("[STEP LIMIT]")
+    code, out = _same_with_env(capsys, monkeypatch, "max_steps=2",
+                               "orbit", "--plus-one", "00(01)*")
+    assert (code, out) == (0, "1.177401 →1 1.014114 →1 0.734788 [SWITCH]\n")
 
 
 def test_flags_override_env_limits(capsys, monkeypatch):
-    monkeypatch.setenv("BETAFORGE_LIMITS", "max_steps=2")
-    code, out, _ = run(capsys, "orbit", "--plus-one", "--max-steps", "10", "00(01)*")
-    assert code == 0
-    assert out.strip().endswith("[SWITCH]")
+    code, out = _same_with_env(capsys, monkeypatch, "max_steps=2",
+                               "orbit", "--plus-one", "--max-steps", "10", "00(01)*")
+    assert (code, out) == (0, "1.177401 →1 1.014114 →1 0.734788 [SWITCH]\n")
 
 
 @pytest.mark.parametrize("raw", ["max_steps=two", "bogus=3", "max_steps", "max_nodes=0",
                                  "max_steps=²"])
 def test_malformed_env_limits(capsys, monkeypatch, raw):
-    monkeypatch.setenv("BETAFORGE_LIMITS", raw)
     for command in ("eval", "region", "orbit"):
-        code, _, err = run(capsys, command, "--plus-one", "00(01)*")
-        assert code == 2, command
-        assert "BETAFORGE_LIMITS" in err
+        code, _ = _same_with_env(capsys, monkeypatch, raw, command, "--plus-one", "00(01)*")
+        assert code == 0, command
 
 
 def test_env_limits_ignored_for_unlimited_commands(capsys, monkeypatch):
-    # eval reads no limit, though main still validates BETAFORGE_LIMITS
-    # before dispatching it (only verify skips that check)
-    monkeypatch.setenv("BETAFORGE_LIMITS", "max_steps=1")
-    code, out, _ = run(capsys, "eval", "(0)*")
-    assert (code, out) == (0, "0 / 0.000000\n")
+    assert _same_with_env(capsys, monkeypatch, "max_steps=2", "eval", "(0)*") == (
+        0, "0 / 0.000000\n")
 
 
 # ---------------------------------------------------------------------------
