@@ -13,9 +13,13 @@ from the root.  Cardinality classification is then graph-shaped:
 
 Independent of all that, ``viable_prefix_counts`` counts, for each depth n,
 the binary prefixes whose remainder stays in the domain; it serves as a
-cross-check oracle for the graph-based counts.  It walks whole levels of
-remainders, except where a level is one remainder outside the switch
-region: that forced stretch it steps as a run does, one value at a time.
+cross-check oracle for the graph-based counts.  One level walk
+(``_levels``) computes them: it walks whole levels of remainders, except
+where a level is one remainder outside the switch region, a forced stretch
+that it steps with the orbit kernel's run, and it stops at a repeated
+level, whose count is exact.  Stopped once a count passes k, the same walk
+decides ``_at_most``: x's exact number of expansions when it is at most k,
+or a certified floor above k.
 
 All three walk orbits in one private kernel, ``_Orbits``.  It holds every
 value reached from x as raw integer numerators over x's own denominator D
@@ -69,8 +73,8 @@ freed with them.  The root memo holds one point and the branch memo at most
 ``_MEMO_CAP`` switch points; neither stores a run that hit the step budget.
 The answer memo admits records and listings while the nodes and words it
 holds total at most ``_MEMO_CAP``.  Full memos still serve what they hold.
-``deterministic_run`` and ``viable_prefix_counts`` read no memo: the prefix
-oracle stays an independent check of the graphs.
+``deterministic_run``, ``viable_prefix_counts`` and ``_at_most`` read no
+memo: the level walk stays an independent check of the graphs.
 """
 
 from __future__ import annotations
@@ -437,7 +441,8 @@ class Cardinality:
 
     ``count`` is the exact count for FINITE and a certified floor for
     LOWER_BOUND.  ``limit`` names the limit that truncated the graph behind
-    a LOWER_BOUND ("max_steps" or "max_nodes"); it takes no part in
+    a LOWER_BOUND ("max_steps" or "max_nodes"), or the level cap that
+    stopped ``_at_most``'s walk ("max_levels"); it takes no part in
     equality or in the text.
     """
 
@@ -680,42 +685,52 @@ def viable_prefix_counts(x: AlgebraicReal, max_depth: int) -> list[int]:
     domain extends by digit d exactly when q*r - d stays in it, that is when
     r <= 1/(q(q-1)) for d = 0 and r >= 1/q for d = 1: by r's region.
 
-    The walk stops at the first level (remainder -> prefix count) equal to
-    an earlier one, and the rest of the depth repeats the last count.  That
-    is exact: a level determines the next, so from a repeat on the counts
-    repeat with it; and counts never decrease (every remainder in the domain
-    has a viable digit), so a repeat falls inside the current run of equal
-    counts.  Only that run's levels are kept.
+    The counts are those of the level walk (``_levels``), and where it stops
+    early, at a repeated level, the rest of the depth repeats its last
+    count.
+    """
+    counts, _ = _levels(x, max_depth, math.inf)
+    return counts + [counts[-1]] * (max_depth - len(counts))
+
+
+def _levels(x: AlgebraicReal, max_levels: int, ceiling: float) -> tuple[list[int], bool]:
+    """The prefix counts of x for n = 1, 2, ... (see ``viable_prefix_counts``)
+    up to ``max_levels`` of them, or up to the first that passes
+    ``ceiling``; and whether the last is x's exact number of expansions.
+
+    A level maps each remainder, as a numerator tuple over x's denominator,
+    to its prefix count, and it determines the next.  The walk stops at the
+    first level equal to an earlier one: from there the counts repeat, so
+    the last count is exact.  Counts never decrease (every remainder in the
+    domain has a viable digit), so a repeat falls inside the current run of
+    equal counts, and only that run's levels are kept.
 
     A level of one remainder outside the switch region has one child, with
-    the same count: the walk steps such a forced stretch one remainder at a
-    time, as a run does, and keeps its remainders in a set.  A stretch ends
+    the same count: such a forced stretch is the orbit kernel's run
+    (``_Orbits.run``), to its switch point, where the walk goes on over
+    levels, or to a closed cycle, where the count is exact.  A stretch ends
     the run of equal counts it is in (a switch point doubles the count), and
     no level of several remainders equals one of one, so a repeat inside a
-    stretch is a repeat of one of the stretch's own remainders.  At the
-    stretch's switch point the walk goes on over levels again.
+    stretch is a repeat of one of the stretch's own remainders.  Like the
+    walk, the stretch reads no memo.
     """
-    if max_depth < 1:
+    if max_levels < 1:
         raise ValueError("depth must be >= 1")
     orbits, _ = _start(x)
-    step, locate, minus_one = orbits.field._step, orbits.locate, -orbits.den
-    switch, low = Region.SWITCH, Region.LOW
-    # remainders, as numerator tuples over x's denominator -> prefix count
+    step, locate, den = orbits.field._step, orbits.locate, orbits.den
+    switch, low, minus_one = Region.SWITCH, Region.LOW, -den
     level: dict[tuple[int, ...], int] = {x.num: 1}
     counts: list[int] = []
     run_count = 1
     seen: set[frozenset] = set()  # the levels of the current run of equal counts
-    while len(counts) < max_depth:
+    while len(counts) < max_levels:
         if len(level) == 1:
             [(n, count)] = level.items()
-            stretch = {n}
-            while (reg := locate(n)) is not switch:
-                n = step(n, 0 if reg is low else minus_one)
-                counts.append(count)
-                if n in stretch or len(counts) == max_depth:
-                    return counts + [count] * (max_depth - len(counts))
-                stretch.add(n)
-            level = {n: count}
+            length, _, kind, end = orbits.run(n, locate(n), max_levels - len(counts), {})
+            counts += [count] * length
+            if kind is not NODE:  # a closed cycle, or the level cap inside the stretch
+                return counts, kind is TERMINAL
+            level = {tuple([c * (den // end[0]) for c in end[1:]]): count}
         nxt: dict[tuple[int, ...], int] = {}
         for n, mult in level.items():
             reg = locate(n)
@@ -728,16 +743,34 @@ def viable_prefix_counts(x: AlgebraicReal, max_depth: int) -> list[int]:
             nxt[r] = nxt.get(r, 0) + mult
         count = sum(nxt.values())
         counts.append(count)
+        if count > ceiling:
+            return counts, False
         if count == run_count:
             if not seen:
                 seen.add(frozenset(level.items()))
             key = frozenset(nxt.items())
             if key in seen:
-                counts += [count] * (max_depth - len(counts))
-                break
+                return counts, True
             seen.add(key)
         else:
             run_count = count
             seen.clear()
         level = nxt
-    return counts
+    return counts, False
+
+
+def _at_most(x: AlgebraicReal, k: int, max_levels: int) -> Cardinality:
+    """x's exact number of expansions when it is at most k, or a floor above
+    k, decided by the level walk (``_levels``) within ``max_levels`` levels.
+
+    Finite(c) when the walk stops with an exact count c <= k;
+    LowerBound(c) once a prefix count c passes k, a certified floor since
+    distinct viable prefixes extend to distinct expansions; and
+    LowerBound(c, "max_levels") when the cap leaves both open.  Reads no
+    memo."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    counts, exact = _levels(x, max_levels, k)
+    if counts[-1] > k or not exact:
+        return Cardinality.lower_bound(counts[-1], None if counts[-1] > k else "max_levels")
+    return Cardinality.finite(counts[-1])

@@ -120,8 +120,9 @@ def _require_expansion_base(field: BaseField, spec: str) -> None:
     try:
         field.domain_bounds()
     except ValueError:
+        lo, hi = field.interval()
         raise UsageError(
-            f"field {spec!r} has base q = {to_decimal(field.q, 6)}, outside (1, 2): "
+            f"field {spec!r} has base q in [{lo}, {hi}], outside (1, 2): "
             "region, orbit, count and enumerate need 1 < q < 2")
 
 

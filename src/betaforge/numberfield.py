@@ -355,7 +355,10 @@ class BaseField:
         iso: tuple[RationalLike | str, RationalLike | str],
         name: str | None = None,
     ):
-        coeffs = tuple(int(c) for c in min_poly)
+        raw = tuple(min_poly)
+        coeffs = tuple(map(int, raw))
+        if coeffs != raw:  # 2.0 and Fraction(2) become 2; 1.9 is refused, not truncated
+            raise ValueError(f"coefficients must be integers, got {raw}")
         if len(coeffs) < 3:
             raise ValueError("defining polynomial must have degree >= 2")
         if coeffs[-1] != 1:
@@ -500,8 +503,12 @@ class BaseField:
         domain top, computed once.  Raises ValueError unless 1 < q < 2, the
         bases in which these bounds describe expansions."""
         if self._domain is None:
+            # q is neither 1 nor 2 (the rational-root screen), so a certified
+            # cell inside [1, 2] or wholly beyond it decides; only a cell that
+            # straddles 1 or 2 needs the exact comparison
+            a, b, d = self._cell
             q = self.q
-            if not 1 < q < 2:
+            if not (d <= a and b <= 2 * d) and (b <= d or a >= 2 * d or not 1 < q < 2):
                 raise ValueError("base q is outside (1, 2): expansions need 1 < q < 2")
             upper = self.one / (q - 1)
             switch_lo = self.one / q

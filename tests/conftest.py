@@ -123,7 +123,8 @@ def cross_multiplied_rule(field, den):
 
 
 # the prefix oracle over whole levels: the reference for
-# ``branching.viable_prefix_counts``, which steps forced stretches as runs
+# ``branching.viable_prefix_counts``, whose level walk (``_levels``) steps
+# each forced stretch with the orbit kernel's run
 def level_oracle(x, max_depth):
     """``viable_prefix_counts(x, max_depth)`` by a dict of remainders to
     prefix counts per level, up to the first level equal to an earlier one

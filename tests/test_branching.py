@@ -48,7 +48,7 @@ from betaforge import (
 )
 from betaforge import branching, numberfield, words
 from betaforge.cli import main
-from betaforge.branching import LIMIT, NODE, TERMINAL
+from betaforge.branching import LIMIT, NODE, TERMINAL, Count, _at_most
 from betaforge.numberfield import AlgebraicReal
 from conftest import _cardinality as reference_cardinality, enclosure, level_oracle, recount
 
@@ -830,6 +830,105 @@ def test_prefix_counts_match_the_level_walk_at_every_depth(name, text, case):
         assert viable_prefix_counts(x, depth) == ref[:depth], depth
 
 
+# ---------------------------------------------------------------------------
+# the bounded exact count
+
+
+def _assert_at_most(got, card, k):
+    """``_at_most``'s answer ``got`` at k against an answer ``card`` known
+    another way: an exact count c <= k is returned as it is, and a count
+    known to exceed k (finite, infinite, or a floor above k) as a floor
+    above k that names no limit."""
+    if card.kind is Count.FINITE and card.count <= k:
+        assert got.kind is Count.FINITE and got == card
+    elif card.kind is not Count.LOWER_BOUND or card.count > k:
+        assert got.kind is Count.LOWER_BOUND and got.count > k and got.limit is None
+    else:  # a floor <= k decides nothing; an exact answer must respect it
+        assert got.kind is Count.LOWER_BOUND or got.count >= card.count
+
+
+@pytest.mark.parametrize("name, caps", [
+    ("golden", {}), ("qf", {}), ("q2", _ACCEPTANCE_CAPS),
+])
+def test_at_most_agrees_with_count_expansions_on_every_small_word(wall_time_limit, name, caps):
+    # every canonical word with preperiod <= 6 and period <= 4; no decision
+    # needs more than 22 levels, so none reaches the cap of 64
+    F = define_field(*_KERNEL_FIELDS[name])
+    assert len(_MEMO_WORDS) == 1408
+    points = [eval_word(word, F) for word in _MEMO_WORDS]
+    answers = [count_expansions(x, **caps) for x in points]
+    assert {card.kind for card in answers} >= ({Count.FINITE, Count.LOWER_BOUND} if name == "q2"
+                                              else {Count.FINITE, Count.CONTINUUM})
+    wall_time_limit(10)
+    for k in (1, 2, 3, 8):
+        for word, x, card in zip(_MEMO_WORDS, points, answers):
+            got = _at_most(x, k, 64)
+            assert got.limit != "max_levels", (str(word), k)
+            _assert_at_most(got, card, k)
+
+
+@pytest.mark.parametrize("name", ["golden", "qf"])
+def test_at_most_agrees_with_the_remainder_recount(wall_time_limit, name):
+    F = define_field(*_KERNEL_FIELDS[name])
+    wall_time_limit(20)
+    for word in _MEMO_WORDS:
+        x = eval_word(word, F)
+        card = recount(x)
+        for k in (1, 2, 3, 8):
+            _assert_at_most(_at_most(x, k, 64), card, k)
+
+
+@pytest.mark.parametrize("name", ["golden", "qf", "q2"])
+def test_at_most_of_the_domain_ends_is_one(name):
+    # each is a fixed point of its forced digit: the second level repeats
+    # the first
+    F = define_field(*_KERNEL_FIELDS[name])
+    for x in (F.zero, domain_bounds(F)[2]):
+        for k in (1, 2, 8):
+            assert _at_most(x, k, 2) == Cardinality.finite(1)
+            assert _at_most(x, k, 1).limit == "max_levels"
+
+
+def test_at_most_from_a_switch_point():
+    # 01(10)* in q2 starts in the switch region with two expansions, and
+    # 1(0)* in qf, also a switch point, has countably many; each floor is
+    # the first prefix count past k
+    x = eval_word(parse_word("01(10)*"), define_field(*_KERNEL_FIELDS["q2"]))
+    assert region(x) is Region.SWITCH
+    assert _at_most(x, 1, 64) == Cardinality.lower_bound(2)
+    assert _at_most(x, 2, 64) == Cardinality.finite(2)
+    x = eval_word(parse_word("1(0)*"), define_field(*_KERNEL_FIELDS["qf"]))
+    assert region(x) is Region.SWITCH
+    counts = viable_prefix_counts(x, 64)
+    for k in range(1, 9):
+        got = _at_most(x, k, 64)
+        assert got == Cardinality.lower_bound(next(c for c in counts if c > k)), k
+        assert got.limit is None
+
+
+@pytest.mark.parametrize("name, text, closed", [
+    ("qf", "111111(1110)*", None),  # nine forced digits to a switch point
+    ("q2", "111111(10)*", 9),  # the stretch closes its cycle after eight
+])
+def test_at_most_with_the_level_cap_inside_a_forced_stretch(name, text, closed):
+    # a cap the stretch reaches before it resolves decides nothing
+    x = eval_word(parse_word(text), define_field(*_KERNEL_FIELDS[name]))
+    for max_levels in range(1, 9):
+        got = _at_most(x, 3, max_levels)
+        assert got == Cardinality.lower_bound(1) and got.limit == "max_levels", max_levels
+    if closed:
+        assert _at_most(x, 3, closed) == Cardinality.finite(1)
+    else:
+        got = _at_most(x, 3, 10)  # the switch point doubles the count at level 10
+        assert got == Cardinality.lower_bound(2) and got.limit == "max_levels"
+
+
+@pytest.mark.parametrize("k, max_levels", [(0, 10), (-1, 10), (2, 0), (2, -3)])
+def test_at_most_refuses_a_bound_or_cap_below_one(k, max_levels):
+    with pytest.raises(ValueError):
+        _at_most(q2_field().zero, k, max_levels)
+
+
 def _kernel_answers(x, caps, depth):
     """Run, graph (its field, start and tables) and prefix counts from the
     kernel; OutsideDomain as a value."""
@@ -1368,6 +1467,8 @@ def test_run_and_prefix_oracle_do_not_read_the_memo():
     x = family_member(F, 3)
     assert isinstance(deterministic_run(x).end, SwitchHit)
     assert viable_prefix_counts(x, 40)[-1] == 3
+    assert _at_most(x, 3, 40) == Cardinality.finite(3)
+    assert _at_most(x, 2, 40) == Cardinality.lower_bound(3)
 
 
 def test_points_over_one_denominator_share_one_region_rule():

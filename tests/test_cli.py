@@ -7,6 +7,7 @@ Exit code contract: 0 success, 1 verification failure, 2 usage error,
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -590,6 +591,28 @@ def test_base_outside_1_2_is_usage_error(capsys, spec, command):
         assert code == 2
         assert out == ""
         assert err.startswith("betaforge: error:") and "outside (1, 2)" in err
+
+
+# 16 negative 100-digit coefficients over [1, 1e100]: one positive root, near
+# 4.5e99, whose certified cell lies far above 2
+_RNG = random.Random(1)
+_FAR_ABOVE_2 = ("poly:" + ",".join(str(-_RNG.randrange(10**99, 10**100)) for _ in range(16))
+                + ",1@1,1e100")
+
+
+@pytest.mark.parametrize("command", ["region", "orbit", "count", "enumerate"])
+def test_base_far_outside_1_2_is_refused_at_once(capsys, wall_time_limit, command):
+    # the certified cell decides: q is neither compared with 2 exactly nor
+    # printed as a decimal, each of which refines q for seconds
+    wall_time_limit(1)
+    code, out, err = run(capsys, command, "--field", _FAR_ABOVE_2, "1(0)*")
+    assert (code, out) == (2, "")
+    assert err.startswith("betaforge: error:") and "outside (1, 2)" in err
+
+
+def test_base_outside_1_2_is_named_by_its_isolating_interval(capsys):
+    err = run(capsys, "region", "--field", "poly:-5,0,1@2,3", "1(0)*")[2]
+    assert "has base q in [71/32, 9/4], outside (1, 2)" in err
 
 
 @pytest.mark.parametrize("spec, expected", zip(_BASES_OUTSIDE_1_2, ["1 + q / 1.618034\n",

@@ -54,6 +54,22 @@ def test_define_field_rejects_non_monic():
         define_field((-1, -1, 2), (Fraction(1), Fraction(2)))
 
 
+@pytest.mark.parametrize("coeffs", [
+    [-1, -1.9, 1], [-1, Fraction(-19, 10), 1], [-1.5, -1, 1], [-1, -1, "1"],
+], ids=["float", "fraction", "constant", "text"])
+def test_define_field_refuses_a_coefficient_that_is_not_an_integer(coeffs):
+    # int() would truncate -1.9 to -1 and build the golden ratio's field
+    with pytest.raises(ValueError, match="coefficients must be integers"):
+        define_field(coeffs, (Fraction(3, 2), Fraction(17, 10)))
+
+
+def test_define_field_takes_integral_coefficients_of_any_numeric_type():
+    F = define_field([-1.0, Fraction(-1), True], (Fraction(3, 2), Fraction(17, 10)))
+    assert F.min_poly == (-1, -1, 1)
+    assert {type(c) for c in F.min_poly} == {int}
+    assert F.q * F.q == F.q + 1
+
+
 def test_define_field_rejects_low_degree():
     with pytest.raises(ValueError):
         define_field((-1, 1), (Fraction(0), Fraction(2)))
@@ -890,6 +906,39 @@ def test_high_degree_domain_bounds_are_fast(wall_time_limit):
     wall_time_limit(1)
     switch_lo, _, top = F.domain_bounds()
     assert switch_lo == F.q**119 - 1 and top * (F.q - 1) == 1
+
+
+@pytest.mark.parametrize("coeffs, iso, inside", [
+    # cells inside [1, 2], below 1 and above 2 decide by themselves
+    ((-1, -1, 1), (1, 2), True),
+    ((-1, 1, 1), (Fraction(1, 2), Fraction(7, 10)), False),  # q ~ 0.618
+    ((-5, 0, 1), (2, 3), False),  # q = sqrt 5
+    # cells that straddle 1 or 2 take the exact comparison:
+    # x^5 - x - 1 has q ~ 1.1673, x^10 - 2x^9 - 1 has q ~ 2.00195
+    ((-1, -1, 0, 0, 0, 1), (Fraction(99, 100), Fraction(699, 100)), True),
+    ((-1,) + (0,) * 8 + (-2, 1), (Fraction(19, 10), Fraction(29, 10)), False),
+], ids=["inside", "below-1", "above-2", "straddles-1", "straddles-2"])
+def test_domain_bounds_decide_the_base_from_the_cell_or_exactly(coeffs, iso, inside):
+    F = define_field(coeffs, iso)
+    a, b, d = F._cell
+    straddles = a < d < b or a < 2 * d < b
+    assert straddles == (len(coeffs) > 3)
+    if inside:
+        assert F.domain_bounds()[2] * (F.q - 1) == 1
+    else:
+        with pytest.raises(ValueError, match="outside"):
+            F.domain_bounds()
+
+
+def test_a_base_far_above_2_is_refused_without_reading_q_closely(wall_time_limit):
+    # 16 negative 100-digit coefficients: one positive root, near 4.5e99; the
+    # exact comparison with 2 would halve the private cell for seconds
+    rng = random.Random(1)
+    F = define_field([-rng.randrange(10**99, 10**100) for _ in range(16)] + [1], (1, 10**100))
+    wall_time_limit(1)
+    with pytest.raises(ValueError, match="outside"):
+        F.domain_bounds()
+    assert F._bracket is None
 
 
 def test_orbit_step_reduces_when_q_is_no_unit():
