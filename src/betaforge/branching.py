@@ -110,6 +110,9 @@ class Kind(str, Enum):
 
 
 NODE, TERMINAL, LIMIT = Kind
+# bound once for the forced walk's per-call setup: looking up an Enum member
+# on its class is slow on Python 3.11
+SWITCH, LOW = Region.SWITCH, Region.LOW
 
 
 class OutsideDomain(ValueError):
@@ -190,17 +193,17 @@ class _Orbits:
         length B.  ``seen``, empty, is filled with each visited tuple's step,
         in order."""
         step, locate, den = self.field._step, self.locate, self.den
-        switch, low, minus_one = Region.SWITCH, Region.LOW, -den
+        minus_one = -den
         digits: list[int] = []
         for i in range(max_steps):
-            if reg is switch:
+            if reg is SWITCH:
                 g = math.gcd(den, *n)
                 end = (den, *n) if g == 1 else (den // g, *[c // g for c in n])
                 return i, tuple(digits), NODE, end
             at = seen.setdefault(n, i)
             if at != i:
                 return i, tuple(digits[:at]), TERMINAL, tuple(digits[at:])
-            if reg is low:
+            if reg is LOW:
                 digits.append(0)
                 n = step(n, 0)
             else:
@@ -717,29 +720,29 @@ def _levels(x: AlgebraicReal, max_levels: int, ceiling: float) -> tuple[list[int
     if max_levels < 1:
         raise ValueError("depth must be >= 1")
     orbits, _ = _start(x)
-    step, locate, den = orbits.field._step, orbits.locate, orbits.den
-    switch, low, minus_one = Region.SWITCH, Region.LOW, -den
+    step, locate, den, minus_one = orbits.field._step, orbits.locate, orbits.den, -orbits.den
     level: dict[tuple[int, ...], int] = {x.num: 1}
     counts: list[int] = []
     run_count = 1
     seen: set[frozenset] = set()  # the levels of the current run of equal counts
     while len(counts) < max_levels:
-        if len(level) == 1:
-            [(n, count)] = level.items()
-            length, _, kind, end = orbits.run(n, locate(n), max_levels - len(counts), {})
-            counts += [count] * length
+        if len(level) == 1 and (reg := locate(n := next(iter(level)))) is not SWITCH:
+            length, _, kind, end = orbits.run(n, reg, max_levels - len(counts), {})
+            counts += [level[n]] * length
             if kind is not NODE:  # a closed cycle, or the level cap inside the stretch
                 return counts, kind is TERMINAL
-            level = {tuple([c * (den // end[0]) for c in end[1:]]): count}
+            # the run's switch point, reduced by their gcd, back over den
+            n = end[1:] if end[0] == den else tuple([c * (den // end[0]) for c in end[1:]])
+            level = {n: counts[-1]}
         nxt: dict[tuple[int, ...], int] = {}
         for n, mult in level.items():
             reg = locate(n)
-            if reg is switch:
+            if reg is SWITCH:
                 r = step(n)
                 nxt[r] = nxt.get(r, 0) + mult
                 r = step(n, minus_one)
             else:
-                r = step(n, 0 if reg is low else minus_one)
+                r = step(n, 0 if reg is LOW else minus_one)
             nxt[r] = nxt.get(r, 0) + mult
         count = sum(nxt.values())
         counts.append(count)
@@ -768,8 +771,8 @@ def _at_most(x: AlgebraicReal, k: int, max_levels: int) -> Cardinality:
     distinct viable prefixes extend to distinct expansions; and
     LowerBound(c, "max_levels") when the cap leaves both open.  Reads no
     memo."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if k < 1 or max_levels < 1:
+        raise ValueError("k and max_levels must be >= 1")
     counts, exact = _levels(x, max_levels, k)
     if counts[-1] > k or not exact:
         return Cardinality.lower_bound(counts[-1], None if counts[-1] > k else "max_levels")

@@ -6,6 +6,8 @@ and ``tests`` into a temporary directory, applies the row there, runs the
 named tests with pytest, and reports the row as
 
     killed    every named test failed;
+    timeout   pytest ran past TIMEOUT seconds: the mutant hangs the
+              named tests, which counts as killed;
     partial   some named test passed: the row's claim no longer holds;
     survived  every named test passed.
 
@@ -15,10 +17,9 @@ fails loudly and the same change updates the row.  A row goes only with
 the code it mutates.
 
     python tests/mutants.py               # every row, two at a time
-    python tests/mutants.py ID...         # the rows named
     python tests/mutants.py --self-check  # the runner's own checks
 
-The exit code is 0 when every row run was killed (under --self-check, when
+The exit code is 0 when every row was killed or timed out (under --self-check, when
 the runner refuses and reports as it should), and 1 otherwise.  Tier-1 does
 not collect this file: its name does not start with ``test_``.
 """
@@ -38,6 +39,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 JOBS = 2  # rows run at once, each in its own pytest process
+TIMEOUT = 600  # seconds one row's pytest process may take
 
 
 class Row(NamedTuple):
@@ -105,18 +107,21 @@ def apply(row: Row, src: Path) -> None:
 
 
 def run(row: Row) -> tuple[str, list[str]]:
-    """The row's verdict ("killed", "partial" or "survived") and the named
-    tests that passed on its mutant, run on a mutated copy of src and
-    tests.  Raises RuntimeError when pytest cannot run the named tests."""
+    """The row's verdict ("killed", "timeout", "partial" or "survived") and
+    the named tests that passed on its mutant, run on a mutated copy of src
+    and tests.  Raises RuntimeError when pytest cannot run the named tests."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, Path(tmp) / part, ignore=skip)
         apply(row, Path(tmp) / "src")
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *row.tests],
-            cwd=tmp, capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"})
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *row.tests],
+                cwd=tmp, capture_output=True, text=True, timeout=TIMEOUT,
+                env={**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"})
+        except subprocess.TimeoutExpired:
+            return "timeout", []
     if proc.returncode not in (0, 1):  # 0: all passed, 1: some failed
         raise RuntimeError(f"row {row.id}: pytest exited {proc.returncode}\n{proc.stdout[-2000:]}")
     failed = {line.split(" ", 1)[1].split(" - ", 1)[0]
@@ -152,21 +157,13 @@ def self_check() -> bool:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
-    parser.add_argument("ids", nargs="*", help="the rows to run (default: every row)")
     parser.add_argument("--self-check", action="store_true", help="check the runner itself")
     args = parser.parse_args(argv)
     if args.self_check:
         return 0 if self_check() else 1
-    by_id = {row.id: row for row in ROWS}
-    if len(by_id) != len(ROWS):
-        parser.error("two rows share an id")
-    unknown = [i for i in args.ids if i not in by_id]
-    if unknown:
-        parser.error(f"no such row: {', '.join(unknown)}")
-    rows = [by_id[i] for i in args.ids] or list(ROWS)
     with tempfile.TemporaryDirectory(prefix="mutant-check-") as tmp:
         shutil.copytree(ROOT / "src", Path(tmp) / "src")
-        for row in rows:  # every row is checked before any runs
+        for row in ROWS:  # every row is checked before any runs
             apply(row, Path(tmp) / "src")
             shutil.copy(ROOT / "src" / "betaforge" / row.module, Path(tmp) / "src" / "betaforge")
 
@@ -176,13 +173,14 @@ def main(argv: list[str] | None = None) -> int:
 
     killed = 0
     with ThreadPoolExecutor(JOBS) as pool:
-        for row, verdict, passed, seconds in pool.map(timed, rows):
-            killed += verdict == "killed"
-            print(f"{verdict:8} {row.id} ({seconds:.1f} s): {row.why}", flush=True)
+        for row, verdict, passed, seconds in pool.map(timed, ROWS):
+            killed += verdict in ("killed", "timeout")
+            limit = f" of {TIMEOUT} s allowed" if verdict == "timeout" else ""
+            print(f"{verdict:8} {row.id} ({seconds:.1f} s{limit}): {row.why}", flush=True)
             for test in passed:
                 print(f"         passed: {test}")
-    print(f"{killed} of {len(rows)} rows killed")
-    return 0 if killed == len(rows) else 1
+    print(f"{killed} of {len(ROWS)} rows killed")
+    return 0 if killed == len(ROWS) else 1
 
 
 if __name__ == "__main__":
