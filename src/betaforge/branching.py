@@ -35,44 +35,52 @@ orbit a run returns.  x itself is placed by ``words.region``, which rules
 out a point outside the domain and then applies the same region rule.
 
 Points of one base share switch points (in a Pisot base, those over one
-denominator are finitely many), so each field keeps a branch memo: for each
-switch point a graph has expanded, keyed by its reduced form (den, *num),
-the two forced runs out of it, each with its segment, its end (a switch
-point's reduced form, or a unique tail's cycle digits) and its length.  A
-run's outcome depends on the value alone, not on the denominator it is
-carried over, so a graph reads a stored run instead of running it whenever
-the run would end the same way under the graph's step budget.  A root memo
-keeps the root run of the last point asked, the same way, keyed by the
-point's reduced form: a count and then a listing of one point make one
-root run between them, and the memo holds one run, never more.
+denominator are finitely many), so each field keeps one switch-point graph
+(``_ref``): each switch point any walk has reached gets one int id, keyed
+by its reduced form (den, *num), and keeps the two forced runs out of it
+once they are run, each with its length, its segment and its end (the id
+of the switch point it reaches, or a unique tail's cycle digits).  A run's
+outcome depends on the value alone, not on the denominator it is carried
+over, so a walk reads a stored run instead of running it: as it is under a
+step budget above its length, and cut to its first digits under any other
+(``_cut``).  A root memo keeps the root run of the last point asked, in the
+kernel's shape, keyed by the point's reduced form: a count and then a
+listing of one point make one root run between them, and the memo holds
+one run, never more.
 
-Points of one base also share first switch points, so each field keeps an
-answer memo too.  Below x's root run, x's graph depends only on the run's
-end s (x's first switch point) and the caps: every node id, edge, terminal
-and limit is that of s's graph.  That graph is stored in one shape only, a
-record (``_Below``): each node's reduced form, the edges, the terminals and
-the limit.  ``_grow`` builds the record and reads its answers in one
-Tarjan pass over the edges (``_answer``): as each component closes, its
+Below x's root run, x's graph depends only on the run's end s (x's first
+switch point) and the caps: every node id, edge, terminal and limit is
+that of s's graph.  ``_grow`` walks it breadth-first over the field's
+graph into a record (``_Below``): the field ids of its nodes in visiting
+order, one flat list of local targets (a node id, a terminal or a limit
+per edge), the terminals' cycle digits, the limit, and the segment of each
+edge whose run the field's graph did not store.  One Tarjan pass over the
+targets (``_answer``) reads its answers: as each component closes, its
 floor, whether it reaches a terminal and whether it is cyclic or rich,
-from which the record keeps the count and a live flag per node.
-``_record`` keeps the record under (s's reduced form, max_steps,
-max_nodes) while the memo has room, and the record then also keeps each
-listing of ``_listing`` by (max_count, max_depth), relative to s.  A
-point's listing is s's listing with the root segment prepended: canonical
-words are unique, so the prefixed word is the one a walk from x would
-build.  ``count_expansions`` classifies the graph ``build_branch_graph``
-returns, a read-only view of the record that builds each of its node,
-edge and terminal tables on that table's first read, and ``classify``
-reads the count off the record: a count builds no table.  A listing is
-walked on the record itself, skipping the nodes that are not live, or read
-straight off it when it holds one: no listing assembles a graph.
+from which the record keeps the count and a live flag per node.  Points of
+one base also share first switch points, so each field keeps an answer
+memo: ``_record`` keeps the record under (s's id, max_steps, max_nodes)
+while the memo has room, and the record then also keeps each listing of
+``_listing`` by (max_count, max_depth), relative to s.  A point's listing
+is s's listing with the root segment prepended: canonical words are
+unique, so the prefixed word is the one a walk from x would build.
+``count_expansions`` classifies the graph ``build_branch_graph`` returns,
+a read-only view of the record that builds each of its node, edge and
+terminal tables from the record and the field's graph on that table's
+first read, and ``classify`` reads the count off the record: a count
+builds no table and no ``Edge``.  A listing is walked on the record,
+skipping the nodes that are not live, with segments read from the field's
+graph, or read straight off the record when it holds one: no listing
+assembles a graph.
 
-The memos hold ints, bytes, tuples, ``Edge``, ``Cardinality`` and
+The memos hold ints, bytes, lists, tuples, ``Cardinality`` and
 ``PeriodicWord`` records only, never an element or a graph, so a field is
-freed with them.  The root memo holds one point and the branch memo at most
-``_MEMO_CAP`` switch points; neither stores a run that hit the step budget.
-The answer memo admits records and listings while the nodes and words it
-holds total at most ``_MEMO_CAP``.  Full memos still serve what they hold.
+freed with them.  The root memo holds one point and the field's graph at
+most ``_MEMO_CAP`` switch points; neither stores a run that hit the step
+budget.  Past the cap, a walk names a new switch point by its reduced form
+instead of an id, and keeps the segments of its runs in its record.  The
+answer memo admits records and listings while the nodes and words it holds
+total at most ``_MEMO_CAP``.  Full memos still serve what they hold.
 ``deterministic_run``, ``viable_prefix_counts`` and ``_at_most`` read no
 memo: the level walk stays an independent check of the graphs.
 """
@@ -93,10 +101,10 @@ DEFAULT_MAX_STEPS = 10_000
 DEFAULT_MAX_NODES = 10_000
 DEFAULT_MAX_COUNT = 64
 DEFAULT_MAX_DEPTH = 256
-# switch points a field's branch memo admits, about 6x the nodes of every
-# canonical q2 word with preperiod <= 6 and period <= 4 at caps 250/64; and
-# nodes plus listed words its answer memo holds in all.  A full memo still
-# serves what it holds.
+# switch points a field's graph holds, about 3.6x the 4,568 that the graphs
+# of every canonical q2 word with preperiod <= 6 and period <= 4 reach at
+# caps 250/64 (2,486 of them expanded); and nodes plus listed words its
+# answer memo holds in all.  A full memo still serves what it holds.
 _MEMO_CAP = 1 << 14
 
 
@@ -260,35 +268,37 @@ class BranchGraph:
 
     A read-only view of the record of the graph below x's root run (see
     ``_record``), as ``build_branch_graph`` returns it: each of ``nodes``,
-    ``edges`` and ``terminals`` is built from the record on that table's
-    first read, as a fresh dict the view then keeps, so a count builds none
-    of them.  ``classify`` answers the view from its record."""
+    ``edges`` and ``terminals`` is built from the record and the field's
+    graph on that table's first read, as a fresh dict the view then keeps,
+    so a count builds none of them.  ``classify`` answers the view from its
+    record."""
 
     def __init__(self, x: AlgebraicReal, segment: tuple[int, ...], below: _Below):
         self.field, self.start, self.root_segment = x.field, x, segment
-        self.root_kind, self.root_target = below.root
+        self.root_kind, self.root_target = _target(below.root)
         self.truncated, self.limit = below.limit is not None, below.limit
         self._below = below
 
     @functools.cached_property
     def nodes(self) -> dict[int, AlgebraicReal]:
-        field = self.field
-        return {nid: AlgebraicReal(field, k[1:], k[0]) for nid, k in enumerate(self._below.keys)}
+        field, graph = self.field, self.field._graph
+        keys = (graph[ref][0] if ref.__class__ is int else ref for ref in self._below.refs)
+        return {nid: AlgebraicReal(field, k[1:], k[0]) for nid, k in enumerate(keys)}
 
     @functools.cached_property
     def edges(self) -> dict[int, dict[int, Edge]]:
-        return {nid: {0: e0, 1: e1} for nid, (e0, e1) in enumerate(self._below.edges)}
+        below, graph = self._below, self.field._graph
+        return {nid: {d: Edge(d, _segment(graph, below, 2 * nid + d),
+                              *_target(below.targets[2 * nid + d])) for d in (0, 1)}
+                for nid in range(len(below.refs))}
 
     @functools.cached_property
     def terminals(self) -> dict[int, PeriodicWord]:
-        return dict(enumerate(self._below.terminals))
+        return {tid: PeriodicWord((), cycle) for tid, cycle in enumerate(self._below.terminals)}
 
 
-def build_branch_graph(
-    x: AlgebraicReal,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> BranchGraph:
+def build_branch_graph(x: AlgebraicReal, max_steps: int = DEFAULT_MAX_STEPS,
+                       max_nodes: int = DEFAULT_MAX_NODES) -> BranchGraph:
     """Breadth-first closure of the switch points reachable from x.
 
     The graph is a view of x's root segment and the record of the graph
@@ -301,34 +311,43 @@ def build_branch_graph(
 def _record(x: AlgebraicReal, max_steps: int, max_nodes: int) -> tuple[tuple[int, ...], _Below]:
     """x's root segment and the record of x's graph below the root run's end.
 
-    x's root run is read from the field's root memo, in the branch memo's
-    shape and under its rule (see ``_Orbits.run``), when x is the last
-    point whose root run was stored; otherwise it is run, and stored in
-    place of that one unless it hit the step budget.  When it ends at a
-    switch point s whose graph under these caps the answer memo holds, that
-    record is returned.  Otherwise the record grows from the root run's end (see
-    ``_grow``), and the memo keeps it, marked ``kept``, while it has room."""
+    x's root run is read from the field's root memo, in the kernel's shape
+    and under its rule (see ``_cut``), when x is the last point whose root
+    run was stored; otherwise it is run, and stored in place of that one
+    unless it hit the step budget.  When it ends at a switch point s whose
+    graph under these caps the answer memo holds, that record is returned.
+    Otherwise the record is walked from the root run's end (see ``_grow``),
+    and the memo keeps it, marked ``kept``, while it has room."""
     field = x.field
     roots, key = field._roots, (x.den, *x.num)
     run = roots.get(key)
     orbits = None
-    if run is None or run[0] >= max_steps:
+    if run is None:
         orbits, reg = _start(x)
         run = orbits.run(x.num, reg, max_steps, {})
         if run[2] is not LIMIT:
             roots.clear()
             roots[key] = run
+    elif run[0] >= max_steps:
+        run = _cut(run, max_steps)
     _, segment, kind, end = run
-    if kind is not NODE:
-        return segment, _grow(orbits or _Orbits(x), kind, end, max_steps, max_nodes)
-    key = (end, max_steps, max_nodes)
-    below = field._answers.get(key)
+    # only a record below a switch point is kept, under that point's ref
+    memo_key = (end := _ref(field, end), max_steps, max_nodes) if kind is NODE else None
+    below = field._answers.get(memo_key)
     if below is None:
-        below = _grow(orbits or _Orbits(x), NODE, end, max_steps, max_nodes)
-        if _admit(field, len(below.keys) + 1):
+        below = _grow(orbits or _Orbits(x), kind, end, max_steps, max_nodes)
+        if memo_key and _admit(field, len(below.refs) + 1):
             below.kept = True
-            field._answers[key] = below
+            field._answers[memo_key] = below
     return segment, below
+
+
+def _cut(run: tuple, max_steps: int) -> tuple:
+    """A stored run under a budget at or below its length L: what the
+    kernel returns then (see ``_Orbits.run``), a LIMIT after the run's first
+    ``max_steps`` digits, whose end no caller reads."""
+    _, segment, kind, end = run
+    return max_steps, (segment + end if kind is TERMINAL else segment)[:max_steps], LIMIT, None
 
 
 def _admit(field: BaseField, cells: int) -> bool:
@@ -340,20 +359,55 @@ def _admit(field: BaseField, cells: int) -> bool:
     return True
 
 
+def _ref(field: BaseField, key: tuple[int, ...]) -> int | tuple[int, ...]:
+    """The id of the switch point with reduced form ``key`` in the field's
+    graph, taking the next one while the graph has room; past its cap, the
+    key itself."""
+    ids, graph = field._graph_ids, field._graph
+    ref = ids.get(key)
+    if ref is None:
+        if len(graph) >= _MEMO_CAP:
+            return key
+        ref = ids[key] = len(graph)
+        graph.append([key, None, None])
+    return ref
+
+
+def _target(t: int | None) -> tuple[Kind, int | None]:
+    """A record's local target as (kind, id): a node id t >= 0, a terminal
+    id ~t, or None for a limit."""
+    return (LIMIT, None) if t is None else (TERMINAL, ~t) if t < 0 else (NODE, t)
+
+
+def _segment(graph: list, below: _Below, i: int) -> tuple[int, ...]:
+    """The digits forced on a record's edge i (2 * node id + digit): the
+    record's own when the field's graph held no run for it, else the stored
+    run's."""
+    segment = below.cut.get(i)
+    return graph[below.refs[i >> 1]][1 + (i & 1)][1] if segment is None else segment
+
+
 @dataclass(eq=False, slots=True)
 class _Below:
     """The graph below a root run's end under one pair of caps, and the
-    answer memo's record of it when that end is a first switch point s:
-    each node's reduced form (den, *num) by id, the edges out of each node,
-    the terminals, how the root resolves, the limit; what one pass over
-    its components found (see ``_answer``): the count, and which nodes
+    answer memo's record of it when that end is a first switch point s.
+
+    ``root`` and ``targets`` hold local targets (see ``_target``): the
+    root's, and that of edge i = 2 * node id + digit.  ``refs`` holds each
+    node's ref in the field's graph (see ``_ref``) by local id, in
+    breadth-first order.  ``cut`` holds the segment of each edge whose run
+    the field's graph did not store as the record was walked: a LIMIT, or a
+    run into or out of a switch point past the graph's cap; no later run
+    changes it.  Then the terminals' cycle digits, the limit, what one pass
+    over the components found (see ``_answer``): the count, and which nodes
     reach a terminal; whether the memo keeps the record; and the listings
     read from it so far, relative to s, by (max_count, max_depth)."""
 
-    root: tuple[Kind, int | None]
-    keys: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[Edge, ...], ...]  # (digit 0's edge, digit 1's) by node id
-    terminals: tuple[PeriodicWord, ...]
+    root: int | None
+    refs: tuple[int | tuple[int, ...], ...]
+    targets: tuple[int | None, ...]
+    cut: dict[int, tuple[int, ...]]
+    terminals: tuple[tuple[int, ...], ...]
     limit: str | None
     count: Cardinality
     live: bytes  # by node id: 1 when some path of edges ends in a terminal edge
@@ -362,63 +416,59 @@ class _Below:
 
 
 def _grow(orbits: _Orbits, kind: Kind, end, max_steps: int, max_nodes: int) -> _Below:
-    """The graph below a root run that ended as (kind, end), with ``end`` in
-    the branch memo's form (a switch point's reduced form, or a unique
-    tail's cycle digits), grown by expanding switch points breadth-first.
+    """The graph below a root run that ended as (kind, end), with ``end`` a
+    switch point's ref in the field's graph (see ``_ref``) or a unique
+    tail's cycle digits, walked breadth-first over the field's graph.
 
-    Each branch is a run in the branch memo's shape (see ``_Orbits.run``):
-    a stored run of length L stands for the run exactly when L < max_steps,
-    and is run again otherwise, when the new run hits the budget too.  A
-    fresh run is resolved like a stored one, and stored unless it hit the
-    budget, so no stored run is ever replaced."""
-    den, locate, step = orbits.den, orbits.locate, orbits.field._step
-    memo = orbits.field._branches
-    node_ids: dict[tuple[int, ...], int] = {}
-    keys: list[tuple[int, ...]] = []  # each node's reduced form (den, *num), by id
+    Each branch is a run in the kernel's shape (see ``_Orbits.run``), with
+    a switch point at its end named by its ref: a stored run of length L is
+    the run when L < max_steps, and cut to the budget otherwise (``_cut``).
+    A branch with no stored run is run, and stored unless it hit the
+    budget, or it or its end lies past the graph's cap, so no stored run is
+    ever replaced.  Nodes take local ids as the walk reaches them, up to
+    ``max_nodes``."""
+    den, locate, field, graph = orbits.den, orbits.locate, orbits.field, orbits.field._graph
+    local: dict = {}  # a node's ref -> its local id
+    refs: list = []  # each node's ref, by local id
+    targets: list[int | None] = []  # by edge 2 * node id + digit
+    cut: dict[int, tuple[int, ...]] = {}
     terminal_ids: dict[tuple[int, ...], int] = {}
     limit: str | None = None
 
-    def resolve(kind: Kind, end) -> tuple[Kind, int | None]:
+    def resolve(kind: Kind, end) -> int | None:
         nonlocal limit
-        if kind is NODE:
-            nid = node_ids.get(end)
-            if nid is None:
-                if len(keys) >= max_nodes:
-                    limit = limit or "max_nodes"
-                    return LIMIT, None
-                nid = node_ids[end] = len(keys)
-                keys.append(end)
-            return NODE, nid
         if kind is TERMINAL:
             # a cycle's digits are primitive: equal tuples, equal tail words
-            return TERMINAL, terminal_ids.setdefault(end, len(terminal_ids))
-        limit = limit or "max_steps"
-        return LIMIT, None
+            return ~terminal_ids.setdefault(end, len(terminal_ids))
+        t = local.get(end) if kind is NODE else None
+        if t is None and kind is NODE and len(refs) < max_nodes:
+            t = local[end] = len(refs)
+            refs.append(end)
+        if t is None:
+            limit = limit or ("max_nodes" if kind is NODE else "max_steps")
+        return t
 
     root = resolve(kind, end)
-    edges: list[tuple[Edge, ...]] = []
-    for key in keys:  # grows as switch points are found: breadth-first
-        stored = memo.get(key, (None, None))
-        runs, fresh, n = list(stored), False, None
-        out = []
-        for digit in (0, 1):
-            run = stored[digit]
-            if run is None or run[0] >= max_steps:
-                if n is None:  # the node over D: its reduced denominator divides D
-                    n = tuple([c * (den // key[0]) for c in key[1:]])
-                # both branches of a switch point stay in the domain
-                branch = step(n, -digit * den)
-                run = orbits.run(branch, locate(branch), max_steps, {})
-                if run[2] is not LIMIT:
-                    runs[digit], fresh = run, True
-            _, segment, kind, end = run
-            out.append(Edge(digit, segment, *resolve(kind, end)))
-        if fresh and (key in memo or len(memo) < _MEMO_CAP):
-            memo[key] = tuple(runs)
-        edges.append(tuple(out))
-    return _Below(root, tuple(keys), tuple(edges),
-                  tuple(PeriodicWord((), cycle) for cycle in terminal_ids), limit,
-                  *_answer(*root, edges, limit))
+    for ref in refs:  # grows as switch points are found: breadth-first
+        entry = graph[ref] if ref.__class__ is int else None
+        for slot in (1, 2):  # digit 0's run, then digit 1's
+            run = entry[slot] if entry else None
+            if run is None:
+                # the node over D (its reduced denominator divides D), then
+                # the branch: both branches of a switch point stay in the domain
+                key = entry[0] if entry else ref
+                branch = field._step(tuple([c * (den // key[0]) for c in key[1:]]), (1 - slot) * den)
+                length, segment, kind, end = orbits.run(branch, locate(branch), max_steps, {})
+                run = length, segment, kind, _ref(field, end) if kind is NODE else end
+                if entry and (kind is TERMINAL or run[3].__class__ is int):
+                    entry[slot] = run
+            elif run[0] >= max_steps:
+                run = _cut(run, max_steps)
+            if entry is None or entry[slot] is not run:
+                cut[len(targets)] = run[1]
+            targets.append(resolve(run[2], run[3]))
+    return _Below(root, tuple(refs), tuple(targets), cut, tuple(terminal_ids), limit,
+                  *_answer(root, targets, limit))
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +529,13 @@ def classify(graph: BranchGraph) -> Cardinality:
     return graph._below.count
 
 
-def _answer(root_kind: Kind, root: int | None, edges: Sequence[Sequence[Edge]],
+def _answer(root: int | None, targets: Sequence[int | None],
             limit: str | None) -> tuple[Cardinality, bytes]:
-    """The cardinality of the graph whose root resolves as (root_kind,
-    root), with ``edges[v]`` the out-edges of node v (node ids 0..n-1),
-    truncated by ``limit`` (None for a complete graph); and, by node id, 1
-    for each node from which some path of edges ends in a terminal edge.
+    """The cardinality of the graph whose root is the local target ``root``
+    and whose edge 2 * v + digit out of node v (ids 0..n-1) leads to local
+    target ``targets[2 * v + digit]`` (see ``_target``), truncated by
+    ``limit`` (None for a complete graph); and, by node id, 1 for each node
+    from which some path of edges ends in a terminal edge.
 
     One iterative Tarjan pass: components close sinks-first, so every edge
     that leaves a component leads into a closed one, and each component's
@@ -495,7 +546,7 @@ def _answer(root_kind: Kind, root: int | None, edges: Sequence[Sequence[Edge]],
     leads into a live component, cyclic when it holds an inner edge, and
     rich (continuum many paths) when it holds more inner edges than nodes.
     A visited node with no component yet is on the stack."""
-    n = len(edges)
+    n = len(targets) // 2
     index, low, comp_of, floor = [-1] * n, [0] * n, [-1] * n, [0] * n
     live = bytearray(n)
     stack: list[int] = []
@@ -505,21 +556,20 @@ def _answer(root_kind: Kind, root: int | None, edges: Sequence[Sequence[Edge]],
     for start in range(n):
         if index[start] >= 0:
             continue
-        work: list[tuple[int, Iterator[Edge]]] = [(start, iter(edges[start]))]
+        work: list[tuple[int, Iterator[int | None]]] = [(start, iter(targets[2 * start:2 * start + 2]))]
         index[start] = low[start] = counter
         counter += 1
         stack.append(start)
         while work:
             v, it = work[-1]
-            for e in it:
-                if e.kind is not NODE:
+            for w in it:
+                if w is None or w < 0:
                     continue
-                w = e.target
                 if index[w] < 0:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    work.append((w, iter(edges[w])))
+                    work.append((w, iter(targets[2 * w:2 * w + 2])))
                     break
                 if comp_of[w] < 0 and index[w] < low[v]:
                     low[v] = index[w]
@@ -539,24 +589,24 @@ def _answer(root_kind: Kind, root: int | None, edges: Sequence[Sequence[Edge]],
                             break
                     total = inner = alive = 0
                     for w in comp:
-                        for e in edges[w]:
-                            if e.kind is not NODE:
+                        for t in targets[2 * w:2 * w + 2]:
+                            if t is None or t < 0:
                                 total += 1
-                                alive |= e.kind is TERMINAL
-                            elif comp_of[e.target] == v:
+                                alive |= t is not None
+                            elif comp_of[t] == v:
                                 inner += 1
                             else:
-                                total += floor[e.target]
-                                alive |= live[e.target]
+                                total += floor[t]
+                                alive |= live[t]
                     for w in comp:
                         floor[w], live[w] = max(total, 1), alive
                     cyclic = cyclic or inner > 0
                     rich = rich or inner > len(comp)
 
-    if root_kind is TERMINAL:
-        count = Cardinality.finite(1)
-    elif root_kind is LIMIT:
+    if root is None:
         count = Cardinality.lower_bound(1, limit)
+    elif root < 0:
+        count = Cardinality.finite(1)
     elif limit is not None:
         count = Cardinality.lower_bound(floor[root], limit)
     elif rich:
@@ -568,11 +618,8 @@ def _answer(root_kind: Kind, root: int | None, edges: Sequence[Sequence[Edge]],
     return count, bytes(live)
 
 
-def count_expansions(
-    x: AlgebraicReal,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> Cardinality:
+def count_expansions(x: AlgebraicReal, max_steps: int = DEFAULT_MAX_STEPS,
+                     max_nodes: int = DEFAULT_MAX_NODES) -> Cardinality:
     """Classify the set of expansions of x (finite counts are exact)."""
     return classify(build_branch_graph(x, max_steps=max_steps, max_nodes=max_nodes))
 
@@ -581,33 +628,32 @@ def count_expansions(
 # enumeration
 
 
-def _walk(
-    below: _Below, max_count: int, max_depth: int
-) -> tuple[tuple[PeriodicWord, ...], bool, str | None]:
+def _walk(graph: list, below: _Below, max_count: int,
+          max_depth: int) -> tuple[tuple[PeriodicWord, ...], bool, str | None]:
     """The listing of ``_listing``, walked on the record of the graph below
-    a root run's end, relative to that end."""
+    a root run's end, relative to that end, with the segments the field's
+    graph stores for it (see ``_segment``)."""
     words: list[PeriodicWord] = []
     limit = below.limit
     complete = limit is None
-    if below.root[0] is LIMIT:
+    if below.root is None:
         return (), False, limit
-    live = below.live
-    queue: deque[tuple[Kind, int | None, tuple[int, ...], int]] = deque([(*below.root, (), 0)])
+    live, targets, terminals = below.live, below.targets, below.terminals
+    queue: deque[tuple[int, tuple[int, ...], int]] = deque([(below.root, (), 0)])
     while queue:
-        kind, target, prefix, depth = queue.popleft()
+        t, prefix, depth = queue.popleft()
         if len(words) >= max_count:
             return tuple(words), False, limit or "max_count"
-        if kind is TERMINAL:
-            tail = below.terminals[target]
-            words.append(PeriodicWord(prefix + tail.preperiod, tail.period))
+        if t < 0:
+            words.append(PeriodicWord(prefix, terminals[~t]))
             continue
         if depth >= max_depth:
             complete, limit = False, limit or "max_depth"
             continue
-        for digit in (0, 1):
-            e = below.edges[target][digit]
-            if e.kind is TERMINAL or (e.kind is NODE and live[e.target]):
-                queue.append((e.kind, e.target, prefix + (digit,) + e.segment, depth + 1))
+        for i in (2 * t, 2 * t + 1):
+            w = targets[i]
+            if w is not None and (w < 0 or live[w]):
+                queue.append((w, prefix + (i & 1,) + _segment(graph, below, i), depth + 1))
             else:
                 complete = False
     return tuple(words), complete, limit
@@ -632,20 +678,16 @@ def _listing(
     segment, below = _record(x, max_steps, max_nodes)
     found = below.listings.get((max_count, max_depth))
     if found is None:
-        found = _walk(below, max_count, max_depth)
+        found = _walk(x.field._graph, below, max_count, max_depth)
         if below.kept and _admit(x.field, len(found[0]) + 1):
             below.listings[max_count, max_depth] = found
     words, complete, limit = found
     return [w._prefixed(segment) for w in words], complete, limit
 
 
-def enumerate_expansions(
-    x: AlgebraicReal,
-    max_count: int = DEFAULT_MAX_COUNT,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> list[PeriodicWord]:
+def enumerate_expansions(x: AlgebraicReal, max_count: int = DEFAULT_MAX_COUNT,
+                         max_depth: int = DEFAULT_MAX_DEPTH, max_steps: int = DEFAULT_MAX_STEPS,
+                         max_nodes: int = DEFAULT_MAX_NODES) -> list[PeriodicWord]:
     """Eventually periodic expansions of x, lexicographically sorted.
 
     When x has finitely many expansions and the limits suffice, the list is
@@ -658,13 +700,9 @@ def enumerate_expansions(
     return sorted(_listing(x, max_count, max_depth, max_steps, max_nodes)[0])
 
 
-def bfs_expansions(
-    x: AlgebraicReal,
-    max_count: int = DEFAULT_MAX_COUNT,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> tuple[list[PeriodicWord], bool]:
+def bfs_expansions(x: AlgebraicReal, max_count: int = DEFAULT_MAX_COUNT,
+                   max_depth: int = DEFAULT_MAX_DEPTH, max_steps: int = DEFAULT_MAX_STEPS,
+                   max_nodes: int = DEFAULT_MAX_NODES) -> tuple[list[PeriodicWord], bool]:
     """Expansions of x in discovery order (fewest branch decisions first,
     digit 0 before digit 1), plus a flag that is True when the list is
     exhaustive -- i.e. no step, node, depth, or count limit cut it short.

@@ -338,16 +338,19 @@ class BaseField:
     1/(q^p - 1) by period length p (``words.eval_word``); like ``_domain``
     they hold elements of the field, so the field is freed by the cycle
     collector.
-    ``_roots``, ``_branches``, ``_answers`` and ``_answer_cells`` hold the
-    root memo (the last point's root run), the branch and the answer memos
-    of ``branching``, which owns their format; they hold no element, so the
-    field is freed with them.
+    ``_roots`` holds the root memo of ``branching`` (the last point's root
+    run); ``_graph`` and ``_graph_ids`` its switch-point graph, each
+    switch point reached by id with its stored runs, and the ids by reduced
+    form; ``_answers`` and ``_answer_cells`` its answer memo of records,
+    which name nodes by those ids, and the cells it holds.  ``branching``
+    owns their format; they hold no element, so the field is freed with
+    them.
     """
 
     __slots__ = ("min_poly", "degree", "name", "_root_bound", "_cell", "_sign_lo", "_step",
                  "_unstep", "_bracket", "_filter_sum", "_placement", "_fine", "_domain",
-                 "_rules", "_period_inverses", "_roots", "_branches", "_answers",
-                 "_answer_cells", "__weakref__")
+                 "_rules", "_period_inverses", "_roots", "_graph", "_graph_ids",
+                 "_answers", "_answer_cells", "__weakref__")
 
     def __init__(
         self,
@@ -374,7 +377,8 @@ class BaseField:
         self._rules: dict[int, Callable] = {}
         self._period_inverses: dict[int, AlgebraicReal] = {}
         self._roots: dict[tuple[int, ...], tuple] = {}
-        self._branches: dict[tuple[int, ...], tuple] = {}
+        self._graph: list[list] = []
+        self._graph_ids: dict[tuple[int, ...], int] = {}
         self._answers: dict[tuple, object] = {}
         self._answer_cells = 0
 

@@ -84,6 +84,27 @@ ROWS = (
         (_BRANCHING + "test_at_most_agrees_with_count_expansions_on_every_small_word[q2-caps2]",
          _BRANCHING + "test_at_most_from_a_switch_point"),
         "a repeated level fixes every later count, so its count is exact"),
+    Row("node-cap-one-late", "branching.py",
+        "if t is None and kind is NODE and len(refs) < max_nodes:",
+        "if t is None and kind is NODE and len(refs) <= max_nodes:",
+        (_BRANCHING + "test_kernel_matches_element_loops_on_canonical_words[q2]",
+         "tests/test_cli.py::test_count_and_enumerate_pinned_on_q2[q2_0]"),
+        "a walk that holds max_nodes nodes is full: the next new switch point is a limit"),
+    Row("limit-segment-from-the-field-graph", "branching.py",
+        "    segment = below.cut.get(i)\n"
+        "    return graph[below.refs[i >> 1]][1 + (i & 1)][1] if segment is None else segment",
+        "    run = graph[below.refs[i >> 1]][1 + (i & 1)] if below.refs[i >> 1].__class__ is int else None\n"
+        "    return run[1] if run is not None else below.cut[i]",
+        (_BRANCHING + "test_a_kept_record_keeps_its_limit_segments[qf]",
+         _BRANCHING + "test_memo_runs_stored_under_a_larger_step_budget"),
+        "a LIMIT edge's segment is the record's own: a run stored later, or cut to the budget, "
+        "is not the edge's"),
+    Row("terminal-target-off-by-one", "branching.py",
+        "return ~terminal_ids.setdefault(end, len(terminal_ids))",
+        "return -terminal_ids.setdefault(end, len(terminal_ids))",
+        (_BRANCHING + "test_counts_match_the_remainder_recount[qf]",
+         _BRANCHING + "test_kernel_matches_element_loops_on_canonical_words[golden]"),
+        "terminal t is the local target ~t = -t - 1: -t makes terminal 0 into node 0"),
     Row("coefficient-check-dropped", "numberfield.py",
         "if coeffs != raw:", "if False:",
         ("tests/test_numberfield.py::test_define_field_refuses_a_coefficient_that_is_not_an_integer[float]",),

@@ -283,11 +283,18 @@ def test_lower_bound_names_its_limit():
 # classification of edge lists by the component pass
 
 
+def _local(kind, target):
+    """A record's local target for an edge that leads to (kind, target)."""
+    return target if kind is NODE else ~target if kind is TERMINAL else None
+
+
 def _classified(root_kind, root_target, edges, limit=None):
     """The count of ``_answer`` for the graph whose node v (ids 0..n-1) has
     the out-edges ``edges[v]``, truncated by ``limit`` or complete, held to
     the dict reference's count on the same graph as eager tables."""
-    got = branching._answer(root_kind, root_target, edges, limit)[0]
+    targets = [_local(e.kind, e.target) for out in edges for e in out]
+    assert branching._target(_local(root_kind, root_target)) == (root_kind, root_target)
+    got = branching._answer(_local(root_kind, root_target), targets, limit)[0]
     eager = SimpleNamespace(root_kind=root_kind, root_target=root_target,
                             edges={nid: {e.digit: e for e in out} for nid, out in enumerate(edges)},
                             truncated=limit is not None, limit=limit)
@@ -1125,7 +1132,7 @@ def test_compiled_kernel_at_a_degree_past_the_compilers_nesting_limit():
 
 
 # ---------------------------------------------------------------------------
-# the branch memo: each switch point's forced runs, kept per field
+# the field's graph: each switch point's forced runs, kept per field by id
 #
 # The shared fields' memos are process-wide, so every test here builds its
 # fields fresh: a cold field has an empty memo.  "cubic" (x^3 - x^2 - 2) is
@@ -1297,7 +1304,7 @@ def test_memo_answers_keep_their_caps_apart(name, text):
 def _held_cells(field):
     """The nodes and words a field's answer memo holds, one more per record
     and per listing."""
-    return sum(len(below.keys) + 1 + sum(len(words) + 1 for words, _, _ in below.listings.values())
+    return sum(len(below.refs) + 1 + sum(len(words) + 1 for words, _, _ in below.listings.values())
                for below in field._answers.values())
 
 
@@ -1306,9 +1313,9 @@ def test_full_memo_admits_no_more_switch_points(monkeypatch):
     warm = define_field(*_KERNEL_FIELDS["q2"])
     for word in _MEMO_WORDS[:40]:
         got = build_branch_graph(eval_word(word, warm), **_ACCEPTANCE_CAPS)
-        assert len(warm._branches) <= 3
+        assert len(warm._graph) <= 3
         assert _graph_form(got) == _cold_form("q2", word, _ACCEPTANCE_CAPS), str(word)
-    assert len(warm._branches) == 3
+    assert len(warm._graph) == 3
     # the answer memo holds at most _MEMO_CAP nodes and words: q2's graphs
     # at these caps are too large for it, and qf keeps one two-node graph
     # and then no listing
@@ -1392,9 +1399,11 @@ def test_a_stored_run_is_the_run_under_every_budget_above_its_length(name, word)
     x = eval_word(word, F)
     build_branch_graph(x, **_KERNEL_CAPS[name])
     starts = [(x, x.num, run) for run in F._roots.values()]
-    for (den, *num), runs in F._branches.items():
+    for (den, *num), *runs in F._graph:
         node = AlgebraicReal(F, tuple(num), den)
-        starts += [(node, F._step(node.num, -digit * den), run)
+        # the field's graph names a run's switch point by its id there
+        starts += [(node, F._step(node.num, -digit * den),
+                    (*run[:3], F._graph[run[3]][0]) if run[2] is NODE else run)
                    for digit, run in enumerate(runs) if run is not None]
     for point, n, run in starts:
         length, segment, kind, end = run
@@ -1415,7 +1424,7 @@ def test_a_stored_run_is_the_run_under_every_budget_above_its_length(name, word)
 @pytest.mark.parametrize("name", ["qf", "golden"])
 def test_regrown_records_step_only_their_roots(name):
     # with the answer memo cleared, each record grows again from the warm
-    # branch memo, which holds every branch run (Pisot graphs at the default
+    # field's graph, which holds every branch run (Pisot graphs at the default
     # caps resolve every run): the kernel steps through the root runs only
     F = define_field(*_KERNEL_FIELDS[name])
     points = list(dict.fromkeys(eval_word(w, F) for w in _MEMO_WORDS[::3]))
@@ -1436,7 +1445,104 @@ def test_regrown_records_step_only_their_roots(name):
         steps[0] = 0
         assert bfs_expansions(x) == listing, str(x)
         assert steps[0] == 0, str(x)
-    assert sum(len(below.keys) for below in F._answers.values()) > 100
+    assert sum(len(below.refs) for below in F._answers.values()) > 100
+
+
+@pytest.mark.parametrize("name", ["qf", "golden"])
+def test_budgets_within_stored_runs_step_nothing(name):
+    # a stored run of length L answers a budget B <= L as the kernel would,
+    # a LIMIT after its first B digits: a point asked again under any budget
+    # steps nothing once its root run and every branch run below it are
+    # stored (Pisot graphs at the default caps resolve every run), and
+    # answers as a cold field does
+    F = define_field(*_KERNEL_FIELDS[name])
+    steps, step = [0], F._step
+
+    def counted(*args):
+        steps[0] += 1
+        return step(*args)
+
+    cut_branches = 0
+    for word in _MEMO_WORDS[::70]:
+        x = eval_word(word, F)
+        F._step = step
+        count_expansions(x)
+        graph = build_branch_graph(x)
+        longest = max([F._roots[x.den, *x.num][0]] + [
+            run[0] for nid in graph.nodes for run in F._graph[graph._below.refs[nid]][1:]])
+        F._step = counted
+        for max_steps in range(1, longest + 2):
+            caps = {"max_steps": max_steps, "max_nodes": branching.DEFAULT_MAX_NODES}
+            for job in ("count", (64, 12)):
+                steps[0] = 0
+                got = _answer_form(job, x, caps)
+                assert steps[0] == 0, (str(word), max_steps, job)
+                assert got == _cold_answer(name, word, job, caps), (str(word), max_steps, job)
+            view = build_branch_graph(x, **caps)
+            cut_branches += view.root_kind is NODE and view.limit == "max_steps"
+    assert cut_branches > 10
+
+
+@pytest.mark.parametrize("name", _MEMO_NAMES)
+def test_a_kept_record_keeps_its_limit_segments(name):
+    # a LIMIT edge's segment is the record's own: a larger budget that later
+    # stores the run of the same branch changes no record already kept
+    warm = define_field(*_KERNEL_FIELDS[name])
+    short = {"max_steps": 5, "max_nodes": 64}
+    kept = 0
+    for word in _MEMO_WORDS[::40]:
+        x = eval_word(word, warm)
+        first = build_branch_graph(x, **short)
+        form = _graph_form(first)
+        build_branch_graph(x, **_KERNEL_CAPS[name])
+        again = build_branch_graph(x, **short)
+        kept += first._below.kept and first.limit == "max_steps"
+        assert again._below is first._below or not first._below.kept, str(word)
+        assert _graph_form(again) == form == _cold_form(name, word, short), str(word)
+    assert kept > 5
+
+
+def test_a_full_field_graph_answers_like_cold_fields(monkeypatch):
+    # with a small cap the field's graph fills partway through the sweep;
+    # past it, a walk holds its new switch points by reduced form, and
+    # every count and listing still equals a cold field's
+    monkeypatch.setattr(branching, "_MEMO_CAP", 500)
+    grown = []
+    grow = branching._grow
+    monkeypatch.setattr(branching, "_grow", lambda *args: grown.append(grow(*args)) or grown[-1])
+    warm = define_field(*_KERNEL_FIELDS["q2"])
+    full_at = None
+    for i, word in enumerate(_MEMO_WORDS):
+        cold = define_field(*_KERNEL_FIELDS["q2"])
+        for job in ("count", (64, 256)):
+            want = _answer_form(job, eval_word(word, cold), _ACCEPTANCE_CAPS)
+            assert _answer_form(job, eval_word(word, warm), _ACCEPTANCE_CAPS) == want, str(word)
+        if full_at is None and len(warm._graph) == 500:
+            full_at = i
+    assert len(warm._graph) == len(warm._graph_ids) == 500
+    assert 0 < full_at < len(_MEMO_WORDS) // 2
+    assert sum(any(ref.__class__ is tuple for ref in below.refs) for below in grown) > 100
+
+
+def test_the_field_graph_holds_each_switch_point_once():
+    # after the q2 sweep, every switch point any graph reached is held once,
+    # by its reduced form, and the records name nodes by their ids there:
+    # no record holds a node's reduced form
+    F = define_field(*_KERNEL_FIELDS["q2"])
+    graphs = [build_branch_graph(eval_word(word, F), **_ACCEPTANCE_CAPS) for word in _MEMO_WORDS]
+    keys = [entry[0] for entry in F._graph]
+    assert len(set(keys)) == len(keys) == len(F._graph_ids) < branching._MEMO_CAP
+    assert all(F._graph_ids[key] == i for i, key in enumerate(keys))
+    for graph in graphs:
+        assert all(ref.__class__ is int for ref in graph._below.refs)
+        assert {(v.den, *v.num) for v in graph.nodes.values()} <= F._graph_ids.keys()
+    records = {id(graph._below): graph._below for graph in graphs}.values()
+    assert len(records) > 500 and sum(below.kept for below in records) > 200
+    for below in records:
+        held = (below.refs, below.targets, *below.cut.values(), *below.terminals)
+        assert all(c.__class__ is int and (c in (0, 1) or part is below.refs or part is below.targets)
+                   for part in held for c in part if c is not None)
+        assert len(below.refs) == len(below.targets) // 2 == len(below.live)
 
 
 @pytest.mark.parametrize("name", ["golden", "qf"])
@@ -1452,7 +1558,7 @@ def test_counts_match_the_remainder_recount(name):
 
 def test_run_and_prefix_oracle_do_not_read_the_memo():
     F = define_field(*_KERNEL_FIELDS["qf"])
-    F._roots = F._branches = F._answers = None  # any read of a memo raises
+    F._roots = F._graph = F._graph_ids = F._answers = None  # any read of a memo raises
     x = family_member(F, 3)
     assert isinstance(deterministic_run(x).end, SwitchHit)
     assert viable_prefix_counts(x, 40)[-1] == 3
@@ -1495,13 +1601,14 @@ def test_lower_step_budgets_replace_no_stored_run():
               for t in ("1(0000)^3 0(10)*", "0(011)*", "001(0110)*", "1(0)*", "(0110)*")]
     for x in points:
         build_branch_graph(x)
-    before = dict(F._branches)
-    runs = [run for pair in before.values() for run in pair if run is not None]
+    before = [list(entry) for entry in F._graph]
+    runs = [run for _, *pair in before for run in pair if run is not None]
     assert any(run[0] >= 3 for run in runs) and all(run[0] >= 1 for run in runs)
     for max_steps in (3, 1):
         for x in points:
             build_branch_graph(x, max_steps=max_steps)
-        assert all(F._branches[key] is entry for key, entry in before.items())
+        assert len(F._graph) == len(before)
+        assert all(a is b for entry, old in zip(F._graph, before) for a, b in zip(entry, old))
 
 
 def _counted_graphs(monkeypatch):
@@ -1547,12 +1654,16 @@ _TABLES = ("nodes", "edges", "terminals")
 def _eager(view):
     """The graph of a view's record as eager tables, every one filled at
     once."""
-    below, field = view._below, view.field
+    below, field, graph = view._below, view.field, view.field._graph
+    keys = [graph[ref][0] if isinstance(ref, int) else ref for ref in below.refs]
+    targets = [branching._target(t) for t in below.targets]
     return SimpleNamespace(
-        root_segment=view.root_segment, root_kind=below.root[0], root_target=below.root[1],
-        nodes={nid: AlgebraicReal(field, k[1:], k[0]) for nid, k in enumerate(below.keys)},
-        edges={nid: {0: e0, 1: e1} for nid, (e0, e1) in enumerate(below.edges)},
-        terminals=dict(enumerate(below.terminals)),
+        root_segment=view.root_segment, root_kind=branching._target(below.root)[0],
+        root_target=branching._target(below.root)[1],
+        nodes={nid: AlgebraicReal(field, k[1:], k[0]) for nid, k in enumerate(keys)},
+        edges={nid: {d: Edge(d, branching._segment(graph, below, 2 * nid + d),
+                             *targets[2 * nid + d]) for d in (0, 1)} for nid in range(len(keys))},
+        terminals={tid: PeriodicWord((), cycle) for tid, cycle in enumerate(below.terminals)},
         truncated=below.limit is not None, limit=below.limit)
 
 

@@ -527,9 +527,9 @@ def test_domain_bounds_do_not_keep_a_field_alive():
     F = define_field((-1, -1, 0, 1), (Fraction(13, 10), Fraction(14, 10)))
     lo, hi, upper = domain_bounds(F)
     assert domain_bounds(F) == (lo, hi, upper)
-    # the branch memo holds ints and tuples, never an element of F
+    # the field's graph holds ints, lists and tuples, never an element of F
     assert count_expansions(F.one) == Cardinality.continuum()
-    assert F._branches
+    assert F._graph
     # the region rules it keeps hold the switch bounds, elements of F
     assert F._rules
     # so do the period inverses 1/(q^p - 1) it keeps
