@@ -450,14 +450,15 @@ def _grow(orbits: _Orbits, kind: Kind, end, max_steps: int, max_nodes: int) -> _
 
     root = resolve(kind, end)
     for ref in refs:  # grows as switch points are found: breadth-first
-        entry = graph[ref] if ref.__class__ is int else None
+        entry, n = graph[ref] if ref.__class__ is int else None, None
         for slot in (1, 2):  # digit 0's run, then digit 1's
             run = entry[slot] if entry else None
             if run is None:
-                # the node over D (its reduced denominator divides D), then
-                # the branch: both branches of a switch point stay in the domain
-                key = entry[0] if entry else ref
-                branch = field._step(tuple([c * (den // key[0]) for c in key[1:]]), (1 - slot) * den)
+                if n is None:  # the node over D: its reduced denominator divides D
+                    key = entry[0] if entry else ref
+                    n = key[1:] if key[0] == den else tuple([c * (den // key[0]) for c in key[1:]])
+                # both branches of a switch point stay in the domain
+                branch = field._step(n, (1 - slot) * den)
                 length, segment, kind, end = orbits.run(branch, locate(branch), max_steps, {})
                 run = length, segment, kind, _ref(field, end) if kind is NODE else end
                 if entry and (kind is TERMINAL or run[3].__class__ is int):
@@ -539,15 +540,20 @@ def _answer(root: int | None, targets: Sequence[int | None],
 
     One iterative Tarjan pass: components close sinks-first, so every edge
     that leaves a component leads into a closed one, and each component's
-    facts are read as it closes.  Its floor counts distinct exits, an
+    facts are known as it closes.  Its floor counts distinct exits, an
     unresolved edge one each (every in-domain point has an expansion): the
     exact path count of a complete cycle-free graph, and a certified floor
     for a truncated one.  It is live when an exit is a terminal edge or
     leads into a live component, cyclic when it holds an inner edge, and
     rich (continuum many paths) when it holds more inner edges than nodes.
-    A visited node with no component yet is on the stack."""
+    The facts gather node by node in ``floor``, ``live`` and ``inner``: a
+    finishing node's successors are each in a closed component or in its
+    own, so it adds its own edges' facts, and hands what it holds to its
+    DFS parent, which shares its component, unless it is the component's
+    first node and closes it.  A visited node with no component yet is on
+    the stack."""
     n = len(targets) // 2
-    index, low, comp_of, floor = [-1] * n, [0] * n, [-1] * n, [0] * n
+    index, low, comp_of, floor, inner = [-1] * n, [0] * n, [-1] * n, [0] * n, [0] * n
     live = bytearray(n)
     stack: list[int] = []
     counter = 0
@@ -575,33 +581,31 @@ def _answer(root: int | None, targets: Sequence[int | None],
                     low[v] = index[w]
             else:
                 work.pop()
-                if work:
+                for t in targets[2 * v:2 * v + 2]:
+                    if t is None or t < 0:
+                        floor[v] += 1
+                        live[v] |= t is not None
+                    elif comp_of[t] < 0:
+                        inner[v] += 1
+                    else:
+                        floor[v] += floor[t]
+                        live[v] |= live[t]
+                if low[v] < index[v]:  # not a component's first node: its parent shares it
                     parent = work[-1][0]
+                    floor[parent] += floor[v]
+                    live[parent] |= live[v]
+                    inner[parent] += inner[v]
                     if low[v] < low[parent]:
                         low[parent] = low[v]
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        comp_of[w] = v  # a component is named by its first node
-                        comp.append(w)
-                        if w == v:
-                            break
-                    total = inner = alive = 0
-                    for w in comp:
-                        for t in targets[2 * w:2 * w + 2]:
-                            if t is None or t < 0:
-                                total += 1
-                                alive |= t is not None
-                            elif comp_of[t] == v:
-                                inner += 1
-                            else:
-                                total += floor[t]
-                                alive |= live[t]
-                    for w in comp:
-                        floor[w], live[w] = max(total, 1), alive
-                    cyclic = cyclic or inner > 0
-                    rich = rich or inner > len(comp)
+                    continue
+                total, alive, size = floor[v] or 1, live[v], len(stack)
+                while True:
+                    w = stack.pop()
+                    comp_of[w], floor[w], live[w] = v, total, alive  # named by its first node
+                    if w == v:
+                        break
+                if inner[v]:
+                    cyclic, rich = True, rich or inner[v] > size - len(stack)
 
     if root is None:
         count = Cardinality.lower_bound(1, limit)

@@ -55,12 +55,12 @@ _BRANCHING = "tests/test_branching.py::"
 
 ROWS = (
     Row("rich-one-edge-late", "branching.py",
-        "rich = rich or inner > len(comp)", "rich = rich or inner > len(comp) + 1",
+        "rich or inner[v] > size - len(stack)", "rich or inner[v] > size - len(stack) + 1",
         (_BRANCHING + "test_classify_double_self_loop_is_continuum",
          _BRANCHING + "test_counts_match_the_remainder_recount[qf]"),
         "an SCC with one inner edge more than nodes already has continuum many paths"),
     Row("cyclic-one-edge-late", "branching.py",
-        "cyclic = cyclic or inner > 0", "cyclic = cyclic or inner > 1",
+        "if inner[v]:", "if inner[v] > 1:",
         (_BRANCHING + "test_classify_matches_the_dict_reference",),
         "a component with one inner edge holds a cycle: countably many paths"),
     Row("eval-digit-one-not-den", "words.py",
