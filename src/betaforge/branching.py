@@ -29,10 +29,18 @@ steps them with the field's compiled step, and decides regions with
 bound: the field's compiled placement, its filter sum against integer
 thresholds taken once for D from the switch bounds' cached scaled sums,
 and, when the filter cannot decide, the exact comparison of the reduced
-element.  ``_reduced`` builds an element only where a value
-leaves the kernel: graph nodes, switch points, unique-tail cycles and the
-orbit a run returns.  x itself is placed by ``words.region``, which rules
-out a point outside the domain and then applies the same region rule.
+element.  Inside a run, a double x̂ of the value with a proved bound ε on
+its error decides most steps instead: a step whose x̂ ± ε lies clear of
+the field's certified double intervals around the switch bounds takes its
+region from them, and any other takes the rule's placement, which
+restarts the tracker (see ``_Orbits.run`` for the bound and its proof).
+Past the golden ratio a walk places no branch: for q > φ, q * s is HIGH
+and q * s - 1 LOW for every switch point s, which the field decides once,
+exactly, as 1/(q(q-1)) < 1.  ``_reduced`` builds an element only where a
+value leaves the kernel: graph nodes, switch points, unique-tail cycles
+and the orbit a run returns.  x itself is placed by ``words.region``,
+which rules out a point outside the domain and then tests x's cached
+filter sum against the same rule's thresholds.
 
 Points of one base share switch points (in a Pisot base, those over one
 denominator are finitely many), so each field keeps one switch-point graph
@@ -95,7 +103,7 @@ from enum import Enum
 from typing import Iterator, NamedTuple, Sequence
 
 from .numberfield import AlgebraicReal, BaseField, _reduced
-from .words import PeriodicWord, Region, _region_rule, region
+from .words import PeriodicWord, Region, _region_rule, _sieved, region
 
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_MAX_NODES = 10_000
@@ -120,7 +128,7 @@ class Kind(str, Enum):
 NODE, TERMINAL, LIMIT = Kind
 # bound once for the forced walk's per-call setup: looking up an Enum member
 # on its class is slow on Python 3.11
-SWITCH, LOW = Region.SWITCH, Region.LOW
+SWITCH, LOW, HIGH = Region.SWITCH, Region.LOW, Region.HIGH
 
 
 class OutsideDomain(ValueError):
@@ -175,13 +183,15 @@ class _Orbits:
 
     Every value the kernel makes lies in the domain: a forced digit and
     either digit at a switch point keep it there (see ``words``).  So its
-    regions compare with the switch bounds only."""
+    regions compare with the switch bounds only.  ``rule`` is the region
+    rule for D, and ``locate`` its placement."""
 
-    __slots__ = ("field", "den", "locate")
+    __slots__ = ("field", "den", "rule", "locate")
 
     def __init__(self, x: AlgebraicReal):
         self.field, self.den = x.field, x.den
-        self.locate = _region_rule(x.field, x.den)
+        self.rule = _region_rule(x.field, x.den)
+        self.locate = self.rule.locate
 
     def value(self, n: tuple[int, ...]) -> AlgebraicReal:
         return _reduced(self.field, n, self.den)
@@ -199,14 +209,45 @@ class _Orbits:
         last step (LIMIT, of length max_steps).  A run of length L is what
         every budget above L returns; every budget B <= L gives a LIMIT of
         length B.  ``seen``, empty, is filled with each visited tuple's step,
-        in order."""
-        step, locate, den = self.field._step, self.locate, self.den
-        minus_one = -den
+        in order.
+
+        Each step's region comes from a double x̂ of the value x with a bound
+        |x̂ - x| <= ε, when x̂ ± ε lies clear of the field's certified double
+        intervals [a0, a1] for 1/q and [b0, b1] for 1/(q(q-1)), and
+        otherwise from the rule's placement: the filter sum (s, e), its
+        thresholds, then ``exact``.  That placement restarts the tracker at
+        x̂ = s * c, ε = e * c + κ (see ``words._Rule``).  A step x <- q * x - d
+        sets x̂ <- q̂ * x̂ - d and ε <- q⁺ * ε + κ, with the field's constants
+        (``BaseField._tracking``), and the tracker decides only while
+        ε < 1/4.  Proof, with u = 2^-53 the unit roundoff and every value x
+        in the domain [0, T], T = 1/(q-1), B = T + 1:
+
+        - at a start, X = s / (den * 2^P) is within e * c_true <= 1/8 of x
+          (e < cap), so |X| <= B, and the three roundings of float(s) * c
+          put x̂ within 3.01 * u * B of X.  The rounded e * c + κ is at least
+          e * c_true (1 - u)^4 + κ (1 - u), which covers both, since
+          κ >= 2^-48 (q̂ B + 1) >= 32 u B;
+        - at a step from ε < 1/4, |x̂| <= T + 1/4 <= B, so
+          |fl(fl(q̂ x̂) - d) - (q x - d)| <= q ε + δ B + u |q̂ x̂| +
+          u |fl(q̂ x̂) - d| <= q ε + δ B + 2^-52 (q̂ B + 1), and the rounded
+          q⁺ * ε + κ is at least q⁺ ε (1 - u)^2 + κ (1 - u), which covers it,
+          since q⁺ >= q (1 + 2^-50) >= q / (1 - u)^2;
+        - a rounded x̂ + ε below a0 means x̂ + ε < a0 / (1 - u) <= 1/q, and
+          a rounded x̂ - ε above a1 or b1 means x̂ - ε > a1 / (1 + u) >= 1/q,
+          or above 1/(q(q-1)): the interval's widening covers the rounding.
+
+        A step whose ε reaches 1/4 takes the placement, which restarts the
+        tracker; a value whose e is not below the rule's cap starts none."""
+        field = self.field
+        step, filt, den, minus_one = field._step, field._filter_sum, self.den, -self.den
+        q, q_up, kappa, a0, a1, b0, b1, _ = field._tracker
+        _, lo0, hi0, lo1, hi1, c, cap, exact = self.rule
         digits: list[int] = []
+        x, eps = 0.0, 1.0  # x̂ and ε: no tracker until the first placement
         for i in range(max_steps):
             if reg is SWITCH:
                 g = math.gcd(den, *n)
-                end = (den, *n) if g == 1 else (den // g, *[c // g for c in n])
+                end = (den, *n) if g == 1 else (den // g, *[v // g for v in n])
                 return i, tuple(digits), NODE, end
             at = seen.setdefault(n, i)
             if at != i:
@@ -214,10 +255,28 @@ class _Orbits:
             if reg is LOW:
                 digits.append(0)
                 n = step(n, 0)
+                x = q * x
             else:
                 digits.append(1)
                 n = step(n, minus_one)
-            reg = locate(n)
+                x = q * x - 1.0
+            eps = q_up * eps + kappa
+            if eps < 0.25:
+                if x + eps < a0:
+                    reg = LOW
+                    continue
+                if x - eps > b1:
+                    reg = HIGH
+                    continue
+                if x - eps > a1 and x + eps < b0:
+                    reg = SWITCH
+                    continue
+            s, e = filt(n)
+            reg = _sieved(s, e, lo0, hi0, lo1, hi1) or exact(n)
+            if e < cap:
+                x, eps = s * c, e * c + kappa
+            else:
+                eps = 1.0
         return max_steps, tuple(digits), LIMIT, n
 
 
@@ -421,13 +480,17 @@ def _grow(orbits: _Orbits, kind: Kind, end, max_steps: int, max_nodes: int) -> _
     tail's cycle digits, walked breadth-first over the field's graph.
 
     Each branch is a run in the kernel's shape (see ``_Orbits.run``), with
-    a switch point at its end named by its ref: a stored run of length L is
+    a switch point at its end named by its ref, started in HIGH for digit 0
+    and LOW for digit 1 when q > φ, and in its placed region otherwise (see
+    ``BaseField._tracking``): a stored run of length L is
     the run when L < max_steps, and cut to the budget otherwise (``_cut``).
     A branch with no stored run is run, and stored unless it hit the
     budget, or it or its end lies past the graph's cap, so no stored run is
     ever replaced.  Nodes take local ids as the walk reaches them, up to
     ``max_nodes``."""
     den, locate, field, graph = orbits.den, orbits.locate, orbits.field, orbits.field._graph
+    # past φ, q * s is HIGH and q * s - 1 LOW for every switch point s
+    starts = (HIGH, LOW) if field._tracker[7] else None
     local: dict = {}  # a node's ref -> its local id
     refs: list = []  # each node's ref, by local id
     targets: list[int | None] = []  # by edge 2 * node id + digit
@@ -459,7 +522,8 @@ def _grow(orbits: _Orbits, kind: Kind, end, max_steps: int, max_nodes: int) -> _
                     n = key[1:] if key[0] == den else tuple([c * (den // key[0]) for c in key[1:]])
                 # both branches of a switch point stay in the domain
                 branch = field._step(n, (1 - slot) * den)
-                length, segment, kind, end = orbits.run(branch, locate(branch), max_steps, {})
+                reg = starts[slot - 1] if starts else locate(branch)
+                length, segment, kind, end = orbits.run(branch, reg, max_steps, {})
                 run = length, segment, kind, _ref(field, end) if kind is NODE else end
                 if entry and (kind is TERMINAL or run[3].__class__ is int):
                     entry[slot] = run

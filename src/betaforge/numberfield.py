@@ -2,7 +2,8 @@
 
 A base is described by a monic integer polynomial together with a rational
 interval that isolates exactly one real root.  No floating point is involved
-in any decision.
+in any sign.  The one decision a double takes part in is the orbit kernel's
+region of a step, and only inside a proved error bound (``_tracking``).
 
 Lattice form.  An element is stored as integer numerators over one positive
 common denominator, ``(num, den)``, meaning sum(num[i] * q^i) / den, with
@@ -334,7 +335,10 @@ class BaseField:
     1/(q-1), whose scaled sums the bound elements cache themselves.
     ``_rules`` holds the orbit kernel's region rules by denominator, and
     ``_placement`` the compiled placement they share, built with the first
-    rule (``words._region_rule``); ``_period_inverses`` holds the elements
+    rule (``words._region_rule``), as is ``_tracker``, the kernel's float
+    constants (``_tracking``): q as a double, the upward-rounded q⁺ and κ of
+    its error bound, certified double intervals around 1/q and
+    1/(q(q-1)), and whether q > φ; ``_period_inverses`` holds the elements
     1/(q^p - 1) by period length p (``words.eval_word``); like ``_domain``
     they hold elements of the field, so the field is freed by the cycle
     collector.
@@ -348,7 +352,7 @@ class BaseField:
     """
 
     __slots__ = ("min_poly", "degree", "name", "_root_bound", "_cell", "_sign_lo", "_step",
-                 "_unstep", "_bracket", "_filter_sum", "_placement", "_fine", "_domain",
+                 "_unstep", "_bracket", "_filter_sum", "_placement", "_tracker", "_fine", "_domain",
                  "_rules", "_period_inverses", "_roots", "_graph", "_graph_ids",
                  "_answers", "_answer_cells", "__weakref__")
 
@@ -372,6 +376,7 @@ class BaseField:
         self._bracket: tuple[int, int, int] | None = None
         self._filter_sum = None
         self._placement = None
+        self._tracker: tuple | None = None
         self._fine: dict[int, tuple[int, ...]] = {}
         self._domain: tuple[AlgebraicReal, AlgebraicReal, AlgebraicReal] | None = None
         self._rules: dict[int, Callable] = {}
@@ -500,6 +505,43 @@ class BaseField:
             self._filter_sum = _compile_filter(self._scaled_powers())
         return self._filter_sum
 
+    def _tracking(self) -> tuple:
+        """The orbit kernel's float constants (see ``branching._Orbits.run``),
+        computed on first use: (q̂, q⁺, κ, a0, a1, b0, b1, above_phi).
+
+        q̂ is the double nearest Q[1] / 2^P, and |q̂ - q| <= δ, with δ taken
+        exactly from |Q[1] - q * 2^P| < 3/2.  q⁺ >= q_hi * (1 + 2^-50), q_hi
+        that bound's upper end, and κ >= δ * B + 2^-48 * (q̂ * B + 1), with
+        B = T + 1 over T's upper end, T = 1/(q-1); both are rounded upward.
+        [a0, a1] holds 1/q and [b0, b1] holds 1/(q(q-1)), each bound's
+        scaled-sum enclosure widened by a relative 2^-50 and rounded outward,
+        so that a rounded x̂ + ε below a0 puts x below 1/q, and likewise at
+        each end.  Each is a ratio of integers, rounded once.
+        ``above_phi`` is q > φ, decided exactly as 1/(q(q-1)) < 1: then for
+        every switch point s, q * s lies in [1, T], above 1/(q(q-1)), and
+        q * s - 1 in [0, (2-q)/(q-1)], below 1/q, since both strict
+        inequalities are q^2 - q - 1 > 0; so a walk starts those branches
+        in HIGH and LOW without placing them.  At q = φ they are
+        equalities, and q * (1/q) = 1 is a switch point."""
+        if self._tracker is None:
+            low, switch, upper = self.domain_bounds()
+            p, wide = FILTER_BITS, 1 << 50
+            q1 = self._scaled_powers()[1]
+            q = q1 / (1 << p)  # int true division rounds to nearest
+            a, b = q.as_integer_ratio()  # b is a power of 2 below 2^p
+            delta = abs(2 * q1 - a * ((2 << p) // b)) + 3  # 2^(p+1) * δ
+            s, e = upper._scaled()
+            reach, scale = s + e + (upper.den << p), upper.den << p  # B = reach / scale
+            consts = [q, _float_up((2 * q1 + 3) * (wide + 1), wide << p + 1),
+                      _float_up(delta * reach * b + ((a * reach + b * scale) << p - 47),
+                                scale * b << p + 1)]
+            for bound in (low, switch):
+                s, e = bound._scaled()
+                consts += (_float_down((s - e) * (wide - 1), bound.den * wide << p),
+                           _float_up((s + e) * (wide + 1), bound.den * wide << p))
+            self._tracker = (*consts, switch._cmp(self.one) < 0)
+        return self._tracker
+
     # -- derived constants -----------------------------------------------------
 
     def domain_bounds(self) -> tuple["AlgebraicReal", "AlgebraicReal", "AlgebraicReal"]:
@@ -579,6 +621,20 @@ def qf_field() -> BaseField:
 def golden_field() -> BaseField:
     """The golden ratio (1 + sqrt 5)/2 as a base, ~1.6180339887."""
     return define_field((-1, -1, 1), (Fraction(3, 2), Fraction(17, 10)), name="golden")
+
+
+def _float_up(n: int, d: int) -> float:
+    """The least double at or above n/d (d > 0)."""
+    f = n / d  # int true division rounds to nearest
+    a, b = f.as_integer_ratio()
+    return f if a * d >= n * b else math.nextafter(f, math.inf)
+
+
+def _float_down(n: int, d: int) -> float:
+    """The greatest double at or below n/d (d > 0)."""
+    f = n / d
+    a, b = f.as_integer_ratio()
+    return f if a * d <= n * b else math.nextafter(f, -math.inf)
 
 
 def _reduced(field: BaseField, num: Sequence[int], den: int) -> "AlgebraicReal":

@@ -18,10 +18,11 @@ the region of a point decides which branches keep it inside the domain:
 One rule tells low, switch and high apart: ``_region_rule``, which compares
 the raw numerators of a value over one denominator with the two switch
 bounds only, through integer thresholds it takes once per denominator.
-The orbit kernel in ``branching`` places each value it steps with it,
-since every value the kernel makes lies in the domain.  ``region``
-places any element: a point below 0 or above 1/(q-1) is outside, and any
-other goes to the same rule.
+The orbit kernel in ``branching`` places the values it steps with it,
+since every value the kernel makes lies in the domain, wherever its
+certified double tracker cannot decide.  ``region`` places any element: a
+point below 0 or above 1/(q-1) is outside, and any other is placed by its
+cached filter sum against the same rule's thresholds.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from __future__ import annotations
 import functools
 import math
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .numberfield import AlgebraicReal, BaseField, _compile_place, _reduced
+from .numberfield import FILTER_BITS, AlgebraicReal, BaseField, _compile_place, _reduced
 
 
 class WordSyntaxError(ValueError):
@@ -375,13 +376,38 @@ def apply_digits(x: AlgebraicReal, digits: Iterable[int]) -> AlgebraicReal:
 _RULES_CAP = 16
 
 
-def _region_rule(field: BaseField, den: int) -> Callable[[Sequence[int]], Region]:
-    """The region of sum(num[i] * q^i) / den, as a function of the numerators
-    ``num`` for one fixed denominator ``den`` > 0 (the form need not be
-    reduced), for values the caller knows to lie in the domain [0, 1/(q-1)]:
-    only the switch bounds 1/q and 1/(q(q-1)) are compared.  The field keeps
-    each rule it builds under ``den`` (``_rules``) while it holds fewer than
-    ``_RULES_CAP``; a full slot still serves what it holds.
+def _sieved(s: int, e: int, lo0: int, hi0: int, lo1: int, hi1: int) -> Region | None:
+    """The region a filter sum s with error e gives against a rule's
+    thresholds (see ``_region_rule``), or None where they cannot decide:
+    the compiled placement's test, on a sum already taken."""
+    return (Region.LOW if s + e < lo0 else None if s - e <= hi0 else Region.SWITCH if s + e < lo1
+            else Region.HIGH if s - e > hi1 else None)
+
+
+class _Rule(NamedTuple):
+    """One denominator's region rule (see ``_region_rule``): ``locate``, the
+    thresholds it tests the filter sum s against, ``scale`` c, the double
+    nearest 1/(den * 2^P), which turns s into the value's double, ``cap``,
+    the filter errors e below which the orbit kernel's tracker starts from
+    (s, e), and ``exact``, the placement by the reduced element's ``_cmp``."""
+
+    locate: Callable[[Sequence[int]], Region]
+    lo0: int
+    hi0: int
+    lo1: int
+    hi1: int
+    scale: float
+    cap: int
+    exact: Callable[[Sequence[int]], Region]
+
+
+def _region_rule(field: BaseField, den: int) -> _Rule:
+    """The region of sum(num[i] * q^i) / den, as a function ``locate`` of the
+    numerators ``num`` for one fixed denominator ``den`` > 0 (the form need
+    not be reduced), for values the caller knows to lie in the domain
+    [0, 1/(q-1)]: only the switch bounds 1/q and 1/(q(q-1)) are compared.
+    The field keeps each rule it builds under ``den`` (``_rules``) while it
+    holds fewer than ``_RULES_CAP``; a full slot still serves what it holds.
 
     The value's scaled sum s, from the field's filter sum, is within
     e = 2 * sum(|num[i]|) + 2 of 2^P * den * value, and each bound
@@ -394,48 +420,66 @@ def _region_rule(field: BaseField, den: int) -> Callable[[Sequence[int]], Region
         lo = ceil(den * (S - E) / b.den),   hi = floor(den * (S + E) / b.den),
 
     taken here, once per rule.  The field's compiled placement
-    (``_compile_place``, built with its first rule) tests s against both
-    bounds' thresholds.  Where it cannot decide, the reduced element's
-    ``_cmp`` does: its sign takes the scaled sums at a precision that grows
-    up to the zero bound of ``AlgebraicReal._exact_sign``, so every answer is
-    certified and none narrows the field's isolating interval."""
-    locate = field._rules.get(den)
-    if locate is not None:
-        return locate
+    (``_compile_place``, built with its first rule, as are the field's
+    tracker constants ``_tracking``) tests s against both bounds'
+    thresholds in ``locate``; ``_sieved`` is the same test on a sum
+    already taken.  Where they cannot decide, the reduced element's
+    ``_cmp`` does (``exact``): its sign takes the scaled sums at a
+    precision that grows up to the zero bound of
+    ``AlgebraicReal._exact_sign``, so every answer is certified and none
+    narrows the field's isolating interval.
+
+    The tracker's start x̂ = s * c is within e * c of the value plus
+    rounding (see ``branching._Orbits.run``) when e < cap = den * 2^P / 8,
+    so that e * c < 1/8.  For a denominator with den * 2^P of 900 bits or
+    more, cap is 0 and no tracker starts: below that, c is a normal double
+    and s, at most 2^900 * (T + 1), converts to one for every base with
+    q - 1 above 2^-120."""
+    rule = field._rules.get(den)
+    if rule is not None:
+        return rule
     low, switch, _ = field.domain_bounds()
     place = field._placement
     if place is None:
         place = field._placement = _compile_place(field._scaled_powers(), Region.LOW,
                                                   Region.SWITCH, Region.HIGH)
+        field._tracking()
     thresholds = []
     for bound in (low, switch):
         s, e = bound._scaled()
         thresholds += (-(den * (e - s) // bound.den), den * (s + e) // bound.den)
     lo0, hi0, lo1, hi1 = thresholds
 
-    def locate(num: Sequence[int]) -> Region:
-        reg = place(num, lo0, hi0, lo1, hi1)
-        if reg is None:
-            x = _reduced(field, num, den)
-            reg = (Region.LOW if x._cmp(low) < 0 else Region.SWITCH if x._cmp(switch) <= 0
-                   else Region.HIGH)
-        return reg
+    def exact(num: Sequence[int]) -> Region:
+        x = _reduced(field, num, den)
+        return (Region.LOW if x._cmp(low) < 0 else Region.SWITCH if x._cmp(switch) <= 0
+                else Region.HIGH)
 
+    def locate(num: Sequence[int]) -> Region:
+        return place(num, lo0, hi0, lo1, hi1) or exact(num)
+
+    scaled = den << FILTER_BITS
+    rule = _Rule(locate, lo0, hi0, lo1, hi1, 1 / scaled,
+                 scaled >> 3 if scaled.bit_length() < 900 else 0, exact)
     if len(field._rules) < _RULES_CAP:
-        field._rules[den] = locate
-    return locate
+        field._rules[den] = rule
+    return rule
 
 
 def region(x: AlgebraicReal) -> Region:
     """Which part of the domain [0, 1/(q-1)] the point lies in, or outside
     it.  A negative x, or one above 1/(q-1) by ``_cmp``, is outside; any
     other is placed by the orbit kernel's ``_region_rule`` for x's
-    denominator, on the scaled sums of x and the switch bounds, with the
-    exact comparison where the filter cannot decide."""
-    top = x.field.domain_bounds()[2]  # first: a base outside (1, 2) raises for every x
+    denominator: x's cached scaled sum, which ``_cmp`` took, against the
+    rule's thresholds, with the exact comparison where they cannot
+    decide."""
+    field = x.field
+    top = field.domain_bounds()[2]  # first: a base outside (1, 2) raises for every x
     if x.sign() < 0 or x._cmp(top) > 0:
         return Region.OUTSIDE
-    return _region_rule(x.field, x.den)(x.num)
+    _, lo0, hi0, lo1, hi1, _, _, exact = _region_rule(field, x.den)
+    s, e = x._scaled()
+    return _sieved(s, e, lo0, hi0, lo1, hi1) or exact(x.num)
 
 
 def reflect_point(x: AlgebraicReal) -> AlgebraicReal:

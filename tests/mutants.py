@@ -105,6 +105,32 @@ ROWS = (
         (_BRANCHING + "test_counts_match_the_remainder_recount[qf]",
          _BRANCHING + "test_kernel_matches_element_loops_on_canonical_words[golden]"),
         "terminal t is the local target ~t = -t - 1: -t makes terminal 0 into node 0"),
+    Row("tracker-q-up-is-q", "numberfield.py",
+        "consts = [q, _float_up((2 * q1 + 3) * (wide + 1), wide << p + 1),", "consts = [q, q,",
+        (_BRANCHING + "test_tracker_constants_satisfy_the_error_bound[q2]",
+         _BRANCHING + "test_tracker_constants_satisfy_the_error_bound[golden]"),
+        "q rounded to nearest may lie below q: the error bound must grow by an upper bound of q"),
+    Row("tracker-kappa-zero", "numberfield.py",
+        "_float_up(delta * reach * b + ((a * reach + b * scale) << p - 47),\n"
+        "                                scale * b << p + 1)]", "0.0]",
+        (_BRANCHING + "test_tracker_constants_satisfy_the_error_bound[qf]",
+         _BRANCHING + "test_tracker_constants_satisfy_the_error_bound[sqrt2]"),
+        "each step's roundings and q's own error add to the bound; without them it is not one"),
+    Row("tracker-guard-dropped", "branching.py",
+        "if eps < 0.25:", "if True:",
+        (_BRANCHING + "test_the_tracker_restarts_where_its_bound_reaches_a_quarter[q2]",
+         _BRANCHING + "test_the_tracker_restarts_where_its_bound_reaches_a_quarter[qf]"),
+        "kappa holds for |x| <= T + 1 only: past 1/4 the tracker stops and a placement restarts it"),
+    Row("branch-starts-at-phi", "numberfield.py",
+        "switch._cmp(self.one) < 0)", "True)",
+        (_BRANCHING + "test_branch_starts_are_placed_at_phi",
+         _BRANCHING + "test_tracker_constants_satisfy_the_error_bound[sqrt2]"),
+        "at q = phi, q * (1/q) = 1 is a switch point, and below phi q * s - 1 may not be LOW"),
+    Row("branch-starts-swapped", "branching.py",
+        "starts = (HIGH, LOW) if", "starts = (LOW, HIGH) if",
+        (_BRANCHING + "test_counts_match_the_remainder_recount[qf]",
+         _BRANCHING + "test_kernel_matches_element_loops_on_canonical_words[q2]"),
+        "digit 0 takes a switch point s to q * s >= 1, which is HIGH past phi; digit 1 to LOW"),
     Row("coefficient-check-dropped", "numberfield.py",
         "if coeffs != raw:", "if False:",
         ("tests/test_numberfield.py::test_define_field_refuses_a_coefficient_that_is_not_an_integer[float]",),

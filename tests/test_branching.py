@@ -1572,7 +1572,8 @@ def test_points_over_one_denominator_share_one_region_rule():
     for point in (x, y):
         count_expansions(point)
     assert list(F._rules) == [7]
-    assert branching._start(x)[0].locate is branching._start(y)[0].locate is F._rules[7]
+    assert branching._start(x)[0].rule is branching._start(y)[0].rule is F._rules[7]
+    assert branching._start(x)[0].locate is F._rules[7].locate
 
 
 def test_region_rules_past_the_bound_answer_like_region():
@@ -1589,7 +1590,7 @@ def test_region_rules_past_the_bound_answer_like_region():
             expected = _ref_region(x)
             assert region(x) is expected, (den, num)
             if expected is not Region.OUTSIDE:
-                assert rule(num) is expected, (den, num)
+                assert rule.locate(num) is expected, (den, num)
     assert len(F._rules) == cap
 
 
@@ -1743,3 +1744,176 @@ def test_a_view_reads_only_its_three_tables():
     view.edges[0][0] = None  # a returned dict is the view's own
     assert view.edges[0][0] is None and build_branch_graph(x).edges[0][0] is not None
     assert classify(view) == Cardinality.finite(2)
+
+
+# ---------------------------------------------------------------------------
+# the kernel's float tracker and the branch starts past the golden ratio
+#
+# The run decides a step's region from a double x̂ and a bound ε on its
+# error wherever x̂ ± ε clears the field's certified intervals for the
+# switch bounds, and past φ a walk starts the branches of a switch point in
+# HIGH and LOW without placing them.  Each answer must be the exact one.
+
+_TRACKER_NAMES = ("q2", "qf", "golden")
+_U = Fraction(1, 2**53)  # the unit roundoff of a double
+
+
+def _placed_run(orbits, n, reg, max_steps):
+    """The kernel's run shape, and its ``seen``, from a test-local loop
+    that places every value with ``words.region`` on its reduced element."""
+    F, den = orbits.field, orbits.den
+    seen, digits = {}, []
+    for i in range(max_steps):
+        if reg is Region.SWITCH:
+            v = numberfield._reduced(F, n, den)
+            return (i, tuple(digits), NODE, (v.den, *v.num)), seen
+        at = seen.setdefault(n, i)
+        if at != i:
+            return (i, tuple(digits[:at]), TERMINAL, tuple(digits[at:])), seen
+        digit = 0 if reg is Region.LOW else 1
+        digits.append(digit)
+        n = F._step(n, -digit * den)
+        reg = region(numberfield._reduced(F, n, den))
+    return (max_steps, tuple(digits), LIMIT, n), seen
+
+
+@functools.lru_cache(maxsize=None)
+def _swept(name):
+    """A field of its own on which every canonical word with preperiod <= 6
+    and period <= 4 was counted at the acceptance caps, and the switch
+    points its graph holds, as elements."""
+    F = define_field(*_KERNEL_FIELDS[name])
+    for word in _MEMO_WORDS:
+        count_expansions(eval_word(word, F), **_ACCEPTANCE_CAPS)
+    return F, [AlgebraicReal(F, key[1:], key[0]) for key, *_ in F._graph]
+
+
+@pytest.mark.parametrize("name", _TRACKER_NAMES)
+def test_runs_equal_the_region_loop_on_every_small_word(name):
+    F = define_field(*_KERNEL_FIELDS[name])
+    for word in _MEMO_WORDS:
+        x = eval_word(word, F)
+        orbits, reg = branching._start(x)
+        seen = {}
+        got = orbits.run(x.num, reg, 250, seen)
+        assert (got, seen) == _placed_run(orbits, x.num, region(x), 250), str(word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_TRACKER_NAMES), st.integers(0, 2**32), st.integers(0, 1),
+       st.sampled_from([1, 3, 17, 250, 1000]))
+def test_runs_from_switch_point_branches_equal_the_region_loop(name, pick, digit, budget):
+    # a start as the walk makes it: a branch out of a switch point, over the
+    # point's own denominator, in the region the walk passes
+    F, points = _swept(name)
+    s = points[pick % len(points)]
+    orbits = branching._Orbits(s)
+    branch = F._step(s.num, -digit * s.den)
+    reg = (Region.HIGH, Region.LOW)[digit] if F._tracking()[7] else orbits.locate(branch)
+    assert reg is region(s.times_q_minus(digit))
+    seen = {}
+    got = orbits.run(branch, reg, budget, seen)
+    assert (got, seen) == _placed_run(orbits, branch, reg, budget)
+
+
+@pytest.mark.parametrize("name", ["q2", "qf"])
+def test_runs_from_powers_of_one_over_q_hit_it_on_time(name):
+    # 0^k 1(0)* is q^-(k+1): k zeros, then the switch point 1/q itself, on
+    # the bound, where x̂ has been stepped k times from its start and its
+    # error has grown to about q^k * 2^-52
+    F = define_field(*_KERNEL_FIELDS[name])
+    low = domain_bounds(F)[0]
+    for k in range(61):
+        out = deterministic_run(eval_word(PeriodicWord((0,) * k + (1,)), F))
+        assert out.segment == (0,) * k and out.end == SwitchHit(low), k
+
+
+@pytest.mark.parametrize("name", ["q2", "qf"])
+def test_the_tracker_restarts_where_its_bound_reaches_a_quarter(name):
+    # 300 steps from q^-301 up to 1/q, all LOW and far below 1/q until the
+    # last: each placement restarts the tracker, which then decides every
+    # step until its bound reaches 1/4, where the next placement restarts
+    # it.  The filter's error grows with the numerators, large at q^-301,
+    # so the first restarts come often
+    F = define_field(*_KERNEL_FIELDS[name])
+    x = eval_word(PeriodicWord((0,) * 300 + (1,)), F)
+    placed = []
+    filt = F._filter()
+    F._filter_sum = lambda num: placed.append(num) or filt(num)
+    out = deterministic_run(x, max_steps=400)
+    assert out.segment == (0,) * 300 and out.end == SwitchHit(domain_bounds(F)[0])
+    steps = {v.num: i for i, v in enumerate(out.orbit)}
+    at = sorted({steps[n] for n in placed if n in steps and steps[n] > 0})
+    q, q_up, kappa = F._tracking()[:3]
+    rule = words._region_rule(F, x.den)
+    assert at[0] == 1 and at[-1] == 300
+    for start, stop in zip(at, at[1:]):
+        eps = filt(out.orbit[start].num)[1] * rule.scale + kappa
+        for _ in range(start + 1, stop):
+            eps = q_up * eps + kappa
+            assert eps < 0.25  # every step the tracker decided
+        assert stop == 300 or q_up * eps + kappa >= 0.25
+    assert 4 <= len(at) < 150  # it restarts, and decides most steps
+
+
+@pytest.mark.parametrize("name", ["q2", "qf", "cubic"])
+def test_a_denominator_past_the_doubles_range_starts_no_tracker(name):
+    # q^-30 plus 2^-900: 29 LOW steps, each placed by the rule, since its
+    # cap is 0 and no filter sum ever starts the tracker
+    F = define_field(*_KERNEL_FIELDS[name])
+    x = eval_word(PeriodicWord((0,) * 29 + (1,)), F) + Fraction(1, 2**900)
+    assert words._region_rule(F, x.den).cap == 0
+    placed = []
+    filt = F._filter()
+    F._filter_sum = lambda num: placed.append(num) or filt(num)
+    out = deterministic_run(x, max_steps=60)
+    assert len(out.segment) >= 29 and len(placed) > len(out.segment)
+    F._filter_sum = filt
+    assert out == _ref_run(x, 60)
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_FIELDS))
+def test_tracker_constants_satisfy_the_error_bound(name):
+    # the proof's inequalities (see _Orbits.run), in Fractions, against the
+    # test's own enclosures of q, 1/(q-1) and the switch bounds
+    F = define_field(*_KERNEL_FIELDS[name])
+    q, q_up, kappa, a0, a1, b0, b1, above_phi = F._tracking()
+    width = Fraction(1, 2**90)
+    q_lo, q_hi = enclosure(F.q, width)
+    reach = enclosure(domain_bounds(F)[2], width)[1] + 1  # B = T + 1
+    delta = max(q_hi - Fraction(q), Fraction(q) - q_lo)
+    assert delta <= _U * q_hi  # q̂ is q rounded to nearest
+    assert Fraction(q_up) * (1 - _U) ** 2 >= q_hi
+    assert Fraction(kappa) * (1 - _U) >= delta * reach + 2 * _U * (Fraction(q) * reach + 1)
+    assert Fraction(kappa) * (1 - _U) >= 4 * _U * reach  # a start's rounding
+    for (lo, hi), (bound_lo, bound_hi) in zip(((a0, a1), (b0, b1)),
+                                              (enclosure(b, width) for b in domain_bounds(F)[:2])):
+        assert Fraction(lo) <= (1 - _U) * bound_lo and Fraction(hi) >= (1 + _U) * bound_hi
+        assert Fraction(hi) - Fraction(lo) < 2**-45  # and they are tight
+    phi_lo, phi_hi = enclosure(F.q * F.q - F.q - 1)
+    assert above_phi is (phi_lo > 0)
+
+
+@pytest.mark.parametrize("name", ["q2", "qf"])
+def test_branch_starts_past_phi_are_high_and_low(name):
+    # over the 1,408-word sweep, the two branch values of every switch point
+    # the field's graph holds lie where the walk starts them
+    F, points = _swept(name)
+    assert F._tracking()[7] and len(points) > 100
+    for s in points:
+        assert region(s.times_q_minus(0)) is Region.HIGH, str(s)
+        assert region(s.times_q_minus(1)) is Region.LOW, str(s)
+
+
+def test_branch_starts_are_placed_at_phi():
+    # in golden, 1/(q(q-1)) = 1: the branch q * (1/q) = 1 is a switch point,
+    # so the flag is off; forced on, the walk would start that branch in
+    # HIGH, and 1/q's graph would be wrong
+    F = define_field(*_KERNEL_FIELDS["golden"])
+    low = domain_bounds(F)[0]
+    assert F._tracking()[7] is False
+    assert region(low.times_q_minus(0)) is Region.SWITCH
+    want = _graph_form(build_branch_graph(low))
+    forced = define_field(*_KERNEL_FIELDS["golden"])
+    forced._tracker = (*forced._tracking()[:7], True)
+    assert _graph_form(build_branch_graph(domain_bounds(forced)[0])) != want

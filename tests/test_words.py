@@ -634,7 +634,7 @@ def test_threshold_rule_decides_like_the_cross_multiplied_rule(name, which, k, o
     cmp = AlgebraicReal._cmp
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(AlgebraicReal, "_cmp", lambda a, b: compared.append(b) or cmp(a, b))
-        got = _region_rule(F, den)(num)
+        got = _region_rule(F, den).locate(num)
     assert got is expected
     assert (not compared) == decided
     assert len(F._rules) <= _RULES_CAP
