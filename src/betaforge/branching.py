@@ -21,76 +21,50 @@ level, whose count is exact.  Stopped once a count passes k, the same walk
 decides ``_at_most``: x's exact number of expansions when it is at most k,
 or a certified floor above k.
 
-All three walk orbits in one private kernel, ``_Orbits``.  It holds every
-value reached from x as raw integer numerators over x's own denominator D
-(q is an algebraic integer, so q * (n / D) - d = (q * n - d * D) / D),
-steps them with the field's compiled step, and decides regions with
-``words._region_rule`` for that D, which the field keeps per D up to a
-bound: the field's compiled placement, its filter sum against integer
-thresholds taken once for D from the switch bounds' cached scaled sums,
-and, when the filter cannot decide, the exact comparison of the reduced
-element.  Inside a run, a double x̂ of the value with a proved bound ε on
-its error decides most steps instead: a step whose x̂ ± ε lies clear of
-the field's certified double intervals around the switch bounds takes its
-region from them, and any other takes the rule's placement, which
-restarts the tracker (see ``_Orbits.run`` for the bound and its proof).
-Past the golden ratio a walk places no branch: for q > φ, q * s is HIGH
-and q * s - 1 LOW for every switch point s, which the field decides once,
-exactly, as 1/(q(q-1)) < 1.  ``_reduced`` builds an element only where a
-value leaves the kernel: graph nodes, switch points, unique-tail cycles
-and the orbit a run returns.  x itself is placed by ``words.region``,
-which rules out a point outside the domain and then tests x's cached
-filter sum against the same rule's thresholds.
+All three walk orbits with one private kernel, ``_run``: it steps raw
+integer numerators over x's own denominator D under the region rule for D
+(``words._Rule``), and ``_reduced`` builds an element only where a value
+leaves it (graph nodes, switch points, unique-tail cycles and the orbit a
+run returns).  README's *How comparisons work* says how the rule, its
+filter and the certified double tracker decide each region exactly, and
+why past the golden ratio a walk places no branch; ``_run`` holds the
+tracker's proof.
 
-Points of one base share switch points (in a Pisot base, those over one
-denominator are finitely many), so each field keeps one switch-point graph
-(``_ref``): each switch point any walk has reached gets one int id, keyed
-by its reduced form (den, *num), and keeps the two forced runs out of it
-once they are run, each with its length, its segment and its end (the id
-of the switch point it reaches, or a unique tail's cycle digits).  A run's
-outcome depends on the value alone, not on the denominator it is carried
-over, so a walk reads a stored run instead of running it: as it is under a
-step budget above its length, and cut to its first digits under any other
-(``_cut``).  A root memo keeps the root run of the last point asked, in the
-kernel's shape, keyed by the point's reduced form: a count and then a
-listing of one point make one root run between them, and the memo holds
-one run, never more.
+Points of one base share switch points, so each field keeps one
+switch-point graph (``_ref``): every switch point a walk reaches gets an
+int id, keyed by its reduced form (den, *num), and keeps the two forced
+runs out of it once they are run, each with its length, its segment and
+its end (the id of the switch point it reaches, or a unique tail's cycle
+digits).  A walk reads a stored run instead of running it: as it is under
+a step budget above its length, and cut to its first digits under any
+other (``_cut``).  A root memo keeps the root run of the last point asked,
+keyed by the point's reduced form, so a count and then a listing of one
+point make one root run between them.
 
 Below x's root run, x's graph depends only on the run's end s (x's first
-switch point) and the caps: every node id, edge, terminal and limit is
-that of s's graph.  ``_grow`` walks it breadth-first over the field's
-graph into a record (``_Below``): the field ids of its nodes in visiting
-order, one flat list of local targets (a node id, a terminal or a limit
-per edge), the terminals' cycle digits, the limit, and the segment of each
-edge whose run the field's graph did not store.  One Tarjan pass over the
-targets (``_answer``) reads its answers: as each component closes, its
-floor, whether it reaches a terminal and whether it is cyclic or rich,
-from which the record keeps the count and a live flag per node.  Points of
-one base also share first switch points, so each field keeps an answer
-memo: ``_record`` keeps the record under (s's id, max_steps, max_nodes)
-while the memo has room, and the record then also keeps each listing of
-``_listing`` by (max_count, max_depth), relative to s.  A point's listing
-is s's listing with the root segment prepended: canonical words are
-unique, so the prefixed word is the one a walk from x would build.
-``count_expansions`` classifies the graph ``build_branch_graph`` returns,
-a read-only view of the record that builds each of its node, edge and
-terminal tables from the record and the field's graph on that table's
-first read, and ``classify`` reads the count off the record: a count
-builds no table and no ``Edge``.  A listing is walked on the record,
-skipping the nodes that are not live, with segments read from the field's
-graph, or read straight off the record when it holds one: no listing
-assembles a graph.
+switch point) and the caps.  ``_grow`` walks it breadth-first over the
+field's graph into a record (``_Below``), and one Tarjan pass (``_answer``)
+reads its count and which nodes are live.  Points of one base also share
+first switch points, so each field keeps an answer memo of records by
+(s's id, max_steps, max_nodes), and a kept record also keeps the listings
+of ``_listing``, relative to s: canonical words are unique, so a point's
+listing is s's with the root segment prepended.  ``build_branch_graph``
+returns a read-only view of a record, whose tables it builds on first
+read; ``classify`` reads the count off the record, so a count builds no
+table, and a listing is walked on the record and assembles no graph.
 
 The memos hold ints, bytes, lists, tuples, ``Cardinality`` and
-``PeriodicWord`` records only, never an element or a graph, so a field is
-freed with them.  The root memo holds one point and the field's graph at
-most ``_MEMO_CAP`` switch points; neither stores a run that hit the step
-budget.  Past the cap, a walk names a new switch point by its reduced form
-instead of an id, and keeps the segments of its runs in its record.  The
-answer memo admits records and listings while the nodes and words it holds
-total at most ``_MEMO_CAP``.  Full memos still serve what they hold.
-``deterministic_run``, ``viable_prefix_counts`` and ``_at_most`` read no
-memo: the level walk stays an independent check of the graphs.
+``PeriodicWord`` records only, never an element, so a field is freed with
+them, and none stores a run that hit the step budget.  The root memo holds
+one run.  When the field's graph holds ``_MEMO_CAP`` switch points, the
+next walk starts on an empty graph and an empty answer memo, since the
+old memo's records name switch points by their old ids.  A walk adds at
+most 2 * max_nodes + 1 switch points, so the graph never holds more than
+_MEMO_CAP + 2 * max_nodes + 1.  The answer memo admits records and
+listings while the nodes and words it holds total at most ``_MEMO_CAP``,
+and a full one still serves what it holds.  ``deterministic_run``,
+``viable_prefix_counts`` and ``_at_most`` read no memo: the level walk
+stays an independent check of the graphs.
 """
 
 from __future__ import annotations
@@ -103,16 +77,17 @@ from enum import Enum
 from typing import Iterator, NamedTuple, Sequence
 
 from .numberfield import AlgebraicReal, BaseField, _reduced
-from .words import PeriodicWord, Region, _region_rule, _sieved, region
+from .words import PeriodicWord, Region, _region_rule, _Rule, _sieved, region
 
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_MAX_NODES = 10_000
 DEFAULT_MAX_COUNT = 64
 DEFAULT_MAX_DEPTH = 256
-# switch points a field's graph holds, about 3.6x the 4,568 that the graphs
-# of every canonical q2 word with preperiod <= 6 and period <= 4 reach at
-# caps 250/64 (2,486 of them expanded); and nodes plus listed words its
-# answer memo holds in all.  A full memo still serves what it holds.
+# switch points a field's graph holds before the next walk replaces it,
+# about 3.6x the 4,568 that the graphs of every canonical q2 word with
+# preperiod <= 6 and period <= 4 reach at caps 250/64 (2,486 of them
+# expanded); and nodes plus listed words its answer memo holds in all.  A
+# full answer memo still serves what it holds.
 _MEMO_CAP = 1 << 14
 
 
@@ -172,134 +147,119 @@ class RunOutcome:
     orbit: tuple[AlgebraicReal, ...]
 
 
-class _Orbits:
-    """The orbit kernel: forced runs from values over one fixed denominator.
+def _run(rule: _Rule, n: tuple[int, ...], reg: Region, max_steps: int,
+         seen: dict[tuple[int, ...], int]) -> tuple:
+    """The orbit kernel: follow the forced branch from the value with
+    numerators ``n`` over the rule's denominator D (in region ``reg``)
+    until a switch point, a closed non-branching cycle, or the step budget.
 
-    q is an algebraic integer, so q * (n / D) - d = (q * n - d * D) / D: every
-    value reached from x stays over x's denominator D as a raw numerator
-    tuple.  For that D, equal values have equal tuples, so cycles, graph
-    nodes and oracle levels key on tuples of ints.  ``value`` reduces a tuple
-    to an element, only where a value leaves the kernel.
+    q is an algebraic integer, so q * (n / D) - d = (q * n - d * D) / D:
+    every value reached stays over D as a raw numerator tuple, and for that
+    D equal values have equal tuples.  Every value the kernel makes lies in
+    the domain (a forced digit and either digit at a switch point keep it
+    there, see ``words``), so ``rule`` compares it with the switch bounds
+    only.
 
-    Every value the kernel makes lies in the domain: a forced digit and
-    either digit at a switch point keep it there (see ``words``).  So its
-    regions compare with the switch bounds only.  ``rule`` is the region
-    rule for D, and ``locate`` its placement."""
+    Returns the memos' run shape (length, segment, kind, end), with
+    ``length`` the digits stepped: ``end`` is the switch point's reduced
+    form (den, *num) (NODE, as ``_reduced`` reduces it, with no element
+    built), the cycle's digits (TERMINAL, the cycle starting at step
+    ``len(segment)`` and counted in the length), or the tuple after the
+    last step (LIMIT, of length max_steps).  A run of length L is what
+    every budget above L returns; every budget B <= L gives a LIMIT of
+    length B.  ``seen``, empty, is filled with each visited tuple's step,
+    in order.
 
-    __slots__ = ("field", "den", "rule", "locate")
+    Each step's region comes from a double x̂ of the value x with a bound
+    |x̂ - x| <= ε, when x̂ ± ε lies clear of the field's certified double
+    intervals [a0, a1] for 1/q and [b0, b1] for 1/(q(q-1)), and
+    otherwise from the rule's placement: the filter sum (s, e), its
+    thresholds, then ``exact``.  That placement restarts the tracker at
+    x̂ = s * c, ε = e * c + κ (see ``words._Rule``).  A step x <- q * x - d
+    sets x̂ <- q̂ * x̂ - d and ε <- q⁺ * ε + κ, with the field's constants
+    (``BaseField._tracking``), and the tracker decides only while
+    ε < 1/4.  Proof, with u = 2^-53 the unit roundoff and every value x
+    in the domain [0, T], T = 1/(q-1), B = T + 1:
 
-    def __init__(self, x: AlgebraicReal):
-        self.field, self.den = x.field, x.den
-        self.rule = _region_rule(x.field, x.den)
-        self.locate = self.rule.locate
+    - at a start, X = s / (den * 2^P) is within e * c_true <= 1/8 of x
+      (e < cap), so |X| <= B, and the three roundings of float(s) * c
+      put x̂ within 3.01 * u * B of X.  The rounded e * c + κ is at least
+      e * c_true (1 - u)^4 + κ (1 - u), which covers both, since
+      κ >= 2^-48 (q̂ B + 1) >= 32 u B;
+    - at a step from ε < 1/4, |x̂| <= T + 1/4 <= B, so
+      |fl(fl(q̂ x̂) - d) - (q x - d)| <= q ε + δ B + u |q̂ x̂| +
+      u |fl(q̂ x̂) - d| <= q ε + δ B + 2^-52 (q̂ B + 1), and the rounded
+      q⁺ * ε + κ is at least q⁺ ε (1 - u)^2 + κ (1 - u), which covers it,
+      since q⁺ >= q (1 + 2^-50) >= q / (1 - u)^2;
+    - a rounded x̂ + ε below a0 means x̂ + ε < a0 / (1 - u) <= 1/q, and
+      a rounded x̂ - ε above a1 or b1 means x̂ - ε > a1 / (1 + u) >= 1/q,
+      or above 1/(q(q-1)): the interval's widening covers the rounding.
 
-    def value(self, n: tuple[int, ...]) -> AlgebraicReal:
-        return _reduced(self.field, n, self.den)
-
-    def run(self, n: tuple[int, ...], reg: Region, max_steps: int,
-            seen: dict[tuple[int, ...], int]) -> tuple:
-        """Follow the forced branch from ``n`` (in region ``reg``) until a
-        switch point, a closed non-branching cycle, or the step budget.
-
-        Returns the memos' run shape (length, segment, kind, end), with
-        ``length`` the digits stepped: ``end`` is the switch point's reduced
-        form (den, *num) (NODE, as ``_reduced`` reduces it, with no element
-        built), the cycle's digits (TERMINAL, the cycle starting at step
-        ``len(segment)`` and counted in the length), or the tuple after the
-        last step (LIMIT, of length max_steps).  A run of length L is what
-        every budget above L returns; every budget B <= L gives a LIMIT of
-        length B.  ``seen``, empty, is filled with each visited tuple's step,
-        in order.
-
-        Each step's region comes from a double x̂ of the value x with a bound
-        |x̂ - x| <= ε, when x̂ ± ε lies clear of the field's certified double
-        intervals [a0, a1] for 1/q and [b0, b1] for 1/(q(q-1)), and
-        otherwise from the rule's placement: the filter sum (s, e), its
-        thresholds, then ``exact``.  That placement restarts the tracker at
-        x̂ = s * c, ε = e * c + κ (see ``words._Rule``).  A step x <- q * x - d
-        sets x̂ <- q̂ * x̂ - d and ε <- q⁺ * ε + κ, with the field's constants
-        (``BaseField._tracking``), and the tracker decides only while
-        ε < 1/4.  Proof, with u = 2^-53 the unit roundoff and every value x
-        in the domain [0, T], T = 1/(q-1), B = T + 1:
-
-        - at a start, X = s / (den * 2^P) is within e * c_true <= 1/8 of x
-          (e < cap), so |X| <= B, and the three roundings of float(s) * c
-          put x̂ within 3.01 * u * B of X.  The rounded e * c + κ is at least
-          e * c_true (1 - u)^4 + κ (1 - u), which covers both, since
-          κ >= 2^-48 (q̂ B + 1) >= 32 u B;
-        - at a step from ε < 1/4, |x̂| <= T + 1/4 <= B, so
-          |fl(fl(q̂ x̂) - d) - (q x - d)| <= q ε + δ B + u |q̂ x̂| +
-          u |fl(q̂ x̂) - d| <= q ε + δ B + 2^-52 (q̂ B + 1), and the rounded
-          q⁺ * ε + κ is at least q⁺ ε (1 - u)^2 + κ (1 - u), which covers it,
-          since q⁺ >= q (1 + 2^-50) >= q / (1 - u)^2;
-        - a rounded x̂ + ε below a0 means x̂ + ε < a0 / (1 - u) <= 1/q, and
-          a rounded x̂ - ε above a1 or b1 means x̂ - ε > a1 / (1 + u) >= 1/q,
-          or above 1/(q(q-1)): the interval's widening covers the rounding.
-
-        A step whose ε reaches 1/4 takes the placement, which restarts the
-        tracker; a value whose e is not below the rule's cap starts none."""
-        field = self.field
-        step, filt, den, minus_one = field._step, field._filter_sum, self.den, -self.den
-        q, q_up, kappa, a0, a1, b0, b1, _ = field._tracker
-        _, lo0, hi0, lo1, hi1, c, cap, exact = self.rule
-        digits: list[int] = []
-        x, eps = 0.0, 1.0  # x̂ and ε: no tracker until the first placement
-        for i in range(max_steps):
-            if reg is SWITCH:
-                g = math.gcd(den, *n)
-                end = (den, *n) if g == 1 else (den // g, *[v // g for v in n])
-                return i, tuple(digits), NODE, end
-            at = seen.setdefault(n, i)
-            if at != i:
-                return i, tuple(digits[:at]), TERMINAL, tuple(digits[at:])
-            if reg is LOW:
-                digits.append(0)
-                n = step(n, 0)
-                x = q * x
-            else:
-                digits.append(1)
-                n = step(n, minus_one)
-                x = q * x - 1.0
-            eps = q_up * eps + kappa
-            if eps < 0.25:
-                if x + eps < a0:
-                    reg = LOW
-                    continue
-                if x - eps > b1:
-                    reg = HIGH
-                    continue
-                if x - eps > a1 and x + eps < b0:
-                    reg = SWITCH
-                    continue
-            s, e = filt(n)
-            reg = _sieved(s, e, lo0, hi0, lo1, hi1) or exact(n)
-            if e < cap:
-                x, eps = s * c, e * c + kappa
-            else:
-                eps = 1.0
-        return max_steps, tuple(digits), LIMIT, n
+    A step whose ε reaches 1/4 takes the placement, which restarts the
+    tracker; a value whose e is not below the rule's cap starts none."""
+    _, lo0, hi0, lo1, hi1, c, cap, exact, field, den = rule
+    step, filt, minus_one = field._step, field._filter_sum, -den
+    q, q_up, kappa, a0, a1, b0, b1, _ = field._tracker
+    digits: list[int] = []
+    x, eps = 0.0, 1.0  # x̂ and ε: no tracker until the first placement
+    for i in range(max_steps):
+        if reg is SWITCH:
+            g = math.gcd(den, *n)
+            end = (den, *n) if g == 1 else (den // g, *[v // g for v in n])
+            return i, tuple(digits), NODE, end
+        at = seen.setdefault(n, i)
+        if at != i:
+            return i, tuple(digits[:at]), TERMINAL, tuple(digits[at:])
+        if reg is LOW:
+            digits.append(0)
+            n = step(n, 0)
+            x = q * x
+        else:
+            digits.append(1)
+            n = step(n, minus_one)
+            x = q * x - 1.0
+        eps = q_up * eps + kappa
+        if eps < 0.25:
+            if x + eps < a0:
+                reg = LOW
+                continue
+            if x - eps > b1:
+                reg = HIGH
+                continue
+            if x - eps > a1 and x + eps < b0:
+                reg = SWITCH
+                continue
+        s, e = filt(n)
+        reg = _sieved(s, e, lo0, hi0, lo1, hi1) or exact(n)
+        if e < cap:
+            x, eps = s * c, e * c + kappa
+        else:
+            eps = 1.0
+    return max_steps, tuple(digits), LIMIT, n
 
 
-def _start(x: AlgebraicReal) -> tuple[_Orbits, Region]:
-    """The kernel for x and x's region; a point outside the domain raises."""
+def _start(x: AlgebraicReal) -> tuple[_Rule, Region]:
+    """The kernel's rule for x's denominator and x's region; a point
+    outside the domain raises."""
     reg = region(x)
     if reg is Region.OUTSIDE:
         raise OutsideDomain(f"{x} is outside [0, 1/(q-1)]")
-    return _Orbits(x), reg
+    return _region_rule(x.field, x.den), reg
 
 
 def deterministic_run(x: AlgebraicReal, max_steps: int = DEFAULT_MAX_STEPS) -> RunOutcome:
     """Follow the forced branch from x until a switch point, a closed
     non-branching cycle, or the step budget."""
-    orbits, reg = _start(x)
+    rule, reg = _start(x)
+    field, den = x.field, x.den
     seen: dict[tuple[int, ...], int] = {}
-    _, segment, kind, end = orbits.run(x.num, reg, max_steps, seen)
-    orbit = [orbits.value(n) for n in seen]
+    _, segment, kind, end = _run(rule, x.num, reg, max_steps, seen)
+    orbit = [_reduced(field, n, den) for n in seen]
     if kind is TERMINAL:
         at = len(segment)
         return RunOutcome(segment, UniqueTail(tuple(orbit[at:]), PeriodicWord((), end)),
                           tuple(orbit[:at + 1]))
-    v = AlgebraicReal(x.field, end[1:], end[0]) if kind is NODE else orbits.value(end)
+    v = AlgebraicReal(field, end[1:], end[0]) if kind is NODE else _reduced(field, end, den)
     return RunOutcome(segment, SwitchHit(v) if kind is NODE else StepLimit(max_steps),
                       (*orbit, v))
 
@@ -327,27 +287,28 @@ class BranchGraph:
 
     A read-only view of the record of the graph below x's root run (see
     ``_record``), as ``build_branch_graph`` returns it: each of ``nodes``,
-    ``edges`` and ``terminals`` is built from the record and the field's
-    graph on that table's first read, as a fresh dict the view then keeps,
-    so a count builds none of them.  ``classify`` answers the view from its
-    record."""
+    ``edges`` and ``terminals`` is built from the record on that table's
+    first read, as a fresh dict the view then keeps, so a count builds none
+    of them.  The view keeps the field graph its record's ids name, so one
+    first read after the field replaced its graph still answers the same.
+    ``classify`` answers the view from its record."""
 
     def __init__(self, x: AlgebraicReal, segment: tuple[int, ...], below: _Below):
         self.field, self.start, self.root_segment = x.field, x, segment
         self.root_kind, self.root_target = _target(below.root)
         self.truncated, self.limit = below.limit is not None, below.limit
-        self._below = below
+        self._below, self._graph = below, x.field._graph
 
     @functools.cached_property
     def nodes(self) -> dict[int, AlgebraicReal]:
-        field, graph = self.field, self.field._graph
-        keys = (graph[ref][0] if ref.__class__ is int else ref for ref in self._below.refs)
+        field, graph = self.field, self._graph
+        keys = (graph[ref][0] for ref in self._below.refs)
         return {nid: AlgebraicReal(field, k[1:], k[0]) for nid, k in enumerate(keys)}
 
     @functools.cached_property
     def edges(self) -> dict[int, dict[int, Edge]]:
-        below, graph = self._below, self.field._graph
-        return {nid: {d: Edge(d, _segment(graph, below, 2 * nid + d),
+        below = self._below
+        return {nid: {d: Edge(d, below.segments[2 * nid + d],
                               *_target(below.targets[2 * nid + d])) for d in (0, 1)}
                 for nid in range(len(below.refs))}
 
@@ -370,31 +331,36 @@ def build_branch_graph(x: AlgebraicReal, max_steps: int = DEFAULT_MAX_STEPS,
 def _record(x: AlgebraicReal, max_steps: int, max_nodes: int) -> tuple[tuple[int, ...], _Below]:
     """x's root segment and the record of x's graph below the root run's end.
 
-    x's root run is read from the field's root memo, in the kernel's shape
-    and under its rule (see ``_cut``), when x is the last point whose root
-    run was stored; otherwise it is run, and stored in place of that one
-    unless it hit the step budget.  When it ends at a switch point s whose
-    graph under these caps the answer memo holds, that record is returned.
-    Otherwise the record is walked from the root run's end (see ``_grow``),
-    and the memo keeps it, marked ``kept``, while it has room."""
+    A field graph that holds ``_MEMO_CAP`` switch points is first replaced
+    by an empty one, and the answer memo with it, since its records name
+    switch points by their ids there.  x's root run is read from the
+    field's root memo, in the kernel's shape and under its rule (see
+    ``_cut``), when x is the last point whose root run was stored;
+    otherwise it is run, and stored in place of that one unless it hit the
+    step budget.  When it ends at a switch point s whose graph under these
+    caps the answer memo holds, that record is returned.  Otherwise the
+    record is walked from the root run's end (see ``_grow``), and the memo
+    keeps it, marked ``kept``, while it has room."""
     field = x.field
+    if len(field._graph) >= _MEMO_CAP:
+        field._graph, field._graph_ids, field._answers, field._answer_cells = [], {}, {}, 0
     roots, key = field._roots, (x.den, *x.num)
     run = roots.get(key)
-    orbits = None
+    rule = None
     if run is None:
-        orbits, reg = _start(x)
-        run = orbits.run(x.num, reg, max_steps, {})
+        rule, reg = _start(x)
+        run = _run(rule, x.num, reg, max_steps, {})
         if run[2] is not LIMIT:
             roots.clear()
             roots[key] = run
     elif run[0] >= max_steps:
         run = _cut(run, max_steps)
     _, segment, kind, end = run
-    # only a record below a switch point is kept, under that point's ref
+    # only a record below a switch point is kept, under that point's id
     memo_key = (end := _ref(field, end), max_steps, max_nodes) if kind is NODE else None
     below = field._answers.get(memo_key)
     if below is None:
-        below = _grow(orbits or _Orbits(x), kind, end, max_steps, max_nodes)
+        below = _grow(rule or _region_rule(field, x.den), kind, end, max_steps, max_nodes)
         if memo_key and _admit(field, len(below.refs) + 1):
             below.kept = True
             field._answers[memo_key] = below
@@ -403,7 +369,7 @@ def _record(x: AlgebraicReal, max_steps: int, max_nodes: int) -> tuple[tuple[int
 
 def _cut(run: tuple, max_steps: int) -> tuple:
     """A stored run under a budget at or below its length L: what the
-    kernel returns then (see ``_Orbits.run``), a LIMIT after the run's first
+    kernel returns then (see ``_run``), a LIMIT after the run's first
     ``max_steps`` digits, whose end no caller reads."""
     _, segment, kind, end = run
     return max_steps, (segment + end if kind is TERMINAL else segment)[:max_steps], LIMIT, None
@@ -418,15 +384,13 @@ def _admit(field: BaseField, cells: int) -> bool:
     return True
 
 
-def _ref(field: BaseField, key: tuple[int, ...]) -> int | tuple[int, ...]:
+def _ref(field: BaseField, key: tuple[int, ...]) -> int:
     """The id of the switch point with reduced form ``key`` in the field's
-    graph, taking the next one while the graph has room; past its cap, the
-    key itself."""
+    graph, taking the next one if it has none: the graph may pass
+    ``_MEMO_CAP`` within one walk, which ``_record`` bounds."""
     ids, graph = field._graph_ids, field._graph
     ref = ids.get(key)
     if ref is None:
-        if len(graph) >= _MEMO_CAP:
-            return key
         ref = ids[key] = len(graph)
         graph.append([key, None, None])
     return ref
@@ -438,14 +402,6 @@ def _target(t: int | None) -> tuple[Kind, int | None]:
     return (LIMIT, None) if t is None else (TERMINAL, ~t) if t < 0 else (NODE, t)
 
 
-def _segment(graph: list, below: _Below, i: int) -> tuple[int, ...]:
-    """The digits forced on a record's edge i (2 * node id + digit): the
-    record's own when the field's graph held no run for it, else the stored
-    run's."""
-    segment = below.cut.get(i)
-    return graph[below.refs[i >> 1]][1 + (i & 1)][1] if segment is None else segment
-
-
 @dataclass(eq=False, slots=True)
 class _Below:
     """The graph below a root run's end under one pair of caps, and the
@@ -453,19 +409,19 @@ class _Below:
 
     ``root`` and ``targets`` hold local targets (see ``_target``): the
     root's, and that of edge i = 2 * node id + digit.  ``refs`` holds each
-    node's ref in the field's graph (see ``_ref``) by local id, in
-    breadth-first order.  ``cut`` holds the segment of each edge whose run
-    the field's graph did not store as the record was walked: a LIMIT, or a
-    run into or out of a switch point past the graph's cap; no later run
-    changes it.  Then the terminals' cycle digits, the limit, what one pass
-    over the components found (see ``_answer``): the count, and which nodes
-    reach a terminal; whether the memo keeps the record; and the listings
-    read from it so far, relative to s, by (max_count, max_depth)."""
+    node's id in the field's graph (see ``_ref``) by local id, in
+    breadth-first order, and ``segments`` the digits forced on edge i, as
+    its run gave them when the record was walked: a stored run's own
+    segment, or one cut to the budget, so no run stored later changes it.
+    Then the terminals' cycle digits, the limit, what one pass over the
+    components found (see ``_answer``): the count, and which nodes reach a
+    terminal; whether the memo keeps the record; and the listings read from
+    it so far, relative to s, by (max_count, max_depth)."""
 
     root: int | None
-    refs: tuple[int | tuple[int, ...], ...]
+    refs: tuple[int, ...]
     targets: tuple[int | None, ...]
-    cut: dict[int, tuple[int, ...]]
+    segments: tuple[tuple[int, ...], ...]
     terminals: tuple[tuple[int, ...], ...]
     limit: str | None
     count: Cardinality
@@ -474,27 +430,28 @@ class _Below:
     listings: dict[tuple[int, int], tuple] = dataclass_field(default_factory=dict)
 
 
-def _grow(orbits: _Orbits, kind: Kind, end, max_steps: int, max_nodes: int) -> _Below:
+def _grow(rule: _Rule, kind: Kind, end, max_steps: int, max_nodes: int) -> _Below:
     """The graph below a root run that ended as (kind, end), with ``end`` a
-    switch point's ref in the field's graph (see ``_ref``) or a unique
-    tail's cycle digits, walked breadth-first over the field's graph.
+    switch point's id in the field's graph (see ``_ref``) or a unique
+    tail's cycle digits, walked breadth-first over the field's graph with
+    the kernel's ``rule`` for the point's denominator.
 
-    Each branch is a run in the kernel's shape (see ``_Orbits.run``), with
-    a switch point at its end named by its ref, started in HIGH for digit 0
+    Each branch is a run in the kernel's shape (see ``_run``), with a
+    switch point at its end named by its id, started in HIGH for digit 0
     and LOW for digit 1 when q > φ, and in its placed region otherwise (see
-    ``BaseField._tracking``): a stored run of length L is
-    the run when L < max_steps, and cut to the budget otherwise (``_cut``).
-    A branch with no stored run is run, and stored unless it hit the
-    budget, or it or its end lies past the graph's cap, so no stored run is
-    ever replaced.  Nodes take local ids as the walk reaches them, up to
-    ``max_nodes``."""
-    den, locate, field, graph = orbits.den, orbits.locate, orbits.field, orbits.field._graph
+    ``BaseField._tracking``): a stored run of length L is the run when
+    L < max_steps, and cut to the budget otherwise (``_cut``).  A branch
+    with no stored run is run, and stored unless it hit the budget, so no
+    stored run is ever replaced.  Nodes take local ids as the walk reaches
+    them, up to ``max_nodes``; each adds at most two switch points to the
+    field's graph, and the root one more."""
+    den, locate, field, graph = rule.den, rule.locate, rule.field, rule.field._graph
     # past φ, q * s is HIGH and q * s - 1 LOW for every switch point s
     starts = (HIGH, LOW) if field._tracker[7] else None
-    local: dict = {}  # a node's ref -> its local id
-    refs: list = []  # each node's ref, by local id
+    local: dict[int, int] = {}  # a node's id in the field's graph -> its local id
+    refs: list[int] = []  # each node's id in the field's graph, by local id
     targets: list[int | None] = []  # by edge 2 * node id + digit
-    cut: dict[int, tuple[int, ...]] = {}
+    segments: list[tuple[int, ...]] = []  # by edge
     terminal_ids: dict[tuple[int, ...], int] = {}
     limit: str | None = None
 
@@ -513,26 +470,25 @@ def _grow(orbits: _Orbits, kind: Kind, end, max_steps: int, max_nodes: int) -> _
 
     root = resolve(kind, end)
     for ref in refs:  # grows as switch points are found: breadth-first
-        entry, n = graph[ref] if ref.__class__ is int else None, None
+        entry, n = graph[ref], None
         for slot in (1, 2):  # digit 0's run, then digit 1's
-            run = entry[slot] if entry else None
+            run = entry[slot]
             if run is None:
                 if n is None:  # the node over D: its reduced denominator divides D
-                    key = entry[0] if entry else ref
+                    key = entry[0]
                     n = key[1:] if key[0] == den else tuple([c * (den // key[0]) for c in key[1:]])
                 # both branches of a switch point stay in the domain
                 branch = field._step(n, (1 - slot) * den)
                 reg = starts[slot - 1] if starts else locate(branch)
-                length, segment, kind, end = orbits.run(branch, reg, max_steps, {})
+                length, segment, kind, end = _run(rule, branch, reg, max_steps, {})
                 run = length, segment, kind, _ref(field, end) if kind is NODE else end
-                if entry and (kind is TERMINAL or run[3].__class__ is int):
+                if kind is not LIMIT:
                     entry[slot] = run
             elif run[0] >= max_steps:
                 run = _cut(run, max_steps)
-            if entry is None or entry[slot] is not run:
-                cut[len(targets)] = run[1]
+            segments.append(run[1])
             targets.append(resolve(run[2], run[3]))
-    return _Below(root, tuple(refs), tuple(targets), cut, tuple(terminal_ids), limit,
+    return _Below(root, tuple(refs), tuple(targets), tuple(segments), tuple(terminal_ids), limit,
                   *_answer(root, targets, limit))
 
 
@@ -696,17 +652,16 @@ def count_expansions(x: AlgebraicReal, max_steps: int = DEFAULT_MAX_STEPS,
 # enumeration
 
 
-def _walk(graph: list, below: _Below, max_count: int,
+def _walk(below: _Below, max_count: int,
           max_depth: int) -> tuple[tuple[PeriodicWord, ...], bool, str | None]:
     """The listing of ``_listing``, walked on the record of the graph below
-    a root run's end, relative to that end, with the segments the field's
-    graph stores for it (see ``_segment``)."""
+    a root run's end, relative to that end."""
     words: list[PeriodicWord] = []
     limit = below.limit
     complete = limit is None
     if below.root is None:
         return (), False, limit
-    live, targets, terminals = below.live, below.targets, below.terminals
+    live, targets, segments, terminals = below.live, below.targets, below.segments, below.terminals
     queue: deque[tuple[int, tuple[int, ...], int]] = deque([(below.root, (), 0)])
     while queue:
         t, prefix, depth = queue.popleft()
@@ -721,7 +676,7 @@ def _walk(graph: list, below: _Below, max_count: int,
         for i in (2 * t, 2 * t + 1):
             w = targets[i]
             if w is not None and (w < 0 or live[w]):
-                queue.append((w, prefix + (i & 1,) + _segment(graph, below, i), depth + 1))
+                queue.append((w, prefix + (i & 1,) + segments[i], depth + 1))
             else:
                 complete = False
     return tuple(words), complete, limit
@@ -746,7 +701,7 @@ def _listing(
     segment, below = _record(x, max_steps, max_nodes)
     found = below.listings.get((max_count, max_depth))
     if found is None:
-        found = _walk(x.field._graph, below, max_count, max_depth)
+        found = _walk(below, max_count, max_depth)
         if below.kept and _admit(x.field, len(found[0]) + 1):
             below.listings[max_count, max_depth] = found
     words, complete, limit = found
@@ -816,7 +771,7 @@ def _levels(x: AlgebraicReal, max_levels: int, ceiling: float) -> tuple[list[int
 
     A level of one remainder outside the switch region has one child, with
     the same count: such a forced stretch is the orbit kernel's run
-    (``_Orbits.run``), to its switch point, where the walk goes on over
+    (``_run``), to its switch point, where the walk goes on over
     levels, or to a closed cycle, where the count is exact.  A stretch ends
     the run of equal counts it is in (a switch point doubles the count), and
     no level of several remainders equals one of one, so a repeat inside a
@@ -825,15 +780,15 @@ def _levels(x: AlgebraicReal, max_levels: int, ceiling: float) -> tuple[list[int
     """
     if max_levels < 1:
         raise ValueError("depth must be >= 1")
-    orbits, _ = _start(x)
-    step, locate, den, minus_one = orbits.field._step, orbits.locate, orbits.den, -orbits.den
+    rule, _ = _start(x)
+    step, locate, den, minus_one = x.field._step, rule.locate, x.den, -x.den
     level: dict[tuple[int, ...], int] = {x.num: 1}
     counts: list[int] = []
     run_count = 1
     seen: set[frozenset] = set()  # the levels of the current run of equal counts
     while len(counts) < max_levels:
         if len(level) == 1 and (reg := locate(n := next(iter(level)))) is not SWITCH:
-            length, _, kind, end = orbits.run(n, reg, max_levels - len(counts), {})
+            length, _, kind, end = _run(rule, n, reg, max_levels - len(counts), {})
             counts += [level[n]] * length
             if kind is not NODE:  # a closed cycle, or the level cap inside the stretch
                 return counts, kind is TERMINAL

@@ -347,8 +347,9 @@ class BaseField:
     switch point reached by id with its stored runs, and the ids by reduced
     form; ``_answers`` and ``_answer_cells`` its answer memo of records,
     which name nodes by those ids, and the cells it holds.  ``branching``
-    owns their format; they hold no element, so the field is freed with
-    them.
+    owns their format, and replaces the last four with empty ones together
+    once the graph is full (``_record``); they hold no element, so the
+    field is freed with them.
     """
 
     __slots__ = ("min_poly", "degree", "name", "_root_bound", "_cell", "_sign_lo", "_step",
@@ -506,7 +507,7 @@ class BaseField:
         return self._filter_sum
 
     def _tracking(self) -> tuple:
-        """The orbit kernel's float constants (see ``branching._Orbits.run``),
+        """The orbit kernel's float constants (see ``branching._run``),
         computed on first use: (q̂, q⁺, κ, a0, a1, b0, b1, above_phi).
 
         q̂ is the double nearest Q[1] / 2^P, and |q̂ - q| <= δ, with δ taken

@@ -385,11 +385,13 @@ def _sieved(s: int, e: int, lo0: int, hi0: int, lo1: int, hi1: int) -> Region | 
 
 
 class _Rule(NamedTuple):
-    """One denominator's region rule (see ``_region_rule``): ``locate``, the
-    thresholds it tests the filter sum s against, ``scale`` c, the double
-    nearest 1/(den * 2^P), which turns s into the value's double, ``cap``,
-    the filter errors e below which the orbit kernel's tracker starts from
-    (s, e), and ``exact``, the placement by the reduced element's ``_cmp``."""
+    """One denominator's region rule (see ``_region_rule``), which is also
+    the orbit kernel for that denominator (``branching._run``): ``locate``,
+    the thresholds it tests the filter sum s against, ``scale`` c, the
+    double nearest 1/(den * 2^P), which turns s into the value's double,
+    ``cap``, the filter errors e below which the kernel's tracker starts
+    from (s, e), ``exact``, the placement by the reduced element's
+    ``_cmp``, and the ``field`` and ``den`` it places values of."""
 
     locate: Callable[[Sequence[int]], Region]
     lo0: int
@@ -399,6 +401,8 @@ class _Rule(NamedTuple):
     scale: float
     cap: int
     exact: Callable[[Sequence[int]], Region]
+    field: BaseField
+    den: int
 
 
 def _region_rule(field: BaseField, den: int) -> _Rule:
@@ -430,7 +434,7 @@ def _region_rule(field: BaseField, den: int) -> _Rule:
     narrows the field's isolating interval.
 
     The tracker's start x̂ = s * c is within e * c of the value plus
-    rounding (see ``branching._Orbits.run``) when e < cap = den * 2^P / 8,
+    rounding (see ``branching._run``) when e < cap = den * 2^P / 8,
     so that e * c < 1/8.  For a denominator with den * 2^P of 900 bits or
     more, cap is 0 and no tracker starts: below that, c is a normal double
     and s, at most 2^900 * (T + 1), converts to one for every base with
@@ -460,7 +464,7 @@ def _region_rule(field: BaseField, den: int) -> _Rule:
 
     scaled = den << FILTER_BITS
     rule = _Rule(locate, lo0, hi0, lo1, hi1, 1 / scaled,
-                 scaled >> 3 if scaled.bit_length() < 900 else 0, exact)
+                 scaled >> 3 if scaled.bit_length() < 900 else 0, exact, field, den)
     if len(field._rules) < _RULES_CAP:
         field._rules[den] = rule
     return rule
@@ -477,7 +481,7 @@ def region(x: AlgebraicReal) -> Region:
     top = field.domain_bounds()[2]  # first: a base outside (1, 2) raises for every x
     if x.sign() < 0 or x._cmp(top) > 0:
         return Region.OUTSIDE
-    _, lo0, hi0, lo1, hi1, _, _, exact = _region_rule(field, x.den)
+    _, lo0, hi0, lo1, hi1, _, _, exact, _, _ = _region_rule(field, x.den)
     s, e = x._scaled()
     return _sieved(s, e, lo0, hi0, lo1, hi1) or exact(x.num)
 

@@ -131,8 +131,8 @@ def level_oracle(x, max_depth):
     in the current run of equal counts."""
     if max_depth < 1:
         raise ValueError("depth must be >= 1")
-    orbits, _ = _start(x)
-    step, locate, minus_one = orbits.field._step, orbits.locate, -orbits.den
+    rule, _ = _start(x)
+    step, locate, minus_one = rule.field._step, rule.locate, -rule.den
     level = {x.num: 1}
     counts = []
     run_count = 1

@@ -90,15 +90,24 @@ ROWS = (
         (_BRANCHING + "test_kernel_matches_element_loops_on_canonical_words[q2]",
          "tests/test_cli.py::test_count_and_enumerate_pinned_on_q2[q2_0]"),
         "a walk that holds max_nodes nodes is full: the next new switch point is a limit"),
-    Row("limit-segment-from-the-field-graph", "branching.py",
-        "    segment = below.cut.get(i)\n"
-        "    return graph[below.refs[i >> 1]][1 + (i & 1)][1] if segment is None else segment",
-        "    run = graph[below.refs[i >> 1]][1 + (i & 1)] if below.refs[i >> 1].__class__ is int else None\n"
-        "    return run[1] if run is not None else below.cut[i]",
+    Row("segment-from-the-stored-run", "branching.py",
+        "segments.append(run[1])", "segments.append((entry[slot] or run)[1])",
         (_BRANCHING + "test_a_kept_record_keeps_its_limit_segments[qf]",
          _BRANCHING + "test_memo_runs_stored_under_a_larger_step_budget"),
-        "a LIMIT edge's segment is the record's own: a run stored later, or cut to the budget, "
-        "is not the edge's"),
+        "an edge's segment is its run's under the walk's budget: a stored run at or past the "
+        "budget is cut, not read whole"),
+    Row("graph-replaced-without-its-answers", "branching.py",
+        "field._graph, field._graph_ids, field._answers, field._answer_cells = [], {}, {}, 0",
+        "field._graph, field._graph_ids = [], {}",
+        (_BRANCHING + "test_a_full_field_graph_is_replaced[qf-3]",
+         _BRANCHING + "test_a_full_field_graph_is_replaced[q2-500]"),
+        "the answer memo's records name switch points by their ids in the replaced graph"),
+    Row("view-reads-the-fields-current-graph", "branching.py",
+        "field, graph = self.field, self._graph", "field, graph = self.field, self.field._graph",
+        (_BRANCHING + "test_a_view_first_read_after_its_graph_was_replaced[q2]",
+         _BRANCHING + "test_a_view_first_read_after_its_graph_was_replaced[qf]"),
+        "a view's record names switch points by their ids in the graph it was built on, "
+        "which the field may since have replaced"),
     Row("terminal-target-off-by-one", "branching.py",
         "return ~terminal_ids.setdefault(end, len(terminal_ids))",
         "return -terminal_ids.setdefault(end, len(terminal_ids))",

@@ -1187,11 +1187,12 @@ def test_memo_runs_stored_under_a_larger_step_budget(name, words):
 
 
 def _counted_runs(monkeypatch):
-    """The arguments of every ``_Orbits.run`` call from now on."""
+    """The arguments after the rule of every kernel run (``_run``) from now
+    on."""
     calls = []
-    run = branching._Orbits.run
-    monkeypatch.setattr(branching._Orbits, "run",
-                        lambda self, *args: calls.append(args) or run(self, *args))
+    run = branching._run
+    monkeypatch.setattr(branching, "_run",
+                        lambda rule, *args: calls.append(args) or run(rule, *args))
     return calls
 
 
@@ -1308,25 +1309,57 @@ def _held_cells(field):
                for below in field._answers.values())
 
 
-def test_full_memo_admits_no_more_switch_points(monkeypatch):
+@pytest.mark.parametrize("name, cap", [("q2", 3), ("qf", 3), ("q2", 500)])
+def test_a_full_field_graph_is_replaced(name, cap, monkeypatch):
+    # with a small cap the field's graph fills again and again; the next
+    # walk starts a fresh graph and a fresh answer memo, every graph, count
+    # and listing still equals a cold field's, the graph stays within
+    # _MEMO_CAP + 2 * max_nodes + 1, and every record names its nodes by id
+    monkeypatch.setattr(branching, "_MEMO_CAP", cap)
+    grown = []
+    grow = branching._grow
+    monkeypatch.setattr(branching, "_grow", lambda *args: grown.append(grow(*args)) or grown[-1])
+    caps = _ACCEPTANCE_CAPS if name == "q2" else _KERNEL_CAPS[name]
+    bound = cap + 2 * caps["max_nodes"] + 1
+    warm = define_field(*_KERNEL_FIELDS[name])
+    graphs = [warm._graph]
+    for word in _MEMO_WORDS if cap == 500 else _MEMO_WORDS[:40]:
+        cold = define_field(*_KERNEL_FIELDS[name])
+        for job in ("count", (64, 256), "graph"):
+            if job == "graph":
+                got = _graph_form(build_branch_graph(eval_word(word, warm), **caps))
+                assert got == _cold_form(name, word, caps), str(word)
+            else:
+                want = _answer_form(job, eval_word(word, cold), caps)
+                assert _answer_form(job, eval_word(word, warm), caps) == want, (str(word), job)
+            assert len(warm._graph) == len(warm._graph_ids) <= bound
+            # the answer memo holds at most _MEMO_CAP nodes and words, in
+            # records that name switch points of the field's graph
+            assert warm._answer_cells == _held_cells(warm) <= cap
+            assert all(ref < len(warm._graph) for below in warm._answers.values()
+                       for ref in below.refs)
+            if warm._graph is not graphs[-1]:
+                # replaced only when full, with the answer memo: it holds this ask's record only
+                assert len(graphs[-1]) >= cap and len(warm._answers) <= 1
+                graphs.append(warm._graph)
+    assert all(warm._graph_ids[key] == i for i, (key, *_) in enumerate(warm._graph))
+    assert len(graphs) > 10 and max(map(len, graphs)) > cap
+    assert len(grown) > 100 and all(ref.__class__ is int for below in grown for ref in below.refs)
+
+
+@pytest.mark.parametrize("name", ["q2", "qf"])
+def test_a_view_first_read_after_its_graph_was_replaced(name, monkeypatch):
+    # a view keeps the graph its record names switch points in: built before
+    # the field replaces that graph and first read after, it equals a cold view
     monkeypatch.setattr(branching, "_MEMO_CAP", 3)
-    warm = define_field(*_KERNEL_FIELDS["q2"])
-    for word in _MEMO_WORDS[:40]:
-        got = build_branch_graph(eval_word(word, warm), **_ACCEPTANCE_CAPS)
-        assert len(warm._graph) <= 3
-        assert _graph_form(got) == _cold_form("q2", word, _ACCEPTANCE_CAPS), str(word)
-    assert len(warm._graph) == 3
-    # the answer memo holds at most _MEMO_CAP nodes and words: q2's graphs
-    # at these caps are too large for it, and qf keeps one two-node graph
-    # and then no listing
-    for name, caps, held in (("q2", _ACCEPTANCE_CAPS, 0), ("qf", _KERNEL_CAPS["qf"], 3)):
-        warm = define_field(*_KERNEL_FIELDS[name])
-        for word in _MEMO_WORDS[:40]:
-            for job in ("count", "bfs"):
-                answer = _answer_form(job, eval_word(word, warm), caps)
-                assert warm._answer_cells == _held_cells(warm) <= 3
-                assert answer == _cold_answer(name, word, job, caps), (name, str(word), job)
-        assert warm._answer_cells == held
+    caps = _ACCEPTANCE_CAPS if name == "q2" else _KERNEL_CAPS[name]
+    F = define_field(*_KERNEL_FIELDS[name])
+    words = _MEMO_WORDS[::50]
+    views = [build_branch_graph(eval_word(word, F), **caps) for word in words]
+    assert len({id(view._graph) for view in views}) > 10
+    for word, view in zip(words, views):
+        assert not _built_tables(view)
+        assert _graph_form(view) == _cold_form(name, word, caps), str(word)
 
 
 @pytest.mark.parametrize("cap, passes", [(branching._MEMO_CAP, 1), (0, 3)])
@@ -1381,9 +1414,9 @@ def test_switch_point_keys_are_the_reduced_form(name, data):
     den = common * data.draw(st.integers(1, 10**6))
     num = tuple(common * c for c in data.draw(
         st.lists(st.integers(-10**9, 10**9), min_size=F.degree, max_size=F.degree)))
-    orbits = branching._Orbits(F.from_rational(Fraction(1, den)))
-    assert orbits.den == den
-    length, segment, kind, key = orbits.run(num, Region.SWITCH, 1, {})
+    rule = words._region_rule(F, den)
+    assert rule.field is F and rule.den == den
+    length, segment, kind, key = branching._run(rule, num, Region.SWITCH, 1, {})
     v = numberfield._reduced(F, num, den)
     assert (length, segment, kind, key) == (0, (), NODE, (v.den, *v.num))
 
@@ -1410,11 +1443,11 @@ def test_a_stored_run_is_the_run_under_every_budget_above_its_length(name, word)
         assert kind is NODE or kind is TERMINAL
         digits = segment + end if kind is TERMINAL else segment
         assert len(digits) == length
-        orbits, stepped = branching._Orbits(point), [n]
+        rule, stepped = words._region_rule(F, point.den), [n]
         for digit in digits:
             stepped.append(F._step(stepped[-1], -digit * point.den))
         for budget in [*range(length + 3), 10_000]:
-            got = orbits.run(n, orbits.locate(n), budget, {})
+            got = branching._run(rule, n, rule.locate(n), budget, {})
             if budget > length:
                 assert got == run
             else:
@@ -1502,28 +1535,6 @@ def test_a_kept_record_keeps_its_limit_segments(name):
     assert kept > 5
 
 
-def test_a_full_field_graph_answers_like_cold_fields(monkeypatch):
-    # with a small cap the field's graph fills partway through the sweep;
-    # past it, a walk holds its new switch points by reduced form, and
-    # every count and listing still equals a cold field's
-    monkeypatch.setattr(branching, "_MEMO_CAP", 500)
-    grown = []
-    grow = branching._grow
-    monkeypatch.setattr(branching, "_grow", lambda *args: grown.append(grow(*args)) or grown[-1])
-    warm = define_field(*_KERNEL_FIELDS["q2"])
-    full_at = None
-    for i, word in enumerate(_MEMO_WORDS):
-        cold = define_field(*_KERNEL_FIELDS["q2"])
-        for job in ("count", (64, 256)):
-            want = _answer_form(job, eval_word(word, cold), _ACCEPTANCE_CAPS)
-            assert _answer_form(job, eval_word(word, warm), _ACCEPTANCE_CAPS) == want, str(word)
-        if full_at is None and len(warm._graph) == 500:
-            full_at = i
-    assert len(warm._graph) == len(warm._graph_ids) == 500
-    assert 0 < full_at < len(_MEMO_WORDS) // 2
-    assert sum(any(ref.__class__ is tuple for ref in below.refs) for below in grown) > 100
-
-
 def test_the_field_graph_holds_each_switch_point_once():
     # after the q2 sweep, every switch point any graph reached is held once,
     # by its reduced form, and the records name nodes by their ids there:
@@ -1539,7 +1550,7 @@ def test_the_field_graph_holds_each_switch_point_once():
     records = {id(graph._below): graph._below for graph in graphs}.values()
     assert len(records) > 500 and sum(below.kept for below in records) > 200
     for below in records:
-        held = (below.refs, below.targets, *below.cut.values(), *below.terminals)
+        held = (below.refs, below.targets, *below.segments, *below.terminals)
         assert all(c.__class__ is int and (c in (0, 1) or part is below.refs or part is below.targets)
                    for part in held for c in part if c is not None)
         assert len(below.refs) == len(below.targets) // 2 == len(below.live)
@@ -1572,8 +1583,8 @@ def test_points_over_one_denominator_share_one_region_rule():
     for point in (x, y):
         count_expansions(point)
     assert list(F._rules) == [7]
-    assert branching._start(x)[0].rule is branching._start(y)[0].rule is F._rules[7]
-    assert branching._start(x)[0].locate is F._rules[7].locate
+    assert branching._start(x)[0] is branching._start(y)[0] is F._rules[7]
+    assert F._rules[7].field is F and F._rules[7].den == 7
 
 
 def test_region_rules_past_the_bound_answer_like_region():
@@ -1652,17 +1663,26 @@ def test_listings_assemble_no_graph(text, argv, root_kind, monkeypatch, capsys):
 _TABLES = ("nodes", "edges", "terminals")
 
 
-def _eager(view):
+def _eager(view, max_steps):
     """The graph of a view's record as eager tables, every one filled at
-    once."""
-    below, field, graph = view._below, view.field, view.field._graph
-    keys = [graph[ref][0] if isinstance(ref, int) else ref for ref in below.refs]
+    once.  Each edge's segment must be the one the run that the view's
+    graph stores for it, if any, gives under ``max_steps``: its segment, or
+    its first ``max_steps`` digits, a unique tail's cycle included."""
+    below, field, graph = view._below, view.field, view._graph
+    keys = [graph[ref][0] for ref in below.refs]
+    for i, segment in enumerate(below.segments):
+        run = graph[below.refs[i >> 1]][1 + (i & 1)]
+        if run is not None:
+            length, digits, kind, end = run
+            if length >= max_steps:
+                digits = (digits + end if kind is TERMINAL else digits)[:max_steps]
+            assert segment == digits
     targets = [branching._target(t) for t in below.targets]
     return SimpleNamespace(
         root_segment=view.root_segment, root_kind=branching._target(below.root)[0],
         root_target=branching._target(below.root)[1],
         nodes={nid: AlgebraicReal(field, k[1:], k[0]) for nid, k in enumerate(keys)},
-        edges={nid: {d: Edge(d, branching._segment(graph, below, 2 * nid + d),
+        edges={nid: {d: Edge(d, below.segments[2 * nid + d],
                              *targets[2 * nid + d]) for d in (0, 1)} for nid in range(len(keys))},
         terminals={tid: PeriodicWord((), cycle) for tid, cycle in enumerate(below.terminals)},
         truncated=below.limit is not None, limit=below.limit)
@@ -1711,7 +1731,8 @@ def test_views_equal_eager_builds():
     # kept; a copy of a view shares its record and only the tables read
     assert len(_MEMO_WORDS) == 1408
     for x, caps in _view_sample():
-        eager = _eager(build_branch_graph(x, **caps))
+        eager = _eager(build_branch_graph(x, **caps),
+                       caps.get("max_steps", branching.DEFAULT_MAX_STEPS))
         form = _graph_form(eager)
         for i in range(3):
             order = _TABLES[i:] + _TABLES[:i]
@@ -1758,10 +1779,10 @@ _TRACKER_NAMES = ("q2", "qf", "golden")
 _U = Fraction(1, 2**53)  # the unit roundoff of a double
 
 
-def _placed_run(orbits, n, reg, max_steps):
+def _placed_run(rule, n, reg, max_steps):
     """The kernel's run shape, and its ``seen``, from a test-local loop
     that places every value with ``words.region`` on its reduced element."""
-    F, den = orbits.field, orbits.den
+    F, den = rule.field, rule.den
     seen, digits = {}, []
     for i in range(max_steps):
         if reg is Region.SWITCH:
@@ -1793,10 +1814,10 @@ def test_runs_equal_the_region_loop_on_every_small_word(name):
     F = define_field(*_KERNEL_FIELDS[name])
     for word in _MEMO_WORDS:
         x = eval_word(word, F)
-        orbits, reg = branching._start(x)
+        rule, reg = branching._start(x)
         seen = {}
-        got = orbits.run(x.num, reg, 250, seen)
-        assert (got, seen) == _placed_run(orbits, x.num, region(x), 250), str(word)
+        got = branching._run(rule, x.num, reg, 250, seen)
+        assert (got, seen) == _placed_run(rule, x.num, region(x), 250), str(word)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1807,13 +1828,13 @@ def test_runs_from_switch_point_branches_equal_the_region_loop(name, pick, digit
     # point's own denominator, in the region the walk passes
     F, points = _swept(name)
     s = points[pick % len(points)]
-    orbits = branching._Orbits(s)
+    rule = words._region_rule(F, s.den)
     branch = F._step(s.num, -digit * s.den)
-    reg = (Region.HIGH, Region.LOW)[digit] if F._tracking()[7] else orbits.locate(branch)
+    reg = (Region.HIGH, Region.LOW)[digit] if F._tracking()[7] else rule.locate(branch)
     assert reg is region(s.times_q_minus(digit))
     seen = {}
-    got = orbits.run(branch, reg, budget, seen)
-    assert (got, seen) == _placed_run(orbits, branch, reg, budget)
+    got = branching._run(rule, branch, reg, budget, seen)
+    assert (got, seen) == _placed_run(rule, branch, reg, budget)
 
 
 @pytest.mark.parametrize("name", ["q2", "qf"])
@@ -1874,7 +1895,7 @@ def test_a_denominator_past_the_doubles_range_starts_no_tracker(name):
 
 @pytest.mark.parametrize("name", sorted(_KERNEL_FIELDS))
 def test_tracker_constants_satisfy_the_error_bound(name):
-    # the proof's inequalities (see _Orbits.run), in Fractions, against the
+    # the proof's inequalities (see _run), in Fractions, against the
     # test's own enclosures of q, 1/(q-1) and the switch bounds
     F = define_field(*_KERNEL_FIELDS[name])
     q, q_up, kappa, a0, a1, b0, b1, above_phi = F._tracking()
