@@ -2,9 +2,10 @@
 small canonical words.
 
 For each canonical word with preperiod <= 3 and period <= 3, on qf and
-golden (default limits) and on q2 (--max-steps 250 --max-nodes 64), this
-prints the word, the exit code, and what ``main([command, ...])`` wrote to
-stdout and stderr, in process.  The command is the first argument:
+golden (default limits) and on q2 (--max-steps 250 and --max-nodes 64,
+each given to the commands that read it), this prints the word, the exit
+code, and what ``main([command, ...])`` wrote to stdout and stderr, in
+process.  The command is the first argument:
 ``enumerate`` (the default) lists each word's expansions; ``count`` prints
 ``count --format json`` for each word, then for the word's value plus one;
 ``eval`` prints ``eval --format json --digits 30`` the same two ways;
@@ -33,12 +34,13 @@ import os
 import sys
 
 from betaforge import PeriodicWord
-from betaforge.cli import main
+from betaforge.cli import build_parser, main
 
+# each field and its caps, a cap given only to the commands that read it
 RUNS = (
     ("qf", ()),
     ("golden", ()),
-    ("q2", ("--max-steps", "250", "--max-nodes", "64")),
+    ("q2", (("--max-steps", "250"), ("--max-nodes", "64"))),
 )
 # the argument lists each command runs per word, after the word
 VARIANTS = {
@@ -79,10 +81,12 @@ def run(command: str = "enumerate") -> None:
     variants = VARIANTS[command]
     # the header leaves out the arguments that every variant starts with
     shared = len(os.path.commonprefix(variants))
+    options = build_parser().word_tables[command]
     for spec, caps in RUNS:
+        read = [arg for cap in caps if cap[0] in options for arg in cap]
         for w in words:
             for extra in variants:
-                code, out, err = main_text([command, str(w), "--field", spec, *caps, *extra])
+                code, out, err = main_text([command, str(w), "--field", spec, *read, *extra])
                 label = "".join(f" {arg}" for arg in extra[shared:])
                 print(f"== {spec} {w}{label} exit {code}")
                 print(out, end="")

@@ -1,18 +1,24 @@
 """Command-line front end.
 
 Subcommands: eval, region, orbit, count, enumerate, verify.  Each command
-returns its answer; ``main`` alone writes: the answer to stdout, and to
-stderr only the note of an incomplete answer or an error.  Exit codes:
-0 success (and every verification check passed); 1 a verification check
-failed; 2 usage error (bad flags, a non-positive limit, malformed word or
-field spec, a field spec past its size caps, a base outside (1, 2) for any
-command but eval, a defining polynomial found reducible by a comparison, or
-an eval value with a coefficient past Python's int-to-str limit); 3 the
-answer is incomplete: a resource limit cut the computation short (step
-budget exhausted, truncated branch graph, enumeration depth or count; count
-and enumerate name that limit in their text answer's note and as "limit"
-in JSON), or enumerate skipped branches from which no unique tail can be
-reached.  A word command's answer depends on its arguments alone.
+holds only the options it reads (see ``build_parser``): every word command
+takes --field, --format, the word and --plus-one; of the bounds, eval and
+region read --digits, orbit --digits and --max-steps, count --max-steps
+and --max-nodes, and enumerate the four --max-* bounds; only orbit writes
+csv.  Each command returns its answer; ``main`` alone writes: the answer
+to stdout, and to stderr only the note of an incomplete answer or an
+error.  Exit codes: 0 success (and every verification check passed); 1 a
+verification check failed; 2 usage error (bad flags, an option the
+command does not read, csv outside orbit, a non-positive limit, malformed
+word or field spec, a field spec past its size caps, a base outside
+(1, 2) for any command but eval, a defining polynomial found reducible by
+a comparison, or an eval value with a coefficient past Python's
+int-to-str limit); 3 the answer is incomplete: a resource limit cut the
+computation short (step budget exhausted, truncated branch graph,
+enumeration depth or count; count and enumerate name that limit in their
+text answer's note and as "limit" in JSON), or enumerate skipped branches
+from which no unique tail can be reached.  A word command's answer
+depends on its arguments alone.
 """
 
 from __future__ import annotations
@@ -220,15 +226,21 @@ def _cmd_enumerate(args, x):
     return code, "".join(f"{w}\n" for w in words), note
 
 
-# word command -> (its handler, its help text)
+# word command -> (its handler, the bounds it reads, its help text)
 _WORD_COMMANDS = {
-    "eval": (_cmd_eval, "exact value and decimal of a word"),
-    "region": (_cmd_region, "which region the word's value lies in"),
-    "orbit": (_cmd_orbit,
+    "eval": (_cmd_eval, ("--digits",), "exact value and decimal of a word"),
+    "region": (_cmd_region, ("--digits",), "which region the word's value lies in"),
+    "orbit": (_cmd_orbit, ("--digits", "--max-steps"),
               "forced-orbit trace until the branching region, a cycle, or the step limit"),
-    "count": (_cmd_count, "cardinality classification of the expansion set"),
-    "enumerate": (_cmd_enumerate, "expansions of the word's value, lexicographically sorted"),
+    "count": (_cmd_count, ("--max-steps", "--max-nodes"),
+              "cardinality classification of the expansion set"),
+    "enumerate": (_cmd_enumerate, ("--max-steps", "--max-nodes", "--max-depth", "--max-count"),
+                  "expansions of the word's value, lexicographically sorted"),
 }
+# bound -> (its default, its help text)
+_BOUNDS = {"--digits": (6, f"decimal digits to print (default 6, at most {MAX_DIGITS})"),
+           "--max-steps": (DEFAULT_MAX_STEPS, None), "--max-nodes": (DEFAULT_MAX_NODES, None),
+           "--max-depth": (DEFAULT_MAX_DEPTH, None), "--max-count": (DEFAULT_MAX_COUNT, None)}
 
 
 def _cmd_verify(args):
@@ -257,35 +269,36 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls
     (parsing never mutates it).
 
-    The five word commands share one parent parser's options; ``verify``
-    holds only ``--format``, ``--profile`` and its check ids.  The
-    parser's ``word_table`` attribute is the table ``_scan`` reads, built
-    from the actions that ``add_argument`` returned for the word
-    commands.  See ``_parse_args`` for how a call is routed."""
-    word = argparse.ArgumentParser(add_help=False)
-    actions = [
-        word.add_argument("--field", default="q2",
-                          help="base field: q2, qf, golden, or poly:coeffs@lo,hi "
-                               "(ascending integer coefficients, monic)"),
-        word.add_argument("--digits", type=int, default=6,
-                          help=f"decimal digits to print (default 6, at most {MAX_DIGITS})"),
-        word.add_argument("--format", default="text", choices=("text", "json", "csv"),
-                          help="output format (csv applies to orbit only)"),
-        word.add_argument("--max-steps", dest="max_steps", type=int, default=DEFAULT_MAX_STEPS),
-        word.add_argument("--max-nodes", dest="max_nodes", type=int, default=DEFAULT_MAX_NODES),
-        word.add_argument("--max-depth", dest="max_depth", type=int, default=DEFAULT_MAX_DEPTH),
-        word.add_argument("--max-count", dest="max_count", type=int, default=DEFAULT_MAX_COUNT),
-        word.add_argument("word", help="binary word, e.g. '00(01)*' or '1(0000)^2 0(10)*'"),
-        word.add_argument("--plus-one", dest="plus_one", action="store_true",
-                          help="add 1 to the word's value before the command runs"),
-    ]
-
+    Each word command holds ``--field``, ``--format``, the bounds it reads
+    (``_WORD_COMMANDS``), the word and ``--plus-one``; only ``orbit`` takes
+    ``--format csv``.  ``verify`` holds only ``--format``, ``--profile``
+    and its check ids.  The parser's ``word_tables`` attribute maps each
+    word command to the table ``_scan`` reads, built from the actions that
+    ``add_argument`` returned for it.  See ``_parse_args`` for how a call
+    is routed."""
     parser = argparse.ArgumentParser(
         prog="betaforge",
         description="Exact arithmetic for binary expansions in non-integer bases.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, text) in _WORD_COMMANDS.items():
-        sub.add_parser(name, parents=[word], help=text)
+    parser.word_tables = {}
+    for name, (_, bounds, text) in _WORD_COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        formats = ("text", "json", "csv") if name == "orbit" else ("text", "json")
+        actions = [
+            command.add_argument("--field", default="q2",
+                                 help="base field: q2, qf, golden, or poly:coeffs@lo,hi "
+                                      "(ascending integer coefficients, monic)"),
+            command.add_argument("--format", default="text", choices=formats,
+                                 help="output format"),
+            *(command.add_argument(bound, type=int, default=_BOUNDS[bound][0],
+                                   help=_BOUNDS[bound][1]) for bound in bounds),
+            command.add_argument("word", help="binary word, e.g. '00(01)*' or '1(0000)^2 0(10)*'"),
+            command.add_argument("--plus-one", action="store_true",
+                                 help="add 1 to the word's value before the command runs"),
+        ]
+        # each option string of the command, to its action
+        parser.word_tables[name] = {option: action for action in actions
+                                    for option in action.option_strings}
     p_verify = sub.add_parser("verify", help="run verification checks")
     p_verify.add_argument("--format", default="text", choices=("text", "json"),
                           help="output format")
@@ -293,25 +306,20 @@ def build_parser() -> argparse.ArgumentParser:
                           help="check ids to run (default: all)")
     p_verify.add_argument("--profile", default="quick", choices=sorted(PROFILES),
                           help="parameter bounds: quick (k,j <= 8) or full (k,j <= 50)")
-    # the option strings of each action, and the defaults argparse starts a
-    # word command's namespace from
-    parser.word_table = (
-        {option: action for action in actions for option in action.option_strings},
-        {action.dest: action.default for action in actions},
-    )
     return parser
 
 
 def _scan(argv: list[str], table) -> argparse.Namespace | None:
-    """The namespace of a word command's call, read left to right, or None
-    for any call outside the plain shape: an exact option string followed
-    by a value that does not begin with '-' and that the option's type and
-    choices accept, the --plus-one flag, and exactly one word."""
-    options, defaults = table
-    values = {}
+    """The namespace of a word command's call, read left to right against
+    the command's own table, or None for any call outside the plain shape:
+    an exact option string of the command followed by a value that does
+    not begin with '-' and that the option's type and choices accept, the
+    --plus-one flag, and exactly one word."""
+    # the defaults argparse starts the namespace from; the word has none
+    values = {action.dest: action.default for action in table.values()}
     tokens = iter(argv[1:])
     for token in tokens:
-        action = options.get(token)
+        action = table.get(token)
         if action is None:
             if token[:1] == "-" or "word" in values:
                 return None
@@ -331,17 +339,19 @@ def _scan(argv: list[str], table) -> argparse.Namespace | None:
             values[action.dest] = value
     if "word" not in values:
         return None
-    return argparse.Namespace(**{**defaults, "command": argv[0], **values})
+    return argparse.Namespace(command=argv[0], **values)
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse a call.  A word command's call in the plain shape (see
-    ``_scan``) is read in one scan of the parser's word table, with no
+    ``_scan``) is read in one scan of that command's table, with no
     argparse call.  Every other call (no arguments, -h, an unknown command,
-    ``verify``, and every call the scan turns down) goes to the top-level
-    parser, so every help, usage and error text is argparse's own."""
+    ``verify``, and every call the scan turns down, an option the command
+    does not hold among them) goes to the top-level parser, so every help,
+    usage and error text is argparse's own."""
     parser = build_parser()
-    args = _scan(argv, parser.word_table) if argv and argv[0] in _WORD_COMMANDS else None
+    table = parser.word_tables.get(argv[0]) if argv else None
+    args = None if table is None else _scan(argv, table)
     return parser.parse_args(argv) if args is None else args
 
 
@@ -361,20 +371,19 @@ def main(argv=None) -> int:
         if args.command == "verify":
             code, output, note = _cmd_verify(args)
         else:
-            if not 1 <= args.digits <= MAX_DIGITS:
+            # the call carries only the bounds its command reads
+            if not 1 <= getattr(args, "digits", 1) <= MAX_DIGITS:
                 raise UsageError(f"--digits must be between 1 and {MAX_DIGITS}")
-            if args.format == "csv" and args.command != "orbit":
-                raise UsageError("csv output is only available for the orbit command")
             field = _parse_field(args.field)
             for key in ("max_steps", "max_nodes", "max_depth", "max_count"):
-                if getattr(args, key) < 1:
+                if getattr(args, key, 1) < 1:
                     raise UsageError(f"--{key.replace('_', '-')} must be positive")
             # every word command but eval refuses a base outside (1, 2) before
             # it reads the word
             if args.command != "eval":
                 _require_expansion_base(field, args.field)
             x = eval_word(parse_word(args.word), field)
-            handler, _ = _WORD_COMMANDS[args.command]
+            handler, _, _ = _WORD_COMMANDS[args.command]
             code, output, note = handler(args, x + 1 if args.plus_one else x)
             if isinstance(output, dict):
                 # a word command's record opens with the word and whether 1

@@ -410,8 +410,11 @@ def _region_rule(field: BaseField, den: int) -> _Rule:
     numerators ``num`` for one fixed denominator ``den`` > 0 (the form need
     not be reduced), for values the caller knows to lie in the domain
     [0, 1/(q-1)]: only the switch bounds 1/q and 1/(q(q-1)) are compared.
-    The field keeps each rule it builds under ``den`` (``_rules``) while it
-    holds fewer than ``_RULES_CAP``; a full slot still serves what it holds.
+    The field keeps each rule it builds under ``den`` (``_rules``), at most
+    ``_RULES_CAP`` of them: the first ``_RULES_CAP`` - 1 stay, and the last
+    slot holds the newest rule past them, so a second fetch for the
+    denominator just met, as ``branching._start`` makes after ``region``,
+    reads the rule built by the first.
 
     The value's scaled sum s, from the field's filter sum, is within
     e = 2 * sum(|num[i]|) + 2 of 2^P * den * value, and each bound
@@ -465,8 +468,9 @@ def _region_rule(field: BaseField, den: int) -> _Rule:
     scaled = den << FILTER_BITS
     rule = _Rule(locate, lo0, hi0, lo1, hi1, 1 / scaled,
                  scaled >> 3 if scaled.bit_length() < 900 else 0, exact, field, den)
-    if len(field._rules) < _RULES_CAP:
-        field._rules[den] = rule
+    if len(field._rules) == _RULES_CAP:
+        field._rules.popitem()  # the newest rule takes the last slot
+    field._rules[den] = rule
     return rule
 
 

@@ -52,6 +52,7 @@ class Row(NamedTuple):
 
 
 _BRANCHING = "tests/test_branching.py::"
+_CLI = "tests/test_cli.py::"
 
 ROWS = (
     Row("rich-one-edge-late", "branching.py",
@@ -148,6 +149,19 @@ ROWS = (
         "or not 1 < q < 2)", "or False)",
         ("tests/test_numberfield.py::test_domain_bounds_decide_the_base_from_the_cell_or_exactly[straddles-2]",),
         "a cell that straddles 2 leaves q on either side: only the exact comparison decides"),
+    Row("count-holds-max-count", "cli.py",
+        '"count": (_cmd_count, ("--max-steps", "--max-nodes"),',
+        '"count": (_cmd_count, ("--max-steps", "--max-nodes", "--max-count"),',
+        (_CLI + "test_each_command_holds_the_options_its_help_shows",
+         _CLI + "test_a_word_command_refuses_an_option_it_does_not_read[count---max-count-5-apart]"),
+        "count reads no --max-count: an option it would accept and ignore"),
+    Row("csv-offered-to-every-command", "cli.py",
+        'formats = ("text", "json", "csv") if name == "orbit" else ("text", "json")',
+        'formats = ("text", "json", "csv")',
+        (_CLI + "test_csv_rejected_outside_orbit",
+         _CLI + "test_a_word_command_refuses_an_option_it_does_not_read[count---format-csv-apart]",
+         _CLI + "test_a_word_command_refuses_an_option_it_does_not_read[eval---format-csv-joined]"),
+        "only orbit writes csv; any other command would answer in text under --format csv"),
 )
 
 

@@ -1592,7 +1592,9 @@ def test_region_rules_past_the_bound_answer_like_region():
     cap = words._RULES_CAP
     for den in range(1, cap + 5):
         rule = words._region_rule(F, den)
-        assert (words._region_rule(F, den) is rule) == (den <= cap)
+        # past the bound the newest rule takes the last slot, so a second
+        # fetch reads the rule just built
+        assert words._region_rule(F, den) is rule
         # over den, (-den, den), (den, 0) and (0, den) are golden's bounds
         # q - 1, 1 and q exactly: the filter cannot decide those
         # region reads the rule, so both answer like the element loop
@@ -1602,7 +1604,23 @@ def test_region_rules_past_the_bound_answer_like_region():
             assert region(x) is expected, (den, num)
             if expected is not Region.OUTSIDE:
                 assert rule.locate(num) is expected, (den, num)
-    assert len(F._rules) == cap
+    assert list(F._rules) == [*range(1, cap), cap + 4]
+
+
+def test_a_root_run_past_the_bound_builds_its_region_rule_once(monkeypatch):
+    # region(x) builds the rule for x's denominator, and _start fetches it
+    # again for the run
+    F = define_field(*_KERNEL_FIELDS["qf"])
+    cap = words._RULES_CAP
+    for den in range(1, cap + 1):
+        words._region_rule(F, den)
+    Rule, built = words._Rule, []
+    monkeypatch.setattr(words, "_Rule", lambda *fields: built.append(fields[-1]) or Rule(*fields))
+    x = F.from_rational(Fraction(1, cap + 1))
+    rule, reg = branching._start(x)
+    assert built == [cap + 1]
+    assert (rule.den, reg) == (cap + 1, region(x))
+    assert len(F._rules) == cap and F._rules[cap + 1] is rule
 
 
 def test_lower_step_budgets_replace_no_stored_run():

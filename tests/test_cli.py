@@ -631,13 +631,54 @@ def test_csv_rejected_outside_orbit(capsys):
     assert "csv" in err
 
 
+_WORD_COMMANDS = ("eval", "region", "orbit", "count", "enumerate")
+_LIMITS = ("--max-steps", "--max-nodes", "--max-depth", "--max-count")
+# the bounds each word command reads
+_READS = {"eval": ("--digits",), "region": ("--digits",), "orbit": ("--digits", "--max-steps"),
+          "count": ("--max-steps", "--max-nodes"), "enumerate": _LIMITS}
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])  # "0" is read by the scan, "-1" by argparse
-@pytest.mark.parametrize("command", ["eval", "region", "orbit", "count", "enumerate"])
-@pytest.mark.parametrize("flag", ["--max-steps", "--max-nodes", "--max-depth", "--max-count"])
+@pytest.mark.parametrize("command", _WORD_COMMANDS)
+@pytest.mark.parametrize("flag", _LIMITS)
 def test_count_limits_must_be_positive(capsys, flag, command, value):
     code, out, err = run(capsys, command, flag, value, "1(0)*")
     assert (code, out) == (2, "")
-    assert err == f"betaforge: error: {flag} must be positive\n"
+    if flag in _READS[command]:
+        assert err == f"betaforge: error: {flag} must be positive\n"
+    else:
+        # a command refuses a bound it does not read, whatever its value
+        # (test_a_word_command_refuses_an_option_it_does_not_read)
+        assert err.startswith("usage: betaforge") and f"unrecognized arguments: {flag}" in err
+
+
+# each option a word command does not read, with a value the command that
+# reads it takes
+_UNREAD = [
+    *((command, flag, "5") for command in _WORD_COMMANDS for flag in _LIMITS
+      if flag not in _READS[command]),
+    *((command, "--digits", "9") for command in ("count", "enumerate")),
+    *((command, "--format", "csv") for command in ("eval", "region", "count", "enumerate")),
+]
+
+
+@pytest.mark.parametrize("form", ["apart", "joined"])
+@pytest.mark.parametrize("command, option, value", _UNREAD)
+def test_a_word_command_refuses_an_option_it_does_not_read(capsys, monkeypatch, command, option,
+                                                          value, form):
+    # the scan turns down an option the command does not hold, and a
+    # joined '--option=value' for its shape: either way the top-level
+    # parser reads the call, once, and refuses it in its own words
+    argv = [command, *([option, value] if form == "apart" else [f"{option}={value}"]), "1(0)*"]
+    calls = _spy_on_the_top_level_parser(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, calls) == (2, "", [argv])
+    assert err.startswith("usage: betaforge")
+    assert (f"argument --format: invalid choice: {value!r}" if option == "--format"
+            else f"unrecognized arguments: {option}") in err
+    with pytest.raises(SystemExit) as exc:
+        build_parser.__wrapped__().parse_args(argv)
+    assert (exc.value.code, *capsys.readouterr()) == (code, out, err)
 
 
 def test_digits_must_be_positive(capsys):
@@ -748,21 +789,28 @@ def test_shared_parser_matches_a_fresh_one(argv):
     assert shared.format_help() == fresh.format_help()
 
 
-_WORD_OPTIONS = ["-h", "--help", "--field", "--digits", "--format", "--max-steps", "--max-nodes",
-                 "--max-depth", "--max-count", "--plus-one"]
-
-
 def test_each_command_holds_the_options_its_help_shows():
-    # option strings and positional names, in order, without argparse's
-    # wording of the help text, which differs across Python versions
+    # option strings and positional names, in order, and the formats each
+    # command offers, without argparse's wording of the help text, which
+    # differs across Python versions
     (commands,) = (action.choices for action in build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction))
     assert {name: ([option for action in command._actions for option in action.option_strings],
-                   [action.dest for action in command._actions if not action.option_strings])
+                   [action.dest for action in command._actions if not action.option_strings],
+                   *(action.choices for action in command._actions
+                     if action.option_strings == ["--format"]))
             for name, command in commands.items()} == {
-        **{name: (_WORD_OPTIONS, ["word"])
-           for name in ("eval", "region", "orbit", "count", "enumerate")},
-        "verify": (["-h", "--help", "--format", "--profile"], ["checks"]),
+        "eval": (["-h", "--help", "--field", "--format", "--digits", "--plus-one"], ["word"],
+                 ("text", "json")),
+        "region": (["-h", "--help", "--field", "--format", "--digits", "--plus-one"], ["word"],
+                   ("text", "json")),
+        "orbit": (["-h", "--help", "--field", "--format", "--digits", "--max-steps", "--plus-one"],
+                  ["word"], ("text", "json", "csv")),
+        "count": (["-h", "--help", "--field", "--format", "--max-steps", "--max-nodes",
+                   "--plus-one"], ["word"], ("text", "json")),
+        "enumerate": (["-h", "--help", "--field", "--format", "--max-steps", "--max-nodes",
+                       "--max-depth", "--max-count", "--plus-one"], ["word"], ("text", "json")),
+        "verify": (["-h", "--help", "--format", "--profile"], ["checks"], ("text", "json")),
     }
     assert list(commands) == ["eval", "region", "orbit", "count", "enumerate", "verify"]
 
@@ -905,7 +953,7 @@ _ODD = ("--fi", "--dig", "--form", "--max-s", "--max", "--plus", "--digits=9", "
        word=st.sampled_from(_WORDS), at=st.integers(0, 5))
 def test_the_scan_builds_the_namespace_the_top_level_parser_builds(command, parts, word, at):
     argv = [command, *(token for part in (*parts[:at], (word,), *parts[at:]) for token in part)]
-    args = _scan(argv, build_parser().word_table)
+    args = _scan(argv, build_parser().word_tables[command])
     if args is not None:
         # parse_args exits on any argument it leaves over
         assert vars(args) == vars(build_parser().parse_args(argv))
