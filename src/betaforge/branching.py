@@ -53,13 +53,15 @@ returns a read-only view of a record, whose tables it builds on first
 read; ``classify`` reads the count off the record, so a count builds no
 table, and a listing is walked on the record and assembles no graph.
 
-The memos hold ints, bytes, lists, tuples, ``Cardinality`` and
-``PeriodicWord`` records only, never an element, so a field is freed with
-them, and none stores a run that hit the step budget.  The root memo holds
-one run.  When the field's graph holds ``_MEMO_CAP`` switch points, the
-next walk starts on an empty graph and an empty answer memo, since the
-old memo's records name switch points by their old ids.  A walk adds at
-most 2 * max_nodes + 1 switch points, so the graph never holds more than
+The field holds the root memo, the graph and the answer memo in one
+object (``_Memo``), in its slot ``_memo``.  They hold ints, bytes, lists,
+tuples, ``Cardinality`` and ``PeriodicWord`` records only, never an
+element, so a field is freed with them, and none stores a run that hit
+the step budget.  The root memo holds one run.  When the field's graph
+holds ``_MEMO_CAP`` switch points, the next walk replaces the whole
+object by an empty one, so the records, which name switch points by
+their ids in the old graph, go with it.  A walk adds at most
+2 * max_nodes + 1 switch points, so the graph never holds more than
 _MEMO_CAP + 2 * max_nodes + 1.  The answer memo admits records and
 listings while the nodes and words it holds total at most ``_MEMO_CAP``,
 and a full one still serves what it holds.  ``deterministic_run``,
@@ -76,18 +78,18 @@ from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from typing import Iterator, NamedTuple, Sequence
 
-from .numberfield import AlgebraicReal, BaseField, _reduced
+from .numberfield import AlgebraicReal, _reduced
 from .words import PeriodicWord, Region, _region_rule, _Rule, _sieved, region
 
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_MAX_NODES = 10_000
 DEFAULT_MAX_COUNT = 64
 DEFAULT_MAX_DEPTH = 256
-# switch points a field's graph holds before the next walk replaces it,
-# about 3.6x the 4,568 that the graphs of every canonical q2 word with
-# preperiod <= 6 and period <= 4 reach at caps 250/64 (2,486 of them
-# expanded); and nodes plus listed words its answer memo holds in all.  A
-# full answer memo still serves what it holds.
+# switch points a field's graph holds before the next walk replaces the
+# field's memo, about 3.6x the 4,568 that the graphs of every canonical q2
+# word with preperiod <= 6 and period <= 4 reach at caps 250/64 (2,486 of
+# them expanded); and nodes plus listed words its answer memo holds in
+# all.  A full answer memo still serves what it holds.
 _MEMO_CAP = 1 << 14
 
 
@@ -289,15 +291,15 @@ class BranchGraph:
     ``_record``), as ``build_branch_graph`` returns it: each of ``nodes``,
     ``edges`` and ``terminals`` is built from the record on that table's
     first read, as a fresh dict the view then keeps, so a count builds none
-    of them.  The view keeps the field graph its record's ids name, so one
-    first read after the field replaced its graph still answers the same.
+    of them.  The view keeps the graph its record's ids name, so one first
+    read after the field replaced its memo still answers the same.
     ``classify`` answers the view from its record."""
 
     def __init__(self, x: AlgebraicReal, segment: tuple[int, ...], below: _Below):
         self.field, self.start, self.root_segment = x.field, x, segment
         self.root_kind, self.root_target = _target(below.root)
         self.truncated, self.limit = below.limit is not None, below.limit
-        self._below, self._graph = below, x.field._graph
+        self._below, self._graph = below, x.field._memo.graph
 
     @functools.cached_property
     def nodes(self) -> dict[int, AlgebraicReal]:
@@ -331,20 +333,20 @@ def build_branch_graph(x: AlgebraicReal, max_steps: int = DEFAULT_MAX_STEPS,
 def _record(x: AlgebraicReal, max_steps: int, max_nodes: int) -> tuple[tuple[int, ...], _Below]:
     """x's root segment and the record of x's graph below the root run's end.
 
-    A field graph that holds ``_MEMO_CAP`` switch points is first replaced
-    by an empty one, and the answer memo with it, since its records name
-    switch points by their ids there.  x's root run is read from the
-    field's root memo, in the kernel's shape and under its rule (see
-    ``_cut``), when x is the last point whose root run was stored;
+    The field's memo (``_Memo``) is made on its first walk, and replaced
+    whole by an empty one once its graph holds ``_MEMO_CAP`` switch points,
+    since its records name switch points by their ids there.  x's root run
+    is read from the root memo, in the kernel's shape and under its rule
+    (see ``_cut``), when x is the last point whose root run was stored;
     otherwise it is run, and stored in place of that one unless it hit the
     step budget.  When it ends at a switch point s whose graph under these
     caps the answer memo holds, that record is returned.  Otherwise the
     record is walked from the root run's end (see ``_grow``), and the memo
     keeps it, marked ``kept``, while it has room."""
-    field = x.field
-    if len(field._graph) >= _MEMO_CAP:
-        field._graph, field._graph_ids, field._answers, field._answer_cells = [], {}, {}, 0
-    roots, key = field._roots, (x.den, *x.num)
+    field, memo = x.field, x.field._memo
+    if memo is None or len(memo.graph) >= _MEMO_CAP:
+        memo = field._memo = _Memo()
+    roots, key = memo.roots, (x.den, *x.num)
     run = roots.get(key)
     rule = None
     if run is None:
@@ -357,13 +359,13 @@ def _record(x: AlgebraicReal, max_steps: int, max_nodes: int) -> tuple[tuple[int
         run = _cut(run, max_steps)
     _, segment, kind, end = run
     # only a record below a switch point is kept, under that point's id
-    memo_key = (end := _ref(field, end), max_steps, max_nodes) if kind is NODE else None
-    below = field._answers.get(memo_key)
+    memo_key = (end := _ref(memo, end), max_steps, max_nodes) if kind is NODE else None
+    below = memo.answers.get(memo_key)
     if below is None:
-        below = _grow(rule or _region_rule(field, x.den), kind, end, max_steps, max_nodes)
-        if memo_key and _admit(field, len(below.refs) + 1):
+        below = _grow(rule or _region_rule(field, x.den), memo, kind, end, max_steps, max_nodes)
+        if memo_key and _admit(memo, len(below.refs) + 1):
             below.kept = True
-            field._answers[memo_key] = below
+            memo.answers[memo_key] = below
     return segment, below
 
 
@@ -375,20 +377,38 @@ def _cut(run: tuple, max_steps: int) -> tuple:
     return max_steps, (segment + end if kind is TERMINAL else segment)[:max_steps], LIMIT, None
 
 
-def _admit(field: BaseField, cells: int) -> bool:
-    """Whether the field's answer memo has room for ``cells`` more nodes or
-    words, taking them if so."""
-    if field._answer_cells + cells > _MEMO_CAP:
+@dataclass(eq=False, slots=True)
+class _Memo:
+    """A field's branch memos, held in its one slot ``_memo`` and replaced
+    whole (see ``_record``): the root memo ``roots`` (the last point's root
+    run, by its reduced form), the switch-point graph ``graph`` (each
+    switch point reached, by id, as [key, digit 0's run, digit 1's run]),
+    ``ids`` (those ids by reduced form), and the answer memo ``answers``
+    (records by (s's id, max_steps, max_nodes), which name switch points
+    by their ids in ``graph``) with the nodes and words it holds,
+    ``cells``."""
+
+    roots: dict[tuple[int, ...], tuple] = dataclass_field(default_factory=dict)
+    graph: list[list] = dataclass_field(default_factory=list)
+    ids: dict[tuple[int, ...], int] = dataclass_field(default_factory=dict)
+    answers: dict[tuple, _Below] = dataclass_field(default_factory=dict)
+    cells: int = 0
+
+
+def _admit(memo: _Memo, cells: int) -> bool:
+    """Whether the answer memo of ``memo`` has room for ``cells`` more nodes
+    or words, taking them if so."""
+    if memo.cells + cells > _MEMO_CAP:
         return False
-    field._answer_cells += cells
+    memo.cells += cells
     return True
 
 
-def _ref(field: BaseField, key: tuple[int, ...]) -> int:
-    """The id of the switch point with reduced form ``key`` in the field's
-    graph, taking the next one if it has none: the graph may pass
+def _ref(memo: _Memo, key: tuple[int, ...]) -> int:
+    """The id of the switch point with reduced form ``key`` in the graph of
+    ``memo``, taking the next one if it has none: the graph may pass
     ``_MEMO_CAP`` within one walk, which ``_record`` bounds."""
-    ids, graph = field._graph_ids, field._graph
+    ids, graph = memo.ids, memo.graph
     ref = ids.get(key)
     if ref is None:
         ref = ids[key] = len(graph)
@@ -430,11 +450,11 @@ class _Below:
     listings: dict[tuple[int, int], tuple] = dataclass_field(default_factory=dict)
 
 
-def _grow(rule: _Rule, kind: Kind, end, max_steps: int, max_nodes: int) -> _Below:
+def _grow(rule: _Rule, memo: _Memo, kind: Kind, end, max_steps: int, max_nodes: int) -> _Below:
     """The graph below a root run that ended as (kind, end), with ``end`` a
-    switch point's id in the field's graph (see ``_ref``) or a unique
-    tail's cycle digits, walked breadth-first over the field's graph with
-    the kernel's ``rule`` for the point's denominator.
+    switch point's id in the graph of ``memo`` (see ``_ref``) or a unique
+    tail's cycle digits, walked breadth-first over that graph with the
+    kernel's ``rule`` for the point's denominator.
 
     Each branch is a run in the kernel's shape (see ``_run``), with a
     switch point at its end named by its id, started in HIGH for digit 0
@@ -444,8 +464,8 @@ def _grow(rule: _Rule, kind: Kind, end, max_steps: int, max_nodes: int) -> _Belo
     with no stored run is run, and stored unless it hit the budget, so no
     stored run is ever replaced.  Nodes take local ids as the walk reaches
     them, up to ``max_nodes``; each adds at most two switch points to the
-    field's graph, and the root one more."""
-    den, locate, field, graph = rule.den, rule.locate, rule.field, rule.field._graph
+    graph, and the root one more."""
+    den, locate, field, graph = rule.den, rule.locate, rule.field, memo.graph
     # past φ, q * s is HIGH and q * s - 1 LOW for every switch point s
     starts = (HIGH, LOW) if field._tracker[7] else None
     local: dict[int, int] = {}  # a node's id in the field's graph -> its local id
@@ -481,7 +501,7 @@ def _grow(rule: _Rule, kind: Kind, end, max_steps: int, max_nodes: int) -> _Belo
                 branch = field._step(n, (1 - slot) * den)
                 reg = starts[slot - 1] if starts else locate(branch)
                 length, segment, kind, end = _run(rule, branch, reg, max_steps, {})
-                run = length, segment, kind, _ref(field, end) if kind is NODE else end
+                run = length, segment, kind, _ref(memo, end) if kind is NODE else end
                 if kind is not LIMIT:
                     entry[slot] = run
             elif run[0] >= max_steps:
@@ -702,7 +722,7 @@ def _listing(
     found = below.listings.get((max_count, max_depth))
     if found is None:
         found = _walk(below, max_count, max_depth)
-        if below.kept and _admit(x.field, len(found[0]) + 1):
+        if below.kept and _admit(x.field._memo, len(found[0]) + 1):
             below.listings[max_count, max_depth] = found
     words, complete, limit = found
     return [w._prefixed(segment) for w in words], complete, limit

@@ -341,21 +341,13 @@ class BaseField:
     1/(q(q-1)), and whether q > φ; ``_period_inverses`` holds the elements
     1/(q^p - 1) by period length p (``words.eval_word``); like ``_domain``
     they hold elements of the field, so the field is freed by the cycle
-    collector.
-    ``_roots`` holds the root memo of ``branching`` (the last point's root
-    run); ``_graph`` and ``_graph_ids`` its switch-point graph, each
-    switch point reached by id with its stored runs, and the ids by reduced
-    form; ``_answers`` and ``_answer_cells`` its answer memo of records,
-    which name nodes by those ids, and the cells it holds.  ``branching``
-    owns their format, and replaces the last four with empty ones together
-    once the graph is full (``_record``); they hold no element, so the
-    field is freed with them.
+    collector.  ``_memo`` is ``branching``'s, which owns its format (see
+    ``branching._Memo``); it holds no element, so the field is freed with it.
     """
 
     __slots__ = ("min_poly", "degree", "name", "_root_bound", "_cell", "_sign_lo", "_step",
                  "_unstep", "_bracket", "_filter_sum", "_placement", "_tracker", "_fine", "_domain",
-                 "_rules", "_period_inverses", "_roots", "_graph", "_graph_ids",
-                 "_answers", "_answer_cells", "__weakref__")
+                 "_rules", "_period_inverses", "_memo", "__weakref__")
 
     def __init__(
         self,
@@ -382,11 +374,7 @@ class BaseField:
         self._domain: tuple[AlgebraicReal, AlgebraicReal, AlgebraicReal] | None = None
         self._rules: dict[int, Callable] = {}
         self._period_inverses: dict[int, AlgebraicReal] = {}
-        self._roots: dict[tuple[int, ...], tuple] = {}
-        self._graph: list[list] = []
-        self._graph_ids: dict[tuple[int, ...], int] = {}
-        self._answers: dict[tuple, object] = {}
-        self._answer_cells = 0
+        self._memo = None
 
         lo, hi = Fraction(iso[0]), Fraction(iso[1])
         d = math.lcm(lo.denominator, hi.denominator)
@@ -538,7 +526,7 @@ class BaseField:
                                 scale * b << p + 1)]
             for bound in (low, switch):
                 s, e = bound._scaled()
-                consts += (_float_down((s - e) * (wide - 1), bound.den * wide << p),
+                consts += (-_float_up((e - s) * (wide - 1), bound.den * wide << p),
                            _float_up((s + e) * (wide + 1), bound.den * wide << p))
             self._tracker = (*consts, switch._cmp(self.one) < 0)
         return self._tracker
@@ -625,17 +613,11 @@ def golden_field() -> BaseField:
 
 
 def _float_up(n: int, d: int) -> float:
-    """The least double at or above n/d (d > 0)."""
+    """The least double at or above n/d (d > 0); -_float_up(-n, d) is the
+    greatest at or below it, since rounding to nearest is symmetric."""
     f = n / d  # int true division rounds to nearest
     a, b = f.as_integer_ratio()
     return f if a * d >= n * b else math.nextafter(f, math.inf)
-
-
-def _float_down(n: int, d: int) -> float:
-    """The greatest double at or below n/d (d > 0)."""
-    f = n / d
-    a, b = f.as_integer_ratio()
-    return f if a * d <= n * b else math.nextafter(f, -math.inf)
 
 
 def _reduced(field: BaseField, num: Sequence[int], den: int) -> "AlgebraicReal":

@@ -97,14 +97,13 @@ ROWS = (
          _BRANCHING + "test_memo_runs_stored_under_a_larger_step_budget"),
         "an edge's segment is its run's under the walk's budget: a stored run at or past the "
         "budget is cut, not read whole"),
-    Row("graph-replaced-without-its-answers", "branching.py",
-        "field._graph, field._graph_ids, field._answers, field._answer_cells = [], {}, {}, 0",
-        "field._graph, field._graph_ids = [], {}",
+    Row("memo-never-replaced", "branching.py",
+        "if memo is None or len(memo.graph) >= _MEMO_CAP:", "if memo is None:",
         (_BRANCHING + "test_a_full_field_graph_is_replaced[qf-3]",
          _BRANCHING + "test_a_full_field_graph_is_replaced[q2-500]"),
-        "the answer memo's records name switch points by their ids in the replaced graph"),
+        "a field's graph grows by every switch point a walk reaches: only the cap bounds it"),
     Row("view-reads-the-fields-current-graph", "branching.py",
-        "field, graph = self.field, self._graph", "field, graph = self.field, self.field._graph",
+        "field, graph = self.field, self._graph", "field, graph = self.field, self.field._memo.graph",
         (_BRANCHING + "test_a_view_first_read_after_its_graph_was_replaced[q2]",
          _BRANCHING + "test_a_view_first_read_after_its_graph_was_replaced[qf]"),
         "a view's record names switch points by their ids in the graph it was built on, "
@@ -131,6 +130,11 @@ ROWS = (
         (_BRANCHING + "test_the_tracker_restarts_where_its_bound_reaches_a_quarter[q2]",
          _BRANCHING + "test_the_tracker_restarts_where_its_bound_reaches_a_quarter[qf]"),
         "kappa holds for |x| <= T + 1 only: past 1/4 the tracker stops and a placement restarts it"),
+    Row("float-up-not-corrected", "numberfield.py",
+        "return f if a * d >= n * b else math.nextafter(f, math.inf)", "return f",
+        ("tests/test_numberfield.py::test_float_up_and_its_negation_bracket_the_ratio",),
+        "n / d rounds to nearest, which may lie on either side of n/d: an outward bound "
+        "steps to the next double when it fell inside"),
     Row("branch-starts-at-phi", "numberfield.py",
         "switch._cmp(self.one) < 0)", "True)",
         (_BRANCHING + "test_branch_starts_are_placed_at_phi",

@@ -1306,14 +1306,14 @@ def _held_cells(field):
     """The nodes and words a field's answer memo holds, one more per record
     and per listing."""
     return sum(len(below.refs) + 1 + sum(len(words) + 1 for words, _, _ in below.listings.values())
-               for below in field._answers.values())
+               for below in field._memo.answers.values())
 
 
 @pytest.mark.parametrize("name, cap", [("q2", 3), ("qf", 3), ("q2", 500)])
 def test_a_full_field_graph_is_replaced(name, cap, monkeypatch):
     # with a small cap the field's graph fills again and again; the next
-    # walk starts a fresh graph and a fresh answer memo, every graph, count
-    # and listing still equals a cold field's, the graph stays within
+    # walk replaces the field's whole memo by a fresh one, every graph,
+    # count and listing still equals a cold field's, the graph stays within
     # _MEMO_CAP + 2 * max_nodes + 1, and every record names its nodes by id
     monkeypatch.setattr(branching, "_MEMO_CAP", cap)
     grown = []
@@ -1322,29 +1322,40 @@ def test_a_full_field_graph_is_replaced(name, cap, monkeypatch):
     caps = _ACCEPTANCE_CAPS if name == "q2" else _KERNEL_CAPS[name]
     bound = cap + 2 * caps["max_nodes"] + 1
     warm = define_field(*_KERNEL_FIELDS[name])
-    graphs = [warm._graph]
+    assert warm._memo is None
+    memos, views = [], []  # each memo the field held; each view with its word and memo
     for word in _MEMO_WORDS if cap == 500 else _MEMO_WORDS[:40]:
         cold = define_field(*_KERNEL_FIELDS[name])
+        x = eval_word(word, warm)
         for job in ("count", (64, 256), "graph"):
             if job == "graph":
-                got = _graph_form(build_branch_graph(eval_word(word, warm), **caps))
-                assert got == _cold_form(name, word, caps), str(word)
+                views.append((word, build_branch_graph(x, **caps), warm._memo))
             else:
                 want = _answer_form(job, eval_word(word, cold), caps)
-                assert _answer_form(job, eval_word(word, warm), caps) == want, (str(word), job)
-            assert len(warm._graph) == len(warm._graph_ids) <= bound
+                assert _answer_form(job, x, caps) == want, (str(word), job)
+            memo = warm._memo
+            assert len(memo.graph) == len(memo.ids) <= bound
             # the answer memo holds at most _MEMO_CAP nodes and words, in
-            # records that name switch points of the field's graph
-            assert warm._answer_cells == _held_cells(warm) <= cap
-            assert all(ref < len(warm._graph) for below in warm._answers.values()
+            # records that name switch points of the memo's graph
+            assert memo.cells == _held_cells(warm) <= cap
+            assert all(ref < len(memo.graph) for below in memo.answers.values()
                        for ref in below.refs)
-            if warm._graph is not graphs[-1]:
-                # replaced only when full, with the answer memo: it holds this ask's record only
-                assert len(graphs[-1]) >= cap and len(warm._answers) <= 1
-                graphs.append(warm._graph)
-    assert all(warm._graph_ids[key] == i for i, (key, *_) in enumerate(warm._graph))
-    assert len(graphs) > 10 and max(map(len, graphs)) > cap
+            if not memos or memo is not memos[-1]:
+                # a new object, made on the first walk or once the last
+                # one's graph was full: it holds this ask's root run and
+                # record only
+                assert all(memo is not old for old in memos)
+                assert not memos or len(memos[-1].graph) >= cap
+                assert memo.roots.keys() <= {(x.den, *x.num)} and len(memo.answers) <= 1
+                memos.append(memo)
+    assert all(warm._memo.ids[key] == i for i, (key, *_) in enumerate(warm._memo.graph))
+    assert len(memos) > 10 and max(len(memo.graph) for memo in memos) > cap
     assert len(grown) > 100 and all(ref.__class__ is int for below in grown for ref in below.refs)
+    # a view first read after its memo was replaced reads the graph it was built on
+    assert sum(memo is not warm._memo for _, _, memo in views) > 10
+    for word, view, memo in views:
+        assert view._graph is memo.graph
+        assert _graph_form(view) == _cold_form(name, word, caps), str(word)
 
 
 @pytest.mark.parametrize("name", ["q2", "qf"])
@@ -1396,9 +1407,9 @@ def test_root_memo_holds_the_last_point_only(name, monkeypatch):
             calls.clear()
             assert _answer_form(job, x, caps) == cold, str(word)
             roots.append(sum(n == x.num for n, *_ in calls))
-            assert len(warm._roots) == 1
+            assert len(warm._memo.roots) == 1
         assert roots == [1, 0, 0], str(word)
-        ((key, (length, segment, _, _)),) = warm._roots.items()
+        ((key, (length, segment, _, _)),) = warm._memo.roots.items()
         assert key == (x.den, *x.num)
         assert segment == build_branch_graph(x, **caps).root_segment
         assert length == len(segment) and segment == (0,) * word.preperiod.index(1)
@@ -1431,12 +1442,13 @@ def test_a_stored_run_is_the_run_under_every_budget_above_its_length(name, word)
     F = define_field(*_KERNEL_FIELDS[name])
     x = eval_word(word, F)
     build_branch_graph(x, **_KERNEL_CAPS[name])
-    starts = [(x, x.num, run) for run in F._roots.values()]
-    for (den, *num), *runs in F._graph:
+    memo = F._memo
+    starts = [(x, x.num, run) for run in memo.roots.values()]
+    for (den, *num), *runs in memo.graph:
         node = AlgebraicReal(F, tuple(num), den)
         # the field's graph names a run's switch point by its id there
         starts += [(node, F._step(node.num, -digit * den),
-                    (*run[:3], F._graph[run[3]][0]) if run[2] is NODE else run)
+                    (*run[:3], memo.graph[run[3]][0]) if run[2] is NODE else run)
                    for digit, run in enumerate(runs) if run is not None]
     for point, n, run in starts:
         length, segment, kind, end = run
@@ -1469,16 +1481,17 @@ def test_regrown_records_step_only_their_roots(name):
         return step(*args)
 
     F._step = counted
-    F._answers.clear()
-    F._answer_cells = 0
+    memo = F._memo
+    memo.answers.clear()
+    memo.cells = 0
     for x, (card, listing) in zip(points, first):
         steps[0] = 0
         assert count_expansions(x) == card, str(x)
-        assert steps[0] == F._roots[(x.den, *x.num)][0], str(x)  # the root run's steps
+        assert steps[0] == memo.roots[(x.den, *x.num)][0], str(x)  # the root run's steps
         steps[0] = 0
         assert bfs_expansions(x) == listing, str(x)
         assert steps[0] == 0, str(x)
-    assert sum(len(below.refs) for below in F._answers.values()) > 100
+    assert F._memo is memo and sum(len(below.refs) for below in memo.answers.values()) > 100
 
 
 @pytest.mark.parametrize("name", ["qf", "golden"])
@@ -1501,8 +1514,8 @@ def test_budgets_within_stored_runs_step_nothing(name):
         F._step = step
         count_expansions(x)
         graph = build_branch_graph(x)
-        longest = max([F._roots[x.den, *x.num][0]] + [
-            run[0] for nid in graph.nodes for run in F._graph[graph._below.refs[nid]][1:]])
+        longest = max([F._memo.roots[x.den, *x.num][0]] + [
+            run[0] for nid in graph.nodes for run in F._memo.graph[graph._below.refs[nid]][1:]])
         F._step = counted
         for max_steps in range(1, longest + 2):
             caps = {"max_steps": max_steps, "max_nodes": branching.DEFAULT_MAX_NODES}
@@ -1541,12 +1554,13 @@ def test_the_field_graph_holds_each_switch_point_once():
     # no record holds a node's reduced form
     F = define_field(*_KERNEL_FIELDS["q2"])
     graphs = [build_branch_graph(eval_word(word, F), **_ACCEPTANCE_CAPS) for word in _MEMO_WORDS]
-    keys = [entry[0] for entry in F._graph]
-    assert len(set(keys)) == len(keys) == len(F._graph_ids) < branching._MEMO_CAP
-    assert all(F._graph_ids[key] == i for i, key in enumerate(keys))
+    ids = F._memo.ids
+    keys = [entry[0] for entry in F._memo.graph]
+    assert len(set(keys)) == len(keys) == len(ids) < branching._MEMO_CAP
+    assert all(ids[key] == i for i, key in enumerate(keys))
     for graph in graphs:
         assert all(ref.__class__ is int for ref in graph._below.refs)
-        assert {(v.den, *v.num) for v in graph.nodes.values()} <= F._graph_ids.keys()
+        assert {(v.den, *v.num) for v in graph.nodes.values()} <= ids.keys()
     records = {id(graph._below): graph._below for graph in graphs}.values()
     assert len(records) > 500 and sum(below.kept for below in records) > 200
     for below in records:
@@ -1567,9 +1581,16 @@ def test_counts_match_the_remainder_recount(name):
         assert count_expansions(x) == recount(x), str(word)
 
 
+class _Unreadable:
+    """A memo any attribute read of which raises."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"the memo's {name} was read")
+
+
 def test_run_and_prefix_oracle_do_not_read_the_memo():
     F = define_field(*_KERNEL_FIELDS["qf"])
-    F._roots = F._graph = F._graph_ids = F._answers = None  # any read of a memo raises
+    F._memo = _Unreadable()
     x = family_member(F, 3)
     assert isinstance(deterministic_run(x).end, SwitchHit)
     assert viable_prefix_counts(x, 40)[-1] == 3
@@ -1631,14 +1652,15 @@ def test_lower_step_budgets_replace_no_stored_run():
               for t in ("1(0000)^3 0(10)*", "0(011)*", "001(0110)*", "1(0)*", "(0110)*")]
     for x in points:
         build_branch_graph(x)
-    before = [list(entry) for entry in F._graph]
+    graph = F._memo.graph
+    before = [list(entry) for entry in graph]
     runs = [run for _, *pair in before for run in pair if run is not None]
     assert any(run[0] >= 3 for run in runs) and all(run[0] >= 1 for run in runs)
     for max_steps in (3, 1):
         for x in points:
             build_branch_graph(x, max_steps=max_steps)
-        assert len(F._graph) == len(before)
-        assert all(a is b for entry, old in zip(F._graph, before) for a, b in zip(entry, old))
+        assert F._memo.graph is graph and len(graph) == len(before)
+        assert all(a is b for entry, old in zip(graph, before) for a, b in zip(entry, old))
 
 
 def _counted_graphs(monkeypatch):
@@ -1824,7 +1846,7 @@ def _swept(name):
     F = define_field(*_KERNEL_FIELDS[name])
     for word in _MEMO_WORDS:
         count_expansions(eval_word(word, F), **_ACCEPTANCE_CAPS)
-    return F, [AlgebraicReal(F, key[1:], key[0]) for key, *_ in F._graph]
+    return F, [AlgebraicReal(F, key[1:], key[0]) for key, *_ in F._memo.graph]
 
 
 @pytest.mark.parametrize("name", _TRACKER_NAMES)

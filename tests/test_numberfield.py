@@ -1084,3 +1084,22 @@ def test_float_is_within_2_to_the_minus_60(case):
     # the scaled sum lies within 2^-60, and float() rounds it to nearest
     assert vlo - Fraction(1, 2**60) - Fraction(math.ulp(got)) / 2 <= Fraction(got)
     assert Fraction(got) <= vhi + Fraction(1, 2**60) + Fraction(math.ulp(got)) / 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-2**80, 2**80), st.integers(1, 2**80))
+@example(2**53 + 1, 1)  # rounds to nearest, and to even, below n
+@example(-(2**53 + 1), 1)
+@example(2**53 + 3, 1)  # rounds to nearest, and to even, above n
+@example(0, 7)
+@example(1, 3)
+@example(-1, 3)
+def test_float_up_and_its_negation_bracket_the_ratio(n, d):
+    # the tracker's constants are ratios of integers rounded once outward:
+    # _float_up(n, d) is the least double at or above n/d, and
+    # -_float_up(-n, d) the greatest at or below it, checked exactly
+    exact = Fraction(n, d)
+    up = numberfield._float_up(n, d)
+    assert Fraction(up) >= exact > Fraction(math.nextafter(up, -math.inf))
+    down = -numberfield._float_up(-n, d)
+    assert Fraction(down) <= exact < Fraction(math.nextafter(down, math.inf))

@@ -529,7 +529,7 @@ def test_domain_bounds_do_not_keep_a_field_alive():
     assert domain_bounds(F) == (lo, hi, upper)
     # the field's graph holds ints, lists and tuples, never an element of F
     assert count_expansions(F.one) == Cardinality.continuum()
-    assert F._graph
+    assert F._memo.graph
     # the region rules it keeps hold the switch bounds, elements of F
     assert F._rules
     # so do the period inverses 1/(q^p - 1) it keeps
