@@ -22,12 +22,10 @@ decides ``_at_most``: x's exact number of expansions when it is at most k,
 or a certified floor above k.
 
 All three walk orbits with one private kernel, ``_run``: it steps raw
-integer numerators over x's own denominator D under the region rule for D
-(``words._Rule``), and ``_reduced`` builds an element only where a value
-leaves it (graph nodes, switch points, unique-tail cycles and the orbit a
-run returns).  README's *How comparisons work* says how the rule, its
-filter and the certified double tracker decide each region exactly, and
-why past the golden ratio a walk places no branch; ``_run`` holds the
+integer numerators over x's own denominator D under the field's region
+rule for D (``BaseField._rule``), and ``_reduced`` builds an element only
+where a value leaves it (graph nodes, switch points, unique-tail cycles
+and the orbit a run returns).  ``_run`` holds the certified double
 tracker's proof.
 
 Points of one base share switch points, so each field keeps one
@@ -78,8 +76,8 @@ from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from typing import Iterator, NamedTuple, Sequence
 
-from .numberfield import AlgebraicReal, _reduced
-from .words import PeriodicWord, Region, _region_rule, _Rule, _sieved, region
+from .numberfield import AlgebraicReal, Region, _reduced, _Rule, _sieved
+from .words import PeriodicWord, region
 
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_MAX_NODES = 10_000
@@ -177,10 +175,10 @@ def _run(rule: _Rule, n: tuple[int, ...], reg: Region, max_steps: int,
     intervals [a0, a1] for 1/q and [b0, b1] for 1/(q(q-1)), and
     otherwise from the rule's placement: the filter sum (s, e), its
     thresholds, then ``exact``.  That placement restarts the tracker at
-    x̂ = s * c, ε = e * c + κ (see ``words._Rule``).  A step x <- q * x - d
-    sets x̂ <- q̂ * x̂ - d and ε <- q⁺ * ε + κ, with the field's constants
-    (``BaseField._tracking``), and the tracker decides only while
-    ε < 1/4.  Proof, with u = 2^-53 the unit roundoff and every value x
+    x̂ = s * c, ε = e * c + κ (see ``BaseField._rule``).  A step
+    x <- q * x - d sets x̂ <- q̂ * x̂ - d and ε <- q⁺ * ε + κ, with the
+    field's constants (``BaseField._tracking``), and the tracker decides
+    only while ε < 1/4.  Proof, with u = 2^-53 the unit roundoff and every value x
     in the domain [0, T], T = 1/(q-1), B = T + 1:
 
     - at a start, X = s / (den * 2^P) is within e * c_true <= 1/8 of x
@@ -246,7 +244,7 @@ def _start(x: AlgebraicReal) -> tuple[_Rule, Region]:
     reg = region(x)
     if reg is Region.OUTSIDE:
         raise OutsideDomain(f"{x} is outside [0, 1/(q-1)]")
-    return _region_rule(x.field, x.den), reg
+    return x.field._rule(x.den), reg
 
 
 def deterministic_run(x: AlgebraicReal, max_steps: int = DEFAULT_MAX_STEPS) -> RunOutcome:
@@ -362,7 +360,7 @@ def _record(x: AlgebraicReal, max_steps: int, max_nodes: int) -> tuple[tuple[int
     memo_key = (end := _ref(memo, end), max_steps, max_nodes) if kind is NODE else None
     below = memo.answers.get(memo_key)
     if below is None:
-        below = _grow(rule or _region_rule(field, x.den), memo, kind, end, max_steps, max_nodes)
+        below = _grow(rule or field._rule(x.den), memo, kind, end, max_steps, max_nodes)
         if memo_key and _admit(memo, len(below.refs) + 1):
             below.kept = True
             memo.answers[memo_key] = below

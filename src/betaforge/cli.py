@@ -264,17 +264,27 @@ def _cmd_verify(args):
 # parser
 
 
+class _Unread(argparse.Action):
+    """A bound its command does not read, held hidden so that argparse takes
+    the bound's value with it and never the word: the call is refused
+    naming the bound and its value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"unrecognized arguments: {option_string} {values}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls
     (parsing never mutates it).
 
     Each word command holds ``--field``, ``--format``, the bounds it reads
-    (``_WORD_COMMANDS``), the word and ``--plus-one``; only ``orbit`` takes
-    ``--format csv``.  ``verify`` holds only ``--format``, ``--profile``
-    and its check ids.  The parser's ``word_tables`` attribute maps each
-    word command to the table ``_scan`` reads, built from the actions that
-    ``add_argument`` returned for it.  See ``_parse_args`` for how a call
+    (``_WORD_COMMANDS``), the word and ``--plus-one``, and, hidden, the
+    bounds it refuses (``_Unread``); only ``orbit`` takes ``--format csv``.
+    ``verify`` holds only ``--format``, ``--profile`` and its check ids.
+    The parser's ``word_tables`` attribute maps each word command to the
+    table ``_scan`` reads, built from the actions that ``add_argument``
+    returned for the options it reads.  See ``_parse_args`` for how a call
     is routed."""
     parser = argparse.ArgumentParser(
         prog="betaforge",
@@ -296,7 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
             command.add_argument("--plus-one", action="store_true",
                                  help="add 1 to the word's value before the command runs"),
         ]
-        # each option string of the command, to its action
+        for bound in (b for b in _BOUNDS if b not in bounds):
+            command.add_argument(bound, action=_Unread, default=argparse.SUPPRESS,
+                                 help=argparse.SUPPRESS)
+        # each option string the command reads, to its action
         parser.word_tables[name] = {option: action for action in actions
                                     for option in action.option_strings}
     p_verify = sub.add_parser("verify", help="run verification checks")

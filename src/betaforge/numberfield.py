@@ -33,9 +33,9 @@ its own constants: the orbit step q * num + low and the division
 |c0| * num / q, at construction, from the defining polynomial; and the
 filter sum with its error bound, on the first irrational sign, from the
 scaled powers; and the orbit kernel's placement, the same sum tested against
-integer thresholds, on the first region rule.  Every orbit walk, product,
-Horner pass, inverse and filter reads the step or the filter; word values
-fold their preperiods through the division.
+integer thresholds, on the first region rule (``BaseField._rule``).  Every
+orbit walk, product, Horner pass, inverse and filter reads the step or the
+filter; word values fold their preperiods through the division.
 
 Decimals.  The same sums at a higher precision P enclose 2^P * den * value in
 an integer interval; both ends are rounded half to even, in integers, and P
@@ -51,10 +51,11 @@ unique lattice form.
 from __future__ import annotations
 
 import math
+from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, wraps
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 
 class NotMonic(ValueError):
@@ -77,6 +78,18 @@ class ReduciblePolynomial(ValueError):
 
 class MixedFields(TypeError):
     """Operands belong to two different BaseField instances."""
+
+
+class Region(Enum):
+    """Where a point lies in the domain [0, 1/(q-1)] (see ``words``)."""
+
+    LOW = "low"
+    SWITCH = "switch"
+    HIGH = "high"
+    OUTSIDE = "outside"
+
+    def __str__(self) -> str:
+        return self.value
 
 
 RationalLike = int | Fraction
@@ -256,19 +269,19 @@ def _compile_filter(powers: Sequence[int]):
     return _compiled("filter", len(powers), "num", f"({total}, {err})", consts)
 
 
-def _compile_place(powers: Sequence[int], below, inside, above):
+def _compile_place(powers: Sequence[int]):
     """The orbit kernel's placement for scaled powers Q, in straight-line
     code: ``place(num, lo0, hi0, lo1, hi1)`` takes the filter's (s, e) of
-    ``num`` (see ``_filter_source``) and gives ``below`` when s + e < lo0,
-    None unless s - e > hi0, then ``inside`` when s + e < lo1, ``above``
-    when s - e > hi1, and None otherwise: None where the filter cannot
-    decide against the thresholds (lo0, hi0) of one bound or (lo1, hi1) of
-    the next."""
+    ``num`` (see ``_filter_source``) and gives LOW when s + e < lo0, None
+    unless s - e > hi0, then SWITCH when s + e < lo1, HIGH when
+    s - e > hi1, and None otherwise: None where the filter cannot decide
+    against the thresholds (lo0, hi0) of one bound or (lo1, hi1) of the
+    next."""
     total, err, consts = _filter_source(powers)
     return _compiled("place", len(powers), "num, lo0, hi0, lo1, hi1",
-                     f"below if (s := {total}) + (e := {err}) < lo0 else None if s - e <= hi0"
-                     f" else inside if s + e < lo1 else above if s - e > hi1 else None",
-                     {"below": below, "inside": inside, "above": above, **consts})
+                     f"LOW if (s := {total}) + (e := {err}) < lo0 else None if s - e <= hi0"
+                     f" else SWITCH if s + e < lo1 else HIGH if s - e > hi1 else None",
+                     {"LOW": Region.LOW, "SWITCH": Region.SWITCH, "HIGH": Region.HIGH, **consts})
 
 
 def _integer_roots(core: Sequence[int], bound: int) -> list[int]:
@@ -298,6 +311,45 @@ def _integer_roots(core: Sequence[int], bound: int) -> list[int]:
         if _poly_at(core, r) == 0:
             found.append(r)
     return found
+
+
+# the region rules a field keeps, one per denominator.  Every benchmark
+# workload meets a handful of denominators: 1,000 queries of seed 3101 met
+# 11 (field, denominator) pairs, 5 in q2, 3 in qf and 3 in golden, and the
+# classify and verify-quick runs no more, so no field fills its 16 rules
+_RULES_CAP = 16
+# the period inverses 1/(q^p - 1) a field keeps, one per period length: a
+# word's period may have up to 2^16 digits
+_INVERSES_CAP = 16
+
+
+def _sieved(s: int, e: int, lo0: int, hi0: int, lo1: int, hi1: int) -> Region | None:
+    """The region a filter sum s with error e gives against a rule's
+    thresholds (see ``BaseField._rule``), or None where they cannot decide:
+    the compiled placement's test, on a sum already taken."""
+    return (Region.LOW if s + e < lo0 else None if s - e <= hi0 else Region.SWITCH if s + e < lo1
+            else Region.HIGH if s - e > hi1 else None)
+
+
+class _Rule(NamedTuple):
+    """One denominator's region rule (see ``BaseField._rule``), which is
+    also the orbit kernel for that denominator (``branching._run``):
+    ``locate``, the thresholds it tests the filter sum s against, ``scale``
+    c, the double nearest 1/(den * 2^P), which turns s into the value's
+    double, ``cap``, the filter errors e below which the kernel's tracker
+    starts from (s, e), ``exact``, the placement by the reduced element's
+    ``_cmp``, and the ``field`` and ``den`` it places values of."""
+
+    locate: Callable[[Sequence[int]], Region]
+    lo0: int
+    hi0: int
+    lo1: int
+    hi1: int
+    scale: float
+    cap: int
+    exact: Callable[[Sequence[int]], Region]
+    field: BaseField
+    den: int
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +385,14 @@ class BaseField:
     at each precision asked for (those at FILTER_BITS feed the compiled
     filter sum ``_filter()``), and the domain bounds 1/q, 1/(q(q-1)),
     1/(q-1), whose scaled sums the bound elements cache themselves.
-    ``_rules`` holds the orbit kernel's region rules by denominator, and
-    ``_placement`` the compiled placement they share, built with the first
-    rule (``words._region_rule``), as is ``_tracker``, the kernel's float
-    constants (``_tracking``): q as a double, the upward-rounded q⁺ and κ of
-    its error bound, certified double intervals around 1/q and
-    1/(q(q-1)), and whether q > φ; ``_period_inverses`` holds the elements
-    1/(q^p - 1) by period length p (``words.eval_word``); like ``_domain``
-    they hold elements of the field, so the field is freed by the cycle
-    collector.  ``_memo`` is ``branching``'s, which owns its format (see
-    ``branching._Memo``); it holds no element, so the field is freed with it.
+    ``_rule`` keeps the orbit kernel's region rules by denominator in
+    ``_rules``, and builds the compiled placement ``_placement`` and the
+    float constants ``_tracker`` (``_tracking``) on its first call;
+    ``_period_inverse`` keeps 1/(q^p - 1) by period length p in
+    ``_period_inverses``.  Those two, like ``_domain``, hold elements of
+    the field, so the field is freed by the cycle collector.  ``_memo`` is
+    ``branching``'s, which owns its format (see ``branching._Memo``); it
+    holds no element, so the field is freed with it.
     """
 
     __slots__ = ("min_poly", "degree", "name", "_root_bound", "_cell", "_sign_lo", "_step",
@@ -367,14 +417,12 @@ class BaseField:
         self.degree = len(coeffs) - 1
         self.name = name
         self._bracket: tuple[int, int, int] | None = None
-        self._filter_sum = None
-        self._placement = None
+        self._filter_sum = self._placement = self._memo = None
         self._tracker: tuple | None = None
         self._fine: dict[int, tuple[int, ...]] = {}
         self._domain: tuple[AlgebraicReal, AlgebraicReal, AlgebraicReal] | None = None
-        self._rules: dict[int, Callable] = {}
+        self._rules: dict[int, _Rule] = {}
         self._period_inverses: dict[int, AlgebraicReal] = {}
-        self._memo = None
 
         lo, hi = Fraction(iso[0]), Fraction(iso[1])
         d = math.lcm(lo.denominator, hi.denominator)
@@ -549,6 +597,81 @@ class BaseField:
             switch_lo = self.one / q
             self._domain = (switch_lo, switch_lo * upper, upper)
         return self._domain
+
+    def _rule(self, den: int) -> _Rule:
+        """The region of sum(num[i] * q^i) / den, as a function ``locate``
+        of the numerators ``num`` for one fixed denominator ``den`` > 0 (the
+        form need not be reduced), for values the caller knows to lie in
+        the domain [0, 1/(q-1)]: only the switch bounds 1/q and 1/(q(q-1))
+        are compared.  The field keeps each rule it builds under ``den``
+        (``_rules``), at most ``_RULES_CAP`` of them: the first
+        ``_RULES_CAP`` - 1 stay, and the last slot holds the newest rule past
+        them, so a second fetch for the denominator just met, as
+        ``branching._start`` makes after ``words.region``, reads the rule
+        built by the first.
+
+        The value's scaled sum s, from the filter sum, is within
+        e = 2 * sum(|num[i]|) + 2 of 2^P * den * value, and each bound
+        b = sum(m[i] * q^i) / b.den has its scaled sum (S, E), which b
+        caches (``_scaled``).  The value is certainly below b when
+        b.den * (s + e) < den * (S - E), and above it when
+        b.den * (s - e) > den * (S + E).  s and e are integers, so for one
+        den these are s + e < lo and s - e > hi with the integer thresholds
+
+            lo = ceil(den * (S - E) / b.den),   hi = floor(den * (S + E) / b.den),
+
+        taken here, once per rule.  The compiled placement ``_placement``
+        (``_compile_place``, built with the first rule, as are the tracker
+        constants ``_tracking``) tests s against both bounds' thresholds in
+        ``locate``; ``_sieved`` is the same test on a sum already taken.
+        Where they cannot decide, the reduced element's ``_cmp`` does
+        (``exact``): its sign takes the scaled sums at a precision that
+        grows up to the zero bound of ``AlgebraicReal._exact_sign``, so
+        every answer is certified and none narrows the isolating interval.
+
+        The tracker starts only from a sum whose e is below
+        cap = den * 2^P / 8, so that e * c < 1/8.  For a denominator with
+        den * 2^P of 900 bits or more, cap is 0 and no tracker starts: below
+        that, c is a normal double and s, at most 2^900 * (T + 1), converts
+        to one for every base with q - 1 above 2^-120."""
+        rule = self._rules.get(den)
+        if rule is not None:
+            return rule
+        low, switch, _ = self.domain_bounds()
+        place = self._placement
+        if place is None:
+            place = self._placement = _compile_place(self._scaled_powers())
+            self._tracking()
+        (s0, e0), (s1, e1) = low._scaled(), switch._scaled()
+        lo0, hi0 = -(den * (e0 - s0) // low.den), den * (s0 + e0) // low.den
+        lo1, hi1 = -(den * (e1 - s1) // switch.den), den * (s1 + e1) // switch.den
+
+        def exact(num: Sequence[int]) -> Region:
+            x = _reduced(self, num, den)
+            return (Region.LOW if x._cmp(low) < 0 else Region.SWITCH if x._cmp(switch) <= 0
+                    else Region.HIGH)
+
+        def locate(num: Sequence[int]) -> Region:
+            return place(num, lo0, hi0, lo1, hi1) or exact(num)
+
+        scaled = den << FILTER_BITS
+        rule = _Rule(locate, lo0, hi0, lo1, hi1, 1 / scaled,
+                     scaled >> 3 if scaled.bit_length() < 900 else 0, exact, self, den)
+        if len(self._rules) == _RULES_CAP:
+            self._rules.popitem()  # the newest rule takes the last slot
+        self._rules[den] = rule
+        return rule
+
+    def _period_inverse(self, p: int) -> "AlgebraicReal":
+        """1/(q^p - 1).  The field keeps each one under p
+        (``_period_inverses``) while it holds fewer than ``_INVERSES_CAP``;
+        a full slot still serves what it holds."""
+        inverse = self._period_inverses.get(p)
+        if inverse is None:
+            inverse = (self.q**p - 1).inverse()
+            if len(self._period_inverses) < _INVERSES_CAP:
+                self._period_inverses[p] = inverse
+        return inverse
 
     # -- element constructors ----------------------------------------------
 

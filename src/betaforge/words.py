@@ -15,24 +15,19 @@ the region of a point decides which branches keep it inside the domain:
     switch [1/q, 1/(q(q-1))]         both t0 and t1 stay (branch point)
     high   (1/(q(q-1)), 1/(q-1)]     only t1 stays
 
-One rule tells low, switch and high apart: ``_region_rule``, which compares
-the raw numerators of a value over one denominator with the two switch
-bounds only, through integer thresholds it takes once per denominator.
-The orbit kernel in ``branching`` places the values it steps with it,
-since every value the kernel makes lies in the domain, wherever its
-certified double tracker cannot decide.  ``region`` places any element: a
-point below 0 or above 1/(q-1) is outside, and any other is placed by its
-cached filter sum against the same rule's thresholds.
+``region`` places any element: a point below 0 or above 1/(q-1) is
+outside, and any other is placed by the field's region rule for its
+denominator (``BaseField._rule``), the rule the orbit kernel in
+``branching`` steps with.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from enum import Enum
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable
 
-from .numberfield import FILTER_BITS, AlgebraicReal, BaseField, _compile_place, _reduced
+from .numberfield import AlgebraicReal, BaseField, Region, _reduced, _sieved
 
 
 class WordSyntaxError(ValueError):
@@ -45,16 +40,6 @@ class WordSyntaxError(ValueError):
 
 class EmptyWordError(ValueError):
     """The text denotes no digits at all."""
-
-
-class Region(Enum):
-    LOW = "low"
-    SWITCH = "switch"
-    HIGH = "high"
-    OUTSIDE = "outside"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 # the most digits (preperiod and period) one word's text may expand to: a
@@ -310,20 +295,21 @@ def eval_word(word: PeriodicWord, field: BaseField) -> AlgebraicReal:
     the period's own stream has the value T = A / (q^p - 1), and the word's
     is x = sum(pre_i * q^-i) + q^-n * T.  q is an algebraic integer, so one
     Horner pass over the period through the field's compiled orbit step
-    yields A as integer numerators; T is A times 1/(q^p - 1), which the field
-    keeps per period length (``_period_inverse``).  Then the preperiod folds
-    from its last digit to its first, y <- (pre_i + y) / q, through the
-    compiled division ``_unstep``: adding a digit adds the denominator to
-    the constant numerator, and each division scales the denominator by
-    |c0|, which is 1 for a unit base.  One reduction at the end gives the
-    unique lattice form: no gcd, no element and no inverse per digit."""
+    yields A as integer numerators; T is A times 1/(q^p - 1), which the
+    field keeps per period length (``BaseField._period_inverse``).  Then the
+    preperiod folds from its last digit to its first, y <- (pre_i + y) / q,
+    through the compiled division ``_unstep``: adding a digit adds the
+    denominator to the constant numerator, and each division scales the
+    denominator by |c0|, which is 1 for a unit base.  One reduction at the
+    end gives the unique lattice form: no gcd, no element and no inverse
+    per digit."""
     step = field._step
     num = (0,) * field.degree
     for d in word.period:
         num = step(num, d)
     den = 1
     if any(num):
-        period = AlgebraicReal(field, num, 1) * _period_inverse(field, len(word.period))
+        period = AlgebraicReal(field, num, 1) * field._period_inverse(len(word.period))
         num, den = period.num, period.den
     unstep, scale = field._unstep, abs(field.min_poly[0])
     num = list(num)
@@ -333,23 +319,6 @@ def eval_word(word: PeriodicWord, field: BaseField) -> AlgebraicReal:
         num = unstep(num)
         den *= scale
     return _reduced(field, num, den)
-
-
-# the period inverses 1/(q^p - 1) a field keeps, one per period length: a
-# word's period may have up to _MAX_WORD_DIGITS digits
-_INVERSES_CAP = 16
-
-
-def _period_inverse(field: BaseField, p: int) -> AlgebraicReal:
-    """1/(q^p - 1).  The field keeps each one under p (``_period_inverses``)
-    while it holds fewer than ``_INVERSES_CAP``; a full slot still serves
-    what it holds."""
-    inverse = field._period_inverses.get(p)
-    if inverse is None:
-        inverse = (field.q**p - 1).inverse()
-        if len(field._period_inverses) < _INVERSES_CAP:
-            field._period_inverses[p] = inverse
-    return inverse
 
 
 def t0(x: AlgebraicReal) -> AlgebraicReal:
@@ -369,123 +338,17 @@ def apply_digits(x: AlgebraicReal, digits: Iterable[int]) -> AlgebraicReal:
     return x
 
 
-# the region rules a field keeps, one per denominator.  Every benchmark
-# workload meets a handful of denominators: 1,000 queries of seed 3101 met
-# 11 (field, denominator) pairs, 5 in q2, 3 in qf and 3 in golden, and the
-# classify and verify-quick runs no more, so no field fills its 16 rules
-_RULES_CAP = 16
-
-
-def _sieved(s: int, e: int, lo0: int, hi0: int, lo1: int, hi1: int) -> Region | None:
-    """The region a filter sum s with error e gives against a rule's
-    thresholds (see ``_region_rule``), or None where they cannot decide:
-    the compiled placement's test, on a sum already taken."""
-    return (Region.LOW if s + e < lo0 else None if s - e <= hi0 else Region.SWITCH if s + e < lo1
-            else Region.HIGH if s - e > hi1 else None)
-
-
-class _Rule(NamedTuple):
-    """One denominator's region rule (see ``_region_rule``), which is also
-    the orbit kernel for that denominator (``branching._run``): ``locate``,
-    the thresholds it tests the filter sum s against, ``scale`` c, the
-    double nearest 1/(den * 2^P), which turns s into the value's double,
-    ``cap``, the filter errors e below which the kernel's tracker starts
-    from (s, e), ``exact``, the placement by the reduced element's
-    ``_cmp``, and the ``field`` and ``den`` it places values of."""
-
-    locate: Callable[[Sequence[int]], Region]
-    lo0: int
-    hi0: int
-    lo1: int
-    hi1: int
-    scale: float
-    cap: int
-    exact: Callable[[Sequence[int]], Region]
-    field: BaseField
-    den: int
-
-
-def _region_rule(field: BaseField, den: int) -> _Rule:
-    """The region of sum(num[i] * q^i) / den, as a function ``locate`` of the
-    numerators ``num`` for one fixed denominator ``den`` > 0 (the form need
-    not be reduced), for values the caller knows to lie in the domain
-    [0, 1/(q-1)]: only the switch bounds 1/q and 1/(q(q-1)) are compared.
-    The field keeps each rule it builds under ``den`` (``_rules``), at most
-    ``_RULES_CAP`` of them: the first ``_RULES_CAP`` - 1 stay, and the last
-    slot holds the newest rule past them, so a second fetch for the
-    denominator just met, as ``branching._start`` makes after ``region``,
-    reads the rule built by the first.
-
-    The value's scaled sum s, from the field's filter sum, is within
-    e = 2 * sum(|num[i]|) + 2 of 2^P * den * value, and each bound
-    b = sum(m[i] * q^i) / b.den has its scaled sum (S, E), which b caches
-    (``_scaled``).  The value is certainly below b when
-    b.den * (s + e) < den * (S - E), and above it when
-    b.den * (s - e) > den * (S + E).  s and e are integers, so for one den
-    these are s + e < lo and s - e > hi with the integer thresholds
-
-        lo = ceil(den * (S - E) / b.den),   hi = floor(den * (S + E) / b.den),
-
-    taken here, once per rule.  The field's compiled placement
-    (``_compile_place``, built with its first rule, as are the field's
-    tracker constants ``_tracking``) tests s against both bounds'
-    thresholds in ``locate``; ``_sieved`` is the same test on a sum
-    already taken.  Where they cannot decide, the reduced element's
-    ``_cmp`` does (``exact``): its sign takes the scaled sums at a
-    precision that grows up to the zero bound of
-    ``AlgebraicReal._exact_sign``, so every answer is certified and none
-    narrows the field's isolating interval.
-
-    The tracker's start x̂ = s * c is within e * c of the value plus
-    rounding (see ``branching._run``) when e < cap = den * 2^P / 8,
-    so that e * c < 1/8.  For a denominator with den * 2^P of 900 bits or
-    more, cap is 0 and no tracker starts: below that, c is a normal double
-    and s, at most 2^900 * (T + 1), converts to one for every base with
-    q - 1 above 2^-120."""
-    rule = field._rules.get(den)
-    if rule is not None:
-        return rule
-    low, switch, _ = field.domain_bounds()
-    place = field._placement
-    if place is None:
-        place = field._placement = _compile_place(field._scaled_powers(), Region.LOW,
-                                                  Region.SWITCH, Region.HIGH)
-        field._tracking()
-    thresholds = []
-    for bound in (low, switch):
-        s, e = bound._scaled()
-        thresholds += (-(den * (e - s) // bound.den), den * (s + e) // bound.den)
-    lo0, hi0, lo1, hi1 = thresholds
-
-    def exact(num: Sequence[int]) -> Region:
-        x = _reduced(field, num, den)
-        return (Region.LOW if x._cmp(low) < 0 else Region.SWITCH if x._cmp(switch) <= 0
-                else Region.HIGH)
-
-    def locate(num: Sequence[int]) -> Region:
-        return place(num, lo0, hi0, lo1, hi1) or exact(num)
-
-    scaled = den << FILTER_BITS
-    rule = _Rule(locate, lo0, hi0, lo1, hi1, 1 / scaled,
-                 scaled >> 3 if scaled.bit_length() < 900 else 0, exact, field, den)
-    if len(field._rules) == _RULES_CAP:
-        field._rules.popitem()  # the newest rule takes the last slot
-    field._rules[den] = rule
-    return rule
-
-
 def region(x: AlgebraicReal) -> Region:
     """Which part of the domain [0, 1/(q-1)] the point lies in, or outside
     it.  A negative x, or one above 1/(q-1) by ``_cmp``, is outside; any
-    other is placed by the orbit kernel's ``_region_rule`` for x's
-    denominator: x's cached scaled sum, which ``_cmp`` took, against the
-    rule's thresholds, with the exact comparison where they cannot
-    decide."""
-    field = x.field
-    top = field.domain_bounds()[2]  # first: a base outside (1, 2) raises for every x
+    other is placed by the field's region rule for x's denominator
+    (``BaseField._rule``): x's cached scaled sum, which ``_cmp`` took,
+    against the rule's thresholds, with the exact comparison where they
+    cannot decide."""
+    top = x.field.domain_bounds()[2]  # first: a base outside (1, 2) raises for every x
     if x.sign() < 0 or x._cmp(top) > 0:
         return Region.OUTSIDE
-    _, lo0, hi0, lo1, hi1, _, _, exact, _, _ = _region_rule(field, x.den)
+    _, lo0, hi0, lo1, hi1, _, _, exact, _, _ = x.field._rule(x.den)
     s, e = x._scaled()
     return _sieved(s, e, lo0, hi0, lo1, hi1) or exact(x.num)
 

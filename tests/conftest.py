@@ -90,7 +90,7 @@ def grid_construction(coeffs, iso):
 
 
 # the region rule with each bound's scaled sum cross-multiplied by the other
-# denominator: the reference for ``words._region_rule``, which tests the
+# denominator: the reference for ``BaseField._rule``, which tests the
 # value's filter sum against integer thresholds instead
 def cross_multiplied_rule(field, den):
     """The region of sum(num[i] * q^i) / den in the domain, as a function of

@@ -114,6 +114,18 @@ ROWS = (
         (_BRANCHING + "test_counts_match_the_remainder_recount[qf]",
          _BRANCHING + "test_kernel_matches_element_loops_on_canonical_words[golden]"),
         "terminal t is the local target ~t = -t - 1: -t makes terminal 0 into node 0"),
+    Row("rule-kept-under-another-denominator", "numberfield.py",
+        "self._rules[den] = rule", "self._rules[den + 1] = rule",
+        (_BRANCHING + "test_kernel_matches_element_loops_on_canonical_words[golden]",
+         _BRANCHING + "test_region_rules_past_the_bound_answer_like_region"),
+        "a rule's thresholds hold for its own denominator only: read for another, they place "
+        "values wrongly"),
+    Row("upper-switch-bound-excluded", "numberfield.py",
+        "x._cmp(switch) <= 0", "x._cmp(switch) < 0",
+        ("tests/test_words.py::test_region_golden_one_is_boundary",
+         _BRANCHING + "test_golden_cycle_is_countably_infinite"),
+        "the switch interval is closed: a point at exactly 1/(q(q-1)), golden's 1, is a switch "
+        "point, not HIGH"),
     Row("tracker-q-up-is-q", "numberfield.py",
         "consts = [q, _float_up((2 * q1 + 3) * (wide + 1), wide << p + 1),", "consts = [q, q,",
         (_BRANCHING + "test_tracker_constants_satisfy_the_error_bound[q2]",

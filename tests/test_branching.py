@@ -46,7 +46,7 @@ from betaforge import (
     t1,
     viable_prefix_counts,
 )
-from betaforge import branching, numberfield, words
+from betaforge import branching, numberfield
 from betaforge.cli import main
 from betaforge.branching import LIMIT, NODE, TERMINAL, Count, _at_most
 from betaforge.numberfield import AlgebraicReal
@@ -1425,7 +1425,7 @@ def test_switch_point_keys_are_the_reduced_form(name, data):
     den = common * data.draw(st.integers(1, 10**6))
     num = tuple(common * c for c in data.draw(
         st.lists(st.integers(-10**9, 10**9), min_size=F.degree, max_size=F.degree)))
-    rule = words._region_rule(F, den)
+    rule = F._rule(den)
     assert rule.field is F and rule.den == den
     length, segment, kind, key = branching._run(rule, num, Region.SWITCH, 1, {})
     v = numberfield._reduced(F, num, den)
@@ -1455,7 +1455,7 @@ def test_a_stored_run_is_the_run_under_every_budget_above_its_length(name, word)
         assert kind is NODE or kind is TERMINAL
         digits = segment + end if kind is TERMINAL else segment
         assert len(digits) == length
-        rule, stepped = words._region_rule(F, point.den), [n]
+        rule, stepped = F._rule(point.den), [n]
         for digit in digits:
             stepped.append(F._step(stepped[-1], -digit * point.den))
         for budget in [*range(length + 3), 10_000]:
@@ -1610,12 +1610,12 @@ def test_points_over_one_denominator_share_one_region_rule():
 
 def test_region_rules_past_the_bound_answer_like_region():
     F = define_field(*_KERNEL_FIELDS["golden"])
-    cap = words._RULES_CAP
+    cap = numberfield._RULES_CAP
     for den in range(1, cap + 5):
-        rule = words._region_rule(F, den)
+        rule = F._rule(den)
         # past the bound the newest rule takes the last slot, so a second
         # fetch reads the rule just built
-        assert words._region_rule(F, den) is rule
+        assert F._rule(den) is rule
         # over den, (-den, den), (den, 0) and (0, den) are golden's bounds
         # q - 1, 1 and q exactly: the filter cannot decide those
         # region reads the rule, so both answer like the element loop
@@ -1632,11 +1632,12 @@ def test_a_root_run_past_the_bound_builds_its_region_rule_once(monkeypatch):
     # region(x) builds the rule for x's denominator, and _start fetches it
     # again for the run
     F = define_field(*_KERNEL_FIELDS["qf"])
-    cap = words._RULES_CAP
+    cap = numberfield._RULES_CAP
     for den in range(1, cap + 1):
-        words._region_rule(F, den)
-    Rule, built = words._Rule, []
-    monkeypatch.setattr(words, "_Rule", lambda *fields: built.append(fields[-1]) or Rule(*fields))
+        F._rule(den)
+    Rule, built = numberfield._Rule, []
+    monkeypatch.setattr(numberfield, "_Rule",
+                        lambda *fields: built.append(fields[-1]) or Rule(*fields))
     x = F.from_rational(Fraction(1, cap + 1))
     rule, reg = branching._start(x)
     assert built == [cap + 1]
@@ -1868,7 +1869,7 @@ def test_runs_from_switch_point_branches_equal_the_region_loop(name, pick, digit
     # point's own denominator, in the region the walk passes
     F, points = _swept(name)
     s = points[pick % len(points)]
-    rule = words._region_rule(F, s.den)
+    rule = F._rule(s.den)
     branch = F._step(s.num, -digit * s.den)
     reg = (Region.HIGH, Region.LOW)[digit] if F._tracking()[7] else rule.locate(branch)
     assert reg is region(s.times_q_minus(digit))
@@ -1906,7 +1907,7 @@ def test_the_tracker_restarts_where_its_bound_reaches_a_quarter(name):
     steps = {v.num: i for i, v in enumerate(out.orbit)}
     at = sorted({steps[n] for n in placed if n in steps and steps[n] > 0})
     q, q_up, kappa = F._tracking()[:3]
-    rule = words._region_rule(F, x.den)
+    rule = F._rule(x.den)
     assert at[0] == 1 and at[-1] == 300
     for start, stop in zip(at, at[1:]):
         eps = filt(out.orbit[start].num)[1] * rule.scale + kappa
@@ -1923,7 +1924,7 @@ def test_a_denominator_past_the_doubles_range_starts_no_tracker(name):
     # cap is 0 and no filter sum ever starts the tracker
     F = define_field(*_KERNEL_FIELDS[name])
     x = eval_word(PeriodicWord((0,) * 29 + (1,)), F) + Fraction(1, 2**900)
-    assert words._region_rule(F, x.den).cap == 0
+    assert F._rule(x.den).cap == 0
     placed = []
     filt = F._filter()
     F._filter_sum = lambda num: placed.append(num) or filt(num)

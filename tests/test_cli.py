@@ -30,7 +30,8 @@ from betaforge import (
     region,
     to_decimal,
 )
-from betaforge.cli import MAX_DIGITS, _parse_args, _parse_field, _scan, build_parser, main
+from betaforge.cli import (MAX_DIGITS, _parse_args, _parse_field, _scan, _Unread, build_parser,
+                           main)
 
 
 def run(capsys, *argv):
@@ -668,14 +669,16 @@ def test_a_word_command_refuses_an_option_it_does_not_read(capsys, monkeypatch, 
                                                           value, form):
     # the scan turns down an option the command does not hold, and a
     # joined '--option=value' for its shape: either way the top-level
-    # parser reads the call, once, and refuses it in its own words
+    # parser reads the call, once, and refuses it in its own words, naming
+    # the option and its value, never the word
     argv = [command, *([option, value] if form == "apart" else [f"{option}={value}"]), "1(0)*"]
     calls = _spy_on_the_top_level_parser(monkeypatch)
     code, out, err = run(capsys, *argv)
     assert (code, out, calls) == (2, "", [argv])
     assert err.startswith("usage: betaforge")
     assert (f"argument --format: invalid choice: {value!r}" if option == "--format"
-            else f"unrecognized arguments: {option}") in err
+            else f"unrecognized arguments: {option} {value}") in err
+    assert "1(0)*" not in err
     with pytest.raises(SystemExit) as exc:
         build_parser.__wrapped__().parse_args(argv)
     assert (exc.value.code, *capsys.readouterr()) == (code, out, err)
@@ -790,28 +793,37 @@ def test_shared_parser_matches_a_fresh_one(argv):
 
 
 def test_each_command_holds_the_options_its_help_shows():
-    # option strings and positional names, in order, and the formats each
-    # command offers, without argparse's wording of the help text, which
+    # option strings its help shows and positional names, in order, the
+    # formats each command offers, and the bounds it holds hidden to refuse
+    # them (``_Unread``), without argparse's wording of the help text, which
     # differs across Python versions
     (commands,) = (action.choices for action in build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction))
-    assert {name: ([option for action in command._actions for option in action.option_strings],
+    assert {name: ([option for action in command._actions if action.help is not argparse.SUPPRESS
+                    for option in action.option_strings],
                    [action.dest for action in command._actions if not action.option_strings],
                    *(action.choices for action in command._actions
-                     if action.option_strings == ["--format"]))
+                     if action.option_strings == ["--format"]),
+                   [option for action in command._actions if action.help is argparse.SUPPRESS
+                    for option in action.option_strings])
             for name, command in commands.items()} == {
         "eval": (["-h", "--help", "--field", "--format", "--digits", "--plus-one"], ["word"],
-                 ("text", "json")),
+                 ("text", "json"), list(_LIMITS)),
         "region": (["-h", "--help", "--field", "--format", "--digits", "--plus-one"], ["word"],
-                   ("text", "json")),
+                   ("text", "json"), list(_LIMITS)),
         "orbit": (["-h", "--help", "--field", "--format", "--digits", "--max-steps", "--plus-one"],
-                  ["word"], ("text", "json", "csv")),
+                  ["word"], ("text", "json", "csv"),
+                  ["--max-nodes", "--max-depth", "--max-count"]),
         "count": (["-h", "--help", "--field", "--format", "--max-steps", "--max-nodes",
-                   "--plus-one"], ["word"], ("text", "json")),
+                   "--plus-one"], ["word"], ("text", "json"),
+                  ["--digits", "--max-depth", "--max-count"]),
         "enumerate": (["-h", "--help", "--field", "--format", "--max-steps", "--max-nodes",
-                       "--max-depth", "--max-count", "--plus-one"], ["word"], ("text", "json")),
-        "verify": (["-h", "--help", "--format", "--profile"], ["checks"], ("text", "json")),
+                       "--max-depth", "--max-count", "--plus-one"], ["word"], ("text", "json"),
+                      ["--digits"]),
+        "verify": (["-h", "--help", "--format", "--profile"], ["checks"], ("text", "json"), []),
     }
+    assert all(isinstance(action, _Unread) for command in commands.values()
+               for action in command._actions if action.help is argparse.SUPPRESS)
     assert list(commands) == ["eval", "region", "orbit", "count", "enumerate", "verify"]
 
 

@@ -1,9 +1,11 @@
 """Exact arithmetic in Q(q): field construction, operators, signs, decimals."""
 
+import ast
 import math
 import operator
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -1103,3 +1105,55 @@ def test_float_up_and_its_negation_bracket_the_ratio(n, d):
     assert Fraction(up) >= exact > Fraction(math.nextafter(up, -math.inf))
     down = -numberfield._float_up(-n, d)
     assert Fraction(down) <= exact < Fraction(math.nextafter(down, math.inf))
+
+
+# the methods through which a call changes a dict, list or set in place
+_MUTATORS = frozenset(("append", "clear", "extend", "insert", "pop", "popitem", "remove",
+                       "setdefault", "update", "add", "discard"))
+
+
+def _slot_writes(tree: ast.AST, slots: frozenset) -> list[tuple[str, int]]:
+    """(slot, line) for each write to an attribute named in ``slots``: an
+    assignment, augmented assignment or del of it or of an item of it, a
+    call of one of its mutating methods, or a setattr or delattr naming
+    it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            targets = [node.func.value] if node.func.attr in _MUTATORS else []
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("setattr", "delattr") and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant) and node.args[1].value in slots):
+            found.append((node.args[1].value, node.lineno))
+            continue
+        else:
+            continue
+        while targets:
+            target = targets.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                targets += target.elts
+            elif isinstance(target, ast.Starred):
+                targets.append(target.value)
+            elif isinstance(target, ast.Subscript):
+                targets.append(target.value)
+            elif isinstance(target, ast.Attribute) and target.attr in slots:
+                found.append((target.attr, node.lineno))
+    return found
+
+
+def test_only_numberfield_writes_a_field_slot_but_branchings_memo():
+    # a field's derived constants have one owner: no other module of the
+    # package assigns to a BaseField slot or changes one in place, except
+    # branching, which replaces the field's memo whole
+    slots = frozenset(BaseField.__slots__)
+    outside = {}
+    for path in sorted(Path(numberfield.__file__).parent.glob("*.py")):
+        if path.name != "numberfield.py":
+            for slot, line in _slot_writes(ast.parse(path.read_text()), slots):
+                outside.setdefault(slot, []).append(f"{path.name}:{line}")
+    assert list(outside) == ["_memo"], outside
+    assert {where.partition(":")[0] for where in outside["_memo"]} == {"branching.py"}

@@ -13,6 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from betaforge.branching import Cardinality, count_expansions
 from betaforge.numberfield import (
+    _INVERSES_CAP,
+    _RULES_CAP,
     FILTER_BITS,
     AlgebraicReal,
     ReduciblePolynomial,
@@ -22,10 +24,7 @@ from betaforge.numberfield import (
     qf_field,
 )
 from betaforge.words import (
-    _INVERSES_CAP,
     _MAX_WORD_DIGITS,
-    _RULES_CAP,
-    _region_rule,
     EmptyWordError,
     PeriodicWord,
     Region,
@@ -635,7 +634,7 @@ def test_threshold_rule_decides_like_the_cross_multiplied_rule(name, which, k, o
     cmp = AlgebraicReal._cmp
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(AlgebraicReal, "_cmp", lambda a, b: compared.append(b) or cmp(a, b))
-        got = _region_rule(F, den).locate(num)
+        got = F._rule(den).locate(num)
     assert got is expected
     assert (not compared) == decided
     assert len(F._rules) <= _RULES_CAP
