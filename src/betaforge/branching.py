@@ -33,18 +33,21 @@ switch-point graph (``_ref``): every switch point a walk reaches gets an
 int id, keyed by its reduced form (den, *num), and keeps the two forced
 runs out of it once they are run, each with its length, its segment and
 its end (the id of the switch point it reaches, or a unique tail's cycle
-digits).  A walk reads a stored run instead of running it: as it is under
-a step budget above its length, and cut to its first digits under any
-other (``_cut``).  A root memo keeps the root run of the last point asked,
-keyed by the point's reduced form, so a count and then a listing of one
+digits).  Ids index that graph within a walk (``_grow``) and name the
+ends of its stored runs; no record, view or memo key holds one.  A walk
+reads a stored run instead of running it: as it is under a step budget
+above its length, and cut to its first digits under any other
+(``_cut``).  A root memo keeps the root run of the last point asked,
+with the point's reduced form, so a count and then a listing of one
 point make one root run between them.
 
 Below x's root run, x's graph depends only on the run's end s (x's first
 switch point) and the caps.  ``_grow`` walks it breadth-first over the
-field's graph into a record (``_Below``), and one Tarjan pass (``_answer``)
-reads its count and which nodes are live.  Points of one base also share
-first switch points, so each field keeps an answer memo of records by
-(s's id, max_steps, max_nodes), and a kept record also keeps the listings
+field's graph into a record (``_Below``), which names its nodes by their
+reduced forms, and one Tarjan pass (``_answer``) reads its count and
+which nodes are live.  Points of one base also share first switch
+points, so each field keeps an answer memo of records by (s's reduced
+form, max_steps, max_nodes), and a kept record also keeps the listings
 of ``_listing``, relative to s: canonical words are unique, so a point's
 listing is s's with the root segment prepended.  ``build_branch_graph``
 returns a read-only view of a record, whose tables it builds on first
@@ -57,14 +60,14 @@ tuples, ``Cardinality`` and ``PeriodicWord`` records only, never an
 element, so a field is freed with them, and none stores a run that hit
 the step budget.  The root memo holds one run.  When the field's graph
 holds ``_MEMO_CAP`` switch points, the next walk replaces the whole
-object by an empty one, so the records, which name switch points by
-their ids in the old graph, go with it.  A walk adds at most
-2 * max_nodes + 1 switch points, so the graph never holds more than
-_MEMO_CAP + 2 * max_nodes + 1.  The answer memo admits records and
-listings while the nodes and words it holds total at most ``_MEMO_CAP``,
-and a full one still serves what it holds.  ``deterministic_run``,
-``viable_prefix_counts`` and ``_at_most`` read no memo: the level walk
-stays an independent check of the graphs.
+object by an empty one, which bounds it: a record or view returned
+before names its nodes by reduced form, so it needs no old graph.  A
+walk adds at most 2 * max_nodes + 1 switch points, so the graph never
+holds more than _MEMO_CAP + 2 * max_nodes + 1.  The answer memo admits
+records and listings while the nodes and words it holds total at most
+``_MEMO_CAP``, and a full one still serves what it holds.
+``deterministic_run``, ``viable_prefix_counts`` and ``_at_most`` read no
+memo: the level walk stays an independent check of the graphs.
 """
 
 from __future__ import annotations
@@ -247,6 +250,13 @@ def _start(x: AlgebraicReal) -> tuple[_Rule, Region]:
     return x.field._rule(x.den), reg
 
 
+def _over(key: tuple[int, ...], den: int) -> tuple[int, ...]:
+    """The numerators over ``den`` of the switch point with reduced form
+    ``key`` (den, *num), a point reached over ``den``: its reduced
+    denominator divides ``den``."""
+    return key[1:] if key[0] == den else tuple([c * (den // key[0]) for c in key[1:]])
+
+
 def deterministic_run(x: AlgebraicReal, max_steps: int = DEFAULT_MAX_STEPS) -> RunOutcome:
     """Follow the forced branch from x until a switch point, a closed
     non-branching cycle, or the step budget."""
@@ -289,28 +299,27 @@ class BranchGraph:
     ``_record``), as ``build_branch_graph`` returns it: each of ``nodes``,
     ``edges`` and ``terminals`` is built from the record on that table's
     first read, as a fresh dict the view then keeps, so a count builds none
-    of them.  The view keeps the graph its record's ids name, so one first
-    read after the field replaced its memo still answers the same.
-    ``classify`` answers the view from its record."""
+    of them.  The record names its nodes by reduced form, so the view reads
+    nothing of the field's memo, and a first read after the field replaced
+    it answers the same.  ``classify`` answers the view from its record."""
 
     def __init__(self, x: AlgebraicReal, segment: tuple[int, ...], below: _Below):
         self.field, self.start, self.root_segment = x.field, x, segment
         self.root_kind, self.root_target = _target(below.root)
         self.truncated, self.limit = below.limit is not None, below.limit
-        self._below, self._graph = below, x.field._memo.graph
+        self._below = below
 
     @functools.cached_property
     def nodes(self) -> dict[int, AlgebraicReal]:
-        field, graph = self.field, self._graph
-        keys = (graph[ref][0] for ref in self._below.refs)
-        return {nid: AlgebraicReal(field, k[1:], k[0]) for nid, k in enumerate(keys)}
+        field = self.field
+        return {nid: AlgebraicReal(field, k[1:], k[0]) for nid, k in enumerate(self._below.nodes)}
 
     @functools.cached_property
     def edges(self) -> dict[int, dict[int, Edge]]:
         below = self._below
         return {nid: {d: Edge(d, below.segments[2 * nid + d],
                               *_target(below.targets[2 * nid + d])) for d in (0, 1)}
-                for nid in range(len(below.refs))}
+                for nid in range(len(below.nodes))}
 
     @functools.cached_property
     def terminals(self) -> dict[int, PeriodicWord]:
@@ -332,36 +341,34 @@ def _record(x: AlgebraicReal, max_steps: int, max_nodes: int) -> tuple[tuple[int
     """x's root segment and the record of x's graph below the root run's end.
 
     The field's memo (``_Memo``) is made on its first walk, and replaced
-    whole by an empty one once its graph holds ``_MEMO_CAP`` switch points,
-    since its records name switch points by their ids there.  x's root run
-    is read from the root memo, in the kernel's shape and under its rule
-    (see ``_cut``), when x is the last point whose root run was stored;
-    otherwise it is run, and stored in place of that one unless it hit the
-    step budget.  When it ends at a switch point s whose graph under these
-    caps the answer memo holds, that record is returned.  Otherwise the
-    record is walked from the root run's end (see ``_grow``), and the memo
-    keeps it, marked ``kept``, while it has room."""
+    whole by an empty one once its graph holds ``_MEMO_CAP`` switch points.
+    x's root run is read from the root memo, in the kernel's shape and
+    under its rule (see ``_cut``), when x is the last point whose root run
+    was stored; otherwise it is run, and stored in place of that one unless
+    it hit the step budget.  When it ends at a switch point s whose graph
+    under these caps the answer memo holds, by s's reduced form, that
+    record is returned.  Otherwise the record is walked from the root run's
+    end (see ``_grow``), and the memo keeps it, marked ``kept``, while it
+    has room."""
     field, memo = x.field, x.field._memo
     if memo is None or len(memo.graph) >= _MEMO_CAP:
         memo = field._memo = _Memo()
-    roots, key = memo.roots, (x.den, *x.num)
-    run = roots.get(key)
+    key, (held, run) = (x.den, *x.num), memo.root
     rule = None
-    if run is None:
+    if held != key:
         rule, reg = _start(x)
         run = _run(rule, x.num, reg, max_steps, {})
         if run[2] is not LIMIT:
-            roots.clear()
-            roots[key] = run
+            memo.root = key, run
     elif run[0] >= max_steps:
         run = _cut(run, max_steps)
     _, segment, kind, end = run
-    # only a record below a switch point is kept, under that point's id
-    memo_key = (end := _ref(memo, end), max_steps, max_nodes) if kind is NODE else None
+    # only a record below a switch point is kept, under that point's reduced form
+    memo_key = (end, max_steps, max_nodes) if kind is NODE else None
     below = memo.answers.get(memo_key)
     if below is None:
         below = _grow(rule or field._rule(x.den), memo, kind, end, max_steps, max_nodes)
-        if memo_key and _admit(memo, len(below.refs) + 1):
+        if memo_key and _admit(memo, len(below.nodes) + 1):
             below.kept = True
             memo.answers[memo_key] = below
     return segment, below
@@ -378,15 +385,14 @@ def _cut(run: tuple, max_steps: int) -> tuple:
 @dataclass(eq=False, slots=True)
 class _Memo:
     """A field's branch memos, held in its one slot ``_memo`` and replaced
-    whole (see ``_record``): the root memo ``roots`` (the last point's root
-    run, by its reduced form), the switch-point graph ``graph`` (each
-    switch point reached, by id, as [key, digit 0's run, digit 1's run]),
-    ``ids`` (those ids by reduced form), and the answer memo ``answers``
-    (records by (s's id, max_steps, max_nodes), which name switch points
-    by their ids in ``graph``) with the nodes and words it holds,
-    ``cells``."""
+    whole (see ``_record``): the root memo ``root`` (the last point's
+    reduced form and root run, or (None, None)), the switch-point graph
+    ``graph`` (each switch point reached, by id, as [key, digit 0's run,
+    digit 1's run]), ``ids`` (those ids by reduced form), and the answer
+    memo ``answers`` (records by (s's reduced form, max_steps, max_nodes))
+    with the nodes and words it holds, ``cells``."""
 
-    roots: dict[tuple[int, ...], tuple] = dataclass_field(default_factory=dict)
+    root: tuple = (None, None)
     graph: list[list] = dataclass_field(default_factory=list)
     ids: dict[tuple[int, ...], int] = dataclass_field(default_factory=dict)
     answers: dict[tuple, _Below] = dataclass_field(default_factory=dict)
@@ -426,10 +432,10 @@ class _Below:
     answer memo's record of it when that end is a first switch point s.
 
     ``root`` and ``targets`` hold local targets (see ``_target``): the
-    root's, and that of edge i = 2 * node id + digit.  ``refs`` holds each
-    node's id in the field's graph (see ``_ref``) by local id, in
-    breadth-first order, and ``segments`` the digits forced on edge i, as
-    its run gave them when the record was walked: a stored run's own
+    root's, and that of edge i = 2 * node id + digit.  ``nodes`` holds each
+    node's reduced form (den, *num), the field graph's own key, by local
+    id, in breadth-first order, and ``segments`` the digits forced on edge
+    i, as its run gave them when the record was walked: a stored run's own
     segment, or one cut to the budget, so no run stored later changes it.
     Then the terminals' cycle digits, the limit, what one pass over the
     components found (see ``_answer``): the count, and which nodes reach a
@@ -437,7 +443,7 @@ class _Below:
     it so far, relative to s, by (max_count, max_depth)."""
 
     root: int | None
-    refs: tuple[int, ...]
+    nodes: tuple[tuple[int, ...], ...]
     targets: tuple[int | None, ...]
     segments: tuple[tuple[int, ...], ...]
     terminals: tuple[tuple[int, ...], ...]
@@ -450,9 +456,9 @@ class _Below:
 
 def _grow(rule: _Rule, memo: _Memo, kind: Kind, end, max_steps: int, max_nodes: int) -> _Below:
     """The graph below a root run that ended as (kind, end), with ``end`` a
-    switch point's id in the graph of ``memo`` (see ``_ref``) or a unique
-    tail's cycle digits, walked breadth-first over that graph with the
-    kernel's ``rule`` for the point's denominator.
+    switch point's reduced form or a unique tail's cycle digits, walked
+    breadth-first over the graph of ``memo`` with the kernel's ``rule`` for
+    the point's denominator.
 
     Each branch is a run in the kernel's shape (see ``_run``), with a
     switch point at its end named by its id, started in HIGH for digit 0
@@ -462,7 +468,8 @@ def _grow(rule: _Rule, memo: _Memo, kind: Kind, end, max_steps: int, max_nodes: 
     with no stored run is run, and stored unless it hit the budget, so no
     stored run is ever replaced.  Nodes take local ids as the walk reaches
     them, up to ``max_nodes``; each adds at most two switch points to the
-    graph, and the root one more."""
+    graph, and the root one more.  Ids (``_ref``) index the graph within
+    the walk only: the record names each node by its key there."""
     den, locate, field, graph = rule.den, rule.locate, rule.field, memo.graph
     # past φ, q * s is HIGH and q * s - 1 LOW for every switch point s
     starts = (HIGH, LOW) if field._tracker[7] else None
@@ -486,15 +493,14 @@ def _grow(rule: _Rule, memo: _Memo, kind: Kind, end, max_steps: int, max_nodes: 
             limit = limit or ("max_nodes" if kind is NODE else "max_steps")
         return t
 
-    root = resolve(kind, end)
+    root = resolve(kind, _ref(memo, end) if kind is NODE else end)
     for ref in refs:  # grows as switch points are found: breadth-first
         entry, n = graph[ref], None
         for slot in (1, 2):  # digit 0's run, then digit 1's
             run = entry[slot]
             if run is None:
-                if n is None:  # the node over D: its reduced denominator divides D
-                    key = entry[0]
-                    n = key[1:] if key[0] == den else tuple([c * (den // key[0]) for c in key[1:]])
+                if n is None:
+                    n = _over(entry[0], den)
                 # both branches of a switch point stay in the domain
                 branch = field._step(n, (1 - slot) * den)
                 reg = starts[slot - 1] if starts else locate(branch)
@@ -506,8 +512,8 @@ def _grow(rule: _Rule, memo: _Memo, kind: Kind, end, max_steps: int, max_nodes: 
                 run = _cut(run, max_steps)
             segments.append(run[1])
             targets.append(resolve(run[2], run[3]))
-    return _Below(root, tuple(refs), tuple(targets), tuple(segments), tuple(terminal_ids), limit,
-                  *_answer(root, targets, limit))
+    return _Below(root, tuple([graph[ref][0] for ref in refs]), tuple(targets), tuple(segments),
+                  tuple(terminal_ids), limit, *_answer(root, targets, limit))
 
 
 # ---------------------------------------------------------------------------
@@ -810,9 +816,7 @@ def _levels(x: AlgebraicReal, max_levels: int, ceiling: float) -> tuple[list[int
             counts += [level[n]] * length
             if kind is not NODE:  # a closed cycle, or the level cap inside the stretch
                 return counts, kind is TERMINAL
-            # the run's switch point, reduced by their gcd, back over den
-            n = end[1:] if end[0] == den else tuple([c * (den // end[0]) for c in end[1:]])
-            level = {n: counts[-1]}
+            level = {_over(end, den): counts[-1]}
         nxt: dict[tuple[int, ...], int] = {}
         for n, mult in level.items():
             reg = locate(n)

@@ -388,15 +388,15 @@ def main(argv=None) -> int:
             if not 1 <= getattr(args, "digits", 1) <= MAX_DIGITS:
                 raise UsageError(f"--digits must be between 1 and {MAX_DIGITS}")
             field = _parse_field(args.field)
-            for key in ("max_steps", "max_nodes", "max_depth", "max_count"):
-                if getattr(args, key, 1) < 1:
-                    raise UsageError(f"--{key.replace('_', '-')} must be positive")
+            handler, bounds, _ = _WORD_COMMANDS[args.command]
+            for bound in bounds:  # --digits passed the check above
+                if getattr(args, bound[2:].replace("-", "_")) < 1:
+                    raise UsageError(f"{bound} must be positive")
             # every word command but eval refuses a base outside (1, 2) before
             # it reads the word
             if args.command != "eval":
                 _require_expansion_base(field, args.field)
             x = eval_word(parse_word(args.word), field)
-            handler, _, _ = _WORD_COMMANDS[args.command]
             code, output, note = handler(args, x + 1 if args.plus_one else x)
             if isinstance(output, dict):
                 # a word command's record opens with the word and whether 1

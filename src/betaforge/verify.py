@@ -312,7 +312,7 @@ def _family_member(k: int) -> PeriodicWord:
 
 
 @_check("counts-family", params=("k_max",))
-def check_counts_family(k_max: int = 8) -> str:
+def check_counts_family(k_max: int) -> str:
     """Exact expansion counts k = 1..k_max in the companion base, plus the
     countably infinite point 1/q and its first six expansions."""
     if k_max < 1:
@@ -464,7 +464,7 @@ def _branch_member(name: str, k: int, j: int, branches: tuple) -> PeriodicWord:
 
 
 @_check("branch-families", params=("k_max", "j_max"))
-def check_branch_families(k_max: int = 8, j_max: int = 8) -> str:
+def check_branch_families(k_max: int, j_max: int) -> str:
     """Every member of the four families has exactly two expansions and a
     branch graph whose single node is the family's branch value."""
     if k_max < 2 or j_max < 1:
@@ -511,7 +511,7 @@ def check_branch_families(k_max: int = 8, j_max: int = 8) -> str:
 
 
 @_check("orbit-identities", params=("j_max",))
-def check_orbit_identities(j_max: int = 8) -> str:
+def check_orbit_identities(j_max: int) -> str:
     """Four exact orbit identities collapsing the alternating families to two
     target values, the closed form behind them, and the symbolic cancellation
     certified by the factor q^4 - 2q^2 - q - 1."""
@@ -690,10 +690,7 @@ def render_text(results) -> str:
     return "\n".join(lines)
 
 
-def render_records(results, profile: str | None = None) -> dict:
+def render_records(results, profile: str) -> dict:
     n_pass, n_fail, n_skip = _tally(results)
-    out = {"results": [r.record() for r in results],
-           "passed": n_pass, "failed": n_fail, "skipped": n_skip}
-    if profile is not None:
-        out["profile"] = profile
-    return out
+    return {"results": [r.record() for r in results],
+            "passed": n_pass, "failed": n_fail, "skipped": n_skip, "profile": profile}

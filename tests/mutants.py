@@ -102,12 +102,13 @@ ROWS = (
         (_BRANCHING + "test_a_full_field_graph_is_replaced[qf-3]",
          _BRANCHING + "test_a_full_field_graph_is_replaced[q2-500]"),
         "a field's graph grows by every switch point a walk reaches: only the cap bounds it"),
-    Row("view-reads-the-fields-current-graph", "branching.py",
-        "field, graph = self.field, self._graph", "field, graph = self.field, self.field._memo.graph",
-        (_BRANCHING + "test_a_view_first_read_after_its_graph_was_replaced[q2]",
-         _BRANCHING + "test_a_view_first_read_after_its_graph_was_replaced[qf]"),
-        "a view's record names switch points by their ids in the graph it was built on, "
-        "which the field may since have replaced"),
+    Row("record-nodes-reversed", "branching.py",
+        "tuple([graph[ref][0] for ref in refs])", "tuple([graph[ref][0] for ref in refs][::-1])",
+        (_BRANCHING + "test_views_equal_eager_builds",
+         _BRANCHING + "test_a_full_field_graph_is_replaced[qf-3]",
+         _BRANCHING + "test_kernel_matches_element_loops_on_canonical_words[qf]"),
+        "a record's node i is the switch point the walk gave local id i: the edges out of it "
+        "and the targets into it name it by that id"),
     Row("terminal-target-off-by-one", "branching.py",
         "return ~terminal_ids.setdefault(end, len(terminal_ids))",
         "return -terminal_ids.setdefault(end, len(terminal_ids))",

@@ -1,6 +1,7 @@
 """Tests for orbit runs, branch graphs, cardinality classification,
 enumeration, and the independent prefix-count oracle."""
 
+import ast
 import copy
 import functools
 import itertools
@@ -9,6 +10,7 @@ import operator
 import random
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -1305,8 +1307,15 @@ def test_memo_answers_keep_their_caps_apart(name, text):
 def _held_cells(field):
     """The nodes and words a field's answer memo holds, one more per record
     and per listing."""
-    return sum(len(below.refs) + 1 + sum(len(words) + 1 for words, _, _ in below.listings.values())
+    return sum(len(below.nodes) + 1 + sum(len(words) + 1 for words, _, _ in below.listings.values())
                for below in field._memo.answers.values())
+
+
+def _is_reduced_form(key):
+    """Whether ``key`` is an element's reduced form (den, *num): ints, a
+    positive denominator, and no common factor."""
+    return (key.__class__ is tuple and all(c.__class__ is int for c in key)
+            and key[0] > 0 and math.gcd(*key) == 1)
 
 
 @pytest.mark.parametrize("name, cap", [("q2", 3), ("qf", 3), ("q2", 500)])
@@ -1314,7 +1323,8 @@ def test_a_full_field_graph_is_replaced(name, cap, monkeypatch):
     # with a small cap the field's graph fills again and again; the next
     # walk replaces the field's whole memo by a fresh one, every graph,
     # count and listing still equals a cold field's, the graph stays within
-    # _MEMO_CAP + 2 * max_nodes + 1, and every record names its nodes by id
+    # _MEMO_CAP + 2 * max_nodes + 1, and every record names its nodes by
+    # reduced form, the graph's own key
     monkeypatch.setattr(branching, "_MEMO_CAP", cap)
     grown = []
     grow = branching._grow
@@ -1336,38 +1346,46 @@ def test_a_full_field_graph_is_replaced(name, cap, monkeypatch):
             memo = warm._memo
             assert len(memo.graph) == len(memo.ids) <= bound
             # the answer memo holds at most _MEMO_CAP nodes and words, in
-            # records that name switch points of the memo's graph
+            # records that name switch points of the memo's graph by the key
+            # it holds them by, each record under its root's reduced form
             assert memo.cells == _held_cells(warm) <= cap
-            assert all(ref < len(memo.graph) for below in memo.answers.values()
-                       for ref in below.refs)
+            assert all(memo.graph[memo.ids[key]][0] is key for below in memo.answers.values()
+                       for key in below.nodes)
+            assert all(below.root == 0 and below.nodes[0] == s
+                       for (s, *_), below in memo.answers.items())
             if not memos or memo is not memos[-1]:
                 # a new object, made on the first walk or once the last
                 # one's graph was full: it holds this ask's root run and
                 # record only
                 assert all(memo is not old for old in memos)
                 assert not memos or len(memos[-1].graph) >= cap
-                assert memo.roots.keys() <= {(x.den, *x.num)} and len(memo.answers) <= 1
+                assert memo.root[0] in (None, (x.den, *x.num)) and len(memo.answers) <= 1
                 memos.append(memo)
     assert all(warm._memo.ids[key] == i for i, (key, *_) in enumerate(warm._memo.graph))
     assert len(memos) > 10 and max(len(memo.graph) for memo in memos) > cap
-    assert len(grown) > 100 and all(ref.__class__ is int for below in grown for ref in below.refs)
-    # a view first read after its memo was replaced reads the graph it was built on
+    assert len(grown) > 100 and all(_is_reduced_form(key) for below in grown for key in below.nodes)
+    # a view first read after its memo was replaced answers from its record
+    # alone, which names switch points of the graph it was built on
     assert sum(memo is not warm._memo for _, _, memo in views) > 10
     for word, view, memo in views:
-        assert view._graph is memo.graph
+        assert all(key in memo.ids for key in view._below.nodes)
         assert _graph_form(view) == _cold_form(name, word, caps), str(word)
 
 
 @pytest.mark.parametrize("name", ["q2", "qf"])
 def test_a_view_first_read_after_its_graph_was_replaced(name, monkeypatch):
-    # a view keeps the graph its record names switch points in: built before
-    # the field replaces that graph and first read after, it equals a cold view
+    # a view's record names its switch points by reduced form: built before
+    # the field replaces its memo and first read after, it equals a cold view
     monkeypatch.setattr(branching, "_MEMO_CAP", 3)
     caps = _ACCEPTANCE_CAPS if name == "q2" else _KERNEL_CAPS[name]
     F = define_field(*_KERNEL_FIELDS[name])
     words = _MEMO_WORDS[::50]
-    views = [build_branch_graph(eval_word(word, F), **caps) for word in words]
-    assert len({id(view._graph) for view in views}) > 10
+    views, memos = [], []
+    for word in words:
+        views.append(build_branch_graph(eval_word(word, F), **caps))
+        memos.append(F._memo)
+    assert len({id(memo) for memo in memos}) > 10
+    assert sum(memo is not F._memo for memo in memos) > 10
     for word, view in zip(words, views):
         assert not _built_tables(view)
         assert _graph_form(view) == _cold_form(name, word, caps), str(word)
@@ -1407,9 +1425,9 @@ def test_root_memo_holds_the_last_point_only(name, monkeypatch):
             calls.clear()
             assert _answer_form(job, x, caps) == cold, str(word)
             roots.append(sum(n == x.num for n, *_ in calls))
-            assert len(warm._memo.roots) == 1
+            assert warm._memo.root[0] == (x.den, *x.num)
         assert roots == [1, 0, 0], str(word)
-        ((key, (length, segment, _, _)),) = warm._memo.roots.items()
+        key, (length, segment, _, _) = warm._memo.root
         assert key == (x.den, *x.num)
         assert segment == build_branch_graph(x, **caps).root_segment
         assert length == len(segment) and segment == (0,) * word.preperiod.index(1)
@@ -1443,7 +1461,9 @@ def test_a_stored_run_is_the_run_under_every_budget_above_its_length(name, word)
     x = eval_word(word, F)
     build_branch_graph(x, **_KERNEL_CAPS[name])
     memo = F._memo
-    starts = [(x, x.num, run) for run in memo.roots.values()]
+    key, run = memo.root
+    assert key in (None, (x.den, *x.num))
+    starts = [] if key is None else [(x, x.num, run)]
     for (den, *num), *runs in memo.graph:
         node = AlgebraicReal(F, tuple(num), den)
         # the field's graph names a run's switch point by its id there
@@ -1487,11 +1507,12 @@ def test_regrown_records_step_only_their_roots(name):
     for x, (card, listing) in zip(points, first):
         steps[0] = 0
         assert count_expansions(x) == card, str(x)
-        assert steps[0] == memo.roots[(x.den, *x.num)][0], str(x)  # the root run's steps
+        key, run = memo.root
+        assert key == (x.den, *x.num) and steps[0] == run[0], str(x)  # the root run's steps
         steps[0] = 0
         assert bfs_expansions(x) == listing, str(x)
         assert steps[0] == 0, str(x)
-    assert F._memo is memo and sum(len(below.refs) for below in memo.answers.values()) > 100
+    assert F._memo is memo and sum(len(below.nodes) for below in memo.answers.values()) > 100
 
 
 @pytest.mark.parametrize("name", ["qf", "golden"])
@@ -1514,8 +1535,10 @@ def test_budgets_within_stored_runs_step_nothing(name):
         F._step = step
         count_expansions(x)
         graph = build_branch_graph(x)
-        longest = max([F._memo.roots[x.den, *x.num][0]] + [
-            run[0] for nid in graph.nodes for run in F._memo.graph[graph._below.refs[nid]][1:]])
+        memo = F._memo
+        assert memo.root[0] == (x.den, *x.num)
+        longest = max([memo.root[1][0]] + [
+            run[0] for key in graph._below.nodes for run in memo.graph[memo.ids[key]][1:]])
         F._step = counted
         for max_steps in range(1, longest + 2):
             caps = {"max_steps": max_steps, "max_nodes": branching.DEFAULT_MAX_NODES}
@@ -1550,8 +1573,8 @@ def test_a_kept_record_keeps_its_limit_segments(name):
 
 def test_the_field_graph_holds_each_switch_point_once():
     # after the q2 sweep, every switch point any graph reached is held once,
-    # by its reduced form, and the records name nodes by their ids there:
-    # no record holds a node's reduced form
+    # by its reduced form, and the records name nodes by that form, the very
+    # key the graph holds (nothing is copied): no record holds a field id
     F = define_field(*_KERNEL_FIELDS["q2"])
     graphs = [build_branch_graph(eval_word(word, F), **_ACCEPTANCE_CAPS) for word in _MEMO_WORDS]
     ids = F._memo.ids
@@ -1559,15 +1582,16 @@ def test_the_field_graph_holds_each_switch_point_once():
     assert len(set(keys)) == len(keys) == len(ids) < branching._MEMO_CAP
     assert all(ids[key] == i for i, key in enumerate(keys))
     for graph in graphs:
-        assert all(ref.__class__ is int for ref in graph._below.refs)
-        assert {(v.den, *v.num) for v in graph.nodes.values()} <= ids.keys()
+        nodes = graph._below.nodes
+        assert all(_is_reduced_form(key) and keys[ids[key]] is key for key in nodes)
+        assert [(v.den, *v.num) for v in graph.nodes.values()] == list(nodes)
     records = {id(graph._below): graph._below for graph in graphs}.values()
     assert len(records) > 500 and sum(below.kept for below in records) > 200
     for below in records:
-        held = (below.refs, below.targets, *below.segments, *below.terminals)
-        assert all(c.__class__ is int and (c in (0, 1) or part is below.refs or part is below.targets)
+        held = (below.targets, *below.segments, *below.terminals)
+        assert all(c.__class__ is int and (c in (0, 1) or part is below.targets)
                    for part in held for c in part if c is not None)
-        assert len(below.refs) == len(below.targets) // 2 == len(below.live)
+        assert len(below.nodes) == len(below.targets) // 2 == len(below.live)
 
 
 @pytest.mark.parametrize("name", ["golden", "qf"])
@@ -1706,13 +1730,16 @@ _TABLES = ("nodes", "edges", "terminals")
 
 def _eager(view, max_steps):
     """The graph of a view's record as eager tables, every one filled at
-    once.  Each edge's segment must be the one the run that the view's
-    graph stores for it, if any, gives under ``max_steps``: its segment, or
-    its first ``max_steps`` digits, a unique tail's cycle included."""
-    below, field, graph = view._below, view.field, view._graph
-    keys = [graph[ref][0] for ref in below.refs]
+    once, read just after the view was built.  Each node is a switch point
+    of the field's graph, by the key it is held by there, and each edge's
+    segment must be the one the run that the graph stores for it, if any,
+    gives under ``max_steps``: its segment, or its first ``max_steps``
+    digits, a unique tail's cycle included."""
+    below, field, memo = view._below, view.field, view.field._memo
+    keys = below.nodes
+    assert all(memo.graph[memo.ids[key]][0] is key for key in keys)
     for i, segment in enumerate(below.segments):
-        run = graph[below.refs[i >> 1]][1 + (i & 1)]
+        run = memo.graph[memo.ids[keys[i >> 1]]][1 + (i & 1)]
         if run is not None:
             length, digits, kind, end = run
             if length >= max_steps:
@@ -1794,6 +1821,26 @@ def test_views_equal_eager_builds():
         assert _built_tables(twin) == _built_tables(view) == set(_TABLES)
         assert all(getattr(twin, name) is not getattr(view, name) for name in _TABLES)
         assert _graph_form(build_branch_graph(x, **caps)) == form
+
+
+def test_only_the_walk_names_switch_points_by_id():
+    # ids index the field's graph within one walk: in branching only _grow
+    # calls _ref, no BranchGraph method reads a field's memo or keeps a
+    # graph, and a record names its nodes by reduced form, holding no id
+    tree = ast.parse(Path(branching.__file__).read_text())
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    callers = {name for name, node in defs.items() for call in ast.walk(node)
+               if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+               and call.func.id == "_ref"}
+    assert callers == {"_grow"}
+    read = {node.attr for node in ast.walk(defs["BranchGraph"]) if isinstance(node, ast.Attribute)}
+    assert "_memo" not in read and "_graph" not in read
+    fields = {stmt.target.id: ast.unparse(stmt.annotation) for stmt in defs["_Below"].body
+              if isinstance(stmt, ast.AnnAssign)}
+    assert list(fields) == ["root", "nodes", "targets", "segments", "terminals", "limit", "count",
+                            "live", "kept", "listings"]
+    assert fields["nodes"] == "tuple[tuple[int, ...], ...]"
 
 
 def test_a_view_reads_only_its_three_tables():

@@ -474,11 +474,6 @@ def test_render_records_structure(quick_results):
     assert all(rec["status"] == "pass" for rec in doc["results"])
 
 
-def test_render_records_without_profile(quick_results):
-    doc = render_records(quick_results)
-    assert "profile" not in doc
-
-
 def test_render_text_summary_line(quick_results):
     text = render_text(quick_results)
     lines = text.splitlines()
