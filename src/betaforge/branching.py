@@ -1,73 +1,17 @@
 """Branching analysis of expansions: how many digit streams a point has.
 
-A point x in [0, 1/(q-1)] follows a forced orbit under t0/t1 until it hits
-the switch interval, where both branches stay in the domain.  Collecting the
-switch points reachable from x into a graph (two outgoing edges per switch
-point, each labelled with the digits forced until the next switch point or a
-unique tail) turns the set of expansions of x into the set of infinite paths
-from the root.  Cardinality classification is then graph-shaped:
+The switch points that forced runs reach from a point x form x's branch
+graph, whose infinite paths are x's expansions; one pass over its strongly
+connected components (``_answer``) decides how many there are.  Independent
+of the graphs, ``viable_prefix_counts`` counts viable prefixes by a level
+walk (``_levels``) that reads no memo, and ``_at_most`` stops that walk
+once a count passes k.
 
-    no cycle reachable            -> finitely many expansions (path count)
-    exactly one cycle per SCC     -> countably infinitely many
-    an SCC with two cycles        -> continuum many
-
-Independent of all that, ``viable_prefix_counts`` counts, for each depth n,
-the binary prefixes whose remainder stays in the domain; it serves as a
-cross-check oracle for the graph-based counts.  One level walk
-(``_levels``) computes them: it walks whole levels of remainders, except
-where a level is one remainder outside the switch region, a forced stretch
-that it steps with the orbit kernel's run, and it stops at a repeated
-level, whose count is exact.  Stopped once a count passes k, the same walk
-decides ``_at_most``: x's exact number of expansions when it is at most k,
-or a certified floor above k.
-
-All three walk orbits with one private kernel, ``_run``: it steps raw
-integer numerators over x's own denominator D under the field's region
-rule for D (``BaseField._rule``), and ``_reduced`` builds an element only
-where a value leaves it (graph nodes, switch points, unique-tail cycles
-and the orbit a run returns).  ``_run`` holds the certified double
-tracker's proof.
-
-Points of one base share switch points, so each field keeps one
-switch-point graph (``_ref``): every switch point a walk reaches gets an
-int id, keyed by its reduced form (den, *num), and keeps the two forced
-runs out of it once they are run, each with its length, its segment and
-its end (the id of the switch point it reaches, or a unique tail's cycle
-digits).  Ids index that graph within a walk (``_grow``) and name the
-ends of its stored runs; no record, view or memo key holds one.  A walk
-reads a stored run instead of running it: as it is under a step budget
-above its length, and cut to its first digits under any other
-(``_cut``).  A root memo keeps the root run of the last point asked,
-with the point's reduced form, so a count and then a listing of one
-point make one root run between them.
-
-Below x's root run, x's graph depends only on the run's end s (x's first
-switch point) and the caps.  ``_grow`` walks it breadth-first over the
-field's graph into a record (``_Below``), which names its nodes by their
-reduced forms, and one Tarjan pass (``_answer``) reads its count and
-which nodes are live.  Points of one base also share first switch
-points, so each field keeps an answer memo of records by (s's reduced
-form, max_steps, max_nodes), and a kept record also keeps the listings
-of ``_listing``, relative to s: canonical words are unique, so a point's
-listing is s's with the root segment prepended.  ``build_branch_graph``
-returns a read-only view of a record, whose tables it builds on first
-read; ``classify`` reads the count off the record, so a count builds no
-table, and a listing is walked on the record and assembles no graph.
-
-The field holds the root memo, the graph and the answer memo in one
-object (``_Memo``), in its slot ``_memo``.  They hold ints, bytes, lists,
-tuples, ``Cardinality`` and ``PeriodicWord`` records only, never an
-element, so a field is freed with them, and none stores a run that hit
-the step budget.  The root memo holds one run.  When the field's graph
-holds ``_MEMO_CAP`` switch points, the next walk replaces the whole
-object by an empty one, which bounds it: a record or view returned
-before names its nodes by reduced form, so it needs no old graph.  A
-walk adds at most 2 * max_nodes + 1 switch points, so the graph never
-holds more than _MEMO_CAP + 2 * max_nodes + 1.  The answer memo admits
-records and listings while the nodes and words it holds total at most
-``_MEMO_CAP``, and a full one still serves what it holds.
-``deterministic_run``, ``viable_prefix_counts`` and ``_at_most`` read no
-memo: the level walk stays an independent check of the graphs.
+Every walk steps raw numerators over x's denominator with one orbit kernel,
+``_run``.  Each field keeps its root memo, switch-point graph and answer
+memo of records in one object (``_Memo``), replaced whole once full.  The
+kernel is described in README's *Orbits over one denominator*, and the
+memos in README's *Switch points expanded once per field*.
 """
 
 from __future__ import annotations
@@ -281,8 +225,7 @@ def deterministic_run(x: AlgebraicReal, max_steps: int = DEFAULT_MAX_STEPS) -> R
 class Edge(NamedTuple):
     """One branch out of a switch point: the chosen digit, the digits forced
     after it, and where that leads (``kind``; ``target`` is the node or
-    terminal id, None for a limit).  A named tuple: immutable, hashable, and
-    equal to the plain tuple of its four fields."""
+    terminal id, None for a limit)."""
 
     digit: int
     segment: tuple[int, ...]
@@ -295,13 +238,9 @@ class BranchGraph:
     on the edges and unique tails collected as terminals.  ``limit`` names
     the limit that first truncated the graph: "max_steps" or "max_nodes".
 
-    A read-only view of the record of the graph below x's root run (see
-    ``_record``), as ``build_branch_graph`` returns it: each of ``nodes``,
-    ``edges`` and ``terminals`` is built from the record on that table's
-    first read, as a fresh dict the view then keeps, so a count builds none
-    of them.  The record names its nodes by reduced form, so the view reads
-    nothing of the field's memo, and a first read after the field replaced
-    it answers the same.  ``classify`` answers the view from its record."""
+    A read-only view of a record (``_Below``) that reads nothing of the
+    field's memo: each of ``nodes``, ``edges`` and ``terminals`` is built
+    from the record on its first read and kept."""
 
     def __init__(self, x: AlgebraicReal, segment: tuple[int, ...], below: _Below):
         self.field, self.start, self.root_segment = x.field, x, segment
@@ -328,28 +267,16 @@ class BranchGraph:
 
 def build_branch_graph(x: AlgebraicReal, max_steps: int = DEFAULT_MAX_STEPS,
                        max_nodes: int = DEFAULT_MAX_NODES) -> BranchGraph:
-    """Breadth-first closure of the switch points reachable from x.
-
-    The graph is a view of x's root segment and the record of the graph
-    below the root run's end (see ``_record``), whose tables it builds on
-    first read: the one the runs alone would build, with the same node ids,
-    edges, terminals and limit."""
+    """Breadth-first closure of the switch points reachable from x: the
+    graph the runs alone would build, with the same node ids, edges,
+    terminals and limit, as a view of x's record (``_record``)."""
     return BranchGraph(x, *_record(x, max_steps, max_nodes))
 
 
 def _record(x: AlgebraicReal, max_steps: int, max_nodes: int) -> tuple[tuple[int, ...], _Below]:
-    """x's root segment and the record of x's graph below the root run's end.
-
-    The field's memo (``_Memo``) is made on its first walk, and replaced
-    whole by an empty one once its graph holds ``_MEMO_CAP`` switch points.
-    x's root run is read from the root memo, in the kernel's shape and
-    under its rule (see ``_cut``), when x is the last point whose root run
-    was stored; otherwise it is run, and stored in place of that one unless
-    it hit the step budget.  When it ends at a switch point s whose graph
-    under these caps the answer memo holds, by s's reduced form, that
-    record is returned.  Otherwise the record is walked from the root run's
-    end (see ``_grow``), and the memo keeps it, marked ``kept``, while it
-    has room."""
+    """x's root segment and the record of x's graph below the root run's
+    end, each read from the field's memo (``_Memo``) when it holds it, and
+    otherwise run or walked (``_grow``) and kept while the memo has room."""
     field, memo = x.field, x.field._memo
     if memo is None or len(memo.graph) >= _MEMO_CAP:
         memo = field._memo = _Memo()
@@ -390,7 +317,15 @@ class _Memo:
     ``graph`` (each switch point reached, by id, as [key, digit 0's run,
     digit 1's run]), ``ids`` (those ids by reduced form), and the answer
     memo ``answers`` (records by (s's reduced form, max_steps, max_nodes))
-    with the nodes and words it holds, ``cells``."""
+    with the nodes and words it holds, ``cells``.
+
+    Runs are held as ``_run`` returns them, a graph's with a switch
+    point's id in place of its reduced form, and read under a budget at or
+    below their length by ``_cut``.  A run that hit the step budget is
+    never stored, and a stored run is never replaced.  The memo holds no
+    element, so a field is freed with it.  A walk adds at most
+    2 * max_nodes + 1 switch points, so the graph never holds more than
+    _MEMO_CAP + 2 * max_nodes + 1."""
 
     root: tuple = (None, None)
     graph: list[list] = dataclass_field(default_factory=list)
@@ -410,8 +345,7 @@ def _admit(memo: _Memo, cells: int) -> bool:
 
 def _ref(memo: _Memo, key: tuple[int, ...]) -> int:
     """The id of the switch point with reduced form ``key`` in the graph of
-    ``memo``, taking the next one if it has none: the graph may pass
-    ``_MEMO_CAP`` within one walk, which ``_record`` bounds."""
+    ``memo``, taking the next one if it has none."""
     ids, graph = memo.ids, memo.graph
     ref = ids.get(key)
     if ref is None:
@@ -460,16 +394,10 @@ def _grow(rule: _Rule, memo: _Memo, kind: Kind, end, max_steps: int, max_nodes: 
     breadth-first over the graph of ``memo`` with the kernel's ``rule`` for
     the point's denominator.
 
-    Each branch is a run in the kernel's shape (see ``_run``), with a
-    switch point at its end named by its id, started in HIGH for digit 0
-    and LOW for digit 1 when q > φ, and in its placed region otherwise (see
-    ``BaseField._tracking``): a stored run of length L is the run when
-    L < max_steps, and cut to the budget otherwise (``_cut``).  A branch
-    with no stored run is run, and stored unless it hit the budget, so no
-    stored run is ever replaced.  Nodes take local ids as the walk reaches
-    them, up to ``max_nodes``; each adds at most two switch points to the
-    graph, and the root one more.  Ids (``_ref``) index the graph within
-    the walk only: the record names each node by its key there."""
+    A branch starts in HIGH for digit 0 and LOW for digit 1 when q > φ (see
+    ``BaseField._tracking``), and in its placed region otherwise.  Nodes
+    take local ids as the walk reaches them, up to ``max_nodes``; ids
+    (``_ref``) index the field's graph within the walk only."""
     den, locate, field, graph = rule.den, rule.locate, rule.field, memo.graph
     # past φ, q * s is HIGH and q * s - 1 LOW for every switch point s
     starts = (HIGH, LOW) if field._tracker[7] else None
@@ -716,12 +644,9 @@ def _listing(
 
     Branches into nodes that cannot reach a unique tail are never followed
     (they would yield no word, only 2^depth paths) and make the listing
-    incomplete, though no limit was hit.  The walk lists the root run's end;
-    canonical words are unique, so each word of x is one of those with the
-    root segment prepended.  The walk reads the record of the graph below
-    the root run (see ``_record``) and assembles no graph; a record that
-    holds the listing serves it, and otherwise the walk runs once, and a
-    kept record keeps its words while the memo has room for them."""
+    incomplete, though no limit was hit.  The walk (``_walk``) lists the
+    root run's end on its record; canonical words are unique, so each word
+    of x is one of those with the root segment prepended."""
     segment, below = _record(x, max_steps, max_nodes)
     found = below.listings.get((max_count, max_depth))
     if found is None:
@@ -771,11 +696,8 @@ def viable_prefix_counts(x: AlgebraicReal, max_depth: int) -> list[int]:
     expansions of x, computed by pure interval filtering -- independent of
     the branch-graph machinery, which it cross-checks.  A remainder r in the
     domain extends by digit d exactly when q*r - d stays in it, that is when
-    r <= 1/(q(q-1)) for d = 0 and r >= 1/q for d = 1: by r's region.
-
-    The counts are those of the level walk (``_levels``), and where it stops
-    early, at a repeated level, the rest of the depth repeats its last
-    count.
+    r <= 1/(q(q-1)) for d = 0 and r >= 1/q for d = 1: by r's region.  The
+    level walk (``_levels``) takes the counts.
     """
     counts, _ = _levels(x, max_depth, math.inf)
     return counts + [counts[-1]] * (max_depth - len(counts))

@@ -1,24 +1,10 @@
-"""Command-line front end.
+"""Command-line front end: the subcommands eval, region, orbit, count,
+enumerate and verify.
 
-Subcommands: eval, region, orbit, count, enumerate, verify.  Each command
-holds only the options it reads (see ``build_parser``): every word command
-takes --field, --format, the word and --plus-one; of the bounds, eval and
-region read --digits, orbit --digits and --max-steps, count --max-steps
-and --max-nodes, and enumerate the four --max-* bounds; only orbit writes
-csv.  Each command returns its answer; ``main`` alone writes: the answer
-to stdout, and to stderr only the note of an incomplete answer or an
-error.  Exit codes: 0 success (and every verification check passed); 1 a
-verification check failed; 2 usage error (bad flags, an option the
-command does not read, csv outside orbit, a non-positive limit, malformed
-word or field spec, a field spec past its size caps, a base outside
-(1, 2) for any command but eval, a defining polynomial found reducible by
-a comparison, or an eval value with a coefficient past Python's
-int-to-str limit); 3 the answer is incomplete: a resource limit cut the
-computation short (step budget exhausted, truncated branch graph,
-enumeration depth or count; count and enumerate name that limit in their
-text answer's note and as "limit" in JSON), or enumerate skipped branches
-from which no unique tail can be reached.  A word command's answer
-depends on its arguments alone.
+Each command holds only the options it reads (``build_parser``) and returns
+its answer; ``main`` alone writes it, to stdout, and to stderr only the note
+of an incomplete answer or an error.  The options, the output and the exit
+codes are set out in README's *Output, limits, exit codes*.
 """
 
 from __future__ import annotations
@@ -276,16 +262,11 @@ class _Unread(argparse.Action):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls
-    (parsing never mutates it).
-
-    Each word command holds ``--field``, ``--format``, the bounds it reads
-    (``_WORD_COMMANDS``), the word and ``--plus-one``, and, hidden, the
-    bounds it refuses (``_Unread``); only ``orbit`` takes ``--format csv``.
-    ``verify`` holds only ``--format``, ``--profile`` and its check ids.
-    The parser's ``word_tables`` attribute maps each word command to the
-    table ``_scan`` reads, built from the actions that ``add_argument``
-    returned for the options it reads.  See ``_parse_args`` for how a call
-    is routed."""
+    (parsing never mutates it).  Each word command holds, hidden, the
+    bounds it does not read (``_Unread``).  The parser's ``word_tables``
+    attribute maps each word command to the table ``_scan`` reads, built
+    from the actions that ``add_argument`` returned for the options it
+    reads."""
     parser = argparse.ArgumentParser(
         prog="betaforge",
         description="Exact arithmetic for binary expansions in non-integer bases.")
@@ -370,9 +351,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     """Run one call (``sys.argv[1:]`` when argv is None), write its output
-    to stdout and its note or error to stderr, and return its exit code.  A
-    word command's plain call is read by one scan, any other call by
-    argparse; see ``_parse_args``."""
+    to stdout and its note or error to stderr, and return its exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse_args(argv)

@@ -1,51 +1,14 @@
 """Exact arithmetic in Q(q) for a fixed real algebraic base q.
 
-A base is described by a monic integer polynomial together with a rational
-interval that isolates exactly one real root.  No floating point is involved
-in any sign.  The one decision a double takes part in is the orbit kernel's
-region of a step, and only inside a proved error bound (``_tracking``).
-
-Lattice form.  An element is stored as integer numerators over one positive
-common denominator, ``(num, den)``, meaning sum(num[i] * q^i) / den, with
-gcd(num..., den) = 1.  Equality and hashing therefore compare tuples of
-ints.  Since the defining polynomial is monic, q is an algebraic integer:
-multiplying by q (one orbit step) is an integer shift plus one companion-row
-reduction and never grows ``den``.
-
-Signs.  Every comparison reduces to the sign of sum(num[i] * q^i).  Each
-field lazily fixes, on its first irrational sign, the scaled powers
-Q[i] = q^i * 2^P rounded to integers with |Q[i] - q^i * 2^P| < 3/2, at
-P = FILTER_BITS.  They come from a private copy of the isolating interval,
-halved in integers until it brackets every q^i closely enough, so the shared
-interval and everything printed from it stay as they are.  Then
-
-    |sum(num[i] * Q[i]) - 2^P * sum(num[i] * q^i)| < 2 * sum(|num[i]|),
-
-so whenever |sum(num[i] * Q[i])| > 2 * sum(|num[i]|) + 2 the sign of the
-integer sum is the sign of the element.  That is the filter: integers only,
-with a certified error bound.  When the sum is too small to decide, the same
-sum is taken at 64 more bits at a time, up to a zero bound: a precision at
-which a nonzero value certainly clears the error, so a sum still undecided
-there belongs to the value 0 (see ``AlgebraicReal._exact_sign``).
-
-Kernel.  Each field compiles its hot functions into straight-line code for
-its own constants: the orbit step q * num + low and the division
-|c0| * num / q, at construction, from the defining polynomial; and the
-filter sum with its error bound, on the first irrational sign, from the
-scaled powers; and the orbit kernel's placement, the same sum tested against
-integer thresholds, on the first region rule (``BaseField._rule``).  Every
-orbit walk, product, Horner pass, inverse and filter reads the step or the
-filter; word values fold their preperiods through the division.
-
-Decimals.  The same sums at a higher precision P enclose 2^P * den * value in
-an integer interval; both ends are rounded half to even, in integers, and P
-grows until they agree.  Floats come from the same sums.  No sign, decimal
-or float narrows the isolating interval: after construction it stays as
-given and certified.
-
-Inverses.  One fraction-free (Bareiss) elimination solves for the inverse in
-integers; every division in it is exact, and the result is reduced to the
-unique lattice form.
+A base is a monic integer polynomial with a rational interval that isolates
+exactly one real root (``BaseField``), and an element is integer numerators
+over one positive denominator, in lowest terms (``AlgebraicReal``).  Every
+sign is exact: an integer filter with a certified error decides it, at a
+precision that grows up to a zero bound (``AlgebraicReal._exact_sign``).
+The one decision a double takes part in is the orbit kernel's region of a
+step, and only inside a proved error bound (``BaseField._tracking``).  Each
+field compiles its hot functions into straight-line code for its own
+constants.  The design is set out in README's *How comparisons work*.
 """
 
 from __future__ import annotations
@@ -365,34 +328,15 @@ class BaseField:
     in it exactly), and the polynomial must have no rational root (for
     degrees 2 and 3 that makes irreducibility over Q a theorem; for higher
     degrees it is a screen, and the interval certificate still pins down a
-    single well-defined real number).  It computes in integers only, on one
-    cell (a, b, d) meaning [a/d, b/d], which ``_halved`` bisects: five times
-    from the given interval, then until the derivative has one sign on it.
+    single well-defined real number).  It works in integers only (README's
+    *Private interval copy*).
 
-    The isolating interval stays as construction certified it: signs,
-    comparisons, decimals and floats read q through a private copy of the
-    cell instead, so ``interval()`` and every printed ``"interval"`` depend
-    on the polynomial and the given interval alone (only an explicit
-    ``refine`` narrows it).  The field also owns its derived constants, each
-    kept in one form: the Cauchy bound ``_root_bound`` = 1 + max |c_i|,
-    above the absolute value of every root, which the rational-root screen,
-    the private cell's clamp and the exact sign's zero bound read; the
-    compiled orbit step ``_step`` (num, low) -> q * num + low, built at
-    construction from the companion row, through which products reduce; the
-    compiled division ``_unstep`` num -> |c0| * num / q, built beside it from
-    q^-1 = -(c1 + ... + q^(d-1)) / c0; and, each computed on first use, the
-    private cell ``_bracket`` (the finest halved so far), the scaled powers
-    at each precision asked for (those at FILTER_BITS feed the compiled
-    filter sum ``_filter()``), and the domain bounds 1/q, 1/(q(q-1)),
-    1/(q-1), whose scaled sums the bound elements cache themselves.
-    ``_rule`` keeps the orbit kernel's region rules by denominator in
-    ``_rules``, and builds the compiled placement ``_placement`` and the
-    float constants ``_tracker`` (``_tracking``) on its first call;
-    ``_period_inverse`` keeps 1/(q^p - 1) by period length p in
-    ``_period_inverses``.  Those two, like ``_domain``, hold elements of
-    the field, so the field is freed by the cycle collector.  ``_memo`` is
-    ``branching``'s, which owns its format (see ``branching._Memo``); it
-    holds no element, so the field is freed with it.
+    Signs, comparisons, decimals and floats read q through a private copy
+    of the certified interval (``_scaled_powers``), so ``interval()`` and
+    every printed ``"interval"`` depend on the polynomial and the given
+    interval alone (only an explicit ``refine`` narrows it).  The field
+    keeps each derived constant in one slot, computed at construction or on
+    first use; ``_memo`` is ``branching``'s (see ``branching._Memo``).
     """
 
     __slots__ = ("min_poly", "degree", "name", "_root_bound", "_cell", "_sign_lo", "_step",
@@ -603,31 +547,15 @@ class BaseField:
         of the numerators ``num`` for one fixed denominator ``den`` > 0 (the
         form need not be reduced), for values the caller knows to lie in
         the domain [0, 1/(q-1)]: only the switch bounds 1/q and 1/(q(q-1))
-        are compared.  The field keeps each rule it builds under ``den``
-        (``_rules``), at most ``_RULES_CAP`` of them: the first
-        ``_RULES_CAP`` - 1 stay, and the last slot holds the newest rule past
-        them, so a second fetch for the denominator just met, as
-        ``branching._start`` makes after ``words.region``, reads the rule
-        built by the first.
-
-        The value's scaled sum s, from the filter sum, is within
-        e = 2 * sum(|num[i]|) + 2 of 2^P * den * value, and each bound
-        b = sum(m[i] * q^i) / b.den has its scaled sum (S, E), which b
-        caches (``_scaled``).  The value is certainly below b when
-        b.den * (s + e) < den * (S - E), and above it when
-        b.den * (s - e) > den * (S + E).  s and e are integers, so for one
-        den these are s + e < lo and s - e > hi with the integer thresholds
-
-            lo = ceil(den * (S - E) / b.den),   hi = floor(den * (S + E) / b.den),
-
-        taken here, once per rule.  The compiled placement ``_placement``
-        (``_compile_place``, built with the first rule, as are the tracker
-        constants ``_tracking``) tests s against both bounds' thresholds in
-        ``locate``; ``_sieved`` is the same test on a sum already taken.
-        Where they cannot decide, the reduced element's ``_cmp`` does
-        (``exact``): its sign takes the scaled sums at a precision that
-        grows up to the zero bound of ``AlgebraicReal._exact_sign``, so
-        every answer is certified and none narrows the isolating interval.
+        are compared.  ``locate`` tests the filter sum against integer
+        thresholds taken once per rule (derived in README's *Orbits over one
+        denominator*), and the reduced element's ``_cmp`` decides where they
+        cannot (``exact``), so every answer is certified.  The field keeps
+        each rule it builds under ``den`` (``_rules``), at most
+        ``_RULES_CAP`` of them: the first ``_RULES_CAP`` - 1 stay, and the
+        last slot holds the newest rule past them, so a second fetch for the
+        denominator just met, as ``branching._start`` makes after
+        ``words.region``, reads the rule built by the first.
 
         The tracker starts only from a sum whose e is below
         cap = den * 2^P / 8, so that e * c < 1/8.  For a denominator with
@@ -773,11 +701,10 @@ class AlgebraicReal:
     the power basis 1, q, ..., q^(degree-1) and one positive denominator
     ``den``, reduced so that gcd(num..., den) = 1.
 
-    Arithmetic is exact.  Signs come from the field's integer filter, at a
-    precision that grows up to a zero bound when 128 bits cannot decide; two
-    elements are equal exactly when their lattice forms coincide.  Rationals
-    and ints mix freely with elements of a field; elements of two different
-    fields do not (MixedFields).
+    Arithmetic and signs are exact, and two elements are equal exactly
+    when their lattice forms coincide.  Rationals and ints mix freely with
+    elements of a field; elements of two different fields do not
+    (MixedFields).
     """
 
     __slots__ = ("field", "num", "den", "_approx")

@@ -1,24 +1,16 @@
 """Eventually periodic binary words and the expansion dynamics they feed.
 
-A word is an infinite binary sequence with a finite preperiod and a
-repeating period, written in a small grammar: digits 0/1, grouping with
-parentheses, ``(...)^k`` for k-fold repetition, and a final ``(...)*`` for
-the infinite tail.  Words are kept in canonical form (primitive period,
-shortest preperiod), so two words are equal exactly when they denote the
-same digit stream.
-
-The value of a word in a base field is sum(digit_i * q^-i).  The expansion
-dynamics on the domain [0, 1/(q-1)] are t0(x) = q*x and t1(x) = q*x - 1;
-the region of a point decides which branches keep it inside the domain:
+The value of a word in a base field is sum(digit_i * q^-i).  On the domain
+[0, 1/(q-1)], the maps t0(x) = q*x and t1(x) = q*x - 1 keep a point inside
+according to its region (``region``):
 
     low    [0, 1/q)                  only t0 stays
     switch [1/q, 1/(q(q-1))]         both t0 and t1 stay (branch point)
     high   (1/(q(q-1)), 1/(q-1)]     only t1 stays
 
-``region`` places any element: a point below 0 or above 1/(q-1) is
-outside, and any other is placed by the field's region rule for its
-denominator (``BaseField._rule``), the rule the orbit kernel in
-``branching`` steps with.
+Words are kept in canonical form (``PeriodicWord``), so two words are equal
+exactly when they denote the same digit stream.  ``parse_word`` reads the
+text of README's *Word grammar*.
 """
 
 from __future__ import annotations
@@ -288,21 +280,8 @@ def domain_bounds(field: BaseField) -> tuple[AlgebraicReal, AlgebraicReal, Algeb
 
 
 def eval_word(word: PeriodicWord, field: BaseField) -> AlgebraicReal:
-    """The value sum(digit_i * q^-i) of the word's stream, exactly, in one
-    backward pass.
-
-    With preperiod length n, period length p and A = sum(per_j * q^(p-j)),
-    the period's own stream has the value T = A / (q^p - 1), and the word's
-    is x = sum(pre_i * q^-i) + q^-n * T.  q is an algebraic integer, so one
-    Horner pass over the period through the field's compiled orbit step
-    yields A as integer numerators; T is A times 1/(q^p - 1), which the
-    field keeps per period length (``BaseField._period_inverse``).  Then the
-    preperiod folds from its last digit to its first, y <- (pre_i + y) / q,
-    through the compiled division ``_unstep``: adding a digit adds the
-    denominator to the constant numerator, and each division scales the
-    denominator by |c0|, which is 1 for a unit base.  One reduction at the
-    end gives the unique lattice form: no gcd, no element and no inverse
-    per digit."""
+    """The value sum(digit_i * q^-i) of the word's stream, exactly, by
+    README's *Word values in one backward pass*."""
     step = field._step
     num = (0,) * field.degree
     for d in word.period:
@@ -342,9 +321,7 @@ def region(x: AlgebraicReal) -> Region:
     """Which part of the domain [0, 1/(q-1)] the point lies in, or outside
     it.  A negative x, or one above 1/(q-1) by ``_cmp``, is outside; any
     other is placed by the field's region rule for x's denominator
-    (``BaseField._rule``): x's cached scaled sum, which ``_cmp`` took,
-    against the rule's thresholds, with the exact comparison where they
-    cannot decide."""
+    (``BaseField._rule``)."""
     top = x.field.domain_bounds()[2]  # first: a base outside (1, 2) raises for every x
     if x.sign() < 0 or x._cmp(top) > 0:
         return Region.OUTSIDE

@@ -1,9 +1,9 @@
 """The mutation table: source mutations that the tier-1 tests must catch.
 
 Each row replaces one exact text in one module of ``src/betaforge`` and
-names the tests that must fail on that mutant.  The runner copies ``src``
-and ``tests`` into a temporary directory, applies the row there, runs the
-named tests with pytest, and reports the row as
+names the tests that must fail on that mutant.  The runner copies ``src``,
+``tests`` and README.md into a temporary directory, applies the row there,
+runs the named tests with pytest, and reports the row as
 
     killed    every named test failed;
     timeout   pytest ran past TIMEOUT seconds: the mutant hangs the
@@ -179,6 +179,10 @@ ROWS = (
          _CLI + "test_a_word_command_refuses_an_option_it_does_not_read[count---format-csv-apart]",
          _CLI + "test_a_word_command_refuses_an_option_it_does_not_read[eval---format-csv-joined]"),
         "only orbit writes csv; any other command would answer in text under --format csv"),
+    Row("readme-pointer-renamed", "words.py",
+        "text of README's *Word grammar*.", "text of README's *Word syntax*.",
+        ("tests/test_numberfield.py::test_every_readme_pointer_in_a_docstring_names_a_readme_section",),
+        "a docstring that points into README must name a heading or bold bullet label it holds"),
 )
 
 
@@ -196,11 +200,13 @@ def apply(row: Row, src: Path) -> None:
 def run(row: Row) -> tuple[str, list[str]]:
     """The row's verdict ("killed", "timeout", "partial" or "survived") and
     the named tests that passed on its mutant, run on a mutated copy of src
-    and tests.  Raises RuntimeError when pytest cannot run the named tests."""
+    and tests beside a copy of README.md.  Raises RuntimeError when pytest
+    cannot run the named tests."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, Path(tmp) / part, ignore=skip)
+        shutil.copy(ROOT / "README.md", tmp)
         apply(row, Path(tmp) / "src")
         try:
             proc = subprocess.run(

@@ -1594,15 +1594,70 @@ def test_the_field_graph_holds_each_switch_point_once():
         assert len(below.nodes) == len(below.targets) // 2 == len(below.live)
 
 
-@pytest.mark.parametrize("name", ["golden", "qf"])
+# Pisot bases in (1, 2), each a polynomial (ascending coefficients) and an
+# interval isolating its root: the remainder graph of every point of the
+# field is finite, so the recount terminates.  They reach degrees 3 to 6 and
+# lie both below and above qf.
+_RECOUNT_FIELDS = {
+    "golden": _KERNEL_FIELDS["golden"],
+    "qf": _KERNEL_FIELDS["qf"],
+    # x^3 - x^2 - x - 1, ~1.839
+    "tribonacci": ((-1, -1, -1, 1), (Fraction(18, 10), Fraction(19, 10))),
+    # x^4 - x^3 - x^2 - x - 1, ~1.928
+    "tetranacci": ((-1, -1, -1, -1, 1), (Fraction(19, 10), Fraction(195, 100))),
+    # x^5 - x^4 - x^3 - x^2 - x - 1, ~1.966
+    "pentanacci": ((-1, -1, -1, -1, -1, 1), (Fraction(195, 100), Fraction(198, 100))),
+    # x^4 - 2x^3 + x - 1, ~1.867
+    "x4-2x3+x-1": ((-1, 1, 0, -2, 1), (Fraction(18, 10), Fraction(19, 10))),
+    # x^3 - x^2 - 1, ~1.466
+    "x3-x2-1": ((-1, 0, -1, 1), (Fraction(14, 10), Fraction(15, 10))),
+    # x^5 - x^3 - 2x^2 - 2x - 1, ~1.722
+    "x5-x3-2x2-2x-1": ((-1, -2, -2, -1, 0, 1), (Fraction(17, 10), Fraction(175, 100))),
+    # x^5 - x^4 - x^3 - 1, ~1.705
+    "x5-x4-x3-1": ((-1, 0, 0, -1, -1, 1), (Fraction(17, 10), Fraction(171, 100))),
+    # the plastic number, x^3 - x - 1, ~1.325
+    "plastic": ((-1, -1, 0, 1), (Fraction(13, 10), Fraction(14, 10))),
+    # x^4 - x^3 - 1, ~1.380
+    "x4-x3-1": ((-1, 0, 0, -1, 1), (Fraction(13, 10), Fraction(14, 10))),
+}
+
+
+@pytest.mark.parametrize("name", list(_RECOUNT_FIELDS))
 def test_counts_match_the_remainder_recount(name):
     # every canonical word with preperiod <= 6 and period <= 4, counted by
     # the branch graph and recounted on the remainder graph
-    F = define_field(*_KERNEL_FIELDS[name])
+    F = define_field(*_RECOUNT_FIELDS[name])
     assert len(_MEMO_WORDS) == 1408
     for word in _MEMO_WORDS:
         x = eval_word(word, F)
         assert count_expansions(x) == recount(x), str(word)
+
+
+@pytest.mark.parametrize("poly, interval, caps", [
+    # x^4 - x^3 - 2x + 1, ~1.559, not Pisot (a conjugate of modulus ~1.166):
+    # its graphs grow without bound, so acceptance caps
+    ((1, -2, 0, -1, 1), (Fraction(155, 100), Fraction(157, 100)), _ACCEPTANCE_CAPS),
+    (*_RECOUNT_FIELDS["plastic"], {}),
+], ids=["x4-x3-2x+1", "plastic"])
+def test_below_phi_no_interior_point_counts_finitely_many_or_aleph0(poly, interval, caps):
+    # below the golden ratio every point inside (0, 1/(q-1)) has continuum
+    # many expansions (Erdos, Joo and Komornik 1990), and the two ends one
+    # each: an interior answer may be a floor, but never finite or aleph0,
+    # and where every graph is finite (a Pisot base) it is Continuum
+    F = define_field(poly, interval)
+    assert (F.q * F.q - F.q - 1).sign() < 0  # q < phi
+    ends = {F.zero, domain_bounds(F)[2]}
+    kinds = set()
+    for word in _MEMO_WORDS:
+        x = eval_word(word, F)
+        card = count_expansions(x, **caps)
+        if x in ends:
+            assert card == Cardinality.finite(1), str(word)
+        else:
+            assert card.kind not in (Count.FINITE, Count.ALEPH0), (str(word), str(card))
+            kinds.add(card.kind)
+    if not caps:
+        assert kinds == {Count.CONTINUUM}
 
 
 class _Unreadable:

@@ -4,6 +4,7 @@ import ast
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -1157,3 +1158,43 @@ def test_only_numberfield_writes_a_field_slot_but_branchings_memo():
                 outside.setdefault(slot, []).append(f"{path.name}:{line}")
     assert list(outside) == ["_memo"], outside
     assert {where.partition(":")[0] for where in outside["_memo"]} == {"branching.py"}
+
+
+# a pointer from a docstring into README: README's *Section name*, where the
+# name may wrap over lines as the docstring wraps it
+_README_POINTER = re.compile(r"README's\s+\*([^*]+)\*")
+
+
+def _readme_sections(text: str) -> set[str]:
+    """README's headings, and the labels of its bold bullets less their
+    trailing period, outside fenced code blocks."""
+    names, fenced = set(), False
+    for line in text.splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif not fenced and (found := re.match(r"#+\s+(.+)|\s*- \*\*(.+?)\*\*", line)):
+            names.add(found[1] or found[2].rstrip("."))
+    return names
+
+
+def test_every_readme_pointer_in_a_docstring_names_a_readme_section():
+    # README owns the design narrative, and a docstring points to it by a
+    # heading or a bold bullet label; the module docstrings of branching,
+    # numberfield, cli and words each end with such a pointer
+    sections = _readme_sections((Path(__file__).resolve().parents[1] / "README.md").read_text())
+    pointers, ending = [], set()
+    for path in sorted(Path(numberfield.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            body = getattr(node, "body", None)
+            if (isinstance(body, list) and body and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                doc = body[0].value.value
+                pointers += [(path.name, " ".join(found[1].split()))
+                             for found in _README_POINTER.finditer(doc)]
+                if node is tree and re.search(r"README's\s+\*[^*]+\*\.$", doc.rstrip()):
+                    ending.add(path.stem)
+    assert pointers
+    assert [p for p in pointers if p[1] not in sections] == []
+    assert {"branching", "numberfield", "cli", "words"} <= ending
