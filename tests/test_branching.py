@@ -1596,7 +1596,7 @@ def test_the_field_graph_holds_each_switch_point_once():
 
 # Pisot bases in (1, 2), each a polynomial (ascending coefficients) and an
 # interval isolating its root: the remainder graph of every point of the
-# field is finite, so the recount terminates.  They reach degrees 3 to 6 and
+# field is finite, so the recount terminates.  They reach degrees 2 to 5 and
 # lie both below and above qf.
 _RECOUNT_FIELDS = {
     "golden": _KERNEL_FIELDS["golden"],
