@@ -95,7 +95,7 @@ class RunOutcome:
 
 
 def _run(rule: _Rule, n: tuple[int, ...], reg: Region, max_steps: int,
-         seen: dict[tuple[int, ...], int]) -> tuple:
+         seen: dict[tuple[int, ...], int], x: float, eps: float) -> tuple:
     """The orbit kernel: follow the forced branch from the value with
     numerators ``n`` over the rule's denominator D (in region ``reg``)
     until a switch point, a closed non-branching cycle, or the step budget.
@@ -107,8 +107,9 @@ def _run(rule: _Rule, n: tuple[int, ...], reg: Region, max_steps: int,
     there, see ``words``), so ``rule`` compares it with the switch bounds
     only.
 
-    Returns the memos' run shape (length, segment, kind, end), with
-    ``length`` the digits stepped: ``end`` is the switch point's reduced
+    Returns the memos' run shape (length, segment, kind, end), then the
+    tracker (x̂, ε) held after the last step, with ``length`` the digits
+    stepped: ``end`` is the switch point's reduced
     form (den, *num) (NODE, as ``_reduced`` reduces it, with no element
     built), the cycle's digits (TERMINAL, the cycle starting at step
     ``len(segment)`` and counted in the length), or the tuple after the
@@ -122,7 +123,8 @@ def _run(rule: _Rule, n: tuple[int, ...], reg: Region, max_steps: int,
     intervals [a0, a1] for 1/q and [b0, b1] for 1/(q(q-1)), and
     otherwise from the rule's placement: the filter sum (s, e), its
     thresholds, then ``exact``.  That placement restarts the tracker at
-    x̂ = s * c, ε = e * c + κ (see ``BaseField._rule``).  A step
+    x̂ = s * c, ε = e * c + κ (see ``BaseField._rule``).  The run starts
+    from the tracker (x, eps) it is given, (0.0, 1.0) for none.  A step
     x <- q * x - d sets x̂ <- q̂ * x̂ - d and ε <- q⁺ * ε + κ, with the
     field's constants (``BaseField._tracking``), and the tracker decides
     only while ε < 1/4.  Proof, with u = 2^-53 the unit roundoff and every value x
@@ -132,12 +134,19 @@ def _run(rule: _Rule, n: tuple[int, ...], reg: Region, max_steps: int,
       (e < cap), so |X| <= B, and the three roundings of float(s) * c
       put x̂ within 3.01 * u * B of X.  The rounded e * c + κ is at least
       e * c_true (1 - u)^4 + κ (1 - u), which covers both, since
-      κ >= 2^-48 (q̂ B + 1) >= 32 u B;
+      κ >= 2^-48 (q̂ B + 1) >= 32 u B.  A run from a point that
+      ``_start`` placed starts from that placement's own sum, x's cached
+      (s, e), so it is such a start;
     - at a step from ε < 1/4, |x̂| <= T + 1/4 <= B, so
       |fl(fl(q̂ x̂) - d) - (q x - d)| <= q ε + δ B + u |q̂ x̂| +
       u |fl(q̂ x̂) - d| <= q ε + δ B + 2^-52 (q̂ B + 1), and the rounded
       q⁺ * ε + κ is at least q⁺ ε (1 - u)^2 + κ (1 - u), which covers it,
-      since q⁺ >= q (1 + 2^-50) >= q / (1 - u)^2;
+      since q⁺ >= q (1 + 2^-50) >= q / (1 - u)^2.  ε only grows along
+      steps, so a tracker with ε < 1/4 came from a start by steps each
+      from ε < 1/4, and bounds its value.  A run that ends at a switch
+      point s returns such a tracker of s, and a branch run out of s
+      starts one step on from it (``_grow``), taken only from ε < 1/4:
+      x̂ <- q̂ * x̂ - d and ε <- q⁺ * ε + κ, a step this case covers;
     - a rounded x̂ + ε below a0 means x̂ + ε < a0 / (1 - u) <= 1/q, and
       a rounded x̂ - ε above a1 or b1 means x̂ - ε > a1 / (1 + u) >= 1/q,
       or above 1/(q(q-1)): the interval's widening covers the rounding.
@@ -148,15 +157,14 @@ def _run(rule: _Rule, n: tuple[int, ...], reg: Region, max_steps: int,
     step, filt, minus_one = field._step, field._filter_sum, -den
     q, q_up, kappa, a0, a1, b0, b1, _ = field._tracker
     digits: list[int] = []
-    x, eps = 0.0, 1.0  # x̂ and ε: no tracker until the first placement
     for i in range(max_steps):
         if reg is SWITCH:
             g = math.gcd(den, *n)
             end = (den, *n) if g == 1 else (den // g, *[v // g for v in n])
-            return i, tuple(digits), NODE, end
+            return i, tuple(digits), NODE, end, x, eps
         at = seen.setdefault(n, i)
         if at != i:
-            return i, tuple(digits[:at]), TERMINAL, tuple(digits[at:])
+            return i, tuple(digits[:at]), TERMINAL, tuple(digits[at:]), x, eps
         if reg is LOW:
             digits.append(0)
             n = step(n, 0)
@@ -182,16 +190,22 @@ def _run(rule: _Rule, n: tuple[int, ...], reg: Region, max_steps: int,
             x, eps = s * c, e * c + kappa
         else:
             eps = 1.0
-    return max_steps, tuple(digits), LIMIT, n
+    return max_steps, tuple(digits), LIMIT, n, x, eps
 
 
-def _start(x: AlgebraicReal) -> tuple[_Rule, Region]:
-    """The kernel's rule for x's denominator and x's region; a point
+def _start(x: AlgebraicReal) -> tuple[_Rule, Region, float, float]:
+    """The kernel's rule for x's denominator, x's region, and the tracker
+    (x̂, ε) that restarts from the filter sum (s, e) ``region`` took on x,
+    or (0.0, 1.0), no tracker, when e is not below the rule's cap; a point
     outside the domain raises."""
     reg = region(x)
     if reg is Region.OUTSIDE:
         raise OutsideDomain(f"{x} is outside [0, 1/(q-1)]")
-    return x.field._rule(x.den), reg
+    rule = x.field._rule(x.den)
+    s, e = x._scaled()
+    if e < rule.cap:
+        return rule, reg, s * rule.scale, e * rule.scale + x.field._tracker[2]
+    return rule, reg, 0.0, 1.0
 
 
 def _over(key: tuple[int, ...], den: int) -> tuple[int, ...]:
@@ -204,10 +218,10 @@ def _over(key: tuple[int, ...], den: int) -> tuple[int, ...]:
 def deterministic_run(x: AlgebraicReal, max_steps: int = DEFAULT_MAX_STEPS) -> RunOutcome:
     """Follow the forced branch from x until a switch point, a closed
     non-branching cycle, or the step budget."""
-    rule, reg = _start(x)
+    rule, reg, x_hat, eps = _start(x)
     field, den = x.field, x.den
     seen: dict[tuple[int, ...], int] = {}
-    _, segment, kind, end = _run(rule, x.num, reg, max_steps, seen)
+    _, segment, kind, end, _, _ = _run(rule, x.num, reg, max_steps, seen, x_hat, eps)
     orbit = [_reduced(field, n, den) for n in seen]
     if kind is TERMINAL:
         at = len(segment)
@@ -281,11 +295,13 @@ def _record(x: AlgebraicReal, max_steps: int, max_nodes: int) -> tuple[tuple[int
     if memo is None or len(memo.graph) >= _MEMO_CAP:
         memo = field._memo = _Memo()
     key, (held, run) = (x.den, *x.num), memo.root
-    rule = None
+    # a held root run's switch point is in the graph already, with its tracker
+    rule, x_hat, eps = None, 0.0, 1.0
     if held != key:
-        rule, reg = _start(x)
-        run = _run(rule, x.num, reg, max_steps, {})
-        if run[2] is not LIMIT:
+        rule, reg, x_hat, eps = _start(x)
+        length, segment, kind, end, x_hat, eps = _run(rule, x.num, reg, max_steps, {}, x_hat, eps)
+        run = length, segment, kind, end
+        if kind is not LIMIT:
             memo.root = key, run
     elif run[0] >= max_steps:
         run = _cut(run, max_steps)
@@ -294,7 +310,7 @@ def _record(x: AlgebraicReal, max_steps: int, max_nodes: int) -> tuple[tuple[int
     memo_key = (end, max_steps, max_nodes) if kind is NODE else None
     below = memo.answers.get(memo_key)
     if below is None:
-        below = _grow(rule or field._rule(x.den), memo, kind, end, max_steps, max_nodes)
+        below = _grow(rule or field._rule(x.den), memo, kind, end, x_hat, eps, max_steps, max_nodes)
         if memo_key and _admit(memo, len(below.nodes) + 1):
             below.kept = True
             memo.answers[memo_key] = below
@@ -315,7 +331,9 @@ class _Memo:
     whole (see ``_record``): the root memo ``root`` (the last point's
     reduced form and root run, or (None, None)), the switch-point graph
     ``graph`` (each switch point reached, by id, as [key, digit 0's run,
-    digit 1's run]), ``ids`` (those ids by reduced form), and the answer
+    digit 1's run, x̂, ε], with the tracker that the run which first
+    reached it held there, see ``_run``), ``ids`` (those ids by reduced
+    form), and the answer
     memo ``answers`` (records by (s's reduced form, max_steps, max_nodes))
     with the nodes and words it holds, ``cells``.
 
@@ -343,14 +361,15 @@ def _admit(memo: _Memo, cells: int) -> bool:
     return True
 
 
-def _ref(memo: _Memo, key: tuple[int, ...]) -> int:
+def _ref(memo: _Memo, key: tuple[int, ...], x: float, eps: float) -> int:
     """The id of the switch point with reduced form ``key`` in the graph of
-    ``memo``, taking the next one if it has none."""
+    ``memo``, taking the next one if it has none, with the tracker (x̂, ε)
+    that the run which reached it held there."""
     ids, graph = memo.ids, memo.graph
     ref = ids.get(key)
     if ref is None:
         ref = ids[key] = len(graph)
-        graph.append([key, None, None])
+        graph.append([key, None, None, x, eps])
     return ref
 
 
@@ -388,19 +407,24 @@ class _Below:
     listings: dict[tuple[int, int], tuple] = dataclass_field(default_factory=dict)
 
 
-def _grow(rule: _Rule, memo: _Memo, kind: Kind, end, max_steps: int, max_nodes: int) -> _Below:
+def _grow(rule: _Rule, memo: _Memo, kind: Kind, end, x: float, eps: float, max_steps: int,
+          max_nodes: int) -> _Below:
     """The graph below a root run that ended as (kind, end), with ``end`` a
-    switch point's reduced form or a unique tail's cycle digits, walked
-    breadth-first over the graph of ``memo`` with the kernel's ``rule`` for
-    the point's denominator.
+    switch point's reduced form or a unique tail's cycle digits, and (x, eps)
+    the tracker the run held there, walked breadth-first over the graph of
+    ``memo`` with the kernel's ``rule`` for the point's denominator.
 
     A branch starts in HIGH for digit 0 and LOW for digit 1 when q > φ (see
-    ``BaseField._tracking``), and in its placed region otherwise.  Nodes
-    take local ids as the walk reaches them, up to ``max_nodes``; ids
-    (``_ref``) index the field's graph within the walk only."""
+    ``BaseField._tracking``), and in its placed region otherwise.  Both
+    branches of a switch point start from its entry's tracker (x̂, ε),
+    stepped once as the kernel steps it, when ε < 1/4, and with no tracker
+    otherwise.  Nodes take local ids as the walk reaches them, up to
+    ``max_nodes``; ids (``_ref``) index the field's graph within the walk
+    only."""
     den, locate, field, graph = rule.den, rule.locate, rule.field, memo.graph
+    q, q_up, kappa, _, _, _, _, above_phi = field._tracker
     # past φ, q * s is HIGH and q * s - 1 LOW for every switch point s
-    starts = (HIGH, LOW) if field._tracker[7] else None
+    starts = (HIGH, LOW) if above_phi else None
     local: dict[int, int] = {}  # a node's id in the field's graph -> its local id
     refs: list[int] = []  # each node's id in the field's graph, by local id
     targets: list[int | None] = []  # by edge 2 * node id + digit
@@ -421,19 +445,24 @@ def _grow(rule: _Rule, memo: _Memo, kind: Kind, end, max_steps: int, max_nodes: 
             limit = limit or ("max_nodes" if kind is NODE else "max_steps")
         return t
 
-    root = resolve(kind, _ref(memo, end) if kind is NODE else end)
+    root = resolve(kind, _ref(memo, end, x, eps) if kind is NODE else end)
     for ref in refs:  # grows as switch points are found: breadth-first
         entry, n = graph[ref], None
         for slot in (1, 2):  # digit 0's run, then digit 1's
             run = entry[slot]
             if run is None:
                 if n is None:
-                    n = _over(entry[0], den)
+                    n, x, eps = _over(entry[0], den), entry[3], entry[4]
+                    # one kernel step on from the switch point's tracker, less the digit
+                    x, eps = (q * x, q_up * eps + kappa) if eps < 0.25 else (0.0, 1.0)
                 # both branches of a switch point stay in the domain
                 branch = field._step(n, (1 - slot) * den)
                 reg = starts[slot - 1] if starts else locate(branch)
-                length, segment, kind, end = _run(rule, branch, reg, max_steps, {})
-                run = length, segment, kind, _ref(memo, end) if kind is NODE else end
+                length, segment, kind, end, x_end, eps_end = _run(rule, branch, reg, max_steps, {},
+                                                                  x + (1 - slot), eps)
+                if kind is NODE:
+                    end = _ref(memo, end, x_end, eps_end)
+                run = length, segment, kind, end
                 if kind is not LIMIT:
                     entry[slot] = run
             elif run[0] >= max_steps:
@@ -722,26 +751,33 @@ def _levels(x: AlgebraicReal, max_levels: int, ceiling: float) -> tuple[list[int
     the run of equal counts it is in (a switch point doubles the count), and
     no level of several remainders equals one of one, so a repeat inside a
     stretch is a repeat of one of the stretch's own remainders.  Like the
-    walk, the stretch reads no memo.
+    walk, the stretch reads no memo.  A stretch from x starts from the
+    tracker of x's placement (``_start``), and a later one with none.
     """
     if max_levels < 1:
         raise ValueError("depth must be >= 1")
-    rule, _ = _start(x)
+    rule, reg, x_hat, eps = _start(x)
     step, locate, den, minus_one = x.field._step, rule.locate, x.den, -x.den
     level: dict[tuple[int, ...], int] = {x.num: 1}
     counts: list[int] = []
     run_count = 1
     seen: set[frozenset] = set()  # the levels of the current run of equal counts
     while len(counts) < max_levels:
-        if len(level) == 1 and (reg := locate(n := next(iter(level)))) is not SWITCH:
-            length, _, kind, end = _run(rule, n, reg, max_levels - len(counts), {})
+        # reg: the region of a level of one remainder once placed, else None
+        if reg is None and len(level) == 1:
+            reg = locate(next(iter(level)))
+        if reg is LOW or reg is HIGH:
+            (n,) = level
+            length, _, kind, end, _, _ = _run(rule, n, reg, max_levels - len(counts), {},
+                                              x_hat, eps)
             counts += [level[n]] * length
             if kind is not NODE:  # a closed cycle, or the level cap inside the stretch
                 return counts, kind is TERMINAL
-            level = {_over(end, den): counts[-1]}
+            level, reg = {_over(end, den): counts[-1]}, SWITCH
         nxt: dict[tuple[int, ...], int] = {}
         for n, mult in level.items():
-            reg = locate(n)
+            if len(level) > 1:
+                reg = locate(n)
             if reg is SWITCH:
                 r = step(n)
                 nxt[r] = nxt.get(r, 0) + mult
@@ -763,7 +799,8 @@ def _levels(x: AlgebraicReal, max_levels: int, ceiling: float) -> tuple[list[int
         else:
             run_count = count
             seen.clear()
-        level = nxt
+        # only x was placed before: a later stretch starts with no tracker
+        level, reg, eps = nxt, None, 1.0
     return counts, False
 
 

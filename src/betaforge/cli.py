@@ -259,6 +259,17 @@ class _Unread(argparse.Action):
         parser.error(f"unrecognized arguments: {option_string} {values}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose abbreviations resolve among the options a command
+    reads: a prefix unique among them names that option, whatever hidden
+    bounds (``_Unread``) it also starts, and only a prefix that starts no
+    read option may name an unread bound."""
+
+    def _get_option_tuples(self, option_string):
+        found = super()._get_option_tuples(option_string)
+        return [t for t in found if not isinstance(t[0], _Unread)] or found
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls
@@ -267,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     attribute maps each word command to the table ``_scan`` reads, built
     from the actions that ``add_argument`` returned for the options it
     reads."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="betaforge",
         description="Exact arithmetic for binary expansions in non-integer bases.")
     sub = parser.add_subparsers(dest="command", required=True)

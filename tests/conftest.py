@@ -131,7 +131,7 @@ def level_oracle(x, max_depth):
     in the current run of equal counts."""
     if max_depth < 1:
         raise ValueError("depth must be >= 1")
-    rule, _ = _start(x)
+    rule = _start(x)[0]
     step, locate, minus_one = rule.field._step, rule.locate, -rule.den
     level = {x.num: 1}
     counts = []

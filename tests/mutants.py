@@ -143,6 +143,18 @@ ROWS = (
         (_BRANCHING + "test_the_tracker_restarts_where_its_bound_reaches_a_quarter[q2]",
          _BRANCHING + "test_the_tracker_restarts_where_its_bound_reaches_a_quarter[qf]"),
         "kappa holds for |x| <= T + 1 only: past 1/4 the tracker stops and a placement restarts it"),
+    Row("branch-seed-bound-not-stepped", "branching.py",
+        "(q * x, q_up * eps + kappa) if eps < 0.25", "(q * x, eps) if eps < 0.25",
+        (_BRANCHING + "test_every_run_starts_from_the_tracker_its_start_gives[q2]",
+         _BRANCHING + "test_every_run_starts_from_the_tracker_its_start_gives[qf]"),
+        "a branch starts one kernel step on from its switch point's tracker: its bound grows by "
+        "that step's q⁺ and κ, as every step's does"),
+    Row("start-seed-without-kappa", "branching.py",
+        "e * rule.scale + x.field._tracker[2]", "e * rule.scale",
+        (_BRANCHING + "test_runs_equal_the_region_loop_on_every_small_word[q2]",
+         _BRANCHING + "test_every_run_starts_from_the_tracker_its_start_gives[golden]"),
+        "a run from a placed point starts from the placement's own restart: e * c bounds the "
+        "sum's error, and κ covers the roundings of s * c"),
     Row("float-up-not-corrected", "numberfield.py",
         "return f if a * d >= n * b else math.nextafter(f, math.inf)", "return f",
         ("tests/test_numberfield.py::test_float_up_and_its_negation_bracket_the_ratio",),

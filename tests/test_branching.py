@@ -8,6 +8,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 from collections import deque
 from fractions import Fraction
 from pathlib import Path
@@ -1002,7 +1003,12 @@ def test_kernel_matches_element_loops_near_domain_bounds(name, which, k, offset,
     else:
         x = bound + Fraction(offset, 2**k)
     caps = {"max_steps": 40, "max_nodes": 8}
-    assert _kernel_answers(x, caps, 6) == _reference_answers(x, caps, 6)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _recorded_runs(mp)
+        got = _kernel_answers(x, caps, 6)
+    assert got == _reference_answers(x, caps, 6)
+    # each run started from the tracker that _start or _grow seeds it with
+    _check_seeds(F, calls)
 
 
 def test_kernel_falls_back_to_exact_comparisons_below_filter_resolution(monkeypatch):
@@ -1445,9 +1451,11 @@ def test_switch_point_keys_are_the_reduced_form(name, data):
         st.lists(st.integers(-10**9, 10**9), min_size=F.degree, max_size=F.degree)))
     rule = F._rule(den)
     assert rule.field is F and rule.den == den
-    length, segment, kind, key = branching._run(rule, num, Region.SWITCH, 1, {})
+    length, segment, kind, key, x_hat, eps = branching._run(rule, num, Region.SWITCH, 1, {},
+                                                            0.0, 1.0)
     v = numberfield._reduced(F, num, den)
     assert (length, segment, kind, key) == (0, (), NODE, (v.den, *v.num))
+    assert (x_hat, eps) == (0.0, 1.0)  # a run of no step holds the tracker it started with
 
 
 @settings(max_examples=60, deadline=None)
@@ -1464,7 +1472,7 @@ def test_a_stored_run_is_the_run_under_every_budget_above_its_length(name, word)
     key, run = memo.root
     assert key in (None, (x.den, *x.num))
     starts = [] if key is None else [(x, x.num, run)]
-    for (den, *num), *runs in memo.graph:
+    for (den, *num), *runs, _, _ in memo.graph:
         node = AlgebraicReal(F, tuple(num), den)
         # the field's graph names a run's switch point by its id there
         starts += [(node, F._step(node.num, -digit * den),
@@ -1479,7 +1487,7 @@ def test_a_stored_run_is_the_run_under_every_budget_above_its_length(name, word)
         for digit in digits:
             stepped.append(F._step(stepped[-1], -digit * point.den))
         for budget in [*range(length + 3), 10_000]:
-            got = branching._run(rule, n, rule.locate(n), budget, {})
+            got = branching._run(rule, n, rule.locate(n), budget, {}, 0.0, 1.0)[:4]
             if budget > length:
                 assert got == run
             else:
@@ -1538,7 +1546,7 @@ def test_budgets_within_stored_runs_step_nothing(name):
         memo = F._memo
         assert memo.root[0] == (x.den, *x.num)
         longest = max([memo.root[1][0]] + [
-            run[0] for key in graph._below.nodes for run in memo.graph[memo.ids[key]][1:]])
+            run[0] for key in graph._below.nodes for run in memo.graph[memo.ids[key]][1:3]])
         F._step = counted
         for max_steps in range(1, longest + 2):
             caps = {"max_steps": max_steps, "max_nodes": branching.DEFAULT_MAX_NODES}
@@ -1718,7 +1726,7 @@ def test_a_root_run_past_the_bound_builds_its_region_rule_once(monkeypatch):
     monkeypatch.setattr(numberfield, "_Rule",
                         lambda *fields: built.append(fields[-1]) or Rule(*fields))
     x = F.from_rational(Fraction(1, cap + 1))
-    rule, reg = branching._start(x)
+    rule, reg, _, _ = branching._start(x)
     assert built == [cap + 1]
     assert (rule.den, reg) == (cap + 1, region(x))
     assert len(F._rules) == cap and F._rules[cap + 1] is rule
@@ -1734,7 +1742,7 @@ def test_lower_step_budgets_replace_no_stored_run():
         build_branch_graph(x)
     graph = F._memo.graph
     before = [list(entry) for entry in graph]
-    runs = [run for _, *pair in before for run in pair if run is not None]
+    runs = [run for _, *pair, _, _ in before for run in pair if run is not None]
     assert any(run[0] >= 3 for run in runs) and all(run[0] >= 1 for run in runs)
     for max_steps in (3, 1):
         for x in points:
@@ -1952,15 +1960,79 @@ def _swept(name):
     return F, [AlgebraicReal(F, key[1:], key[0]) for key, *_ in F._memo.graph]
 
 
+def _bounds(value, x_hat, eps):
+    """Whether a tracker (x̂, ε) with ε < 1/4 bounds ``value``: the test's
+    own enclosure of it lies within x̂ ± ε."""
+    lo, hi = enclosure(value, Fraction(1, 2**90))
+    return Fraction(x_hat) - Fraction(eps) <= lo and hi <= Fraction(x_hat) + Fraction(eps)
+
+
+def _start_seed(rule, n):
+    """The tracker a run from a placed point with numerators ``n`` over the
+    rule's denominator starts from: the placement's own restart from the
+    filter sum (s, e), or no tracker when e is not below the rule's cap."""
+    s, e = rule.field._filter()(n)
+    kappa = rule.field._tracking()[2]
+    return (s * rule.scale, e * rule.scale + kappa) if e < rule.cap else (0.0, 1.0)
+
+
+def _branch_seed(field, x_hat, eps, digit):
+    """The tracker both branches of a switch point start from: one more
+    kernel step of the point's tracker (x̂, ε), when ε < 1/4."""
+    q, q_up, kappa = field._tracking()[:3]
+    return (q * x_hat - digit, q_up * eps + kappa) if eps < 0.25 else (0.0, 1.0)
+
+
+def _recorded_runs(mp):
+    """Every kernel run (``_run``) from now on: the name of the function
+    that made it, what it had at hand (a walk's graph entry and slot, and
+    whether a level walk had counted levels), and the run's arguments."""
+    calls = []
+    run = branching._run
+
+    def recorded(*args):
+        caller = sys._getframe(1)
+        at_hand = caller.f_locals
+        calls.append((caller.f_code.co_name, at_hand.get("entry"), at_hand.get("slot"),
+                      bool(at_hand.get("counts")), args))
+        return run(*args)
+
+    mp.setattr(branching, "_run", recorded)
+    return calls
+
+
+def _check_seeds(field, calls):
+    """Each recorded run started from the tracker its start gives: a branch
+    from its switch point's entry in the field's graph, a run from a point
+    ``_start`` placed from that point's filter sum, and a later stretch of
+    a level walk with none; and each tracker with ε < 1/4 bounds its value."""
+    for caller, entry, slot, later, (rule, n, reg, budget, seen, x_hat, eps) in calls:
+        value = numberfield._reduced(field, n, rule.den)
+        if caller == "_grow":
+            digit = slot - 1
+            assert AlgebraicReal(field, entry[0][1:], entry[0][0]).times_q_minus(digit) == value
+            assert (x_hat, eps) == _branch_seed(field, *entry[3:], digit)
+        elif later:
+            assert caller == "_levels" and eps == 1.0
+        else:
+            assert caller in ("_record", "deterministic_run", "_levels")
+            assert (x_hat, eps) == _start_seed(rule, n)
+        assert eps >= 0.25 or _bounds(value, x_hat, eps)
+
+
 @pytest.mark.parametrize("name", _TRACKER_NAMES)
 def test_runs_equal_the_region_loop_on_every_small_word(name):
     F = define_field(*_KERNEL_FIELDS[name])
+    seeded = 0
     for word in _MEMO_WORDS:
         x = eval_word(word, F)
-        rule, reg = branching._start(x)
+        rule, reg, x_hat, eps = branching._start(x)
+        assert (x_hat, eps) == _start_seed(rule, x.num)
+        seeded += eps < 0.25
         seen = {}
-        got = branching._run(rule, x.num, reg, 250, seen)
-        assert (got, seen) == _placed_run(rule, x.num, region(x), 250), str(word)
+        got = branching._run(rule, x.num, reg, 250, seen, x_hat, eps)
+        assert (got[:4], seen) == _placed_run(rule, x.num, region(x), 250), str(word)
+    assert seeded == len(_MEMO_WORDS)  # every sweep word's filter sum starts a tracker
 
 
 @settings(max_examples=200, deadline=None)
@@ -1968,16 +2040,60 @@ def test_runs_equal_the_region_loop_on_every_small_word(name):
        st.sampled_from([1, 3, 17, 250, 1000]))
 def test_runs_from_switch_point_branches_equal_the_region_loop(name, pick, digit, budget):
     # a start as the walk makes it: a branch out of a switch point, over the
-    # point's own denominator, in the region the walk passes
+    # point's own denominator, in the region the walk passes, from the
+    # tracker its entry in the field's graph keeps
     F, points = _swept(name)
     s = points[pick % len(points)]
+    entry = F._memo.graph[pick % len(points)]
     rule = F._rule(s.den)
     branch = F._step(s.num, -digit * s.den)
     reg = (Region.HIGH, Region.LOW)[digit] if F._tracking()[7] else rule.locate(branch)
     assert reg is region(s.times_q_minus(digit))
+    x_hat, eps = _branch_seed(F, *entry[3:], digit)
+    assert eps >= 0.25 or _bounds(s.times_q_minus(digit), x_hat, eps)
     seen = {}
-    got = branching._run(rule, branch, reg, budget, seen)
-    assert (got, seen) == _placed_run(rule, branch, reg, budget)
+    got = branching._run(rule, branch, reg, budget, seen, x_hat, eps)
+    assert (got[:4], seen) == _placed_run(rule, branch, reg, budget)
+    # the tracker a run ends with at a switch point, which its entry keeps
+    if got[2] is NODE and got[5] < 0.25:
+        assert _bounds(AlgebraicReal(F, got[3][1:], got[3][0]), *got[4:])
+
+
+@pytest.mark.parametrize("name", _TRACKER_NAMES)
+def test_every_run_starts_from_the_tracker_its_start_gives(name):
+    # every run of a cold count, listing, orbit and prefix count: branches
+    # one step on from their switch point's tracker, placed points from
+    # their own filter sum, each bound sound
+    F = define_field(*_KERNEL_FIELDS[name])
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _recorded_runs(mp)
+        for word in _MEMO_WORDS[::10]:
+            x = eval_word(word, F)
+            count_expansions(x, **_ACCEPTANCE_CAPS)
+            deterministic_run(x, max_steps=250)
+            viable_prefix_counts(x, 30)
+    assert {call[0] for call in calls} == {"_grow", "_record", "deterministic_run", "_levels"}
+    assert sum(call[-1][-1] < 0.25 for call in calls) > len(calls) // 2
+    _check_seeds(F, calls)
+
+
+def test_a_cold_q2_sweep_places_few_kernel_steps():
+    # the kernel's integer placements: every run starts with a tracker, so a
+    # placement comes only where a bound reaches 1/4 or a value's filter
+    # error is too large to start one
+    F = define_field(*_KERNEL_FIELDS["q2"])
+    points = [eval_word(word, F) for word in _MEMO_WORDS]
+    placed = []
+    filt = F._filter()
+    F._filter_sum = lambda num: (sys._getframe(1).f_code.co_name == "_run"
+                                 and placed.append(num)) or filt(num)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _recorded_runs(mp)
+        for x in points:
+            count_expansions(x, **_ACCEPTANCE_CAPS)
+    F._filter_sum = filt
+    assert len(calls) > 5000
+    assert len(placed) * 20 < len(calls)
 
 
 @pytest.mark.parametrize("name", ["q2", "qf"])
@@ -2007,12 +2123,14 @@ def test_the_tracker_restarts_where_its_bound_reaches_a_quarter(name):
     out = deterministic_run(x, max_steps=400)
     assert out.segment == (0,) * 300 and out.end == SwitchHit(domain_bounds(F)[0])
     steps = {v.num: i for i, v in enumerate(out.orbit)}
-    at = sorted({steps[n] for n in placed if n in steps and steps[n] > 0})
+    # the run starts from the filter sum region(x) took, a placement at step 0
+    at = sorted({0} | {steps[n] for n in placed if n in steps and steps[n] > 0})
     q, q_up, kappa = F._tracking()[:3]
     rule = F._rule(x.den)
-    assert at[0] == 1 and at[-1] == 300
+    assert at[-1] == 300
     for start, stop in zip(at, at[1:]):
-        eps = filt(out.orbit[start].num)[1] * rule.scale + kappa
+        e = filt(out.orbit[start].num)[1]
+        eps = e * rule.scale + kappa if e < rule.cap else 1.0
         for _ in range(start + 1, stop):
             eps = q_up * eps + kappa
             assert eps < 0.25  # every step the tracker decided

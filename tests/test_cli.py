@@ -684,6 +684,46 @@ def test_a_word_command_refuses_an_option_it_does_not_read(capsys, monkeypatch, 
     assert (exc.value.code, *capsys.readouterr()) == (code, out, err)
 
 
+@pytest.mark.parametrize("form", ["apart", "joined"])
+@pytest.mark.parametrize("command, prefix, option, value, word", [
+    ("orbit", "--max", "--max-steps", "3", "1(0)*"),
+    ("orbit", "--m", "--max-steps", "3", "1(0)*"),
+    ("count", "--max-n", "--max-nodes", "5", "(0)*"),
+    ("enumerate", "--max-c", "--max-count", "2", "1(0000)^2 0(10)*"),
+    ("region", "--d", "--digits", "9", "1(0)*"),
+])
+def test_a_prefix_unique_among_the_options_a_command_reads_names_that_option(
+        capsys, command, prefix, option, value, word, form):
+    # the hidden unread bounds take no part in an abbreviation that names
+    # one option the command reads
+    argv = [command, *([prefix, value] if form == "apart" else [f"{prefix}={value}"]), word]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == run(capsys, command, option, value, word)
+    assert code in (0, 3) and out
+
+
+def test_orbit_max_3_reads_max_steps(capsys):
+    assert run(capsys, "orbit", "--max", "3", "1(0)*") == (0, "0.584575 [SWITCH]\n", "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--max-steps", "3", "1(0)*"], "unrecognized arguments: --max-steps 3"),
+    (["orbit", "--max-n", "4", "1(0)*"], "unrecognized arguments: --max-nodes 4"),
+    (["orbit", "--max-n=4", "1(0)*"], "unrecognized arguments: --max-nodes 4"),
+    (["eval", "--max", "3", "1(0)*"],
+     "ambiguous option: --max could match --max-steps, --max-nodes, --max-depth, --max-count"),
+    (["count", "--max", "3", "(0)*"],
+     "ambiguous option: --max could match --max-steps, --max-nodes"),
+])
+def test_a_prefix_of_no_read_option_or_of_several_stays_refused(capsys, argv, message):
+    # a prefix that starts no option the command reads names the unread
+    # bound it starts, and is refused naming it; one that starts several
+    # read options is ambiguous among those
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: betaforge") and message in err
+
+
 def test_digits_must_be_positive(capsys):
     code, _, err = run(capsys, "eval", "--digits", "0", "(0)*")
     assert code == 2
