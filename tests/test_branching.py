@@ -2085,13 +2085,12 @@ def test_a_cold_q2_sweep_places_few_kernel_steps():
     points = [eval_word(word, F) for word in _MEMO_WORDS]
     placed = []
     filt = F._filter()
-    F._filter_sum = lambda num: (sys._getframe(1).f_code.co_name == "_run"
-                                 and placed.append(num)) or filt(num)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(F, "_filter_sum", lambda num: (sys._getframe(1).f_code.co_name == "_run"
+                                                  and placed.append(num)) or filt(num))
         calls = _recorded_runs(mp)
         for x in points:
             count_expansions(x, **_ACCEPTANCE_CAPS)
-    F._filter_sum = filt
     assert len(calls) > 5000
     assert len(placed) * 20 < len(calls)
 
