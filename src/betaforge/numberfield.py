@@ -149,24 +149,27 @@ def _sturm_count(chain: list[list[int]], a: int, b: int, d: int) -> int:
 
 
 def _sum_source(terms: list[str]) -> str:
-    """Source text of the sum of ``terms``, grouped as a balanced tree: the
-    compiler nests a chain of additions one level per term, so a long chain
-    would exhaust its recursion limit."""
+    """Source text of the sum of ``terms``, each signed as ``_times`` writes
+    it ("+ x" or "- x"), grouped as a balanced tree: the compiler nests a
+    chain of additions one level per term, so a long chain would exhaust
+    its recursion limit."""
     if len(terms) <= 16:
-        return " + ".join(terms)
+        return " ".join(terms).removeprefix("+ ")
     mid = len(terms) // 2
     return f"({_sum_source(terms[:mid])}) + ({_sum_source(terms[mid:])})"
 
 
-def _compiled(name: str, degree: int, params: str, result: str, consts: dict[str, object]):
+def _compiled(name: str, degree: int, params: str, result: str, consts: dict[str, object],
+              body: Sequence[str] = ()):
     """``def name(params)``, which unpacks its first argument ``num`` into
-    a0 ... a{degree-1} and returns ``result``.  As in ``dataclasses``, the
-    source holds identifiers only: the constants reach the code as the
-    closure variables ``consts``, never as text."""
+    a0 ... a{degree-1}, runs the statements ``body`` and returns ``result``.
+    As in ``dataclasses``, the source holds identifiers only: the constants
+    reach the code as the closure variables ``consts``, never as text."""
     unpack = ", ".join(f"a{i}" for i in range(degree))
     src = (f"def make({', '.join(consts)}):\n"
            f" def {name}({params}):\n"
            f"  {unpack}, = num\n"
+           + "".join(f"  {line}\n" for line in body) +
            f"  return {result}\n"
            f" return {name}")
     namespace: dict = {}
@@ -215,13 +218,36 @@ def _compile_unstep(coeffs: Sequence[int]):
     return _compiled("unstep", d, "num", f"[{', '.join(terms)}]", consts)
 
 
+def _compile_mul(row: Sequence[int]):
+    """The product for a companion row: ``mul(num, onum)`` gives the
+    numerators of sum(num[i] q^i) * sum(onum[j] q^j), in straight-line code.
+    Coefficient k of the schoolbook product is the convolution of num[i]
+    and onum[k - i]; the upper ones, k >= degree d, are folded from the top
+    down through q^k = sum(row[i] q^(k-d+i)), so that t{k} holds
+    coefficient k with every higher one folded in, and the d lower ones,
+    with theirs, are the product.  As in the step a row coefficient 0 or
+    +-1 costs no multiplication."""
+    d = len(row)
+    body, out, consts = [f"{', '.join(f'b{j}' for j in range(d))}, = onum"], [], {}
+    for k in range(2 * d - 2, -1, -1):
+        terms = [f"+ a{i} * b{k - i}" for i in range(max(0, k - d + 1), min(k, d - 1) + 1)]
+        for m in range(max(d, k + 1), min(k + d + 1, 2 * d - 1)):
+            terms.append(_times(f"t{m}", row[k - m + d], f"r{k - m + d}", consts))
+        total = _sum_source([term for term in terms if term])
+        if k >= d:
+            body.append(f"t{k} = {total}")
+        else:
+            out.append(total)
+    return _compiled("mul", d, "num, onum", f"({', '.join(reversed(out))},)", consts, body)
+
+
 def _filter_source(powers: Sequence[int]) -> tuple[str, str, dict[str, object]]:
     """The source of the sign filter's sum s = sum(num[i] * Q[i]) and of its
     error e = 2 * sum(|num[i]|) + 2 for scaled powers Q, and the constants
     Q{i} they read."""
     d = len(powers)
-    return (_sum_source([f"a{i} * Q{i}" for i in range(d)]),
-            f"2 * ({_sum_source([f'abs(a{i})' for i in range(d)])}) + 2",
+    return (_sum_source([f"+ a{i} * Q{i}" for i in range(d)]),
+            f"2 * ({_sum_source([f'+ abs(a{i})' for i in range(d)])}) + 2",
             {f"Q{i}": Q for i, Q in enumerate(powers)})
 
 
@@ -340,8 +366,8 @@ class BaseField:
     """
 
     __slots__ = ("min_poly", "degree", "name", "_root_bound", "_cell", "_sign_lo", "_step",
-                 "_unstep", "_bracket", "_filter_sum", "_placement", "_tracker", "_fine", "_domain",
-                 "_rules", "_period_inverses", "_memo", "__weakref__")
+                 "_unstep", "_mul", "_bracket", "_filter_sum", "_placement", "_tracker", "_fine",
+                 "_domain", "_rules", "_period_inverses", "_memo", "__weakref__")
 
     def __init__(
         self,
@@ -361,7 +387,7 @@ class BaseField:
         self.degree = len(coeffs) - 1
         self.name = name
         self._bracket: tuple[int, int, int] | None = None
-        self._filter_sum = self._placement = self._memo = None
+        self._mul = self._filter_sum = self._placement = self._memo = None
         self._tracker: tuple | None = None
         self._fine: dict[int, tuple[int, ...]] = {}
         self._domain: tuple[AlgebraicReal, AlgebraicReal, AlgebraicReal] | None = None
@@ -443,6 +469,14 @@ class BaseField:
         for _ in range(steps):
             self._cell = self._halved(self._cell)
         return self.interval()
+
+    def _product(self):
+        """The compiled product (see ``_compile_mul``), built on first use:
+        its source grows as the square of the degree (README's *Compiled
+        kernel*)."""
+        if self._mul is None:
+            self._mul = _compile_mul([-c for c in self.min_poly[:-1]])
+        return self._mul
 
     # -- sign filter ---------------------------------------------------------
 
@@ -680,14 +714,16 @@ def _reduced(field: BaseField, num: Sequence[int], den: int) -> "AlgebraicReal":
 
 
 def _coerced(method: Callable) -> Callable:
-    """``method(self, o)`` as an operator of AlgebraicReal: an int, a
-    Fraction or an element of the same field becomes the operand ``o`` (see
-    ``AlgebraicReal._coerce``), an element of another field raises
-    MixedFields, and any other operand returns NotImplemented, so Python
-    tries the reflected operator or raises TypeError."""
+    """``method(self, o)`` as an operator of AlgebraicReal: an element of
+    the same field is the operand ``o`` as it is, an int or a Fraction
+    becomes one (see ``AlgebraicReal._coerce``), an element of another
+    field raises MixedFields, and any other operand returns NotImplemented,
+    so Python tries the reflected operator or raises TypeError."""
 
     @wraps(method)
     def operator(self, other):
+        if other.__class__ is AlgebraicReal and other.field is self.field:
+            return method(self, other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -769,18 +805,8 @@ class AlgebraicReal:
 
     @_coerced
     def __mul__(self, o):
-        d = self.field.degree
-        prod = [0] * (2 * d - 1)
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in enumerate(o.num):
-                    if b:
-                        prod[i + j] += a * b
-        # Horner from q^(d-1) down through the orbit step, which reduces q^d
-        step, acc = self.field._step, prod[d - 1:]
-        for k in range(d - 2, -1, -1):
-            acc = step(acc, prod[k])
-        return _reduced(self.field, acc, self.den * o.den)
+        field = self.field
+        return _reduced(field, field._product()(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -837,18 +863,21 @@ class AlgebraicReal:
     __rtruediv__ = _coerced(lambda self, o: o * self.inverse())
 
     def __pow__(self, n: int):
+        """x^n by squaring from the top bit down, on numerators: one
+        reduction at the end."""
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n == 0:
+            return self.field.one
+        product, num = self.field._product(), self.num
+        acc = num
+        for bit in bin(n)[3:]:
+            acc = product(acc, acc)
+            if bit == "1":
+                acc = product(acc, num)
+        return _reduced(self.field, acc, self.den**n)
 
     # -- order ---------------------------------------------------------------
 
@@ -917,13 +946,14 @@ class AlgebraicReal:
         return (self - o).sign()
 
     def __eq__(self, other):
-        try:
-            o = self._coerce(other)
-        except MixedFields:
-            return False
-        if o is None:
-            return NotImplemented
-        return self.den == o.den and self.num == o.num
+        if other.__class__ is not AlgebraicReal or other.field is not self.field:
+            try:
+                other = self._coerce(other)
+            except MixedFields:
+                return False
+            if other is None:
+                return NotImplemented
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
         num = self.num

@@ -288,8 +288,8 @@ def eval_word(word: PeriodicWord, field: BaseField) -> AlgebraicReal:
         num = step(num, d)
     den = 1
     if any(num):
-        period = AlgebraicReal(field, num, 1) * field._period_inverse(len(word.period))
-        num, den = period.num, period.den
+        inverse = field._period_inverse(len(word.period))
+        num, den = field._product()(num, inverse.num), inverse.den
     unstep, scale = field._unstep, abs(field.min_poly[0])
     num = list(num)
     for d in reversed(word.preperiod):

@@ -191,6 +191,19 @@ ROWS = (
          _CLI + "test_a_word_command_refuses_an_option_it_does_not_read[count---format-csv-apart]",
          _CLI + "test_a_word_command_refuses_an_option_it_does_not_read[eval---format-csv-joined]"),
         "only orbit writes csv; any other command would answer in text under --format csv"),
+    Row("product-fold-sign-flipped", "numberfield.py",
+        'terms.append(_times(f"t{m}", row[k - m + d],', 'terms.append(_times(f"t{m}", -row[k - m + d],',
+        (_BRANCHING + "test_compiled_product_matches_the_generic_loops",
+         _BRANCHING + "test_products_match_the_schoolbook_reference",
+         _BRANCHING + "test_powers_match_repeated_schoolbook_products"),
+        "the product's upper terms fold in through q^d = +row: with -row it multiplies modulo "
+        "another polynomial, still a commutative ring, so the ring axioms alone miss it"),
+    Row("power-odd-bit-squares", "numberfield.py",
+        "acc = product(acc, num)", "acc = product(acc, acc)",
+        (_BRANCHING + "test_powers_match_repeated_schoolbook_products",
+         "tests/test_numberfield.py::test_high_degree_word_value_is_fast"),
+        "a set bit of the exponent multiplies by x once: squaring there doubles the exponent read "
+        "so far instead of adding 1"),
     Row("readme-pointer-renamed", "words.py",
         "text of README's *Word grammar*.", "text of README's *Word syntax*.",
         ("tests/test_numberfield.py::test_every_readme_pointer_in_a_docstring_names_a_readme_section",),

@@ -1069,6 +1069,20 @@ _ROW_COEFFS = st.one_of(st.sampled_from([0, 1, -1]), st.integers(2**64, 2**80),
 _BIG_INTS = st.integers(-2**200, 2**200)
 
 
+def _ref_product(num, onum, row):
+    """Numerators of sum(num[i] q^i) * sum(onum[j] q^j): the schoolbook
+    terms, the upper half folded into the lower by Horner steps."""
+    d = len(row)
+    prod = [0] * (2 * d - 1)
+    for i, a in enumerate(num):
+        for j, b in enumerate(onum):
+            prod[i + j] += a * b
+    acc = tuple(prod[d - 1:])
+    for k in range(d - 2, -1, -1):
+        acc = _ref_times_q(acc, row, prod[k])
+    return acc
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_ROW_COEFFS, min_size=2, max_size=12), st.data())
 def test_compiled_step_and_filter_sum_match_the_generic_loops(row, data):
@@ -1079,6 +1093,14 @@ def test_compiled_step_and_filter_sum_match_the_generic_loops(row, data):
     assert step(num) == _ref_times_q(num, row)
     powers = data.draw(st.lists(_BIG_INTS, min_size=len(row), max_size=len(row)))
     assert numberfield._compile_filter(powers)(num) == _ref_filter_sum(num, powers)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ROW_COEFFS, min_size=2, max_size=12), st.data())
+def test_compiled_product_matches_the_generic_loops(row, data):
+    num, onum = (tuple(data.draw(st.lists(_BIG_INTS, min_size=len(row), max_size=len(row))))
+                 for _ in range(2))
+    assert numberfield._compile_mul(row)(num, onum) == _ref_product(num, onum, row)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1127,6 +1149,35 @@ def test_products_match_the_schoolbook_reference(name, data):
     for a, b in ((x, y), (y, x), (x, x)):
         p = a * b
         assert (p.num, p.den) == _ref_mul(a, b)
+
+
+# small numerators over small denominators: a power's numerators grow with
+# its exponent
+_POWER_INTS = st.integers(-3, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_MUL_FIELDS), st.data())
+def test_powers_match_repeated_schoolbook_products(name, data):
+    F = _mul_field(name)
+    x = numberfield._reduced(F, data.draw(st.lists(_POWER_INTS, min_size=F.degree,
+                                                  max_size=F.degree)),
+                             data.draw(st.integers(1, 6)))
+    if x.is_zero():
+        assert x**0 == 1 and x**3 == 0
+        return
+    # x^n for n in -4 ... 20, each one more schoolbook product on the last:
+    # by x upward from 1, and by 1/x downward
+    for base, ns in ((x, range(0, 21)), (x.inverse(), range(0, -5, -1))):
+        ref = (F.one.num, F.one.den)
+        for n in ns:
+            p = x**n
+            assert (p.num, p.den) == ref, n
+            ref = _ref_mul(AlgebraicReal(F, *ref), base)
+    assert x**0 == 1
+    m, n = data.draw(st.integers(-4, 8)), data.draw(st.integers(-4, 8))
+    assert x**m * x**n == x**(m + n)
+    assert (x**m)**n == x**(m * n)
 
 
 def test_compiled_kernel_at_a_degree_past_the_compilers_nesting_limit():

@@ -473,6 +473,9 @@ def test_mixed_fields_rejected():
 
 def test_cross_field_equality_is_false():
     assert q2_field().q != qf_field().q
+    # another field of the same polynomial is another field
+    twin = define_field((-1, -1, -2, 0, 1), (Fraction(17, 10), Fraction(43, 25)))
+    assert twin.q != q2_field().q and twin.one != q2_field().one
     # identical rationals still compare equal through coercion
     assert q2_field().one == 1
     assert q2_field().from_rational(Fraction(1, 2)) == Fraction(1, 2)
@@ -595,27 +598,63 @@ def test_refined_enclosure_narrows():
 _small = st.builds(
     Fraction, st.integers(-8, 8), st.integers(1, 8)
 )
-_vectors = st.tuples(_small, _small, _small, _small)
 
 
 @st.composite
-def _elements(draw):
-    return q2_field().element(draw(_vectors))
+def _elements(draw, F=None):
+    F = F or q2_field()
+    return F.element(draw(st.lists(_small, min_size=F.degree, max_size=F.degree)))
 
 
+# the process-wide fields and a quintic, x^5 - x^3 - x^2 - x - 1 (~1.534):
+# the compiled product has one fold term per row coefficient, so the
+# degree and the row's zeros and +-1s change its code
+_AXIOM_FIELDS = {
+    "q2": q2_field(),
+    "qf": qf_field(),
+    "golden": golden_field(),
+    "x5-x3-x2-x-1": define_field((-1, -1, -1, -1, 0, 1), (Fraction(3, 2), Fraction(31, 20))),
+}
+
+
+@pytest.mark.parametrize("name", list(_AXIOM_FIELDS))
 @settings(max_examples=60, deadline=None)
-@given(_elements(), _elements(), _elements())
-def test_ring_axioms(a, b, c):
+@given(data=st.data())
+def test_ring_axioms(name, data):
+    F = _AXIOM_FIELDS[name]
+    a, b, c = (data.draw(_elements(F)) for _ in range(3))
     assert (a + b) * c == a * c + b * c
     assert a * (b * c) == (a * b) * c
+    assert a * b == b * a
     assert a + b == b + a
-    assert a - a == q2_field().zero
+    assert a - a == F.zero
+    assert a * 1 == a and a * 0 == F.zero
 
 
+@pytest.mark.parametrize("name", list(_AXIOM_FIELDS))
 @settings(max_examples=60, deadline=None)
-@given(_elements(), _elements())
-def test_sign_multiplicative(a, b):
+@given(data=st.data())
+def test_sign_multiplicative(name, data):
+    a, b = (data.draw(_elements(_AXIOM_FIELDS[name])) for _ in range(2))
     assert (a * b).sign() == a.sign() * b.sign()
+
+
+def test_the_product_is_compiled_on_a_fields_first_product(monkeypatch):
+    # construction compiles no product: its source grows as the square of
+    # the degree.  Sums, signs, comparisons, inverses and a finite word's
+    # value take none; the first product compiles it, once
+    built = []
+    compile_mul = numberfield._compile_mul
+    monkeypatch.setattr(numberfield, "_compile_mul", lambda row: built.append(row) or compile_mul(row))
+    F = define_field((-1, -1, -2, 0, 1), (Fraction(17, 10), Fraction(43, 25)))
+    x = F.element([1, Fraction(-2, 3), 0, 5])
+    assert F._mul is None
+    assert (x + 1 - x == 1 and x.sign() == 1 and x > 2 and x.inverse().inverse() == x
+            and to_decimal(x, 9) and float(x) > 0 and eval_word(parse_word("0110"), F) > 0)
+    assert F._mul is None and built == []
+    assert x * x == x**2 and (x**5 / 3) * 3 == x**5 and 3 / x == 3 * x.inverse()
+    assert eval_word(parse_word("(01)*"), F) * (F.q**2 - 1) == 1
+    assert built == [[1, 1, 2, 0]] and F._product() is F._mul is not None
 
 
 @settings(max_examples=40, deadline=None)
