@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from typing import Iterator, NamedTuple, Sequence
 
-from .numberfield import AlgebraicReal, Region, _reduced, _Rule, _sieved
+from .numberfield import AlgebraicReal, Region, _reduced, _Rule
 from .words import PeriodicWord, region
 
 DEFAULT_MAX_STEPS = 10_000
@@ -121,8 +121,8 @@ def _run(rule: _Rule, n: tuple[int, ...], reg: Region, max_steps: int,
     Each step's region comes from a double x̂ of the value x with a bound
     |x̂ - x| <= ε, when x̂ ± ε lies clear of the field's certified double
     intervals [a0, a1] for 1/q and [b0, b1] for 1/(q(q-1)), and
-    otherwise from the rule's placement: the filter sum (s, e), its
-    thresholds, then ``exact``.  That placement restarts the tracker at
+    otherwise from the rule's placement: the filter sum (s, e), then the
+    rule's ``sieve``.  That placement restarts the tracker at
     x̂ = s * c, ε = e * c + κ (see ``BaseField._rule``).  The run starts
     from the tracker (x, eps) it is given, (0.0, 1.0) for none.  A step
     x <- q * x - d sets x̂ <- q̂ * x̂ - d and ε <- q⁺ * ε + κ, with the
@@ -153,7 +153,7 @@ def _run(rule: _Rule, n: tuple[int, ...], reg: Region, max_steps: int,
 
     A step whose ε reaches 1/4 takes the placement, which restarts the
     tracker; a value whose e is not below the rule's cap starts none."""
-    _, lo0, hi0, lo1, hi1, c, cap, exact, field, den = rule
+    _, sieve, c, cap, field, den = rule
     step, filt, minus_one = field._step, field._filter_sum, -den
     q, q_up, kappa, a0, a1, b0, b1, _ = field._tracker
     digits: list[int] = []
@@ -185,7 +185,7 @@ def _run(rule: _Rule, n: tuple[int, ...], reg: Region, max_steps: int,
                 reg = SWITCH
                 continue
         s, e = filt(n)
-        reg = _sieved(s, e, lo0, hi0, lo1, hi1) or exact(n)
+        reg = sieve(s, e, n)
         if e < cap:
             x, eps = s * c, e * c + kappa
         else:
@@ -414,8 +414,9 @@ def _grow(rule: _Rule, memo: _Memo, kind: Kind, end, x: float, eps: float, max_s
     the tracker the run held there, walked breadth-first over the graph of
     ``memo`` with the kernel's ``rule`` for the point's denominator.
 
-    A branch starts in HIGH for digit 0 and LOW for digit 1 when q > φ (see
-    ``BaseField._tracking``), and in its placed region otherwise.  Both
+    A branch starts in HIGH for digit 0 and LOW for digit 1 when the
+    field's certified bound puts q above φ (see ``BaseField._tracking``),
+    and in its placed region otherwise.  Both
     branches of a switch point start from its entry's tracker (x̂, ε),
     stepped once as the kernel steps it, when ε < 1/4, and with no tracker
     otherwise.  Nodes take local ids as the walk reaches them, up to

@@ -312,31 +312,19 @@ _RULES_CAP = 16
 _INVERSES_CAP = 16
 
 
-def _sieved(s: int, e: int, lo0: int, hi0: int, lo1: int, hi1: int) -> Region | None:
-    """The region a filter sum s with error e gives against a rule's
-    thresholds (see ``BaseField._rule``), or None where they cannot decide:
-    the compiled placement's test, on a sum already taken."""
-    return (Region.LOW if s + e < lo0 else None if s - e <= hi0 else Region.SWITCH if s + e < lo1
-            else Region.HIGH if s - e > hi1 else None)
-
-
 class _Rule(NamedTuple):
     """One denominator's region rule (see ``BaseField._rule``), which is
     also the orbit kernel for that denominator (``branching._run``):
-    ``locate``, the thresholds it tests the filter sum s against, ``scale``
-    c, the double nearest 1/(den * 2^P), which turns s into the value's
-    double, ``cap``, the filter errors e below which the kernel's tracker
-    starts from (s, e), ``exact``, the placement by the reduced element's
-    ``_cmp``, and the ``field`` and ``den`` it places values of."""
+    ``locate``, ``sieve``, the same placement from a filter sum (s, e) the
+    caller already took, ``scale`` c, the double nearest 1/(den * 2^P),
+    which turns s into the value's double, ``cap``, the filter errors e
+    below which the kernel's tracker starts from (s, e), and the ``field``
+    and ``den`` it places values of."""
 
     locate: Callable[[Sequence[int]], Region]
-    lo0: int
-    hi0: int
-    lo1: int
-    hi1: int
+    sieve: Callable[[int, int, Sequence[int]], Region]
     scale: float
     cap: int
-    exact: Callable[[Sequence[int]], Region]
     field: BaseField
     den: int
 
@@ -532,12 +520,14 @@ class BaseField:
         scaled-sum enclosure widened by a relative 2^-50 and rounded outward,
         so that a rounded x̂ + ε below a0 puts x below 1/q, and likewise at
         each end.  Each is a ratio of integers, rounded once.
-        ``above_phi`` is q > φ, decided exactly as 1/(q(q-1)) < 1: then for
-        every switch point s, q * s lies in [1, T], above 1/(q(q-1)), and
-        q * s - 1 in [0, (2-q)/(q-1)], below 1/q, since both strict
-        inequalities are q^2 - q - 1 > 0; so a walk starts those branches
-        in HIGH and LOW without placing them.  At q = φ they are
-        equalities, and q * (1/q) = 1 is a switch point."""
+        ``above_phi`` is b1 < 1, which certifies 1/(q(q-1)) < 1, so q > φ,
+        with no exact comparison: then for every switch point s, q * s lies
+        in [1, T], above 1/(q(q-1)), and q * s - 1 in [0, (2-q)/(q-1)],
+        below 1/q, since both strict inequalities are q^2 - q - 1 > 0; so a
+        walk starts those branches in HIGH and LOW without placing them.
+        At q = φ they are equalities, and q * (1/q) = 1 is a switch point;
+        there, below φ, and wherever [b0, b1] holds 1, the flag is off and
+        a walk places its branch starts, which is always exact."""
         if self._tracker is None:
             low, switch, upper = self.domain_bounds()
             p, wide = FILTER_BITS, 1 << 50
@@ -554,7 +544,7 @@ class BaseField:
                 s, e = bound._scaled()
                 consts += (-_float_up((e - s) * (wide - 1), bound.den * wide << p),
                            _float_up((s + e) * (wide + 1), bound.den * wide << p))
-            self._tracker = (*consts, switch._cmp(self.one) < 0)
+            self._tracker = (*consts, consts[-1] < 1.0)
         return self._tracker
 
     # -- derived constants -----------------------------------------------------
@@ -584,7 +574,9 @@ class BaseField:
         are compared.  ``locate`` tests the filter sum against integer
         thresholds taken once per rule (derived in README's *Orbits over one
         denominator*), and the reduced element's ``_cmp`` decides where they
-        cannot (``exact``), so every answer is certified.  The field keeps
+        cannot, so every answer is certified; ``sieve(s, e, num)`` places
+        the same way from the sum (s, e) of ``num`` the caller already
+        took, so no other module reads a threshold.  The field keeps
         each rule it builds under ``den`` (``_rules``), at most
         ``_RULES_CAP`` of them: the first ``_RULES_CAP`` - 1 stay, and the
         last slot holds the newest rule past them, so a second fetch for the
@@ -602,8 +594,8 @@ class BaseField:
         low, switch, _ = self.domain_bounds()
         place = self._placement
         if place is None:
-            place = self._placement = _compile_place(self._scaled_powers())
             self._tracking()
+            place = self._placement = _compile_place(self._scaled_powers())
         (s0, e0), (s1, e1) = low._scaled(), switch._scaled()
         lo0, hi0 = -(den * (e0 - s0) // low.den), den * (s0 + e0) // low.den
         lo1, hi1 = -(den * (e1 - s1) // switch.den), den * (s1 + e1) // switch.den
@@ -613,12 +605,16 @@ class BaseField:
             return (Region.LOW if x._cmp(low) < 0 else Region.SWITCH if x._cmp(switch) <= 0
                     else Region.HIGH)
 
+        def sieve(s: int, e: int, num: Sequence[int]) -> Region:
+            return (Region.LOW if s + e < lo0 else None if s - e <= hi0 else Region.SWITCH
+                    if s + e < lo1 else Region.HIGH if s - e > hi1 else None) or exact(num)
+
         def locate(num: Sequence[int]) -> Region:
             return place(num, lo0, hi0, lo1, hi1) or exact(num)
 
         scaled = den << FILTER_BITS
-        rule = _Rule(locate, lo0, hi0, lo1, hi1, 1 / scaled,
-                     scaled >> 3 if scaled.bit_length() < 900 else 0, exact, self, den)
+        rule = _Rule(locate, sieve, 1 / scaled, scaled >> 3 if scaled.bit_length() < 900 else 0,
+                     self, den)
         if len(self._rules) == _RULES_CAP:
             self._rules.popitem()  # the newest rule takes the last slot
         self._rules[den] = rule

@@ -19,7 +19,7 @@ import functools
 import math
 from typing import Iterable
 
-from .numberfield import AlgebraicReal, BaseField, Region, _reduced, _sieved
+from .numberfield import AlgebraicReal, BaseField, Region, _reduced
 
 
 class WordSyntaxError(ValueError):
@@ -320,14 +320,12 @@ def apply_digits(x: AlgebraicReal, digits: Iterable[int]) -> AlgebraicReal:
 def region(x: AlgebraicReal) -> Region:
     """Which part of the domain [0, 1/(q-1)] the point lies in, or outside
     it.  A negative x, or one above 1/(q-1) by ``_cmp``, is outside; any
-    other is placed by the field's region rule for x's denominator
-    (``BaseField._rule``)."""
+    other is placed from its cached filter sum by the ``sieve`` of the
+    field's region rule for x's denominator (``BaseField._rule``)."""
     top = x.field.domain_bounds()[2]  # first: a base outside (1, 2) raises for every x
     if x.sign() < 0 or x._cmp(top) > 0:
         return Region.OUTSIDE
-    _, lo0, hi0, lo1, hi1, _, _, exact, _, _ = x.field._rule(x.den)
-    s, e = x._scaled()
-    return _sieved(s, e, lo0, hi0, lo1, hi1) or exact(x.num)
+    return x.field._rule(x.den).sieve(*x._scaled(), x.num)
 
 
 def reflect_point(x: AlgebraicReal) -> AlgebraicReal:

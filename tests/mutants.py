@@ -127,6 +127,15 @@ ROWS = (
          _BRANCHING + "test_golden_cycle_is_countably_infinite"),
         "the switch interval is closed: a point at exactly 1/(q(q-1)), golden's 1, is a switch "
         "point, not HIGH"),
+    Row("sieve-without-exact-fallback", "numberfield.py",
+        "else Region.HIGH if s - e > hi1 else None) or exact(num)",
+        "else Region.HIGH if s - e > hi1 else None)",
+        (_BRANCHING + "test_a_rules_sieve_places_like_locate_and_region",
+         _BRANCHING + "test_region_rules_past_the_bound_answer_like_region",
+         "tests/test_words.py::test_region_golden_one_is_boundary",
+         "tests/test_words.py::test_a_reducible_fields_first_rule_is_built_whole"),
+        "where the filter sum cannot decide against the thresholds, only the exact comparison "
+        "places the value: without it region answers None at a bound"),
     Row("tracker-q-up-is-q", "numberfield.py",
         "consts = [q, _float_up((2 * q1 + 3) * (wide + 1), wide << p + 1),", "consts = [q, q,",
         (_BRANCHING + "test_tracker_constants_satisfy_the_error_bound[q2]",
@@ -161,7 +170,7 @@ ROWS = (
         "n / d rounds to nearest, which may lie on either side of n/d: an outward bound "
         "steps to the next double when it fell inside"),
     Row("branch-starts-at-phi", "numberfield.py",
-        "switch._cmp(self.one) < 0)", "True)",
+        "consts[-1] < 1.0)", "True)",
         (_BRANCHING + "test_branch_starts_are_placed_at_phi",
          _BRANCHING + "test_tracker_constants_satisfy_the_error_bound[sqrt2]"),
         "at q = phi, q * (1/q) = 1 is a switch point, and below phi q * s - 1 may not be LOW"),

@@ -15,7 +15,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from betaforge import (
@@ -1764,6 +1764,38 @@ def test_region_rules_past_the_bound_answer_like_region():
             if expected is not Region.OUTSIDE:
                 assert rule.locate(num) is expected, (den, num)
     assert list(F._rules) == [*range(1, cap), cap + 4]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_KERNEL_FIELDS)), st.sampled_from((0, 1, None)),
+       st.integers(1, 2**70), st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+       st.lists(st.integers(0, 2**80), min_size=4, max_size=4), st.integers(0, 2**20))
+@example("golden", 1, 1, [0] * 4, [0] * 4, 0)  # 1/(q(q-1)) = 1 itself
+@example("q2", 0, 3, [0] * 4, [0] * 4, 0)  # 1/q over three times its denominator
+def test_a_rules_sieve_places_like_locate_and_region(name, near, scale, offsets, spread, w):
+    # numerators over a random denominator, of a value next to a switch bound
+    # (the bound's numerators scaled, plus a small offset) or of one spread
+    # over the domain (random upper numerators, and num[0] putting the value
+    # near w / 2^20 of the way up); the region expected is the reference's,
+    # by exact comparisons with the bounds
+    F = define_field(*_KERNEL_FIELDS[name])
+    bounds, d = domain_bounds(F), F.degree
+    if near is None:
+        den = scale
+        upper = [c % (6 * den) - 3 * den for c in spread[1:d]]
+        q, top = (float(enclosure(v, Fraction(1, 2**60))[0]) for v in (F.q, bounds[2]))
+        rest = sum(c / den * q**i for i, c in enumerate(upper, 1))
+        num = (round((w / 2**20 * top - rest) * den), *upper)
+    else:
+        b = bounds[near]
+        den = b.den * scale
+        num = tuple(c * scale + o for c, o in zip(b.num, offsets))
+    expected = _ref_region(numberfield._reduced(F, num, den))
+    assume(expected is not Region.OUTSIDE)
+    rule = F._rule(den)
+    assert rule.sieve(*F._filter()(num), num) is expected
+    assert rule.locate(num) is expected
+    assert region(numberfield._reduced(F, num, den)) is expected
 
 
 def test_a_root_run_past_the_bound_builds_its_region_rule_once(monkeypatch):

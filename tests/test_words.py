@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from betaforge.branching import Cardinality, count_expansions
+from betaforge.branching import Cardinality, Count, SwitchHit, count_expansions, deterministic_run
 from betaforge.numberfield import (
     _INVERSES_CAP,
     _RULES_CAP,
@@ -629,7 +629,6 @@ def test_threshold_rule_decides_like_the_cross_multiplied_rule(name, which, k, o
         x = bound + Fraction(offset, 2**k)
     den, num = x.den * scale, tuple(c * scale for c in x.num)
     expected, decided = cross_multiplied_rule(F, den)(num)
-    F._tracking()  # built with a field's first rule, it compares 1/(q(q-1)) with 1 exactly
     compared = []
     cmp = AlgebraicReal._cmp
     with pytest.MonkeyPatch.context() as mp:
@@ -650,6 +649,26 @@ def test_region_on_a_reducible_polynomial_raises_only_at_a_tie(wall_time_limit):
     lo, hi, upper = domain_bounds(F)
     assert [region(v) for v in (F.zero, F.one / 2, lo, hi, upper, upper + 1)] == [
         Region.LOW, Region.LOW, Region.SWITCH, Region.SWITCH, Region.HIGH, Region.OUTSIDE]
+
+
+def test_a_reducible_fields_first_rule_is_built_whole(wall_time_limit):
+    # on a fresh (x^2 - x - 1)(x^2 + 1) field, 1/(q(q-1)) = 1 at q though the
+    # two are distinct lattice elements.  The first region rule also builds
+    # the tracker's constants; were that to compare the two exactly, it
+    # would raise half-way, and the answers after it would depend on what
+    # ran first
+    wall_time_limit(20)
+    F = define_field((-1, -1, 0, -1, 1), (Fraction(3, 2), Fraction(17, 10)))
+    tie = eval_word(parse_word("11(0)*"), F)
+    for _ in range(2):
+        assert region(F.zero) is Region.LOW
+        with pytest.raises(ReduciblePolynomial, match="vanishing at q"):
+            region(tie)
+    half = F.one / 2
+    for _ in range(2):
+        assert deterministic_run(half).end == SwitchHit(F.q / 2)
+        got = count_expansions(half)
+        assert (got.kind, got.count, got.limit) == (Count.LOWER_BOUND, 220, "max_nodes")
 
 
 def test_region_of_a_long_greedy_prefix_of_the_upper_switch_bound(wall_time_limit):
