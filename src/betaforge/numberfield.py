@@ -930,7 +930,11 @@ class AlgebraicReal:
 
     def _cmp(self, o: "AlgebraicReal") -> int:
         """Sign of self - o: both scaled sums, cross-multiplied by the other
-        denominator, decide unless they are within the summed error."""
+        denominator, decide unless they are within the summed error.  There,
+        equal reduced lattice forms answer 0 with no subtraction: they are
+        equal values whatever the defining polynomial, so only distinct
+        forms take the sign of the difference, which raises
+        ``ReduciblePolynomial`` when their values tie."""
         s, e = self._scaled()
         t, u = o._scaled()
         diff = o.den * s - self.den * t
@@ -939,7 +943,7 @@ class AlgebraicReal:
             return 1
         if diff < -err:
             return -1
-        return (self - o).sign()
+        return 0 if self.den == o.den and self.num == o.num else (self - o).sign()
 
     def __eq__(self, other):
         if other.__class__ is not AlgebraicReal or other.field is not self.field:

@@ -136,6 +136,17 @@ ROWS = (
          "tests/test_words.py::test_a_reducible_fields_first_rule_is_built_whole"),
         "where the filter sum cannot decide against the thresholds, only the exact comparison "
         "places the value: without it region answers None at a bound"),
+    Row("tie-answers-one", "numberfield.py",
+        "return 0 if self.den == o.den", "return 1 if self.den == o.den",
+        ("tests/test_words.py::test_region_golden_one_is_boundary",
+         _BRANCHING + "test_a_domain_bound_rebuilt_by_another_route_ties_without_subtracting[golden]"),
+        "equal reduced lattice forms are equal values: a tie compares 0, and golden's 1, which "
+        "is 1/(q(q-1)), is a switch point"),
+    Row("tie-tests-num-without-den", "numberfield.py",
+        "self.den == o.den and self.num == o.num else", "self.num == o.num else",
+        (_BRANCHING + "test_an_undecided_pair_of_distinct_forms_is_ordered_by_subtracting",),
+        "equal numerators over different denominators are distinct values: y/3 and y/5 with "
+        "y = q^-200 in q2 pass the filter undecided and only the subtraction orders them"),
     Row("tracker-q-up-is-q", "numberfield.py",
         "consts = [q, _float_up((2 * q1 + 3) * (wide + 1), wide << p + 1),", "consts = [q, q,",
         (_BRANCHING + "test_tracker_constants_satisfy_the_error_bound[q2]",

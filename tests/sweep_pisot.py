@@ -2,8 +2,11 @@
 takes seconds: ``count_expansions`` against the remainder-graph recount on
 every canonical word with preperiod <= 6 and period <= 4, as
 ``test_branching.test_counts_match_the_remainder_recount`` runs it in
-eleven other bases.  Tier-1 does not collect this file (its name does not
-start with ``test_``); CI runs it by name:
+eleven other bases; and ``region`` against the comparison reference on the
+same words' values and those values plus one, through the compiled
+thresholds at degrees 5 and 6, which tier-1 never builds.  Tier-1 does not
+collect this file (its name does not start with ``test_``); CI runs it by
+name:
 
     PYTHONPATH=src python -m pytest -q tests/sweep_pisot.py
 """
@@ -12,9 +15,9 @@ from fractions import Fraction
 
 import pytest
 
-from betaforge import count_expansions, define_field, eval_word
+from betaforge import count_expansions, define_field, eval_word, region
 from conftest import recount
-from test_branching import _MEMO_WORDS
+from test_branching import _MEMO_WORDS, _ref_region
 
 # each a polynomial (ascending coefficients) and an interval isolating its
 # root in (1, 2)
@@ -39,3 +42,12 @@ def test_counts_match_the_remainder_recount_in_degrees_5_and_6(name):
     for word in _MEMO_WORDS:
         x = eval_word(word, F)
         assert count_expansions(x) == recount(x), str(word)
+
+
+@pytest.mark.parametrize("name", list(_SWEEP_FIELDS))
+def test_region_matches_the_comparison_reference_in_degrees_5_and_6(name):
+    F = define_field(*_SWEEP_FIELDS[name])
+    for word in _MEMO_WORDS:
+        x = eval_word(word, F)
+        for v in (x, x + 1):
+            assert region(v) is _ref_region(v), str(word)

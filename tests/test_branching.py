@@ -667,6 +667,60 @@ def _ref_region(x):
     return Region.OUTSIDE
 
 
+_TIE_FIELDS = {
+    "q2": q2_field,
+    "qf": qf_field,
+    "golden": golden_field,
+    # x^5 - x^3 - x^2 - x - 1, ~1.534
+    "x5-x3-x2-x-1": lambda: define_field((-1, -1, -1, -1, 0, 1), (Fraction(3, 2), Fraction(31, 20))),
+}
+
+
+def _counting_subtractions(monkeypatch):
+    calls = []
+    sub = AlgebraicReal.__sub__
+
+    def counted(self, other):
+        calls.append(other)
+        return sub(self, other)
+
+    monkeypatch.setattr(AlgebraicReal, "__sub__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(_TIE_FIELDS))
+def test_a_domain_bound_rebuilt_by_another_route_ties_without_subtracting(name, monkeypatch):
+    F = _TIE_FIELDS[name]()
+    bounds = domain_bounds(F)
+    lo, top = F.one / F.q, F.one / (F.q - 1)
+    # each bound's own lattice form, reached by another route: qf's
+    # countably-infinite point 1(0)* is 1/q, and golden's 1 is 1/(q(q-1))
+    rebuilt = ([lo, eval_word(parse_word("1(0)*"), F)],
+               [lo * top, *([F.one] if name == "golden" else [])],
+               [top, eval_word(parse_word("(1)*"), F)])
+    calls = _counting_subtractions(monkeypatch)
+    for bound, others, expected in zip(bounds, rebuilt, (Region.SWITCH, Region.SWITCH, Region.HIGH)):
+        for x in others:
+            assert x is not bound and x == bound
+            assert numberfield.compare(x, bound) == 0 and numberfield.compare(bound, x) == 0
+            assert region(x) is _ref_region(x) is expected
+    assert calls == []
+
+
+def test_an_undecided_pair_of_distinct_forms_is_ordered_by_subtracting(monkeypatch):
+    # y / 3 and y / 5 share their numerators over different denominators, and
+    # both lie far below what the filter's 128 bits can tell from 0
+    y = q2_field().q ** -200
+    a, b = y / 3, y / 5
+    assert a.num == b.num and a.den != b.den
+    (s, e), (t, u) = a._scaled(), b._scaled()
+    assert abs(b.den * s - a.den * t) <= b.den * e + a.den * u
+    calls = _counting_subtractions(monkeypatch)
+    assert numberfield.compare(a, b) == 1 and numberfield.compare(b, a) == -1
+    assert b < a and not a <= b
+    assert len(calls) == 4
+
+
 def _ref_run(x, max_steps):
     reg = _ref_region(x)
     if reg is Region.OUTSIDE:
